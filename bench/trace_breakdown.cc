@@ -264,7 +264,7 @@ int Run(const std::string& json_path, const std::string& metrics_path,
   // below — is that the recursive structure expand dominates.
   std::sort(slow_merged.begin(), slow_merged.end(),
             [](const SlowQueryRecord& a, const SlowQueryRecord& b) {
-              return a.sim_server_seconds > b.sim_server_seconds;
+              return a.sim_seconds > b.sim_seconds;
             });
   constexpr size_t kGlobalTopK = 16;
   if (slow_merged.size() > kGlobalTopK) slow_merged.resize(kGlobalTopK);
@@ -275,7 +275,7 @@ int Run(const std::string& json_path, const std::string& metrics_path,
   for (const SlowQueryRecord& rec : slow_merged) {
     std::printf("%-10s %-8s %-6s %12.6f %10zu %10zu  %.48s\n",
                 rec.site.c_str(), rec.stmt_class.c_str(), rec.engine.c_str(),
-                rec.sim_server_seconds, rec.cte_rows_scanned,
+                rec.sim_seconds, rec.cte_rows_scanned,
                 rec.rows_scanned, rec.sql.c_str());
   }
   // Gate: the log caught the known-slowest paper-grid statements — the
@@ -289,7 +289,7 @@ int Run(const std::string& json_path, const std::string& metrics_path,
       expand_in_leaders = true;
     }
   }
-  if (slow_merged.empty() || slow_merged.front().sim_server_seconds <= 0 ||
+  if (slow_merged.empty() || slow_merged.front().sim_seconds <= 0 ||
       !expand_in_leaders) {
     std::fprintf(stderr,
                  "\nslow-query gate FAILED: expected a recursive expand "

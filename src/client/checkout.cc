@@ -88,7 +88,7 @@ Result<CheckOutResult> CheckOutClient::RunClientSide(int64_t root,
           modificator.ApplyToNavigationalQuery(&stmt->query, action)
               .status());
       ResultSet children;
-      PDM_RETURN_NOT_OK(conn_->ExecuteSized(
+      PDM_RETURN_NOT_OK(conn_->Execute(
           stmt->ToSql(), &children, [this](const ResultSet& r) {
             return HomogenizedResponseBytes(r, config_);
           }));
@@ -119,7 +119,7 @@ Result<CheckOutResult> CheckOutClient::RunClientSide(int64_t root,
     PDM_RETURN_NOT_OK(
         modificator.ApplyToRecursiveQuery(stmt.get(), action).status());
     ResultSet tree;
-    PDM_RETURN_NOT_OK(conn_->ExecuteSized(
+    PDM_RETURN_NOT_OK(conn_->Execute(
         stmt->ToSql(), &tree, [this](const ResultSet& r) {
           return HomogenizedResponseBytes(r, config_);
         }));

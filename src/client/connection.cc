@@ -25,7 +25,8 @@ std::vector<DbServer::BatchStatementResult> Connection::RunAtServer(
   return server_->ExecuteBatch(statements);
 }
 
-Status Connection::Execute(std::string_view sql, ResultSet* out) {
+Status Connection::Execute(std::string_view sql, ResultSet* out,
+                           const ResponseSizer& sizer) {
   ResultSet scratch;
   if (out == nullptr) out = &scratch;
   if (admission_attached_) {
@@ -34,31 +35,31 @@ Status Connection::Execute(std::string_view sql, ResultSet* out) {
         server_->Submit(admission_client_id_, statements);
     PDM_RETURN_NOT_OK(results[0].status);
     *out = std::move(results[0].result);
-    link_.RecordRoundTrip(sql.size(), results[0].response_bytes);
-    return Status::OK();
+  } else {
+    PDM_RETURN_NOT_OK(server_->Execute(sql, out));
   }
-  size_t response_bytes = 0;
-  PDM_RETURN_NOT_OK(server_->Execute(sql, out, &response_bytes));
-  link_.RecordRoundTrip(sql.size(), response_bytes);
+  link_.RecordRoundTrip(sql.size(), ResponseBytes(*out, sizer));
   return Status::OK();
 }
 
-Status Connection::ExecuteSized(std::string_view sql, ResultSet* out,
-                                const ResponseSizer& sizer) {
-  ResultSet scratch;
-  if (out == nullptr) out = &scratch;
-  if (admission_attached_) {
-    std::vector<std::string> statements{std::string(sql)};
-    std::vector<DbServer::BatchStatementResult> results =
-        server_->Submit(admission_client_id_, statements);
-    PDM_RETURN_NOT_OK(results[0].status);
-    *out = std::move(results[0].result);
-    link_.RecordRoundTrip(sql.size(), sizer(*out));
-    return Status::OK();
+size_t Connection::UnpackBatch(
+    std::vector<DbServer::BatchStatementResult> results,
+    std::vector<Result<ResultSet>>* out, const ResponseSizer& sizer) const {
+  size_t response_bytes = 0;
+  for (const DbServer::BatchStatementResult& r : results) {
+    response_bytes += r.status.ok() ? ResponseBytes(r.result, sizer) : 64;
   }
-  PDM_RETURN_NOT_OK(server_->Execute(sql, out, nullptr));
-  link_.RecordRoundTrip(sql.size(), sizer(*out));
-  return Status::OK();
+  if (out != nullptr) {
+    out->reserve(results.size());
+    for (DbServer::BatchStatementResult& r : results) {
+      if (r.status.ok()) {
+        out->emplace_back(std::move(r.result));
+      } else {
+        out->emplace_back(std::move(r.status));
+      }
+    }
+  }
+  return response_bytes;
 }
 
 namespace {
@@ -74,57 +75,14 @@ size_t BatchRequestBytes(const std::vector<std::string>& statements) {
 }  // namespace
 
 Status Connection::ExecuteBatch(const std::vector<std::string>& statements,
-                                std::vector<Result<ResultSet>>* out) {
+                                std::vector<Result<ResultSet>>* out,
+                                const ResponseSizer& sizer) {
   if (out != nullptr) out->clear();
   // Empty batch: nothing to ship, no round trip charged.
   if (statements.empty()) return Status::OK();
-  std::vector<DbServer::BatchStatementResult> results =
-      RunAtServer(statements);
-  size_t response_bytes = 0;
-  for (const DbServer::BatchStatementResult& r : results) {
-    response_bytes += r.response_bytes;
-  }
+  size_t response_bytes = UnpackBatch(RunAtServer(statements), out, sizer);
   link_.RecordBatchRoundTrip(BatchRequestBytes(statements), response_bytes,
                              statements.size());
-  if (out != nullptr) {
-    out->reserve(results.size());
-    for (DbServer::BatchStatementResult& r : results) {
-      if (r.status.ok()) {
-        out->emplace_back(std::move(r.result));
-      } else {
-        out->emplace_back(std::move(r.status));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status Connection::ExecuteBatchSized(
-    const std::vector<std::string>& statements,
-    std::vector<Result<ResultSet>>* out, const ResponseSizer& sizer) {
-  if (out != nullptr) out->clear();
-  // Empty batch: nothing to ship, no round trip charged.
-  if (statements.empty()) return Status::OK();
-  std::vector<DbServer::BatchStatementResult> results =
-      RunAtServer(statements);
-  size_t response_bytes = 0;
-  for (const DbServer::BatchStatementResult& r : results) {
-    // Error slots occupy the server's minimal frame; OK slots use the
-    // caller's sizing, matching what ExecuteSized charges per statement.
-    response_bytes += r.status.ok() ? sizer(r.result) : size_t{64};
-  }
-  link_.RecordBatchRoundTrip(BatchRequestBytes(statements), response_bytes,
-                             statements.size());
-  if (out != nullptr) {
-    out->reserve(results.size());
-    for (DbServer::BatchStatementResult& r : results) {
-      if (r.status.ok()) {
-        out->emplace_back(std::move(r.result));
-      } else {
-        out->emplace_back(std::move(r.status));
-      }
-    }
-  }
   return Status::OK();
 }
 
@@ -157,26 +115,8 @@ net::ExchangeTiming Connection::PendingBatch::Collect(
   net::ExchangeTiming timing;
   if (conn_ == nullptr) return timing;
   Connection* conn = std::exchange(conn_, nullptr);
-  std::vector<DbServer::BatchStatementResult> results = future_.get();
-  size_t response_bytes = 0;
-  for (const DbServer::BatchStatementResult& r : results) {
-    if (sizer) {
-      response_bytes += r.status.ok() ? sizer(r.result) : size_t{64};
-    } else {
-      response_bytes += r.response_bytes;
-    }
-  }
+  size_t response_bytes = conn->UnpackBatch(future_.get(), out, sizer);
   timing = conn->link_.CompleteExchange(response_bytes);
-  if (out != nullptr) {
-    out->reserve(results.size());
-    for (DbServer::BatchStatementResult& r : results) {
-      if (r.status.ok()) {
-        out->emplace_back(std::move(r.result));
-      } else {
-        out->emplace_back(std::move(r.status));
-      }
-    }
-  }
   return timing;
 }
 

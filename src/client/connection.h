@@ -24,6 +24,7 @@ namespace pdm::client {
 class Connection {
  public:
   /// Sizes a result set on the wire; overrides the server's policy.
+  /// The wire size of every response is decided here, on the client.
   using ResponseSizer = std::function<size_t(const ResultSet&)>;
 
   Connection(DbServer* server, net::WanConfig wan)
@@ -45,29 +46,23 @@ class Connection {
   void DetachFromAdmissionQueue();
   bool attached_to_admission_queue() const { return admission_attached_; }
 
-  /// One query/response round trip with the server's response sizing.
-  Status Execute(std::string_view sql, ResultSet* out);
-
-  /// One round trip with caller-controlled response sizing (used by the
-  /// recursive strategy to charge node rows at the paper's per-node
-  /// size; see DESIGN.md).
-  Status ExecuteSized(std::string_view sql, ResultSet* out,
-                      const ResponseSizer& sizer);
+  /// One query/response round trip. The response is sized by `sizer`
+  /// when given (the strategies charge the paper's per-node size; see
+  /// DESIGN.md), by the server's policy otherwise. A failed statement
+  /// returns its error and charges no round trip.
+  Status Execute(std::string_view sql, ResultSet* out,
+                 const ResponseSizer& sizer = nullptr);
 
   /// One *batched* round trip: all statements ship as one request, all
   /// results return as one response (DESIGN.md 5d). `out` receives one
   /// Result per statement, in statement order — a failing statement
-  /// reports its error in its slot without poisoning siblings. Uses the
-  /// server's response sizing. An empty batch is a no-op: nothing is
-  /// sent and no round trip is charged.
+  /// reports its error in its slot without poisoning siblings. OK slots
+  /// are sized as in Execute; error slots occupy the 64-byte minimal
+  /// frame. An empty batch is a no-op: nothing is sent and no round
+  /// trip is charged.
   Status ExecuteBatch(const std::vector<std::string>& statements,
-                      std::vector<Result<ResultSet>>* out);
-
-  /// ExecuteBatch with caller-controlled response sizing. Error slots
-  /// are charged the server's minimal 64-byte frame, not `sizer`.
-  Status ExecuteBatchSized(const std::vector<std::string>& statements,
-                           std::vector<Result<ResultSet>>* out,
-                           const ResponseSizer& sizer);
+                      std::vector<Result<ResultSet>>* out,
+                      const ResponseSizer& sizer = nullptr);
 
   /// One in-flight pipelined batch exchange (DESIGN.md 5g): the request
   /// is on the wire (WanLink::BeginExchange) and the statements execute
@@ -92,11 +87,9 @@ class Connection {
     size_t statements() const { return n_statements_; }
 
     /// Blocks for the server results, completes the exchange on the
-    /// link and fills `out` (one Result per statement, in order, as
-    /// ExecuteBatch does). OK slots are sized by `sizer` when provided
-    /// (error slots: the 64-byte frame), by the server's policy
-    /// otherwise. Returns the exchange's timeline entry; zeroed if the
-    /// batch was invalid.
+    /// link and fills `out` (one Result per statement, in order, sized
+    /// as ExecuteBatch does). Returns the exchange's timeline entry;
+    /// zeroed if the batch was invalid.
     net::ExchangeTiming Collect(std::vector<Result<ResultSet>>* out,
                                 const ResponseSizer& sizer = nullptr);
 
@@ -129,6 +122,19 @@ class Connection {
   /// when attached, directly otherwise.
   std::vector<DbServer::BatchStatementResult> RunAtServer(
       const std::vector<std::string>& statements);
+
+  /// Wire size of one OK response: `sizer` when given, the server's
+  /// policy otherwise.
+  size_t ResponseBytes(const ResultSet& result,
+                       const ResponseSizer& sizer) const {
+    return sizer ? sizer(result) : server_->ResponseBytes(result);
+  }
+
+  /// Total response size of a batch (error slots: the 64-byte frame),
+  /// then the results moved into `out` (may be null).
+  size_t UnpackBatch(std::vector<DbServer::BatchStatementResult> results,
+                     std::vector<Result<ResultSet>>* out,
+                     const ResponseSizer& sizer) const;
 
   DbServer* server_;
   net::WanLink link_;

@@ -92,31 +92,25 @@ std::unique_ptr<AccessStrategy> Experiment::MakeStrategy(
 
 std::unique_ptr<AccessStrategy> Experiment::MakeStrategyOn(
     Connection* conn, model::StrategyKind kind) {
+  // Every navigational regime is one client: the rule-evaluation
+  // variant plus how a multi-level expand issues its levels.
+  auto navigational = [&](bool early_evaluation, IssuePolicy issue) {
+    return std::make_unique<NavigationalStrategy>(
+        conn, &rule_table_, user(), config_.client, early_evaluation, issue);
+  };
   switch (kind) {
     case model::StrategyKind::kNavigationalLate:
-      return std::make_unique<NavigationalStrategy>(
-          conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/false);
+      return navigational(false, IssuePolicy::kPerNode);
     case model::StrategyKind::kNavigationalEarly:
-      return std::make_unique<NavigationalStrategy>(
-          conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/true);
+      return navigational(true, IssuePolicy::kPerNode);
     case model::StrategyKind::kBatchedLate:
-      return std::make_unique<NavigationalBatchedStrategy>(
-          conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/false);
+      return navigational(false, IssuePolicy::kPerLevel);
     case model::StrategyKind::kBatchedEarly:
-      return std::make_unique<NavigationalBatchedStrategy>(
-          conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/true);
+      return navigational(true, IssuePolicy::kPerLevel);
     case model::StrategyKind::kPipelinedLate:
-      return std::make_unique<NavigationalPipelinedStrategy>(
-          conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/false);
+      return navigational(false, IssuePolicy::kPerLevelPipelined);
     case model::StrategyKind::kPipelinedEarly:
-      return std::make_unique<NavigationalPipelinedStrategy>(
-          conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/true);
+      return navigational(true, IssuePolicy::kPerLevelPipelined);
     case model::StrategyKind::kRecursive:
       return std::make_unique<RecursiveStrategy>(conn, &rule_table_, user(),
                                                  config_.client);

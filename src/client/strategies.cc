@@ -1,8 +1,8 @@
 #include "client/strategies.h"
 
 #include <chrono>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -78,14 +78,47 @@ size_t HomogenizedResponseBytes(const ResultSet& result,
   return bytes == 0 ? 64 : bytes;
 }
 
-size_t AccessStrategy::SizeHomogenizedResponse(const ResultSet& result) const {
-  return HomogenizedResponseBytes(result, config_);
+Connection::ResponseSizer AccessStrategy::HomogenizedSizer() const {
+  return [this](const ResultSet& r) {
+    return HomogenizedResponseBytes(r, config_);
+  };
 }
 
 // --- NavigationalStrategy ------------------------------------------------------
 
-Result<ResultSet> NavigationalStrategy::ExpandOnce(
-    int64_t node, PreparedRowFilter* late_filter, size_t* transmitted_rows) {
+namespace {
+
+/// Late evaluation: the rows crossed the WAN; drop the ones the rules
+/// hide, at the client. No-op under early evaluation (null filter).
+Status ApplyLateFilter(PreparedRowFilter* filter, ResultSet* rows) {
+  if (filter == nullptr) return Status::OK();
+  std::vector<Row> kept;
+  kept.reserve(rows->rows.size());
+  for (Row& row : rows->rows) {
+    PDM_ASSIGN_OR_RETURN(bool pass, filter->Passes(row));
+    if (pass) kept.push_back(std::move(row));
+  }
+  rows->rows = std::move(kept);
+  return Status::OK();
+}
+
+}  // namespace
+
+std::string_view NavigationalStrategy::Name(IssuePolicy issue) const {
+  switch (issue) {
+    case IssuePolicy::kPerNode:
+      return early_ ? "navigational-early" : "navigational-late";
+    case IssuePolicy::kPerLevel:
+      return early_ ? "navigational-batched-early"
+                    : "navigational-batched-late";
+    case IssuePolicy::kPerLevelPipelined:
+      return early_ ? "navigational-pipelined-early"
+                    : "navigational-pipelined-late";
+  }
+  return "navigational";
+}
+
+Result<std::string> NavigationalStrategy::RenderExpandSql(int64_t node) const {
   std::unique_ptr<sql::SelectStmt> stmt =
       rules::BuildExpandQuery(node, config_.hierarchy);
   if (early_) {
@@ -95,29 +128,24 @@ Result<ResultSet> NavigationalStrategy::ExpandOnce(
                                                     RuleAction::kExpand)
                           .status());
   }
-  ResultSet rows;
-  PDM_RETURN_NOT_OK(conn_->ExecuteSized(
-      stmt->ToSql(), &rows,
-      [this](const ResultSet& r) { return SizeHomogenizedResponse(r); }));
-  if (transmitted_rows != nullptr) *transmitted_rows += rows.num_rows();
+  return stmt->ToSql();
+}
 
-  if (!early_ && late_filter != nullptr) {
-    // Late evaluation: the rows crossed the WAN; filter at the client.
-    ResultSet kept;
-    kept.schema = rows.schema;
-    kept.rows.reserve(rows.rows.size());
-    for (Row& row : rows.rows) {
-      PDM_ASSIGN_OR_RETURN(bool pass, late_filter->Passes(row));
-      if (pass) kept.rows.push_back(std::move(row));
-    }
-    return kept;
-  }
-  return rows;
+Result<std::unique_ptr<PreparedRowFilter>>
+NavigationalStrategy::PrepareLateFilter(int64_t node, RuleAction action) {
+  if (early_) return std::unique_ptr<PreparedRowFilter>();
+  // The expand result schema is fixed; prepare against a probe result.
+  ResultSet rows;
+  ExecStats probe_stats;  // private stats: probes may run concurrently
+  PDM_RETURN_NOT_OK(conn_->server().database().Execute(
+      rules::BuildExpandQuery(node, config_.hierarchy)->ToSql(), &rows,
+      &probe_stats));
+  return evaluator_.Prepare(rows.schema, action);
 }
 
 Result<ActionResult> NavigationalStrategy::QueryAll() {
   obs::ScopedSpan action_span("action:navigational/query", obs::ModelTerm::kNone);
-  ActionTimer action_timer(config_, name(), "query");
+  ActionTimer action_timer(config_, Name(IssuePolicy::kPerNode), "query");
   conn_->ResetStats();
   ActionResult out;
 
@@ -130,9 +158,7 @@ Result<ActionResult> NavigationalStrategy::QueryAll() {
                           .status());
   }
   ResultSet rows;
-  PDM_RETURN_NOT_OK(conn_->ExecuteSized(
-      stmt->ToSql(), &rows,
-      [this](const ResultSet& r) { return SizeHomogenizedResponse(r); }));
+  PDM_RETURN_NOT_OK(conn_->Execute(stmt->ToSql(), &rows, HomogenizedSizer()));
   out.transmitted_rows = rows.num_rows();
 
   if (early_) {
@@ -151,353 +177,124 @@ Result<ActionResult> NavigationalStrategy::QueryAll() {
 
 Result<ActionResult> NavigationalStrategy::SingleLevelExpand(int64_t node) {
   obs::ScopedSpan action_span("action:navigational/sle", obs::ModelTerm::kNone);
-  ActionTimer action_timer(config_, name(), "sle");
+  ActionTimer action_timer(config_, Name(IssuePolicy::kPerNode), "sle");
   conn_->ResetStats();
   ActionResult out;
 
-  std::unique_ptr<PreparedRowFilter> filter;
-  if (!early_) {
-    // The expand result schema is fixed; prepare against a probe result.
-    std::unique_ptr<sql::SelectStmt> probe =
-        rules::BuildExpandQuery(node, config_.hierarchy);
-    ResultSet rows;
-    ExecStats probe_stats;  // private stats: probes may run concurrently
-    PDM_RETURN_NOT_OK(conn_->server().database().Execute(probe->ToSql(),
-                                                         &rows,
-                                                         &probe_stats));
-    conn_->ResetStats();  // the probe ran locally, not over the WAN
-    PDM_ASSIGN_OR_RETURN(filter,
-                         evaluator_.Prepare(rows.schema, RuleAction::kExpand));
-  }
-  size_t transmitted = 0;
-  PDM_ASSIGN_OR_RETURN(ResultSet kept,
-                       ExpandOnce(node, filter.get(), &transmitted));
-  out.transmitted_rows = transmitted;
-  out.visible_nodes = kept.num_rows();
+  PDM_ASSIGN_OR_RETURN(std::unique_ptr<PreparedRowFilter> filter,
+                       PrepareLateFilter(node, RuleAction::kExpand));
+  PDM_ASSIGN_OR_RETURN(std::string sql, RenderExpandSql(node));
+  ResultSet rows;
+  PDM_RETURN_NOT_OK(conn_->Execute(sql, &rows, HomogenizedSizer()));
+  out.transmitted_rows = rows.num_rows();
+  PDM_RETURN_NOT_OK(ApplyLateFilter(filter.get(), &rows));
+  out.visible_nodes = rows.num_rows();
   out.wan = conn_->stats();
   return out;
 }
 
 Result<ActionResult> NavigationalStrategy::MultiLevelExpand(int64_t root) {
-  obs::ScopedSpan action_span("action:navigational/mle", obs::ModelTerm::kNone);
+  static constexpr std::string_view kSpanNames[] = {
+      "action:navigational/mle", "action:batched/mle", "action:pipelined/mle"};
+  obs::ScopedSpan action_span(kSpanNames[static_cast<size_t>(issue_)],
+                              obs::ModelTerm::kNone);
   ActionTimer action_timer(config_, name(), "mle");
   conn_->ResetStats();
   ActionResult out;
+  const Connection::ResponseSizer sizer = HomogenizedSizer();
+  const bool pipelined = issue_ == IssuePolicy::kPerLevelPipelined;
 
-  // The root object is already at the client (paper footnote 4).
-  size_t root_index = out.tree.AddNode(root, "assy", "", std::nullopt);
-
-  std::unique_ptr<PreparedRowFilter> filter;
-  ResultSet kept_nodes;  // homogenized rows kept, for tree conditions
-  bool filter_ready = false;
-
-  std::deque<std::pair<int64_t, size_t>> frontier;  // (obid, tree index)
-  frontier.emplace_back(root, root_index);
-  while (!frontier.empty()) {
-    auto [obid, index] = frontier.front();
-    frontier.pop_front();
-
-    if (!early_ && !filter_ready) {
-      // Prepare the late filter from the first response's schema.
-      std::unique_ptr<sql::SelectStmt> probe =
-          rules::BuildExpandQuery(obid, config_.hierarchy);
-      ResultSet rows;
-      ExecStats probe_stats;  // private stats: probes may run concurrently
-      PDM_RETURN_NOT_OK(conn_->server().database().Execute(
-          probe->ToSql(), &rows, &probe_stats));
-      PDM_ASSIGN_OR_RETURN(filter,
-                           evaluator_.Prepare(rows.schema,
-                                              RuleAction::kMultiLevelExpand));
-      filter_ready = true;
-    }
-
-    PDM_ASSIGN_OR_RETURN(
-        ResultSet children,
-        ExpandOnce(obid, filter.get(), &out.transmitted_rows));
-    if (kept_nodes.schema.num_columns() == 0) {
-      kept_nodes.schema = children.schema;
-    }
-    std::optional<size_t> obid_col = children.schema.FindColumn("obid");
-    std::optional<size_t> type_col = children.schema.FindColumn("type");
-    std::optional<size_t> name_col = children.schema.FindColumn("name");
-    kept_nodes.rows.reserve(kept_nodes.rows.size() + children.rows.size());
-    for (Row& row : children.rows) {
-      int64_t child_obid = row[*obid_col].int64_value();
-      size_t child_index =
-          out.tree.AddNode(child_obid, row[*type_col].ToString(),
-                           row[*name_col].ToString(), index);
-      frontier.emplace_back(child_obid, child_index);
-      kept_nodes.rows.push_back(std::move(row));
-    }
-  }
-
-  // Tree conditions are evaluated at the client in both navigational
-  // modes (they cannot be compiled into per-node queries, Section 4.1).
-  PDM_ASSIGN_OR_RETURN(
-      bool tree_ok,
-      evaluator_.TreeConditionsPass(kept_nodes,
-                                    RuleAction::kMultiLevelExpand));
-  if (!tree_ok) out.tree = pdmsys::ProductTree();  // all-or-nothing
-
-  out.visible_nodes =
-      out.tree.num_nodes() > 0 ? out.tree.num_nodes() - 1 : 0;
-  out.wan = conn_->stats();
-  return out;
-}
-
-// --- NavigationalBatchedStrategy ------------------------------------------------
-
-namespace {
-
-/// The expand statement for one node — byte-identical to what
-/// NavigationalStrategy sends for the same node and variant. Batched
-/// and pipelined clients both render through here, so their wire
-/// traffic can never drift apart.
-Result<std::string> RenderNavExpandSql(const rules::RuleTable* rules,
-                                       const pdmsys::UserContext& user,
-                                       const ClientConfig& config, bool early,
-                                       int64_t node) {
-  std::unique_ptr<sql::SelectStmt> stmt =
-      rules::BuildExpandQuery(node, config.hierarchy);
-  if (early) {
-    QueryModificator modificator(rules, user);
-    PDM_RETURN_NOT_OK(modificator
-                          .ApplyToNavigationalQuery(&stmt->query,
-                                                    RuleAction::kExpand)
-                          .status());
-  }
-  return stmt->ToSql();
-}
-
-}  // namespace
-
-Result<std::string> NavigationalBatchedStrategy::RenderExpandSql(
-    int64_t node) const {
-  return RenderNavExpandSql(rules_, user_, config_, early_, node);
-}
-
-Result<ActionResult> NavigationalBatchedStrategy::QueryAll() {
-  NavigationalStrategy nav(conn_, rules_, user_, config_, early_);
-  return nav.QueryAll();
-}
-
-Result<ActionResult> NavigationalBatchedStrategy::SingleLevelExpand(
-    int64_t node) {
-  NavigationalStrategy nav(conn_, rules_, user_, config_, early_);
-  return nav.SingleLevelExpand(node);
-}
-
-Result<ActionResult> NavigationalBatchedStrategy::MultiLevelExpand(
-    int64_t root) {
-  obs::ScopedSpan action_span("action:batched/mle", obs::ModelTerm::kNone);
-  ActionTimer action_timer(config_, name(), "mle");
-  conn_->ResetStats();
-  ActionResult out;
-
-  // The root object is already at the client (paper footnote 4).
-  size_t root_index = out.tree.AddNode(root, "assy", "", std::nullopt);
-
-  std::unique_ptr<PreparedRowFilter> filter;
-  if (!early_) {
-    // Prepare the late filter from a local probe of the fixed expand
-    // schema, exactly as the navigational client does (no WAN traffic).
-    std::unique_ptr<sql::SelectStmt> probe =
-        rules::BuildExpandQuery(root, config_.hierarchy);
-    ResultSet rows;
-    ExecStats probe_stats;  // private stats: probes may run concurrently
-    PDM_RETURN_NOT_OK(conn_->server().database().Execute(
-        probe->ToSql(), &rows, &probe_stats));
-    PDM_ASSIGN_OR_RETURN(
-        filter,
-        evaluator_.Prepare(rows.schema, RuleAction::kMultiLevelExpand));
-  }
-
-  ResultSet kept_nodes;  // homogenized rows kept, for tree conditions
-
-  // Breadth-first by construction: the frontier is exactly one tree
-  // level, and one batch ships all of its expand queries. Processing
-  // statements in frontier order makes the AddNode sequence identical
-  // to the navigational FIFO traversal, so the trees match byte for
-  // byte.
-  std::vector<std::pair<int64_t, size_t>> frontier;  // (obid, tree index)
-  frontier.emplace_back(root, root_index);
-  while (!frontier.empty()) {
+  auto render_level = [this](const std::vector<int64_t>& nodes)
+      -> Result<std::vector<std::string>> {
     std::vector<std::string> statements;
-    statements.reserve(frontier.size());
-    for (const auto& [obid, index] : frontier) {
-      PDM_ASSIGN_OR_RETURN(std::string sql, RenderExpandSql(obid));
+    statements.reserve(nodes.size());
+    for (int64_t node : nodes) {
+      PDM_ASSIGN_OR_RETURN(std::string sql, RenderExpandSql(node));
       statements.push_back(std::move(sql));
     }
-    std::vector<Result<ResultSet>> responses;
-    PDM_RETURN_NOT_OK(conn_->ExecuteBatchSized(
-        statements, &responses,
-        [this](const ResultSet& r) { return SizeHomogenizedResponse(r); }));
-
-    std::vector<std::pair<int64_t, size_t>> next;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      PDM_RETURN_NOT_OK(responses[i].status());
-      ResultSet rows = std::move(*responses[i]);
-      out.transmitted_rows += rows.num_rows();
-
-      if (!early_ && filter != nullptr) {
-        // Late evaluation: the rows crossed the WAN; filter here.
-        ResultSet kept;
-        kept.schema = rows.schema;
-        kept.rows.reserve(rows.rows.size());
-        for (Row& row : rows.rows) {
-          PDM_ASSIGN_OR_RETURN(bool pass, filter->Passes(row));
-          if (pass) kept.rows.push_back(std::move(row));
-        }
-        rows = std::move(kept);
-      }
-
-      if (kept_nodes.schema.num_columns() == 0) {
-        kept_nodes.schema = rows.schema;
-      }
-      std::optional<size_t> obid_col = rows.schema.FindColumn("obid");
-      std::optional<size_t> type_col = rows.schema.FindColumn("type");
-      std::optional<size_t> name_col = rows.schema.FindColumn("name");
-      kept_nodes.rows.reserve(kept_nodes.rows.size() + rows.rows.size());
-      for (Row& row : rows.rows) {
-        int64_t child_obid = row[*obid_col].int64_value();
-        size_t child_index =
-            out.tree.AddNode(child_obid, row[*type_col].ToString(),
-                             row[*name_col].ToString(), frontier[i].second);
-        next.emplace_back(child_obid, child_index);
-        kept_nodes.rows.push_back(std::move(row));
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  // Tree conditions are evaluated at the client, as in both
-  // navigational modes (Section 4.1).
-  PDM_ASSIGN_OR_RETURN(
-      bool tree_ok,
-      evaluator_.TreeConditionsPass(kept_nodes,
-                                    RuleAction::kMultiLevelExpand));
-  if (!tree_ok) out.tree = pdmsys::ProductTree();  // all-or-nothing
-
-  out.visible_nodes =
-      out.tree.num_nodes() > 0 ? out.tree.num_nodes() - 1 : 0;
-  out.wan = conn_->stats();
-  return out;
-}
-
-// --- NavigationalPipelinedStrategy ----------------------------------------------
-
-Result<ActionResult> NavigationalPipelinedStrategy::QueryAll() {
-  NavigationalStrategy nav(conn_, rules_, user_, config_, early_);
-  return nav.QueryAll();
-}
-
-Result<ActionResult> NavigationalPipelinedStrategy::SingleLevelExpand(
-    int64_t node) {
-  NavigationalStrategy nav(conn_, rules_, user_, config_, early_);
-  return nav.SingleLevelExpand(node);
-}
-
-Result<ActionResult> NavigationalPipelinedStrategy::MultiLevelExpand(
-    int64_t root) {
-  obs::ScopedSpan action_span("action:pipelined/mle", obs::ModelTerm::kNone);
-  ActionTimer action_timer(config_, name(), "mle");
-  conn_->ResetStats();
-  ActionResult out;
-
-  // The root object is already at the client (paper footnote 4).
-  size_t root_index = out.tree.AddNode(root, "assy", "", std::nullopt);
-
-  std::unique_ptr<PreparedRowFilter> filter;
-  if (!early_) {
-    // Prepare the late filter from a local probe of the fixed expand
-    // schema, exactly as the navigational client does (no WAN traffic).
-    std::unique_ptr<sql::SelectStmt> probe =
-        rules::BuildExpandQuery(root, config_.hierarchy);
-    ResultSet rows;
-    ExecStats probe_stats;  // private stats: probes may run concurrently
-    PDM_RETURN_NOT_OK(conn_->server().database().Execute(
-        probe->ToSql(), &rows, &probe_stats));
-    PDM_ASSIGN_OR_RETURN(
-        filter,
-        evaluator_.Prepare(rows.schema, RuleAction::kMultiLevelExpand));
-  }
-
-  const Connection::ResponseSizer sizer = [this](const ResultSet& r) {
-    return SizeHomogenizedResponse(r);
+    return statements;
   };
 
+  // Breadth-first, one tree level per iteration: `level` holds the
+  // nodes whose children this iteration fetches, `parents` their tree
+  // indexes. The root object is already at the client (paper footnote
+  // 4). Level order is the navigational FIFO order, so the AddNode
+  // sequence — and hence the tree — is identical under every policy.
+  std::vector<int64_t> level{root};
+  std::vector<size_t> parents{out.tree.AddNode(root, "assy", "", std::nullopt)};
+  PDM_ASSIGN_OR_RETURN(std::unique_ptr<PreparedRowFilter> filter,
+                       PrepareLateFilter(root, RuleAction::kMultiLevelExpand));
   ResultSet kept_nodes;  // homogenized rows kept, for tree conditions
 
-  // Same breadth-first level batches as the batched client, but each
-  // level's batch is issued *speculatively* against the previous
-  // response stream: filtering needs only row values, which are
-  // decodable from the prefix, so the next request can leave before the
-  // previous transfer finishes. Tree assembly (phase C) then runs on
-  // the fully received level, keeping the AddNode sequence — and hence
-  // the tree — byte-identical to the batched traversal.
-  std::vector<size_t> parent_index{root_index};  // tree index per statement
   Connection::PendingBatch pending;
-  {
-    PDM_ASSIGN_OR_RETURN(std::string sql,
-                         RenderNavExpandSql(rules_, user_, config_, early_,
-                                            root));
-    std::vector<std::string> statements;
-    statements.push_back(std::move(sql));
+  if (pipelined) {
+    PDM_ASSIGN_OR_RETURN(std::vector<std::string> statements,
+                         render_level(level));
     pending = conn_->ExecuteBatchPipelined(std::move(statements),
                                            /*overlap_previous=*/false);
   }
 
-  while (pending.valid()) {
-    std::vector<Result<ResultSet>> responses;
-    pending.Collect(&responses, sizer);
-
-    // Phase A: decode and (when late) filter every OK slot. Error slots
-    // keep an empty row set here; the error itself is raised in phase
-    // C, after the speculative issue — exactly where a real pipelined
-    // client would discover it.
-    std::vector<ResultSet> kept(responses.size());
-    for (size_t i = 0; i < responses.size(); ++i) {
-      if (!responses[i].ok()) continue;
-      ResultSet rows = std::move(*responses[i]);
-      out.transmitted_rows += rows.num_rows();
-      if (!early_ && filter != nullptr) {
-        ResultSet filtered;
-        filtered.schema = rows.schema;
-        filtered.rows.reserve(rows.rows.size());
-        for (Row& row : rows.rows) {
-          PDM_ASSIGN_OR_RETURN(bool pass, filter->Passes(row));
-          if (pass) filtered.rows.push_back(std::move(row));
-        }
-        rows = std::move(filtered);
+  while (!level.empty()) {
+    // Receive the level: each node's children, counted as transmitted,
+    // then (late evaluation) filtered.
+    std::vector<ResultSet> children(level.size());
+    Status deferred;  // a pipelined level's first failed slot
+    if (issue_ == IssuePolicy::kPerNode) {
+      for (size_t i = 0; i < level.size(); ++i) {
+        PDM_ASSIGN_OR_RETURN(std::string sql, RenderExpandSql(level[i]));
+        PDM_RETURN_NOT_OK(conn_->Execute(sql, &children[i], sizer));
+        out.transmitted_rows += children[i].num_rows();
+        PDM_RETURN_NOT_OK(ApplyLateFilter(filter.get(), &children[i]));
       }
-      kept[i] = std::move(rows);
+    } else {
+      std::vector<Result<ResultSet>> responses;
+      if (pipelined) {
+        pending.Collect(&responses, sizer);
+      } else {
+        PDM_ASSIGN_OR_RETURN(std::vector<std::string> statements,
+                             render_level(level));
+        PDM_RETURN_NOT_OK(conn_->ExecuteBatch(statements, &responses, sizer));
+      }
+      for (size_t i = 0; i < level.size(); ++i) {
+        if (!responses[i].ok()) {
+          // A pipelined client discovers a failed slot only after it
+          // issued the next level (below); a batched one fails here.
+          if (!pipelined) return responses[i].status();
+          if (deferred.ok()) deferred = responses[i].status();
+          continue;
+        }
+        children[i] = std::move(*responses[i]);
+        out.transmitted_rows += children[i].num_rows();
+        PDM_RETURN_NOT_OK(ApplyLateFilter(filter.get(), &children[i]));
+      }
     }
 
-    // Phase B: render and issue the next level before touching the
-    // tree. Statement order is kept-row order across slots, identical
-    // to the batched frontier order.
-    std::vector<std::string> next_statements;
-    for (const ResultSet& rows : kept) {
+    // The next level, in kept-row order across the level's nodes.
+    std::vector<int64_t> next;
+    for (const ResultSet& rows : children) {
       std::optional<size_t> obid_col = rows.schema.FindColumn("obid");
       if (!obid_col.has_value()) continue;
       for (const Row& row : rows.rows) {
-        PDM_ASSIGN_OR_RETURN(
-            std::string sql,
-            RenderNavExpandSql(rules_, user_, config_, early_,
-                               row[*obid_col].int64_value()));
-        next_statements.push_back(std::move(sql));
+        next.push_back(row[*obid_col].int64_value());
       }
     }
-    Connection::PendingBatch next = conn_->ExecuteBatchPipelined(
-        std::move(next_statements), /*overlap_previous=*/true);
+    if (pipelined) {
+      // Speculative issue before touching the tree: filtering needs only
+      // row values, which are decodable from the response prefix. An
+      // error below abandons `pending` to its destructor, which drains
+      // the in-flight server work and aborts the exchange unaccounted.
+      PDM_ASSIGN_OR_RETURN(std::vector<std::string> statements,
+                           render_level(next));
+      pending = conn_->ExecuteBatchPipelined(std::move(statements),
+                                             /*overlap_previous=*/true);
+      PDM_RETURN_NOT_OK(deferred);
+    }
 
-    // Phase C: fail-fast and assembly. An error here abandons `next` to
-    // its destructor, which drains the in-flight server work and aborts
-    // the exchange unaccounted.
-    std::vector<size_t> next_parent_index;
-    for (size_t i = 0; i < responses.size(); ++i) {
-      PDM_RETURN_NOT_OK(responses[i].status());
-      ResultSet& rows = kept[i];
+    // Tree assembly on the fully received level.
+    std::vector<size_t> next_parents;
+    next_parents.reserve(next.size());
+    for (size_t i = 0; i < children.size(); ++i) {
+      ResultSet& rows = children[i];
       if (kept_nodes.schema.num_columns() == 0) {
         kept_nodes.schema = rows.schema;
       }
@@ -506,20 +303,18 @@ Result<ActionResult> NavigationalPipelinedStrategy::MultiLevelExpand(
       std::optional<size_t> name_col = rows.schema.FindColumn("name");
       kept_nodes.rows.reserve(kept_nodes.rows.size() + rows.rows.size());
       for (Row& row : rows.rows) {
-        int64_t child_obid = row[*obid_col].int64_value();
-        size_t child_index =
-            out.tree.AddNode(child_obid, row[*type_col].ToString(),
-                             row[*name_col].ToString(), parent_index[i]);
-        next_parent_index.push_back(child_index);
+        next_parents.push_back(out.tree.AddNode(
+            row[*obid_col].int64_value(), row[*type_col].ToString(),
+            row[*name_col].ToString(), parents[i]));
         kept_nodes.rows.push_back(std::move(row));
       }
     }
-    parent_index = std::move(next_parent_index);
-    pending = std::move(next);
+    level = std::move(next);
+    parents = std::move(next_parents);
   }
 
-  // Tree conditions are evaluated at the client, as in both
-  // navigational modes (Section 4.1).
+  // Tree conditions are evaluated at the client in every navigational
+  // mode (they cannot be compiled into per-node queries, Section 4.1).
   PDM_ASSIGN_OR_RETURN(
       bool tree_ok,
       evaluator_.TreeConditionsPass(kept_nodes,
@@ -576,9 +371,7 @@ Result<ActionResult> RecursiveStrategy::RunTreeQuery(int64_t root,
           .status());
 
   ResultSet result;
-  PDM_RETURN_NOT_OK(conn_->ExecuteSized(
-      stmt->ToSql(), &result,
-      [this](const ResultSet& r) { return SizeHomogenizedResponse(r); }));
+  PDM_RETURN_NOT_OK(conn_->Execute(stmt->ToSql(), &result, HomogenizedSizer()));
 
   PDM_ASSIGN_OR_RETURN(out.tree,
                        pdmsys::AssembleFromHomogenized(result, root));

@@ -68,7 +68,7 @@ class AccessStrategy {
  protected:
   /// Response sizer charging `node_bytes` per transmitted object row
   /// (link rows free unless configured otherwise).
-  size_t SizeHomogenizedResponse(const ResultSet& result) const;
+  Connection::ResponseSizer HomogenizedSizer() const;
 
   Connection* conn_;
   const rules::RuleTable* rules_;
@@ -77,94 +77,61 @@ class AccessStrategy {
   ClientRuleEvaluator evaluator_;
 };
 
+/// How a navigational multi-level expand issues one tree level's expand
+/// statements. Statements, trees and transmitted rows are identical
+/// under every policy; only the round-trip schedule differs (the
+/// paper's eqs. (1)-(3) and this repo's extensions of them).
+enum class IssuePolicy {
+  /// One round trip per node — the paper's navigational client: n_v + 1
+  /// round trips.
+  kPerNode,
+  /// One batch per tree level (DESIGN.md 5d): α + 1 round trips, still
+  /// n_v + 1 statements.
+  kPerLevel,
+  /// Per-level batches issued speculatively (DESIGN.md 5g): level i+1's
+  /// batch leaves the moment level i's response prefix is decodable
+  /// (its transfer start), so up to min(2 * T_Lat, level-i transfer
+  /// time) of every inter-level latency window hides under the
+  /// still-streaming previous response.
+  kPerLevelPipelined,
+};
+
 /// The baseline and Approach-1 client: one isolated SQL query per
 /// navigation step. With `early_evaluation` = false rules are applied at
 /// the client after the data crossed the WAN (the paper's status quo);
 /// with true, row conditions are compiled into each query's WHERE clause
-/// (Section 4).
+/// (Section 4). `issue` only changes how a multi-level expand ships its
+/// statements; query and single-level expand are one statement already
+/// and always take one round trip.
 class NavigationalStrategy : public AccessStrategy {
  public:
   NavigationalStrategy(Connection* conn, const rules::RuleTable* rules,
                        pdmsys::UserContext user, ClientConfig config,
-                       bool early_evaluation)
+                       bool early_evaluation,
+                       IssuePolicy issue = IssuePolicy::kPerNode)
       : AccessStrategy(conn, rules, std::move(user), config),
-        early_(early_evaluation) {}
+        early_(early_evaluation),
+        issue_(issue) {}
 
   Result<ActionResult> QueryAll() override;
   Result<ActionResult> SingleLevelExpand(int64_t node) override;
   Result<ActionResult> MultiLevelExpand(int64_t root) override;
-  std::string_view name() const override {
-    return early_ ? "navigational-early" : "navigational-late";
-  }
+  std::string_view name() const override { return Name(issue_); }
 
  private:
-  /// One expand round trip; returns the (filtered, when late) child rows
-  /// and accumulates the transmitted row count.
-  Result<ResultSet> ExpandOnce(int64_t node, PreparedRowFilter* late_filter,
-                               size_t* transmitted_rows);
+  /// Strategy label of this rule-evaluation variant under `issue`.
+  std::string_view Name(IssuePolicy issue) const;
 
-  bool early_;
-};
-
-/// The batched client (this repo's extension; DESIGN.md 5d): per-query
-/// SQL identical to NavigationalStrategy, but a multi-level expand
-/// ships all expand queries of one tree level as a single batch over
-/// the wire — α + 1 round trips instead of n_v + 1 while still sending
-/// n_v + 1 statements. Late- and early-evaluation variants mirror the
-/// navigational ones; Query and single-level expand are one statement
-/// already and delegate to NavigationalStrategy.
-class NavigationalBatchedStrategy : public AccessStrategy {
- public:
-  NavigationalBatchedStrategy(Connection* conn, const rules::RuleTable* rules,
-                              pdmsys::UserContext user, ClientConfig config,
-                              bool early_evaluation)
-      : AccessStrategy(conn, rules, std::move(user), config),
-        early_(early_evaluation) {}
-
-  Result<ActionResult> QueryAll() override;
-  Result<ActionResult> SingleLevelExpand(int64_t node) override;
-  Result<ActionResult> MultiLevelExpand(int64_t root) override;
-  std::string_view name() const override {
-    return early_ ? "navigational-batched-early"
-                  : "navigational-batched-late";
-  }
-
- private:
-  /// Renders the expand statement for one node — byte-identical to what
-  /// NavigationalStrategy would send for the same node and variant.
+  /// The expand statement for one node: identical under every policy.
   Result<std::string> RenderExpandSql(int64_t node) const;
 
+  /// The late filter for `action`, prepared from a local probe of the
+  /// fixed expand schema (no WAN traffic); null under early evaluation.
+  Result<std::unique_ptr<PreparedRowFilter>> PrepareLateFilter(
+      int64_t node, rules::RuleAction action);
+
   bool early_;
-};
-
-/// The pipelined client (DESIGN.md 5g): statements, per-level batches
-/// and assembled trees are byte-identical to
-/// NavigationalBatchedStrategy — still α + 1 round trips — but level
-/// i+1's batch is issued speculatively the moment level i's response
-/// prefix is decodable (its transfer start), so up to
-/// min(2 * T_Lat, level-i transfer time) of every inter-level latency
-/// window hides under the still-streaming previous response. Query and
-/// single-level expand are one statement already and delegate to
-/// NavigationalStrategy.
-class NavigationalPipelinedStrategy : public AccessStrategy {
- public:
-  NavigationalPipelinedStrategy(Connection* conn,
-                                const rules::RuleTable* rules,
-                                pdmsys::UserContext user, ClientConfig config,
-                                bool early_evaluation)
-      : AccessStrategy(conn, rules, std::move(user), config),
-        early_(early_evaluation) {}
-
-  Result<ActionResult> QueryAll() override;
-  Result<ActionResult> SingleLevelExpand(int64_t node) override;
-  Result<ActionResult> MultiLevelExpand(int64_t root) override;
-  std::string_view name() const override {
-    return early_ ? "navigational-pipelined-early"
-                  : "navigational-pipelined-late";
-  }
-
- private:
-  bool early_;
+  IssuePolicy issue_;
 };
 
 /// The Approach-2 client (Section 5): multi-level expands compile into a

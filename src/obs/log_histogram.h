@@ -9,8 +9,8 @@
 namespace pdm::obs {
 
 /// HDR-style log-linear histogram over [0, ~73 minutes] of seconds with
-/// bounded relative error — the quantile-accurate replacement for the
-/// fixed-bucket latency histograms (DESIGN.md 5k).
+/// bounded relative error — the registry's one histogram type
+/// (DESIGN.md 5k).
 ///
 /// Layout: observations are converted to integer nanoseconds and binned
 /// into octaves of 2^kSubBits = 128 linear sub-buckets each. Values

@@ -1,8 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 namespace pdm::obs {
 
@@ -27,18 +25,6 @@ LabelSet DecodeLabels(std::string_view encoded) {
   return decoded;
 }
 
-void AtomicAddDouble(std::atomic<uint64_t>* bits, double delta) {
-  uint64_t observed = bits->load(std::memory_order_relaxed);
-  for (;;) {
-    double current = std::bit_cast<double>(observed);
-    uint64_t desired = std::bit_cast<uint64_t>(current + delta);
-    if (bits->compare_exchange_weak(observed, desired,
-                                    std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 std::string EncodeLabels(LabelSet labels) {
@@ -51,40 +37,6 @@ std::string EncodeLabels(LabelSet labels) {
     encoded += '\x1f';
   }
   return encoded;
-}
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)),
-      counts_(bounds_.size() + 1),
-      sum_bits_(std::bit_cast<uint64_t>(0.0)) {}
-
-void Histogram::Observe(double value) {
-  size_t bucket = std::upper_bound(bounds_.begin(), bounds_.end(), value) -
-                  bounds_.begin();
-  // upper_bound gives the first bound strictly greater; bounds are
-  // inclusive upper limits, so land in the previous bucket on equality.
-  if (bucket > 0 && value == bounds_[bucket - 1]) bucket -= 1;
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&sum_bits_, value);
-}
-
-uint64_t Histogram::total_count() const {
-  uint64_t total = 0;
-  for (const std::atomic<uint64_t>& c : counts_) {
-    total += c.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::sum() const {
-  return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
-}
-
-void Histogram::Reset() {
-  for (std::atomic<uint64_t>& c : counts_) {
-    c.store(0, std::memory_order_relaxed);
-  }
-  sum_bits_.store(std::bit_cast<uint64_t>(0.0), std::memory_order_relaxed);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -167,19 +119,6 @@ Counter& MetricsRegistry::counter(std::string_view name, LabelSet labels) {
   return it->second->counter;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(bounds)))
-             .first;
-  }
-  return *it->second;
-}
-
 LogHistogram& MetricsRegistry::log_histogram(std::string_view name,
                                              LabelSet labels) {
   std::string family(name);
@@ -208,7 +147,6 @@ void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
   for (auto& [name, counter] : labeled_counters_) counter->counter.Reset();
   for (auto& [name, histogram] : log_histograms_) {
     histogram->histogram.Reset();
@@ -250,25 +188,6 @@ std::vector<LabeledCounterSnapshot> MetricsRegistry::LabeledCounterSnapshots()
   return out;
 }
 
-std::vector<HistogramSnapshot> MetricsRegistry::HistogramSnapshots() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<HistogramSnapshot> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    HistogramSnapshot snap;
-    snap.name = name;
-    snap.bounds = histogram->bounds();
-    snap.counts.reserve(histogram->num_buckets());
-    for (size_t i = 0; i < histogram->num_buckets(); ++i) {
-      snap.counts.push_back(histogram->bucket_count(i));
-    }
-    snap.total_count = histogram->total_count();
-    snap.sum = histogram->sum();
-    out.push_back(std::move(snap));
-  }
-  return out;
-}
-
 std::vector<LogHistogramSnapshot> MetricsRegistry::LogHistogramSnapshots()
     const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -290,18 +209,6 @@ std::vector<LogHistogramSnapshot> MetricsRegistry::LogHistogramSnapshots()
     out.push_back(std::move(snap));
   }
   return out;
-}
-
-std::vector<double> ExponentialBounds(double start, double factor,
-                                      size_t count) {
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double bound = start;
-  for (size_t i = 0; i < count; ++i) {
-    bounds.push_back(bound);
-    bound *= factor;
-  }
-  return bounds;
 }
 
 }  // namespace pdm::obs

@@ -46,33 +46,6 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// Fixed-bucket histogram: `bounds` are the inclusive upper bounds of
-/// the first N buckets, plus an implicit overflow bucket. Observations
-/// are relaxed atomic adds per bucket; the sum is accumulated as a
-/// double via compare-exchange on its bit pattern, so large values
-/// (byte counts) neither overflow nor lose their magnitude the way the
-/// old int64 nanounit accumulator did.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void Observe(double value);
-
-  size_t num_buckets() const { return counts_.size(); }  // includes overflow
-  const std::vector<double>& bounds() const { return bounds_; }
-  uint64_t bucket_count(size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  uint64_t total_count() const;
-  double sum() const;  // sum of observed values
-  void Reset();
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<uint64_t>> counts_;  // bounds_.size() + 1
-  std::atomic<uint64_t> sum_bits_;  // bit_cast of the double sum
-};
-
 /// A small set of metric dimensions: key/value pairs, canonically
 /// sorted by key (EncodeLabels sorts; registry lookups accept any
 /// order). Keep label VALUES low-cardinality — site names, statement
@@ -99,14 +72,6 @@ struct LabeledCounterSnapshot {
   std::string name;
   LabelSet labels;
   uint64_t value = 0;
-};
-
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> bounds;
-  std::vector<uint64_t> counts;  // bounds.size() + 1 (overflow last)
-  uint64_t total_count = 0;
-  double sum = 0;
 };
 
 /// Pre-evaluated quantile summary of one LogHistogram (the snapshot
@@ -154,10 +119,6 @@ class MetricsRegistry {
   /// The gauge named `name`, created on first use.
   Gauge& gauge(std::string_view name);
 
-  /// The histogram named `name`, created on first use with `bounds`
-  /// (ignored afterwards — first registration wins).
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
-
   /// The quantile-accurate log histogram of family `name` with
   /// dimensions `labels` (empty set = the unlabeled instrument).
   LogHistogram& log_histogram(std::string_view name, LabelSet labels = {});
@@ -167,7 +128,6 @@ class MetricsRegistry {
   std::vector<CounterSnapshot> CounterSnapshots() const;
   std::vector<GaugeSnapshot> GaugeSnapshots() const;
   std::vector<LabeledCounterSnapshot> LabeledCounterSnapshots() const;
-  std::vector<HistogramSnapshot> HistogramSnapshots() const;
   std::vector<LogHistogramSnapshot> LogHistogramSnapshots() const;
 
  private:
@@ -181,7 +141,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   /// Labeled instruments, keyed "family\x1e<encoded labels>". The
   /// decoded label set rides along for snapshotting.
   struct LabeledCounter {
@@ -199,10 +158,6 @@ class MetricsRegistry {
   /// Distinct admitted label sets per family (overflow excluded).
   std::map<std::string, size_t, std::less<>> family_sizes_;
 };
-
-/// Exponential bucket bounds `start, start*factor, ...` (count bounds).
-std::vector<double> ExponentialBounds(double start, double factor,
-                                      size_t count);
 
 }  // namespace pdm::obs
 

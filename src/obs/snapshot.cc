@@ -307,7 +307,6 @@ MetricsSnapshot CaptureMetricsSnapshot(std::string label) {
   snapshot.counters = registry.CounterSnapshots();
   snapshot.gauges = registry.GaugeSnapshots();
   snapshot.labeled_counters = registry.LabeledCounterSnapshots();
-  snapshot.histograms = registry.HistogramSnapshots();
   snapshot.log_histograms = registry.LogHistogramSnapshots();
   return snapshot;
 }
@@ -346,28 +345,6 @@ std::string SnapshotToJson(const MetricsSnapshot& snapshot) {
     AppendLabelsJson(&out, c.labels);
     out += StrFormat(",\"value\":%llu}",
                      static_cast<unsigned long long>(c.value));
-  }
-  out += "],\n\"histograms\":[";
-  first = true;
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n {\"name\":";
-    AppendQuoted(&out, h.name);
-    out += ",\"bounds\":[";
-    for (size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i > 0) out += ',';
-      AppendNumber(&out, h.bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (size_t i = 0; i < h.counts.size(); ++i) {
-      if (i > 0) out += ',';
-      out += StrFormat("%llu", static_cast<unsigned long long>(h.counts[i]));
-    }
-    out += StrFormat("],\"count\":%llu,\"sum\":",
-                     static_cast<unsigned long long>(h.total_count));
-    AppendNumber(&out, h.sum);
-    out += '}';
   }
   out += "],\n\"log_histograms\":[";
   first = true;
@@ -416,22 +393,6 @@ std::string SnapshotToPrometheusText(const MetricsSnapshot& snapshot) {
     }
     out += StrFormat("%s%s %llu\n", name.c_str(), PromLabels(c.labels).c_str(),
                      static_cast<unsigned long long>(c.value));
-  }
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    std::string name = PromName(h.name);
-    out += StrFormat("# TYPE %s histogram\n", name.c_str());
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < h.counts.size(); ++i) {
-      cumulative += h.counts[i];
-      std::string le = i < h.bounds.size()
-                           ? StrFormat("%.17g", h.bounds[i])
-                           : std::string("+Inf");
-      out += StrFormat("%s_bucket{le=\"%s\"} %llu\n", name.c_str(),
-                       le.c_str(), static_cast<unsigned long long>(cumulative));
-    }
-    out += StrFormat("%s_sum %.17g\n%s_count %llu\n", name.c_str(), h.sum,
-                     name.c_str(),
-                     static_cast<unsigned long long>(h.total_count));
   }
   last_family.clear();
   for (const LogHistogramSnapshot& h : snapshot.log_histograms) {
@@ -512,27 +473,6 @@ Result<MetricsSnapshot> ParseSnapshotJson(std::string_view json) {
           else reader.SkipValue();
         });
         snapshot.labeled_counters.push_back(std::move(c));
-      });
-    } else if (key == "histograms") {
-      reader.ParseArray([&] {
-        HistogramSnapshot h;
-        reader.ParseObject([&](const std::string& field) {
-          if (field == "name") h.name = reader.ParseString();
-          else if (field == "bounds") {
-            reader.ParseArray([&] { h.bounds.push_back(reader.ParseNumber()); });
-          } else if (field == "counts") {
-            reader.ParseArray([&] {
-              h.counts.push_back(static_cast<uint64_t>(reader.ParseNumber()));
-            });
-          } else if (field == "count") {
-            h.total_count = static_cast<uint64_t>(reader.ParseNumber());
-          } else if (field == "sum") {
-            h.sum = reader.ParseNumber();
-          } else {
-            reader.SkipValue();
-          }
-        });
-        snapshot.histograms.push_back(std::move(h));
       });
     } else if (key == "log_histograms") {
       reader.ParseArray([&] {

@@ -15,14 +15,13 @@ namespace pdm::obs {
 /// consumes (DESIGN.md 5k). The JSON form is versioned; readers reject
 /// versions they do not understand instead of misparsing them.
 struct MetricsSnapshot {
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
 
   int version = kVersion;
   std::string label;  // freeform provenance (bench name, CI run, ...)
   std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;
   std::vector<LabeledCounterSnapshot> labeled_counters;
-  std::vector<HistogramSnapshot> histograms;
   std::vector<LogHistogramSnapshot> log_histograms;
 };
 
@@ -34,8 +33,7 @@ MetricsSnapshot CaptureMetricsSnapshot(std::string label = {});
 /// Versioned JSON encoding (the exact inverse of ParseSnapshotJson).
 std::string SnapshotToJson(const MetricsSnapshot& snapshot);
 
-/// Prometheus text exposition: counters/gauges with label sets,
-/// fixed-bucket histograms as cumulative `_bucket{le=...}` series, log
+/// Prometheus text exposition: counters/gauges with label sets, log
 /// histograms as quantile summaries. Metric names have '.' mapped to
 /// '_' per Prometheus naming rules.
 std::string SnapshotToPrometheusText(const MetricsSnapshot& snapshot);

@@ -1,6 +1,5 @@
 #include "server/db_server.h"
 
-#include <cctype>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -23,26 +22,10 @@ enum class StatementClass {
 };
 
 StatementClass ClassifyStatement(const Result<sql::StatementFingerprint>& fp,
-                                 const std::string& sql) {
+                                 std::string_view sql) {
   if (fp.ok() && fp->cacheable) return StatementClass::kReadOnly;
-  // The first keyword separates DML from barriers; anything
-  // unrecognized (DDL, CALL, EXPLAIN, lexical errors) is a barrier.
-  size_t begin = 0;
-  while (begin < sql.size() &&
-         std::isspace(static_cast<unsigned char>(sql[begin]))) {
-    ++begin;
-  }
-  size_t end = begin;
-  while (end < sql.size() &&
-         std::isalpha(static_cast<unsigned char>(sql[end]))) {
-    ++end;
-  }
-  std::string word = ToLowerAscii(
-      std::string_view(sql).substr(begin, end - begin));
-  if (word == "insert" || word == "update" || word == "delete") {
-    return StatementClass::kDml;
-  }
-  return StatementClass::kBarrier;
+  // Anything not DML (DDL, CALL, EXPLAIN, lexical errors) is a barrier.
+  return IsDmlStatement(sql) ? StatementClass::kDml : StatementClass::kBarrier;
 }
 
 /// Dedup identity of a statement within a wave: the normalized
@@ -88,21 +71,6 @@ double WallSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One statement's engine work, shaped for model::ServerSeconds.
-model::ServerWork WorkOf(const ExecStats& stats, size_t result_rows) {
-  model::ServerWork work;
-  work.parsed = stats.plan_cache_hits == 0;
-  work.rows_scanned = stats.rows_scanned;
-  work.vec_rows_scanned = stats.vec_rows_scanned;
-  work.cte_rows_scanned = stats.cte_rows_scanned;
-  work.result_rows = result_rows;
-  work.join_probe_rows = stats.join_probe_rows;
-  work.vec_join_probe_rows = stats.vec_join_probe_rows;
-  work.agg_input_rows = stats.agg_input_rows;
-  work.vec_agg_input_rows = stats.vec_agg_input_rows;
-  return work;
-}
-
 }  // namespace
 
 DbServer::DbServer() : DbServer(Config{}) {}
@@ -119,49 +87,14 @@ DbServer::DbServer(Config config)
 
 DbServer::~DbServer() = default;
 
-Status DbServer::Execute(std::string_view sql, ResultSet* out,
-                         size_t* response_bytes) {
+Status DbServer::Execute(std::string_view sql, ResultSet* out) {
   ResultSet scratch;
   if (out == nullptr) out = &scratch;
-  // Per-call stats, exactly like the batch path: last_stats() is a
-  // serial-only concept and must not be used for log attribution when
-  // serial and batched/wave traffic interleave.
-  ExecStats stats;
-  Status status;
-  double sim = 0;
-  double wall = 0;
-  {
-    obs::ScopedSpan span("server:statement", obs::ModelTerm::kServer);
-    const auto wall_start = std::chrono::steady_clock::now();
-    status = db_.Execute(sql, out, &stats);
-    wall = WallSince(wall_start);
-    sim =
-        model::ServerSeconds(config_.server_cost, WorkOf(stats, out->num_rows()));
-    span.set_sim_seconds(sim);
-  }
-  ServerStatementCounter().Increment();
-  std::string sql_text(sql);
-  RecordStatementTelemetry(sql_text, stats, out->num_rows(),
-                           /*response_bytes=*/0, sim, wall,
-                           /*queue_wait_s=*/0, /*wave_id=*/0, /*batch_id=*/0,
-                           /*client_id=*/0, stats.plan_cache_hits > 0);
-  PDM_RETURN_NOT_OK(status);
-  // Sizing walks every result row; skip it when nobody consumes it.
-  if (response_bytes != nullptr || log_enabled_) {
-    size_t bytes = ResponseBytes(*out);
-    if (response_bytes != nullptr) *response_bytes = bytes;
-    if (log_enabled_) {
-      AppendLogEntry(StatementLogEntry{
-          std::move(sql_text), out->num_rows(), out->affected_rows, bytes,
-          stats.plan_cache_hits > 0, /*batch_id=*/0, /*worker=*/0,
-          /*wave_id=*/0, /*client_id=*/0, /*coalesced=*/false,
-          stats.rows_scanned, stats.cte_rows_scanned,
-          stats.vec_rows_scanned, stats.join_probe_rows,
-          stats.vec_join_probe_rows, stats.agg_input_rows,
-          stats.vec_agg_input_rows});
-    }
-  }
-  return Status::OK();
+  StatementRecord record;
+  Status status = RunStatement(sql, /*fingerprint=*/nullptr,
+                               Database::kLatestSnapshot, &record, out);
+  if (log_enabled_) AppendLogEntry(std::move(record));
+  return status;
 }
 
 std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
@@ -172,8 +105,7 @@ std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
   // worker runs it — attaches to the submitting thread's trace.
   const obs::TraceContext batch_ctx = obs::CurrentContext();
   std::vector<BatchStatementResult> results(statements.size());
-  std::vector<StatementLogEntry> entries;
-  if (log_enabled_) entries.resize(statements.size());
+  std::vector<StatementRecord> records(statements.size());
 
   // Fingerprint every statement exactly once: the fingerprint answers
   // the read-only classification here and is then consumed by
@@ -194,43 +126,12 @@ std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
   if (!read_only) threads = 1;
 
   auto run_one = [&](size_t i, size_t worker) {
-    BatchStatementResult& r = results[i];
-    ExecStats stats;
     obs::ContextScope ctx_scope(batch_ctx);
-    double sim = 0;
-    double wall = 0;
-    {
-      obs::ScopedSpan span("server:statement", obs::ModelTerm::kServer);
-      const auto wall_start = std::chrono::steady_clock::now();
-      if (fingerprints[i].ok()) {
-        r.status = db_.ExecuteFingerprinted(std::move(*fingerprints[i]),
-                                            &r.result, &stats);
-      } else {
-        // Lexical error: re-run through the text path for its diagnostics.
-        r.status = db_.Execute(statements[i], &r.result, &stats);
-      }
-      wall = WallSince(wall_start);
-      sim = model::ServerSeconds(config_.server_cost,
-                                 WorkOf(stats, r.result.num_rows()));
-      span.set_sim_seconds(sim);
-    }
-    ServerStatementCounter().Increment();
-    if (!r.status.ok()) r.result = ResultSet();
-    r.response_bytes = ResponseBytes(r.result);
-    RecordStatementTelemetry(statements[i], stats, r.result.num_rows(),
-                             r.response_bytes, sim, wall, /*queue_wait_s=*/0,
-                             /*wave_id=*/0, batch_id, /*client_id=*/0,
-                             stats.plan_cache_hits > 0);
-    if (log_enabled_) {
-      entries[i] = StatementLogEntry{
-          statements[i], r.result.num_rows(), r.result.affected_rows,
-          r.response_bytes, stats.plan_cache_hits > 0, batch_id, worker,
-          /*wave_id=*/0, /*client_id=*/0, /*coalesced=*/false,
-          stats.rows_scanned, stats.cte_rows_scanned,
-          stats.vec_rows_scanned, stats.join_probe_rows,
-          stats.vec_join_probe_rows, stats.agg_input_rows,
-          stats.vec_agg_input_rows};
-    }
+    records[i].batch_id = batch_id;
+    records[i].worker = worker;
+    results[i].status =
+        RunStatement(statements[i], &fingerprints[i],
+                     Database::kLatestSnapshot, &records[i], &results[i].result);
   };
 
   if (threads <= 1) {
@@ -247,8 +148,8 @@ std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
   obs::MetricsRegistry::Global().counter("server.batches").Increment();
   // Append log entries in statement order regardless of which worker ran
   // what, keeping the log deterministic across thread counts.
-  for (StatementLogEntry& e : entries) {
-    AppendLogEntry(std::move(e));
+  if (log_enabled_) {
+    for (StatementRecord& record : records) AppendLogEntry(std::move(record));
   }
   return results;
 }
@@ -317,52 +218,27 @@ DbServer::WaveExecution DbServer::ExecuteWave(
   execution.read_only = read_only;
   execution.dml_statements = dml_count;
 
-  std::vector<StatementLogEntry> entries;
-  if (log_enabled_) entries.resize(n);
+  // Every statement's attribution is known up front; RunStatement (or
+  // the fan-out below) completes the rest of its record.
+  std::vector<StatementRecord> records(n);
+  for (size_t i = 0; i < n; ++i) {
+    records[i].wave_id = wave_id;
+    records[i].client_id = items[i].client_id;
+    records[i].queue_wait_seconds = items[i].queue_wait_s;
+  }
 
   std::atomic<size_t> conflicts{0};
 
   auto run_one = [&](size_t i, size_t worker, uint64_t snapshot_ts) {
     BatchStatementResult& r = *items[i].slot;
-    ExecStats stats;
     // The leader (or a pool worker) may be executing another client's
     // statement: charge the span to the submitter's trace, not ours.
     obs::ContextScope ctx_scope(items[i].trace);
-    double sim = 0;
-    double wall = 0;
-    {
-      obs::ScopedSpan span("server:statement", obs::ModelTerm::kServer);
-      const auto wall_start = std::chrono::steady_clock::now();
-      if (fingerprints[i].ok()) {
-        r.status = db_.ExecuteFingerprinted(std::move(*fingerprints[i]),
-                                            &r.result, &stats, snapshot_ts);
-      } else {
-        r.status = db_.Execute(*items[i].sql, &r.result, &stats, snapshot_ts);
-      }
-      wall = WallSince(wall_start);
-      sim = model::ServerSeconds(config_.server_cost,
-                                 WorkOf(stats, r.result.num_rows()));
-      span.set_sim_seconds(sim);
-    }
-    ServerStatementCounter().Increment();
+    records[i].worker = worker;
+    r.status = RunStatement(*items[i].sql, &fingerprints[i], snapshot_ts,
+                            &records[i], &r.result);
     if (IsRetryableConflict(r.status.code())) {
       conflicts.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!r.status.ok()) r.result = ResultSet();
-    r.response_bytes = ResponseBytes(r.result);
-    RecordStatementTelemetry(*items[i].sql, stats, r.result.num_rows(),
-                             r.response_bytes, sim, wall,
-                             items[i].queue_wait_s, wave_id, /*batch_id=*/0,
-                             items[i].client_id, stats.plan_cache_hits > 0);
-    if (log_enabled_) {
-      entries[i] = StatementLogEntry{
-          *items[i].sql, r.result.num_rows(), r.result.affected_rows,
-          r.response_bytes, stats.plan_cache_hits > 0, /*batch_id=*/0,
-          worker, wave_id, items[i].client_id, /*coalesced=*/false,
-          stats.rows_scanned, stats.cte_rows_scanned,
-          stats.vec_rows_scanned, stats.join_probe_rows,
-          stats.vec_join_probe_rows, stats.agg_input_rows,
-          stats.vec_agg_input_rows};
     }
   };
 
@@ -407,16 +283,17 @@ DbServer::WaveExecution DbServer::ExecuteWave(
     for (size_t i : ro) {
       if (rep_of[i] == i) continue;
       coalesced_counter.Increment();
-      const BatchStatementResult& rep = *items[rep_of[i]].slot;
-      BatchStatementResult& r = *items[i].slot;
-      r.status = rep.status;
-      r.result = rep.result;
-      r.response_bytes = rep.response_bytes;
+      *items[i].slot = *items[rep_of[i]].slot;
       if (log_enabled_) {
-        entries[i] = StatementLogEntry{
-            *items[i].sql, r.result.num_rows(), r.result.affected_rows,
-            r.response_bytes, /*plan_cache_hit=*/false, /*batch_id=*/0,
-            /*worker=*/0, wave_id, items[i].client_id, /*coalesced=*/true};
+        // No engine work of its own: only the outcome is copied.
+        const StatementRecord& rep = records[rep_of[i]];
+        StatementRecord& record = records[i];
+        record.sql = *items[i].sql;
+        record.fingerprint = rep.fingerprint;
+        record.result_rows = rep.result_rows;
+        record.affected_rows = rep.affected_rows;
+        record.response_bytes = rep.response_bytes;
+        record.coalesced = true;
       }
     }
   };
@@ -488,8 +365,8 @@ DbServer::WaveExecution DbServer::ExecuteWave(
   // as the batch path. Only one wave executes at a time (the queue's
   // leader), but serial Execute() traffic from other servers' clients
   // may interleave, so each append still takes the log mutex.
-  for (StatementLogEntry& e : entries) {
-    AppendLogEntry(std::move(e));
+  if (log_enabled_) {
+    for (StatementRecord& record : records) AppendLogEntry(std::move(record));
   }
 
   // Periodic version GC, after the wave snapshot is released: prunes
@@ -520,17 +397,49 @@ size_t DbServer::ResponseBytes(const ResultSet& result) const {
   return result.WireSize() + 64;
 }
 
-void DbServer::RecordStatementTelemetry(
-    const std::string& sql, const ExecStats& stats, size_t result_rows,
-    size_t response_bytes, double sim_seconds, double wall_seconds,
-    double queue_wait_s, uint64_t wave_id, uint64_t batch_id,
-    uint64_t client_id, bool plan_cache_hit) {
-  const std::string_view stmt_class = ClassifyStatementClass(sql, stats);
-  const std::string_view engine = EngineLabel(stats);
+Status DbServer::RunStatement(
+    std::string_view sql, Result<sql::StatementFingerprint>* fingerprint,
+    uint64_t snapshot_ts, StatementRecord* record, ResultSet* out) {
+  // Per-call stats: last_stats() is a serial-only concept and must not be
+  // used for attribution when serial and batched/wave traffic interleave.
+  ExecStats stats;
+  Status status;
+  {
+    obs::ScopedSpan span("server:statement", obs::ModelTerm::kServer);
+    const auto wall_start = std::chrono::steady_clock::now();
+    Result<sql::StatementFingerprint> fp = fingerprint != nullptr
+                                               ? std::move(*fingerprint)
+                                               : sql::FingerprintSql(sql);
+    if (fp.ok()) {
+      status =
+          db_.ExecuteFingerprinted(std::move(*fp), out, &stats, snapshot_ts);
+    } else {
+      // Lexical error: re-run through the text path for its diagnostics.
+      status = db_.Execute(sql, out, &stats, snapshot_ts);
+    }
+    record->wall_seconds = WallSince(wall_start);
+    if (!status.ok()) *out = ResultSet();
+    record->result_rows = out->num_rows();
+    record->affected_rows = out->affected_rows;
+    record->plan_cache_hit = stats.plan_cache_hits > 0;
+    record->rows_scanned = stats.rows_scanned;
+    record->cte_rows_scanned = stats.cte_rows_scanned;
+    record->vec_rows_scanned = stats.vec_rows_scanned;
+    record->join_probe_rows = stats.join_probe_rows;
+    record->vec_join_probe_rows = stats.vec_join_probe_rows;
+    record->agg_input_rows = stats.agg_input_rows;
+    record->vec_agg_input_rows = stats.vec_agg_input_rows;
+    record->sim_seconds =
+        model::ServerSeconds(config_.server_cost, record->Work());
+    span.set_sim_seconds(record->sim_seconds);
+  }
+  ServerStatementCounter().Increment();
 
   // Dimensioned latency: one LogHistogram per (site, stmt_class,
   // engine). Site is fixed per server, so the slot cache keys on the
   // other two; a racing first fill stores the same stable pointer.
+  const std::string_view stmt_class = ClassifyStatementClass(sql, stats);
+  const std::string_view engine = EngineLabel(stats);
   const size_t slot = StmtHistogramSlot(stmt_class, engine);
   obs::LogHistogram* hist = stmt_histograms_[slot].load(std::memory_order_acquire);
   if (hist == nullptr) {
@@ -541,49 +450,38 @@ void DbServer::RecordStatementTelemetry(
          {"engine", std::string(engine)}});
     stmt_histograms_[slot].store(hist, std::memory_order_release);
   }
-  hist->Observe(sim_seconds);
+  hist->Observe(record->sim_seconds);
 
+  // Only a record someone keeps pays for the SQL copy and the sizing walk.
   const SlowQueryLog::Limits limits{config_.slow_query_threshold,
                                     config_.slow_query_log_capacity,
                                     config_.slow_query_top_k};
-  if (!slow_query_log_.MightRecord(limits, sim_seconds, wall_seconds)) return;
+  const bool slow = slow_query_log_.MightRecord(limits, record->sim_seconds,
+                                                record->wall_seconds);
+  if (!slow && !log_enabled_) return status;
+  record->sql = std::string(sql);
+  record->fingerprint = std::move(stats.fingerprint_key);
+  record->response_bytes = ResponseBytes(*out);
+  if (!slow) return status;
 
-  SlowQueryRecord rec;
-  rec.sql = sql;
-  rec.fingerprint = stats.fingerprint_key;
-  rec.stmt_class = std::string(stmt_class);
-  rec.engine = std::string(engine);
-  rec.site = config_.site;
-  rec.plan_summary = StrFormat(
-      "scan=%zu(vec=%zu) cte=%zu probe=%zu(vec=%zu) agg=%zu(vec=%zu) "
-      "plan=%s",
-      stats.rows_scanned, stats.vec_rows_scanned, stats.cte_rows_scanned,
-      stats.join_probe_rows + stats.vec_join_probe_rows,
-      stats.vec_join_probe_rows,
-      stats.agg_input_rows + stats.vec_agg_input_rows,
-      stats.vec_agg_input_rows, plan_cache_hit ? "cached" : "parsed");
-  rec.wave_id = wave_id;
-  rec.batch_id = batch_id;
-  rec.client_id = client_id;
-  rec.plan_cache_hit = plan_cache_hit;
-  rec.result_rows = result_rows;
-  rec.response_bytes = response_bytes;
-  rec.rows_scanned = stats.rows_scanned;
-  rec.cte_rows_scanned = stats.cte_rows_scanned;
-  rec.vec_rows_scanned = stats.vec_rows_scanned;
-  rec.join_probe_rows = stats.join_probe_rows;
-  rec.vec_join_probe_rows = stats.vec_join_probe_rows;
-  rec.agg_input_rows = stats.agg_input_rows;
-  rec.vec_agg_input_rows = stats.vec_agg_input_rows;
-  rec.sim_server_seconds = sim_seconds;
-  rec.wall_seconds = wall_seconds;
-  rec.queue_wait_seconds = queue_wait_s;
+  SlowQueryRecord rec{
+      *record, std::string(stmt_class), std::string(engine), config_.site,
+      StrFormat("scan=%zu(vec=%zu) cte=%zu probe=%zu(vec=%zu) "
+                "agg=%zu(vec=%zu) plan=%s",
+                stats.rows_scanned, stats.vec_rows_scanned,
+                stats.cte_rows_scanned,
+                stats.join_probe_rows + stats.vec_join_probe_rows,
+                stats.vec_join_probe_rows,
+                stats.agg_input_rows + stats.vec_agg_input_rows,
+                stats.vec_agg_input_rows,
+                record->plan_cache_hit ? "cached" : "parsed")};
   size_t evicted = slow_query_log_.Note(limits, std::move(rec));
   if (evicted > 0) {
     obs::MetricsRegistry::Global()
         .counter("server.slow_query_log_dropped")
         .Add(evicted);
   }
+  return status;
 }
 
 void DbServer::AppendLogEntry(StatementLogEntry entry) {

@@ -20,7 +20,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/slow_query_log.h"
+#include "server/statement_record.h"
 #include "server/worker_pool.h"
+#include "sql/fingerprint.h"
 
 namespace pdm {
 
@@ -83,65 +85,16 @@ class DbServer {
     size_t slow_query_top_k = 16;
   };
 
-  /// One executed statement, as observed at the server boundary.
-  struct StatementLogEntry {
-    std::string sql;
-    size_t result_rows = 0;
-    size_t affected_rows = 0;
-    size_t response_bytes = 0;
-    /// True if the statement reused a cached plan (engine/plan_cache.h).
-    bool plan_cache_hit = false;
-    /// Batch this statement arrived in; 0 = standalone Execute().
-    uint64_t batch_id = 0;
-    /// Pool worker that executed it (0 = serial / the calling thread).
-    size_t worker = 0;
-    /// Execution wave of the admission queue that ran this statement;
-    /// 0 = the statement did not pass through the queue (DESIGN.md 5e).
-    uint64_t wave_id = 0;
-    /// Submitting client of a wave statement (meaningful when
-    /// wave_id != 0; standalone traffic reports 0).
-    uint64_t client_id = 0;
-    /// True if this statement never reached the engine: its wave
-    /// contained an identical statement (same fingerprint key and
-    /// parameters) whose result was fanned out to this slot.
-    bool coalesced = false;
-    /// Engine work of this statement (0 for coalesced fan-out slots):
-    /// base-table and recursive-CTE rows touched (exec/exec_context.h).
-    /// `vec_rows_scanned` is the subset of `rows_scanned` swept by the
-    /// vectorized engine, charged at the cheaper per-row rate.
-    size_t rows_scanned = 0;
-    size_t cte_rows_scanned = 0;
-    size_t vec_rows_scanned = 0;
-    /// Join-probe and aggregate-input rows, split by engine (disjoint
-    /// pairs, see exec/exec_context.h). Trailing so the coalesced
-    /// fan-out entry's aggregate-init keeps zero-defaulting them.
-    size_t join_probe_rows = 0;
-    size_t vec_join_probe_rows = 0;
-    size_t agg_input_rows = 0;
-    size_t vec_agg_input_rows = 0;
-
-    /// The entry's engine work, shaped for model::ServerSeconds.
-    model::ServerWork Work() const {
-      model::ServerWork work;
-      work.parsed = !plan_cache_hit;
-      work.rows_scanned = rows_scanned;
-      work.vec_rows_scanned = vec_rows_scanned;
-      work.cte_rows_scanned = cte_rows_scanned;
-      work.result_rows = result_rows;
-      work.join_probe_rows = join_probe_rows;
-      work.vec_join_probe_rows = vec_join_probe_rows;
-      work.agg_input_rows = agg_input_rows;
-      work.vec_agg_input_rows = vec_agg_input_rows;
-      return work;
-    }
-  };
+  /// One executed statement, as observed at the server boundary
+  /// (server/statement_record.h): the statement log's entry type.
+  using StatementLogEntry = StatementRecord;
 
   /// Outcome of one statement of a batch. Fail-fast-per-statement: an
   /// error is recorded in its slot, sibling statements still complete.
+  /// Response sizing is the client's (client::Connection).
   struct BatchStatementResult {
     Status status;
-    ResultSet result;         // empty on error
-    size_t response_bytes = 0;  // errors occupy a minimal frame
+    ResultSet result;  // empty on error
   };
 
   /// One statement of an execution wave: who submitted it, the SQL
@@ -182,10 +135,9 @@ class DbServer {
   DbServer(const DbServer&) = delete;
   DbServer& operator=(const DbServer&) = delete;
 
-  /// Executes one statement arriving as SQL text; fills `out` and
-  /// `response_bytes` (serialized size under the configured policy).
-  Status Execute(std::string_view sql, ResultSet* out,
-                 size_t* response_bytes);
+  /// Executes one statement arriving as SQL text into `out` (may be
+  /// null). Logged as batch 0, failures included.
+  Status Execute(std::string_view sql, ResultSet* out = nullptr);
 
   /// Executes the statements of one batch (a single wire round trip)
   /// and returns one result per statement, in statement order. When
@@ -228,7 +180,8 @@ class DbServer {
   /// log live there).
   AdmissionQueue& admission_queue() { return *admission_; }
 
-  /// Serialized size of a result set under this server's policy.
+  /// Serialized size of a result set under this server's policy — the
+  /// wire size clients charge when they bring no sizer of their own.
   size_t ResponseBytes(const ResultSet& result) const;
 
   Database& database() { return db_; }
@@ -297,16 +250,20 @@ class DbServer {
   /// the ring capacity.
   void AppendLogEntry(StatementLogEntry entry);
 
-  /// Post-execution telemetry shared by all three paths (serial, batch,
-  /// wave): observes the dimensioned statement histogram
-  /// "server.statement_sim_seconds"{site, stmt_class, engine} and feeds
-  /// the slow-query log.
-  void RecordStatementTelemetry(const std::string& sql,
-                                const ExecStats& stats, size_t result_rows,
-                                size_t response_bytes, double sim_seconds,
-                                double wall_seconds, double queue_wait_s,
-                                uint64_t wave_id, uint64_t batch_id,
-                                uint64_t client_id, bool plan_cache_hit);
+  /// The per-statement body every path (Execute, ExecuteBatch,
+  /// ExecuteWave) runs: the server:statement span, the simulated
+  /// t_server charge, the statement counter, the dimensioned histogram
+  /// and the slow-query log. `record` arrives carrying the caller's
+  /// attribution (batch/wave/client ids, worker, queue wait) and leaves
+  /// complete; its SQL copy and response size are filled only when the
+  /// statement log or the slow-query log keeps it. `fingerprint` is the
+  /// caller's precomputed one (consumed), or null to fingerprint inside
+  /// the span — a standalone statement's lexing is part of its server
+  /// time. A failed statement leaves `out` empty.
+  Status RunStatement(std::string_view sql,
+                      Result<sql::StatementFingerprint>* fingerprint,
+                      uint64_t snapshot_ts, StatementRecord* record,
+                      ResultSet* out);
 
   Config config_;
   Database db_;

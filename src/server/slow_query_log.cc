@@ -13,21 +13,6 @@ namespace {
 
 constexpr uint64_t kUnsetBound = ~uint64_t{0};
 
-/// First SQL keyword, lowercased (bounded — keywords are short).
-std::string FirstKeywordLower(std::string_view sql) {
-  size_t i = 0;
-  while (i < sql.size() &&
-         std::isspace(static_cast<unsigned char>(sql[i])) != 0) {
-    ++i;
-  }
-  size_t start = i;
-  while (i < sql.size() && i - start < 16 &&
-         std::isalpha(static_cast<unsigned char>(sql[i])) != 0) {
-    ++i;
-  }
-  return ToLowerAscii(sql.substr(start, i - start));
-}
-
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
   if (needle.empty() || haystack.size() < needle.size()) return false;
   for (size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
@@ -45,8 +30,8 @@ bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
 /// Orders records most-expensive-first (ties broken by wall seconds so
 /// the order is still deterministic for equal simulated charges).
 bool MoreExpensive(const SlowQueryRecord& a, const SlowQueryRecord& b) {
-  if (a.sim_server_seconds != b.sim_server_seconds) {
-    return a.sim_server_seconds > b.sim_server_seconds;
+  if (a.sim_seconds != b.sim_seconds) {
+    return a.sim_seconds > b.sim_seconds;
   }
   return a.wall_seconds > b.wall_seconds;
 }
@@ -58,11 +43,26 @@ bool HeapCmp(const SlowQueryRecord& a, const SlowQueryRecord& b) {
 
 }  // namespace
 
+bool IsDmlStatement(std::string_view sql) {
+  size_t i = 0;
+  while (i < sql.size() &&
+         std::isspace(static_cast<unsigned char>(sql[i])) != 0) {
+    ++i;
+  }
+  size_t start = i;
+  // Bounded: every DML keyword is six letters.
+  while (i < sql.size() && i - start < 7 &&
+         std::isalpha(static_cast<unsigned char>(sql[i])) != 0) {
+    ++i;
+  }
+  std::string kw = ToLowerAscii(sql.substr(start, i - start));
+  return kw == "insert" || kw == "update" || kw == "delete";
+}
+
 std::string_view ClassifyStatementClass(std::string_view sql,
                                         const ExecStats& stats) {
   // DML first: a write is a write regardless of what its scans touched.
-  std::string kw = FirstKeywordLower(sql);
-  if (kw == "insert" || kw == "update" || kw == "delete") return "dml";
+  if (IsDmlStatement(sql)) return "dml";
   // Structure expansion (the paper's dominant workload): recursive CTE
   // traversals and direct link-table hops.
   if (stats.cte_rows_scanned > 0 ||
@@ -103,7 +103,7 @@ bool SlowQueryLog::MightRecord(const Limits& limits, double sim_seconds,
 size_t SlowQueryLog::Note(const Limits& limits, SlowQueryRecord record) {
   bool over_threshold =
       limits.threshold_seconds > 0 &&
-      (record.sim_server_seconds > limits.threshold_seconds ||
+      (record.sim_seconds > limits.threshold_seconds ||
        record.wall_seconds > limits.threshold_seconds);
 
   std::lock_guard<std::mutex> lock(mutex_);
@@ -132,7 +132,7 @@ size_t SlowQueryLog::Note(const Limits& limits, SlowQueryRecord record) {
     std::push_heap(heap_.begin(), heap_.end(), HeapCmp);
     heap_min_bits_.store(
         heap_.size() >= limits.top_k
-            ? std::bit_cast<uint64_t>(heap_.front().sim_server_seconds)
+            ? std::bit_cast<uint64_t>(heap_.front().sim_seconds)
             : kUnsetBound,
         std::memory_order_relaxed);
   }
@@ -185,11 +185,11 @@ std::string SlowQueryRecordsToJson(
     obs::AppendJsonEscaped(&out, r.plan_summary);
     out += StrFormat(
         "\",\"wave_id\":%llu,\"batch_id\":%llu,\"client_id\":%llu,"
-        "\"plan_cache_hit\":%s,\"coalesced\":%s",
+        "\"plan_cache_hit\":%s",
         static_cast<unsigned long long>(r.wave_id),
         static_cast<unsigned long long>(r.batch_id),
         static_cast<unsigned long long>(r.client_id),
-        r.plan_cache_hit ? "true" : "false", r.coalesced ? "true" : "false");
+        r.plan_cache_hit ? "true" : "false");
     out += StrFormat(
         ",\"result_rows\":%zu,\"response_bytes\":%zu,\"rows_scanned\":%zu,"
         "\"cte_rows_scanned\":%zu,\"vec_rows_scanned\":%zu",
@@ -203,7 +203,7 @@ std::string SlowQueryRecordsToJson(
     out += StrFormat(
         ",\"sim_server_seconds\":%.9f,\"wall_seconds\":%.9f,"
         "\"queue_wait_seconds\":%.9f}",
-        r.sim_server_seconds, r.wall_seconds, r.queue_wait_seconds);
+        r.sim_seconds, r.wall_seconds, r.queue_wait_seconds);
   }
   out += "\n]\n";
   return out;

@@ -10,46 +10,26 @@
 #include <vector>
 
 #include "exec/exec_context.h"
+#include "server/statement_record.h"
 
 namespace pdm {
 
-/// One statement captured by the slow-query log: the SQL, its
-/// fingerprint, a plan summary and the per-term breakdown a DBA needs
-/// to attribute the cost (DESIGN.md 5k) — the paper's "find the slow
-/// statements first" workflow as a server feature.
-struct SlowQueryRecord {
-  std::string sql;
-  /// Normalized fingerprint key (empty when the statement was not
-  /// fingerprintable — DDL, lexical errors).
-  std::string fingerprint;
+/// One statement captured by the slow-query log: the server's
+/// statement record plus the labels and plan summary a DBA needs to
+/// attribute the cost (DESIGN.md 5k) — the paper's "find the slow
+/// statements first" workflow as a server feature. Coalesced fan-out
+/// slots never execute, so they never reach this log.
+struct SlowQueryRecord : StatementRecord {
   std::string stmt_class;  // expand/point/join/agg/dml/scan
   std::string engine;      // "vec" when the batch tier did the heavy rows
   std::string site;
   /// One-line plan/work summary (scan/join/agg rows, cache outcome).
   std::string plan_summary;
-  uint64_t wave_id = 0;
-  uint64_t batch_id = 0;
-  uint64_t client_id = 0;
-  bool plan_cache_hit = false;
-  /// True when this statement's result was satisfied by wave-level
-  /// read coalescing rather than its own execution.
-  bool coalesced = false;
-  size_t result_rows = 0;
-  size_t response_bytes = 0;
-  size_t rows_scanned = 0;
-  size_t cte_rows_scanned = 0;
-  size_t vec_rows_scanned = 0;
-  size_t join_probe_rows = 0;
-  size_t vec_join_probe_rows = 0;
-  size_t agg_input_rows = 0;
-  size_t vec_agg_input_rows = 0;
-  /// Per-term cost split: the simulated t_server charge (deterministic,
-  /// the ranking key), the wall seconds this machine spent, and the
-  /// admission-queue wait (0 for non-wave traffic).
-  double sim_server_seconds = 0;
-  double wall_seconds = 0;
-  double queue_wait_seconds = 0;
 };
+
+/// True when the statement's first keyword is INSERT, UPDATE or DELETE
+/// (case-insensitive, leading whitespace skipped).
+bool IsDmlStatement(std::string_view sql);
 
 /// Statement-class label for the dimensioned metrics and the slow-query
 /// log: dml | expand | agg | join | point | scan, decided from the SQL
@@ -105,9 +85,9 @@ class SlowQueryLog {
   mutable std::mutex mutex_;
   std::deque<SlowQueryRecord> ring_;
   size_t dropped_ = 0;
-  /// Min-heap on sim_server_seconds (heap_[0] is the cheapest kept).
+  /// Min-heap on sim_seconds (heap_[0] is the cheapest kept).
   std::vector<SlowQueryRecord> heap_;
-  /// Relaxed cache of heap_[0].sim_server_seconds once the heap is
+  /// Relaxed cache of heap_[0].sim_seconds once the heap is
   /// full — the lock-free fast-path bound. Stored as the double's bit
   /// pattern; kUnsetBound (never a valid positive double) means "heap
   /// not full yet, take the lock".

@@ -26,14 +26,13 @@ using model::StrategyKind;
 /// A server with t(id INTEGER, name TEXT) of `rows` rows "n0".."n<rows-1>".
 void Seed(DbServer* server, int rows) {
   ASSERT_TRUE(
-      server->Execute("CREATE TABLE t (id INTEGER, name TEXT)", nullptr,
-                      nullptr)
+      server->Execute("CREATE TABLE t (id INTEGER, name TEXT)", nullptr)
           .ok());
   for (int i = 0; i < rows; ++i) {
     ASSERT_TRUE(server
                     ->Execute(StrFormat("INSERT INTO t VALUES (%d, 'n%d')",
                                         i, i),
-                              nullptr, nullptr)
+                              nullptr)
                     .ok());
   }
 }
@@ -94,7 +93,6 @@ TEST(AdmissionQueue, DedupsIdenticalSelectsWithinAWave) {
             results[3].result.ToString(1 << 20));
   EXPECT_EQ(results[1].result.ToString(1 << 20),
             results[4].result.ToString(1 << 20));
-  EXPECT_EQ(results[0].response_bytes, results[2].response_bytes);
 
   std::vector<AdmissionQueue::WaveLogEntry> waves =
       server.admission_queue().wave_log();
@@ -103,13 +101,17 @@ TEST(AdmissionQueue, DedupsIdenticalSelectsWithinAWave) {
   EXPECT_EQ(waves[0].unique_statements, 2u);
   EXPECT_TRUE(waves[0].read_only);
 
-  // The statement log marks exactly the fan-out slots as coalesced.
+  // The statement log marks exactly the fan-out slots as coalesced, and
+  // each carries its representative's response size.
+  std::vector<DbServer::StatementLogEntry> log = server.statement_log();
+  ASSERT_EQ(log.size(), 5u);
   size_t coalesced = 0;
-  for (const DbServer::StatementLogEntry& entry : server.statement_log()) {
+  for (const DbServer::StatementLogEntry& entry : log) {
     EXPECT_EQ(entry.wave_id, waves[0].wave_id);
     if (entry.coalesced) ++coalesced;
   }
   EXPECT_EQ(coalesced, 3u);
+  EXPECT_EQ(log[2].response_bytes, log[0].response_bytes);
 }
 
 TEST(AdmissionQueue, LiteralsDistinguishDedupGroups) {

@@ -1,6 +1,7 @@
 // Tests for the batched execution path (DESIGN.md 5d): per-statement
 // error semantics of DbServer::ExecuteBatch, determinism across
-// batch_threads, statement-log batch/worker attribution, the engine's
+// batch_threads, statement-log batch/worker attribution and its
+// identity across the standalone/batch/wave paths, the engine's
 // thread-safety contract under concurrent cold-index builds and
 // plan-cache fingerprint collisions, and the batched navigational
 // strategy's α+1 round-trip schedule on the 5×5 product.
@@ -25,14 +26,13 @@ using model::StrategyKind;
 /// A server with t(id INTEGER, name TEXT) of `rows` rows "n0".."n<rows-1>".
 void Seed(DbServer* server, int rows) {
   ASSERT_TRUE(
-      server->Execute("CREATE TABLE t (id INTEGER, name TEXT)", nullptr,
-                      nullptr)
+      server->Execute("CREATE TABLE t (id INTEGER, name TEXT)", nullptr)
           .ok());
   for (int i = 0; i < rows; ++i) {
     ASSERT_TRUE(server
                     ->Execute(StrFormat("INSERT INTO t VALUES (%d, 'n%d')",
                                         i, i),
-                              nullptr, nullptr)
+                              nullptr)
                     .ok());
   }
 }
@@ -57,9 +57,8 @@ TEST(BatchExec, FailFastPerStatement) {
   EXPECT_TRUE(results[2].status.ok());
   EXPECT_FALSE(results[3].status.ok());
   EXPECT_TRUE(results[4].status.ok());
-  // Error slots carry an empty result but still occupy a minimal frame.
+  // Error slots carry an empty result.
   EXPECT_EQ(results[1].result.num_rows(), 0u);
-  EXPECT_GT(results[1].response_bytes, 0u);
   EXPECT_EQ(results[0].result.num_rows(), 1u);
   EXPECT_EQ(results[4].result.At(0, 0).ToString(), "n3");
 }
@@ -133,7 +132,6 @@ TEST(BatchExec, ResultsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(results[i].result.ToString(1 << 20),
                 reference[i].result.ToString(1 << 20))
           << threads << "/" << i;
-      EXPECT_EQ(results[i].response_bytes, reference[i].response_bytes);
     }
   }
 }
@@ -170,9 +168,97 @@ TEST(BatchExec, StatementLogRecordsBatchIdsAndWorkers) {
 
   // Standalone Execute() is batch 0.
   ResultSet out;
-  size_t bytes = 0;
-  ASSERT_TRUE(server.Execute(PointQuery(5), &out, &bytes).ok());
+  ASSERT_TRUE(server.Execute(PointQuery(5), &out).ok());
   EXPECT_EQ(server.statement_log().back().batch_id, 0u);
+}
+
+// Regression: a failed standalone statement used to return before its
+// log entry was appended, while the batch path logged the same failure.
+TEST(BatchExec, FailedStatementIsLoggedOnEveryPath) {
+  DbServer server;
+  Seed(&server, 2);
+  server.EnableStatementLog(true);
+  const std::string bad = "SELECT nope FROM t";
+
+  ResultSet out;
+  EXPECT_FALSE(server.Execute(bad, &out).ok());
+  EXPECT_EQ(out.num_rows(), 0u);
+  std::vector<DbServer::StatementLogEntry> log = server.statement_log();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].sql, bad);
+  EXPECT_EQ(log[0].batch_id, 0u);
+  EXPECT_EQ(log[0].result_rows, 0u);
+
+  server.ClearStatementLog();
+  std::vector<std::string> batch = {bad};
+  EXPECT_FALSE(server.ExecuteBatch(batch)[0].status.ok());
+  log = server.statement_log();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].sql, bad);
+  EXPECT_GT(log[0].batch_id, 0u);
+}
+
+/// The record fields every path must agree on: everything except the
+/// batch/wave/worker/client attribution and the wall-clock timings.
+std::string RecordKey(const DbServer::StatementLogEntry& r) {
+  return StrFormat(
+      "%s|%s|rows=%zu|affected=%zu|bytes=%zu|hit=%d|coalesced=%d|"
+      "scan=%zu|cte=%zu|vec=%zu|probe=%zu|vec_probe=%zu|agg=%zu|"
+      "vec_agg=%zu|sim=%.17g",
+      r.sql.c_str(), r.fingerprint.c_str(), r.result_rows, r.affected_rows,
+      r.response_bytes, r.plan_cache_hit ? 1 : 0, r.coalesced ? 1 : 0,
+      r.rows_scanned, r.cte_rows_scanned, r.vec_rows_scanned,
+      r.join_probe_rows, r.vec_join_probe_rows, r.agg_input_rows,
+      r.vec_agg_input_rows, r.sim_seconds);
+}
+
+// One statement body serves every path, so the statement log is the
+// same record for record whichever path carried the statements — a
+// failing statement and a DML included.
+TEST(BatchExec, StatementLogIdenticalAcrossPaths) {
+  const std::vector<std::string> statements = {
+      "SELECT COUNT(*) FROM t", PointQuery(1), "SELECT nope FROM t",
+      "INSERT INTO t VALUES (99, 'n99')", PointQuery(99), PointQuery(1)};
+  enum class Path { kExecute, kBatch1, kBatch4, kWave };
+  std::vector<std::string> reference;
+  for (Path path : {Path::kExecute, Path::kBatch1, Path::kBatch4,
+                    Path::kWave}) {
+    DbServer server;  // fresh data and a cold plan cache per path
+    Seed(&server, 4);
+    server.EnableStatementLog(true);
+    server.mutable_config().batch_threads = path == Path::kBatch4 ? 4 : 1;
+    switch (path) {
+      case Path::kExecute:
+        for (const std::string& sql : statements) {
+          (void)server.Execute(sql, nullptr);
+        }
+        break;
+      case Path::kBatch1:
+      case Path::kBatch4:
+        server.ExecuteBatch(statements);
+        break;
+      case Path::kWave:
+        server.Submit(/*client_id=*/7, statements);
+        break;
+    }
+    std::vector<std::string> keys;
+    for (const DbServer::StatementLogEntry& entry : server.statement_log()) {
+      keys.push_back(RecordKey(entry));
+      EXPECT_EQ(entry.client_id, path == Path::kWave ? 7u : 0u);
+      EXPECT_EQ(entry.wave_id > 0, path == Path::kWave);
+      EXPECT_EQ(entry.batch_id > 0, path == Path::kBatch1 ||
+                                        path == Path::kBatch4);
+    }
+    ASSERT_EQ(keys.size(), statements.size());
+    if (path == Path::kExecute) {
+      reference = keys;
+      EXPECT_EQ(server.statement_log()[3].affected_rows, 1u);
+      EXPECT_EQ(server.statement_log()[4].result_rows, 1u);
+      EXPECT_TRUE(server.statement_log()[5].plan_cache_hit);
+    } else {
+      EXPECT_EQ(keys, reference) << static_cast<int>(path);
+    }
+  }
 }
 
 TEST(BatchExec, ResetObservabilityClearsLogAndCacheCounters) {
@@ -180,8 +266,8 @@ TEST(BatchExec, ResetObservabilityClearsLogAndCacheCounters) {
   Seed(&server, 4);
   server.EnableStatementLog(true);
   ResultSet out;
-  ASSERT_TRUE(server.Execute(PointQuery(1), &out, nullptr).ok());
-  ASSERT_TRUE(server.Execute(PointQuery(1), &out, nullptr).ok());
+  ASSERT_TRUE(server.Execute(PointQuery(1), &out).ok());
+  ASSERT_TRUE(server.Execute(PointQuery(1), &out).ok());
   EXPECT_FALSE(server.statement_log().empty());
   EXPECT_GT(server.plan_cache_stats().hits + server.plan_cache_stats().misses,
             0u);
@@ -191,7 +277,7 @@ TEST(BatchExec, ResetObservabilityClearsLogAndCacheCounters) {
   EXPECT_EQ(server.plan_cache_stats().hits, 0u);
   EXPECT_EQ(server.plan_cache_stats().misses, 0u);
   // Cached plans themselves survive: the next repeat is a hit.
-  ASSERT_TRUE(server.Execute(PointQuery(1), &out, nullptr).ok());
+  ASSERT_TRUE(server.Execute(PointQuery(1), &out).ok());
   EXPECT_EQ(server.plan_cache_stats().hits, 1u);
 }
 
@@ -201,7 +287,7 @@ TEST(BatchExec, ExecuteWithoutSizingConsumers) {
   // No response_bytes out-param and no statement log: the sizing walk is
   // skipped entirely; execution must still work.
   ResultSet out;
-  ASSERT_TRUE(server.Execute("SELECT COUNT(*) FROM t", &out, nullptr).ok());
+  ASSERT_TRUE(server.Execute("SELECT COUNT(*) FROM t", &out).ok());
   EXPECT_EQ(out.At(0, 0).int64_value(), 4);
 }
 
@@ -278,7 +364,7 @@ TEST(BatchExec, EmptyConnectionBatchChargesNothing) {
   EXPECT_DOUBLE_EQ(conn.stats().total_seconds(), 0.0);
 
   out = {Result<ResultSet>(ResultSet())};
-  ASSERT_TRUE(conn.ExecuteBatchSized(statements, &out, [](const ResultSet&) {
+  ASSERT_TRUE(conn.ExecuteBatch(statements, &out, [](const ResultSet&) {
                     return size_t{512};
                   })
                   .ok());

@@ -1,11 +1,14 @@
 // Differential tests: independent implementations must agree.
-//  * navigational vs recursive traversal on randomized trees
+//  * navigational vs recursive traversal on randomized trees, and the
+//    navigational issue policies (per node, per level, pipelined)
+//    against each other
 //  * engine evaluation vs a reference C++ oracle on random predicates
 //  * optimizer on vs off on a query corpus
 
 #include <gtest/gtest.h>
 
 #include "client/experiment.h"
+#include "server/db_server.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 
@@ -34,35 +37,62 @@ TEST_P(StrategyEquivalenceSweep, AllStrategiesRetrieveTheSameTree) {
   ASSERT_TRUE(experiment.ok()) << experiment.status();
   client::Experiment& e = **experiment;
 
-  Result<client::ActionResult> late = e.RunAction(
-      StrategyKind::kNavigationalLate, ActionKind::kMultiLevelExpand);
-  Result<client::ActionResult> early = e.RunAction(
-      StrategyKind::kNavigationalEarly, ActionKind::kMultiLevelExpand);
-  Result<client::ActionResult> rec =
-      e.RunAction(StrategyKind::kRecursive, ActionKind::kMultiLevelExpand);
-  Result<client::ActionResult> batched_late = e.RunAction(
-      StrategyKind::kBatchedLate, ActionKind::kMultiLevelExpand);
-  Result<client::ActionResult> batched_early = e.RunAction(
-      StrategyKind::kBatchedEarly, ActionKind::kMultiLevelExpand);
-  ASSERT_TRUE(late.ok()) << late.status();
-  ASSERT_TRUE(early.ok()) << early.status();
+  // Every run's statement log, in arrival order: the issue policies
+  // may only change the round-trip schedule, never what is sent.
+  e.server().EnableStatementLog(true);
+  e.server().mutable_config().statement_log_capacity = 0;
+  auto run = [&](StrategyKind kind, std::vector<std::string>* sqls) {
+    e.server().ClearStatementLog();
+    Result<client::ActionResult> result =
+        e.RunAction(kind, ActionKind::kMultiLevelExpand);
+    for (const DbServer::StatementLogEntry& entry : e.server().statement_log()) {
+      sqls->push_back(entry.sql);
+    }
+    return result;
+  };
+  std::vector<std::string> ignored;
+  Result<client::ActionResult> rec = run(StrategyKind::kRecursive, &ignored);
   ASSERT_TRUE(rec.ok()) << rec.status();
-  ASSERT_TRUE(batched_late.ok()) << batched_late.status();
-  ASSERT_TRUE(batched_early.ok()) << batched_early.status();
 
-  // The batched strategies are the navigational ones with a different
-  // wire schedule: the assembled tree must be byte-identical, and the
-  // same statements must arrive in at most α+1 round trips (fewer when a
-  // Bernoulli realization empties a level early).
-  EXPECT_EQ(batched_late->tree.ToString(1 << 20),
-            late->tree.ToString(1 << 20));
-  EXPECT_EQ(batched_early->tree.ToString(1 << 20),
-            early->tree.ToString(1 << 20));
-  EXPECT_EQ(batched_late->transmitted_rows, late->transmitted_rows);
-  EXPECT_EQ(batched_early->transmitted_rows, early->transmitted_rows);
-  EXPECT_LE(batched_late->wan.round_trips,
-            static_cast<size_t>(config.generator.depth) + 1);
-  EXPECT_EQ(batched_late->wan.statements, late->wan.round_trips);
+  // Per rule-evaluation variant: per-node, per-level and pipelined issue.
+  const struct {
+    StrategyKind navigational, batched, pipelined;
+  } kVariants[] = {{StrategyKind::kNavigationalLate, StrategyKind::kBatchedLate,
+                    StrategyKind::kPipelinedLate},
+                   {StrategyKind::kNavigationalEarly,
+                    StrategyKind::kBatchedEarly,
+                    StrategyKind::kPipelinedEarly}};
+  std::vector<client::ActionResult> navigational;
+  for (const auto& variant : kVariants) {
+    std::vector<std::string> nav_sql, batched_sql, pipelined_sql;
+    Result<client::ActionResult> nav = run(variant.navigational, &nav_sql);
+    Result<client::ActionResult> batched = run(variant.batched, &batched_sql);
+    Result<client::ActionResult> pipelined =
+        run(variant.pipelined, &pipelined_sql);
+    ASSERT_TRUE(nav.ok()) << nav.status();
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    ASSERT_TRUE(pipelined.ok()) << pipelined.status();
+
+    // The same statements in the same order, whatever the schedule.
+    EXPECT_EQ(nav_sql.size(), nav->wan.round_trips);
+    EXPECT_EQ(batched_sql, nav_sql);
+    EXPECT_EQ(pipelined_sql, nav_sql);
+
+    // Byte-identical trees and volume; the batched schedules need at
+    // most α+1 round trips (fewer when a Bernoulli realization empties a
+    // level early), and pipelining keeps the batched round trips.
+    for (const client::ActionResult* other : {&*batched, &*pipelined}) {
+      EXPECT_EQ(other->tree.ToString(1 << 20), nav->tree.ToString(1 << 20));
+      EXPECT_EQ(other->transmitted_rows, nav->transmitted_rows);
+      EXPECT_EQ(other->wan.statements, nav->wan.round_trips);
+    }
+    EXPECT_LE(batched->wan.round_trips,
+              static_cast<size_t>(config.generator.depth) + 1);
+    EXPECT_EQ(pipelined->wan.round_trips, batched->wan.round_trips);
+    navigational.push_back(std::move(*nav));
+  }
+  const client::ActionResult* late = &navigational[0];
+  const client::ActionResult* early = &navigational[1];
 
   // Identical node sets and identical parent assignment.
   ASSERT_EQ(late->tree.num_nodes(), rec->tree.num_nodes());

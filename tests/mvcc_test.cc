@@ -158,9 +158,9 @@ TEST(MvccWaves, SameWaveUpdatesOnOneRowSurfaceRetryableConflict) {
   DbServer server;
   ASSERT_TRUE(
       server
-          .Execute("CREATE TABLE t (id INTEGER, name TEXT)", nullptr, nullptr)
+          .Execute("CREATE TABLE t (id INTEGER, name TEXT)", nullptr)
           .ok());
-  ASSERT_TRUE(server.Execute("INSERT INTO t VALUES (1, 'n')", nullptr, nullptr)
+  ASSERT_TRUE(server.Execute("INSERT INTO t VALUES (1, 'n')", nullptr)
                   .ok());
   AdmissionQueue& queue = server.admission_queue();
   queue.RegisterClient();

@@ -146,19 +146,11 @@ TEST_F(ObsTest, CounterAndHistogramBasics) {
   counter.Reset();
   EXPECT_EQ(counter.value(), 0u);
 
-  // Bounds are inclusive upper bounds; the last bucket is overflow.
-  obs::Histogram hist({1.0, 2.0, 4.0});
-  hist.Observe(1.0);    // bucket 0 (inclusive)
-  hist.Observe(1.5);    // bucket 1
-  hist.Observe(4.0);    // bucket 2 (inclusive)
-  hist.Observe(100.0);  // overflow
-  ASSERT_EQ(hist.num_buckets(), 4u);
-  EXPECT_EQ(hist.bucket_count(0), 1u);
-  EXPECT_EQ(hist.bucket_count(1), 1u);
-  EXPECT_EQ(hist.bucket_count(2), 1u);
-  EXPECT_EQ(hist.bucket_count(3), 1u);
-  EXPECT_EQ(hist.total_count(), 4u);
-  EXPECT_NEAR(hist.sum(), 106.5, 1e-6);
+  obs::LogHistogram hist;
+  hist.Observe(0.001);
+  hist.Observe(0.5);
+  EXPECT_EQ(hist.total_count(), 2u);
+  EXPECT_NEAR(hist.sum(), 0.501, 1e-12);
   hist.Reset();
   EXPECT_EQ(hist.total_count(), 0u);
   EXPECT_DOUBLE_EQ(hist.sum(), 0.0);
@@ -166,10 +158,8 @@ TEST_F(ObsTest, CounterAndHistogramBasics) {
 
 TEST_F(ObsTest, RegistryFirstRegistrationWinsAndRefsAreStable) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Histogram& first = registry.histogram("obs_test.h", {1.0, 2.0});
-  obs::Histogram& again = registry.histogram("obs_test.h", {9.0});
-  EXPECT_EQ(&first, &again);
-  EXPECT_EQ(again.bounds().size(), 2u);
+  obs::LogHistogram& first = registry.log_histogram("obs_test.h");
+  EXPECT_EQ(&first, &registry.log_histogram("obs_test.h"));
 
   obs::Counter& c1 = registry.counter("obs_test.c");
   c1.Add(7);
@@ -251,11 +241,11 @@ TEST_F(ObsTest, StatementLogIsABoundedRing) {
   server.mutable_config().statement_log_capacity = 4;
   server.EnableStatementLog(true);
   ASSERT_TRUE(
-      server.Execute("CREATE TABLE t (id INTEGER)", nullptr, nullptr).ok());
+      server.Execute("CREATE TABLE t (id INTEGER)", nullptr).ok());
   for (int i = 0; i < 9; ++i) {
     ASSERT_TRUE(server
                     .Execute(StrFormat("SELECT id FROM t WHERE id = %d", i),
-                             nullptr, nullptr)
+                             nullptr)
                     .ok());
   }
   // 10 statements through a capacity-4 ring: the latest 4 survive.
@@ -273,7 +263,7 @@ TEST_F(ObsTest, StatementLogIsABoundedRing) {
   // Capacity 0 = unbounded: nothing is ever dropped.
   server.mutable_config().statement_log_capacity = 0;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(server.Execute("SELECT id FROM t", nullptr, nullptr).ok());
+    ASSERT_TRUE(server.Execute("SELECT id FROM t", nullptr).ok());
   }
   EXPECT_EQ(server.statement_log_size(), 10u);
   EXPECT_EQ(server.statement_log_dropped(), 0u);
@@ -321,11 +311,6 @@ TEST_F(ObsTest, ResetObservabilityResetsEverySurface) {
   for (const obs::CounterSnapshot& c :
        obs::MetricsRegistry::Global().CounterSnapshots()) {
     EXPECT_EQ(c.value, 0u) << c.name;
-  }
-  for (const obs::HistogramSnapshot& h :
-       obs::MetricsRegistry::Global().HistogramSnapshots()) {
-    EXPECT_EQ(h.total_count, 0u) << h.name;
-    EXPECT_DOUBLE_EQ(h.sum, 0.0) << h.name;
   }
   for (const obs::LabeledCounterSnapshot& c :
        obs::MetricsRegistry::Global().LabeledCounterSnapshots()) {

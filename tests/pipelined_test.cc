@@ -197,7 +197,7 @@ TEST(PipelinedStrategy, ActionErrorLeavesTheLinkClean) {
 
   // Drop the component table out from under the expand queries: every
   // level's statements now fail at bind time.
-  ASSERT_TRUE(e.server().Execute("DROP TABLE comp", nullptr, nullptr).ok());
+  ASSERT_TRUE(e.server().Execute("DROP TABLE comp", nullptr).ok());
   Result<client::ActionResult> pipelined =
       e.RunAction(StrategyKind::kPipelinedLate, ActionKind::kMultiLevelExpand);
   EXPECT_FALSE(pipelined.ok());

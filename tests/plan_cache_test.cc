@@ -321,11 +321,9 @@ TEST(PlanCacheServerTest, StatementLogRecordsHits) {
     )sql")
                   .ok());
   server.EnableStatementLog(true);
-  ASSERT_TRUE(server.Execute("SELECT name FROM t WHERE id = 1", nullptr,
-                             nullptr)
+  ASSERT_TRUE(server.Execute("SELECT name FROM t WHERE id = 1", nullptr)
                   .ok());
-  ASSERT_TRUE(server.Execute("SELECT name FROM t WHERE id = 2", nullptr,
-                             nullptr)
+  ASSERT_TRUE(server.Execute("SELECT name FROM t WHERE id = 2", nullptr)
                   .ok());
   ASSERT_EQ(server.statement_log().size(), 2u);
   EXPECT_FALSE(server.statement_log()[0].plan_cache_hit);

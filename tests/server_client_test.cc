@@ -19,18 +19,17 @@ TEST(DbServer, ExecutesAndSizesResponses) {
                                  "INSERT INTO t VALUES (1), (2)")
                   .ok());
   ResultSet rs;
-  size_t bytes = 0;
-  ASSERT_TRUE(server.Execute("SELECT * FROM t", &rs, &bytes).ok());
+  ASSERT_TRUE(server.Execute("SELECT * FROM t", &rs).ok());
   EXPECT_EQ(rs.num_rows(), 2u);
-  EXPECT_GT(bytes, 0u);
+  EXPECT_GT(server.ResponseBytes(rs), 0u);
 
   // Fixed-size policy charges per row.
   server.mutable_config().fixed_row_bytes = 512;
-  ASSERT_TRUE(server.Execute("SELECT * FROM t", &rs, &bytes).ok());
-  EXPECT_EQ(bytes, 1024u);
+  ASSERT_TRUE(server.Execute("SELECT * FROM t", &rs).ok());
+  EXPECT_EQ(server.ResponseBytes(rs), 1024u);
   // Empty results still occupy a frame.
-  ASSERT_TRUE(server.Execute("SELECT * FROM t WHERE a > 9", &rs, &bytes).ok());
-  EXPECT_EQ(bytes, 64u);
+  ASSERT_TRUE(server.Execute("SELECT * FROM t WHERE a > 9", &rs).ok());
+  EXPECT_EQ(server.ResponseBytes(rs), 64u);
 }
 
 TEST(Connection, AccountsEveryRoundTrip) {
@@ -57,10 +56,10 @@ TEST(Connection, SizerOverridesServerPolicy) {
                   .ok());
   Connection conn(&server, net::WanConfig{});
   ResultSet rs;
-  ASSERT_TRUE(conn.ExecuteSized("SELECT * FROM t", &rs,
-                                [](const ResultSet& r) {
-                                  return r.num_rows() * 1000;
-                                })
+  ASSERT_TRUE(conn.Execute("SELECT * FROM t", &rs,
+                           [](const ResultSet& r) {
+                             return r.num_rows() * 1000;
+                           })
                   .ok());
   EXPECT_DOUBLE_EQ(conn.stats().response_payload_bytes, 3000.0);
 }

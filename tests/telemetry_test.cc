@@ -1,6 +1,6 @@
 // Tests for the quantile-accurate telemetry layer (DESIGN.md 5k): the
 // HDR-style LogHistogram's documented error bound against exact
-// nearest-rank quantiles, the double-accumulated Histogram sum (the
+// nearest-rank quantiles, the double-accumulated histogram sum (the
 // int64-nanounit overflow regression), labeled metric families and the
 // cardinality guard, the slow-query log's ring bound and top-K
 // exactness, DbServer's end-to-end slow-query capture, the snapshot
@@ -135,12 +135,12 @@ TEST(LogHistogramTest, MergeAddsCountsAndMinMax) {
   EXPECT_NEAR(a.sum(), 10.101, 1e-9);
 }
 
-// Regression: the fixed-bucket histogram used to accumulate its sum in
-// int64 nanounits, which overflowed past ~9.2e9 units and turned byte
-// totals negative. The double-bits CAS accumulator must reproduce large
-// sums exactly (single-threaded adds are deterministic).
+// Regression: histogram sums used to accumulate in int64 nanounits,
+// which overflowed past ~9.2e9 units and turned byte totals negative.
+// The double-bits CAS accumulator must reproduce large sums exactly
+// (single-threaded adds are deterministic), even past the bucket range.
 TEST(HistogramTest, LargeValueSumDoesNotOverflow) {
-  obs::Histogram hist({1.0, 1e6, 1e12});
+  obs::LogHistogram hist;
   hist.Observe(2e10);
   hist.Observe(2e10);
   hist.Observe(1e15);
@@ -227,7 +227,7 @@ TEST(MetricsRegistryTest, GaugeTracksUpAndDown) {
 SlowQueryRecord MakeRecord(double sim, double wall = 0) {
   SlowQueryRecord r;
   r.sql = StrFormat("SELECT %f", sim);
-  r.sim_server_seconds = sim;
+  r.sim_seconds = sim;
   r.wall_seconds = wall;
   return r;
 }
@@ -239,13 +239,13 @@ TEST(SlowQueryLogTest, RingIsBoundedAndCountsDrops) {
   size_t evicted = 0;
   for (int i = 1; i <= 10; ++i) {
     SlowQueryRecord r = MakeRecord(0.01 * i);
-    ASSERT_TRUE(log.MightRecord(limits, r.sim_server_seconds, 0));
+    ASSERT_TRUE(log.MightRecord(limits, r.sim_seconds, 0));
     evicted += log.Note(limits, std::move(r));
   }
   std::vector<SlowQueryRecord> ring = log.OverThreshold();
   ASSERT_EQ(ring.size(), 4u);  // oldest evicted, newest kept
-  EXPECT_DOUBLE_EQ(ring.front().sim_server_seconds, 0.07);
-  EXPECT_DOUBLE_EQ(ring.back().sim_server_seconds, 0.10);
+  EXPECT_DOUBLE_EQ(ring.front().sim_seconds, 0.07);
+  EXPECT_DOUBLE_EQ(ring.back().sim_seconds, 0.10);
   EXPECT_EQ(log.dropped(), 6u);
   EXPECT_EQ(evicted, 6u);
 }
@@ -260,9 +260,9 @@ TEST(SlowQueryLogTest, TopKIsExactAndSorted) {
   }
   std::vector<SlowQueryRecord> top = log.TopK();
   ASSERT_EQ(top.size(), 3u);
-  EXPECT_DOUBLE_EQ(top[0].sim_server_seconds, 0.09);
-  EXPECT_DOUBLE_EQ(top[1].sim_server_seconds, 0.08);
-  EXPECT_DOUBLE_EQ(top[2].sim_server_seconds, 0.07);
+  EXPECT_DOUBLE_EQ(top[0].sim_seconds, 0.09);
+  EXPECT_DOUBLE_EQ(top[1].sim_seconds, 0.08);
+  EXPECT_DOUBLE_EQ(top[2].sim_seconds, 0.07);
   // Threshold disabled: nothing goes to the ring.
   EXPECT_TRUE(log.OverThreshold().empty());
   // The fast path rejects anything at or below the kept minimum once
@@ -343,7 +343,7 @@ TEST(DbServerTest, CapturesSlowQueriesWithBreakdown) {
   EXPECT_TRUE(worst.stmt_class == "expand" || worst.stmt_class == "scan" ||
               worst.stmt_class == "point")
       << worst.stmt_class;
-  EXPECT_GT(worst.sim_server_seconds, 0.0);
+  EXPECT_GT(worst.sim_seconds, 0.0);
   EXPECT_GE(worst.wall_seconds, 0.0);
   // The per-term breakdown made it into the record and its summary.
   EXPECT_NE(worst.plan_summary.find("scan="), std::string::npos);
@@ -374,13 +374,44 @@ TEST(DbServerTest, CapturesSlowQueriesWithBreakdown) {
   EXPECT_TRUE(e.server().slow_query_log().TopK().empty());
 }
 
+// Regression: the standalone path fed the slow-query log before sizing
+// the response, so its records reported response_bytes = 0 while the
+// batch path (and the client) saw the real size.
+TEST(DbServerTest, SlowQueryRecordsCarryResponseBytesOnEveryPath) {
+  const std::string sql = "SELECT a FROM t";
+  std::vector<size_t> recorded;
+  for (bool batch : {false, true}) {
+    DbServer server;
+    ASSERT_TRUE(server.database()
+                    .ExecuteScript("CREATE TABLE t (a INTEGER);"
+                                   "INSERT INTO t VALUES (1), (2), (3)")
+                    .ok());
+    ResultSet out;
+    if (batch) {
+      std::vector<std::string> statements = {sql};
+      std::vector<DbServer::BatchStatementResult> results =
+          server.ExecuteBatch(statements);
+      ASSERT_TRUE(results[0].status.ok());
+      out = std::move(results[0].result);
+    } else {
+      ASSERT_TRUE(server.Execute(sql, &out).ok());
+    }
+    std::vector<SlowQueryRecord> top = server.slow_query_log().TopK();
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].sql, sql);
+    EXPECT_EQ(top[0].response_bytes, server.ResponseBytes(out));
+    recorded.push_back(top[0].response_bytes);
+  }
+  EXPECT_GT(recorded[0], 0u);
+  EXPECT_EQ(recorded[0], recorded[1]);
+}
+
 TEST(SnapshotTest, JsonRoundTripPreservesEveryInstrument) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.ResetAll();
   reg.counter("test.rt_counter").Add(7);
   reg.counter("test.rt_labeled", {{"site", "hq"}}).Add(3);
   reg.gauge("test.rt_gauge").Set(-5);
-  reg.histogram("test.rt_hist", {1.0, 2.0}).Observe(1.5);
   reg.log_histogram("test.rt_log").Observe(0.25);
   reg.log_histogram("test.rt_log_labeled", {{"site", "hq"}, {"e", "vec"}})
       .Observe(0.125);
@@ -404,7 +435,6 @@ TEST(SnapshotTest, JsonRoundTripPreservesEveryInstrument) {
   }
   ASSERT_EQ(parsed->labeled_counters.size(),
             snapshot.labeled_counters.size());
-  ASSERT_EQ(parsed->histograms.size(), snapshot.histograms.size());
   ASSERT_EQ(parsed->log_histograms.size(), snapshot.log_histograms.size());
   for (size_t i = 0; i < snapshot.log_histograms.size(); ++i) {
     const obs::LogHistogramSnapshot& a = snapshot.log_histograms[i];
@@ -478,8 +508,8 @@ TEST(TelemetryConcurrencyTest, LabeledHistogramsConcurrentObserve) {
 
 // Reset-everything regression (audit of DbServer::ResetObservability):
 // populate EVERY observability surface the server claims to reset —
-// all five registry instrument kinds (plain/labeled counters, gauges,
-// both histogram kinds), the statement log, the slow-query ring AND
+// all four registry instrument kinds (plain/labeled counters, gauges,
+// log histograms), the statement log, the slow-query ring AND
 // top-K, the plan-cache counters, the admission queue's wave log and
 // the tracer's finished spans — then assert one ResetObservability call
 // leaves each of them empty. A surface that slips through here
@@ -500,7 +530,6 @@ TEST(DbServerTest, ResetObservabilityResetsEverySurface) {
   reg.counter("reset_test.counter").Add(3);
   reg.counter("reset_test.labeled", {{"site", "hq"}}).Add(5);
   reg.gauge("reset_test.gauge").Set(7);
-  reg.histogram("reset_test.hist", {1.0, 2.0}).Observe(1.5);
   reg.log_histogram("reset_test.log", {{"site", "hq"}}).Observe(0.5);
 
   // Wave traffic (queue wave log), statement log, slow-query log,
@@ -546,10 +575,6 @@ TEST(DbServerTest, ResetObservabilityResetsEverySurface) {
   }
   for (const obs::LabeledCounterSnapshot& c : snapshot.labeled_counters) {
     EXPECT_EQ(c.value, 0u) << c.name;
-  }
-  for (const obs::HistogramSnapshot& h : snapshot.histograms) {
-    EXPECT_EQ(h.total_count, 0u) << h.name;
-    EXPECT_DOUBLE_EQ(h.sum, 0.0) << h.name;
   }
   for (const obs::LogHistogramSnapshot& h : snapshot.log_histograms) {
     EXPECT_EQ(h.total_count, 0u) << h.name;
