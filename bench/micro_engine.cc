@@ -159,7 +159,7 @@ const std::vector<int64_t>& ExpandParents() {
 
 /// Server CPU per navigational expand, plan cache on vs off. The SQL
 /// text changes every iteration (different parent obid), so cache-on
-/// exercises fingerprint + literal substitution against a cached plan
+/// exercises fingerprint + a cached plan run with the new parameters
 /// while cache-off re-lexes/parses/binds — the paper's repeated
 /// "isolated SQL queries" pattern seen by the server. Results are
 /// verified byte-identical between the two modes before timing.

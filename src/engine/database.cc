@@ -157,8 +157,20 @@ size_t Database::GarbageCollectVersions() {
   return pruned;
 }
 
+const ExecStats& Database::last_stats() const {
+  static const ExecStats kNone;
+  std::lock_guard<std::mutex> lock(thread_stats_mutex_);
+  auto it = thread_stats_.find(std::this_thread::get_id());
+  return it == thread_stats_.end() ? kNone : it->second;
+}
+
+ExecStats* Database::ThreadStats() {
+  std::lock_guard<std::mutex> lock(thread_stats_mutex_);
+  return &thread_stats_[std::this_thread::get_id()];
+}
+
 Status Database::Execute(std::string_view sql, ResultSet* out) {
-  return Execute(sql, out, &stats_);
+  return Execute(sql, out, ThreadStats());
 }
 
 Status Database::Execute(std::string_view sql, ResultSet* out,
@@ -208,16 +220,19 @@ Status Database::ExecuteCachedSelect(sql::StatementFingerprint fp,
   out->rows.clear();
   out->affected_rows = 0;
 
-  if (PlanCache::Lease lease = plan_cache_.Lookup(
+  if (PlanCache::EntryPtr entry = plan_cache_.Lookup(
           fp.key, fp.params, schema_epoch(), options_.binder)) {
     stats->plan_cache_hits = 1;
     obs::ScopedSpan span("engine:exec", obs::ModelTerm::kExec);
     span.set_detail("plan-cache-hit");
-    return ExecuteBoundSelect(lease->bound, out, stats, snapshot_ts);
+    // An exact-match-only entry runs on its bind-time literals, which
+    // equal this statement's parameters.
+    return ExecuteBoundSelect(entry->bound, out, stats, snapshot_ts,
+                              entry->parameterized ? &fp.params : nullptr);
   }
   stats->plan_cache_misses = 1;
 
-  PlanCache::Entry entry;
+  PlanCache::EntryPtr entry;
   {
     obs::ScopedSpan parse_span("engine:parse+bind", obs::ModelTerm::kParsePlan);
     sql::Parser parser(std::move(fp.tokens));
@@ -238,7 +253,7 @@ Status Database::ExecuteCachedSelect(sql::StatementFingerprint fp,
   Status status;
   {
     obs::ScopedSpan exec_span("engine:exec", obs::ModelTerm::kExec);
-    status = ExecuteBoundSelect(entry.bound, out, stats, snapshot_ts);
+    status = ExecuteBoundSelect(entry->bound, out, stats, snapshot_ts);
   }
   plan_cache_.Insert(fp.key, std::move(entry));
   return status;
@@ -260,7 +275,7 @@ Status Database::ExecuteScript(std::string_view sql) {
 }
 
 Status Database::ExecuteStatement(const sql::Statement& stmt, ResultSet* out) {
-  return ExecuteStatement(stmt, out, &stats_, kLatestSnapshot);
+  return ExecuteStatement(stmt, out, ThreadStats(), kLatestSnapshot);
 }
 
 Status Database::ExecuteStatement(const sql::Statement& stmt, ResultSet* out,
@@ -312,7 +327,8 @@ Status Database::ExecuteSelect(const sql::SelectStmt& stmt, ResultSet* out,
 }
 
 Status Database::ExecuteBoundSelect(const BoundSelect& bound, ResultSet* out,
-                                    ExecStats* stats, uint64_t snapshot_ts) {
+                                    ExecStats* stats, uint64_t snapshot_ts,
+                                    const std::vector<Value>* params) {
   // Callers that did not pin a snapshot read the latest committed data:
   // register one for the statement's duration so GC cannot renumber
   // versions under the running plan.
@@ -322,6 +338,7 @@ Status Database::ExecuteBoundSelect(const BoundSelect& bound, ResultSet* out,
     snapshot_ts = snapshot.ts();
   }
   ExecContext ctx(&catalog_, &options_.exec, stats, snapshot_ts);
+  ctx.set_params(params);
   std::map<std::string, std::vector<Row>> cte_storage;
   PDM_RETURN_NOT_OK(MaterializeCtes(bound.ctes, &ctx, &cte_storage));
   PDM_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecutePlan(*bound.root, &ctx));

@@ -11,6 +11,8 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -161,11 +163,11 @@ class Database {
   Status Execute(std::string_view sql, ResultSet* out = nullptr);
 
   /// Re-entrant variant of Execute() writing counters into the
-  /// caller-supplied `stats` instead of the member consumed by
-  /// last_stats(). This is the engine's concurrency entry point
-  /// (DESIGN.md 5d/5h): any number of threads may call it concurrently
-  /// for read-only statements (SELECT / WITH) AND DML (INSERT / UPDATE
-  /// / DELETE) — readers run against MVCC snapshots, writers serialize
+  /// caller-supplied `stats` instead of the slot read by last_stats().
+  /// This is the engine's concurrency entry point (DESIGN.md 5d/5h):
+  /// any number of threads may call it concurrently for read-only
+  /// statements (SELECT / WITH) AND DML (INSERT / UPDATE / DELETE) —
+  /// readers run against MVCC snapshots, writers serialize
   /// on an internal mutex and conflict under first-writer-wins
   /// (StatusCode::kWriteConflict, retryable). DDL and CALL must still
   /// never run concurrently with anything.
@@ -218,8 +220,11 @@ class Database {
   const ViewRegistry& views() const { return views_; }
   EngineOptions& options() { return options_; }
 
-  /// Execution counters of the most recent Execute() call.
-  const ExecStats& last_stats() const { return stats_; }
+  /// Execution counters of the calling thread's most recent serial
+  /// call (2-arg Execute, Query, ExecuteScript, ExecuteStatement) on
+  /// this database; all zero before its first. Per thread, so serial
+  /// callers on several threads never share a write.
+  const ExecStats& last_stats() const;
 
   /// The prepared-statement/plan cache consulted by Execute().
   PlanCache& plan_cache() { return plan_cache_; }
@@ -235,8 +240,11 @@ class Database {
                           ExecStats* stats, uint64_t snapshot_ts);
   Status ExecuteCachedSelect(sql::StatementFingerprint fp, ResultSet* out,
                              ExecStats* stats, uint64_t snapshot_ts);
+  /// `params` (may be null) feeds ExecContext::set_params: the
+  /// statement's fingerprint parameters when `bound` is a cached plan.
   Status ExecuteBoundSelect(const BoundSelect& bound, ResultSet* out,
-                            ExecStats* stats, uint64_t snapshot_ts);
+                            ExecStats* stats, uint64_t snapshot_ts,
+                            const std::vector<Value>* params = nullptr);
   Status ExecuteSelect(const sql::SelectStmt& stmt, ResultSet* out,
                        ExecStats* stats, uint64_t snapshot_ts);
   Status ExecuteCreateTable(const sql::CreateTableStmt& stmt, ResultSet* out);
@@ -249,6 +257,8 @@ class Database {
                        ExecStats* stats, uint64_t snapshot_ts);
   Status ExecuteCall(const sql::CallStmt& stmt, ResultSet* out,
                      ExecStats* stats);
+  /// The calling thread's ExecStats behind last_stats().
+  ExecStats* ThreadStats();
   /// Releases one registered snapshot (called by Snapshot handles).
   void ReleaseSnapshot(uint64_t ts);
   /// Appends one commit record (no-op unless the log is enabled).
@@ -265,7 +275,11 @@ class Database {
   FunctionRegistry functions_;
   ViewRegistry views_;
   EngineOptions options_;
-  ExecStats stats_;
+  /// Storage behind last_stats(), one entry per calling thread. Node
+  /// stability keeps a returned reference valid while other threads
+  /// insert; each entry is written only by its own thread.
+  mutable std::mutex thread_stats_mutex_;
+  std::unordered_map<std::thread::id, ExecStats> thread_stats_;
   PlanCache plan_cache_;
   uint64_t ddl_epoch_ = 0;  // views + functions; tables count via catalog
   std::map<std::string, Procedure> procedures_;

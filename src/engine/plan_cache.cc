@@ -1,163 +1,10 @@
 #include "engine/plan_cache.h"
 
+#include <algorithm>
+
 namespace pdm {
 
 namespace {
-
-void CollectFromPlan(PlanNode* plan, PlanCache::Entry* entry);
-
-void CollectFromExpr(BoundExpr* expr, PlanCache::Entry* entry) {
-  if (expr == nullptr) return;
-  switch (expr->kind) {
-    case BoundExprKind::kLiteral: {
-      auto* lit = static_cast<BoundLiteral*>(expr);
-      if (lit->param_slot >= 0) {
-        entry->slots.emplace_back(static_cast<size_t>(lit->param_slot), lit);
-      }
-      return;
-    }
-    case BoundExprKind::kColumnRef:
-      return;
-    case BoundExprKind::kUnary:
-      CollectFromExpr(static_cast<BoundUnary*>(expr)->operand.get(), entry);
-      return;
-    case BoundExprKind::kBinary: {
-      auto* e = static_cast<BoundBinary*>(expr);
-      CollectFromExpr(e->lhs.get(), entry);
-      CollectFromExpr(e->rhs.get(), entry);
-      return;
-    }
-    case BoundExprKind::kFunctionCall:
-      for (BoundExprPtr& arg : static_cast<BoundFunctionCall*>(expr)->args) {
-        CollectFromExpr(arg.get(), entry);
-      }
-      return;
-    case BoundExprKind::kCast:
-      CollectFromExpr(static_cast<BoundCast*>(expr)->operand.get(), entry);
-      return;
-    case BoundExprKind::kIsNull:
-      CollectFromExpr(static_cast<BoundIsNull*>(expr)->operand.get(), entry);
-      return;
-    case BoundExprKind::kInList: {
-      auto* e = static_cast<BoundInList*>(expr);
-      CollectFromExpr(e->operand.get(), entry);
-      bool any_slot = false;
-      for (BoundExprPtr& item : e->items) {
-        if (item->kind == BoundExprKind::kLiteral &&
-            static_cast<BoundLiteral*>(item.get())->param_slot >= 0) {
-          any_slot = true;
-        }
-        CollectFromExpr(item.get(), entry);
-      }
-      if (e->use_literal_set && any_slot) {
-        entry->inlist_rebuilds.push_back(e);
-      }
-      return;
-    }
-    case BoundExprKind::kBetween: {
-      auto* e = static_cast<BoundBetween*>(expr);
-      CollectFromExpr(e->operand.get(), entry);
-      CollectFromExpr(e->low.get(), entry);
-      CollectFromExpr(e->high.get(), entry);
-      return;
-    }
-    case BoundExprKind::kLike: {
-      auto* e = static_cast<BoundLike*>(expr);
-      CollectFromExpr(e->operand.get(), entry);
-      CollectFromExpr(e->pattern.get(), entry);
-      return;
-    }
-    case BoundExprKind::kCase: {
-      auto* e = static_cast<BoundCase*>(expr);
-      for (auto& [cond, value] : e->whens) {
-        CollectFromExpr(cond.get(), entry);
-        CollectFromExpr(value.get(), entry);
-      }
-      CollectFromExpr(e->else_expr.get(), entry);
-      return;
-    }
-    case BoundExprKind::kSubquery: {
-      auto* e = static_cast<BoundSubquery*>(expr);
-      CollectFromExpr(e->operand.get(), entry);
-      CollectFromPlan(e->plan.get(), entry);
-      return;
-    }
-  }
-}
-
-void CollectFromPlan(PlanNode* plan, PlanCache::Entry* entry) {
-  if (plan == nullptr) return;
-  switch (plan->kind) {
-    case PlanKind::kScan:
-      CollectFromExpr(static_cast<ScanNode*>(plan)->filter.get(), entry);
-      return;
-    case PlanKind::kCteScan:
-      return;
-    case PlanKind::kFilter: {
-      auto* n = static_cast<FilterNode*>(plan);
-      CollectFromPlan(n->child.get(), entry);
-      CollectFromExpr(n->predicate.get(), entry);
-      return;
-    }
-    case PlanKind::kProject: {
-      auto* n = static_cast<ProjectNode*>(plan);
-      CollectFromPlan(n->child.get(), entry);
-      for (BoundExprPtr& e : n->exprs) CollectFromExpr(e.get(), entry);
-      return;
-    }
-    case PlanKind::kNestedLoopJoin: {
-      auto* n = static_cast<NestedLoopJoinNode*>(plan);
-      CollectFromPlan(n->left.get(), entry);
-      CollectFromPlan(n->right.get(), entry);
-      CollectFromExpr(n->predicate.get(), entry);
-      return;
-    }
-    case PlanKind::kHashJoin: {
-      auto* n = static_cast<HashJoinNode*>(plan);
-      CollectFromPlan(n->left.get(), entry);
-      CollectFromPlan(n->right.get(), entry);
-      CollectFromExpr(n->residual.get(), entry);
-      return;
-    }
-    case PlanKind::kAggregate: {
-      auto* n = static_cast<AggregateNode*>(plan);
-      CollectFromPlan(n->child.get(), entry);
-      for (BoundExprPtr& e : n->group_exprs) CollectFromExpr(e.get(), entry);
-      for (BoundAggregate& agg : n->aggregates) {
-        CollectFromExpr(agg.arg.get(), entry);
-      }
-      CollectFromExpr(n->having.get(), entry);
-      return;
-    }
-    case PlanKind::kSort:
-      CollectFromPlan(static_cast<SortNode*>(plan)->child.get(), entry);
-      return;
-    case PlanKind::kDistinct:
-      CollectFromPlan(static_cast<DistinctNode*>(plan)->child.get(), entry);
-      return;
-    case PlanKind::kUnion:
-      for (PlanPtr& child : static_cast<UnionNode*>(plan)->children) {
-        CollectFromPlan(child.get(), entry);
-      }
-      return;
-    case PlanKind::kLimit:
-      CollectFromPlan(static_cast<LimitNode*>(plan)->child.get(), entry);
-      return;
-  }
-}
-
-void RebuildLiteralSet(BoundInList* inlist) {
-  inlist->literal_set.clear();
-  inlist->literal_list_has_null = false;
-  for (const BoundExprPtr& item : inlist->items) {
-    const Value& v = static_cast<const BoundLiteral&>(*item).value;
-    if (v.is_null()) {
-      inlist->literal_list_has_null = true;
-    } else {
-      inlist->literal_set.insert(v);
-    }
-  }
-}
 
 bool SameOptions(const BinderOptions& a, const BinderOptions& b) {
   return a.predicate_pushdown == b.predicate_pushdown &&
@@ -166,100 +13,55 @@ bool SameOptions(const BinderOptions& a, const BinderOptions& b) {
 
 }  // namespace
 
-PlanCache::Entry PlanCache::Prepare(BoundSelect bound,
-                                    std::vector<Value> params,
-                                    uint64_t schema_epoch,
-                                    const BinderOptions& options) {
-  Entry entry;
-  entry.bound = std::move(bound);
-  entry.bound_params = std::move(params);
-  entry.schema_epoch = schema_epoch;
-  entry.binder_options = options;
-  for (BoundCte& cte : entry.bound.ctes) {
-    CollectFromPlan(cte.seed.get(), &entry);
-    for (PlanPtr& term : cte.recursive_terms) {
-      CollectFromPlan(term.get(), &entry);
-    }
-  }
-  CollectFromPlan(entry.bound.root.get(), &entry);
-
-  std::vector<char> covered(entry.bound_params.size(), 0);
-  bool in_range = true;
-  for (const auto& [slot, lit] : entry.slots) {
-    if (slot < covered.size()) {
-      covered[slot] = 1;
-    } else {
-      in_range = false;  // stamped AST spliced from elsewhere; be safe
-    }
-  }
-  entry.parameterized = in_range;
-  for (char c : covered) {
-    if (!c) {
-      entry.parameterized = false;
-      break;
-    }
-  }
+PlanCache::EntryPtr PlanCache::Prepare(BoundSelect bound,
+                                       std::vector<Value> params,
+                                       uint64_t schema_epoch,
+                                       const BinderOptions& options) {
+  auto entry = std::make_shared<Entry>();
+  const std::vector<bool>& covered = bound.params_bound;
+  // A slot beyond `params` means an AST spliced from elsewhere; be safe.
+  entry->parameterized =
+      covered.size() == params.size() &&
+      std::all_of(covered.begin(), covered.end(), [](bool c) { return c; });
+  entry->bound = std::move(bound);
+  entry->bound_params = std::move(params);
+  entry->schema_epoch = schema_epoch;
+  entry->binder_options = options;
   return entry;
 }
 
-PlanCache::Lease PlanCache::Lookup(const std::string& key,
-                                   const std::vector<Value>& params,
-                                   uint64_t schema_epoch,
-                                   const BinderOptions& options) {
+PlanCache::EntryPtr PlanCache::Lookup(const std::string& key,
+                                      const std::vector<Value>& params,
+                                      uint64_t schema_epoch,
+                                      const BinderOptions& options) {
   std::lock_guard<std::mutex> cache_lock(mutex_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     stats_.misses++;
-    return Lease();
+    return nullptr;
   }
-  SlotPtr slot = it->second->second;
-  if (slot->entry.schema_epoch != schema_epoch ||
-      !SameOptions(slot->entry.binder_options, options)) {
+  const EntryPtr& entry = it->second->second;
+  if (entry->schema_epoch != schema_epoch ||
+      !SameOptions(entry->binder_options, options)) {
     EraseLocked(key);
     stats_.invalidations++;
     stats_.misses++;
-    return Lease();
+    return nullptr;
   }
-  // Never *block* on the entry while holding the cache mutex: if another
-  // thread is executing this plan right now, bypass the cache so sibling
-  // batch statements with the same fingerprint still run in parallel.
-  std::unique_lock<std::mutex> entry_lock(slot->mutex, std::try_to_lock);
-  if (!entry_lock.owns_lock()) {
-    stats_.bypasses++;
+  // Exact-match only: some parameter is folded into plan structure.
+  if (!entry->parameterized && params != entry->bound_params) {
     stats_.misses++;
-    return Lease();
-  }
-  Entry& entry = slot->entry;
-  if (!entry.parameterized) {
-    // Exact-match only: some parameter is folded into plan structure.
-    if (params != entry.bound_params) {
-      stats_.misses++;
-      return Lease();
-    }
-  } else if (params != entry.bound_params) {
-    for (const auto& [param_slot, lit] : entry.slots) {
-      lit->value = params[param_slot];
-    }
-    for (BoundInList* inlist : entry.inlist_rebuilds) {
-      RebuildLiteralSet(inlist);
-    }
-    entry.bound_params = params;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   stats_.hits++;
-  Lease lease;
-  lease.entry_ = &slot->entry;
-  lease.slot_ = std::move(slot);
-  lease.lock_ = std::move(entry_lock);
-  return lease;
+  return entry;
 }
 
-void PlanCache::Insert(const std::string& key, Entry entry) {
-  auto slot = std::make_shared<Slot>();
-  slot->entry = std::move(entry);
+void PlanCache::Insert(const std::string& key, EntryPtr entry) {
   std::lock_guard<std::mutex> cache_lock(mutex_);
   EraseLocked(key);
-  lru_.emplace_front(key, std::move(slot));
+  lru_.emplace_front(key, std::move(entry));
   index_[key] = lru_.begin();
   EvictToCapacityLocked();
 }

@@ -23,58 +23,52 @@ struct PlanCacheStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;      // LRU capacity evictions
   uint64_t invalidations = 0;  // discarded by schema-epoch/option change
-  uint64_t bypasses = 0;       // entry busy on another thread (also a miss)
+  /// Always 0: entries are immutable, so no lookup ever steps around a
+  /// busy one. The field stays only because wallbench/ reads it.
+  uint64_t bypasses = 0;
 
   void Reset() { *this = PlanCacheStats{}; }
 };
 
 /// LRU cache of bound SELECT plans keyed by statement fingerprint
-/// (sql/fingerprint.h). An entry holds the bound tree plus the
-/// addresses of the BoundLiteral nodes carrying each fingerprint
-/// parameter; re-execution stamps the new literal values into those
-/// slots instead of re-lexing/parsing/binding.
+/// (sql/fingerprint.h). An entry is immutable once Prepare has built it.
+/// A hit executes the shared plan with the statement's own parameters:
+/// the executor reads a BoundLiteral that carries a param_slot from the
+/// ExecContext's parameter vector, and builds the hash sets of IN-lists
+/// whose items carry parameters once per execution. Nothing is written
+/// into the plan, so there is no lexing, parsing or binding on a hit.
 ///
 /// Correctness:
 ///  - Entries record the schema epoch and binder options they were
 ///    bound under; Lookup discards entries from an older epoch (DDL —
 ///    CREATE/DROP of tables and views — bumps the epoch) or different
 ///    optimizer settings.
-///  - If some fingerprint parameter reached no literal slot in the plan
-///    (the binder folded it into structure, e.g. an ORDER BY expression
-///    matched against a select item by text, or a GROUP BY literal
-///    matched the same way), the entry is *exact-match only*: it is
-///    reused only when the parameters equal the values it was bound
-///    with, never substituted.
-///  - IN-lists whose precomputed literal hash set contains substituted
-///    values are re-derived after every substitution.
+///  - If some fingerprint parameter reached no bound literal (the binder
+///    folded it into structure, e.g. a select-list or HAVING
+///    expression matched against a GROUP BY expression by text;
+///    BoundSelect::params_bound records coverage), the entry is
+///    *exact-match only*: it is reused only when the parameters equal
+///    the values it was bound with, and then runs on its bind-time
+///    literals.
 ///
-/// Thread safety (the engine's first concurrency contract, DESIGN.md 5d):
-/// all public methods may be called concurrently. Because Lookup
-/// substitutes parameters *in place* into the shared bound plan, a hit
-/// hands out an exclusive Lease on the entry; the plan must only be
-/// executed while the lease is held. If another thread already holds the
-/// lease for a key (same-fingerprint statements executing concurrently,
-/// the common case inside a batch), Lookup does not block — it reports a
-/// bypass/miss and the caller parses + binds a private plan instead,
-/// preserving intra-batch parallelism.
+/// Thread safety (DESIGN.md 5d): all public methods may be called
+/// concurrently. The LRU index, under one mutex, is the only mutable
+/// state. A hit shares ownership of the const entry, so any number of
+/// threads execute one plan at once, and an entry evicted or replaced
+/// meanwhile lives until its last execution ends.
 class PlanCache {
  public:
   struct Entry {
     BoundSelect bound;
-    /// (fingerprint parameter ordinal, literal node) — one parameter
-    /// may surface in several nodes (e.g. a literal bound both as a
-    /// group expression and in the post-aggregate select list).
-    std::vector<std::pair<size_t, BoundLiteral*>> slots;
-    /// IN-list nodes whose literal_set must be rebuilt after
-    /// substitution.
-    std::vector<BoundInList*> inlist_rebuilds;
-    /// True if every fingerprint parameter is covered by `slots`.
+    /// True if every fingerprint parameter reached a bound literal, so
+    /// the plan serves any parameter values.
     bool parameterized = false;
-    /// The parameter values currently stamped into the plan.
+    /// The parameter values the plan was bound with.
     std::vector<Value> bound_params;
     uint64_t schema_epoch = 0;
     BinderOptions binder_options;
   };
+  using EntryPtr = std::shared_ptr<const Entry>;
 
   explicit PlanCache(size_t capacity = kDefaultCapacity)
       : capacity_(capacity) {}
@@ -82,39 +76,20 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Exclusive lease on a cache entry, returned by Lookup on a hit. The
-  /// substituted plan stays valid (and owned) for the lease's lifetime,
-  /// even if the entry is concurrently evicted or replaced.
-  class Lease {
-   public:
-    Lease() = default;
-    explicit operator bool() const { return entry_ != nullptr; }
-    Entry* operator->() const { return entry_; }
-    Entry& operator*() const { return *entry_; }
+  /// Builds a cache entry from a freshly bound plan, deciding from the
+  /// binder's coverage record whether it is fully parameterized.
+  static EntryPtr Prepare(BoundSelect bound, std::vector<Value> params,
+                          uint64_t schema_epoch, const BinderOptions& options);
 
-   private:
-    friend class PlanCache;
-    std::shared_ptr<void> slot_;  // keeps the entry alive while leased
-    std::unique_lock<std::mutex> lock_;
-    Entry* entry_ = nullptr;
-  };
-
-  /// Builds a cache entry from a freshly bound plan: walks the plan
-  /// collecting parameter slots and IN-list rebuild hooks, and decides
-  /// whether the entry is fully parameterized.
-  static Entry Prepare(BoundSelect bound, std::vector<Value> params,
-                       uint64_t schema_epoch, const BinderOptions& options);
-
-  /// Returns a lease on the cached entry for `key` with `params`
-  /// substituted into its plan, ready to execute — or an empty lease on
-  /// miss, invalidation (different schema epoch / binder options), or
-  /// when another thread currently leases the entry (bypass).
-  Lease Lookup(const std::string& key, const std::vector<Value>& params,
-               uint64_t schema_epoch, const BinderOptions& options);
+  /// The cached entry for `key` that may run with `params`, or null on
+  /// a miss, on invalidation (different schema epoch / binder options),
+  /// or when an exact-match-only entry was bound with other values.
+  EntryPtr Lookup(const std::string& key, const std::vector<Value>& params,
+                  uint64_t schema_epoch, const BinderOptions& options);
 
   /// Inserts (or replaces) the entry under `key`, evicting LRU entries
   /// beyond capacity.
-  void Insert(const std::string& key, Entry entry);
+  void Insert(const std::string& key, EntryPtr entry);
 
   /// Drops every entry.
   void Flush();
@@ -130,12 +105,7 @@ class PlanCache {
   static constexpr size_t kDefaultCapacity = 128;
 
  private:
-  struct Slot {
-    Entry entry;
-    std::mutex mutex;  // held (via Lease) while the plan executes
-  };
-  using SlotPtr = std::shared_ptr<Slot>;
-  using LruList = std::list<std::pair<std::string, SlotPtr>>;
+  using LruList = std::list<std::pair<std::string, EntryPtr>>;
 
   void EraseLocked(const std::string& key);
   void EvictToCapacityLocked();

@@ -1,6 +1,7 @@
 #ifndef PDM_EXEC_EXEC_CONTEXT_H_
 #define PDM_EXEC_EXEC_CONTEXT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "common/value.h"
+#include "plan/bound_expr.h"
 
 namespace pdm {
 
@@ -81,41 +83,27 @@ struct VecJoinBuild {
   std::unordered_map<int64_t, std::vector<uint32_t>> int64_table;
 };
 
-/// A materialized uncorrelated subquery result, with a lazily built hash
-/// set over its first column for fast IN evaluation.
+/// A materialized uncorrelated subquery result, with its first column
+/// lazily hashed for fast IN evaluation.
 struct SubqueryResult {
   std::vector<Row> rows;
 
-  using ValueSet = std::unordered_set<Value, ValueHash, ValueEq>;
-  /// Set of non-NULL first-column values (lazily built).
-  const ValueSet& FirstColumnSet() const {
-    if (first_col_set_ == nullptr) {
-      first_col_set_ = std::make_unique<ValueSet>();
-      first_col_set_->reserve(rows.size());
-      for (const Row& row : rows) {
-        if (row[0].is_null()) {
-          first_col_has_null_ = true;
-        } else {
-          first_col_set_->insert(row[0]);
-        }
-      }
+  const InSet& FirstColumnValues() const {
+    if (first_col_ == nullptr) {
+      first_col_ = std::make_unique<InSet>();
+      first_col_->values.reserve(rows.size());
+      for (const Row& row : rows) first_col_->Add(row[0]);
     }
-    return *first_col_set_;
-  }
-  /// Whether any first-column value was NULL (three-valued IN).
-  bool FirstColumnHasNull() const {
-    FirstColumnSet();
-    return first_col_has_null_;
+    return *first_col_;
   }
 
  private:
-  mutable std::unique_ptr<ValueSet> first_col_set_;
-  mutable bool first_col_has_null_ = false;
+  mutable std::unique_ptr<InSet> first_col_;
 };
 
-/// Per-statement execution state: catalog access, materialized CTE
-/// bindings, the correlation stack for subqueries, and the uncorrelated
-/// subquery cache.
+/// Per-statement execution state: catalog access, the statement's
+/// fingerprint parameters, materialized CTE bindings, the correlation
+/// stack for subqueries, and the uncorrelated subquery cache.
 class ExecContext {
  public:
   /// `snapshot_ts` is the MVCC read snapshot (DESIGN.md 5h): scans see
@@ -137,6 +125,44 @@ class ExecContext {
   const ExecOptions& options() const { return *options_; }
   ExecStats& stats() { return *stats_; }
   uint64_t snapshot_ts() const { return snapshot_ts_; }
+
+  /// Fingerprint parameters of the statement a cached plan runs for
+  /// (engine/plan_cache.h), or null when the plan was bound from this
+  /// statement's own text. Must outlive the execution.
+  void set_params(const std::vector<Value>* params) { params_ = params; }
+
+  /// The value `lit` evaluates to in this execution: the statement's
+  /// parameter for a literal with a param_slot, else its bind-time
+  /// value. Every execution-time read of a literal goes through here.
+  const Value& LiteralValue(const BoundLiteral& lit) const {
+    if (params_ != nullptr && lit.param_slot >= 0) {
+      return (*params_)[static_cast<size_t>(lit.param_slot)];
+    }
+    return lit.value;
+  }
+
+  /// Values of an all-literal IN-list (BoundInList::use_literal_set) as
+  /// this execution sees them: the binder's precomputed set, or, when a
+  /// cached plan runs with parameters and some item carries a
+  /// param_slot, a set built from LiteralValue once per execution.
+  const InSet& InListValues(const BoundInList& e) {
+    if (params_ == nullptr) return e.literal_set;
+    for (const auto& [node, values] : inlist_values_) {
+      if (node == &e) return values != nullptr ? *values : e.literal_set;
+    }
+    std::unique_ptr<InSet> values;
+    if (std::any_of(e.items.begin(), e.items.end(), [](const auto& item) {
+          return static_cast<const BoundLiteral&>(*item).param_slot >= 0;
+        })) {
+      values = std::make_unique<InSet>();
+      for (const BoundExprPtr& item : e.items) {
+        values->Add(LiteralValue(static_cast<const BoundLiteral&>(*item)));
+      }
+    }
+    const InSet& result = values != nullptr ? *values : e.literal_set;
+    inlist_values_.emplace_back(&e, std::move(values));
+    return result;
+  }
 
   /// Binds (or rebinds) the rows a CTE name resolves to. Used both for
   /// final materialized CTEs and for the rotating delta during recursive
@@ -199,6 +225,12 @@ class ExecContext {
   const ExecOptions* options_;
   ExecStats* stats_;
   uint64_t snapshot_ts_;
+  const std::vector<Value>* params_ = nullptr;
+  // Few per statement, so a linear scan beats hashing on the per-row
+  // lookup; unique_ptr keeps returned references stable, and null means
+  // the list's own bind-time set applies.
+  std::vector<std::pair<const BoundInList*, std::unique_ptr<InSet>>>
+      inlist_values_;
   std::map<std::string, const std::vector<Row>*> cte_rows_;
   std::vector<const Row*> outer_rows_;
   std::unordered_map<const void*, SubqueryResult> subquery_cache_;

@@ -17,13 +17,13 @@ namespace {
 /// AND chain of `filter`, in source order. Each hit is usable with a
 /// column index.
 void CollectIndexableEqualities(
-    const BoundExpr& filter,
+    const BoundExpr& filter, const ExecContext& ctx,
     std::vector<std::pair<size_t, const Value*>>* out) {
   if (filter.kind != BoundExprKind::kBinary) return;
   const auto& bin = static_cast<const BoundBinary&>(filter);
   if (bin.op == sql::BinaryOp::kAnd) {
-    CollectIndexableEqualities(*bin.lhs, out);
-    CollectIndexableEqualities(*bin.rhs, out);
+    CollectIndexableEqualities(*bin.lhs, ctx, out);
+    CollectIndexableEqualities(*bin.rhs, ctx, out);
     return;
   }
   if (bin.op == sql::BinaryOp::kEq) {
@@ -33,9 +33,10 @@ void CollectIndexableEqualities(
     if (col->kind == BoundExprKind::kColumnRef &&
         lit->kind == BoundExprKind::kLiteral) {
       const auto& ref = static_cast<const BoundColumnRef&>(*col);
-      const auto& value = static_cast<const BoundLiteral&>(*lit);
-      if (ref.level == 0 && !value.value.is_null()) {
-        out->emplace_back(ref.index, &value.value);
+      const Value& value =
+          ctx.LiteralValue(static_cast<const BoundLiteral&>(*lit));
+      if (ref.level == 0 && !value.is_null()) {
+        out->emplace_back(ref.index, &value);
       }
     }
   }
@@ -62,7 +63,7 @@ class ScanExecutor : public Executor {
     // visibility filter in Next() hides versions outside our snapshot.
     if (node_.filter != nullptr) {
       std::vector<std::pair<size_t, const Value*>> hits;
-      CollectIndexableEqualities(*node_.filter, &hits);
+      CollectIndexableEqualities(*node_.filter, *ctx_, &hits);
       const std::pair<size_t, const Value*>* chosen = nullptr;
       for (const auto& hit : hits) {
         if (table_->HasFreshIndex(hit.first)) {

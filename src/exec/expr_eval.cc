@@ -169,13 +169,7 @@ Result<Value> EvaluateSubquery(const BoundSubquery& sub, const Row& row,
       PDM_ASSIGN_OR_RETURN(Value needle,
                            EvaluateExpr(*sub.operand, row, ctx));
       if (needle.is_null()) return Value::Null();
-      // Membership through the hashed first column; the functor pair is
-      // consistent with Value::Compare (numerics match across kinds).
-      if (result->FirstColumnSet().count(needle) > 0) {
-        return Value::Bool(!sub.negated);
-      }
-      if (result->FirstColumnHasNull()) return Value::Null();
-      return Value::Bool(sub.negated);
+      return result->FirstColumnValues().Probe(needle, sub.negated);
     }
   }
   return Status::Internal("unhandled subquery kind");
@@ -253,7 +247,7 @@ Result<Value> EvaluateExpr(const BoundExpr& expr, const Row& row,
                            ExecContext* ctx) {
   switch (expr.kind) {
     case BoundExprKind::kLiteral:
-      return static_cast<const BoundLiteral&>(expr).value;
+      return ctx->LiteralValue(static_cast<const BoundLiteral&>(expr));
     case BoundExprKind::kColumnRef: {
       const auto& ref = static_cast<const BoundColumnRef&>(expr);
       PDM_ASSIGN_OR_RETURN(const Row* src, ResolveRow(ref, row, ctx));
@@ -338,9 +332,7 @@ Result<Value> EvaluateExpr(const BoundExpr& expr, const Row& row,
       PDM_ASSIGN_OR_RETURN(Value needle, EvaluateExpr(*e.operand, row, ctx));
       if (needle.is_null()) return Value::Null();
       if (e.use_literal_set) {
-        if (e.literal_set.count(needle) > 0) return Value::Bool(!e.negated);
-        if (e.literal_list_has_null) return Value::Null();
-        return Value::Bool(e.negated);
+        return ctx->InListValues(e).Probe(needle, e.negated);
       }
       bool saw_null = false;
       for (const BoundExprPtr& item : e.items) {

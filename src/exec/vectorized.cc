@@ -45,13 +45,13 @@ struct VecPlan {
 /// Collects the column of every `column = non-NULL-literal` conjunct of
 /// the top-level AND chain — the conjuncts the row engine's
 /// ScanExecutor can answer through a column index.
-void CollectEqualityColumns(const BoundExpr& filter,
+void CollectEqualityColumns(const BoundExpr& filter, const ExecContext& ctx,
                             std::vector<size_t>* out) {
   if (filter.kind != BoundExprKind::kBinary) return;
   const auto& bin = static_cast<const BoundBinary&>(filter);
   if (bin.op == sql::BinaryOp::kAnd) {
-    CollectEqualityColumns(*bin.lhs, out);
-    CollectEqualityColumns(*bin.rhs, out);
+    CollectEqualityColumns(*bin.lhs, ctx, out);
+    CollectEqualityColumns(*bin.rhs, ctx, out);
     return;
   }
   if (bin.op != sql::BinaryOp::kEq) return;
@@ -61,7 +61,7 @@ void CollectEqualityColumns(const BoundExpr& filter,
   if (col->kind == BoundExprKind::kColumnRef &&
       lit->kind == BoundExprKind::kLiteral &&
       static_cast<const BoundColumnRef&>(*col).level == 0 &&
-      !static_cast<const BoundLiteral&>(*lit).value.is_null()) {
+      !ctx.LiteralValue(static_cast<const BoundLiteral&>(*lit)).is_null()) {
     out->push_back(static_cast<const BoundColumnRef&>(*col).index);
   }
 }
@@ -73,10 +73,11 @@ void CollectEqualityColumns(const BoundExpr& filter,
 /// batchwise instead — the vectorized full pass costs no more than the
 /// full pass the lazy index build would do, and an index nobody asks
 /// for twice is never built.
-bool RouteScanToRowIndexPath(const ScanNode& scan, const Table& table) {
+bool RouteScanToRowIndexPath(const ScanNode& scan, const Table& table,
+                             const ExecContext& ctx) {
   if (scan.filter == nullptr) return false;
   std::vector<size_t> cols;
-  CollectEqualityColumns(*scan.filter, &cols);
+  CollectEqualityColumns(*scan.filter, ctx, &cols);
   if (cols.empty()) return false;
   const size_t num_columns = table.schema().num_columns();
   for (size_t c : cols) {
@@ -178,19 +179,20 @@ bool Decompose(const PlanNode& plan, VecPlan* out) {
 // Dense tier: expression -> one Value per selected slot
 // ---------------------------------------------------------------------------
 
-Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
-                 const uint32_t* rows, size_t n, std::vector<Value>* out);
+Status EvalDense(const BoundExpr& expr, ExecContext* ctx,
+                 const FragmentSpan& span, const uint32_t* rows, size_t n,
+                 std::vector<Value>* out);
 
 /// AND/OR with the row engine's short-circuit: the rhs is evaluated only
 /// for slots the lhs did not already decide (bool FALSE for AND, bool
 /// TRUE for OR) — so an rhs that would error on a short-circuited slot
 /// stays silent, exactly as on the row path.
-Status EvalDenseLogic(const BoundBinary& e, const FragmentSpan& span,
-                      const uint32_t* rows, size_t n,
+Status EvalDenseLogic(const BoundBinary& e, ExecContext* ctx,
+                      const FragmentSpan& span, const uint32_t* rows, size_t n,
                       std::vector<Value>* out) {
   const bool is_and = e.op == sql::BinaryOp::kAnd;
   std::vector<Value> lhs;
-  PDM_RETURN_NOT_OK(EvalDense(*e.lhs, span, rows, n, &lhs));
+  PDM_RETURN_NOT_OK(EvalDense(*e.lhs, ctx, span, rows, n, &lhs));
   std::vector<uint32_t> rest_rows;
   std::vector<size_t> rest_idx;
   for (size_t i = 0; i < n; ++i) {
@@ -201,7 +203,7 @@ Status EvalDenseLogic(const BoundBinary& e, const FragmentSpan& span,
   std::vector<Value> rhs;
   if (!rest_rows.empty()) {
     PDM_RETURN_NOT_OK(
-        EvalDense(*e.rhs, span, rest_rows.data(), rest_rows.size(), &rhs));
+        EvalDense(*e.rhs, ctx, span, rest_rows.data(), rest_rows.size(), &rhs));
   }
   out->resize(n);
   for (size_t i = 0; i < n; ++i) (*out)[i] = Value::Bool(!is_and);
@@ -213,11 +215,13 @@ Status EvalDenseLogic(const BoundBinary& e, const FragmentSpan& span,
   return Status::OK();
 }
 
-Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
-                 const uint32_t* rows, size_t n, std::vector<Value>* out) {
+Status EvalDense(const BoundExpr& expr, ExecContext* ctx,
+                 const FragmentSpan& span, const uint32_t* rows, size_t n,
+                 std::vector<Value>* out) {
   switch (expr.kind) {
     case BoundExprKind::kLiteral: {
-      const Value& v = static_cast<const BoundLiteral&>(expr).value;
+      const Value& v =
+          ctx->LiteralValue(static_cast<const BoundLiteral&>(expr));
       out->resize(n);
       for (size_t i = 0; i < n; ++i) (*out)[i] = v;
       return Status::OK();
@@ -232,7 +236,7 @@ Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
     case BoundExprKind::kUnary: {
       const auto& e = static_cast<const BoundUnary&>(expr);
       std::vector<Value> v;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, span, rows, n, &v));
+      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
       out->resize(n);
       for (size_t i = 0; i < n; ++i) {
         if (v[i].is_null()) {
@@ -253,12 +257,12 @@ Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
     case BoundExprKind::kBinary: {
       const auto& e = static_cast<const BoundBinary&>(expr);
       if (e.op == sql::BinaryOp::kAnd || e.op == sql::BinaryOp::kOr) {
-        return EvalDenseLogic(e, span, rows, n, out);
+        return EvalDenseLogic(e, ctx, span, rows, n, out);
       }
       std::vector<Value> a;
       std::vector<Value> b;
-      PDM_RETURN_NOT_OK(EvalDense(*e.lhs, span, rows, n, &a));
-      PDM_RETURN_NOT_OK(EvalDense(*e.rhs, span, rows, n, &b));
+      PDM_RETURN_NOT_OK(EvalDense(*e.lhs, ctx, span, rows, n, &a));
+      PDM_RETURN_NOT_OK(EvalDense(*e.rhs, ctx, span, rows, n, &b));
       const bool compare = e.op == sql::BinaryOp::kEq ||
                            e.op == sql::BinaryOp::kNotEq ||
                            e.op == sql::BinaryOp::kLess ||
@@ -277,7 +281,7 @@ Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
     case BoundExprKind::kCast: {
       const auto& e = static_cast<const BoundCast&>(expr);
       std::vector<Value> v;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, span, rows, n, &v));
+      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
       out->resize(n);
       for (size_t i = 0; i < n; ++i) {
         Result<Value> c = CastValue(v[i], e.target_type);
@@ -289,7 +293,7 @@ Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
     case BoundExprKind::kIsNull: {
       const auto& e = static_cast<const BoundIsNull&>(expr);
       std::vector<Value> v;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, span, rows, n, &v));
+      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
       out->resize(n);
       for (size_t i = 0; i < n; ++i) {
         (*out)[i] = Value::Bool(e.negated ? !v[i].is_null() : v[i].is_null());
@@ -299,18 +303,12 @@ Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
     case BoundExprKind::kInList: {
       const auto& e = static_cast<const BoundInList&>(expr);
       std::vector<Value> needle;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, span, rows, n, &needle));
+      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &needle));
+      const InSet& set = ctx->InListValues(e);
       out->resize(n);
       for (size_t i = 0; i < n; ++i) {
-        if (needle[i].is_null()) {
-          (*out)[i] = Value::Null();
-        } else if (e.literal_set.count(needle[i]) > 0) {
-          (*out)[i] = Value::Bool(!e.negated);
-        } else if (e.literal_list_has_null) {
-          (*out)[i] = Value::Null();
-        } else {
-          (*out)[i] = Value::Bool(e.negated);
-        }
+        (*out)[i] = needle[i].is_null() ? Value::Null()
+                                        : set.Probe(needle[i], e.negated);
       }
       return Status::OK();
     }
@@ -319,9 +317,9 @@ Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
       std::vector<Value> v;
       std::vector<Value> lo;
       std::vector<Value> hi;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, span, rows, n, &v));
-      PDM_RETURN_NOT_OK(EvalDense(*e.low, span, rows, n, &lo));
-      PDM_RETURN_NOT_OK(EvalDense(*e.high, span, rows, n, &hi));
+      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
+      PDM_RETURN_NOT_OK(EvalDense(*e.low, ctx, span, rows, n, &lo));
+      PDM_RETURN_NOT_OK(EvalDense(*e.high, ctx, span, rows, n, &hi));
       out->resize(n);
       for (size_t i = 0; i < n; ++i) {
         Result<Value> ge =
@@ -343,8 +341,8 @@ Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
       const auto& e = static_cast<const BoundLike&>(expr);
       std::vector<Value> text;
       std::vector<Value> pattern;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, span, rows, n, &text));
-      PDM_RETURN_NOT_OK(EvalDense(*e.pattern, span, rows, n, &pattern));
+      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &text));
+      PDM_RETURN_NOT_OK(EvalDense(*e.pattern, ctx, span, rows, n, &pattern));
       out->resize(n);
       for (size_t i = 0; i < n; ++i) {
         if (text[i].is_null() || pattern[i].is_null()) {
@@ -374,9 +372,9 @@ Status EvalDense(const BoundExpr& expr, const FragmentSpan& span,
 
 using TriVec = std::vector<int8_t>;
 
-Status EvalTri(const BoundExpr& expr, const FragmentSpan& span,
-               const uint32_t* rows, size_t n, const char* nonbool_error,
-               TriVec* out);
+Status EvalTri(const BoundExpr& expr, ExecContext* ctx,
+               const FragmentSpan& span, const uint32_t* rows, size_t n,
+               const char* nonbool_error, TriVec* out);
 
 /// tri := cell <op> literal (or flipped), straight off the column
 /// arrays: no Value is constructed for any cell. Mirrors
@@ -457,12 +455,13 @@ Status CompareColumnLiteral(sql::BinaryOp op, const ColumnSpan& col,
 
 /// Kleene AND/OR with row-engine short-circuit at batch granularity: the
 /// rhs runs only over slots the lhs left undecided.
-Status EvalTriLogic(const BoundBinary& e, const FragmentSpan& span,
-                    const uint32_t* rows, size_t n, TriVec* out) {
+Status EvalTriLogic(const BoundBinary& e, ExecContext* ctx,
+                    const FragmentSpan& span, const uint32_t* rows, size_t n,
+                    TriVec* out) {
   const bool is_and = e.op == sql::BinaryOp::kAnd;
   const int8_t decided = is_and ? 0 : 1;
   TriVec lhs;
-  PDM_RETURN_NOT_OK(EvalTri(*e.lhs, span, rows, n, kNonBoolLogic, &lhs));
+  PDM_RETURN_NOT_OK(EvalTri(*e.lhs, ctx, span, rows, n, kNonBoolLogic, &lhs));
   std::vector<uint32_t> rest_rows;
   std::vector<size_t> rest_idx;
   for (size_t i = 0; i < n; ++i) {
@@ -472,7 +471,7 @@ Status EvalTriLogic(const BoundBinary& e, const FragmentSpan& span,
   }
   TriVec rhs;
   if (!rest_rows.empty()) {
-    PDM_RETURN_NOT_OK(EvalTri(*e.rhs, span, rest_rows.data(),
+    PDM_RETURN_NOT_OK(EvalTri(*e.rhs, ctx, span, rest_rows.data(),
                               rest_rows.size(), kNonBoolLogic, &rhs));
   }
   out->resize(n);
@@ -491,14 +490,14 @@ Status EvalTriLogic(const BoundBinary& e, const FragmentSpan& span,
   return Status::OK();
 }
 
-Status EvalTri(const BoundExpr& expr, const FragmentSpan& span,
-               const uint32_t* rows, size_t n, const char* nonbool_error,
-               TriVec* out) {
+Status EvalTri(const BoundExpr& expr, ExecContext* ctx,
+               const FragmentSpan& span, const uint32_t* rows, size_t n,
+               const char* nonbool_error, TriVec* out) {
   switch (expr.kind) {
     case BoundExprKind::kBinary: {
       const auto& e = static_cast<const BoundBinary&>(expr);
       if (e.op == sql::BinaryOp::kAnd || e.op == sql::BinaryOp::kOr) {
-        return EvalTriLogic(e, span, rows, n, out);
+        return EvalTriLogic(e, ctx, span, rows, n, out);
       }
       const bool compare = e.op == sql::BinaryOp::kEq ||
                            e.op == sql::BinaryOp::kNotEq ||
@@ -514,7 +513,7 @@ Status EvalTri(const BoundExpr& expr, const FragmentSpan& span,
           const auto& ref = static_cast<const BoundColumnRef&>(*l);
           return CompareColumnLiteral(
               e.op, span.column(ref.index),
-              static_cast<const BoundLiteral&>(*r).value,
+              ctx->LiteralValue(static_cast<const BoundLiteral&>(*r)),
               /*lit_on_left=*/false, rows, n, out);
         }
         if (l->kind == BoundExprKind::kLiteral &&
@@ -522,13 +521,13 @@ Status EvalTri(const BoundExpr& expr, const FragmentSpan& span,
           const auto& ref = static_cast<const BoundColumnRef&>(*r);
           return CompareColumnLiteral(
               e.op, span.column(ref.index),
-              static_cast<const BoundLiteral&>(*l).value,
+              ctx->LiteralValue(static_cast<const BoundLiteral&>(*l)),
               /*lit_on_left=*/true, rows, n, out);
         }
         std::vector<Value> a;
         std::vector<Value> b;
-        PDM_RETURN_NOT_OK(EvalDense(*e.lhs, span, rows, n, &a));
-        PDM_RETURN_NOT_OK(EvalDense(*e.rhs, span, rows, n, &b));
+        PDM_RETURN_NOT_OK(EvalDense(*e.lhs, ctx, span, rows, n, &a));
+        PDM_RETURN_NOT_OK(EvalDense(*e.rhs, ctx, span, rows, n, &b));
         out->resize(n);
         for (size_t i = 0; i < n; ++i) {
           Result<Value> v = SqlCompareValues(e.op, a[i], b[i]);
@@ -544,7 +543,7 @@ Status EvalTri(const BoundExpr& expr, const FragmentSpan& span,
       const auto& e = static_cast<const BoundUnary&>(expr);
       if (e.op == sql::UnaryOp::kNot) {
         PDM_RETURN_NOT_OK(
-            EvalTri(*e.operand, span, rows, n, kNonBoolNot, out));
+            EvalTri(*e.operand, ctx, span, rows, n, kNonBoolNot, out));
         for (int8_t& t : *out) {
           if (t != -1) t = t == 1 ? 0 : 1;
         }
@@ -567,7 +566,7 @@ Status EvalTri(const BoundExpr& expr, const FragmentSpan& span,
         return Status::OK();
       }
       std::vector<Value> v;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, span, rows, n, &v));
+      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
       for (size_t i = 0; i < n; ++i) {
         (*out)[i] = (e.negated ? !v[i].is_null() : v[i].is_null()) ? 1 : 0;
       }
@@ -579,7 +578,7 @@ Status EvalTri(const BoundExpr& expr, const FragmentSpan& span,
   // Generic tier: dense-evaluate, then convert with the consuming
   // operator's non-boolean error so failures match the row engine.
   std::vector<Value> vals;
-  PDM_RETURN_NOT_OK(EvalDense(expr, span, rows, n, &vals));
+  PDM_RETURN_NOT_OK(EvalDense(expr, ctx, span, rows, n, &vals));
   out->resize(n);
   for (size_t i = 0; i < n; ++i) {
     const Value& v = vals[i];
@@ -667,7 +666,7 @@ const Table* ResolveVecSource(const VecSourceSpec& spec, ExecContext* ctx) {
   for (size_t c : spec.out_cols) {
     if (c >= num_columns) return nullptr;
   }
-  if (RouteScanToRowIndexPath(*spec.scan, *table)) return nullptr;
+  if (RouteScanToRowIndexPath(*spec.scan, *table, *ctx)) return nullptr;
   return table;
 }
 
@@ -694,7 +693,7 @@ class VecSourceCursor {
       stats.vec_rows_scanned += batch->sel.size();
       for (const BoundExpr* f : spec_->filters) {
         if (batch->sel.empty()) break;
-        PDM_RETURN_NOT_OK(EvalTri(*f, batch->span, batch->sel.data(),
+        PDM_RETURN_NOT_OK(EvalTri(*f, ctx_, batch->span, batch->sel.data(),
                                   batch->sel.size(), kNonBoolPredicate,
                                   &tri_));
         survivors_.clear();
@@ -1217,7 +1216,7 @@ class VecAggregateExecutor : public Executor {
       } else {
         gcols.resize(node_.group_exprs.size());
         for (size_t g = 0; g < node_.group_exprs.size(); ++g) {
-          PDM_RETURN_NOT_OK(EvalDense(*node_.group_exprs[g], batch.span,
+          PDM_RETURN_NOT_OK(EvalDense(*node_.group_exprs[g], ctx_, batch.span,
                                       batch.sel.data(), n, &gcols[g]));
         }
         for (size_t i = 0; i < n; ++i) {
@@ -1253,7 +1252,7 @@ class VecAggregateExecutor : public Executor {
           }
         }
         PDM_RETURN_NOT_OK(
-            EvalDense(*agg.arg, batch.span, batch.sel.data(), n, &vals));
+            EvalDense(*agg.arg, ctx_, batch.span, batch.sel.data(), n, &vals));
         for (size_t i = 0; i < n; ++i) {
           PDM_RETURN_NOT_OK(
               AccumulateAggValue(agg, vals[i], &groups_[gids[i]].aggs[a]));
@@ -1384,7 +1383,7 @@ Result<bool> TryExecuteVectorized(const PlanNode& plan, ExecContext* ctx,
   const Table& table = *table_or.value();
   // Point lookups whose index is (or is about to be) worth it belong to
   // the row engine's index scan.
-  if (RouteScanToRowIndexPath(*vp.scan, table)) return false;
+  if (RouteScanToRowIndexPath(*vp.scan, table, *ctx)) return false;
   const size_t num_columns = table.schema().num_columns();
   if ((!vp.filters.empty() || vp.project != nullptr) &&
       max_col >= num_columns) {
@@ -1413,7 +1412,7 @@ Result<bool> TryExecuteVectorized(const PlanNode& plan, ExecContext* ctx,
     stats.vec_rows_scanned += batch.sel.size();
     for (const BoundExpr* f : vp.filters) {
       if (batch.sel.empty()) break;
-      PDM_RETURN_NOT_OK(EvalTri(*f, batch.span, batch.sel.data(),
+      PDM_RETURN_NOT_OK(EvalTri(*f, ctx, batch.span, batch.sel.data(),
                                 batch.sel.size(), kNonBoolPredicate, &tri));
       survivors.clear();
       for (size_t i = 0; i < batch.sel.size(); ++i) {
@@ -1427,7 +1426,7 @@ Result<bool> TryExecuteVectorized(const PlanNode& plan, ExecContext* ctx,
     if (vp.project != nullptr) {
       proj_cols.resize(vp.project->size());
       for (size_t e = 0; e < vp.project->size(); ++e) {
-        PDM_RETURN_NOT_OK(EvalDense(*(*vp.project)[e], batch.span,
+        PDM_RETURN_NOT_OK(EvalDense(*(*vp.project)[e], ctx, batch.span,
                                     batch.sel.data(), take, &proj_cols[e]));
       }
       for (size_t i = 0; i < take; ++i) {

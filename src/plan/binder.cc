@@ -805,15 +805,22 @@ void ConvertEquiJoinsToHashJoins(PlanPtr* plan) {
 
 // --- Binder: expressions ----------------------------------------------------------
 
+BoundExprPtr Binder::BindLiteral(const sql::LiteralExpr& expr) {
+  auto lit = std::make_unique<BoundLiteral>(expr.value);
+  if (view_stack_.empty() && expr.param_slot >= 0) {
+    const auto slot = static_cast<size_t>(expr.param_slot);
+    lit->param_slot = expr.param_slot;
+    if (slot >= params_bound_.size()) params_bound_.resize(slot + 1);
+    params_bound_[slot] = true;
+  }
+  return lit;
+}
+
 Result<BoundExprPtr> Binder::BindExpr(const sql::Expr& expr,
                                       const Scope* scope) {
   switch (expr.kind) {
-    case ExprKind::kLiteral: {
-      const auto& e = static_cast<const sql::LiteralExpr&>(expr);
-      auto lit = std::make_unique<BoundLiteral>(e.value);
-      if (view_stack_.empty()) lit->param_slot = e.param_slot;
-      return BoundExprPtr(std::move(lit));
-    }
+    case ExprKind::kLiteral:
+      return BindLiteral(static_cast<const sql::LiteralExpr&>(expr));
     case ExprKind::kColumnRef: {
       const auto& e = static_cast<const sql::ColumnRefExpr&>(expr);
       if (scope == nullptr) {
@@ -899,12 +906,7 @@ Result<BoundExprPtr> Binder::BindExpr(const sql::Expr& expr,
       if (all_literals) {
         bound->use_literal_set = true;
         for (const BoundExprPtr& item : bound->items) {
-          const Value& v = static_cast<const BoundLiteral&>(*item).value;
-          if (v.is_null()) {
-            bound->literal_list_has_null = true;
-          } else {
-            bound->literal_set.insert(v);
-          }
+          bound->literal_set.Add(static_cast<const BoundLiteral&>(*item).value);
         }
       }
       return BoundExprPtr(std::move(bound));
@@ -1352,12 +1354,8 @@ Result<BoundExprPtr> Binder::BindPostAggExpr(const sql::Expr& expr,
   }
 
   switch (expr.kind) {
-    case ExprKind::kLiteral: {
-      const auto& e = static_cast<const sql::LiteralExpr&>(expr);
-      auto lit = std::make_unique<BoundLiteral>(e.value);
-      if (view_stack_.empty()) lit->param_slot = e.param_slot;
-      return BoundExprPtr(std::move(lit));
-    }
+    case ExprKind::kLiteral:
+      return BindLiteral(static_cast<const sql::LiteralExpr&>(expr));
     case ExprKind::kColumnRef: {
       const auto& e = static_cast<const sql::ColumnRefExpr&>(expr);
       PDM_ASSIGN_OR_RETURN(Scope::Resolution r,
@@ -1604,6 +1602,7 @@ Result<BoundCte> Binder::BindCte(const sql::CommonTableExpr& cte,
 
 Result<BoundSelect> Binder::BindSelect(const sql::SelectStmt& stmt) {
   BoundSelect bound;
+  params_bound_.clear();
   for (const sql::CommonTableExpr& cte : stmt.ctes) {
     PDM_ASSIGN_OR_RETURN(BoundCte bcte, BindCte(cte, stmt.recursive));
     ctes_.push_back(CteInfo{bcte.name, bcte.schema});
@@ -1620,6 +1619,7 @@ Result<BoundSelect> Binder::BindSelect(const sql::SelectStmt& stmt) {
     }
     ConvertEquiJoinsToHashJoins(&bound.root);
   }
+  bound.params_bound = std::move(params_bound_);
   return bound;
 }
 

@@ -115,6 +115,9 @@ class Binder {
 
   // Expressions.
   Result<BoundExprPtr> BindExpr(const sql::Expr& expr, const Scope* scope);
+  /// The one place a BoundLiteral gets its param_slot; records the slot
+  /// in params_bound_.
+  BoundExprPtr BindLiteral(const sql::LiteralExpr& expr);
   Result<BoundExprPtr> BindSubqueryExpr(const sql::Expr& expr,
                                         const Scope* scope);
   Result<PlanPtr> BindSubqueryPlan(const sql::QueryExpr& query,
@@ -140,6 +143,7 @@ class Binder {
   const ViewRegistry* views_;
   std::vector<std::string> view_stack_;  // cycle detection during expansion
   std::vector<CteInfo> ctes_;
+  std::vector<bool> params_bound_;  // becomes BoundSelect::params_bound
 };
 
 // --- Bound-tree analysis helpers (shared with the optimizer and tests) ---

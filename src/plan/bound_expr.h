@@ -47,13 +47,16 @@ using BoundExprPtr = std::unique_ptr<BoundExpr>;
 struct BoundLiteral : BoundExpr {
   explicit BoundLiteral(Value v)
       : BoundExpr(BoundExprKind::kLiteral), value(std::move(v)) {}
+  /// The bind-time value. Execution reads a literal only through
+  /// ExecContext::LiteralValue, never this field directly.
   Value value;
   /// Fingerprint parameter ordinal carried over from sql::LiteralExpr,
-  /// or -1. The plan cache (engine/plan_cache.h) rewrites `value` in
-  /// place through this slot when re-executing a cached plan with new
-  /// parameters. Literals bound inside view expansion never carry a
-  /// slot: their ordinals belong to the CREATE VIEW statement, not the
-  /// statement being fingerprinted.
+  /// or -1. When a cached plan (engine/plan_cache.h) runs for another
+  /// statement of the same fingerprint, the literal evaluates to that
+  /// statement's parameter at this ordinal, read from the ExecContext;
+  /// the node itself is never rewritten. Literals bound inside view
+  /// expansion never carry a slot: their ordinals belong to the CREATE
+  /// VIEW statement, not the statement being fingerprinted.
   int param_slot = -1;
 };
 
@@ -118,6 +121,31 @@ struct BoundIsNull : BoundExpr {
   bool negated;
 };
 
+/// The right-hand side of an IN test (an all-literal IN-list or an
+/// uncorrelated subquery's first column): its non-NULL values hashed,
+/// plus whether any value is NULL.
+struct InSet {
+  std::unordered_set<Value, ValueHash, ValueEq> values;
+  bool has_null = false;
+
+  void Add(const Value& v) {
+    if (v.is_null()) {
+      has_null = true;
+    } else {
+      values.insert(v);
+    }
+  }
+
+  /// `needle [NOT] IN (...)` in three-valued logic, for a non-NULL
+  /// needle. The functor pair is consistent with Value::Compare
+  /// (numerics match across kinds).
+  Value Probe(const Value& needle, bool negated) const {
+    if (values.count(needle) > 0) return Value::Bool(!negated);
+    if (has_null) return Value::Null();
+    return Value::Bool(negated);
+  }
+};
+
 struct BoundInList : BoundExpr {
   BoundInList(BoundExprPtr e, std::vector<BoundExprPtr> it, bool neg)
       : BoundExpr(BoundExprKind::kInList),
@@ -130,10 +158,11 @@ struct BoundInList : BoundExpr {
 
   /// When every item is a literal, the binder precomputes a hash set so
   /// long IN-lists (e.g. batched check-out updates) evaluate in O(1)
-  /// per row instead of O(items).
-  std::unordered_set<Value, ValueHash, ValueEq> literal_set;
+  /// per row instead of O(items). A cached plan executed with other
+  /// parameters uses a per-execution set instead
+  /// (ExecContext::InListValues).
+  InSet literal_set;
   bool use_literal_set = false;
-  bool literal_list_has_null = false;
 };
 
 struct BoundBetween : BoundExpr {

@@ -161,6 +161,12 @@ struct BoundCte {
 struct BoundSelect {
   std::vector<BoundCte> ctes;
   PlanPtr root;
+  /// params_bound[i] is set when fingerprint parameter i
+  /// (sql/fingerprint.h) reached a BoundLiteral of this plan. The binder
+  /// records it wherever it sets BoundLiteral::param_slot; the plan
+  /// cache reuses the plan for other parameter values only when every
+  /// parameter is covered.
+  std::vector<bool> params_bound;
 };
 
 struct BoundInsert {

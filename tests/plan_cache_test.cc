@@ -1,13 +1,15 @@
 // Tests for the statement fingerprint (sql/fingerprint.h) and the
 // server-side plan cache (engine/plan_cache.h): key normalization,
-// parameter substitution, invalidation on DDL and option changes, LRU
-// eviction, server-boundary reporting, and cached-vs-cold differential
-// equivalence for the paper's three access strategies.
+// cached plans run with other parameters, exact-match-only entries,
+// invalidation on DDL and option changes, LRU eviction, server-boundary
+// reporting, and cached-vs-cold differential equivalence (also with
+// other literals) for the paper's three access strategies.
 
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "client/experiment.h"
 #include "engine/database.h"
@@ -164,8 +166,8 @@ TEST_F(PlanCacheTest, InListSubstitutionRebuildsLiteralSet) {
 }
 
 TEST_F(PlanCacheTest, LargeInListSubstitution) {
-  // Large lists take the precomputed-hash-set path; the set must be
-  // re-derived after substitution.
+  // Large lists take the hash-set path; a cached plan running with
+  // other parameters must build its set from them.
   ASSERT_TRUE(db_.Execute("CREATE TABLE n (v INTEGER)").ok());
   std::string insert = "INSERT INTO n VALUES (0)";
   for (int i = 1; i < 400; ++i) insert += ", (" + std::to_string(i) + ")";
@@ -265,6 +267,20 @@ TEST_F(PlanCacheTest, LruEvictionAtCapacity) {
   EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
 }
 
+TEST_F(PlanCacheTest, LastStatsArePerThread) {
+  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());
+  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  std::thread other([this] {
+    EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);  // nothing run here yet
+    ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 2").ok());
+    EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
+  });
+  other.join();
+  // The other thread's call leaves this thread's counters alone.
+  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);
+}
+
 TEST_F(PlanCacheTest, DisabledCacheNeverHits) {
   db_.options().use_plan_cache = false;
   ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());
@@ -276,36 +292,81 @@ TEST_F(PlanCacheTest, DisabledCacheNeverHits) {
   EXPECT_EQ(rs->At(0, 0).string_value(), "b");
 }
 
+TEST_F(PlanCacheTest, ExactMatchOnlyEntryMissesOnOtherParameters) {
+  // The select-list `id + 1` is matched to the GROUP BY expression by
+  // text, so its parameter reaches no bound literal and the entry may
+  // be reused only for the exact parameters it was bound with.
+  const char* kBound =
+      "SELECT id + 1, COUNT(*) FROM t GROUP BY id + 1 ORDER BY 1";
+  const char* kOther =
+      "SELECT id + 2, COUNT(*) FROM t GROUP BY id + 1 ORDER BY 1";
+  ASSERT_EQ(FingerprintSql(kBound)->key, FingerprintSql(kOther)->key);
+
+  db_.options().use_plan_cache = false;
+  const Status cold = db_.Execute(kOther);
+  ASSERT_EQ(cold.code(), StatusCode::kBindError) << cold;
+
+  db_.options().use_plan_cache = true;
+  ASSERT_TRUE(db_.Query(kBound).ok());
+  ASSERT_TRUE(db_.Query(kBound).ok());
+  EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
+
+  const Status warm = db_.Execute(kOther);
+  EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);
+  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  EXPECT_EQ(warm.ToString(), cold.ToString());
+}
+
 TEST_F(PlanCacheTest, CachedAndColdResultsIdenticalOnCorpus) {
-  const char* kCorpus[] = {
-      "SELECT name FROM t WHERE id = 2",
-      "SELECT COUNT(*), MIN(score) FROM t WHERE score > 1.5",
-      "SELECT id, name FROM t WHERE id IN (1, 3) ORDER BY 1",
-      "SELECT name FROM t WHERE name LIKE 'b%'",
-      "SELECT id FROM t WHERE score BETWEEN 1.5 AND 2.5",
-      "SELECT a.name FROM t AS a JOIN t AS b ON a.id = b.id "
-      "WHERE b.score > 2.0 ORDER BY 1",
-      "WITH big AS (SELECT * FROM t WHERE score > 1.0) "
-      "SELECT COUNT(*) FROM big WHERE id < 3",
+  // Each statement comes with a variant of other literals that runs on
+  // the plan cached from the first ones.
+  struct Case {
+    const char* sql;
+    const char* variant;
+  };
+  const Case kCorpus[] = {
+      {"SELECT name FROM t WHERE id = 2", "SELECT name FROM t WHERE id = 3"},
+      {"SELECT COUNT(*), MIN(score) FROM t WHERE score > 1.5",
+       "SELECT COUNT(*), MIN(score) FROM t WHERE score > 0.5"},
+      {"SELECT id, name FROM t WHERE id IN (1, 3) ORDER BY 1",
+       "SELECT id, name FROM t WHERE id IN (2, 9) ORDER BY 1"},
+      {"SELECT name FROM t WHERE name LIKE 'b%'",
+       "SELECT name FROM t WHERE name LIKE 'c%'"},
+      {"SELECT id FROM t WHERE score BETWEEN 1.5 AND 2.5",
+       "SELECT id FROM t WHERE score BETWEEN 0.5 AND 3.5"},
+      {"SELECT a.name FROM t AS a JOIN t AS b ON a.id = b.id "
+       "WHERE b.score > 2.0 ORDER BY 1",
+       "SELECT a.name FROM t AS a JOIN t AS b ON a.id = b.id "
+       "WHERE b.score > 0.5 ORDER BY 1"},
+      {"WITH big AS (SELECT * FROM t WHERE score > 1.0) "
+       "SELECT COUNT(*) FROM big WHERE id < 3",
+       "WITH big AS (SELECT * FROM t WHERE score > 0.5) "
+       "SELECT COUNT(*) FROM big WHERE id < 3"},
+  };
+  auto run = [this](const char* sql) -> std::string {
+    Result<ResultSet> rs = db_.Query(sql);
+    EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status();
+    return rs.ok() ? rs->ToString(10000) : std::string();
   };
   // Cold: no cache at all.
   db_.options().use_plan_cache = false;
   std::vector<std::string> cold;
-  for (const char* sql : kCorpus) {
-    Result<ResultSet> rs = db_.Query(sql);
-    ASSERT_TRUE(rs.ok()) << sql;
-    cold.push_back(rs->ToString(10000));
+  std::vector<std::string> cold_variant;
+  for (const Case& c : kCorpus) {
+    cold.push_back(run(c.sql));
+    cold_variant.push_back(run(c.variant));
   }
-  // Warm: first pass populates, second pass must hit and agree.
+  // Warm: first pass populates, second pass must hit and agree, and so
+  // must the variant.
   db_.options().use_plan_cache = true;
   for (int round = 0; round < 2; ++round) {
     for (size_t i = 0; i < std::size(kCorpus); ++i) {
-      Result<ResultSet> rs = db_.Query(kCorpus[i]);
-      ASSERT_TRUE(rs.ok()) << kCorpus[i];
-      EXPECT_EQ(rs->ToString(10000), cold[i]) << kCorpus[i];
-      if (round == 1) {
-        EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u) << kCorpus[i];
-      }
+      EXPECT_EQ(run(kCorpus[i].sql), cold[i]) << kCorpus[i].sql;
+      if (round == 0) continue;
+      EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u) << kCorpus[i].sql;
+      EXPECT_EQ(run(kCorpus[i].variant), cold_variant[i])
+          << kCorpus[i].variant;
+      EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u) << kCorpus[i].variant;
     }
   }
 }
