@@ -1,5 +1,6 @@
 #include "client/connection.h"
 
+#include "obs/trace.h"
 #include "server/admission_queue.h"
 
 namespace pdm::client {
@@ -129,10 +130,15 @@ Connection::PendingBatch Connection::ExecuteBatchPipelined(
   pending.n_statements_ = statements.size();
   link_.BeginExchange(BatchRequestBytes(statements), statements.size(),
                       overlap_previous);
-  pending.future_ =
-      admission_attached_
-          ? server_->SubmitAsync(admission_client_id_, std::move(statements))
-          : server_->ExecuteBatchAsync(std::move(statements));
+  // The server work runs on a background thread whose thread-local
+  // trace context is empty: capture the submitting action's context
+  // now, so the batch's spans attach to it.
+  pending.future_ = std::async(
+      std::launch::async,
+      [this, ctx = obs::CurrentContext(), statements = std::move(statements)] {
+        obs::ContextScope scope(ctx);
+        return RunAtServer(statements);
+      });
   return pending;
 }
 

@@ -105,8 +105,11 @@ class Connection {
   /// `overlap_previous` the exchange is charged as issued at the
   /// previous exchange's transfer start — the speculative issue of a
   /// pipelined client that decoded the streaming prefix. The server work
-  /// runs on a background thread (through the admission queue when
-  /// attached). An empty batch issues nothing and returns an invalid
+  /// runs on a background thread (std::async around the same
+  /// RunAtServer call ExecuteBatch makes, through the admission queue
+  /// when attached) carrying the caller's trace context, so its spans
+  /// attach to the issuing action. An empty batch issues nothing and
+  /// returns an invalid
   /// handle. At most one pipelined batch may be in flight per
   /// connection (the link serializes exchanges).
   PendingBatch ExecuteBatchPipelined(std::vector<std::string> statements,

@@ -158,17 +158,18 @@ void AdmissionQueue::RunWaveLocked(std::unique_lock<std::mutex>& lock) {
     Submission* sub = wave[s];
     for (size_t i = 0; i < sub->statements.size(); ++i) {
       items.push_back(
-          DbServer::WaveItem{sub->client_id, &sub->statements[i],
+          DbServer::WaveItem{sub->client_id, sub->statements[i],
                              &sub->results[i], sub->trace,
                              /*submission=*/s, /*queue_wait_s=*/waits[s]});
     }
   }
 
   // Engine work happens outside the queue lock; `wave_in_progress_`
-  // keeps this the only executing wave, so the server's statement log
-  // and worker pool see one wave at a time.
+  // keeps this the queue's only executing wave (direct Execute /
+  // ExecuteBatch callers may run waves of their own alongside it).
   lock.unlock();
-  DbServer::WaveExecution execution = server_->ExecuteWave(items, wave_id);
+  DbServer::WaveExecution execution =
+      server_->ExecuteWave(items, wave_id, /*batch_id=*/0);
   lock.lock();
 
   entry.unique_statements = execution.unique_statements;
@@ -176,6 +177,7 @@ void AdmissionQueue::RunWaveLocked(std::unique_lock<std::mutex>& lock) {
   entry.dml_statements = execution.dml_statements;
   entry.conflicts = execution.conflicts;
   wave_log_.push_back(entry);
+  obs::MetricsRegistry::Global().counter("server.waves").Increment();
   for (Submission* sub : wave) sub->done = true;
   wave_in_progress_ = false;
   cv_.notify_all();

@@ -29,11 +29,16 @@ namespace pdm {
 /// submitter observing readiness becomes the wave leader: it drains
 /// whole submissions (never splitting one) up to the window into a
 /// wave, executes the wave through DbServer::ExecuteWave, publishes the
-/// results into the submissions' slots, and wakes all waiters. Within
-/// an all-read-only wave, statements with identical fingerprints (same
-/// normalized key and parameter values) execute once and fan their
-/// result out to every duplicate slot; waves containing DML/DDL/CALL
-/// run serially in admission order with no deduplication.
+/// results into the submissions' slots, and wakes all waiters. The
+/// queue only forms waves; ExecuteWave is the server's one scheduler,
+/// shared with direct Execute/ExecuteBatch callers, and it decides the
+/// lane policy from the wave's contents: read-only statements with
+/// identical fingerprints (same normalized key and parameter values)
+/// execute once and fan their result out; DML-carrying submissions of
+/// a multi-submission wave run on the MVCC writer lane; barriers and a
+/// lone DML-carrying submission run serially with no deduplication.
+/// One wave executes at a time per queue; each appends one WaveLogEntry
+/// and counts in `server.waves`.
 ///
 /// Registration contract: a client registers before its first Submit
 /// and unregisters when its session ends (client/Connection does both

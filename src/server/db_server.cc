@@ -1,5 +1,6 @@
 #include "server/db_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -29,19 +30,34 @@ StatementClass ClassifyStatement(const Result<sql::StatementFingerprint>& fp,
 }
 
 /// Dedup identity of a statement within a wave: the normalized
-/// fingerprint key plus the type-tagged parameter values. Two
-/// statements with equal group keys are the same query with the same
-/// literals — one execution serves both (DESIGN.md 5e).
-std::string WaveGroupKey(const sql::StatementFingerprint& fp) {
-  std::string key = fp.key;
-  for (const Value& param : fp.params) {
-    key += '\x1f';
-    key += ValueKindName(param.kind());
-    key += ':';
-    key += param.ToString();
+/// fingerprint key plus the parameter values, each of the same kind and
+/// equal (1 and 1.0 are different literals). Two statements in one
+/// group are the same query with the same literals — one execution
+/// serves both (DESIGN.md 5e). Grouping keys on the fingerprints
+/// themselves, so it copies no statement text.
+struct SameQueryHash {
+  size_t operator()(const sql::StatementFingerprint* fp) const {
+    size_t h = std::hash<std::string>{}(fp->key);
+    for (const Value& param : fp->params) h = h * 31 + param.Hash();
+    return h;
   }
-  return key;
-}
+};
+
+struct SameQuery {
+  bool operator()(const sql::StatementFingerprint* a,
+                  const sql::StatementFingerprint* b) const {
+    if (a->key != b->key || a->params.size() != b->params.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < a->params.size(); ++i) {
+      if (a->params[i].kind() != b->params[i].kind() ||
+          Value::Compare(a->params[i], b->params[i]) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
 
 /// Process-wide statement counter — every execution path (serial,
 /// batch, wave) funnels through it, so it is the one number to watch
@@ -88,13 +104,12 @@ DbServer::DbServer(Config config)
 DbServer::~DbServer() = default;
 
 Status DbServer::Execute(std::string_view sql, ResultSet* out) {
-  ResultSet scratch;
-  if (out == nullptr) out = &scratch;
-  StatementRecord record;
-  Status status = RunStatement(sql, /*fingerprint=*/nullptr,
-                               Database::kLatestSnapshot, &record, out);
-  if (log_enabled_) AppendLogEntry(std::move(record));
-  return status;
+  BatchStatementResult result;
+  const WaveItem item{.sql = sql, .slot = &result,
+                      .trace = obs::CurrentContext()};
+  ExecuteWave({&item, 1}, /*wave_id=*/0, /*batch_id=*/0);
+  if (out != nullptr) *out = std::move(result.result);
+  return result.status;
 }
 
 std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
@@ -103,54 +118,16 @@ std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
       last_batch_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   // A batch is one client action: every statement span — whichever pool
   // worker runs it — attaches to the submitting thread's trace.
-  const obs::TraceContext batch_ctx = obs::CurrentContext();
+  const obs::TraceContext trace = obs::CurrentContext();
   std::vector<BatchStatementResult> results(statements.size());
-  std::vector<StatementRecord> records(statements.size());
-
-  // Fingerprint every statement exactly once: the fingerprint answers
-  // the read-only classification here and is then consumed by
-  // ExecuteFingerprinted for the plan-cache lookup — no second lex.
-  std::vector<Result<sql::StatementFingerprint>> fingerprints;
-  fingerprints.reserve(statements.size());
-  bool read_only = true;
-  for (const std::string& sql : statements) {
-    fingerprints.push_back(sql::FingerprintSql(sql));
-    if (!fingerprints.back().ok() || !fingerprints.back()->cacheable) {
-      read_only = false;
-    }
+  std::vector<WaveItem> items;
+  items.reserve(statements.size());
+  for (size_t i = 0; i < statements.size(); ++i) {
+    items.push_back({.sql = statements[i], .slot = &results[i],
+                     .trace = trace});
   }
-
-  // Parallel execution is only safe for all-read-only batches; a batch
-  // containing DML/DDL/CALL runs serially in statement order.
-  size_t threads = config_.batch_threads == 0 ? 1 : config_.batch_threads;
-  if (!read_only) threads = 1;
-
-  auto run_one = [&](size_t i, size_t worker) {
-    obs::ContextScope ctx_scope(batch_ctx);
-    records[i].batch_id = batch_id;
-    records[i].worker = worker;
-    results[i].status =
-        RunStatement(statements[i], &fingerprints[i],
-                     Database::kLatestSnapshot, &records[i], &results[i].result);
-  };
-
-  if (threads <= 1) {
-    for (size_t i = 0; i < statements.size(); ++i) run_one(i, 0);
-  } else {
-    // ParallelFor is not reentrant and the pool may be rebuilt when
-    // batch_threads changes: concurrent async batches serialize their
-    // parallel sections here (engine-level read concurrency is what the
-    // pool provides; batch-level overlap comes from the serial paths).
-    std::lock_guard<std::mutex> pool_lock(pool_mutex_);
-    EnsurePool(threads).ParallelFor(statements.size(), run_one);
-  }
-
+  ExecuteWave(items, /*wave_id=*/0, batch_id);
   obs::MetricsRegistry::Global().counter("server.batches").Increment();
-  // Append log entries in statement order regardless of which worker ran
-  // what, keeping the log deterministic across thread counts.
-  if (log_enabled_) {
-    for (StatementRecord& record : records) AppendLogEntry(std::move(record));
-  }
   return results;
 }
 
@@ -159,33 +136,9 @@ std::vector<DbServer::BatchStatementResult> DbServer::Submit(
   return admission_->Submit(client_id, statements);
 }
 
-std::future<std::vector<DbServer::BatchStatementResult>>
-DbServer::ExecuteBatchAsync(std::vector<std::string> statements) {
-  // Capture the submitter's trace context NOW: std::async bodies run on
-  // a fresh thread whose thread-local context is empty, and the spans
-  // of this batch belong to the action that submitted it.
-  const obs::TraceContext ctx = obs::CurrentContext();
-  return std::async(std::launch::async,
-                    [this, ctx, statements = std::move(statements)]() {
-                      obs::ContextScope scope(ctx);
-                      return ExecuteBatch(statements);
-                    });
-}
-
-std::future<std::vector<DbServer::BatchStatementResult>>
-DbServer::SubmitAsync(uint64_t client_id,
-                      std::vector<std::string> statements) {
-  const obs::TraceContext ctx = obs::CurrentContext();
-  return std::async(std::launch::async,
-                    [this, client_id, ctx,
-                     statements = std::move(statements)]() {
-                      obs::ContextScope scope(ctx);
-                      return Submit(client_id, statements);
-                    });
-}
-
-DbServer::WaveExecution DbServer::ExecuteWave(
-    std::span<const WaveItem> items, uint64_t wave_id) {
+DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
+                                              uint64_t wave_id,
+                                              uint64_t batch_id) {
   WaveExecution execution;
   const size_t n = items.size();
 
@@ -199,9 +152,11 @@ DbServer::WaveExecution DbServer::ExecuteWave(
   bool read_only = true;
   bool has_barrier = false;
   size_t dml_count = 0;
+  size_t num_subs = 0;
   for (const WaveItem& item : items) {
-    fingerprints.push_back(sql::FingerprintSql(*item.sql));
-    classes.push_back(ClassifyStatement(fingerprints.back(), *item.sql));
+    fingerprints.push_back(sql::FingerprintSql(item.sql));
+    classes.push_back(ClassifyStatement(fingerprints.back(), item.sql));
+    num_subs = std::max(num_subs, item.submission + 1);
     switch (classes.back()) {
       case StatementClass::kReadOnly:
         break;
@@ -222,6 +177,7 @@ DbServer::WaveExecution DbServer::ExecuteWave(
   // the fan-out below) completes the rest of its record.
   std::vector<StatementRecord> records(n);
   for (size_t i = 0; i < n; ++i) {
+    records[i].batch_id = batch_id;
     records[i].wave_id = wave_id;
     records[i].client_id = items[i].client_id;
     records[i].queue_wait_seconds = items[i].queue_wait_s;
@@ -235,8 +191,8 @@ DbServer::WaveExecution DbServer::ExecuteWave(
     // statement: charge the span to the submitter's trace, not ours.
     obs::ContextScope ctx_scope(items[i].trace);
     records[i].worker = worker;
-    r.status = RunStatement(*items[i].sql, &fingerprints[i], snapshot_ts,
-                            &records[i], &r.result);
+    r.status = RunStatement(items[i].sql, std::move(fingerprints[i]),
+                            snapshot_ts, &records[i], &r.result);
     if (IsRetryableConflict(r.status.code())) {
       conflicts.fetch_add(1, std::memory_order_relaxed);
     }
@@ -247,16 +203,23 @@ DbServer::WaveExecution DbServer::ExecuteWave(
   // is the representative), unique ones go to the worker pool.
   auto run_read_only = [&](const std::vector<size_t>& ro,
                            uint64_t snapshot_ts) {
-    if (ro.empty()) return;
-    std::unordered_map<std::string, size_t> groups;
     std::vector<size_t> rep_of(n);
     std::vector<size_t> reps;
-    groups.reserve(ro.size());
-    for (size_t i : ro) {
-      auto [it, inserted] =
-          groups.try_emplace(WaveGroupKey(*fingerprints[i]), i);
-      if (inserted) reps.push_back(i);
-      rep_of[i] = it->second;
+    {
+      std::unordered_map<const sql::StatementFingerprint*, size_t,
+                         SameQueryHash, SameQuery>
+          groups;
+      if (ro.size() > 1) groups.reserve(ro.size());
+      for (size_t i : ro) {
+        // A lone statement (every standalone Execute) has nothing to
+        // coalesce with: skip hashing its text.
+        const size_t rep =
+            ro.size() == 1
+                ? i
+                : groups.try_emplace(&*fingerprints[i], i).first->second;
+        if (rep == i) reps.push_back(i);
+        rep_of[i] = rep;
+      }
     }
     execution.unique_statements += reps.size();
 
@@ -267,9 +230,8 @@ DbServer::WaveExecution DbServer::ExecuteWave(
     if (threads <= 1 || reps.size() <= 1) {
       for (size_t r = 0; r < reps.size(); ++r) run_rep(r, 0);
     } else {
-      // Same non-reentrancy rule as the batch path: only one parallel
-      // section may drive the pool at a time (waves never race each
-      // other, but async direct batches may be in flight too).
+      // Only one parallel section may drive the pool at a time:
+      // concurrent direct callers and the queue's leader take turns.
       std::lock_guard<std::mutex> pool_lock(pool_mutex_);
       EnsurePool(threads).ParallelFor(reps.size(), run_rep);
     }
@@ -288,7 +250,7 @@ DbServer::WaveExecution DbServer::ExecuteWave(
         // No engine work of its own: only the outcome is copied.
         const StatementRecord& rep = records[rep_of[i]];
         StatementRecord& record = records[i];
-        record.sql = *items[i].sql;
+        record.sql = items[i].sql;
         record.fingerprint = rep.fingerprint;
         record.result_rows = rep.result_rows;
         record.affected_rows = rep.affected_rows;
@@ -301,28 +263,29 @@ DbServer::WaveExecution DbServer::ExecuteWave(
   if (read_only) {
     // All-read-only wave: one snapshot for the whole wave, so every
     // statement — whichever client submitted it — sees the same data
-    // even if standalone writers commit mid-wave.
+    // even if writers commit mid-wave.
     Database::Snapshot snapshot = db_.AcquireSnapshot();
     std::vector<size_t> all(n);
     std::iota(all.begin(), all.end(), size_t{0});
     run_read_only(all, snapshot.ts());
-  } else if (has_barrier || !config_.mvcc_waves) {
-    // Barrier wave (DDL/CALL/unparseable) or MVCC lanes disabled:
-    // serial admission order, no deduplication (two identical INSERTs
-    // are two inserts), every statement at the latest snapshot.
+  } else if (has_barrier || !config_.mvcc_waves || num_subs == 1) {
+    // Barrier wave (DDL/CALL/unparseable), MVCC lanes disabled, or one
+    // submission carrying DML (a standalone statement, a direct batch,
+    // a lone queued check-out): serial statement order, no
+    // deduplication (two identical INSERTs are two inserts), every
+    // statement at the latest snapshot. DML resolves that snapshot
+    // under the engine's DML mutex, so it never loses a
+    // first-writer-wins race to a concurrent direct writer.
     for (size_t i = 0; i < n; ++i) run_one(i, 0, Database::kLatestSnapshot);
     execution.unique_statements = n;
   } else {
-    // Mixed read/DML wave (the tuning-paper bottleneck this layer
-    // removes): submissions carrying DML run whole — reads included, so
-    // they see their own writes — on one serial writer lane, while
-    // read-only submissions run concurrently against the wave snapshot.
-    // Readers never see this wave's writes; writers conflict under
-    // first-writer-wins and surface kWriteConflict for client retry.
-    size_t num_subs = 0;
-    for (const WaveItem& item : items) {
-      num_subs = std::max(num_subs, item.submission + 1);
-    }
+    // Mixed read/DML wave of several submissions (the tuning-paper
+    // bottleneck this layer removes): submissions carrying DML run
+    // whole — reads included, so they see their own writes — on one
+    // serial writer lane, while read-only submissions run concurrently
+    // against the wave snapshot. Readers never see this wave's writes;
+    // writers conflict under first-writer-wins and surface
+    // kWriteConflict for client retry.
     std::vector<char> sub_has_dml(num_subs, 0);
     for (size_t i = 0; i < n; ++i) {
       if (classes[i] == StatementClass::kDml) {
@@ -360,11 +323,9 @@ DbServer::WaveExecution DbServer::ExecuteWave(
   }
   execution.conflicts = conflicts.load(std::memory_order_relaxed);
 
-  obs::MetricsRegistry::Global().counter("server.waves").Increment();
-  // Admission order, whatever worker ran what — same determinism rule
-  // as the batch path. Only one wave executes at a time (the queue's
-  // leader), but serial Execute() traffic from other servers' clients
-  // may interleave, so each append still takes the log mutex.
+  // Statement order, whatever worker ran what, keeps the log
+  // deterministic across thread counts. Concurrent waves each take the
+  // log mutex per append.
   if (log_enabled_) {
     for (StatementRecord& record : records) AppendLogEntry(std::move(record));
   }
@@ -372,10 +333,11 @@ DbServer::WaveExecution DbServer::ExecuteWave(
   // Periodic version GC, after the wave snapshot is released: prunes
   // versions no live snapshot can reach (concurrent waves' snapshots
   // make the pass defer harmlessly).
-  if (dml_count > 0 && config_.gc_interval_waves > 0 &&
-      dml_waves_since_gc_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-          config_.gc_interval_waves) {
-    dml_waves_since_gc_.store(0, std::memory_order_relaxed);
+  const size_t gc_interval = config_.gc_interval_waves;
+  if (dml_count > 0 && gc_interval > 0 &&
+      (dml_executions_.fetch_add(1, std::memory_order_relaxed) + 1) %
+              gc_interval ==
+          0) {
     db_.GarbageCollectVersions();
   }
   return execution;
@@ -389,17 +351,13 @@ WorkerPool& DbServer::EnsurePool(size_t threads) {
 }
 
 size_t DbServer::ResponseBytes(const ResultSet& result) const {
-  if (config_.fixed_row_bytes > 0) {
-    // DML acks and empty results still occupy a minimal frame.
-    if (result.rows.empty()) return 64;
-    return result.rows.size() * config_.fixed_row_bytes;
-  }
   return result.WireSize() + 64;
 }
 
-Status DbServer::RunStatement(
-    std::string_view sql, Result<sql::StatementFingerprint>* fingerprint,
-    uint64_t snapshot_ts, StatementRecord* record, ResultSet* out) {
+Status DbServer::RunStatement(std::string_view sql,
+                              Result<sql::StatementFingerprint> fingerprint,
+                              uint64_t snapshot_ts, StatementRecord* record,
+                              ResultSet* out) {
   // Per-call stats: last_stats() is a serial-only concept and must not be
   // used for attribution when serial and batched/wave traffic interleave.
   ExecStats stats;
@@ -407,12 +365,9 @@ Status DbServer::RunStatement(
   {
     obs::ScopedSpan span("server:statement", obs::ModelTerm::kServer);
     const auto wall_start = std::chrono::steady_clock::now();
-    Result<sql::StatementFingerprint> fp = fingerprint != nullptr
-                                               ? std::move(*fingerprint)
-                                               : sql::FingerprintSql(sql);
-    if (fp.ok()) {
-      status =
-          db_.ExecuteFingerprinted(std::move(*fp), out, &stats, snapshot_ts);
+    if (fingerprint.ok()) {
+      status = db_.ExecuteFingerprinted(std::move(*fingerprint), out, &stats,
+                                        snapshot_ts);
     } else {
       // Lexical error: re-run through the text path for its diagnostics.
       status = db_.Execute(sql, out, &stats, snapshot_ts);
@@ -453,9 +408,8 @@ Status DbServer::RunStatement(
   hist->Observe(record->sim_seconds);
 
   // Only a record someone keeps pays for the SQL copy and the sizing walk.
-  const SlowQueryLog::Limits limits{config_.slow_query_threshold,
-                                    config_.slow_query_log_capacity,
-                                    config_.slow_query_top_k};
+  const SlowQueryLog::Limits limits{
+      .threshold_seconds = config_.slow_query_threshold};
   const bool slow = slow_query_log_.MightRecord(limits, record->sim_seconds,
                                                 record->wall_seconds);
   if (!slow && !log_enabled_) return status;

@@ -1,17 +1,15 @@
 #ifndef PDM_SERVER_DB_SERVER_H_
 #define PDM_SERVER_DB_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include <array>
 
 #include "common/status.h"
 #include "engine/database.h"
@@ -29,21 +27,21 @@ namespace pdm {
 class AdmissionQueue;
 
 /// The database server endpoint of the simulated client/server system.
-/// Owns the Database, executes SQL text arriving "over the wire" and
-/// sizes the serialized response.
+/// Owns the Database and executes SQL text arriving "over the wire".
 ///
-/// Response sizing: with `fixed_row_bytes` > 0, every result row is
-/// charged that many bytes — this mirrors the paper's "average size of a
-/// node" accounting (512 B). With 0, realistic per-value wire sizes are
-/// used instead (ablation).
+/// One scheduler (DESIGN.md 5d/5e/5h): a standalone statement is a
+/// one-statement submission, a direct batch is a one-submission wave,
+/// and the admission queue drains many clients' submissions into one
+/// wave. All three run through ExecuteWave, which fingerprints each
+/// statement once and picks the wave's lane policy from its contents.
+/// Response sizing is the client's (client::Connection); ResponseBytes
+/// is the realistic wire size it falls back to.
 class DbServer {
  public:
   struct Config {
-    size_t fixed_row_bytes = 0;  // 0 = realistic serialization
-    /// Worker threads for ExecuteBatch and read-only admission waves.
-    /// 1 (default) = serial execution, identical to today's behaviour;
-    /// > 1 executes the read-only statements of a batch/wave
-    /// concurrently (DESIGN.md 5d).
+    /// Worker threads for the read-only statements of a batch or wave.
+    /// 1 (default) = serial execution; > 1 executes them concurrently
+    /// (DESIGN.md 5d).
     size_t batch_threads = 1;
     /// Maximum statements the admission queue coalesces into one
     /// execution wave (DESIGN.md 5e); 0 = unbounded. Submissions are
@@ -61,11 +59,14 @@ class DbServer {
     /// false = pre-MVCC behaviour — any wave containing DML runs fully
     /// serial in admission order (the A/B baseline the concurrent-DML
     /// bench measures against). Waves containing DDL/CALL or
-    /// unparseable statements always run serial regardless.
+    /// unparseable statements, and DML carried by a wave's only
+    /// submission (every standalone statement and direct batch), always
+    /// run serial regardless.
     bool mvcc_waves = true;
     /// Run MVCC version garbage collection after every N DML-carrying
-    /// waves (0 = never). GC prunes only versions no live snapshot can
-    /// reach, so it never changes results.
+    /// executions (0 = never): standalone statements, direct batches
+    /// and admission waves all count. GC prunes only versions no live
+    /// snapshot can reach, so it never changes results.
     size_t gc_interval_waves = 64;
     /// Simulated server-cost calibration for the t_server spans
     /// (DESIGN.md 5f): every executed statement is charged simulated
@@ -79,10 +80,9 @@ class DbServer {
     /// Slow-query log (DESIGN.md 5k): statements whose simulated OR
     /// wall cost exceeds the threshold land in a bounded ring; the K
     /// most expensive by simulated cost are kept regardless.
-    /// threshold <= 0 disables the ring (top-K stays on).
+    /// threshold <= 0 disables the ring (top-K stays on). Capacities are
+    /// SlowQueryLog::Limits' defaults.
     double slow_query_threshold = 0.05;
-    size_t slow_query_log_capacity = 256;
-    size_t slow_query_top_k = 16;
   };
 
   /// One executed statement, as observed at the server boundary
@@ -98,11 +98,13 @@ class DbServer {
   };
 
   /// One statement of an execution wave: who submitted it, the SQL
-  /// text, and the result slot to fill. Built by the AdmissionQueue
-  /// when it drains submissions into a wave.
+  /// text, and the result slot to fill. Built by Execute (one item),
+  /// ExecuteBatch (one submission) and the AdmissionQueue (the
+  /// submissions it drains). The text is borrowed: it must outlive the
+  /// ExecuteWave call.
   struct WaveItem {
     uint64_t client_id = 0;
-    const std::string* sql = nullptr;
+    std::string_view sql;
     BatchStatementResult* slot = nullptr;
     /// Submitter's trace context: spans recorded while the wave leader
     /// executes this statement attach to the submitting client's action.
@@ -136,43 +138,29 @@ class DbServer {
   DbServer& operator=(const DbServer&) = delete;
 
   /// Executes one statement arriving as SQL text into `out` (may be
-  /// null). Logged as batch 0, failures included.
+  /// null): a one-statement wave. Logged as batch 0, failures included.
+  /// Thread-safe; a standalone DML statement resolves its snapshot under
+  /// the engine's DML mutex, so concurrent direct writers never see
+  /// kWriteConflict.
   Status Execute(std::string_view sql, ResultSet* out = nullptr);
 
-  /// Executes the statements of one batch (a single wire round trip)
-  /// and returns one result per statement, in statement order. When
-  /// `Config::batch_threads > 1` and every statement is read-only
-  /// (SELECT / WITH), statements run concurrently on the worker pool;
-  /// batches containing DML/DDL/CALL always run serially in statement
-  /// order. Results are identical across thread counts; the statement
-  /// log keeps statement order and records the batch id + worker.
+  /// Executes the statements of one batch (a single wire round trip) as
+  /// a one-submission wave and returns one result per statement, in
+  /// statement order. An all-read-only batch (SELECT / WITH) runs at one
+  /// snapshot, executes identical statements once and, with
+  /// `Config::batch_threads > 1`, runs on the worker pool; a batch
+  /// containing DML/DDL/CALL runs serially in statement order. Results
+  /// are identical across thread counts; the statement log keeps
+  /// statement order and records the batch id + worker. Thread-safe.
   std::vector<BatchStatementResult> ExecuteBatch(
       std::span<const std::string> statements);
-
-  /// Async submission handle (DESIGN.md 5g): executes the batch on a
-  /// background thread and returns immediately, so a pipelined client
-  /// can overlap the next level's execution with its own processing of
-  /// the previous response. The submitting thread's trace context is
-  /// captured here and re-established on the background thread, so
-  /// server spans still attach to the submitting client's action.
-  /// Concurrent in-flight batches are safe for read-only statements
-  /// (the DESIGN.md 5d contract).
-  std::future<std::vector<BatchStatementResult>> ExecuteBatchAsync(
-      std::vector<std::string> statements);
-
-  /// ExecuteBatchAsync through the shared admission queue: the
-  /// background thread calls Submit(), so concurrent pipelined clients
-  /// still coalesce into execution waves (DESIGN.md 5e).
-  std::future<std::vector<BatchStatementResult>> SubmitAsync(
-      uint64_t client_id, std::vector<std::string> statements);
 
   /// Submits one client's statements to the shared admission queue
   /// (DESIGN.md 5e) and blocks until an execution wave has produced
   /// every result. Concurrent clients' submissions coalesce into one
   /// wave; identical statements within a wave execute once and fan
-  /// their result out. Thread-safe — this is the endpoint concurrent
-  /// clients are expected to use; while admission traffic is in flight,
-  /// do not call Execute()/ExecuteBatch() directly on this server.
+  /// their result out. Thread-safe, also alongside direct Execute() /
+  /// ExecuteBatch() traffic on the same server.
   std::vector<BatchStatementResult> Submit(
       uint64_t client_id, std::span<const std::string> statements);
 
@@ -180,8 +168,9 @@ class DbServer {
   /// log live there).
   AdmissionQueue& admission_queue() { return *admission_; }
 
-  /// Serialized size of a result set under this server's policy — the
-  /// wire size clients charge when they bring no sizer of their own.
+  /// Realistic serialized size of a result set (per-value wire sizes
+  /// plus a 64-byte frame) — the wire size clients charge when they
+  /// bring no sizer of their own.
   size_t ResponseBytes(const ResultSet& result) const;
 
   Database& database() { return db_; }
@@ -192,8 +181,8 @@ class DbServer {
   /// arrives over the wire — the tool a DBA would use to diagnose the
   /// paper's "series of isolated SQL queries" problem. The log is a
   /// bounded ring (Config::statement_log_capacity) and every append is
-  /// mutex-guarded, so serial Execute() traffic may interleave with
-  /// batch/wave execution without racing or growing without bound.
+  /// mutex-guarded, so concurrent executions interleave whole waves
+  /// without racing or growing without bound.
   void EnableStatementLog(bool enable) { log_enabled_ = enable; }
   /// Snapshot of the log, oldest first (thread-safe copy).
   std::vector<StatementLogEntry> statement_log() const;
@@ -209,7 +198,7 @@ class DbServer {
 
   /// Slow-query log (DESIGN.md 5k): the over-threshold ring and the
   /// always-on top-K of the most expensive statements, with per-term
-  /// breakdowns. Always on; tuned via Config::slow_query_*.
+  /// breakdowns. Always on; tuned via Config::slow_query_threshold.
   const SlowQueryLog& slow_query_log() const { return slow_query_log_; }
   /// JSON array of the current top-K, most expensive first.
   std::string SlowQueryTopKJson() const {
@@ -228,20 +217,27 @@ class DbServer {
  private:
   friend class AdmissionQueue;
 
-  /// Executes one drained wave (called by the AdmissionQueue's leader,
-  /// never concurrently with itself): fingerprints every statement
-  /// once, deduplicates identical fingerprints among the read-only
-  /// statements (one engine execution, result fan-out) and runs the
-  /// unique ones on the worker pool against the wave's MVCC snapshot.
-  /// DML-carrying submissions run on a concurrent serial writer lane
-  /// (Config::mvcc_waves); waves containing DDL/CALL or unparseable
-  /// statements fall back to serial admission order.
-  WaveExecution ExecuteWave(std::span<const WaveItem> items,
-                            uint64_t wave_id);
+  /// The server's only scheduler: runs one wave of statements and fills
+  /// their slots. It fingerprints every statement once, then decides
+  /// the lane policy from the wave's contents (DESIGN.md 5h):
+  ///  * all read-only: one snapshot, identical fingerprints execute once
+  ///    (result fan-out), unique ones on the worker pool;
+  ///  * any DDL/CALL/unparseable statement, `mvcc_waves` off, or DML
+  ///    carried by the wave's only submission: serial in statement
+  ///    order at the latest snapshot, no dedup;
+  ///  * otherwise: read-only submissions as above at the wave snapshot,
+  ///    DML-carrying submissions on a concurrent serial writer lane.
+  /// Every record is stamped with `wave_id` and `batch_id`. Every
+  /// DML-carrying wave counts toward Config::gc_interval_waves.
+  /// Callers may run it concurrently — direct Execute/ExecuteBatch
+  /// callers on many threads alongside the queue's wave leader; the
+  /// BatchExec and AdmissionQueue suites check this under TSan.
+  WaveExecution ExecuteWave(std::span<const WaveItem> items, uint64_t wave_id,
+                            uint64_t batch_id);
 
   /// The pool is created lazily and rebuilt when batch_threads changes.
   /// WorkerPool::ParallelFor is not reentrant, so every pool use (and
-  /// rebuild) happens under `pool_mutex_` — concurrent batches' parallel
+  /// rebuild) happens under `pool_mutex_` — concurrent waves' parallel
   /// sections serialize against each other while their serial paths and
   /// engine work still overlap freely.
   WorkerPool& EnsurePool(size_t threads);
@@ -250,18 +246,17 @@ class DbServer {
   /// the ring capacity.
   void AppendLogEntry(StatementLogEntry entry);
 
-  /// The per-statement body every path (Execute, ExecuteBatch,
-  /// ExecuteWave) runs: the server:statement span, the simulated
-  /// t_server charge, the statement counter, the dimensioned histogram
-  /// and the slow-query log. `record` arrives carrying the caller's
-  /// attribution (batch/wave/client ids, worker, queue wait) and leaves
-  /// complete; its SQL copy and response size are filled only when the
-  /// statement log or the slow-query log keeps it. `fingerprint` is the
-  /// caller's precomputed one (consumed), or null to fingerprint inside
-  /// the span — a standalone statement's lexing is part of its server
-  /// time. A failed statement leaves `out` empty.
+  /// The per-statement body ExecuteWave runs for every engine
+  /// execution: the server:statement span, the simulated t_server
+  /// charge, the statement counter, the dimensioned histogram and the
+  /// slow-query log. `record` arrives carrying the caller's attribution
+  /// (batch/wave/client ids, worker, queue wait) and leaves complete;
+  /// its SQL copy and response size are filled only when the statement
+  /// log or the slow-query log keeps it. `fingerprint` is the one the
+  /// scheduler computed, consumed by the plan-cache lookup. A failed
+  /// statement leaves `out` empty.
   Status RunStatement(std::string_view sql,
-                      Result<sql::StatementFingerprint>* fingerprint,
+                      Result<sql::StatementFingerprint> fingerprint,
                       uint64_t snapshot_ts, StatementRecord* record,
                       ResultSet* out);
 
@@ -272,7 +267,9 @@ class DbServer {
   std::deque<StatementLogEntry> statement_log_;
   size_t statement_log_dropped_ = 0;
   std::atomic<uint64_t> last_batch_id_{0};
-  std::atomic<uint64_t> dml_waves_since_gc_{0};
+  /// DML-carrying executions so far; GC runs on every
+  /// gc_interval_waves-th.
+  std::atomic<uint64_t> dml_executions_{0};
   std::mutex pool_mutex_;
   std::unique_ptr<WorkerPool> pool_;
   std::unique_ptr<AdmissionQueue> admission_;

@@ -73,45 +73,66 @@ TEST(AdmissionQueue, EmptySubmissionIsANoOp) {
 }
 
 TEST(AdmissionQueue, DedupsIdenticalSelectsWithinAWave) {
-  DbServer server;
-  Seed(&server, 4);
-  server.EnableStatementLog(true);
   // Five statements, two distinct fingerprints: one engine execution
-  // per distinct statement, results fanned out byte-identically.
+  // per distinct statement, results fanned out byte-identically. A
+  // direct batch is a one-submission wave, so it dedups the same way.
   std::vector<std::string> statements = {PointQuery(2), PointQuery(3),
                                          PointQuery(2), PointQuery(2),
                                          PointQuery(3)};
-  std::vector<DbServer::BatchStatementResult> results =
-      server.Submit(1, statements);
-  ASSERT_EQ(results.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(results[i].status.ok()) << i;
-  }
-  EXPECT_EQ(results[0].result.ToString(1 << 20),
-            results[2].result.ToString(1 << 20));
-  EXPECT_EQ(results[0].result.ToString(1 << 20),
-            results[3].result.ToString(1 << 20));
-  EXPECT_EQ(results[1].result.ToString(1 << 20),
-            results[4].result.ToString(1 << 20));
+  for (bool direct : {false, true}) {
+    SCOPED_TRACE(direct ? "ExecuteBatch" : "Submit");
+    DbServer server;
+    Seed(&server, 4);
+    server.EnableStatementLog(true);
+    server.database().plan_cache().ResetStats();
+    std::vector<DbServer::BatchStatementResult> results =
+        direct ? server.ExecuteBatch(statements)
+               : server.Submit(1, statements);
+    ASSERT_EQ(results.size(), 5u);
+    for (size_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE(results[i].status.ok()) << i;
+    }
+    EXPECT_EQ(results[0].result.ToString(1 << 20),
+              results[2].result.ToString(1 << 20));
+    EXPECT_EQ(results[0].result.ToString(1 << 20),
+              results[3].result.ToString(1 << 20));
+    EXPECT_EQ(results[1].result.ToString(1 << 20),
+              results[4].result.ToString(1 << 20));
+    EXPECT_EQ(results[0].result.At(0, 0).ToString(), "n2");
+    EXPECT_EQ(results[1].result.At(0, 0).ToString(), "n3");
+    // One engine execution (one plan-cache lookup) per unique statement.
+    const PlanCacheStats cache = server.plan_cache_stats();
+    EXPECT_EQ(cache.hits + cache.misses, 2u);
 
-  std::vector<AdmissionQueue::WaveLogEntry> waves =
-      server.admission_queue().wave_log();
-  ASSERT_EQ(waves.size(), 1u);
-  EXPECT_EQ(waves[0].statements, 5u);
-  EXPECT_EQ(waves[0].unique_statements, 2u);
-  EXPECT_TRUE(waves[0].read_only);
+    std::vector<AdmissionQueue::WaveLogEntry> waves =
+        server.admission_queue().wave_log();
+    if (direct) {
+      EXPECT_TRUE(waves.empty());  // the queue never saw the batch
+    } else {
+      ASSERT_EQ(waves.size(), 1u);
+      EXPECT_EQ(waves[0].statements, 5u);
+      EXPECT_EQ(waves[0].unique_statements, 2u);
+      EXPECT_TRUE(waves[0].read_only);
+    }
 
-  // The statement log marks exactly the fan-out slots as coalesced, and
-  // each carries its representative's response size.
-  std::vector<DbServer::StatementLogEntry> log = server.statement_log();
-  ASSERT_EQ(log.size(), 5u);
-  size_t coalesced = 0;
-  for (const DbServer::StatementLogEntry& entry : log) {
-    EXPECT_EQ(entry.wave_id, waves[0].wave_id);
-    if (entry.coalesced) ++coalesced;
+    // The statement log marks exactly the fan-out slots as coalesced,
+    // and each carries its representative's response size.
+    std::vector<DbServer::StatementLogEntry> log = server.statement_log();
+    ASSERT_EQ(log.size(), 5u);
+    size_t coalesced = 0;
+    for (const DbServer::StatementLogEntry& entry : log) {
+      if (direct) {
+        EXPECT_EQ(entry.wave_id, 0u);
+        EXPECT_EQ(entry.batch_id, log[0].batch_id);
+        EXPECT_GT(entry.batch_id, 0u);
+      } else {
+        EXPECT_EQ(entry.wave_id, waves[0].wave_id);
+      }
+      if (entry.coalesced) ++coalesced;
+    }
+    EXPECT_EQ(coalesced, 3u);
+    EXPECT_EQ(log[2].response_bytes, log[0].response_bytes);
   }
-  EXPECT_EQ(coalesced, 3u);
-  EXPECT_EQ(log[2].response_bytes, log[0].response_bytes);
 }
 
 TEST(AdmissionQueue, LiteralsDistinguishDedupGroups) {

@@ -3,17 +3,21 @@
 // batch_threads, statement-log batch/worker attribution and its
 // identity across the standalone/batch/wave paths, the engine's
 // thread-safety contract under concurrent cold-index builds and
-// plan-cache fingerprint collisions, and the batched navigational
-// strategy's α+1 round-trip schedule on the 5×5 product.
+// plan-cache fingerprint collisions, version GC and conflict freedom
+// for direct writers, and the batched navigational strategy's α+1
+// round-trip schedule on the 5×5 product.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/experiment.h"
 #include "common/string_util.h"
+#include "obs/metrics.h"
 #include "server/db_server.h"
 #include "sql/fingerprint.h"
 
@@ -414,6 +418,91 @@ TEST(BatchExec, BatchFingerprintsEachStatementExactlyOnce) {
     }
     EXPECT_EQ(after - before, statements.size()) << "threads=" << threads;
   }
+}
+
+// Regression: version GC used to run only after admission waves, so
+// direct writers (unattached check-out clients, multi-site
+// write-through to the primary) grew version chains without bound.
+TEST(BatchExec, DirectDmlRunsVersionGc) {
+  DbServer server;
+  Seed(&server, 4);
+  server.mutable_config().gc_interval_waves = 2;
+  obs::Counter& gc_runs =
+      obs::MetricsRegistry::Global().counter("mvcc.gc_runs");
+  const uint64_t before = gc_runs.value();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        server.Execute(StrFormat("UPDATE t SET name = 'u%d' WHERE id = 1", i))
+            .ok());
+  }
+  EXPECT_GE(gc_runs.value() - before, 1u);
+  ResultSet out;
+  ASSERT_TRUE(server.Execute(PointQuery(1), &out).ok());
+  ASSERT_EQ(out.num_rows(), 1u);
+  EXPECT_EQ(out.At(0, 0).ToString(), "u3");
+}
+
+// Direct callers may run the scheduler concurrently. A standalone UPDATE
+// is a one-submission wave that runs serially at the latest snapshot,
+// resolved under the engine's DML mutex, so concurrent direct writers
+// never lose a first-writer-wins race — while read-only batches on the
+// worker pool keep reading one consistent snapshot. Under
+// -DPDM_THREAD_SANITIZE=ON this is also a race canary.
+TEST(BatchExec, ConcurrentDirectWritersNeverConflict) {
+  DbServer server;
+  Seed(&server, 8);
+  server.mutable_config().batch_threads = 4;
+  std::vector<std::string> reads;
+  for (int i = 0; i < 8; ++i) reads.push_back(PointQuery(i));
+  reads.push_back(PointQuery(1));  // a duplicate to coalesce
+
+  std::atomic<int> conflicts{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> wrong_reads{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < 200; ++i) {
+        Status s = server.Execute(
+            StrFormat("UPDATE t SET name = 'w%d_%d' WHERE id = 1", w, i));
+        if (s.code() == StatusCode::kWriteConflict) ++conflicts;
+        if (!s.ok()) ++failures;
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 50; ++round) {
+        std::vector<DbServer::BatchStatementResult> results =
+            server.ExecuteBatch(reads);
+        for (size_t i = 0; i < results.size(); ++i) {
+          if (!results[i].status.ok()) {
+            ++failures;
+            continue;
+          }
+          const int id = i < 8 ? static_cast<int>(i) : 1;
+          if (results[i].result.num_rows() != 1) {
+            ++wrong_reads;
+            continue;
+          }
+          const std::string name = results[i].result.At(0, 0).ToString();
+          const bool ok = id == 1 ? (name == "n1" || name[0] == 'w')
+                                  : name == StrFormat("n%d", id);
+          if (!ok) ++wrong_reads;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(conflicts.load(), 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(wrong_reads.load(), 0);
+
+  ResultSet out;
+  ASSERT_TRUE(server.Execute(PointQuery(1), &out).ok());
+  ASSERT_EQ(out.num_rows(), 1u);
+  const std::string last = out.At(0, 0).ToString();
+  EXPECT_TRUE(last == "w0_199" || last == "w1_199") << last;
 }
 
 /// The tentpole's acceptance check on the deterministic 5×5 product:

@@ -22,14 +22,6 @@ TEST(DbServer, ExecutesAndSizesResponses) {
   ASSERT_TRUE(server.Execute("SELECT * FROM t", &rs).ok());
   EXPECT_EQ(rs.num_rows(), 2u);
   EXPECT_GT(server.ResponseBytes(rs), 0u);
-
-  // Fixed-size policy charges per row.
-  server.mutable_config().fixed_row_bytes = 512;
-  ASSERT_TRUE(server.Execute("SELECT * FROM t", &rs).ok());
-  EXPECT_EQ(server.ResponseBytes(rs), 1024u);
-  // Empty results still occupy a frame.
-  ASSERT_TRUE(server.Execute("SELECT * FROM t WHERE a > 9", &rs).ok());
-  EXPECT_EQ(server.ResponseBytes(rs), 64u);
 }
 
 TEST(Connection, AccountsEveryRoundTrip) {
