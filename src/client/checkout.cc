@@ -16,15 +16,6 @@ using rules::RuleAction;
 
 namespace {
 
-/// Bound on re-submissions of a conflicted UPDATE. Every lost wave
-/// means some other writer committed (first-writer-wins guarantees
-/// global progress), so a client loses at most as many consecutive
-/// waves as its peers have batches left to commit. The bound is sized
-/// well past any realistic contention — exhausting it means livelock,
-/// and the conflict surfaces as the statement's status (callers treat
-/// it like any other error).
-constexpr int kMaxConflictRetries = 64;
-
 obs::Counter& ConflictRetryCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().counter("mvcc.conflict_retries");

@@ -27,6 +27,15 @@ enum class CheckOutMethod {
 
 std::string_view CheckOutMethodName(CheckOutMethod method);
 
+/// Bound on re-submissions of a conflicted UPDATE. Every lost wave
+/// means some other writer committed (first-writer-wins guarantees
+/// global progress), so a client loses at most as many consecutive
+/// waves as its peers have batches left to commit. The bound is sized
+/// well past any realistic contention — exhausting it means livelock,
+/// and the conflict surfaces as the statement's status (callers treat
+/// it like any other error).
+inline constexpr int kMaxConflictRetries = 64;
+
 struct CheckOutResult {
   bool success = false;       // denied if a rule failed (e.g. ∀rows)
   size_t objects = 0;         // objects whose flag was flipped

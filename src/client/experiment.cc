@@ -281,7 +281,7 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
             for (int attempt = 0;
                  status.ok() &&
                  IsRetryableConflict(acks[0].status().code()) &&
-                 attempt < 64;
+                 attempt < kMaxConflictRetries;
                  ++attempt) {
               ++burst.conflict_retries;
               obs::MetricsRegistry::Global()

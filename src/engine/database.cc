@@ -175,45 +175,28 @@ Status Database::Execute(std::string_view sql, ResultSet* out) {
 
 Status Database::Execute(std::string_view sql, ResultSet* out,
                          ExecStats* stats, uint64_t snapshot_ts) {
-  if (options_.use_plan_cache) {
-    Result<sql::StatementFingerprint> fp = sql::FingerprintSql(sql);
-    if (fp.ok()) {
-      return ExecuteFingerprinted(std::move(*fp), out, stats, snapshot_ts);
-    }
-    // Lexical error: fall through so ParseSql reports it normally.
-  }
-  sql::StatementPtr stmt;
-  {
-    obs::ScopedSpan span("engine:parse", obs::ModelTerm::kParsePlan);
-    PDM_ASSIGN_OR_RETURN(stmt, sql::ParseSql(sql));
-  }
-  obs::ScopedSpan span("engine:exec", obs::ModelTerm::kExec);
-  return ExecuteStatement(*stmt, out, stats, snapshot_ts);
+  PDM_ASSIGN_OR_RETURN(sql::StatementFingerprint fp, sql::FingerprintSql(sql));
+  return ExecuteFingerprinted(fp, out, stats, snapshot_ts);
 }
 
-Status Database::ExecuteFingerprinted(sql::StatementFingerprint fp,
+Status Database::ExecuteFingerprinted(const sql::StatementFingerprint& fp,
                                       ResultSet* out, ExecStats* stats,
                                       uint64_t snapshot_ts) {
-  if (options_.use_plan_cache && fp.cacheable) {
-    return ExecuteCachedSelect(std::move(fp), out, stats, snapshot_ts);
-  }
+  if (fp.cacheable) return ExecuteCachedSelect(fp, out, stats, snapshot_ts);
   sql::StatementPtr stmt;
   {
     obs::ScopedSpan span("engine:parse", obs::ModelTerm::kParsePlan);
-    sql::Parser parser(std::move(fp.tokens));
+    sql::Parser parser(fp.tokens);
     PDM_ASSIGN_OR_RETURN(stmt, parser.ParseStatement());
   }
   obs::ScopedSpan span("engine:exec", obs::ModelTerm::kExec);
   return ExecuteStatement(*stmt, out, stats, snapshot_ts);
 }
 
-Status Database::ExecuteCachedSelect(sql::StatementFingerprint fp,
+Status Database::ExecuteCachedSelect(const sql::StatementFingerprint& fp,
                                      ResultSet* out, ExecStats* stats,
                                      uint64_t snapshot_ts) {
   stats->Reset();
-  // Expose the normalized key so server-side telemetry (slow-query log)
-  // can report it without re-lexing the statement text.
-  stats->fingerprint_key = fp.key;
   ResultSet scratch;
   if (out == nullptr) out = &scratch;
   out->schema = Schema();
@@ -235,7 +218,7 @@ Status Database::ExecuteCachedSelect(sql::StatementFingerprint fp,
   PlanCache::EntryPtr entry;
   {
     obs::ScopedSpan parse_span("engine:parse+bind", obs::ModelTerm::kParsePlan);
-    sql::Parser parser(std::move(fp.tokens));
+    sql::Parser parser(fp.tokens);
     PDM_ASSIGN_OR_RETURN(sql::StatementPtr stmt, parser.ParseStatement());
     if (stmt->kind != sql::StatementKind::kSelect) {
       // Unreachable; defensive.
@@ -245,7 +228,7 @@ Status Database::ExecuteCachedSelect(sql::StatementFingerprint fp,
     PDM_ASSIGN_OR_RETURN(
         BoundSelect bound,
         binder.BindSelect(static_cast<const sql::SelectStmt&>(*stmt)));
-    entry = PlanCache::Prepare(std::move(bound), std::move(fp.params),
+    entry = PlanCache::Prepare(std::move(bound), fp.params,
                                schema_epoch(), options_.binder);
   }
   // Execute before handing the entry to the cache: even a failed

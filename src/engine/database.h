@@ -32,14 +32,12 @@ namespace pdm {
 
 /// Combined engine configuration: binder/optimizer switches plus
 /// execution switches. Mutable between statements; the ablation benches
-/// flip these.
+/// flip these. The plan cache has no switch: a cold engine is
+/// `plan_cache().set_capacity(0)`, where every SELECT misses and runs
+/// the same parse-bind-execute code as a first execution.
 struct EngineOptions {
   BinderOptions binder;
   ExecOptions exec;
-  /// Reuse bound plans across textual SELECTs that differ only in
-  /// literal values (engine/plan_cache.h). Only the Execute() text path
-  /// consults the cache; AST-path ExecuteStatement never does.
-  bool use_plan_cache = true;
 };
 
 /// The embedded SQL engine: catalog + parser + binder + executor behind a
@@ -158,8 +156,9 @@ class Database {
   /// Returns the number of versions pruned.
   size_t GarbageCollectVersions();
 
-  /// Parses and executes one statement. `out` (optional) receives rows /
-  /// affected counts.
+  /// Fingerprints and executes one statement (ExecuteFingerprinted). A
+  /// lexical error is the fingerprint's status. `out` (optional)
+  /// receives rows / affected counts.
   Status Execute(std::string_view sql, ResultSet* out = nullptr);
 
   /// Re-entrant variant of Execute() writing counters into the
@@ -180,15 +179,15 @@ class Database {
   Status Execute(std::string_view sql, ResultSet* out, ExecStats* stats,
                  uint64_t snapshot_ts = kLatestSnapshot);
 
-  /// Executes a statement from its precomputed fingerprint
-  /// (sql/fingerprint.h), consuming the token stream it carries instead
-  /// of re-lexing the text. The server's batch and wave paths fingerprint
-  /// every statement once — for the read-only classification, for
-  /// wave-level result sharing, and (through here) for the plan-cache
-  /// lookup — so each statement pays exactly one lexer pass. Same
-  /// concurrency contract and snapshot semantics as the 4-arg Execute().
-  Status ExecuteFingerprinted(sql::StatementFingerprint fp, ResultSet* out,
-                              ExecStats* stats,
+  /// Executes a statement from its fingerprint (sql/fingerprint.h): a
+  /// cacheable SELECT goes through the plan cache, anything else is
+  /// parsed from the fingerprint's tokens, so the text is never lexed
+  /// again. The server's scheduler fingerprints every statement once,
+  /// for its lane, wave-level result sharing and (through here)
+  /// execution. Same concurrency contract and snapshot semantics as the
+  /// 4-arg Execute().
+  Status ExecuteFingerprinted(const sql::StatementFingerprint& fp,
+                              ResultSet* out, ExecStats* stats,
                               uint64_t snapshot_ts = kLatestSnapshot);
 
   /// Execute() returning the result set.
@@ -238,8 +237,9 @@ class Database {
  private:
   Status ExecuteStatement(const sql::Statement& stmt, ResultSet* out,
                           ExecStats* stats, uint64_t snapshot_ts);
-  Status ExecuteCachedSelect(sql::StatementFingerprint fp, ResultSet* out,
-                             ExecStats* stats, uint64_t snapshot_ts);
+  Status ExecuteCachedSelect(const sql::StatementFingerprint& fp,
+                             ResultSet* out, ExecStats* stats,
+                             uint64_t snapshot_ts);
   /// `params` (may be null) feeds ExecContext::set_params: the
   /// statement's fingerprint parameters when `bound` is a cached plan.
   Status ExecuteBoundSelect(const BoundSelect& bound, ResultSet* out,

@@ -62,10 +62,6 @@ struct ExecStats {
   size_t vec_join_probe_rows = 0;    // left rows probed by vectorized joins
   size_t agg_input_rows = 0;         // rows folded by the row-engine aggregator
   size_t vec_agg_input_rows = 0;     // rows folded by vectorized aggregation
-  // Normalized fingerprint key of the statement, when it went through
-  // the fingerprinting front door (empty for non-cacheable statements).
-  // Consumed by the slow-query log, which must not re-lex the SQL.
-  std::string fingerprint_key;
 
   void Reset() { *this = ExecStats{}; }
 };

@@ -15,18 +15,20 @@ namespace pdm {
 
 namespace {
 
-/// Lane classification of one wave statement (DESIGN.md 5h).
+/// Lane classification of one wave statement, read from its fingerprint
+/// (DESIGN.md 5h).
 enum class StatementClass {
   kReadOnly,  // SELECT / WITH: wave snapshot, dedup, worker pool
   kDml,       // INSERT / UPDATE / DELETE: serial writer lane
-  kBarrier,   // DDL / CALL / EXPLAIN / unparseable: whole wave serial
+  kBarrier,   // DDL / CALL / EXPLAIN / lexical error: whole wave serial
 };
 
-StatementClass ClassifyStatement(const Result<sql::StatementFingerprint>& fp,
-                                 std::string_view sql) {
-  if (fp.ok() && fp->cacheable) return StatementClass::kReadOnly;
-  // Anything not DML (DDL, CALL, EXPLAIN, lexical errors) is a barrier.
-  return IsDmlStatement(sql) ? StatementClass::kDml : StatementClass::kBarrier;
+StatementClass ClassifyStatement(const Result<sql::StatementFingerprint>& fp) {
+  // Anything neither read-only nor DML (DDL, CALL, EXPLAIN, lexical
+  // errors) is a barrier.
+  if (!fp.ok()) return StatementClass::kBarrier;
+  if (fp->cacheable) return StatementClass::kReadOnly;
+  return fp->dml ? StatementClass::kDml : StatementClass::kBarrier;
 }
 
 /// Dedup identity of a statement within a wave: the normalized
@@ -143,8 +145,8 @@ DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
   const size_t n = items.size();
 
   // One fingerprint per statement, reused for the lane classification,
-  // the dedup grouping, and (inside ExecuteFingerprinted) the
-  // plan-cache lookup.
+  // the dedup grouping, the stmt_class label and (inside
+  // ExecuteFingerprinted) parsing and the plan-cache lookup.
   std::vector<Result<sql::StatementFingerprint>> fingerprints;
   fingerprints.reserve(n);
   std::vector<StatementClass> classes;
@@ -155,7 +157,7 @@ DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
   size_t num_subs = 0;
   for (const WaveItem& item : items) {
     fingerprints.push_back(sql::FingerprintSql(item.sql));
-    classes.push_back(ClassifyStatement(fingerprints.back(), item.sql));
+    classes.push_back(ClassifyStatement(fingerprints.back()));
     num_subs = std::max(num_subs, item.submission + 1);
     switch (classes.back()) {
       case StatementClass::kReadOnly:
@@ -191,8 +193,8 @@ DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
     // statement: charge the span to the submitter's trace, not ours.
     obs::ContextScope ctx_scope(items[i].trace);
     records[i].worker = worker;
-    r.status = RunStatement(items[i].sql, std::move(fingerprints[i]),
-                            snapshot_ts, &records[i], &r.result);
+    r.status = RunStatement(items[i].sql, fingerprints[i], snapshot_ts,
+                            &records[i], &r.result);
     if (IsRetryableConflict(r.status.code())) {
       conflicts.fetch_add(1, std::memory_order_relaxed);
     }
@@ -269,7 +271,7 @@ DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
     std::iota(all.begin(), all.end(), size_t{0});
     run_read_only(all, snapshot.ts());
   } else if (has_barrier || !config_.mvcc_waves || num_subs == 1) {
-    // Barrier wave (DDL/CALL/unparseable), MVCC lanes disabled, or one
+    // Barrier wave (DDL/CALL/lexical error), MVCC lanes disabled, or one
     // submission carrying DML (a standalone statement, a direct batch,
     // a lone queued check-out): serial statement order, no
     // deduplication (two identical INSERTs are two inserts), every
@@ -354,10 +356,9 @@ size_t DbServer::ResponseBytes(const ResultSet& result) const {
   return result.WireSize() + 64;
 }
 
-Status DbServer::RunStatement(std::string_view sql,
-                              Result<sql::StatementFingerprint> fingerprint,
-                              uint64_t snapshot_ts, StatementRecord* record,
-                              ResultSet* out) {
+Status DbServer::RunStatement(
+    std::string_view sql, const Result<sql::StatementFingerprint>& fingerprint,
+    uint64_t snapshot_ts, StatementRecord* record, ResultSet* out) {
   // Per-call stats: last_stats() is a serial-only concept and must not be
   // used for attribution when serial and batched/wave traffic interleave.
   ExecStats stats;
@@ -365,13 +366,9 @@ Status DbServer::RunStatement(std::string_view sql,
   {
     obs::ScopedSpan span("server:statement", obs::ModelTerm::kServer);
     const auto wall_start = std::chrono::steady_clock::now();
-    if (fingerprint.ok()) {
-      status = db_.ExecuteFingerprinted(std::move(*fingerprint), out, &stats,
-                                        snapshot_ts);
-    } else {
-      // Lexical error: re-run through the text path for its diagnostics.
-      status = db_.Execute(sql, out, &stats, snapshot_ts);
-    }
+    status = fingerprint.ok() ? db_.ExecuteFingerprinted(*fingerprint, out,
+                                                         &stats, snapshot_ts)
+                              : fingerprint.status();
     record->wall_seconds = WallSince(wall_start);
     if (!status.ok()) *out = ResultSet();
     record->result_rows = out->num_rows();
@@ -393,7 +390,8 @@ Status DbServer::RunStatement(std::string_view sql,
   // Dimensioned latency: one LogHistogram per (site, stmt_class,
   // engine). Site is fixed per server, so the slot cache keys on the
   // other two; a racing first fill stores the same stable pointer.
-  const std::string_view stmt_class = ClassifyStatementClass(sql, stats);
+  const std::string_view stmt_class =
+      ClassifyStatementClass(fingerprint.ok() && fingerprint->dml, sql, stats);
   const std::string_view engine = EngineLabel(stats);
   const size_t slot = StmtHistogramSlot(stmt_class, engine);
   obs::LogHistogram* hist = stmt_histograms_[slot].load(std::memory_order_acquire);
@@ -414,7 +412,7 @@ Status DbServer::RunStatement(std::string_view sql,
                                                 record->wall_seconds);
   if (!slow && !log_enabled_) return status;
   record->sql = std::string(sql);
-  record->fingerprint = std::move(stats.fingerprint_key);
+  if (fingerprint.ok()) record->fingerprint = fingerprint->key;
   record->response_bytes = ResponseBytes(*out);
   if (!slow) return status;
 

@@ -33,7 +33,9 @@ class AdmissionQueue;
 /// one-statement submission, a direct batch is a one-submission wave,
 /// and the admission queue drains many clients' submissions into one
 /// wave. All three run through ExecuteWave, which fingerprints each
-/// statement once and picks the wave's lane policy from its contents.
+/// statement once and picks the wave's lane policy from the
+/// fingerprints; that fingerprint is the server's only pass over the
+/// SQL text.
 /// Response sizing is the client's (client::Connection); ResponseBytes
 /// is the realistic wire size it falls back to.
 class DbServer {
@@ -59,7 +61,7 @@ class DbServer {
     /// false = pre-MVCC behaviour — any wave containing DML runs fully
     /// serial in admission order (the A/B baseline the concurrent-DML
     /// bench measures against). Waves containing DDL/CALL or
-    /// unparseable statements, and DML carried by a wave's only
+    /// statements with a lexical error, and DML carried by a wave's only
     /// submission (every standalone statement and direct batch), always
     /// run serial regardless.
     bool mvcc_waves = true;
@@ -222,7 +224,7 @@ class DbServer {
   /// the lane policy from the wave's contents (DESIGN.md 5h):
   ///  * all read-only: one snapshot, identical fingerprints execute once
   ///    (result fan-out), unique ones on the worker pool;
-  ///  * any DDL/CALL/unparseable statement, `mvcc_waves` off, or DML
+  ///  * any DDL/CALL statement or lexical error, `mvcc_waves` off, or DML
   ///    carried by the wave's only submission: serial in statement
   ///    order at the latest snapshot, no dedup;
   ///  * otherwise: read-only submissions as above at the wave snapshot,
@@ -253,10 +255,12 @@ class DbServer {
   /// (batch/wave/client ids, worker, queue wait) and leaves complete;
   /// its SQL copy and response size are filled only when the statement
   /// log or the slow-query log keeps it. `fingerprint` is the one the
-  /// scheduler computed, consumed by the plan-cache lookup. A failed
+  /// scheduler computed: the engine executes from its tokens, the
+  /// `stmt_class` label reads its DML flag, and a lexical error is its
+  /// status, returned without another pass over the text. A failed
   /// statement leaves `out` empty.
   Status RunStatement(std::string_view sql,
-                      Result<sql::StatementFingerprint> fingerprint,
+                      const Result<sql::StatementFingerprint>& fingerprint,
                       uint64_t snapshot_ts, StatementRecord* record,
                       ResultSet* out);
 

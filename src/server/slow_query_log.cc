@@ -43,26 +43,10 @@ bool HeapCmp(const SlowQueryRecord& a, const SlowQueryRecord& b) {
 
 }  // namespace
 
-bool IsDmlStatement(std::string_view sql) {
-  size_t i = 0;
-  while (i < sql.size() &&
-         std::isspace(static_cast<unsigned char>(sql[i])) != 0) {
-    ++i;
-  }
-  size_t start = i;
-  // Bounded: every DML keyword is six letters.
-  while (i < sql.size() && i - start < 7 &&
-         std::isalpha(static_cast<unsigned char>(sql[i])) != 0) {
-    ++i;
-  }
-  std::string kw = ToLowerAscii(sql.substr(start, i - start));
-  return kw == "insert" || kw == "update" || kw == "delete";
-}
-
-std::string_view ClassifyStatementClass(std::string_view sql,
+std::string_view ClassifyStatementClass(bool dml, std::string_view sql,
                                         const ExecStats& stats) {
   // DML first: a write is a write regardless of what its scans touched.
-  if (IsDmlStatement(sql)) return "dml";
+  if (dml) return "dml";
   // Structure expansion (the paper's dominant workload): recursive CTE
   // traversals and direct link-table hops.
   if (stats.cte_rows_scanned > 0 ||

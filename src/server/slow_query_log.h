@@ -27,15 +27,12 @@ struct SlowQueryRecord : StatementRecord {
   std::string plan_summary;
 };
 
-/// True when the statement's first keyword is INSERT, UPDATE or DELETE
-/// (case-insensitive, leading whitespace skipped).
-bool IsDmlStatement(std::string_view sql);
-
 /// Statement-class label for the dimensioned metrics and the slow-query
-/// log: dml | expand | agg | join | point | scan, decided from the SQL
-/// shape plus the realized ExecStats (a recursive expand is "expand"
-/// even though it also joins and scans).
-std::string_view ClassifyStatementClass(std::string_view sql,
+/// log: dml | expand | agg | join | point | scan. `dml` is the
+/// statement fingerprint's flag (sql/fingerprint.h); the rest is
+/// decided from the SQL shape plus the realized ExecStats (a recursive
+/// expand is "expand" even though it also joins and scans).
+std::string_view ClassifyStatementClass(bool dml, std::string_view sql,
                                         const ExecStats& stats);
 
 /// Engine label: "vec" when any vectorized row counter is non-zero,

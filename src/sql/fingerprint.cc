@@ -59,10 +59,10 @@ Result<StatementFingerprint> FingerprintSql(std::string_view sql) {
   FingerprintCallCounter().Increment();
   StatementFingerprint fp;
   PDM_ASSIGN_OR_RETURN(fp.tokens, TokenizeSql(sql));
-  if (fp.tokens.empty() ||
-      !(fp.tokens[0].IsKeyword("SELECT") || fp.tokens[0].IsKeyword("WITH"))) {
-    return fp;
-  }
+  const Token& first = fp.tokens.front();  // at least the trailing kEnd
+  fp.dml = first.IsKeyword("INSERT") || first.IsKeyword("UPDATE") ||
+           first.IsKeyword("DELETE");
+  if (!(first.IsKeyword("SELECT") || first.IsKeyword("WITH"))) return fp;
   fp.cacheable = true;
 
   std::vector<OrderState> levels(1);

@@ -12,11 +12,16 @@
 namespace pdm::sql {
 
 /// Normalized form of one SQL statement, produced by a pass over the
-/// lexer token stream (no parse). Literals are replaced by type-tagged
-/// placeholders (`?i` / `?d` / `?s`) and collected into `params` in
-/// token order, so that the navigational workload's per-node queries —
-/// identical shapes differing only in `link.left = <obid>` — share one
-/// key. The key is what engine/plan_cache.h caches bound plans under.
+/// lexer token stream (no parse). It is the server's only reading of
+/// the statement text: the plan cache keys on it, the parser consumes
+/// its tokens, and the scheduler's lane and label decisions read its
+/// flags.
+///
+/// Literals are replaced by type-tagged placeholders (`?i` / `?d` /
+/// `?s`) and collected into `params` in token order, so that the
+/// navigational workload's per-node queries — identical shapes
+/// differing only in `link.left = <obid>` — share one key. The key is
+/// what engine/plan_cache.h caches bound plans under.
 ///
 /// Three classes of integer literals stay verbatim in the key because
 /// the parser folds them into plan *structure* rather than binding them
@@ -32,6 +37,9 @@ struct StatementFingerprint {
   std::vector<Value> params;
   /// True for SELECT/WITH statements — the only ones worth caching.
   bool cacheable = false;
+  /// True when the first token is INSERT, UPDATE or DELETE (after any
+  /// comments, in any letter case).
+  bool dml = false;
   /// The token stream, reusable to parse the statement without
   /// re-lexing on a cache miss.
   std::vector<Token> tokens;
@@ -39,7 +47,8 @@ struct StatementFingerprint {
 
 /// Tokenizes `sql` and fingerprints it. Non-SELECT statements come back
 /// with `cacheable == false` (tokens still populated). Fails only on
-/// lexical errors.
+/// lexical errors, with the lexer's ParseError: callers report that
+/// status as the statement's outcome instead of lexing again.
 Result<StatementFingerprint> FingerprintSql(std::string_view sql);
 
 /// Process-wide count of FingerprintSql calls (each is one full lexer

@@ -744,19 +744,19 @@ Result<ExprPtr> Parser::ParseCase() {
 
 Result<StatementPtr> ParseSql(std::string_view sql) {
   PDM_ASSIGN_OR_RETURN(std::vector<Token> tokens, TokenizeSql(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(tokens);
   return parser.ParseStatement();
 }
 
 Result<std::vector<StatementPtr>> ParseSqlScript(std::string_view sql) {
   PDM_ASSIGN_OR_RETURN(std::vector<Token> tokens, TokenizeSql(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(tokens);
   return parser.ParseScript();
 }
 
 Result<ExprPtr> ParseSqlExpression(std::string_view text) {
   PDM_ASSIGN_OR_RETURN(std::vector<Token> tokens, TokenizeSql(text));
-  Parser parser(std::move(tokens));
+  Parser parser(tokens);
   return parser.ParseStandaloneExpression();
 }
 

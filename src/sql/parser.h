@@ -2,6 +2,7 @@
 #define PDM_SQL_PARSER_H_
 
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -15,9 +16,14 @@ namespace pdm::sql {
 /// The dialect is the subset the paper's queries need (plus DML/DDL):
 /// it deliberately has no LEFT JOIN so that LEFT/RIGHT stay usable as
 /// column names, matching the paper's `link(left, right, ...)` schema.
+///
+/// The parser reads a token stream it does not own — usually the one a
+/// StatementFingerprint carries (sql/fingerprint.h), so a plan-cache
+/// miss parses without lexing again. The tokens must outlive the
+/// parser and end with kEnd.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::span<const Token> tokens) : tokens_(tokens) {}
 
   /// Parses exactly one statement (optionally ';'-terminated).
   Result<StatementPtr> ParseStatement();
@@ -86,7 +92,7 @@ class Parser {
   /// numbering must stay in lockstep with sql/fingerprint.cc.
   ExprPtr StampedLiteral(Value v);
 
-  std::vector<Token> tokens_;
+  std::span<const Token> tokens_;
   size_t pos_ = 0;
   size_t next_param_slot_ = 0;
 };

@@ -402,20 +402,29 @@ TEST(BatchExec, BatchFingerprintsEachStatementExactlyOnce) {
   server.mutable_config().batch_threads = 4;
   std::vector<std::string> statements;
   for (int i = 0; i < 16; ++i) statements.push_back(PointQuery(i));
+  // A lexically invalid statement: its error is the fingerprint's
+  // status, not the result of lexing it again.
+  const std::string bad = "SELECT name FROM t WHERE name = 'unterminated";
+  const Status lex_error = sql::FingerprintSql(bad).status();
+  ASSERT_EQ(lex_error.code(), StatusCode::kParseError);
+  statements.push_back(bad);
 
-  // The read-only classification and the plan-cache lookup share one
-  // fingerprint (= one lexer pass) per statement; the pre-fix path paid
-  // two. Holds on both the cold and the cache-hitting run, serial and
-  // parallel.
+  // The lane classification, the stmt_class label, the plan-cache
+  // lookup and the parse share one fingerprint (= one lexer pass) per
+  // statement, malformed ones included. Holds on both the cold and the
+  // cache-hitting run, serial and parallel.
   for (size_t threads : {1u, 4u}) {
     server.mutable_config().batch_threads = threads;
     const uint64_t before = sql::FingerprintCallCount();
     std::vector<DbServer::BatchStatementResult> results =
         server.ExecuteBatch(statements);
     const uint64_t after = sql::FingerprintCallCount();
-    for (const DbServer::BatchStatementResult& r : results) {
-      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ASSERT_EQ(results.size(), statements.size());
+    for (size_t i = 0; i + 1 < results.size(); ++i) {
+      ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
     }
+    EXPECT_EQ(results.back().status.ToString(), lex_error.ToString());
+    EXPECT_EQ(results.back().result.num_rows(), 0u);
     EXPECT_EQ(after - before, statements.size()) << "threads=" << threads;
   }
 }

@@ -194,6 +194,67 @@ TEST(MvccWaves, SameWaveUpdatesOnOneRowSurfaceRetryableConflict) {
   EXPECT_EQ(waves[0].conflicts, 1u);
 }
 
+// Regression: the lane and the stmt_class label come from the statement
+// fingerprint, whose lexer skips comments. A write behind a leading
+// comment used to be labelled "scan" and scheduled as a barrier, which
+// ran its whole wave serially and without reader dedup.
+TEST(MvccWaves, CommentedDmlRunsOnTheWriterLane) {
+  for (const char* dml : {"/* audit */ UPDATE t SET name = 'a' WHERE id = 1",
+                          "-- tag\nDELETE FROM t WHERE id = 2"}) {
+    SCOPED_TRACE(dml);
+    DbServer server;
+    ASSERT_TRUE(server.database()
+                    .ExecuteScript(R"sql(
+      CREATE TABLE t (id INTEGER, name TEXT);
+      INSERT INTO t VALUES (1, 'n'), (2, 'n'), (3, 'n');
+    )sql")
+                    .ok());
+    auto dml_count = [&server] {
+      uint64_t n = 0;
+      for (const char* engine : {"row", "vec"}) {
+        n += obs::MetricsRegistry::Global()
+                 .log_histogram("server.statement_sim_seconds",
+                                {{"site", server.config().site},
+                                 {"stmt_class", "dml"},
+                                 {"engine", engine}})
+                 .total_count();
+      }
+      return n;
+    };
+    const uint64_t dml_before = dml_count();
+
+    AdmissionQueue& queue = server.admission_queue();
+    queue.RegisterClient();
+    queue.RegisterClient();
+    std::vector<std::string> writer = {dml};
+    std::vector<std::string> reader = {"SELECT name FROM t WHERE id = 3",
+                                       "SELECT name FROM t WHERE id = 3"};
+    std::vector<DbServer::BatchStatementResult> w, r;
+    std::thread tw([&] { w = server.Submit(0, writer); });
+    std::thread tr([&] { r = server.Submit(1, reader); });
+    tw.join();
+    tr.join();
+    queue.UnregisterClient();
+    queue.UnregisterClient();
+
+    ASSERT_EQ(w.size(), 1u);
+    ASSERT_TRUE(w[0].status.ok()) << w[0].status;
+    EXPECT_EQ(w[0].result.affected_rows, 1u);
+    ASSERT_EQ(r.size(), 2u);
+    ASSERT_TRUE(r[0].status.ok() && r[1].status.ok());
+
+    std::vector<AdmissionQueue::WaveLogEntry> waves = queue.wave_log();
+    ASSERT_EQ(waves.size(), 1u);
+    EXPECT_EQ(waves[0].submissions, 2u);
+    EXPECT_FALSE(waves[0].read_only);
+    EXPECT_EQ(waves[0].dml_statements, 1u);
+    // The writer lane runs the DML and the reader submission's twin
+    // SELECTs execute once; a barrier wave would execute all three.
+    EXPECT_EQ(waves[0].unique_statements, 2u);
+    EXPECT_EQ(dml_count() - dml_before, 1u);
+  }
+}
+
 /// The concurrent check-out workload (DESIGN.md 5h): 8 readers expand
 /// the product while 4 writers cycle check-out/check-in against the
 /// same tree. Reader trees must be byte-identical to a quiesced run —

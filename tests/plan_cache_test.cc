@@ -106,6 +106,21 @@ TEST(FingerprintTest, OnlySelectAndWithAreCacheable) {
   EXPECT_TRUE(FingerprintSql("SELECT 1")->cacheable);
   EXPECT_TRUE(
       FingerprintSql("WITH c AS (SELECT 1) SELECT * FROM c")->cacheable);
+
+  // The DML flag reads the first token, so letter case, leading
+  // whitespace and leading comments do not hide a write.
+  EXPECT_TRUE(FingerprintSql("INSERT INTO t VALUES (1)")->dml);
+  EXPECT_TRUE(FingerprintSql("UPDATE t SET a = 1")->dml);
+  EXPECT_TRUE(FingerprintSql("DELETE FROM t")->dml);
+  EXPECT_TRUE(FingerprintSql("update t set a = 1")->dml);
+  EXPECT_TRUE(FingerprintSql(" \n\t delete from t")->dml);
+  EXPECT_TRUE(FingerprintSql("/* audit */ UPDATE t SET a = 1")->dml);
+  EXPECT_TRUE(FingerprintSql("-- tag\nINSERT INTO t VALUES (1)")->dml);
+  EXPECT_FALSE(FingerprintSql("SELECT 1")->dml);
+  EXPECT_FALSE(FingerprintSql("CREATE TABLE t (a INTEGER)")->dml);
+  EXPECT_FALSE(FingerprintSql("CALL p(1)")->dml);
+  EXPECT_FALSE(FingerprintSql("")->dml);
+  EXPECT_FALSE(FingerprintSql("SELECT * FROM t WHERE a = 'UPDATE'")->dml);
 }
 
 TEST(FingerprintTest, StructurallyDifferentQueriesDiffer) {
@@ -281,14 +296,16 @@ TEST_F(PlanCacheTest, LastStatsArePerThread) {
   EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);
 }
 
-TEST_F(PlanCacheTest, DisabledCacheNeverHits) {
-  db_.options().use_plan_cache = false;
+TEST_F(PlanCacheTest, ZeroCapacityCacheNeverHits) {
+  db_.plan_cache().set_capacity(0);
   ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());
   Result<ResultSet> rs = db_.Query("SELECT name FROM t WHERE id = 2");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 0u);
+  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  EXPECT_EQ(db_.plan_cache().stats().hits, 0u);
   EXPECT_EQ(db_.plan_cache().size(), 0u);
+  ASSERT_EQ(rs->num_rows(), 1u);
   EXPECT_EQ(rs->At(0, 0).string_value(), "b");
 }
 
@@ -302,11 +319,12 @@ TEST_F(PlanCacheTest, ExactMatchOnlyEntryMissesOnOtherParameters) {
       "SELECT id + 2, COUNT(*) FROM t GROUP BY id + 1 ORDER BY 1";
   ASSERT_EQ(FingerprintSql(kBound)->key, FingerprintSql(kOther)->key);
 
-  db_.options().use_plan_cache = false;
+  const size_t capacity = db_.plan_cache().capacity();
+  db_.plan_cache().set_capacity(0);
   const Status cold = db_.Execute(kOther);
   ASSERT_EQ(cold.code(), StatusCode::kBindError) << cold;
 
-  db_.options().use_plan_cache = true;
+  db_.plan_cache().set_capacity(capacity);
   ASSERT_TRUE(db_.Query(kBound).ok());
   ASSERT_TRUE(db_.Query(kBound).ok());
   EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
@@ -348,8 +366,9 @@ TEST_F(PlanCacheTest, CachedAndColdResultsIdenticalOnCorpus) {
     EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status();
     return rs.ok() ? rs->ToString(10000) : std::string();
   };
-  // Cold: no cache at all.
-  db_.options().use_plan_cache = false;
+  // Cold: a zero-capacity cache, so every statement parses and binds.
+  const size_t capacity = db_.plan_cache().capacity();
+  db_.plan_cache().set_capacity(0);
   std::vector<std::string> cold;
   std::vector<std::string> cold_variant;
   for (const Case& c : kCorpus) {
@@ -358,7 +377,7 @@ TEST_F(PlanCacheTest, CachedAndColdResultsIdenticalOnCorpus) {
   }
   // Warm: first pass populates, second pass must hit and agree, and so
   // must the variant.
-  db_.options().use_plan_cache = true;
+  db_.plan_cache().set_capacity(capacity);
   for (int round = 0; round < 2; ++round) {
     for (size_t i = 0; i < std::size(kCorpus); ++i) {
       EXPECT_EQ(run(kCorpus[i].sql), cold[i]) << kCorpus[i].sql;
@@ -425,11 +444,11 @@ void ExpectSameTree(const pdmsys::ProductTree& a,
 class StrategySweep : public ::testing::TestWithParam<StrategyKind> {};
 
 TEST_P(StrategySweep, CachedMatchesColdOnSeedProduct) {
-  // Cold deployment: plan cache off end to end.
+  // Cold deployment: a zero-capacity plan cache end to end.
   Result<std::unique_ptr<client::Experiment>> cold_exp =
       client::Experiment::Create(SeedConfig());
   ASSERT_TRUE(cold_exp.ok()) << cold_exp.status();
-  (*cold_exp)->server().database().options().use_plan_cache = false;
+  (*cold_exp)->server().database().plan_cache().set_capacity(0);
 
   // Warm deployment: cache on, every action run twice so the second run
   // executes fully from cached plans.

@@ -289,28 +289,35 @@ TEST(SlowQueryLogTest, WallTimeAloneCanCrossThreshold) {
 
 TEST(SlowQueryClassifyTest, ClassificationFollowsPrecedence) {
   ExecStats stats;
-  EXPECT_EQ(ClassifyStatementClass("INSERT INTO t VALUES (1)", stats), "dml");
-  EXPECT_EQ(ClassifyStatementClass("  update t set a = 1", stats), "dml");
-  EXPECT_EQ(ClassifyStatementClass("DELETE FROM t", stats), "dml");
+  // The DML flag comes from the statement fingerprint and wins over
+  // everything the scans touched.
+  stats.cte_rows_scanned = 5;
+  stats.index_scans = 1;
+  EXPECT_EQ(ClassifyStatementClass(true, "UPDATE link SET checkedout = 1",
+                                   stats),
+            "dml");
+  stats = ExecStats{};
   EXPECT_EQ(ClassifyStatementClass(
-                "WITH RECURSIVE r AS (SELECT 1) SELECT * FROM r", stats),
+                false, "WITH RECURSIVE r AS (SELECT 1) SELECT * FROM r",
+                stats),
             "expand");
   EXPECT_EQ(ClassifyStatementClass(
-                "SELECT * FROM link WHERE link.left = 'x'", stats),
+                false, "SELECT * FROM link WHERE link.left = 'x'", stats),
             "expand");
   stats.cte_rows_scanned = 5;
-  EXPECT_EQ(ClassifyStatementClass("SELECT 1", stats), "expand");
+  EXPECT_EQ(ClassifyStatementClass(false, "SELECT 1", stats), "expand");
   stats = ExecStats{};
   stats.agg_input_rows = 10;
-  EXPECT_EQ(ClassifyStatementClass("SELECT count(*) FROM t", stats), "agg");
+  EXPECT_EQ(ClassifyStatementClass(false, "SELECT count(*) FROM t", stats),
+            "agg");
   stats = ExecStats{};
   stats.join_probe_rows = 10;
-  EXPECT_EQ(ClassifyStatementClass("SELECT ...", stats), "join");
+  EXPECT_EQ(ClassifyStatementClass(false, "SELECT ...", stats), "join");
   stats = ExecStats{};
   stats.index_scans = 1;
-  EXPECT_EQ(ClassifyStatementClass("SELECT ...", stats), "point");
+  EXPECT_EQ(ClassifyStatementClass(false, "SELECT ...", stats), "point");
   stats = ExecStats{};
-  EXPECT_EQ(ClassifyStatementClass("SELECT * FROM t", stats), "scan");
+  EXPECT_EQ(ClassifyStatementClass(false, "SELECT * FROM t", stats), "scan");
 
   EXPECT_EQ(EngineLabel(stats), "row");
   stats.vec_rows_scanned = 1;
