@@ -260,8 +260,8 @@ int Run(const std::string& json_path, const std::string& metrics_path,
   }
 
   // Grid-wide slow-query top list: the statements a DBA tuning this
-  // deployment would look at first. The paper's answer — and the gate
-  // below — is that the recursive structure expand dominates.
+  // deployment would look at first — the full-product query-all scans
+  // and the recursive structure expand.
   std::sort(slow_merged.begin(), slow_merged.end(),
             [](const SlowQueryRecord& a, const SlowQueryRecord& b) {
               return a.sim_seconds > b.sim_seconds;
@@ -280,21 +280,28 @@ int Run(const std::string& json_path, const std::string& metrics_path,
   }
   // Gate: the log caught the known-slowest paper-grid statements — the
   // top entry carries real cost, and the recursive structure expand
-  // (with CTE work) sits among the leaders (the full-product scan of
-  // the query-all action is its only rival).
-  bool expand_in_leaders = false;
-  for (size_t i = 0; i < slow_merged.size() && i < 6; ++i) {
-    if (slow_merged[i].stmt_class == "expand" &&
-        slow_merged[i].cte_rows_scanned > 0) {
-      expand_in_leaders = true;
+  // (with CTE work) is the most expensive statement after the
+  // query-all scans: only `scan` statements rank above it, and at most
+  // kMaxScansAboveExpand of them — the row-engine query-all of both
+  // trees at each of the three sites. Its link branch is an index scan
+  // (DESIGN.md 5m), so the row-engine full-product scans outrank it.
+  constexpr size_t kMaxScansAboveExpand = 6;
+  bool expand_after_scans = false;
+  for (size_t i = 0; i < slow_merged.size() && i <= kMaxScansAboveExpand;
+       ++i) {
+    const SlowQueryRecord& rec = slow_merged[i];
+    if (rec.stmt_class == "expand" && rec.cte_rows_scanned > 0) {
+      expand_after_scans = true;
+      break;
     }
+    if (rec.stmt_class != "scan") break;
   }
   if (slow_merged.empty() || slow_merged.front().sim_seconds <= 0 ||
-      !expand_in_leaders) {
+      !expand_after_scans) {
     std::fprintf(stderr,
                  "\nslow-query gate FAILED: expected a recursive expand "
-                 "with CTE work among the grid's most expensive "
-                 "statements\n");
+                 "with CTE work right behind the query-all scans in "
+                 "the grid's most expensive statements\n");
     ++failures;
   }
 

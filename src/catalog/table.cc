@@ -1,5 +1,7 @@
 #include "catalog/table.h"
 
+#include <algorithm>
+
 namespace pdm {
 
 void TableUndo::Rollback() {
@@ -29,15 +31,24 @@ Status Table::Insert(Row row, uint64_t begin_ts) {
 }
 
 size_t Table::AppendVersion(Row row, uint64_t begin_ts, TableUndo* undo) {
+  const size_t pos = AppendUnpublished(std::move(row), begin_ts);
+  Publish(pos, undo);
+  return pos;
+}
+
+size_t Table::AppendUnpublished(Row row, uint64_t begin_ts) {
   const size_t pos = versions_.Append(std::move(row), begin_ts);
   // Index maintenance happens before the position is published: a
   // concurrent index lookup may already surface `pos`, but VisibleAt
   // rejects positions at or past the published bound.
   MaintainIndexesForAppend(pos);
+  return pos;
+}
+
+void Table::Publish(size_t pos, TableUndo* undo) {
   published_.store(pos + 1, std::memory_order_release);
   live_rows_.fetch_add(1, std::memory_order_relaxed);
   if (undo != nullptr) undo->appended.push_back({this, pos});
-  return pos;
 }
 
 bool Table::KillVersion(size_t pos, uint64_t end_ts, TableUndo* undo) {
@@ -90,48 +101,116 @@ size_t Table::PruneVersions(uint64_t horizon) {
   return pruned;
 }
 
+void Table::CachedIndex::Add(const ColumnFragment& col, size_t slot,
+                             size_t pos) {
+  const auto kind = static_cast<ValueKind>(col.kinds[slot]);
+  if (kind == ValueKind::kNull) return;  // equality never matches NULL
+  if (int64_keys) {
+    if (kind == ValueKind::kInt64) {
+      const auto x = static_cast<int64_t>(col.fixed[slot]);
+      if (IsExactInt64Key(x)) {
+        ints[x].push_back(pos);
+        return;
+      }
+    }
+    // First key outside the int64 domain: demote. Positions are added
+    // in ascending order, so every moved list stays ascending.
+    values.reserve(ints.size());
+    for (auto& [key, positions] : ints) {
+      values.emplace(Value::Int64(key), std::move(positions));
+    }
+    ints = {};
+    int64_keys = false;
+  }
+  values[col.Load(slot)].push_back(pos);
+}
+
+const std::vector<size_t>* Table::CachedIndex::Find(const Value& key) const {
+  if (int64_keys) {
+    int64_t x = 0;
+    if (!ExactInt64ProbeKey(key, &x)) return nullptr;
+    auto it = ints.find(x);
+    return it == ints.end() ? nullptr : &it->second;
+  }
+  if (key.is_null()) return nullptr;
+  auto it = values.find(key);
+  return it == values.end() ? nullptr : &it->second;
+}
+
 void Table::MaintainIndexesForAppend(size_t pos) {
   std::lock_guard<std::mutex> lock(index_mutex_);
   const uint64_t old_version = version_++;
+  indexed_bound_ = pos + 1;
   for (auto& [column, cached] : indexes_) {
     if (cached.built_version != old_version) continue;  // already stale
     if (column < versions_.num_columns()) {
-      Value key = versions_.Cell(pos, column);
-      if (!key.is_null()) cached.map[std::move(key)].push_back(pos);
+      cached.Add(versions_.fragment(pos >> kFragmentShift).cols[column],
+                 pos & kFragmentMask, pos);
     }
     cached.built_version = version_;
   }
 }
 
+void Table::InvalidateIndexes() {
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  ++version_;
+  indexed_bound_ = versions_.size();
+}
+
 Table::CachedIndex& Table::EnsureIndexLocked(size_t column) const {
   CachedIndex& cached = indexes_[column];
   if (cached.built_version != version_) {
-    const size_t bound = published_.load(std::memory_order_acquire);
-    cached.map.clear();
-    cached.map.reserve(bound);
-    for (size_t pos = 0; pos < bound; ++pos) {
-      Value key = versions_.Cell(pos, column);
-      if (key.is_null()) continue;
-      cached.map[std::move(key)].push_back(pos);
+    cached = CachedIndex();
+    if (column < versions_.num_columns()) {
+      cached.ints.reserve(indexed_bound_);
+      for (size_t base = 0; base < indexed_bound_; base += kFragmentRows) {
+        const ColumnFragment& col =
+            versions_.fragment(base >> kFragmentShift).cols[column];
+        const size_t rows = std::min(kFragmentRows, indexed_bound_ - base);
+        for (size_t slot = 0; slot < rows; ++slot) {
+          cached.Add(col, slot, base + slot);
+        }
+      }
     }
     cached.built_version = version_;
   }
   return cached;
 }
 
-const Table::ColumnIndex& Table::GetOrBuildIndex(size_t column) const {
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  return EnsureIndexLocked(column).map;
-}
-
-void Table::IndexLookup(size_t column, const Value& key,
+void Table::IndexLookup(size_t column, std::span<const Value> keys,
                         std::vector<size_t>* out) const {
   out->clear();
-  if (key.is_null()) return;  // NULLs are not indexed
+  {
+    std::lock_guard<std::mutex> lock(index_mutex_);
+    const CachedIndex& index = EnsureIndexLocked(column);
+    for (const Value& key : keys) {
+      if (const std::vector<size_t>* hits = index.Find(key)) {
+        out->insert(out->end(), hits->begin(), hits->end());
+      }
+    }
+  }
+  // One key's list is ascending already; several keys' lists interleave
+  // (and two keys equal under ValueEq, like 5 and 5.0, share one).
+  if (keys.size() > 1) {
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+  }
+}
+
+std::optional<size_t> Table::FreshIndexCount(
+    size_t column, std::span<const Value> keys) const {
   std::lock_guard<std::mutex> lock(index_mutex_);
-  const ColumnIndex& map = EnsureIndexLocked(column).map;
-  auto it = map.find(key);
-  if (it != map.end()) *out = it->second;  // copy under the lock
+  auto it = indexes_.find(column);
+  if (it == indexes_.end() || it->second.built_version != version_) {
+    return std::nullopt;
+  }
+  size_t count = 0;
+  for (const Value& key : keys) {
+    if (const std::vector<size_t>* hits = it->second.Find(key)) {
+      count += hits->size();
+    }
+  }
+  return count;
 }
 
 bool Table::HasFreshIndex(size_t column) const {

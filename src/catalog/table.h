@@ -7,6 +7,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,19 +68,17 @@ struct TableUndo {
 /// requires full exclusivity (no readers, no writers).
 ///
 /// Tables maintain lazily built per-column hash indexes (value ->
-/// version positions) that executors use for equality scans and index
-/// joins. Indexes cover ALL published versions, dead ones included;
-/// readers filter candidates through VisibleAt(). Appends maintain
-/// in-sync indexes incrementally, kills need no index work at all, so
-/// DML no longer invalidates indexes — only GC compaction does (it
-/// renumbers positions and bumps `version_`). All index state is
-/// guarded by `index_mutex_`; concurrent read paths must use
-/// IndexLookup (which copies matches under the mutex) instead of
-/// holding references into the maps a writer may be growing.
+/// version positions) that executors use for equality and IN-set scans
+/// and index joins. Indexes cover ALL appended versions, dead ones
+/// included; readers filter candidates through VisibleAt(). Appends
+/// maintain in-sync indexes incrementally, kills need no index work at
+/// all, so DML no longer invalidates indexes — only GC compaction does
+/// (it renumbers positions and bumps `version_`). All index state is
+/// guarded by `index_mutex_`; read paths go through IndexLookup, which
+/// copies matches under the mutex, never through references into maps
+/// a writer may be growing.
 class Table {
  public:
-  using ColumnIndex =
-      std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueEq>;
   Table(std::string name, Schema schema)
       : name_(std::move(name)),
         schema_(std::move(schema)),
@@ -234,25 +234,27 @@ class Table {
   /// many versions were pruned.
   size_t PruneVersions(uint64_t horizon);
 
-  /// Positions of published versions whose `column` equals `key`,
-  /// copied under the index lock (safe next to a concurrent writer
-  /// growing the same index). Builds the index on first use. Dead
-  /// versions are included — filter through VisibleAt().
-  void IndexLookup(size_t column, const Value& key,
+  /// Positions of versions whose `column` equals one of `keys` under
+  /// ValueEq (numerics match across kinds, strings never match
+  /// numbers), in ascending order without duplicates — so rows leave in
+  /// scan order. Every match is copied under one acquisition of the
+  /// index lock (safe next to a concurrent writer growing the same
+  /// index). Builds the index on first use. NULL cells are not indexed
+  /// and NULL keys match nothing, as in SQL equality. Dead and
+  /// not-yet-published versions are included — filter through
+  /// VisibleAt().
+  void IndexLookup(size_t column, std::span<const Value> keys,
                    std::vector<size_t>* out) const;
 
-  /// Hash index on `column`: built on first use, maintained across
-  /// appends, rebuilt on first use after GC. NULL values are not
-  /// indexed — equality never matches them.
-  ///
-  /// Quiesced callers only (tests, single-threaded tools): the
-  /// returned reference is into state a concurrent writer mutates.
-  /// Concurrent read paths use IndexLookup instead.
-  const ColumnIndex& GetOrBuildIndex(size_t column) const;
+  /// How many positions the index on `column` holds for `keys` (counted
+  /// per key), if that index is fresh; nullopt, without building
+  /// anything, if it is not. Scan planning picks the fresh index with
+  /// the fewest candidates.
+  std::optional<size_t> FreshIndexCount(size_t column,
+                                        std::span<const Value> keys) const;
 
   /// True if an index on `column` exists and is in sync with the
-  /// versions (usable without a rebuild). Scan planning prefers such
-  /// columns.
+  /// versions (usable without a rebuild).
   bool HasFreshIndex(size_t column) const;
 
   /// Records that a scan saw an equality filter on `column` without a
@@ -266,13 +268,6 @@ class Table {
     return index_demand_[column]++;
   }
 
-  /// Marks all cached indexes stale; called by mutations that cannot
-  /// maintain them incrementally (today: only GC compaction).
-  void InvalidateIndexes() {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    ++version_;
-  }
-
   /// Bumped by every version append and by GC; index freshness is
   /// judged against it.
   uint64_t version() const {
@@ -282,19 +277,45 @@ class Table {
 
  private:
   friend struct TableUndo;
+  friend class TableTestPeer;  // tests: pauses an append mid-way
 
+  /// One column's hash index: key -> ascending version positions. While
+  /// every indexed key is an int64 with |x| < 2^53 the index is
+  /// int64-keyed (`ints`); the first other key demotes it for good to
+  /// the Value-keyed `values`, the same rule VecJoinBuild follows. Only
+  /// one map is live at a time. The demotion, not the column type,
+  /// keeps the index correct: InsertUnchecked skips type checks.
   struct CachedIndex {
-    ColumnIndex map;
+    std::unordered_map<int64_t, std::vector<size_t>> ints;
+    std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueEq>
+        values;
+    bool int64_keys = true;
     uint64_t built_version = 0;  // 0 = never built (version_ starts at 1)
+
+    /// Indexes cell `slot` of `col` at version position `pos`; NULL
+    /// cells are skipped.
+    void Add(const ColumnFragment& col, size_t slot, size_t pos);
+    /// Positions of `key` (ValueEq), or null.
+    const std::vector<size_t>* Find(const Value& key) const;
   };
 
+  /// Stores a new version at the next position without making it
+  /// visible: indexes are maintained, `published_` is not advanced.
+  size_t AppendUnpublished(Row row, uint64_t begin_ts);
+  /// Publishes the version AppendUnpublished stored at `pos`.
+  void Publish(size_t pos, TableUndo* undo);
+
   /// Appends position `pos` (the about-to-publish version) to every
-  /// in-sync index and bumps the table version; stale indexes stay
-  /// stale.
+  /// in-sync index, bumps the table version and extends the indexed
+  /// bound to cover `pos`; stale indexes stay stale.
   void MaintainIndexesForAppend(size_t pos);
 
-  /// Builds (or rebuilds) the index on `column` if stale; requires
-  /// `index_mutex_` held.
+  /// Marks all cached indexes stale and resets the indexed bound to the
+  /// compacted version count (GC compaction renumbers positions).
+  void InvalidateIndexes();
+
+  /// Builds (or rebuilds) the index on `column` if stale, over exactly
+  /// the positions `version_` covers; requires `index_mutex_` held.
   CachedIndex& EnsureIndexLocked(size_t column) const;
 
   std::string name_;
@@ -306,8 +327,14 @@ class Table {
   std::atomic<size_t> published_{0};
   std::atomic<size_t> live_rows_{0};
   uint64_t version_ = 1;  // index-freshness epoch, guarded by index_mutex_
-  /// Guards `indexes_` (map shape + lazy builds + incremental appends)
-  /// and `version_`.
+  /// Positions [0, indexed_bound_) are the ones `version_` counts,
+  /// guarded by `index_mutex_`. It runs ahead of `published_` while an
+  /// append sits between index maintenance and publication, so a
+  /// rebuild stamped `version_` covers every position that stamp
+  /// claims (a rebuild bounded by `published_` would miss that one).
+  size_t indexed_bound_ = 0;
+  /// Guards `indexes_` (map shape + lazy builds + incremental appends),
+  /// `version_` and `indexed_bound_`.
   mutable std::mutex index_mutex_;
   mutable std::map<size_t, CachedIndex> indexes_;
   /// Equality-filter sightings per column that found no fresh index

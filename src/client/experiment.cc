@@ -356,6 +356,7 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
     result.statements += wave.statements;
     result.dml_statements += wave.dml_statements;
     result.conflicts += wave.conflicts;
+    result.serialized_reads += wave.serialized_reads;
   }
   return result;
 }

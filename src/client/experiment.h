@@ -174,6 +174,9 @@ struct ConcurrentDmlResult {
   size_t dml_statements = 0;   // INSERT/UPDATE/DELETE through waves
   size_t conflicts = 0;        // first-writer-wins losses at the server
   size_t conflict_retries = 0; // client-side re-submissions
+  /// Reader statements that ran on the serial path behind DML (waited
+  /// on writers); 0 whenever MVCC lanes are on.
+  size_t serialized_reads = 0;
 };
 
 /// Runs `options.readers` read-only sessions and `options.writers`

@@ -153,6 +153,42 @@ struct ValueEq {
   }
 };
 
+/// int64 <-> double conversion is exact for |x| < 2^53. Int64-keyed hash
+/// tables (vectorized join builds, column indexes) admit only keys
+/// inside this bound, so a double probe has at most one int64 key it
+/// compares equal to.
+inline constexpr int64_t kExactDoubleBound = int64_t{1} << 53;
+
+/// True if `x` may key an int64-keyed table (|x| < 2^53).
+inline bool IsExactInt64Key(int64_t x) {
+  return x > -kExactDoubleBound && x < kExactDoubleBound;
+}
+
+/// The int64 an integral double in (-2^53, 2^53) equals; false for a
+/// fractional, out-of-range or NaN double.
+inline bool ExactInt64OfDouble(double d, int64_t* out) {
+  if (!(d > -static_cast<double>(kExactDoubleBound) &&
+        d < static_cast<double>(kExactDoubleBound))) {
+    return false;
+  }
+  const int64_t x = static_cast<int64_t>(d);
+  if (static_cast<double>(x) != d) return false;
+  *out = x;
+  return true;
+}
+
+/// The key `v` probes an int64-keyed table for, following ValueEq: an
+/// int64 is itself, an integral double in range converts. Anything else
+/// (NULL, bool, string, fractional or out-of-range double) can equal no
+/// key of such a table, and returns false.
+inline bool ExactInt64ProbeKey(const Value& v, int64_t* out) {
+  if (v.is_int64()) {
+    *out = v.int64_value();
+    return true;
+  }
+  return v.is_double() && ExactInt64OfDouble(v.double_value(), out);
+}
+
 }  // namespace pdm
 
 #endif  // PDM_COMMON_VALUE_H_

@@ -1,6 +1,7 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -13,17 +14,35 @@ namespace pdm {
 
 namespace {
 
-/// Collects every `column = non-NULL-literal` conjunct of the top-level
-/// AND chain of `filter`, in source order. Each hit is usable with a
-/// column index.
-void CollectIndexableEqualities(
-    const BoundExpr& filter, const ExecContext& ctx,
-    std::vector<std::pair<size_t, const Value*>>* out) {
+/// A conjunct of a scan filter that a column index can answer:
+/// `column = non-NULL-literal` (one key) or a non-negated `column IN
+/// (uncorrelated subquery)` whose result the subquery cache keeps (its
+/// first-column values are the keys).
+struct IndexCandidate {
+  size_t column = 0;
+  const Value* literal = nullptr;
+  const BoundSubquery* subquery = nullptr;
+};
+
+/// Collects the index candidates of the top-level AND chain of
+/// `filter`, in source order.
+void CollectIndexCandidates(const BoundExpr& filter, const ExecContext& ctx,
+                            std::vector<IndexCandidate>* out) {
+  if (filter.kind == BoundExprKind::kSubquery) {
+    const auto& sub = static_cast<const BoundSubquery&>(filter);
+    if (sub.subquery_kind == SubqueryKind::kIn && !sub.negated &&
+        !sub.correlated && ctx.options().cache_uncorrelated_subqueries &&
+        sub.operand->kind == BoundExprKind::kColumnRef) {
+      const auto& ref = static_cast<const BoundColumnRef&>(*sub.operand);
+      if (ref.level == 0) out->push_back({ref.index, nullptr, &sub});
+    }
+    return;
+  }
   if (filter.kind != BoundExprKind::kBinary) return;
   const auto& bin = static_cast<const BoundBinary&>(filter);
   if (bin.op == sql::BinaryOp::kAnd) {
-    CollectIndexableEqualities(*bin.lhs, ctx, out);
-    CollectIndexableEqualities(*bin.rhs, ctx, out);
+    CollectIndexCandidates(*bin.lhs, ctx, out);
+    CollectIndexCandidates(*bin.rhs, ctx, out);
     return;
   }
   if (bin.op == sql::BinaryOp::kEq) {
@@ -36,10 +55,30 @@ void CollectIndexableEqualities(
       const Value& value =
           ctx.LiteralValue(static_cast<const BoundLiteral&>(*lit));
       if (ref.level == 0 && !value.is_null()) {
-        out->emplace_back(ref.index, &value);
+        out->push_back({ref.index, &value, nullptr});
       }
     }
   }
+}
+
+/// The index keys of `c` in *keys: the literal, or the subquery's
+/// first-column values. The subquery runs through RunSubquery, so its
+/// cache entry (and `subquery_evaluations`) is the one the filter
+/// probes later. False if the subquery fails.
+bool IndexKeys(const IndexCandidate& c, ExecContext* ctx,
+               std::vector<Value>* keys) {
+  keys->clear();
+  if (c.literal != nullptr) {
+    keys->push_back(*c.literal);
+    return true;
+  }
+  SubqueryResult storage;
+  Result<const SubqueryResult*> result =
+      RunSubquery(*c.subquery, Row{}, ctx, &storage);
+  if (!result.ok()) return false;
+  const InSet& set = (*result)->FirstColumnValues();
+  keys->assign(set.values.begin(), set.values.end());
+  return true;
 }
 
 // --- Leaf operators -----------------------------------------------------------
@@ -54,30 +93,7 @@ class ScanExecutor : public Executor {
     bound_ = table_->num_versions();
     pos_ = 0;
     use_index_ = false;
-    // Point lookups (e.g. the navigational `link.left = <obid>`) go
-    // through the table's lazily built column index. Among the usable
-    // equality conjuncts, prefer one whose index is already built and
-    // in sync — building an index costs a full table pass. IndexLookup
-    // copies matching positions under the table's index lock, so a
-    // concurrent writer growing the index cannot race this scan; the
-    // visibility filter in Next() hides versions outside our snapshot.
-    if (node_.filter != nullptr) {
-      std::vector<std::pair<size_t, const Value*>> hits;
-      CollectIndexableEqualities(*node_.filter, *ctx_, &hits);
-      const std::pair<size_t, const Value*>* chosen = nullptr;
-      for (const auto& hit : hits) {
-        if (table_->HasFreshIndex(hit.first)) {
-          chosen = &hit;
-          break;
-        }
-      }
-      if (chosen == nullptr && !hits.empty()) chosen = &hits.front();
-      if (chosen != nullptr) {
-        table_->IndexLookup(chosen->first, *chosen->second, &candidates_);
-        use_index_ = true;
-        ctx_->stats().index_scans++;
-      }
-    }
+    if (node_.filter != nullptr) ChooseIndex();
     return Status::OK();
   }
 
@@ -117,6 +133,51 @@ class ScanExecutor : public Executor {
   }
 
  private:
+  /// Point lookups (the navigational `link.left = <obid>`) and set
+  /// lookups (the recursive expand's `left IN (SELECT obid FROM rtbl)`)
+  /// go through the table's lazily built column indexes. A lone
+  /// candidate's index is used directly. Among several, the one with a
+  /// fresh index and the fewest positions wins; with none fresh, the
+  /// first candidate's index is built (a full table pass, amortized
+  /// over later statements). If a subquery
+  /// fails here the scan stays a full scan, whose filter then surfaces
+  /// the error exactly as before. IndexLookup copies the positions under
+  /// the table's index lock, so a concurrent writer growing the index
+  /// cannot race this scan; the visibility filter in Next() hides
+  /// versions outside our snapshot, and the full filter still runs on
+  /// every candidate.
+  void ChooseIndex() {
+    std::vector<IndexCandidate> found;
+    CollectIndexCandidates(*node_.filter, *ctx_, &found);
+    if (found.empty()) return;
+    const IndexCandidate* chosen = &found.front();
+    std::vector<Value> keys;
+    bool have_keys = false;
+    if (found.size() > 1) {
+      std::vector<Value> probe;
+      std::optional<size_t> fewest;
+      for (const IndexCandidate& c : found) {
+        // A subquery runs only for a fresh index; a literal's count is
+        // its own freshness check (nullopt when stale).
+        if (c.subquery != nullptr && !table_->HasFreshIndex(c.column)) {
+          continue;
+        }
+        if (!IndexKeys(c, ctx_, &probe)) return;
+        std::optional<size_t> n = table_->FreshIndexCount(c.column, probe);
+        if (n.has_value() && (!fewest.has_value() || *n < *fewest)) {
+          fewest = n;
+          chosen = &c;
+          keys.swap(probe);
+          have_keys = true;
+        }
+      }
+    }
+    if (!have_keys && !IndexKeys(*chosen, ctx_, &keys)) return;
+    table_->IndexLookup(chosen->column, keys, &candidates_);
+    use_index_ = true;
+    ctx_->stats().index_scans++;
+  }
+
   const ScanNode& node_;
   ExecContext* ctx_;
   const Table* table_ = nullptr;
@@ -379,7 +440,7 @@ class HashJoinExecutor : public Executor {
           index_matches_.clear();
           const Value& key = left_row_[node_.left_keys[0]];
           if (!key.is_null()) {
-            index_table_->IndexLookup(node_.right_keys[0], key,
+            index_table_->IndexLookup(node_.right_keys[0], {&key, 1},
                                       &index_matches_);
           }
           matches_ = &index_matches_;

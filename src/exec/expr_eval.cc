@@ -122,7 +122,8 @@ Result<const Row*> ResolveRow(const BoundColumnRef& ref, const Row& row,
   return outer;
 }
 
-/// Runs a subquery's plan, honoring the uncorrelated-result cache.
+}  // namespace
+
 Result<const SubqueryResult*> RunSubquery(const BoundSubquery& sub,
                                           const Row& row, ExecContext* ctx,
                                           SubqueryResult* storage) {
@@ -145,6 +146,8 @@ Result<const SubqueryResult*> RunSubquery(const BoundSubquery& sub,
   storage->rows = std::move(rows).value();
   return storage;
 }
+
+namespace {
 
 Result<Value> EvaluateSubquery(const BoundSubquery& sub, const Row& row,
                                ExecContext* ctx) {

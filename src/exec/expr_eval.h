@@ -21,6 +21,13 @@ Result<Value> EvaluateExpr(const BoundExpr& expr, const Row& row,
 Result<bool> EvaluatePredicate(const BoundExpr& expr, const Row& row,
                                ExecContext* ctx);
 
+/// Runs a subquery's plan with `row` as its outer row. An uncorrelated
+/// subquery's result is cached in `ctx` (when the options allow) and
+/// shared by every later run; an uncached result lands in `storage`.
+Result<const SubqueryResult*> RunSubquery(const BoundSubquery& sub,
+                                          const Row& row, ExecContext* ctx,
+                                          SubqueryResult* storage);
+
 /// SQL CAST between value kinds; NULL casts to NULL.
 Result<Value> CastValue(const Value& value, ColumnType target);
 

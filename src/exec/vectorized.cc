@@ -768,10 +768,6 @@ class VecScanExecutor : public Executor {
   size_t pos_ = 0;
 };
 
-// int64<->double conversion is exact below 2^53; the int64 probe-table
-// fast path is only engaged while every build key stays inside.
-constexpr int64_t kExactDoubleBound = int64_t{1} << 53;
-
 /// Moves an int64 fast-path build into generic Row-keyed form; called
 /// when a build key turns out non-int64 or beyond the exact range.
 void DemoteToGenericKeys(VecJoinBuild* b) {
@@ -817,7 +813,7 @@ Status BuildVecJoin(const HashJoinNode& node, const VecSourceSpec& spec,
             batch.span.column(spec.TableCol(node.right_keys[0]));
         if (static_cast<ValueKind>(kc.kinds[slot]) == ValueKind::kInt64) {
           const int64_t x = static_cast<int64_t>(kc.fixed[slot]);
-          if (x > -kExactDoubleBound && x < kExactDoubleBound) {
+          if (IsExactInt64Key(x)) {
             b->int64_table[x].push_back(idx);
             inserted = true;
           }
@@ -855,16 +851,8 @@ bool ExactInt64Probe(ValueKind kind, uint64_t payload, int64_t* probe) {
     *probe = static_cast<int64_t>(payload);
     return true;
   }
-  if (kind == ValueKind::kDouble) {
-    const double d = BitsToDouble(payload);
-    if (d > -static_cast<double>(kExactDoubleBound) &&
-        d < static_cast<double>(kExactDoubleBound) &&
-        static_cast<double>(static_cast<int64_t>(d)) == d) {
-      *probe = static_cast<int64_t>(d);
-      return true;
-    }
-  }
-  return false;
+  return kind == ValueKind::kDouble &&
+         ExactInt64OfDouble(BitsToDouble(payload), probe);
 }
 
 /// Vectorized build-mode hash join: the build side is a VecSource built
@@ -1011,22 +999,10 @@ class VecHashJoinExecutor : public Executor {
   /// Executor-probe mode: key cells come from the streamed left row.
   const std::vector<uint32_t>* ProbeRow() const {
     if (build_->int64_keys) {
-      const Value& key = left_row_[node_.left_keys[0]];
       int64_t probe = 0;
-      bool exact = false;
-      if (key.is_int64()) {
-        probe = key.int64_value();
-        exact = true;
-      } else if (key.is_double()) {
-        const double d = key.double_value();
-        if (d > -static_cast<double>(kExactDoubleBound) &&
-            d < static_cast<double>(kExactDoubleBound) &&
-            static_cast<double>(static_cast<int64_t>(d)) == d) {
-          probe = static_cast<int64_t>(d);
-          exact = true;
-        }
+      if (!ExactInt64ProbeKey(left_row_[node_.left_keys[0]], &probe)) {
+        return nullptr;  // NULL / bool / string / inexact double
       }
-      if (!exact) return nullptr;  // NULL / bool / string / inexact double
       auto it = build_->int64_table.find(probe);
       return it == build_->int64_table.end() ? nullptr : &it->second;
     }
@@ -1094,7 +1070,7 @@ class VecIndexJoinExecutor : public Executor {
         positions_.clear();
         const Value& key = left_row_[node_.left_keys[0]];
         if (!key.is_null()) {
-          table_->IndexLookup(node_.right_keys[0], key, &positions_);
+          table_->IndexLookup(node_.right_keys[0], {&key, 1}, &positions_);
         }
       }
       while (match_pos_ < positions_.size()) {

@@ -174,6 +174,13 @@ DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
   }
   execution.read_only = read_only;
   execution.dml_statements = dml_count;
+  // Submissions carrying DML; the others are readers.
+  std::vector<char> sub_has_dml(num_subs, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (classes[i] == StatementClass::kDml) {
+      sub_has_dml[items[i].submission] = 1;
+    }
+  }
 
   // Every statement's attribution is known up front; RunStatement (or
   // the fan-out below) completes the rest of its record.
@@ -280,6 +287,12 @@ DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
     // first-writer-wins race to a concurrent direct writer.
     for (size_t i = 0; i < n; ++i) run_one(i, 0, Database::kLatestSnapshot);
     execution.unique_statements = n;
+    if (dml_count > 0) {
+      execution.serialized_reads = static_cast<size_t>(
+          std::count_if(items.begin(), items.end(), [&](const WaveItem& item) {
+            return !sub_has_dml[item.submission];
+          }));
+    }
   } else {
     // Mixed read/DML wave of several submissions (the tuning-paper
     // bottleneck this layer removes): submissions carrying DML run
@@ -288,12 +301,6 @@ DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
     // against the wave snapshot. Readers never see this wave's writes;
     // writers conflict under first-writer-wins and surface
     // kWriteConflict for client retry.
-    std::vector<char> sub_has_dml(num_subs, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (classes[i] == StatementClass::kDml) {
-        sub_has_dml[items[i].submission] = 1;
-      }
-    }
     std::vector<size_t> readers;
     std::vector<size_t> writers;
     for (size_t i = 0; i < n; ++i) {

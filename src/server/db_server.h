@@ -130,6 +130,10 @@ class DbServer {
     /// Writer-lane statements that lost a first-writer-wins race and
     /// returned StatusCode::kWriteConflict (clients retry those).
     size_t conflicts = 0;
+    /// Statements of DML-free submissions that ran on the serial path
+    /// behind this wave's DML, i.e. readers that waited on writers.
+    /// Always 0 with MVCC lanes, which run them on the read lane.
+    size_t serialized_reads = 0;
   };
 
   DbServer();
