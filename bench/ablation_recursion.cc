@@ -66,8 +66,9 @@ int Run() {
       }
 
       ResultSet result;
+      ExecStats stats;
       Clock::time_point start = Clock::now();
-      Status status = db.ExecuteStatement(*stmt, &result);
+      Status status = db.ExecuteStatement(*stmt, &result, &stats);
       Clock::time_point end = Clock::now();
       if (!status.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
@@ -77,8 +78,8 @@ int Run() {
       std::printf("%-22s %-10s %10.2f %12zu %14zu\n", shape.label,
                   semi_naive ? "semi-naive" : "naive",
                   std::chrono::duration<double>(end - start).count() * 1000,
-                  db.last_stats().recursion_iterations,
-                  db.last_stats().cte_rows_scanned);
+                  stats.recursion_iterations,
+                  stats.cte_rows_scanned);
     }
   }
   std::printf("\n");

@@ -64,8 +64,9 @@ int Run() {
       }
 
       ResultSet result;
+      ExecStats stats;
       Clock::time_point start = Clock::now();
-      Status status = db.ExecuteStatement(*stmt, &result);
+      Status status = db.ExecuteStatement(*stmt, &result, &stats);
       Clock::time_point end = Clock::now();
       if (!status.ok()) {
         std::fprintf(stderr, "query failed: %s\n", status.ToString().c_str());
@@ -74,8 +75,8 @@ int Run() {
       std::printf("α=%d,ω=%d %8s %-8s %10.2f %16zu %12zu\n", tree.depth,
                   tree.branching, "", cached ? "on" : "off",
                   std::chrono::duration<double>(end - start).count() * 1000,
-                  db.last_stats().subquery_evaluations,
-                  db.last_stats().subquery_cache_hits);
+                  stats.subquery_evaluations,
+                  stats.subquery_cache_hits);
     }
   }
   std::printf("\n");

@@ -36,8 +36,8 @@ int Run() {
       e.server().EnableStatementLog(true);
 
       // The statement log carries per-statement engine stats; we print
-      // the final statement's scan counters (matching the historical
-      // last_stats() column) and wall time for total server work.
+      // the final statement's scan counters and wall time for total
+      // server work.
       Clock::time_point start = Clock::now();
       Result<client::ActionResult> result =
           e.RunAction(strategy, ActionKind::kMultiLevelExpand);

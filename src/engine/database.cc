@@ -32,6 +32,16 @@ obs::LogHistogram& SnapshotAgeHistogram() {
   return h;
 }
 
+/// The one place an execution prepares an output: the caller's `slot`,
+/// or `local` when the caller passed null, emptied so that nothing of
+/// an earlier call leaks into this one.
+template <typename T>
+T* Fresh(T* slot, T* local) {
+  T* target = slot != nullptr ? slot : local;
+  *target = T();
+  return target;
+}
+
 }  // namespace
 
 Database::Database() {
@@ -157,22 +167,6 @@ size_t Database::GarbageCollectVersions() {
   return pruned;
 }
 
-const ExecStats& Database::last_stats() const {
-  static const ExecStats kNone;
-  std::lock_guard<std::mutex> lock(thread_stats_mutex_);
-  auto it = thread_stats_.find(std::this_thread::get_id());
-  return it == thread_stats_.end() ? kNone : it->second;
-}
-
-ExecStats* Database::ThreadStats() {
-  std::lock_guard<std::mutex> lock(thread_stats_mutex_);
-  return &thread_stats_[std::this_thread::get_id()];
-}
-
-Status Database::Execute(std::string_view sql, ResultSet* out) {
-  return Execute(sql, out, ThreadStats());
-}
-
 Status Database::Execute(std::string_view sql, ResultSet* out,
                          ExecStats* stats, uint64_t snapshot_ts) {
   PDM_ASSIGN_OR_RETURN(sql::StatementFingerprint fp, sql::FingerprintSql(sql));
@@ -182,6 +176,10 @@ Status Database::Execute(std::string_view sql, ResultSet* out,
 Status Database::ExecuteFingerprinted(const sql::StatementFingerprint& fp,
                                       ResultSet* out, ExecStats* stats,
                                       uint64_t snapshot_ts) {
+  ResultSet local_out;
+  ExecStats local_stats;
+  out = Fresh(out, &local_out);
+  stats = Fresh(stats, &local_stats);
   if (fp.cacheable) return ExecuteCachedSelect(fp, out, stats, snapshot_ts);
   sql::StatementPtr stmt;
   {
@@ -190,19 +188,12 @@ Status Database::ExecuteFingerprinted(const sql::StatementFingerprint& fp,
     PDM_ASSIGN_OR_RETURN(stmt, parser.ParseStatement());
   }
   obs::ScopedSpan span("engine:exec", obs::ModelTerm::kExec);
-  return ExecuteStatement(*stmt, out, stats, snapshot_ts);
+  return Dispatch(*stmt, out, stats, snapshot_ts);
 }
 
 Status Database::ExecuteCachedSelect(const sql::StatementFingerprint& fp,
                                      ResultSet* out, ExecStats* stats,
                                      uint64_t snapshot_ts) {
-  stats->Reset();
-  ResultSet scratch;
-  if (out == nullptr) out = &scratch;
-  out->schema = Schema();
-  out->rows.clear();
-  out->affected_rows = 0;
-
   if (PlanCache::EntryPtr entry = plan_cache_.Lookup(
           fp.key, fp.params, schema_epoch(), options_.binder)) {
     stats->plan_cache_hits = 1;
@@ -222,12 +213,11 @@ Status Database::ExecuteCachedSelect(const sql::StatementFingerprint& fp,
     PDM_ASSIGN_OR_RETURN(sql::StatementPtr stmt, parser.ParseStatement());
     if (stmt->kind != sql::StatementKind::kSelect) {
       // Unreachable; defensive.
-      return ExecuteStatement(*stmt, out, stats, snapshot_ts);
+      return Dispatch(*stmt, out, stats, snapshot_ts);
     }
-    Binder binder(&catalog_, &functions_, options_.binder, &views_);
     PDM_ASSIGN_OR_RETURN(
         BoundSelect bound,
-        binder.BindSelect(static_cast<const sql::SelectStmt&>(*stmt)));
+        MakeBinder().BindSelect(static_cast<const sql::SelectStmt&>(*stmt)));
     entry = PlanCache::Prepare(std::move(bound), fp.params,
                                schema_epoch(), options_.binder);
   }
@@ -252,33 +242,33 @@ Status Database::ExecuteScript(std::string_view sql) {
   PDM_ASSIGN_OR_RETURN(std::vector<sql::StatementPtr> stmts,
                        sql::ParseSqlScript(sql));
   for (const sql::StatementPtr& stmt : stmts) {
-    PDM_RETURN_NOT_OK(ExecuteStatement(*stmt, nullptr));
+    PDM_RETURN_NOT_OK(ExecuteStatement(*stmt));
   }
   return Status::OK();
 }
 
-Status Database::ExecuteStatement(const sql::Statement& stmt, ResultSet* out) {
-  return ExecuteStatement(stmt, out, ThreadStats(), kLatestSnapshot);
-}
-
 Status Database::ExecuteStatement(const sql::Statement& stmt, ResultSet* out,
                                   ExecStats* stats, uint64_t snapshot_ts) {
-  stats->Reset();
-  ResultSet scratch;
-  if (out == nullptr) out = &scratch;
-  out->schema = Schema();
-  out->rows.clear();
-  out->affected_rows = 0;
+  ResultSet local_out;
+  ExecStats local_stats;
+  return Dispatch(stmt, Fresh(out, &local_out), Fresh(stats, &local_stats),
+                  snapshot_ts);
+}
+
+Binder Database::MakeBinder() const {
+  return Binder(&catalog_, &functions_, options_.binder, &views_);
+}
+
+Status Database::Dispatch(const sql::Statement& stmt, ResultSet* out,
+                          ExecStats* stats, uint64_t snapshot_ts) {
   switch (stmt.kind) {
     case sql::StatementKind::kSelect:
       return ExecuteSelect(static_cast<const sql::SelectStmt&>(stmt), out,
                            stats, snapshot_ts);
     case sql::StatementKind::kCreateTable:
-      return ExecuteCreateTable(
-          static_cast<const sql::CreateTableStmt&>(stmt), out);
+      return ExecuteCreateTable(static_cast<const sql::CreateTableStmt&>(stmt));
     case sql::StatementKind::kDropTable:
-      return ExecuteDropTable(static_cast<const sql::DropTableStmt&>(stmt),
-                              out);
+      return ExecuteDropTable(static_cast<const sql::DropTableStmt&>(stmt));
     case sql::StatementKind::kInsert:
       return ExecuteInsert(static_cast<const sql::InsertStmt&>(stmt), out,
                            stats);
@@ -293,19 +283,16 @@ Status Database::ExecuteStatement(const sql::Statement& stmt, ResultSet* out,
     case sql::StatementKind::kExplain:
       return ExecuteExplain(static_cast<const sql::ExplainStmt&>(stmt), out);
     case sql::StatementKind::kCreateView:
-      return ExecuteCreateView(static_cast<const sql::CreateViewStmt&>(stmt),
-                               out);
+      return ExecuteCreateView(static_cast<const sql::CreateViewStmt&>(stmt));
     case sql::StatementKind::kDropView:
-      return ExecuteDropView(static_cast<const sql::DropViewStmt&>(stmt),
-                             out);
+      return ExecuteDropView(static_cast<const sql::DropViewStmt&>(stmt));
   }
   return Status::Internal("unhandled statement kind");
 }
 
 Status Database::ExecuteSelect(const sql::SelectStmt& stmt, ResultSet* out,
                                ExecStats* stats, uint64_t snapshot_ts) {
-  Binder binder(&catalog_, &functions_, options_.binder, &views_);
-  PDM_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(stmt));
+  PDM_ASSIGN_OR_RETURN(BoundSelect bound, MakeBinder().BindSelect(stmt));
   return ExecuteBoundSelect(bound, out, stats, snapshot_ts);
 }
 
@@ -331,23 +318,18 @@ Status Database::ExecuteBoundSelect(const BoundSelect& bound, ResultSet* out,
   return Status::OK();
 }
 
-Status Database::ExecuteCreateTable(const sql::CreateTableStmt& stmt,
-                                    ResultSet* out) {
-  (void)out;
+Status Database::ExecuteCreateTable(const sql::CreateTableStmt& stmt) {
   return catalog_.CreateTable(stmt.table_name, Schema(stmt.columns),
                               stmt.if_not_exists);
 }
 
-Status Database::ExecuteDropTable(const sql::DropTableStmt& stmt,
-                                  ResultSet* out) {
-  (void)out;
+Status Database::ExecuteDropTable(const sql::DropTableStmt& stmt) {
   return catalog_.DropTable(stmt.table_name, stmt.if_exists);
 }
 
 Status Database::ExecuteInsert(const sql::InsertStmt& stmt, ResultSet* out,
                                ExecStats* stats) {
-  Binder binder(&catalog_, &functions_, options_.binder);
-  PDM_ASSIGN_OR_RETURN(BoundInsert bound, binder.BindInsert(stmt));
+  PDM_ASSIGN_OR_RETURN(BoundInsert bound, MakeBinder().BindInsert(stmt));
   PDM_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(bound.table_name));
 
   std::lock_guard<std::mutex> writer(dml_mutex_);
@@ -383,8 +365,7 @@ Status Database::ExecuteInsert(const sql::InsertStmt& stmt, ResultSet* out,
 
 Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt, ResultSet* out,
                                ExecStats* stats, uint64_t snapshot_ts) {
-  Binder binder(&catalog_, &functions_, options_.binder);
-  PDM_ASSIGN_OR_RETURN(BoundUpdate bound, binder.BindUpdate(stmt));
+  PDM_ASSIGN_OR_RETURN(BoundUpdate bound, MakeBinder().BindUpdate(stmt));
   PDM_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(bound.table_name));
   const Schema& schema = table->schema();
 
@@ -463,8 +444,7 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt, ResultSet* out,
 
 Status Database::ExecuteDelete(const sql::DeleteStmt& stmt, ResultSet* out,
                                ExecStats* stats, uint64_t snapshot_ts) {
-  Binder binder(&catalog_, &functions_, options_.binder);
-  PDM_ASSIGN_OR_RETURN(BoundDelete bound, binder.BindDelete(stmt));
+  PDM_ASSIGN_OR_RETURN(BoundDelete bound, MakeBinder().BindDelete(stmt));
   PDM_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(bound.table_name));
 
   std::lock_guard<std::mutex> writer(dml_mutex_);
@@ -516,7 +496,7 @@ Status Database::ExecuteCall(const sql::CallStmt& stmt, ResultSet* out,
   if (it == procedures_.end()) {
     return Status::NotFound("unknown procedure '" + stmt.procedure_name + "'");
   }
-  Binder binder(&catalog_, &functions_, options_.binder);
+  Binder binder = MakeBinder();
   ExecContext ctx(&catalog_, &options_.exec, stats);
   Row empty;
   std::vector<Value> args;
@@ -531,8 +511,8 @@ Status Database::ExecuteCall(const sql::CallStmt& stmt, ResultSet* out,
 
 Status Database::ExecuteExplain(const sql::ExplainStmt& stmt,
                                 ResultSet* out) {
-  Binder binder(&catalog_, &functions_, options_.binder, &views_);
-  PDM_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(*stmt.select));
+  PDM_ASSIGN_OR_RETURN(BoundSelect bound,
+                       MakeBinder().BindSelect(*stmt.select));
 
   std::string text;
   for (const BoundCte& cte : bound.ctes) {
@@ -558,16 +538,13 @@ Status Database::ExecuteExplain(const sql::ExplainStmt& stmt,
   return Status::OK();
 }
 
-Status Database::ExecuteCreateView(const sql::CreateViewStmt& stmt,
-                                   ResultSet* out) {
-  (void)out;
+Status Database::ExecuteCreateView(const sql::CreateViewStmt& stmt) {
   if (catalog_.HasTable(stmt.view_name)) {
     return Status::AlreadyExists("a table named '" + stmt.view_name +
                                  "' already exists");
   }
   // Validate the definition binds against the current schema.
-  Binder binder(&catalog_, &functions_, options_.binder, &views_);
-  PDM_RETURN_NOT_OK(binder.BindSelect(*stmt.select).status().WithContext(
+  PDM_RETURN_NOT_OK(MakeBinder().BindSelect(*stmt.select).status().WithContext(
       "invalid view definition"));
   Status status = views_.Define(stmt.view_name, stmt.select->CloneSelect(),
                                 stmt.or_replace);
@@ -575,9 +552,7 @@ Status Database::ExecuteCreateView(const sql::CreateViewStmt& stmt,
   return status;
 }
 
-Status Database::ExecuteDropView(const sql::DropViewStmt& stmt,
-                                 ResultSet* out) {
-  (void)out;
+Status Database::ExecuteDropView(const sql::DropViewStmt& stmt) {
   Status status = views_.Drop(stmt.view_name, stmt.if_exists);
   if (status.ok()) ++ddl_epoch_;
   return status;

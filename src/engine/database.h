@@ -11,8 +11,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -157,26 +155,24 @@ class Database {
   size_t GarbageCollectVersions();
 
   /// Fingerprints and executes one statement (ExecuteFingerprinted). A
-  /// lexical error is the fingerprint's status. `out` (optional)
-  /// receives rows / affected counts.
-  Status Execute(std::string_view sql, ResultSet* out = nullptr);
-
-  /// Re-entrant variant of Execute() writing counters into the
-  /// caller-supplied `stats` instead of the slot read by last_stats().
-  /// This is the engine's concurrency entry point (DESIGN.md 5d/5h):
-  /// any number of threads may call it concurrently for read-only
-  /// statements (SELECT / WITH) AND DML (INSERT / UPDATE / DELETE) —
-  /// readers run against MVCC snapshots, writers serialize
-  /// on an internal mutex and conflict under first-writer-wins
-  /// (StatusCode::kWriteConflict, retryable). DDL and CALL must still
-  /// never run concurrently with anything.
+  /// lexical error is the fingerprint's status. `out` receives rows /
+  /// affected counts and `stats` the statement's counters; each is
+  /// cleared before the statement runs, and null means "not wanted".
+  ///
+  /// Concurrency contract (DESIGN.md 5d/5h): any number of threads may
+  /// call Execute concurrently for read-only statements (SELECT / WITH)
+  /// AND DML (INSERT / UPDATE / DELETE) — readers run against MVCC
+  /// snapshots, writers serialize on an internal mutex and conflict
+  /// under first-writer-wins (StatusCode::kWriteConflict, retryable).
+  /// DDL and CALL must still never run concurrently with anything.
   ///
   /// `snapshot_ts` names the MVCC read snapshot (kLatestSnapshot =
   /// resolve to the commit clock at statement start). For UPDATE /
   /// DELETE it is the snapshot predicates are evaluated against — a
   /// target version killed by a writer that committed after it loses
   /// under first-writer-wins.
-  Status Execute(std::string_view sql, ResultSet* out, ExecStats* stats,
+  Status Execute(std::string_view sql, ResultSet* out = nullptr,
+                 ExecStats* stats = nullptr,
                  uint64_t snapshot_ts = kLatestSnapshot);
 
   /// Executes a statement from its fingerprint (sql/fingerprint.h): a
@@ -184,8 +180,8 @@ class Database {
   /// parsed from the fingerprint's tokens, so the text is never lexed
   /// again. The server's scheduler fingerprints every statement once,
   /// for its lane, wave-level result sharing and (through here)
-  /// execution. Same concurrency contract and snapshot semantics as the
-  /// 4-arg Execute().
+  /// execution. Same outputs, concurrency contract and snapshot
+  /// semantics as Execute().
   Status ExecuteFingerprinted(const sql::StatementFingerprint& fp,
                               ResultSet* out, ExecStats* stats,
                               uint64_t snapshot_ts = kLatestSnapshot);
@@ -197,8 +193,12 @@ class Database {
   Status ExecuteScript(std::string_view sql);
 
   /// Executes an already-parsed statement (clients that build ASTs avoid
-  /// re-parsing; the simulated wire still ships SQL text).
-  Status ExecuteStatement(const sql::Statement& stmt, ResultSet* out);
+  /// re-parsing; the simulated wire still ships SQL text). Same outputs
+  /// and snapshot semantics as Execute(); never consults the plan cache.
+  Status ExecuteStatement(const sql::Statement& stmt,
+                          ResultSet* out = nullptr,
+                          ExecStats* stats = nullptr,
+                          uint64_t snapshot_ts = kLatestSnapshot);
 
   /// Registers a scalar SQL function (see FunctionRegistry).
   Status RegisterFunction(std::string_view name, size_t min_args,
@@ -219,12 +219,6 @@ class Database {
   const ViewRegistry& views() const { return views_; }
   EngineOptions& options() { return options_; }
 
-  /// Execution counters of the calling thread's most recent serial
-  /// call (2-arg Execute, Query, ExecuteScript, ExecuteStatement) on
-  /// this database; all zero before its first. Per thread, so serial
-  /// callers on several threads never share a write.
-  const ExecStats& last_stats() const;
-
   /// The prepared-statement/plan cache consulted by Execute().
   PlanCache& plan_cache() { return plan_cache_; }
   const PlanCache& plan_cache() const { return plan_cache_; }
@@ -235,8 +229,12 @@ class Database {
   uint64_t schema_epoch() const { return catalog_.version() + ddl_epoch_; }
 
  private:
-  Status ExecuteStatement(const sql::Statement& stmt, ResultSet* out,
-                          ExecStats* stats, uint64_t snapshot_ts);
+  /// Every Binder the engine builds: views are always visible, so DML
+  /// predicates and CALL arguments may read through them like SELECTs.
+  Binder MakeBinder() const;
+  /// Runs `stmt` by kind into outputs an entry point has prepared.
+  Status Dispatch(const sql::Statement& stmt, ResultSet* out,
+                  ExecStats* stats, uint64_t snapshot_ts);
   Status ExecuteCachedSelect(const sql::StatementFingerprint& fp,
                              ResultSet* out, ExecStats* stats,
                              uint64_t snapshot_ts);
@@ -247,8 +245,8 @@ class Database {
                             const std::vector<Value>* params = nullptr);
   Status ExecuteSelect(const sql::SelectStmt& stmt, ResultSet* out,
                        ExecStats* stats, uint64_t snapshot_ts);
-  Status ExecuteCreateTable(const sql::CreateTableStmt& stmt, ResultSet* out);
-  Status ExecuteDropTable(const sql::DropTableStmt& stmt, ResultSet* out);
+  Status ExecuteCreateTable(const sql::CreateTableStmt& stmt);
+  Status ExecuteDropTable(const sql::DropTableStmt& stmt);
   Status ExecuteInsert(const sql::InsertStmt& stmt, ResultSet* out,
                        ExecStats* stats);
   Status ExecuteUpdate(const sql::UpdateStmt& stmt, ResultSet* out,
@@ -257,8 +255,6 @@ class Database {
                        ExecStats* stats, uint64_t snapshot_ts);
   Status ExecuteCall(const sql::CallStmt& stmt, ResultSet* out,
                      ExecStats* stats);
-  /// The calling thread's ExecStats behind last_stats().
-  ExecStats* ThreadStats();
   /// Releases one registered snapshot (called by Snapshot handles).
   void ReleaseSnapshot(uint64_t ts);
   /// Appends one commit record (no-op unless the log is enabled).
@@ -268,18 +264,13 @@ class Database {
   void AppendCommitRecord(uint64_t commit_ts, const sql::Statement& stmt,
                           size_t affected_rows);
   Status ExecuteExplain(const sql::ExplainStmt& stmt, ResultSet* out);
-  Status ExecuteCreateView(const sql::CreateViewStmt& stmt, ResultSet* out);
-  Status ExecuteDropView(const sql::DropViewStmt& stmt, ResultSet* out);
+  Status ExecuteCreateView(const sql::CreateViewStmt& stmt);
+  Status ExecuteDropView(const sql::DropViewStmt& stmt);
 
   Catalog catalog_;
   FunctionRegistry functions_;
   ViewRegistry views_;
   EngineOptions options_;
-  /// Storage behind last_stats(), one entry per calling thread. Node
-  /// stability keeps a returned reference valid while other threads
-  /// insert; each entry is written only by its own thread.
-  mutable std::mutex thread_stats_mutex_;
-  std::unordered_map<std::thread::id, ExecStats> thread_stats_;
   PlanCache plan_cache_;
   uint64_t ddl_epoch_ = 0;  // views + functions; tables count via catalog
   std::map<std::string, Procedure> procedures_;

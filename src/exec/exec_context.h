@@ -37,8 +37,8 @@ struct ExecOptions {
   bool vectorized_execution = true;
 };
 
-/// Counters accumulated while executing one statement. Exposed through
-/// Database::last_stats() and asserted on by ablation tests/benches.
+/// Counters accumulated while executing one statement, into storage the
+/// caller of Database::Execute owns; asserted on by tests and benches.
 struct ExecStats {
   size_t rows_scanned = 0;           // base-table rows touched by scans
   size_t cte_rows_scanned = 0;       // CTE rows touched by CTE scans
@@ -62,8 +62,6 @@ struct ExecStats {
   size_t vec_join_probe_rows = 0;    // left rows probed by vectorized joins
   size_t agg_input_rows = 0;         // rows folded by the row-engine aggregator
   size_t vec_agg_input_rows = 0;     // rows folded by vectorized aggregation
-
-  void Reset() { *this = ExecStats{}; }
 };
 
 /// A materialized vectorized hash-join build (exec/vectorized.cc):

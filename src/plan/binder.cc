@@ -366,6 +366,28 @@ ColumnType MergeColumnTypes(ColumnType a, ColumnType b) {
   return a;
 }
 
+/// Whether `item`'s output column is named by its SQL text: unaliased
+/// and not a bare column. Such an item carries its literals in the name,
+/// so they bind as plan structure (Binder::structural_literals_) and a
+/// cached plan serves only the same literals (DESIGN.md 5c).
+bool NamedByText(const sql::SelectItem& item) {
+  return item.alias.empty() && item.expr->kind != ExprKind::kColumnRef;
+}
+
+/// While live, literals bind as plan structure if `active` (see
+/// NamedByText).
+struct StructuralLiterals {
+  StructuralLiterals(size_t* depth, bool active)
+      : depth(depth), active(active) {
+    *depth += active;
+  }
+  ~StructuralLiterals() { *depth -= active; }
+  StructuralLiterals(const StructuralLiterals&) = delete;
+  StructuralLiterals& operator=(const StructuralLiterals&) = delete;
+  size_t* depth;
+  bool active;
+};
+
 std::string OutputColumnName(const sql::SelectItem& item) {
   if (!item.alias.empty()) return item.alias;
   if (item.expr->kind == ExprKind::kColumnRef) {
@@ -807,7 +829,8 @@ void ConvertEquiJoinsToHashJoins(PlanPtr* plan) {
 
 BoundExprPtr Binder::BindLiteral(const sql::LiteralExpr& expr) {
   auto lit = std::make_unique<BoundLiteral>(expr.value);
-  if (view_stack_.empty() && expr.param_slot >= 0) {
+  if (view_stack_.empty() && structural_literals_ == 0 &&
+      expr.param_slot >= 0) {
     const auto slot = static_cast<size_t>(expr.param_slot);
     lit->param_slot = expr.param_slot;
     if (slot >= params_bound_.size()) params_bound_.resize(slot + 1);
@@ -1225,6 +1248,7 @@ Result<PlanPtr> Binder::BindSelectCore(const sql::SelectCore& core,
         }
         continue;
       }
+      StructuralLiterals named(&structural_literals_, NamedByText(item));
       PDM_ASSIGN_OR_RETURN(BoundExprPtr bound, BindExpr(*item.expr, &scope));
       project->schema.AddColumn(
           Column{OutputColumnName(item), InferType(*bound)});
@@ -1266,14 +1290,20 @@ Result<PlanPtr> Binder::BindAggregateSelect(const sql::SelectCore& core,
   }
   ctx.num_groups = agg_node->group_exprs.size();
 
-  // Aggregate calls from SELECT list and HAVING, in slot order.
+  // Aggregate calls from SELECT list and HAVING, in slot order; a call
+  // inside a text-named item is part of that name.
+  std::vector<bool> call_named;
   for (const sql::SelectItem& item : core.items) {
     CollectAggCalls(*item.expr, &ctx.agg_calls);
+    call_named.resize(ctx.agg_calls.size(), NamedByText(item));
   }
   if (core.having != nullptr) CollectAggCalls(*core.having, &ctx.agg_calls);
+  call_named.resize(ctx.agg_calls.size(), false);
 
-  for (const Expr* call_expr : ctx.agg_calls) {
-    const auto& call = static_cast<const sql::FunctionCallExpr&>(*call_expr);
+  for (size_t i = 0; i < ctx.agg_calls.size(); ++i) {
+    const auto& call =
+        static_cast<const sql::FunctionCallExpr&>(*ctx.agg_calls[i]);
+    StructuralLiterals named(&structural_literals_, call_named[i]);
     bool star = call.args.size() == 1 && call.args[0]->kind == ExprKind::kStar;
     AggKind kind = *LookupAggKind(call.name, star);
     BoundAggregate agg;
@@ -1318,6 +1348,7 @@ Result<PlanPtr> Binder::BindAggregateSelect(const sql::SelectCore& core,
   // Projection over the aggregate output.
   auto project = std::make_unique<ProjectNode>();
   for (const sql::SelectItem& item : core.items) {
+    StructuralLiterals named(&structural_literals_, NamedByText(item));
     PDM_ASSIGN_OR_RETURN(BoundExprPtr bound,
                          BindPostAggExpr(*item.expr, scope, ctx));
     project->schema.AddColumn(Column{OutputColumnName(item), InferType(*bound)});

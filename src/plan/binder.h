@@ -116,7 +116,9 @@ class Binder {
   // Expressions.
   Result<BoundExprPtr> BindExpr(const sql::Expr& expr, const Scope* scope);
   /// The one place a BoundLiteral gets its param_slot; records the slot
-  /// in params_bound_.
+  /// in params_bound_. Literals inside a view body, or inside a select
+  /// item named by its own text, stay constants without a slot: they
+  /// are plan structure.
   BoundExprPtr BindLiteral(const sql::LiteralExpr& expr);
   Result<BoundExprPtr> BindSubqueryExpr(const sql::Expr& expr,
                                         const Scope* scope);
@@ -144,6 +146,8 @@ class Binder {
   std::vector<std::string> view_stack_;  // cycle detection during expansion
   std::vector<CteInfo> ctes_;
   std::vector<bool> params_bound_;  // becomes BoundSelect::params_bound
+  /// Nonzero while binding a select item named by its SQL text.
+  size_t structural_literals_ = 0;
 };
 
 // --- Bound-tree analysis helpers (shared with the optimizer and tests) ---

@@ -366,8 +366,8 @@ size_t DbServer::ResponseBytes(const ResultSet& result) const {
 Status DbServer::RunStatement(
     std::string_view sql, const Result<sql::StatementFingerprint>& fingerprint,
     uint64_t snapshot_ts, StatementRecord* record, ResultSet* out) {
-  // Per-call stats: last_stats() is a serial-only concept and must not be
-  // used for attribution when serial and batched/wave traffic interleave.
+  // The statement's counters land in this call's own ExecStats, so
+  // serial, batched and wave traffic never share a write.
   ExecStats stats;
   Status status;
   {

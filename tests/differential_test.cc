@@ -11,6 +11,7 @@
 #include "server/db_server.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "query_with_stats.h"
 
 namespace pdm {
 namespace {
@@ -362,20 +363,21 @@ TEST(VecEngineDifferential, SameResultsWithVectorizedExecutionOff) {
 
   std::vector<std::string> baseline;
   bool any_vectorized = false;
+  ExecStats stats;
   for (const std::string& sql : queries) {
-    Result<ResultSet> rs = db.Query(sql);
+    Result<ResultSet> rs = QueryWithStats(db, &stats, sql);
     ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
     baseline.push_back(rs->ToString(10000));
-    any_vectorized |= db.last_stats().vec_batches > 0;
+    any_vectorized |= stats.vec_batches > 0;
   }
   // The scan corpus must actually have exercised the batch executor.
   EXPECT_TRUE(any_vectorized);
 
   db.options().exec.vectorized_execution = false;
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<ResultSet> rs = db.Query(queries[i]);
+    Result<ResultSet> rs = QueryWithStats(db, &stats, queries[i]);
     ASSERT_TRUE(rs.ok()) << queries[i];
-    EXPECT_EQ(db.last_stats().vec_batches, 0u) << queries[i];
+    EXPECT_EQ(stats.vec_batches, 0u) << queries[i];
     EXPECT_EQ(rs->ToString(10000), baseline[i]) << queries[i];
   }
 }

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "engine/database.h"
+#include "query_with_stats.h"
 
 namespace pdm {
 namespace {
@@ -28,12 +29,13 @@ class ExecTest : public ::testing::Test {
   }
 
   ResultSet Q(const std::string& sql) {
-    Result<ResultSet> result = db_.Query(sql);
+    Result<ResultSet> result = QueryWithStats(db_, &stats_, sql);
     EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
     return std::move(result).ValueOr(ResultSet{});
   }
 
   Database db_;
+  ExecStats stats_;  // counters of the latest Q()
 };
 
 TEST_F(ExecTest, ProjectionAndArithmetic) {
@@ -288,11 +290,11 @@ TEST_F(ExecTest, StatsCountScannedAndEmittedRows) {
   // column is worth an index and moves to the row engine's index scan,
   // which touches only the matching row.
   Q("SELECT * FROM nums WHERE n = 1");
-  EXPECT_EQ(db_.last_stats().index_scans, 0u);
+  EXPECT_EQ(stats_.index_scans, 0u);
   Q("SELECT * FROM nums WHERE n = 1");
-  EXPECT_EQ(db_.last_stats().rows_scanned, 1u);
-  EXPECT_EQ(db_.last_stats().rows_emitted, 1u);
-  EXPECT_EQ(db_.last_stats().index_scans, 1u);
+  EXPECT_EQ(stats_.rows_scanned, 1u);
+  EXPECT_EQ(stats_.rows_emitted, 1u);
+  EXPECT_EQ(stats_.index_scans, 1u);
 }
 
 TEST_F(ExecTest, DerivedTables) {
@@ -340,59 +342,69 @@ class VecExecTest : public ::testing::Test {
 
 TEST_F(VecExecTest, EmptyTableYieldsEmptyResult) {
   Database db;
+  ExecStats stats;
   Fill(&db, 0);
-  Result<ResultSet> rs = db.Query("SELECT id FROM t WHERE v >= 0");
+  Result<ResultSet> rs =
+      QueryWithStats(db, &stats, "SELECT id FROM t WHERE v >= 0");
   ASSERT_TRUE(rs.ok()) << rs.status();
   EXPECT_EQ(rs->num_rows(), 0u);
-  EXPECT_EQ(db.last_stats().vec_batches, 0u);
-  EXPECT_EQ(db.last_stats().rows_scanned, 0u);
+  EXPECT_EQ(stats.vec_batches, 0u);
+  EXPECT_EQ(stats.rows_scanned, 0u);
 }
 
 TEST_F(VecExecTest, ExactlyOneFragmentOfRows) {
   Database db;
+  ExecStats stats;
   Fill(&db, 1024);
-  Result<ResultSet> rs = db.Query("SELECT id FROM t WHERE id >= 0");
+  Result<ResultSet> rs =
+      QueryWithStats(db, &stats, "SELECT id FROM t WHERE id >= 0");
   ASSERT_TRUE(rs.ok()) << rs.status();
   ASSERT_EQ(rs->num_rows(), 1024u);
   EXPECT_EQ(rs->At(1023, 0).int64_value(), 1023);
-  EXPECT_EQ(db.last_stats().vec_batches, 1u);
-  EXPECT_EQ(db.last_stats().vec_rows_scanned, 1024u);
+  EXPECT_EQ(stats.vec_batches, 1u);
+  EXPECT_EQ(stats.vec_rows_scanned, 1024u);
 }
 
 TEST_F(VecExecTest, OneRowPastTheFragmentBoundary) {
   Database db;
+  ExecStats stats;
   Fill(&db, 1025);
-  Result<ResultSet> rs = db.Query("SELECT id FROM t WHERE id >= 0");
+  Result<ResultSet> rs =
+      QueryWithStats(db, &stats, "SELECT id FROM t WHERE id >= 0");
   ASSERT_TRUE(rs.ok()) << rs.status();
   ASSERT_EQ(rs->num_rows(), 1025u);
   // Scan order is preserved across the boundary.
   EXPECT_EQ(rs->At(1023, 0).int64_value(), 1023);
   EXPECT_EQ(rs->At(1024, 0).int64_value(), 1024);
-  EXPECT_EQ(db.last_stats().vec_batches, 2u);
-  EXPECT_EQ(db.last_stats().vec_rows_scanned, 1025u);
+  EXPECT_EQ(stats.vec_batches, 2u);
+  EXPECT_EQ(stats.vec_rows_scanned, 1025u);
 }
 
 TEST_F(VecExecTest, AllRowsFilteredLeavesEmptySelection) {
   Database db;
+  ExecStats stats;
   Fill(&db, 100);
-  Result<ResultSet> rs = db.Query("SELECT id FROM t WHERE id < 0");
+  Result<ResultSet> rs =
+      QueryWithStats(db, &stats, "SELECT id FROM t WHERE id < 0");
   ASSERT_TRUE(rs.ok()) << rs.status();
   EXPECT_EQ(rs->num_rows(), 0u);
   // Every row was scanned vectorized, none survived the selection.
-  EXPECT_EQ(db.last_stats().vec_rows_scanned, 100u);
-  EXPECT_EQ(db.last_stats().rows_emitted, 0u);
+  EXPECT_EQ(stats.vec_rows_scanned, 100u);
+  EXPECT_EQ(stats.rows_emitted, 0u);
 }
 
 TEST_F(VecExecTest, NullsInFilterColumnsFollowThreeValuedLogic) {
   Database db;
+  ExecStats stats;
   Fill(&db, 70);  // v NULL on ids 0, 7, ..., 63: 10 NULLs, 60 values
   auto count = [&](const std::string& where) {
-    Result<ResultSet> rs = db.Query("SELECT id FROM t WHERE " + where);
+    Result<ResultSet> rs =
+        QueryWithStats(db, &stats, "SELECT id FROM t WHERE " + where);
     EXPECT_TRUE(rs.ok()) << where << " -> " << rs.status();
     return rs.ok() ? rs->num_rows() : size_t{0};
   };
   EXPECT_EQ(count("v >= 0"), 60u);
-  EXPECT_EQ(db.last_stats().vec_rows_scanned, 70u);
+  EXPECT_EQ(stats.vec_rows_scanned, 70u);
   EXPECT_EQ(count("NOT (v >= 0)"), 0u);  // NULL stays filtered under NOT
   EXPECT_EQ(count("v IS NULL"), 10u);
   EXPECT_EQ(count("v IS NOT NULL"), 60u);
@@ -402,53 +414,59 @@ TEST_F(VecExecTest, NullsInFilterColumnsFollowThreeValuedLogic) {
 
 TEST_F(VecExecTest, PointLookupRoutingIsDemandBased) {
   Database db;
+  ExecStats stats;
   Fill(&db, 100);
   // First point lookup on a never-indexed column: no index exists and
   // none has proven worth building, so the vectorized sweep answers it
   // (the old routing sent every `col = literal` to the row path and
   // paid a full row-at-a-time scan for a one-off query).
-  Result<ResultSet> rs = db.Query("SELECT v FROM t WHERE id = 5");
+  Result<ResultSet> rs =
+      QueryWithStats(db, &stats, "SELECT v FROM t WHERE id = 5");
   ASSERT_TRUE(rs.ok()) << rs.status();
   ASSERT_EQ(rs->num_rows(), 1u);
   EXPECT_EQ(rs->At(0, 0).int64_value(), 10);
-  EXPECT_EQ(db.last_stats().index_scans, 0u);
-  EXPECT_GT(db.last_stats().vec_batches, 0u);
+  EXPECT_EQ(stats.index_scans, 0u);
+  EXPECT_GT(stats.vec_batches, 0u);
   // The repeat is the demand signal: the row engine builds the lazy
   // index and the point lookup touches only the matching row.
-  rs = db.Query("SELECT v FROM t WHERE id = 6");
+  rs = QueryWithStats(db, &stats, "SELECT v FROM t WHERE id = 6");
   ASSERT_TRUE(rs.ok()) << rs.status();
   ASSERT_EQ(rs->num_rows(), 1u);
   EXPECT_EQ(rs->At(0, 0).int64_value(), 12);
-  EXPECT_EQ(db.last_stats().index_scans, 1u);
-  EXPECT_EQ(db.last_stats().rows_scanned, 1u);
-  EXPECT_EQ(db.last_stats().vec_batches, 0u);
+  EXPECT_EQ(stats.index_scans, 1u);
+  EXPECT_EQ(stats.rows_scanned, 1u);
+  EXPECT_EQ(stats.vec_batches, 0u);
   // Once fresh, the index keeps winning.
-  rs = db.Query("SELECT v FROM t WHERE id = 7");
+  rs = QueryWithStats(db, &stats, "SELECT v FROM t WHERE id = 7");
   ASSERT_TRUE(rs.ok()) << rs.status();
-  EXPECT_EQ(db.last_stats().index_scans, 1u);
-  EXPECT_EQ(db.last_stats().rows_scanned, 1u);
+  EXPECT_EQ(stats.index_scans, 1u);
+  EXPECT_EQ(stats.rows_scanned, 1u);
 }
 
 TEST_F(VecExecTest, UnsupportedExpressionFallsBackToTheRowEngine) {
   Database db;
+  ExecStats stats;
   Fill(&db, 10);
-  Result<ResultSet> rs = db.Query(
+  Result<ResultSet> rs = QueryWithStats(
+      db, &stats,
       "SELECT id FROM t WHERE CASE WHEN v IS NULL THEN 0 ELSE v END >= 0");
   ASSERT_TRUE(rs.ok()) << rs.status();
   EXPECT_EQ(rs->num_rows(), 10u);
-  EXPECT_EQ(db.last_stats().vec_batches, 0u);
-  EXPECT_EQ(db.last_stats().rows_scanned, 10u);
+  EXPECT_EQ(stats.vec_batches, 0u);
+  EXPECT_EQ(stats.rows_scanned, 10u);
 }
 
 TEST_F(VecExecTest, LimitStopsAtTheFirstSatisfiedFragment) {
   Database db;
+  ExecStats stats;
   Fill(&db, 2500);
-  Result<ResultSet> rs = db.Query("SELECT id FROM t WHERE id >= 10 LIMIT 5");
+  Result<ResultSet> rs =
+      QueryWithStats(db, &stats, "SELECT id FROM t WHERE id >= 10 LIMIT 5");
   ASSERT_TRUE(rs.ok()) << rs.status();
   ASSERT_EQ(rs->num_rows(), 5u);
   EXPECT_EQ(rs->At(0, 0).int64_value(), 10);
   // Fragments 1 and 2 are never opened once the limit is satisfied.
-  EXPECT_EQ(db.last_stats().vec_batches, 1u);
+  EXPECT_EQ(stats.vec_batches, 1u);
 
   Result<ResultSet> zero = db.Query("SELECT id FROM t WHERE id >= 0 LIMIT 0");
   ASSERT_TRUE(zero.ok()) << zero.status();
@@ -457,15 +475,17 @@ TEST_F(VecExecTest, LimitStopsAtTheFirstSatisfiedFragment) {
 
 TEST_F(VecExecTest, ProjectionExpressionsMaterializeLate) {
   Database db;
+  ExecStats stats;
   Fill(&db, 50);
-  Result<ResultSet> rs = db.Query(
+  Result<ResultSet> rs = QueryWithStats(
+      db, &stats,
       "SELECT id + 1, v * 2, s || '!' FROM t WHERE id BETWEEN 10 AND 12");
   ASSERT_TRUE(rs.ok()) << rs.status();
   ASSERT_EQ(rs->num_rows(), 3u);
   EXPECT_EQ(rs->At(0, 0).int64_value(), 11);
   EXPECT_EQ(rs->At(0, 1).int64_value(), 40);
   EXPECT_EQ(rs->At(0, 2).string_value(), "b10!");
-  EXPECT_EQ(db.last_stats().vec_batches, 1u);
+  EXPECT_EQ(stats.vec_batches, 1u);
 }
 
 TEST_F(VecExecTest, AgreesWithTheRowEngineOnOperatorMix) {

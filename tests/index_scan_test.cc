@@ -15,6 +15,7 @@
 
 #include "client/experiment.h"
 #include "engine/database.h"
+#include "query_with_stats.h"
 #include "rules/query_builder.h"
 #include "rules/query_modificator.h"
 
@@ -60,9 +61,8 @@ class IndexScan : public ::testing::Test {
 
   /// Runs `sql` and returns its rendering plus the statement's stats.
   std::string Run(const std::string& sql, ExecStats* stats) {
-    Result<ResultSet> rs = db_.Query(sql);
+    Result<ResultSet> rs = QueryWithStats(db_, stats, sql);
     EXPECT_TRUE(rs.ok()) << sql << " -> " << rs.status();
-    *stats = db_.last_stats();
     return rs.ok() ? Render(*rs) : "error: " + rs.status().ToString();
   }
 
@@ -176,9 +176,10 @@ TEST_F(IndexScan, FailingSubqueryFallsBackToTheFullScan) {
   // whose filter surfaces the same error on the first row.
   const char* kSql =
       "SELECT * FROM t WHERE k IN (SELECT x / 0 FROM u)";
-  Result<ResultSet> rs = db_.Query(kSql);
+  ExecStats stats;
+  Result<ResultSet> rs = QueryWithStats(db_, &stats, kSql);
   ASSERT_FALSE(rs.ok());
-  EXPECT_EQ(db_.last_stats().index_scans, 0u);
+  EXPECT_EQ(stats.index_scans, 0u);
   Result<ResultSet> oracle =
       db_.Query("SELECT * FROM t WHERE (k + 0) IN (SELECT x / 0 FROM u)");
   ASSERT_FALSE(oracle.ok());
@@ -229,9 +230,9 @@ client::Experiment* MleScanCounts::experiment_ = nullptr;
 std::string* MleScanCounts::mle_sql_ = nullptr;
 
 TEST_F(MleScanCounts, RecursiveExpandScansOnlyTheLinksItReturns) {
-  Result<ResultSet> rs = db().Query(*mle_sql_);
+  ExecStats stats;
+  Result<ResultSet> rs = QueryWithStats(db(), &stats, *mle_sql_);
   ASSERT_TRUE(rs.ok()) << rs.status();
-  const ExecStats stats = db().last_stats();
   EXPECT_EQ(rs->num_rows(), 6559u);
   // One seed row plus the links whose `left` is in rtbl.
   EXPECT_EQ(stats.rows_scanned, 5466u);
@@ -261,10 +262,11 @@ TEST_F(MleScanCounts, MostSelectiveFreshIndexWins) {
   const std::string sql =
       "SELECT * FROM link WHERE hier = 'phys' AND left = " +
       std::to_string(experiment_->product().root_obid);
-  Result<ResultSet> rs = db().Query(sql);
+  ExecStats stats;
+  Result<ResultSet> rs = QueryWithStats(db(), &stats, sql);
   ASSERT_TRUE(rs.ok()) << rs.status();
-  EXPECT_EQ(db().last_stats().index_scans, 1u);
-  EXPECT_EQ(db().last_stats().rows_scanned, 5u);
+  EXPECT_EQ(stats.index_scans, 1u);
+  EXPECT_EQ(stats.rows_scanned, 5u);
   EXPECT_EQ(rs->num_rows(), 5u);
 }
 

@@ -9,10 +9,11 @@
 
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 
 #include "client/experiment.h"
 #include "engine/database.h"
+#include "query_with_stats.h"
 #include "server/db_server.h"
 #include "sql/fingerprint.h"
 
@@ -144,22 +145,28 @@ class PlanCacheTest : public ::testing::Test {
                     .ok());
   }
 
+  /// Database::Query that keeps the call's counters in stats_.
+  Result<ResultSet> Query(std::string_view sql) {
+    return QueryWithStats(db_, &stats_, sql);
+  }
+
   Database db_;
+  ExecStats stats_;
 };
 
 TEST_F(PlanCacheTest, RepeatedQueryHitsWithDifferentLiterals) {
-  Result<ResultSet> r1 = db_.Query("SELECT name FROM t WHERE id = 1");
+  Result<ResultSet> r1 = Query("SELECT name FROM t WHERE id = 1");
   ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
+  EXPECT_EQ(stats_.plan_cache_hits, 0u);
   ASSERT_EQ(r1->num_rows(), 1u);
   EXPECT_EQ(r1->At(0, 0).string_value(), "a");
 
   // Different literal, same shape: served from the cached plan.
-  Result<ResultSet> r2 = db_.Query("SELECT name FROM t WHERE id = 2");
+  Result<ResultSet> r2 = Query("SELECT name FROM t WHERE id = 2");
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 0u);
+  EXPECT_EQ(stats_.plan_cache_hits, 1u);
+  EXPECT_EQ(stats_.plan_cache_misses, 0u);
   ASSERT_EQ(r2->num_rows(), 1u);
   EXPECT_EQ(r2->At(0, 0).string_value(), "b");
 
@@ -169,14 +176,14 @@ TEST_F(PlanCacheTest, RepeatedQueryHitsWithDifferentLiterals) {
 
 TEST_F(PlanCacheTest, InListSubstitutionRebuildsLiteralSet) {
   Result<ResultSet> r1 =
-      db_.Query("SELECT COUNT(*) FROM t WHERE id IN (1, 2)");
+      Query("SELECT COUNT(*) FROM t WHERE id IN (1, 2)");
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r1->At(0, 0).int64_value(), 2);
 
   Result<ResultSet> r2 =
-      db_.Query("SELECT COUNT(*) FROM t WHERE id IN (3, 9)");
+      Query("SELECT COUNT(*) FROM t WHERE id IN (3, 9)");
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(stats_.plan_cache_hits, 1u);
   EXPECT_EQ(r2->At(0, 0).int64_value(), 1);
 }
 
@@ -196,113 +203,99 @@ TEST_F(PlanCacheTest, LargeInListSubstitution) {
     }
     return sql + ")";
   };
-  Result<ResultSet> evens = db_.Query(in_query(0));
+  Result<ResultSet> evens = Query(in_query(0));
   ASSERT_TRUE(evens.ok());
   EXPECT_EQ(evens->At(0, 0).int64_value(), 200);  // 0,2,..,398 within 0..399
 
-  Result<ResultSet> odds = db_.Query(in_query(1));
+  Result<ResultSet> odds = Query(in_query(1));
   ASSERT_TRUE(odds.ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(stats_.plan_cache_hits, 1u);
   EXPECT_EQ(odds->At(0, 0).int64_value(), 200);  // 1,3,..,399
 }
 
 TEST_F(PlanCacheTest, CreateAndDropTableFlushEntries) {
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 2").ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
+  ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 1").ok());
+  ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 2").ok());
+  EXPECT_EQ(stats_.plan_cache_hits, 1u);
 
   // CREATE TABLE bumps the schema epoch: the cached plan is discarded.
   ASSERT_TRUE(db_.Execute("CREATE TABLE other (x INTEGER)").ok());
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 3").ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 3").ok());
+  EXPECT_EQ(stats_.plan_cache_hits, 0u);
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
   EXPECT_GE(db_.plan_cache().stats().invalidations, 1u);
 
   // So does DROP TABLE.
   ASSERT_TRUE(db_.Execute("DROP TABLE other").ok());
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 1").ok());
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
   EXPECT_GE(db_.plan_cache().stats().invalidations, 2u);
 }
 
 TEST_F(PlanCacheTest, ViewDdlInvalidates) {
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());
+  ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 1").ok());
   ASSERT_TRUE(
       db_.Execute("CREATE VIEW v AS SELECT id, name FROM t WHERE id > 1")
           .ok());
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 2").ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 2").ok());
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
 
   // A cached query over the view is correct and hit on repetition.
-  Result<ResultSet> v1 = db_.Query("SELECT name FROM v WHERE id = 2");
+  Result<ResultSet> v1 = Query("SELECT name FROM v WHERE id = 2");
   ASSERT_TRUE(v1.ok());
   EXPECT_EQ(v1->At(0, 0).string_value(), "b");
-  Result<ResultSet> v2 = db_.Query("SELECT name FROM v WHERE id = 3");
+  Result<ResultSet> v2 = Query("SELECT name FROM v WHERE id = 3");
   ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(stats_.plan_cache_hits, 1u);
   EXPECT_EQ(v2->At(0, 0).string_value(), "c");
 
   ASSERT_TRUE(db_.Execute("DROP VIEW v").ok());
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 1").ok());
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
 }
 
 TEST_F(PlanCacheTest, DmlDoesNotInvalidateButSeesNewData) {
   // DML leaves plans valid — they re-scan current table contents.
-  ASSERT_TRUE(db_.Query("SELECT COUNT(*) FROM t WHERE id = 4").ok());
+  ASSERT_TRUE(Query("SELECT COUNT(*) FROM t WHERE id = 4").ok());
   ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (4, 'd', 4.0)").ok());
-  Result<ResultSet> after = db_.Query("SELECT COUNT(*) FROM t WHERE id = 4");
+  Result<ResultSet> after = Query("SELECT COUNT(*) FROM t WHERE id = 4");
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(stats_.plan_cache_hits, 1u);
   EXPECT_EQ(after->At(0, 0).int64_value(), 1);
 }
 
 TEST_F(PlanCacheTest, BinderOptionChangeInvalidates) {
   ASSERT_TRUE(
-      db_.Query("SELECT COUNT(*) FROM t AS x JOIN t AS y ON x.id = y.id "
-                "WHERE x.id > 0")
+      Query("SELECT COUNT(*) FROM t AS x JOIN t AS y ON x.id = y.id "
+            "WHERE x.id > 0")
           .ok());
   db_.options().binder.use_hash_join = false;
   Result<ResultSet> rs =
-      db_.Query("SELECT COUNT(*) FROM t AS x JOIN t AS y ON x.id = y.id "
-                "WHERE x.id > 1");
+      Query("SELECT COUNT(*) FROM t AS x JOIN t AS y ON x.id = y.id "
+            "WHERE x.id > 1");
   ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
   EXPECT_EQ(rs->At(0, 0).int64_value(), 2);
 }
 
 TEST_F(PlanCacheTest, LruEvictionAtCapacity) {
   db_.plan_cache().set_capacity(1);
-  ASSERT_TRUE(db_.Query("SELECT id FROM t WHERE id = 1").ok());
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());  // evicts
+  ASSERT_TRUE(Query("SELECT id FROM t WHERE id = 1").ok());
+  ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 1").ok());  // evicts
   EXPECT_EQ(db_.plan_cache().stats().evictions, 1u);
   EXPECT_EQ(db_.plan_cache().size(), 1u);
   // The first shape was evicted: running it again is a miss, not a hit.
-  ASSERT_TRUE(db_.Query("SELECT id FROM t WHERE id = 2").ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
-}
-
-TEST_F(PlanCacheTest, LastStatsArePerThread) {
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
-  std::thread other([this] {
-    EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);  // nothing run here yet
-    ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 2").ok());
-    EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
-  });
-  other.join();
-  // The other thread's call leaves this thread's counters alone.
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);
+  ASSERT_TRUE(Query("SELECT id FROM t WHERE id = 2").ok());
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
 }
 
 TEST_F(PlanCacheTest, ZeroCapacityCacheNeverHits) {
   db_.plan_cache().set_capacity(0);
-  ASSERT_TRUE(db_.Query("SELECT name FROM t WHERE id = 1").ok());
-  Result<ResultSet> rs = db_.Query("SELECT name FROM t WHERE id = 2");
+  ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 1").ok());
+  Result<ResultSet> rs = Query("SELECT name FROM t WHERE id = 2");
   ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  EXPECT_EQ(stats_.plan_cache_hits, 0u);
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
   EXPECT_EQ(db_.plan_cache().stats().hits, 0u);
   EXPECT_EQ(db_.plan_cache().size(), 0u);
   ASSERT_EQ(rs->num_rows(), 1u);
@@ -325,13 +318,13 @@ TEST_F(PlanCacheTest, ExactMatchOnlyEntryMissesOnOtherParameters) {
   ASSERT_EQ(cold.code(), StatusCode::kBindError) << cold;
 
   db_.plan_cache().set_capacity(capacity);
-  ASSERT_TRUE(db_.Query(kBound).ok());
-  ASSERT_TRUE(db_.Query(kBound).ok());
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u);
+  ASSERT_TRUE(Query(kBound).ok());
+  ASSERT_TRUE(Query(kBound).ok());
+  EXPECT_EQ(stats_.plan_cache_hits, 1u);
 
-  const Status warm = db_.Execute(kOther);
-  EXPECT_EQ(db_.last_stats().plan_cache_hits, 0u);
-  EXPECT_EQ(db_.last_stats().plan_cache_misses, 1u);
+  const Status warm = db_.Execute(kOther, nullptr, &stats_);
+  EXPECT_EQ(stats_.plan_cache_hits, 0u);
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
   EXPECT_EQ(warm.ToString(), cold.ToString());
 }
 
@@ -341,6 +334,9 @@ TEST_F(PlanCacheTest, CachedAndColdResultsIdenticalOnCorpus) {
   struct Case {
     const char* sql;
     const char* variant;
+    // An unaliased item is named by its text, literals included, so its
+    // variant may not reuse the cached plan.
+    size_t variant_hits = 1;
   };
   const Case kCorpus[] = {
       {"SELECT name FROM t WHERE id = 2", "SELECT name FROM t WHERE id = 3"},
@@ -360,9 +356,11 @@ TEST_F(PlanCacheTest, CachedAndColdResultsIdenticalOnCorpus) {
        "SELECT COUNT(*) FROM big WHERE id < 3",
        "WITH big AS (SELECT * FROM t WHERE score > 0.5) "
        "SELECT COUNT(*) FROM big WHERE id < 3"},
+      {"SELECT id + 1 FROM t", "SELECT id + 2 FROM t", 0},
+      {"SELECT 'a' FROM t", "SELECT 'b' FROM t", 0},
   };
   auto run = [this](const char* sql) -> std::string {
-    Result<ResultSet> rs = db_.Query(sql);
+    Result<ResultSet> rs = Query(sql);
     EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status();
     return rs.ok() ? rs->ToString(10000) : std::string();
   };
@@ -382,10 +380,11 @@ TEST_F(PlanCacheTest, CachedAndColdResultsIdenticalOnCorpus) {
     for (size_t i = 0; i < std::size(kCorpus); ++i) {
       EXPECT_EQ(run(kCorpus[i].sql), cold[i]) << kCorpus[i].sql;
       if (round == 0) continue;
-      EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u) << kCorpus[i].sql;
+      EXPECT_EQ(stats_.plan_cache_hits, 1u) << kCorpus[i].sql;
       EXPECT_EQ(run(kCorpus[i].variant), cold_variant[i])
           << kCorpus[i].variant;
-      EXPECT_EQ(db_.last_stats().plan_cache_hits, 1u) << kCorpus[i].variant;
+      EXPECT_EQ(stats_.plan_cache_hits, kCorpus[i].variant_hits)
+          << kCorpus[i].variant;
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "query_with_stats.h"
 
 namespace pdm {
 namespace {
@@ -22,12 +23,13 @@ class RecursiveCteTest : public ::testing::Test {
   }
 
   ResultSet Q(const std::string& sql) {
-    Result<ResultSet> result = db_.Query(sql);
+    Result<ResultSet> result = QueryWithStats(db_, &stats_, sql);
     EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
     return std::move(result).ValueOr(ResultSet{});
   }
 
   Database db_;
+  ExecStats stats_;  // counters of the latest Q()
 };
 
 constexpr const char* kReachabilityFrom1 = R"sql(
@@ -86,11 +88,11 @@ TEST_F(RecursiveCteTest, UnionAllKeepsDuplicatePaths) {
 
 TEST_F(RecursiveCteTest, SemiNaiveAndNaiveAgree) {
   ResultSet semi = Q(kReachabilityFrom1);
-  size_t semi_iterations = db_.last_stats().recursion_iterations;
+  size_t semi_iterations = stats_.recursion_iterations;
 
   db_.options().exec.semi_naive_recursion = false;
   ResultSet naive = Q(kReachabilityFrom1);
-  size_t naive_rows = db_.last_stats().cte_rows_scanned;
+  size_t naive_rows = stats_.cte_rows_scanned;
 
   ASSERT_EQ(semi.num_rows(), naive.num_rows());
   for (size_t i = 0; i < semi.num_rows(); ++i) {
@@ -160,8 +162,8 @@ TEST_F(RecursiveCteTest, UncorrelatedSubqueryOverCteIsCached) {
     SELECT node FROM reach
     WHERE NOT EXISTS (SELECT * FROM reach WHERE node > 1000)
   )sql");
-  EXPECT_GT(db_.last_stats().subquery_cache_hits, 0u);
-  EXPECT_LE(db_.last_stats().subquery_evaluations, 2u);
+  EXPECT_GT(stats_.subquery_cache_hits, 0u);
+  EXPECT_LE(stats_.subquery_evaluations, 2u);
 }
 
 TEST_F(RecursiveCteTest, EmptySeedYieldsEmptyResult) {
@@ -192,7 +194,7 @@ TEST_F(RecursiveCteTest, LongChainScalesLinearlyInIterations) {
     SELECT COUNT(*) FROM reach
   )sql");
   EXPECT_EQ(rs.At(0, 0).int64_value(), 201);
-  EXPECT_EQ(db_.last_stats().recursion_iterations, 201u);
+  EXPECT_EQ(stats_.recursion_iterations, 201u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "query_with_stats.h"
 
 namespace pdm {
 namespace {
@@ -73,13 +74,14 @@ class VecJoinAggTest : public ::testing::Test {
   /// callers can pin which executor actually ran.
   static ExecStats Differential(Database* db, const std::string& sql) {
     db->options().exec.vectorized_execution = true;
-    Result<ResultSet> vec = db->Query(sql);
+    ExecStats vec_stats;
+    Result<ResultSet> vec = QueryWithStats(*db, &vec_stats, sql);
     EXPECT_TRUE(vec.ok()) << sql << " -> " << vec.status();
-    ExecStats vec_stats = db->last_stats();
     db->options().exec.vectorized_execution = false;
-    Result<ResultSet> row = db->Query(sql);
+    ExecStats row_stats;
+    Result<ResultSet> row = QueryWithStats(*db, &row_stats, sql);
     EXPECT_TRUE(row.ok()) << sql << " -> " << row.status();
-    EXPECT_EQ(db->last_stats().vec_batches, 0u) << sql;
+    EXPECT_EQ(row_stats.vec_batches, 0u) << sql;
     db->options().exec.vectorized_execution = true;
     if (vec.ok() && row.ok()) {
       EXPECT_EQ(vec->ToString(1 << 24), row->ToString(1 << 24)) << sql;
@@ -307,10 +309,11 @@ TEST_F(VecJoinAggTest, OrderByOverBridgedScanIsStable) {
   // Sort itself stays on the row path but its input arrives through
   // the batch->row bridge — and ties on grp must keep scan (= id)
   // order, pinned by SortExecutor's stable_sort.
-  Result<ResultSet> rs =
-      db.Query("SELECT grp, id FROM obj WHERE val IS NOT NULL ORDER BY grp");
+  ExecStats stats;
+  Result<ResultSet> rs = QueryWithStats(
+      db, &stats, "SELECT grp, id FROM obj WHERE val IS NOT NULL ORDER BY grp");
   ASSERT_TRUE(rs.ok()) << rs.status();
-  EXPECT_GT(db.last_stats().vec_batches, 0u);
+  EXPECT_GT(stats.vec_batches, 0u);
   int64_t prev_grp = -1;
   int64_t prev_id = -1;
   for (size_t i = 0; i < rs->num_rows(); ++i) {

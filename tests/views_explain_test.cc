@@ -51,6 +51,27 @@ TEST_F(ViewsTest, ViewsSeeLiveData) {
                   .ok());
   ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (4, 'x')").ok());
   EXPECT_EQ(Q("SELECT COUNT(*) FROM xs").At(0, 0).int64_value(), 3);
+
+  // DML predicates read through views as SELECTs do, and touch exactly
+  // the rows the SELECT returns; the view itself is no DML target.
+  ASSERT_TRUE(db_.Execute("CREATE VIEW big AS SELECT a FROM t WHERE a > 1")
+                  .ok());
+  const std::string selected =
+      Q("SELECT a FROM t WHERE a IN (SELECT a FROM big) ORDER BY 1")
+          .ToString();
+  EXPECT_EQ(Q("SELECT COUNT(*) FROM big").At(0, 0).int64_value(), 3);
+  ResultSet dml;
+  ASSERT_TRUE(
+      db_.Execute("UPDATE t SET b = 'z' WHERE a IN (SELECT a FROM big)", &dml)
+          .ok());
+  EXPECT_EQ(dml.affected_rows, 3u);
+  EXPECT_EQ(Q("SELECT a FROM t WHERE b = 'z' ORDER BY 1").ToString(),
+            selected);
+  EXPECT_FALSE(db_.Execute("UPDATE big SET a = 0").ok());
+  ASSERT_TRUE(
+      db_.Execute("DELETE FROM t WHERE a IN (SELECT a FROM big)", &dml).ok());
+  EXPECT_EQ(dml.affected_rows, 3u);
+  EXPECT_EQ(Q("SELECT a FROM t").num_rows(), 1u);
 }
 
 TEST_F(ViewsTest, OrReplaceAndDuplicates) {
