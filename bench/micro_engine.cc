@@ -75,6 +75,47 @@ void BM_RenderRecursiveQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderRecursiveQuery);
 
+/// The statement the navigate workload ships once per node: the a9b3
+/// navigational (early rule evaluation) single-level expand, taken from
+/// the server's statement log for the root.
+const std::string& NavExpandSql() {
+  static const std::string* kSql = [] {
+    const model::TreeParams a9b3 = model::PaperTreeScenarios()[1];
+    Result<std::unique_ptr<client::Experiment>> e = client::Experiment::Create(
+        MakeExperimentConfig(a9b3, model::NetworkParams{}));
+    if (!e.ok()) std::abort();
+    DbServer& server = (*e)->server();
+    server.EnableStatementLog(true);
+    std::unique_ptr<client::AccessStrategy> nav =
+        (*e)->MakeStrategy(model::StrategyKind::kNavigationalEarly);
+    if (!nav->SingleLevelExpand((*e)->product().root_obid).ok()) std::abort();
+    std::vector<DbServer::StatementLogEntry> log = server.statement_log();
+    if (log.empty()) std::abort();
+    return new std::string(log.front().sql);
+  }();
+  return *kSql;
+}
+
+/// Server-side reading of one navigational statement's text: the lexer
+/// pass plus the fingerprint (key, parameters, flags). One iteration is
+/// one statement, so the reported time is ns per statement.
+void BM_FingerprintNavExpand(benchmark::State& state) {
+  const std::string& sql = NavExpandSql();
+  size_t tokens = 0;
+  for (auto _ : state) {
+    Result<sql::StatementFingerprint> fp = sql::FingerprintSql(sql);
+    if (!fp.ok()) {
+      state.SkipWithError("fingerprint failed");
+      return;
+    }
+    tokens = fp->tokens.size();
+    benchmark::DoNotOptimize(fp);
+  }
+  state.counters["bytes"] = static_cast<double>(sql.size());
+  state.counters["tokens"] = static_cast<double>(tokens);
+}
+BENCHMARK(BM_FingerprintNavExpand);
+
 void BM_PointLookup(benchmark::State& state) {
   client::Experiment& e = *SharedExperiment();
   Database& db = e.server().database();
