@@ -397,8 +397,9 @@ Status DbServer::RunStatement(
   // Dimensioned latency: one LogHistogram per (site, stmt_class,
   // engine). Site is fixed per server, so the slot cache keys on the
   // other two; a racing first fill stores the same stable pointer.
-  const std::string_view stmt_class =
-      ClassifyStatementClass(fingerprint.ok() && fingerprint->dml, sql, stats);
+  const std::string_view stmt_class = ClassifyStatementClass(
+      fingerprint.ok() && fingerprint->dml,
+      fingerprint.ok() && fingerprint->expand, stats);
   const std::string_view engine = EngineLabel(stats);
   const size_t slot = StmtHistogramSlot(stmt_class, engine);
   obs::LogHistogram* hist = stmt_histograms_[slot].load(std::memory_order_acquire);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 
 #include "common/string_util.h"
 #include "obs/export.h"
@@ -12,20 +11,6 @@ namespace pdm {
 namespace {
 
 constexpr uint64_t kUnsetBound = ~uint64_t{0};
-
-bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
-  if (needle.empty() || haystack.size() < needle.size()) return false;
-  for (size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
-    size_t j = 0;
-    while (j < needle.size() &&
-           std::tolower(static_cast<unsigned char>(haystack[i + j])) ==
-               std::tolower(static_cast<unsigned char>(needle[j]))) {
-      ++j;
-    }
-    if (j == needle.size()) return true;
-  }
-  return false;
-}
 
 /// Orders records most-expensive-first (ties broken by wall seconds so
 /// the order is still deterministic for equal simulated charges).
@@ -43,17 +28,13 @@ bool HeapCmp(const SlowQueryRecord& a, const SlowQueryRecord& b) {
 
 }  // namespace
 
-std::string_view ClassifyStatementClass(bool dml, std::string_view sql,
+std::string_view ClassifyStatementClass(bool dml, bool expand,
                                         const ExecStats& stats) {
   // DML first: a write is a write regardless of what its scans touched.
   if (dml) return "dml";
   // Structure expansion (the paper's dominant workload): recursive CTE
   // traversals and direct link-table hops.
-  if (stats.cte_rows_scanned > 0 ||
-      ContainsIgnoreCase(sql, "with recursive") ||
-      ContainsIgnoreCase(sql, "link.left")) {
-    return "expand";
-  }
+  if (expand || stats.cte_rows_scanned > 0) return "expand";
   if (stats.agg_input_rows + stats.vec_agg_input_rows > 0) return "agg";
   if (stats.join_probe_rows + stats.vec_join_probe_rows > 0 ||
       stats.hash_join_builds > 0 || stats.index_join_probes > 0) {

@@ -28,11 +28,12 @@ struct SlowQueryRecord : StatementRecord {
 };
 
 /// Statement-class label for the dimensioned metrics and the slow-query
-/// log: dml | expand | agg | join | point | scan. `dml` is the
-/// statement fingerprint's flag (sql/fingerprint.h); the rest is
-/// decided from the SQL shape plus the realized ExecStats (a recursive
-/// expand is "expand" even though it also joins and scans).
-std::string_view ClassifyStatementClass(bool dml, std::string_view sql,
+/// log: dml | expand | agg | join | point | scan. `dml` and `expand`
+/// are the statement fingerprint's flags (sql/fingerprint.h: a write,
+/// and the WITH RECURSIVE / `link.left` token cue); the rest is decided
+/// from the realized ExecStats (a recursive expand is "expand" even
+/// though it also joins and scans).
+std::string_view ClassifyStatementClass(bool dml, bool expand,
                                         const ExecStats& stats);
 
 /// Engine label: "vec" when any vectorized row counter is non-zero,

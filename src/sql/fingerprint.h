@@ -11,11 +11,16 @@
 
 namespace pdm::sql {
 
-/// Normalized form of one SQL statement, produced by a pass over the
-/// lexer token stream (no parse). It is the server's only reading of
+/// Normalized form of one SQL statement, produced in the same single
+/// pass that lexes it (no parse). It is the server's only reading of
 /// the statement text: the plan cache keys on it, the parser consumes
 /// its tokens, and the scheduler's lane and label decisions read its
 /// flags.
+///
+/// A fingerprint borrows the text it was made from: its tokens view
+/// that text (sql/token.h), so the text must stay alive, unmodified,
+/// for as long as the fingerprint is parsed from. `key` and `params`
+/// are owned copies.
 ///
 /// Literals are replaced by type-tagged placeholders (`?i` / `?d` /
 /// `?s`) and collected into `params` in token order, so that the
@@ -40,15 +45,21 @@ struct StatementFingerprint {
   /// True when the first token is INSERT, UPDATE or DELETE (after any
   /// comments, in any letter case).
   bool dml = false;
-  /// The token stream, reusable to parse the statement without
-  /// re-lexing on a cache miss.
+  /// True when the tokens hold the structure-expansion cue: the keyword
+  /// pair WITH RECURSIVE, or the qualified column `link . left` (any
+  /// case). Literals and comments never count. It feeds the `expand`
+  /// statement-class label (server/slow_query_log.h).
+  bool expand = false;
+  /// The token stream, views into the statement text, reusable to parse
+  /// the statement without re-lexing on a cache miss.
   std::vector<Token> tokens;
 };
 
-/// Tokenizes `sql` and fingerprints it. Non-SELECT statements come back
-/// with `cacheable == false` (tokens still populated). Fails only on
-/// lexical errors, with the lexer's ParseError: callers report that
-/// status as the statement's outcome instead of lexing again.
+/// Tokenizes `sql` and fingerprints it in one pass. Non-SELECT
+/// statements come back with `cacheable == false` (tokens still
+/// populated). Fails only on lexical errors, with the lexer's
+/// ParseError: callers report that status as the statement's outcome
+/// instead of lexing again. The result borrows `sql` (see above).
 Result<StatementFingerprint> FingerprintSql(std::string_view sql);
 
 /// Process-wide count of FingerprintSql calls (each is one full lexer

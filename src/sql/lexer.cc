@@ -1,249 +1,263 @@
 #include "sql/lexer.h"
 
-#include <cctype>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "common/string_util.h"
 
 namespace pdm::sql {
 
 namespace {
-bool IsIdentStart(char c) {
-  // '$' admits the rule layer's $user placeholder qualifier.
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$';
+
+enum CharClass : uint8_t {
+  kIdentStart = 1,  // may begin an identifier
+  kIdentChar = 2,   // may continue one
+  kDigit = 4,
+};
+
+constexpr std::array<uint8_t, 256> kCharClasses = [] {
+  std::array<uint8_t, 256> classes{};
+  for (int c = 'a'; c <= 'z'; ++c) classes[c] = kIdentStart | kIdentChar;
+  for (int c = 'A'; c <= 'Z'; ++c) classes[c] = kIdentStart | kIdentChar;
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kIdentChar | kDigit;
+  classes['_'] = kIdentStart | kIdentChar;
+  // '$' admits the rule layer's $user placeholder qualifier, as the
+  // first character only.
+  classes['$'] = kIdentStart;
+  return classes;
+}();
+
+bool Is(char c, CharClass cls) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & cls) != 0;
 }
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+
+/// PackUpper for LookupPackedKeyword: one unaligned load when eight
+/// bytes from the word's start are inside the text.
+static_assert(std::endian::native == std::endian::little);
+uint64_t PackUpper(std::string_view word, const char* end) {
+  uint64_t packed = 0;
+  if (end - word.data() >= 8) {
+    std::memcpy(&packed, word.data(), 8);
+    if (word.size() < 8) packed &= (uint64_t{1} << (8 * word.size())) - 1;
+  } else {
+    for (size_t i = 0; i < word.size(); ++i) {
+      packed |= uint64_t{static_cast<unsigned char>(word[i])} << (8 * i);
+    }
+  }
+  return packed & 0xDFDFDFDFDFDFDFDFULL;
 }
-bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+double ParseDouble(std::string_view text) {
+  char buf[64];
+  if (text.size() < sizeof(buf)) {
+    std::memcpy(buf, text.data(), text.size());
+    buf[text.size()] = '\0';
+    return std::strtod(buf, nullptr);
+  }
+  return std::strtod(std::string(text).c_str(), nullptr);
+}
+
 }  // namespace
 
-Result<std::vector<Token>> Lexer::Tokenize() {
-  std::vector<Token> tokens;
-  while (true) {
-    PDM_ASSIGN_OR_RETURN(Token token, NextToken());
-    bool at_end = token.kind == TokenKind::kEnd;
-    tokens.push_back(std::move(token));
-    if (at_end) break;
-  }
-  return tokens;
+bool Lexer::Fail(const char* at, const char* message) {
+  error_ = Status::ParseError(
+      StrFormat("%s at line %d, column %d", message, line_,
+                static_cast<int>(at - line_start_) + 1));
+  return false;
 }
 
-char Lexer::Peek(size_t offset) const {
-  return pos_ + offset < input_.size() ? input_[pos_ + offset] : '\0';
-}
-
-char Lexer::Advance() {
-  char c = input_[pos_++];
-  if (c == '\n') {
-    ++line_;
-    column_ = 1;
-  } else {
-    ++column_;
-  }
-  return c;
-}
-
-Status Lexer::ErrorHere(std::string message) const {
-  return Status::ParseError(StrFormat("%s at line %d, column %d",
-                                      message.c_str(), line_, column_));
-}
-
-void Lexer::SkipWhitespaceAndComments() {
-  while (!AtEnd()) {
-    char c = Peek();
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-      Advance();
-    } else if (c == '-' && Peek(1) == '-') {
-      while (!AtEnd() && Peek() != '\n') Advance();
-    } else if (c == '/' && Peek(1) == '*') {
-      Advance();
-      Advance();
-      while (!AtEnd() && !(Peek() == '*' && Peek(1) == '/')) Advance();
-      if (!AtEnd()) {
-        Advance();
-        Advance();
-      }
+bool Lexer::Next(Token* token) {
+  // Whitespace and comments.
+  const char* p = pos_;
+  while (p < end_) {
+    const char c = *p;
+    if (c == ' ' || c == '\t' || c == '\r') {
+      ++p;
+    } else if (c == '\n') {
+      ++line_;
+      line_start_ = ++p;
+    } else if (c == '-' && At(p + 1) == '-') {
+      p += 2;
+      while (p < end_ && *p != '\n') ++p;
+    } else if (c == '/' && At(p + 1) == '*') {
+      p += 2;
+      while (p < end_ && !(*p == '*' && At(p + 1) == '/')) NextChar(&p);
+      p = p < end_ ? p + 2 : end_;
     } else {
       break;
     }
   }
-}
+  pos_ = p;
 
-Result<Token> Lexer::NextToken() {
-  SkipWhitespaceAndComments();
-  Token token;
-  token.line = line_;
-  token.column = column_;
-  if (AtEnd()) {
-    token.kind = TokenKind::kEnd;
-    return token;
-  }
+  Token& t = *token;
+  t = Token();
+  t.line = line_;
+  t.column = static_cast<int>(p - line_start_) + 1;
+  if (p == end_) return true;
 
-  char c = Peek();
-
-  // Identifiers and keywords.
-  if (IsIdentStart(c)) {
-    std::string word;
-    word += Advance();  // first char may be '$', which IsIdentChar rejects
-    while (!AtEnd() && IsIdentChar(Peek())) word += Advance();
-    if (IsReservedKeyword(word)) {
-      token.kind = TokenKind::kKeyword;
-      token.text = ToUpperAscii(word);
+  const char* const start = p;
+  const char c = *p;
+  if (Is(c, kIdentStart)) {
+    // Identifiers and keywords.
+    ++p;
+    while (p < end_ && Is(*p, kIdentChar)) ++p;
+    const std::string_view word(start, static_cast<size_t>(p - start));
+    t.keyword = LookupPackedKeyword(PackUpper(word, end_), word);
+    if (t.keyword != Keyword::kNone) {
+      t.kind = TokenKind::kKeyword;
+      t.text = KeywordText(t.keyword);
     } else {
-      token.kind = TokenKind::kIdentifier;
-      token.text = std::move(word);
+      t.kind = TokenKind::kIdentifier;
+      t.text = word;
     }
-    return token;
-  }
-
-  // Quoted identifiers: "NAME" (used by the paper for result aliases).
-  if (c == '"') {
-    Advance();
-    std::string word;
-    while (!AtEnd() && Peek() != '"') word += Advance();
-    if (AtEnd()) return ErrorHere("unterminated quoted identifier");
-    Advance();  // closing quote
-    token.kind = TokenKind::kIdentifier;
-    token.text = std::move(word);
-    return token;
-  }
-
-  // String literals: 'abc', with '' as escaped quote.
-  if (c == '\'') {
-    Advance();
-    std::string text;
+  } else if (c == '"') {
+    // Quoted identifiers: "NAME" (used by the paper for result aliases).
+    ++p;
+    while (p < end_ && *p != '"') NextChar(&p);
+    if (p == end_) return Fail(p, "unterminated quoted identifier");
+    t.kind = TokenKind::kIdentifier;
+    t.text = std::string_view(start + 1, static_cast<size_t>(p - start - 1));
+    ++p;
+  } else if (c == '\'') {
+    // String literals: 'abc', with '' as escaped quote.
+    ++p;
     while (true) {
-      if (AtEnd()) return ErrorHere("unterminated string literal");
-      char s = Advance();
-      if (s == '\'') {
-        if (Peek() == '\'') {
-          text += '\'';
-          Advance();
-        } else {
-          break;
-        }
-      } else {
-        text += s;
-      }
+      while (p < end_ && *p != '\'') NextChar(&p);
+      if (p == end_) return Fail(p, "unterminated string literal");
+      if (At(p + 1) != '\'') break;
+      t.has_escaped_quote = true;
+      p += 2;
     }
-    token.kind = TokenKind::kStringLiteral;
-    token.text = std::move(text);
-    return token;
-  }
-
-  // Numeric literals: 42, 4.2, .5, 1e3, 1.5e-2.
-  if (IsDigit(c) || (c == '.' && IsDigit(Peek(1)))) {
-    std::string text;
+    t.kind = TokenKind::kStringLiteral;
+    t.text = std::string_view(start + 1, static_cast<size_t>(p - start - 1));
+    ++p;
+  } else if (Is(c, kDigit) || (c == '.' && Is(At(p + 1), kDigit))) {
+    // Numeric literals: 42, 4.2, .5, 5., 1e3, 1.5e-2.
     bool is_double = false;
-    while (!AtEnd() && IsDigit(Peek())) text += Advance();
-    if (!AtEnd() && Peek() == '.' && IsDigit(Peek(1))) {
+    while (p < end_ && Is(*p, kDigit)) ++p;
+    if (At(p) == '.' && Is(At(p + 1), kDigit)) {
       is_double = true;
-      text += Advance();
-      while (!AtEnd() && IsDigit(Peek())) text += Advance();
-    } else if (!AtEnd() && Peek() == '.' && !IsIdentStart(Peek(1))) {
-      // trailing dot as in "5." — tolerate
-      is_double = true;
-      text += Advance();
+      ++p;
+      while (p < end_ && Is(*p, kDigit)) ++p;
+    } else if (At(p) == '.' && !Is(At(p + 1), kIdentStart)) {
+      is_double = true;  // trailing dot as in "5." — tolerate
+      ++p;
     }
-    if (!AtEnd() && (Peek() == 'e' || Peek() == 'E') &&
-        (IsDigit(Peek(1)) ||
-         ((Peek(1) == '+' || Peek(1) == '-') && IsDigit(Peek(2))))) {
+    if ((At(p) == 'e' || At(p) == 'E') &&
+        (Is(At(p + 1), kDigit) ||
+         ((At(p + 1) == '+' || At(p + 1) == '-') && Is(At(p + 2), kDigit)))) {
       is_double = true;
-      text += Advance();
-      if (Peek() == '+' || Peek() == '-') text += Advance();
-      while (!AtEnd() && IsDigit(Peek())) text += Advance();
+      p += 2;  // the 'e' and its sign or first digit
+      while (p < end_ && Is(*p, kDigit)) ++p;
     }
-    token.text = text;
+    t.text = std::string_view(start, static_cast<size_t>(p - start));
     if (is_double) {
-      token.kind = TokenKind::kDoubleLiteral;
-      token.double_value = std::strtod(text.c_str(), nullptr);
+      t.kind = TokenKind::kDoubleLiteral;
+      t.double_value = ParseDouble(t.text);
     } else {
-      token.kind = TokenKind::kIntegerLiteral;
-      errno = 0;
-      token.int_value = std::strtoll(text.c_str(), nullptr, 10);
-      if (errno == ERANGE) return ErrorHere("integer literal out of range");
+      t.kind = TokenKind::kIntegerLiteral;
+      constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+      int64_t value = 0;
+      for (char digit : t.text) {
+        const int d = digit - '0';
+        if (value > (kMax - d) / 10) {
+          return Fail(p, "integer literal out of range");
+        }
+        value = value * 10 + d;
+      }
+      t.int_value = value;
     }
-    return token;
+  } else {
+    // Operators / punctuation.
+    ++p;
+    switch (c) {
+      case '(':
+        t.kind = TokenKind::kLeftParen;
+        break;
+      case ')':
+        t.kind = TokenKind::kRightParen;
+        break;
+      case ',':
+        t.kind = TokenKind::kComma;
+        break;
+      case '.':
+        t.kind = TokenKind::kDot;
+        break;
+      case ';':
+        t.kind = TokenKind::kSemicolon;
+        break;
+      case '*':
+        t.kind = TokenKind::kStar;
+        break;
+      case '+':
+        t.kind = TokenKind::kPlus;
+        break;
+      case '-':
+        t.kind = TokenKind::kMinus;
+        break;
+      case '/':
+        t.kind = TokenKind::kSlash;
+        break;
+      case '%':
+        t.kind = TokenKind::kPercent;
+        break;
+      case '=':
+        t.kind = TokenKind::kEq;
+        break;
+      case '!':
+        if (At(p) != '=') return Fail(p, "unexpected character '!'");
+        ++p;
+        t.kind = TokenKind::kNotEq;
+        break;
+      case '<':
+        if (At(p) == '=') {
+          ++p;
+          t.kind = TokenKind::kLessEq;
+        } else if (At(p) == '>') {
+          ++p;
+          t.kind = TokenKind::kNotEq;
+        } else {
+          t.kind = TokenKind::kLess;
+        }
+        break;
+      case '>':
+        if (At(p) == '=') {
+          ++p;
+          t.kind = TokenKind::kGreaterEq;
+        } else {
+          t.kind = TokenKind::kGreater;
+        }
+        break;
+      case '|':
+        if (At(p) != '|') return Fail(p, "unexpected character '|'");
+        ++p;
+        t.kind = TokenKind::kConcat;
+        break;
+      default:
+        // Formatted in two steps, as a NUL byte cuts the message short.
+        return Fail(p,
+                    StrFormat("unexpected character '%c'", c).c_str());
+    }
+    t.text = std::string_view(start, static_cast<size_t>(p - start));
   }
-
-  // Operators / punctuation.
-  Advance();
-  switch (c) {
-    case '(':
-      token.kind = TokenKind::kLeftParen;
-      return token;
-    case ')':
-      token.kind = TokenKind::kRightParen;
-      return token;
-    case ',':
-      token.kind = TokenKind::kComma;
-      return token;
-    case '.':
-      token.kind = TokenKind::kDot;
-      return token;
-    case ';':
-      token.kind = TokenKind::kSemicolon;
-      return token;
-    case '*':
-      token.kind = TokenKind::kStar;
-      return token;
-    case '+':
-      token.kind = TokenKind::kPlus;
-      return token;
-    case '-':
-      token.kind = TokenKind::kMinus;
-      return token;
-    case '/':
-      token.kind = TokenKind::kSlash;
-      return token;
-    case '%':
-      token.kind = TokenKind::kPercent;
-      return token;
-    case '=':
-      token.kind = TokenKind::kEq;
-      return token;
-    case '!':
-      if (Peek() == '=') {
-        Advance();
-        token.kind = TokenKind::kNotEq;
-        return token;
-      }
-      return ErrorHere("unexpected character '!'");
-    case '<':
-      if (Peek() == '=') {
-        Advance();
-        token.kind = TokenKind::kLessEq;
-      } else if (Peek() == '>') {
-        Advance();
-        token.kind = TokenKind::kNotEq;
-      } else {
-        token.kind = TokenKind::kLess;
-      }
-      return token;
-    case '>':
-      if (Peek() == '=') {
-        Advance();
-        token.kind = TokenKind::kGreaterEq;
-      } else {
-        token.kind = TokenKind::kGreater;
-      }
-      return token;
-    case '|':
-      if (Peek() == '|') {
-        Advance();
-        token.kind = TokenKind::kConcat;
-        return token;
-      }
-      return ErrorHere("unexpected character '|'");
-    default:
-      return ErrorHere(StrFormat("unexpected character '%c'", c));
-  }
+  pos_ = p;
+  return true;
 }
 
 Result<std::vector<Token>> TokenizeSql(std::string_view sql) {
   Lexer lexer(sql);
-  return lexer.Tokenize();
+  std::vector<Token> tokens;
+  Token token;
+  do {
+    if (!lexer.Next(&token)) return lexer.error();
+    tokens.push_back(token);
+  } while (token.kind != TokenKind::kEnd);
+  return tokens;
 }
 
 }  // namespace pdm::sql

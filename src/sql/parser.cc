@@ -27,7 +27,7 @@ bool Parser::MatchToken(TokenKind kind) {
   return false;
 }
 
-bool Parser::MatchKeyword(std::string_view kw) {
+bool Parser::MatchKeyword(Keyword kw) {
   if (CheckKeyword(kw)) {
     Advance();
     return true;
@@ -44,18 +44,18 @@ Status Parser::Expect(TokenKind kind, std::string_view what) {
                    Peek().Describe());
 }
 
-Status Parser::ExpectKeyword(std::string_view kw) {
+Status Parser::ExpectKeyword(Keyword kw) {
   if (CheckKeyword(kw)) {
     Advance();
     return Status::OK();
   }
-  return ErrorHere("expected " + std::string(kw) + ", found " +
+  return ErrorHere("expected " + std::string(KeywordText(kw)) + ", found " +
                    Peek().Describe());
 }
 
 Result<std::string> Parser::ExpectIdentifier(std::string_view what) {
   if (Check(TokenKind::kIdentifier)) {
-    return Advance().text;
+    return std::string(Advance().text);
   }
   return ErrorHere("expected " + std::string(what) + ", found " +
                    Peek().Describe());
@@ -71,25 +71,25 @@ Status Parser::ErrorHere(std::string message) const {
 
 Result<StatementPtr> Parser::ParseTopLevel() {
   next_param_slot_ = 0;  // fingerprint parameter ordinals are per-statement
-  if (CheckKeyword("SELECT") || CheckKeyword("WITH")) {
+  if (CheckKeyword(Keyword::kSelect) || CheckKeyword(Keyword::kWith)) {
     return ParseSelectStatement();
   }
-  if (CheckKeyword("EXPLAIN")) return ParseExplain();
-  if (CheckKeyword("CREATE")) {
-    if (Peek(1).IsKeyword("VIEW") ||
-        (Peek(1).IsKeyword("OR") && Peek(2).IsKeyword("REPLACE"))) {
+  if (CheckKeyword(Keyword::kExplain)) return ParseExplain();
+  if (CheckKeyword(Keyword::kCreate)) {
+    if (Peek(1).IsKeyword(Keyword::kView) ||
+        (Peek(1).IsKeyword(Keyword::kOr) && Peek(2).IsKeyword(Keyword::kReplace))) {
       return ParseCreateView();
     }
     return ParseCreateTable();
   }
-  if (CheckKeyword("DROP")) {
-    if (Peek(1).IsKeyword("VIEW")) return ParseDropView();
+  if (CheckKeyword(Keyword::kDrop)) {
+    if (Peek(1).IsKeyword(Keyword::kView)) return ParseDropView();
     return ParseDropTable();
   }
-  if (CheckKeyword("INSERT")) return ParseInsert();
-  if (CheckKeyword("UPDATE")) return ParseUpdate();
-  if (CheckKeyword("DELETE")) return ParseDelete();
-  if (CheckKeyword("CALL")) return ParseCall();
+  if (CheckKeyword(Keyword::kInsert)) return ParseInsert();
+  if (CheckKeyword(Keyword::kUpdate)) return ParseUpdate();
+  if (CheckKeyword(Keyword::kDelete)) return ParseDelete();
+  if (CheckKeyword(Keyword::kCall)) return ParseCall();
   return ErrorHere("expected a statement, found " + Peek().Describe());
 }
 
@@ -118,7 +118,7 @@ Result<std::vector<StatementPtr>> Parser::ParseScript() {
 }
 
 Result<StatementPtr> Parser::ParseExplain() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("EXPLAIN"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kExplain));
   auto stmt = std::make_unique<ExplainStmt>();
   PDM_ASSIGN_OR_RETURN(StatementPtr select, ParseSelectStatement());
   stmt->select.reset(static_cast<SelectStmt*>(select.release()));
@@ -126,27 +126,27 @@ Result<StatementPtr> Parser::ParseExplain() {
 }
 
 Result<StatementPtr> Parser::ParseCreateView() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("CREATE"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kCreate));
   auto stmt = std::make_unique<CreateViewStmt>();
-  if (MatchKeyword("OR")) {
-    PDM_RETURN_NOT_OK(ExpectKeyword("REPLACE"));
+  if (MatchKeyword(Keyword::kOr)) {
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kReplace));
     stmt->or_replace = true;
   }
-  PDM_RETURN_NOT_OK(ExpectKeyword("VIEW"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kView));
   PDM_ASSIGN_OR_RETURN(stmt->view_name, ExpectIdentifier("view name"));
-  PDM_RETURN_NOT_OK(ExpectKeyword("AS"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kAs));
   PDM_ASSIGN_OR_RETURN(StatementPtr select, ParseSelectStatement());
   stmt->select.reset(static_cast<SelectStmt*>(select.release()));
   return StatementPtr(std::move(stmt));
 }
 
 Result<StatementPtr> Parser::ParseDropView() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("DROP"));
-  PDM_RETURN_NOT_OK(ExpectKeyword("VIEW"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kDrop));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kView));
   auto stmt = std::make_unique<DropViewStmt>();
-  if (CheckKeyword("IF")) {
+  if (CheckKeyword(Keyword::kIf)) {
     Advance();
-    PDM_RETURN_NOT_OK(ExpectKeyword("EXISTS"));
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kExists));
     stmt->if_exists = true;
   }
   PDM_ASSIGN_OR_RETURN(stmt->view_name, ExpectIdentifier("view name"));
@@ -166,8 +166,8 @@ Result<ExprPtr> Parser::ParseStandaloneExpression() {
 
 Result<StatementPtr> Parser::ParseSelectStatement() {
   auto stmt = std::make_unique<SelectStmt>();
-  if (MatchKeyword("WITH")) {
-    stmt->recursive = MatchKeyword("RECURSIVE");
+  if (MatchKeyword(Keyword::kWith)) {
+    stmt->recursive = MatchKeyword(Keyword::kRecursive);
     do {
       CommonTableExpr cte;
       PDM_ASSIGN_OR_RETURN(cte.name, ExpectIdentifier("CTE name"));
@@ -179,7 +179,7 @@ Result<StatementPtr> Parser::ParseSelectStatement() {
         } while (MatchToken(TokenKind::kComma));
         PDM_RETURN_NOT_OK(Expect(TokenKind::kRightParen, "')'"));
       }
-      PDM_RETURN_NOT_OK(ExpectKeyword("AS"));
+      PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kAs));
       PDM_RETURN_NOT_OK(Expect(TokenKind::kLeftParen, "'('"));
       PDM_ASSIGN_OR_RETURN(cte.query, ParseQueryExpr());
       PDM_RETURN_NOT_OK(Expect(TokenKind::kRightParen, "')'"));
@@ -195,20 +195,20 @@ Result<std::unique_ptr<QueryExpr>> Parser::ParseQueryExpr() {
   auto query = std::make_unique<QueryExpr>();
   PDM_ASSIGN_OR_RETURN(SelectCore first, ParseSelectCore());
   query->terms.push_back(std::move(first));
-  while (MatchKeyword("UNION")) {
-    bool all = MatchKeyword("ALL");
+  while (MatchKeyword(Keyword::kUnion)) {
+    bool all = MatchKeyword(Keyword::kAll);
     PDM_ASSIGN_OR_RETURN(SelectCore term, ParseSelectCore());
     query->terms.push_back(std::move(term));
     query->union_all.push_back(all);
   }
-  if (MatchKeyword("ORDER")) {
-    PDM_RETURN_NOT_OK(ExpectKeyword("BY"));
+  if (MatchKeyword(Keyword::kOrder)) {
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kBy));
     do {
       PDM_ASSIGN_OR_RETURN(OrderByItem item, ParseOrderByItem());
       query->order_by.push_back(std::move(item));
     } while (MatchToken(TokenKind::kComma));
   }
-  if (MatchKeyword("LIMIT")) {
+  if (MatchKeyword(Keyword::kLimit)) {
     if (!Check(TokenKind::kIntegerLiteral)) {
       return ErrorHere("expected integer after LIMIT");
     }
@@ -224,41 +224,41 @@ Result<OrderByItem> Parser::ParseOrderByItem() {
   } else {
     PDM_ASSIGN_OR_RETURN(item.expr, ParseExpr());
   }
-  if (MatchKeyword("DESC")) {
+  if (MatchKeyword(Keyword::kDesc)) {
     item.descending = true;
   } else {
-    MatchKeyword("ASC");
+    MatchKeyword(Keyword::kAsc);
   }
   return item;
 }
 
 Result<SelectCore> Parser::ParseSelectCore() {
   SelectCore core;
-  PDM_RETURN_NOT_OK(ExpectKeyword("SELECT"));
-  core.distinct = MatchKeyword("DISTINCT");
-  if (!core.distinct) MatchKeyword("ALL");
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kSelect));
+  core.distinct = MatchKeyword(Keyword::kDistinct);
+  if (!core.distinct) MatchKeyword(Keyword::kAll);
   do {
     PDM_ASSIGN_OR_RETURN(SelectItem item, ParseSelectItem());
     core.items.push_back(std::move(item));
   } while (MatchToken(TokenKind::kComma));
 
-  if (MatchKeyword("FROM")) {
+  if (MatchKeyword(Keyword::kFrom)) {
     do {
       PDM_ASSIGN_OR_RETURN(FromItem item, ParseFromItem());
       core.from.push_back(std::move(item));
     } while (MatchToken(TokenKind::kComma));
   }
-  if (MatchKeyword("WHERE")) {
+  if (MatchKeyword(Keyword::kWhere)) {
     PDM_ASSIGN_OR_RETURN(core.where, ParseExpr());
   }
-  if (MatchKeyword("GROUP")) {
-    PDM_RETURN_NOT_OK(ExpectKeyword("BY"));
+  if (MatchKeyword(Keyword::kGroup)) {
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kBy));
     do {
       PDM_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
       core.group_by.push_back(std::move(e));
     } while (MatchToken(TokenKind::kComma));
   }
-  if (MatchKeyword("HAVING")) {
+  if (MatchKeyword(Keyword::kHaving)) {
     PDM_ASSIGN_OR_RETURN(core.having, ParseExpr());
   }
   return core;
@@ -275,16 +275,16 @@ Result<SelectItem> Parser::ParseSelectItem() {
   if (Check(TokenKind::kIdentifier) && Peek(1).kind == TokenKind::kDot &&
       Peek(2).kind == TokenKind::kStar) {
     item.is_star = true;
-    item.star_qualifier = Advance().text;
+    item.star_qualifier = std::string(Advance().text);
     Advance();  // '.'
     Advance();  // '*'
     return item;
   }
   PDM_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-  if (MatchKeyword("AS")) {
+  if (MatchKeyword(Keyword::kAs)) {
     PDM_ASSIGN_OR_RETURN(item.alias, ExpectIdentifier("column alias"));
   } else if (Check(TokenKind::kIdentifier)) {
-    item.alias = Advance().text;
+    item.alias = std::string(Advance().text);
   }
   return item;
 }
@@ -294,10 +294,10 @@ Result<FromItem> Parser::ParseFromItem() {
   PDM_ASSIGN_OR_RETURN(item.ref, ParseTableRef());
   while (true) {
     bool is_join = false;
-    if (CheckKeyword("JOIN")) {
+    if (CheckKeyword(Keyword::kJoin)) {
       Advance();
       is_join = true;
-    } else if (CheckKeyword("INNER") && Peek(1).IsKeyword("JOIN")) {
+    } else if (CheckKeyword(Keyword::kInner) && Peek(1).IsKeyword(Keyword::kJoin)) {
       Advance();
       Advance();
       is_join = true;
@@ -305,7 +305,7 @@ Result<FromItem> Parser::ParseFromItem() {
     if (!is_join) break;
     JoinClause join;
     PDM_ASSIGN_OR_RETURN(join.ref, ParseTableRef());
-    PDM_RETURN_NOT_OK(ExpectKeyword("ON"));
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kOn));
     PDM_ASSIGN_OR_RETURN(join.on, ParseExpr());
     item.joins.push_back(std::move(join));
   }
@@ -318,27 +318,27 @@ Result<TableRef> Parser::ParseTableRef() {
     ref.kind = TableRef::Kind::kSubquery;
     PDM_ASSIGN_OR_RETURN(ref.subquery, ParseQueryExpr());
     PDM_RETURN_NOT_OK(Expect(TokenKind::kRightParen, "')'"));
-    MatchKeyword("AS");
+    MatchKeyword(Keyword::kAs);
     PDM_ASSIGN_OR_RETURN(ref.alias, ExpectIdentifier("derived table alias"));
     return ref;
   }
   PDM_ASSIGN_OR_RETURN(ref.table_name, ExpectIdentifier("table name"));
-  if (MatchKeyword("AS")) {
+  if (MatchKeyword(Keyword::kAs)) {
     PDM_ASSIGN_OR_RETURN(ref.alias, ExpectIdentifier("table alias"));
   } else if (Check(TokenKind::kIdentifier)) {
-    ref.alias = Advance().text;
+    ref.alias = std::string(Advance().text);
   }
   return ref;
 }
 
 Result<StatementPtr> Parser::ParseCreateTable() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("CREATE"));
-  PDM_RETURN_NOT_OK(ExpectKeyword("TABLE"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kCreate));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kTable));
   auto stmt = std::make_unique<CreateTableStmt>();
-  if (CheckKeyword("IF")) {
+  if (CheckKeyword(Keyword::kIf)) {
     Advance();
-    PDM_RETURN_NOT_OK(ExpectKeyword("NOT"));
-    PDM_RETURN_NOT_OK(ExpectKeyword("EXISTS"));
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kNot));
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kExists));
     stmt->if_not_exists = true;
   }
   PDM_ASSIGN_OR_RETURN(stmt->table_name, ExpectIdentifier("table name"));
@@ -364,12 +364,12 @@ Result<StatementPtr> Parser::ParseCreateTable() {
 }
 
 Result<StatementPtr> Parser::ParseDropTable() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("DROP"));
-  PDM_RETURN_NOT_OK(ExpectKeyword("TABLE"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kDrop));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kTable));
   auto stmt = std::make_unique<DropTableStmt>();
-  if (CheckKeyword("IF")) {
+  if (CheckKeyword(Keyword::kIf)) {
     Advance();
-    PDM_RETURN_NOT_OK(ExpectKeyword("EXISTS"));
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kExists));
     stmt->if_exists = true;
   }
   PDM_ASSIGN_OR_RETURN(stmt->table_name, ExpectIdentifier("table name"));
@@ -377,8 +377,8 @@ Result<StatementPtr> Parser::ParseDropTable() {
 }
 
 Result<StatementPtr> Parser::ParseInsert() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("INSERT"));
-  PDM_RETURN_NOT_OK(ExpectKeyword("INTO"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kInsert));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kInto));
   auto stmt = std::make_unique<InsertStmt>();
   PDM_ASSIGN_OR_RETURN(stmt->table_name, ExpectIdentifier("table name"));
   if (MatchToken(TokenKind::kLeftParen)) {
@@ -388,7 +388,7 @@ Result<StatementPtr> Parser::ParseInsert() {
     } while (MatchToken(TokenKind::kComma));
     PDM_RETURN_NOT_OK(Expect(TokenKind::kRightParen, "')'"));
   }
-  PDM_RETURN_NOT_OK(ExpectKeyword("VALUES"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kValues));
   do {
     PDM_RETURN_NOT_OK(Expect(TokenKind::kLeftParen, "'('"));
     std::vector<ExprPtr> row;
@@ -403,35 +403,35 @@ Result<StatementPtr> Parser::ParseInsert() {
 }
 
 Result<StatementPtr> Parser::ParseUpdate() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("UPDATE"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kUpdate));
   auto stmt = std::make_unique<UpdateStmt>();
   PDM_ASSIGN_OR_RETURN(stmt->table_name, ExpectIdentifier("table name"));
-  PDM_RETURN_NOT_OK(ExpectKeyword("SET"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kSet));
   do {
     PDM_ASSIGN_OR_RETURN(std::string col, ExpectIdentifier("column name"));
     PDM_RETURN_NOT_OK(Expect(TokenKind::kEq, "'='"));
     PDM_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
     stmt->assignments.emplace_back(std::move(col), std::move(e));
   } while (MatchToken(TokenKind::kComma));
-  if (MatchKeyword("WHERE")) {
+  if (MatchKeyword(Keyword::kWhere)) {
     PDM_ASSIGN_OR_RETURN(stmt->where, ParseExpr());
   }
   return StatementPtr(std::move(stmt));
 }
 
 Result<StatementPtr> Parser::ParseDelete() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("DELETE"));
-  PDM_RETURN_NOT_OK(ExpectKeyword("FROM"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kDelete));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kFrom));
   auto stmt = std::make_unique<DeleteStmt>();
   PDM_ASSIGN_OR_RETURN(stmt->table_name, ExpectIdentifier("table name"));
-  if (MatchKeyword("WHERE")) {
+  if (MatchKeyword(Keyword::kWhere)) {
     PDM_ASSIGN_OR_RETURN(stmt->where, ParseExpr());
   }
   return StatementPtr(std::move(stmt));
 }
 
 Result<StatementPtr> Parser::ParseCall() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("CALL"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kCall));
   auto stmt = std::make_unique<CallStmt>();
   PDM_ASSIGN_OR_RETURN(stmt->procedure_name,
                        ExpectIdentifier("procedure name"));
@@ -450,7 +450,7 @@ Result<StatementPtr> Parser::ParseCall() {
 
 Result<ExprPtr> Parser::ParseExpr() {
   PDM_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
-  while (MatchKeyword("OR")) {
+  while (MatchKeyword(Keyword::kOr)) {
     PDM_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
     lhs = MakeBinary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
   }
@@ -459,7 +459,7 @@ Result<ExprPtr> Parser::ParseExpr() {
 
 Result<ExprPtr> Parser::ParseAnd() {
   PDM_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
-  while (MatchKeyword("AND")) {
+  while (MatchKeyword(Keyword::kAnd)) {
     PDM_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
     lhs = MakeBinary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
   }
@@ -470,7 +470,7 @@ Result<ExprPtr> Parser::ParseNot() {
   // NOT EXISTS is handled as a unit by ParsePrimary so it yields an
   // ExistsExpr with its negated flag set (matching how the rule layer
   // builds and inspects these nodes).
-  if (CheckKeyword("NOT") && !Peek(1).IsKeyword("EXISTS")) {
+  if (CheckKeyword(Keyword::kNot) && !Peek(1).IsKeyword(Keyword::kExists)) {
     Advance();
     PDM_ASSIGN_OR_RETURN(ExprPtr e, ParseNot());
     return MakeNot(std::move(e));
@@ -480,7 +480,7 @@ Result<ExprPtr> Parser::ParseNot() {
 
 bool Parser::PeekSubqueryAfterLParen() const {
   return Check(TokenKind::kLeftParen) &&
-         (Peek(1).IsKeyword("SELECT") || Peek(1).IsKeyword("WITH"));
+         (Peek(1).IsKeyword(Keyword::kSelect) || Peek(1).IsKeyword(Keyword::kWith));
 }
 
 Result<ExprPtr> Parser::ParseComparison() {
@@ -509,24 +509,24 @@ Result<ExprPtr> Parser::ParseComparison() {
 
   // Postfix predicates: IS [NOT] NULL, [NOT] IN / BETWEEN / LIKE.
   while (true) {
-    if (MatchKeyword("IS")) {
-      bool negated = MatchKeyword("NOT");
-      PDM_RETURN_NOT_OK(ExpectKeyword("NULL"));
+    if (MatchKeyword(Keyword::kIs)) {
+      bool negated = MatchKeyword(Keyword::kNot);
+      PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kNull));
       lhs = std::make_unique<IsNullExpr>(std::move(lhs), negated);
       continue;
     }
     bool negated = false;
     size_t saved = pos_;
-    if (MatchKeyword("NOT")) {
-      if (CheckKeyword("IN") || CheckKeyword("BETWEEN") ||
-          CheckKeyword("LIKE")) {
+    if (MatchKeyword(Keyword::kNot)) {
+      if (CheckKeyword(Keyword::kIn) || CheckKeyword(Keyword::kBetween) ||
+          CheckKeyword(Keyword::kLike)) {
         negated = true;
       } else {
         pos_ = saved;  // the NOT belongs to a boolean context above us
         break;
       }
     }
-    if (MatchKeyword("IN")) {
+    if (MatchKeyword(Keyword::kIn)) {
       if (PeekSubqueryAfterLParen()) {
         PDM_RETURN_NOT_OK(Expect(TokenKind::kLeftParen, "'('"));
         PDM_ASSIGN_OR_RETURN(std::unique_ptr<QueryExpr> sub, ParseQueryExpr());
@@ -546,15 +546,15 @@ Result<ExprPtr> Parser::ParseComparison() {
       }
       continue;
     }
-    if (MatchKeyword("BETWEEN")) {
+    if (MatchKeyword(Keyword::kBetween)) {
       PDM_ASSIGN_OR_RETURN(ExprPtr low, ParseAdditive());
-      PDM_RETURN_NOT_OK(ExpectKeyword("AND"));
+      PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kAnd));
       PDM_ASSIGN_OR_RETURN(ExprPtr high, ParseAdditive());
       lhs = std::make_unique<BetweenExpr>(std::move(lhs), std::move(low),
                                           std::move(high), negated);
       continue;
     }
-    if (MatchKeyword("LIKE")) {
+    if (MatchKeyword(Keyword::kLike)) {
       PDM_ASSIGN_OR_RETURN(ExprPtr pattern, ParseAdditive());
       lhs = std::make_unique<LikeExpr>(std::move(lhs), std::move(pattern),
                                        negated);
@@ -631,18 +631,18 @@ Result<ExprPtr> Parser::ParsePrimary() {
     return StampedLiteral(Value::Double(Advance().double_value));
   }
   if (Check(TokenKind::kStringLiteral)) {
-    return StampedLiteral(Value::String(Advance().text));
+    return StampedLiteral(Value::String(Advance().StringValue()));
   }
-  if (MatchKeyword("NULL")) return MakeLiteral(Value::Null());
-  if (MatchKeyword("TRUE")) return MakeLiteral(Value::Bool(true));
-  if (MatchKeyword("FALSE")) return MakeLiteral(Value::Bool(false));
+  if (MatchKeyword(Keyword::kNull)) return MakeLiteral(Value::Null());
+  if (MatchKeyword(Keyword::kTrue)) return MakeLiteral(Value::Bool(true));
+  if (MatchKeyword(Keyword::kFalse)) return MakeLiteral(Value::Bool(false));
 
-  if (CheckKeyword("CASE")) return ParseCase();
+  if (CheckKeyword(Keyword::kCase)) return ParseCase();
 
-  if (MatchKeyword("CAST")) {
+  if (MatchKeyword(Keyword::kCast)) {
     PDM_RETURN_NOT_OK(Expect(TokenKind::kLeftParen, "'('"));
     PDM_ASSIGN_OR_RETURN(ExprPtr operand, ParseExpr());
-    PDM_RETURN_NOT_OK(ExpectKeyword("AS"));
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kAs));
     PDM_ASSIGN_OR_RETURN(std::string type_name,
                          ExpectIdentifier("type name"));
     PDM_ASSIGN_OR_RETURN(ColumnType type, ParseColumnType(type_name));
@@ -658,10 +658,10 @@ Result<ExprPtr> Parser::ParsePrimary() {
     return ExprPtr(std::make_unique<CastExpr>(std::move(operand), type));
   }
 
-  if (CheckKeyword("EXISTS") ||
-      (CheckKeyword("NOT") && Peek(1).IsKeyword("EXISTS"))) {
-    bool negated = MatchKeyword("NOT");
-    PDM_RETURN_NOT_OK(ExpectKeyword("EXISTS"));
+  if (CheckKeyword(Keyword::kExists) ||
+      (CheckKeyword(Keyword::kNot) && Peek(1).IsKeyword(Keyword::kExists))) {
+    bool negated = MatchKeyword(Keyword::kNot);
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kExists));
     PDM_RETURN_NOT_OK(Expect(TokenKind::kLeftParen, "'('"));
     PDM_ASSIGN_OR_RETURN(std::unique_ptr<QueryExpr> sub, ParseQueryExpr());
     PDM_RETURN_NOT_OK(Expect(TokenKind::kRightParen, "')'"));
@@ -684,7 +684,7 @@ Result<ExprPtr> Parser::ParsePrimary() {
 
   // Identifiers: function call, qualified or bare column ref.
   if (Check(TokenKind::kIdentifier)) {
-    std::string name = Advance().text;
+    std::string name(Advance().text);
     if (Check(TokenKind::kLeftParen)) {
       return ParseFunctionCall(std::move(name));
     }
@@ -701,7 +701,7 @@ Result<ExprPtr> Parser::ParsePrimary() {
 
 Result<ExprPtr> Parser::ParseFunctionCall(std::string name) {
   PDM_RETURN_NOT_OK(Expect(TokenKind::kLeftParen, "'('"));
-  bool distinct = MatchKeyword("DISTINCT");
+  bool distinct = MatchKeyword(Keyword::kDistinct);
   std::vector<ExprPtr> args;
   if (!Check(TokenKind::kRightParen)) {
     if (Check(TokenKind::kStar)) {
@@ -720,11 +720,11 @@ Result<ExprPtr> Parser::ParseFunctionCall(std::string name) {
 }
 
 Result<ExprPtr> Parser::ParseCase() {
-  PDM_RETURN_NOT_OK(ExpectKeyword("CASE"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kCase));
   std::vector<std::pair<ExprPtr, ExprPtr>> whens;
-  while (MatchKeyword("WHEN")) {
+  while (MatchKeyword(Keyword::kWhen)) {
     PDM_ASSIGN_OR_RETURN(ExprPtr cond, ParseExpr());
-    PDM_RETURN_NOT_OK(ExpectKeyword("THEN"));
+    PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kThen));
     PDM_ASSIGN_OR_RETURN(ExprPtr val, ParseExpr());
     whens.emplace_back(std::move(cond), std::move(val));
   }
@@ -732,10 +732,10 @@ Result<ExprPtr> Parser::ParseCase() {
     return ErrorHere("CASE requires at least one WHEN clause");
   }
   ExprPtr else_expr;
-  if (MatchKeyword("ELSE")) {
+  if (MatchKeyword(Keyword::kElse)) {
     PDM_ASSIGN_OR_RETURN(else_expr, ParseExpr());
   }
-  PDM_RETURN_NOT_OK(ExpectKeyword("END"));
+  PDM_RETURN_NOT_OK(ExpectKeyword(Keyword::kEnd));
   return ExprPtr(
       std::make_unique<CaseExpr>(std::move(whens), std::move(else_expr)));
 }

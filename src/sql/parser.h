@@ -19,8 +19,8 @@ namespace pdm::sql {
 ///
 /// The parser reads a token stream it does not own — usually the one a
 /// StatementFingerprint carries (sql/fingerprint.h), so a plan-cache
-/// miss parses without lexing again. The tokens must outlive the
-/// parser and end with kEnd.
+/// miss parses without lexing again. The tokens, and the text they
+/// view, must outlive the parser; the stream ends with kEnd.
 class Parser {
  public:
   explicit Parser(std::span<const Token> tokens) : tokens_(tokens) {}
@@ -40,11 +40,11 @@ class Parser {
   const Token& Peek(size_t offset = 0) const;
   const Token& Advance();
   bool Check(TokenKind kind) const { return Peek().kind == kind; }
-  bool CheckKeyword(std::string_view kw) const { return Peek().IsKeyword(kw); }
+  bool CheckKeyword(Keyword kw) const { return Peek().IsKeyword(kw); }
   bool MatchToken(TokenKind kind);
-  bool MatchKeyword(std::string_view kw);
+  bool MatchKeyword(Keyword kw);
   Status Expect(TokenKind kind, std::string_view what);
-  Status ExpectKeyword(std::string_view kw);
+  Status ExpectKeyword(Keyword kw);
   Result<std::string> ExpectIdentifier(std::string_view what);
   Status ErrorHere(std::string message) const;
 

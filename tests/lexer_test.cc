@@ -59,9 +59,9 @@ TEST(Lexer, DoubleLiterals) {
 
 TEST(Lexer, StringLiteralsWithEscapedQuotes) {
   std::vector<Token> tokens = MustLex("'abc' '' 'it''s'");
-  EXPECT_EQ(tokens[0].text, "abc");
-  EXPECT_EQ(tokens[1].text, "");
-  EXPECT_EQ(tokens[2].text, "it's");
+  EXPECT_EQ(tokens[0].StringValue(), "abc");
+  EXPECT_EQ(tokens[1].StringValue(), "");
+  EXPECT_EQ(tokens[2].StringValue(), "it's");
 }
 
 TEST(Lexer, QuotedIdentifiers) {

@@ -25,6 +25,7 @@
 #include "server/admission_queue.h"
 #include "server/db_server.h"
 #include "server/slow_query_log.h"
+#include "sql/fingerprint.h"
 
 namespace pdm {
 namespace {
@@ -288,36 +289,42 @@ TEST(SlowQueryLogTest, WallTimeAloneCanCrossThreshold) {
 }
 
 TEST(SlowQueryClassifyTest, ClassificationFollowsPrecedence) {
+  // The dml and expand flags come from the statement's fingerprint.
+  auto classify = [](std::string_view sql, const ExecStats& stats) {
+    Result<sql::StatementFingerprint> fp = sql::FingerprintSql(sql);
+    EXPECT_TRUE(fp.ok()) << sql;
+    return fp.ok() ? ClassifyStatementClass(fp->dml, fp->expand, stats)
+                   : std::string_view("lex error");
+  };
   ExecStats stats;
-  // The DML flag comes from the statement fingerprint and wins over
-  // everything the scans touched.
+  // DML wins over everything the scans touched.
   stats.cte_rows_scanned = 5;
   stats.index_scans = 1;
-  EXPECT_EQ(ClassifyStatementClass(true, "UPDATE link SET checkedout = 1",
-                                   stats),
-            "dml");
+  EXPECT_EQ(classify("UPDATE link SET checkedout = 1", stats), "dml");
   stats = ExecStats{};
-  EXPECT_EQ(ClassifyStatementClass(
-                false, "WITH RECURSIVE r AS (SELECT 1) SELECT * FROM r",
-                stats),
+  EXPECT_EQ(classify("WITH RECURSIVE r AS (SELECT 1) SELECT * FROM r", stats),
             "expand");
-  EXPECT_EQ(ClassifyStatementClass(
-                false, "SELECT * FROM link WHERE link.left = 'x'", stats),
+  EXPECT_EQ(classify("SELECT * FROM link WHERE link.left = 'x'", stats),
             "expand");
+  // The cue is read from tokens: a literal or a comment that spells it
+  // is not an expand, and neither is a column reached through an alias.
+  EXPECT_EQ(classify("SELECT name FROM t WHERE name = 'link.left'", stats),
+            "scan");
+  EXPECT_EQ(classify("/* with recursive */ SELECT 1", stats), "scan");
+  EXPECT_EQ(classify("SELECT * FROM link l WHERE l.left = 1", stats), "scan");
   stats.cte_rows_scanned = 5;
-  EXPECT_EQ(ClassifyStatementClass(false, "SELECT 1", stats), "expand");
+  EXPECT_EQ(classify("SELECT 1", stats), "expand");
   stats = ExecStats{};
   stats.agg_input_rows = 10;
-  EXPECT_EQ(ClassifyStatementClass(false, "SELECT count(*) FROM t", stats),
-            "agg");
+  EXPECT_EQ(classify("SELECT count(*) FROM t", stats), "agg");
   stats = ExecStats{};
   stats.join_probe_rows = 10;
-  EXPECT_EQ(ClassifyStatementClass(false, "SELECT ...", stats), "join");
+  EXPECT_EQ(classify("SELECT ...", stats), "join");
   stats = ExecStats{};
   stats.index_scans = 1;
-  EXPECT_EQ(ClassifyStatementClass(false, "SELECT ...", stats), "point");
+  EXPECT_EQ(classify("SELECT ...", stats), "point");
   stats = ExecStats{};
-  EXPECT_EQ(ClassifyStatementClass(false, "SELECT * FROM t", stats), "scan");
+  EXPECT_EQ(classify("SELECT * FROM t", stats), "scan");
 
   EXPECT_EQ(EngineLabel(stats), "row");
   stats.vec_rows_scanned = 1;
