@@ -178,7 +178,8 @@ class Database {
   /// Executes a statement from its fingerprint (sql/fingerprint.h): a
   /// cacheable SELECT goes through the plan cache, anything else is
   /// parsed from the fingerprint's tokens, so the text is never lexed
-  /// again. The server's scheduler fingerprints every statement once,
+  /// again. The tokens view the statement text, which must still be
+  /// alive. The server's scheduler fingerprints every statement once,
   /// for its lane, wave-level result sharing and (through here)
   /// execution. Same outputs, concurrency contract and snapshot
   /// semantics as Execute().

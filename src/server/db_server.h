@@ -259,9 +259,10 @@ class DbServer {
   /// (batch/wave/client ids, worker, queue wait) and leaves complete;
   /// its SQL copy and response size are filled only when the statement
   /// log or the slow-query log keeps it. `fingerprint` is the one the
-  /// scheduler computed: the engine executes from its tokens, the
-  /// `stmt_class` label reads its DML flag, and a lexical error is its
-  /// status, returned without another pass over the text. A failed
+  /// scheduler computed from `sql`: the engine executes from its
+  /// tokens, the `stmt_class` label reads its DML and expand flags, and
+  /// a lexical error is its status, returned without another pass over
+  /// the text. A failed
   /// statement leaves `out` empty.
   Status RunStatement(std::string_view sql,
                       const Result<sql::StatementFingerprint>& fingerprint,

@@ -57,16 +57,6 @@ struct OrderState {
   bool item_start = false;
 };
 
-/// True if `text` is `lower` in any letter case; `lower` is lower-case
-/// letters.
-bool IsWord(std::string_view text, std::string_view lower) {
-  if (text.size() != lower.size()) return false;
-  for (size_t i = 0; i < text.size(); ++i) {
-    if ((text[i] | 0x20) != lower[i]) return false;
-  }
-  return true;
-}
-
 /// Consumes the lexer's tokens as they are produced: keeps them, sets
 /// the flags and writes each token's piece of the key, so the text is
 /// read once.
@@ -113,7 +103,8 @@ class Fingerprinter {
     return t.kind == TokenKind::kIdentifier && i >= 2 &&
            toks_[i - 1].kind == TokenKind::kDot &&
            toks_[i - 2].kind == TokenKind::kIdentifier &&
-           IsWord(t.text, "left") && IsWord(toks_[i - 2].text, "link");
+           EqualsIgnoreCase(t.text, "left") &&
+           EqualsIgnoreCase(toks_[i - 2].text, "link");
   }
 
   /// Writes " piece" (no space first) at the end of the key.

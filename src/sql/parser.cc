@@ -77,7 +77,8 @@ Result<StatementPtr> Parser::ParseTopLevel() {
   if (CheckKeyword(Keyword::kExplain)) return ParseExplain();
   if (CheckKeyword(Keyword::kCreate)) {
     if (Peek(1).IsKeyword(Keyword::kView) ||
-        (Peek(1).IsKeyword(Keyword::kOr) && Peek(2).IsKeyword(Keyword::kReplace))) {
+        (Peek(1).IsKeyword(Keyword::kOr) &&
+         Peek(2).IsKeyword(Keyword::kReplace))) {
       return ParseCreateView();
     }
     return ParseCreateTable();
@@ -297,7 +298,8 @@ Result<FromItem> Parser::ParseFromItem() {
     if (CheckKeyword(Keyword::kJoin)) {
       Advance();
       is_join = true;
-    } else if (CheckKeyword(Keyword::kInner) && Peek(1).IsKeyword(Keyword::kJoin)) {
+    } else if (CheckKeyword(Keyword::kInner) &&
+               Peek(1).IsKeyword(Keyword::kJoin)) {
       Advance();
       Advance();
       is_join = true;
@@ -480,7 +482,8 @@ Result<ExprPtr> Parser::ParseNot() {
 
 bool Parser::PeekSubqueryAfterLParen() const {
   return Check(TokenKind::kLeftParen) &&
-         (Peek(1).IsKeyword(Keyword::kSelect) || Peek(1).IsKeyword(Keyword::kWith));
+         (Peek(1).IsKeyword(Keyword::kSelect) ||
+          Peek(1).IsKeyword(Keyword::kWith));
 }
 
 Result<ExprPtr> Parser::ParseComparison() {
