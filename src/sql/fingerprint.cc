@@ -48,22 +48,13 @@ std::string_view PunctText(TokenKind kind) {
   }
 }
 
-/// Per-parenthesis-depth ORDER BY state. `item_start` is true exactly
-/// where Parser::ParseOrderByItem would treat a bare integer as an
-/// output-column position: right after ORDER BY and after each
-/// item-separating comma at the same depth.
-struct OrderState {
-  bool in_order_by = false;
-  bool item_start = false;
-};
-
 /// Consumes the lexer's tokens as they are produced: keeps them, sets
 /// the flags and writes each token's piece of the key, so the text is
 /// read once.
 class Fingerprinter {
  public:
   Fingerprinter(StatementFingerprint* fp, size_t text_size)
-      : fp_(*fp), toks_(fp->tokens), text_size_(text_size), levels_(1) {
+      : fp_(*fp), toks_(fp->tokens), text_size_(text_size), in_order_by_(1) {
     // Generated SQL runs about 3.6 bytes per token.
     toks_.reserve(text_size / 3 + 2);
   }
@@ -149,18 +140,14 @@ class Fingerprinter {
 
   void AppendKey(size_t i) {
     const Token& t = toks_[i];
-    OrderState& level = levels_.back();
-    const bool was_item_start = level.in_order_by && level.item_start;
-    level.item_start = false;
-
     switch (t.kind) {
       case TokenKind::kKeyword:
         if (t.IsKeyword(Keyword::kBy) && i > 0 &&
             toks_[i - 1].IsKeyword(Keyword::kOrder)) {
-          level.in_order_by = true;
-          level.item_start = true;
+          in_order_by_.back() = true;
+          item_start_ = i + 1;
         } else if (t.IsKeyword(Keyword::kLimit)) {
-          level.in_order_by = false;
+          in_order_by_.back() = false;
         }
         Append(t.text);
         break;
@@ -169,15 +156,15 @@ class Fingerprinter {
         Append(t.text, /*quoted=*/true);
         break;
       case TokenKind::kLeftParen:
-        levels_.emplace_back();
+        in_order_by_.push_back(false);
         Append("(");
         break;
       case TokenKind::kRightParen:
-        if (levels_.size() > 1) levels_.pop_back();
+        if (in_order_by_.size() > 1) in_order_by_.pop_back();
         Append(")");
         break;
       case TokenKind::kComma:
-        if (level.in_order_by) level.item_start = true;
+        if (in_order_by_.back()) item_start_ = i + 1;
         Append(",");
         break;
       case TokenKind::kIntegerLiteral: {
@@ -187,7 +174,7 @@ class Fingerprinter {
             i >= 3 && toks_[i - 1].kind == TokenKind::kLeftParen &&
             toks_[i - 2].kind == TokenKind::kIdentifier &&
             toks_[i - 3].IsKeyword(Keyword::kAs);
-        if (after_limit || type_length || was_item_start) {
+        if (after_limit || type_length || i == item_start_) {
           Append(t.text);  // structural: baked into the plan, not a slot
         } else {
           Append("?i");
@@ -213,7 +200,12 @@ class Fingerprinter {
   std::vector<Token>& toks_;
   const size_t text_size_;
   size_t key_size_ = 0;
-  std::vector<OrderState> levels_;
+  /// Per parenthesis depth: inside an ORDER BY list. A bare integer
+  /// there is an output-column position (Parser::ParseOrderByItem) when
+  /// it starts an item: it is token `item_start_`, the one right after
+  /// ORDER BY or after a comma of that list.
+  std::vector<char> in_order_by_;
+  size_t item_start_ = 0;
 };
 
 }  // namespace
