@@ -31,17 +31,6 @@ constexpr const char* kNonBoolPredicate =
 // Plan gate
 // ---------------------------------------------------------------------------
 
-/// Decomposed vectorizable plan. `filters` are in application order:
-/// the scan's pushed-down filter first, then FilterNodes innermost-out —
-/// the same per-row order the Volcano operators evaluate them in.
-struct VecPlan {
-  const ScanNode* scan = nullptr;
-  std::vector<const BoundExpr*> filters;
-  const std::vector<BoundExprPtr>* project = nullptr;  // null = SELECT *
-  bool has_limit = false;
-  int64_t limit = 0;
-};
-
 /// Collects the column of every `column = non-NULL-literal` conjunct of
 /// the top-level AND chain — the conjuncts the row engine's
 /// ScanExecutor can answer through a column index.
@@ -103,76 +92,29 @@ bool CanVectorizeExpr(const BoundExpr& expr, size_t* max_col) {
       *max_col = std::max(*max_col, ref.index);
       return true;
     }
-    case BoundExprKind::kUnary:
-      return CanVectorizeExpr(*static_cast<const BoundUnary&>(expr).operand,
-                              max_col);
-    case BoundExprKind::kBinary: {
-      const auto& e = static_cast<const BoundBinary&>(expr);
-      return CanVectorizeExpr(*e.lhs, max_col) &&
-             CanVectorizeExpr(*e.rhs, max_col);
-    }
-    case BoundExprKind::kCast:
-      return CanVectorizeExpr(*static_cast<const BoundCast&>(expr).operand,
-                              max_col);
-    case BoundExprKind::kIsNull:
-      return CanVectorizeExpr(*static_cast<const BoundIsNull&>(expr).operand,
-                              max_col);
-    case BoundExprKind::kInList: {
-      const auto& e = static_cast<const BoundInList&>(expr);
+    case BoundExprKind::kInList:
       // Expression items have per-row, per-item short-circuit order;
       // only the binder's precomputed literal-set form maps onto a
       // batch without re-deriving that order.
-      return e.use_literal_set && CanVectorizeExpr(*e.operand, max_col);
-    }
-    case BoundExprKind::kBetween: {
-      const auto& e = static_cast<const BoundBetween&>(expr);
-      return CanVectorizeExpr(*e.operand, max_col) &&
-             CanVectorizeExpr(*e.low, max_col) &&
-             CanVectorizeExpr(*e.high, max_col);
-    }
-    case BoundExprKind::kLike: {
-      const auto& e = static_cast<const BoundLike&>(expr);
-      return CanVectorizeExpr(*e.operand, max_col) &&
-             CanVectorizeExpr(*e.pattern, max_col);
-    }
+      if (!static_cast<const BoundInList&>(expr).use_literal_set) return false;
+      break;
+    case BoundExprKind::kUnary:
+    case BoundExprKind::kBinary:
+    case BoundExprKind::kCast:
+    case BoundExprKind::kIsNull:
+    case BoundExprKind::kBetween:
+    case BoundExprKind::kLike:
+      break;
     case BoundExprKind::kFunctionCall:  // opaque scalar function
     case BoundExprKind::kCase:          // per-row WHEN short-circuit
     case BoundExprKind::kSubquery:      // needs the row-path machinery
       return false;
   }
-  return false;
-}
-
-/// Peels Limit? -> Project? -> Filter* -> Scan; false on any other shape.
-bool Decompose(const PlanNode& plan, VecPlan* out) {
-  const PlanNode* node = &plan;
-  if (node->kind == PlanKind::kLimit) {
-    const auto& limit = static_cast<const LimitNode&>(*node);
-    out->has_limit = true;
-    out->limit = limit.limit;
-    node = limit.child.get();
-    if (node == nullptr) return false;
-  }
-  if (node->kind == PlanKind::kProject) {
-    const auto& project = static_cast<const ProjectNode&>(*node);
-    out->project = &project.exprs;
-    node = project.child.get();
-    if (node == nullptr) return false;  // SELECT without FROM
-  }
-  std::vector<const BoundExpr*> outer_first;
-  while (node->kind == PlanKind::kFilter) {
-    const auto& filter = static_cast<const FilterNode&>(*node);
-    outer_first.push_back(filter.predicate.get());
-    node = filter.child.get();
-  }
-  if (node->kind != PlanKind::kScan) return false;
-  out->scan = static_cast<const ScanNode*>(node);
-  if (out->scan->filter != nullptr) {
-    out->filters.push_back(out->scan->filter.get());
-  }
-  out->filters.insert(out->filters.end(), outer_first.rbegin(),
-                      outer_first.rend());
-  return true;
+  bool ok = true;
+  ForEachChild(expr, [&](const BoundExprPtr& c) {
+    ok = ok && CanVectorizeExpr(*c, max_col);
+  });
+  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -1343,66 +1285,47 @@ class VecAggregateExecutor : public Executor {
 
 Result<bool> TryExecuteVectorized(const PlanNode& plan, ExecContext* ctx,
                                   std::vector<Row>* out) {
-  VecPlan vp;
-  if (!Decompose(plan, &vp)) return false;
-  size_t max_col = 0;
-  for (const BoundExpr* f : vp.filters) {
-    if (!CanVectorizeExpr(*f, &max_col)) return false;
+  // Peel Limit? -> Project?; the rest must be a bare VecSource.
+  const PlanNode* node = &plan;
+  size_t limit = std::numeric_limits<size_t>::max();
+  if (node->kind == PlanKind::kLimit) {
+    const auto& n = static_cast<const LimitNode&>(*node);
+    limit = n.limit > 0 ? static_cast<size_t>(n.limit) : 0;
+    node = n.child.get();
+    if (node == nullptr) return false;
   }
-  if (vp.project != nullptr) {
-    for (const BoundExprPtr& e : *vp.project) {
-      if (!CanVectorizeExpr(*e, &max_col)) return false;
+  const std::vector<BoundExprPtr>* project = nullptr;  // null = SELECT *
+  if (node->kind == PlanKind::kProject) {
+    const auto& n = static_cast<const ProjectNode&>(*node);
+    project = &n.exprs;
+    node = n.child.get();
+    if (node == nullptr) return false;  // SELECT without FROM
+  }
+  VecSourceSpec spec;
+  if (!MatchVecSource(*node, &spec) || !spec.out_cols.empty()) return false;
+  if (project != nullptr) {
+    for (const BoundExprPtr& e : *project) {
+      if (!CanVectorizeExpr(*e, &spec.max_col)) return false;
     }
   }
-  Result<Table*> table_or = ctx->catalog()->GetTable(vp.scan->table_name);
-  if (!table_or.ok()) return false;  // row path reports the same error
-  const Table& table = *table_or.value();
-  // Point lookups whose index is (or is about to be) worth it belong to
-  // the row engine's index scan.
-  if (RouteScanToRowIndexPath(*vp.scan, table, *ctx)) return false;
-  const size_t num_columns = table.schema().num_columns();
-  if ((!vp.filters.empty() || vp.project != nullptr) &&
-      max_col >= num_columns) {
-    return false;  // defensive: let the row path surface the binder bug
-  }
-
-  const uint64_t snapshot = ctx->snapshot_ts();
-  const size_t bound = table.num_versions();
-  const size_t frags = (bound + kFragmentRows - 1) >> kFragmentShift;
-  const size_t limit =
-      vp.has_limit
-          ? (vp.limit > 0 ? static_cast<size_t>(vp.limit) : 0)
-          : std::numeric_limits<size_t>::max();
+  const Table* table = ResolveVecSource(spec, ctx);
+  if (table == nullptr) return false;
+  const size_t num_columns = table->schema().num_columns();
+  if (spec.max_col >= num_columns) return false;
 
   out->clear();
-  ExecStats& stats = ctx->stats();
+  VecSourceCursor cursor(&spec, table, ctx);
   VecBatch batch;
-  TriVec tri;
-  std::vector<uint32_t> survivors;
   std::vector<std::vector<Value>> proj_cols;
-  for (size_t frag = 0; frag < frags && out->size() < limit; ++frag) {
-    batch.span = table.FragmentAt(frag, bound);
-    batch.FillVisible(snapshot);
-    stats.vec_batches++;
-    stats.rows_scanned += batch.sel.size();
-    stats.vec_rows_scanned += batch.sel.size();
-    for (const BoundExpr* f : vp.filters) {
-      if (batch.sel.empty()) break;
-      PDM_RETURN_NOT_OK(EvalTri(*f, ctx, batch.span, batch.sel.data(),
-                                batch.sel.size(), kNonBoolPredicate, &tri));
-      survivors.clear();
-      for (size_t i = 0; i < batch.sel.size(); ++i) {
-        if (tri[i] == 1) survivors.push_back(batch.sel[i]);
-      }
-      batch.sel.swap(survivors);
-    }
-    if (batch.sel.empty()) continue;
+  while (out->size() < limit) {
+    PDM_ASSIGN_OR_RETURN(bool has, cursor.NextBatch(&batch));
+    if (!has) break;
     const size_t take = std::min(batch.sel.size(), limit - out->size());
     // Late materialization: only now do surviving slots become Values.
-    if (vp.project != nullptr) {
-      proj_cols.resize(vp.project->size());
-      for (size_t e = 0; e < vp.project->size(); ++e) {
-        PDM_RETURN_NOT_OK(EvalDense(*(*vp.project)[e], ctx, batch.span,
+    if (project != nullptr) {
+      proj_cols.resize(project->size());
+      for (size_t e = 0; e < project->size(); ++e) {
+        PDM_RETURN_NOT_OK(EvalDense(*(*project)[e], ctx, batch.span,
                                     batch.sel.data(), take, &proj_cols[e]));
       }
       for (size_t i = 0; i < take; ++i) {
@@ -1431,7 +1354,6 @@ Result<bool> TryExecuteVectorized(const PlanNode& plan, ExecContext* ctx,
 Result<std::unique_ptr<Executor>> MaybeVecExecutor(const PlanNode& plan,
                                                    ExecContext* ctx) {
   std::unique_ptr<Executor> none;
-  if (!ctx->options().vectorized_execution) return none;
   switch (plan.kind) {
     case PlanKind::kScan:
     case PlanKind::kFilter:

@@ -15,77 +15,20 @@ using sql::ExprPtr;
 
 // --- AST analysis -----------------------------------------------------------
 
-/// Invokes `fn` on every QueryExpr nested inside `expr` (subqueries).
+/// Invokes `fn` on every QueryExpr nested inside `expr` (subqueries), not
+/// descending into them.
 template <typename Fn>
 void ForEachSubqueryInExpr(const Expr& expr, const Fn& fn) {
-  switch (expr.kind) {
-    case ExprKind::kUnary:
-      ForEachSubqueryInExpr(*static_cast<const sql::UnaryExpr&>(expr).operand,
-                            fn);
-      break;
-    case ExprKind::kBinary: {
-      const auto& e = static_cast<const sql::BinaryExpr&>(expr);
-      ForEachSubqueryInExpr(*e.lhs, fn);
-      ForEachSubqueryInExpr(*e.rhs, fn);
-      break;
-    }
-    case ExprKind::kFunctionCall:
-      for (const ExprPtr& a :
-           static_cast<const sql::FunctionCallExpr&>(expr).args) {
-        ForEachSubqueryInExpr(*a, fn);
-      }
-      break;
-    case ExprKind::kCast:
-      ForEachSubqueryInExpr(*static_cast<const sql::CastExpr&>(expr).operand,
-                            fn);
-      break;
-    case ExprKind::kIsNull:
-      ForEachSubqueryInExpr(*static_cast<const sql::IsNullExpr&>(expr).operand,
-                            fn);
-      break;
-    case ExprKind::kInList: {
-      const auto& e = static_cast<const sql::InListExpr&>(expr);
-      ForEachSubqueryInExpr(*e.operand, fn);
-      for (const ExprPtr& i : e.items) ForEachSubqueryInExpr(*i, fn);
-      break;
-    }
-    case ExprKind::kInSubquery: {
-      const auto& e = static_cast<const sql::InSubqueryExpr&>(expr);
-      ForEachSubqueryInExpr(*e.operand, fn);
-      fn(*e.subquery);
-      break;
-    }
-    case ExprKind::kExists:
-      fn(*static_cast<const sql::ExistsExpr&>(expr).subquery);
-      break;
-    case ExprKind::kScalarSubquery:
-      fn(*static_cast<const sql::ScalarSubqueryExpr&>(expr).subquery);
-      break;
-    case ExprKind::kBetween: {
-      const auto& e = static_cast<const sql::BetweenExpr&>(expr);
-      ForEachSubqueryInExpr(*e.operand, fn);
-      ForEachSubqueryInExpr(*e.low, fn);
-      ForEachSubqueryInExpr(*e.high, fn);
-      break;
-    }
-    case ExprKind::kLike: {
-      const auto& e = static_cast<const sql::LikeExpr&>(expr);
-      ForEachSubqueryInExpr(*e.operand, fn);
-      ForEachSubqueryInExpr(*e.pattern, fn);
-      break;
-    }
-    case ExprKind::kCase: {
-      const auto& e = static_cast<const sql::CaseExpr&>(expr);
-      for (const auto& [c, v] : e.whens) {
-        ForEachSubqueryInExpr(*c, fn);
-        ForEachSubqueryInExpr(*v, fn);
-      }
-      if (e.else_expr != nullptr) ForEachSubqueryInExpr(*e.else_expr, fn);
-      break;
-    }
-    default:
-      break;
-  }
+  sql::ForEachChild(
+      expr, [&](const ExprPtr& c) { ForEachSubqueryInExpr(*c, fn); }, fn);
+}
+
+/// Invokes `fn` on every query nested directly in `node` (a SelectCore or
+/// QueryExpr): its derived tables and the subqueries of its expressions.
+template <typename Node, typename Fn>
+void ForEachNestedQuery(const Node& node, const Fn& fn) {
+  sql::ForEachChild(
+      node, [&](const ExprPtr& e) { ForEachSubqueryInExpr(*e, fn); }, fn);
 }
 
 struct CteRefCounts {
@@ -93,182 +36,66 @@ struct CteRefCounts {
   size_t elsewhere = 0;  // references in subqueries / derived tables
 };
 
-void CountCteRefsInQuery(const sql::QueryExpr& query, std::string_view name,
-                         bool top_level, CteRefCounts* counts);
-
-void CountCteRefsInTableRef(const sql::TableRef& ref, std::string_view name,
-                            bool top_level, CteRefCounts* counts) {
-  if (ref.kind == sql::TableRef::Kind::kBaseTable) {
-    if (EqualsIgnoreCase(ref.table_name, name)) {
-      if (top_level) {
-        ++counts->in_from;
-      } else {
-        ++counts->elsewhere;
-      }
+/// Adds `core`'s FROM/JOIN base-table references to `name` to `*count`.
+void CountCteRefsInFrom(const sql::SelectCore& core, std::string_view name,
+                        size_t* count) {
+  auto count_ref = [&](const sql::TableRef& ref) {
+    if (ref.kind == sql::TableRef::Kind::kBaseTable &&
+        EqualsIgnoreCase(ref.table_name, name)) {
+      ++*count;
     }
-  } else {
-    CountCteRefsInQuery(*ref.subquery, name, /*top_level=*/false, counts);
-  }
-}
-
-void CountCteRefsInExpr(const Expr& expr, std::string_view name,
-                        CteRefCounts* counts) {
-  ForEachSubqueryInExpr(expr, [&](const sql::QueryExpr& q) {
-    CountCteRefsInQuery(q, name, /*top_level=*/false, counts);
-  });
-}
-
-void CountCteRefsInCore(const sql::SelectCore& core, std::string_view name,
-                        bool top_level, CteRefCounts* counts) {
+  };
   for (const sql::FromItem& item : core.from) {
-    CountCteRefsInTableRef(item.ref, name, top_level, counts);
-    for (const sql::JoinClause& j : item.joins) {
-      CountCteRefsInTableRef(j.ref, name, top_level, counts);
-      if (j.on != nullptr) CountCteRefsInExpr(*j.on, name, counts);
-    }
+    count_ref(item.ref);
+    for (const sql::JoinClause& j : item.joins) count_ref(j.ref);
   }
-  for (const sql::SelectItem& item : core.items) {
-    if (item.expr != nullptr) CountCteRefsInExpr(*item.expr, name, counts);
-  }
-  if (core.where != nullptr) CountCteRefsInExpr(*core.where, name, counts);
-  for (const ExprPtr& g : core.group_by) CountCteRefsInExpr(*g, name, counts);
-  if (core.having != nullptr) CountCteRefsInExpr(*core.having, name, counts);
 }
 
+/// Counts every reference inside a nested query as `elsewhere`.
 void CountCteRefsInQuery(const sql::QueryExpr& query, std::string_view name,
-                         bool top_level, CteRefCounts* counts) {
+                         CteRefCounts* counts) {
   for (const sql::SelectCore& term : query.terms) {
-    CountCteRefsInCore(term, name, top_level, counts);
+    CountCteRefsInFrom(term, name, &counts->elsewhere);
   }
+  ForEachNestedQuery(query, [&](const sql::QueryExpr& q) {
+    CountCteRefsInQuery(q, name, counts);
+  });
 }
 
 CteRefCounts CountCteRefs(const sql::SelectCore& core, std::string_view name) {
   CteRefCounts counts;
-  CountCteRefsInCore(core, name, /*top_level=*/true, &counts);
+  CountCteRefsInFrom(core, name, &counts.in_from);
+  ForEachNestedQuery(core, [&](const sql::QueryExpr& q) {
+    CountCteRefsInQuery(q, name, &counts);
+  });
   return counts;
+}
+
+bool IsAggregateCall(const Expr& expr) {
+  if (expr.kind != ExprKind::kFunctionCall) return false;
+  const auto& e = static_cast<const sql::FunctionCallExpr&>(expr);
+  bool star = e.args.size() == 1 && e.args[0]->kind == ExprKind::kStar;
+  return LookupAggKind(e.name, star).has_value();
 }
 
 /// True if `expr` contains an aggregate function call (not descending
 /// into subqueries, whose aggregates belong to the subquery).
 bool HasAggregateCall(const Expr& expr) {
-  switch (expr.kind) {
-    case ExprKind::kFunctionCall: {
-      const auto& e = static_cast<const sql::FunctionCallExpr&>(expr);
-      bool star = e.args.size() == 1 && e.args[0]->kind == ExprKind::kStar;
-      if (LookupAggKind(e.name, star).has_value()) return true;
-      for (const ExprPtr& a : e.args) {
-        if (HasAggregateCall(*a)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kUnary:
-      return HasAggregateCall(
-          *static_cast<const sql::UnaryExpr&>(expr).operand);
-    case ExprKind::kBinary: {
-      const auto& e = static_cast<const sql::BinaryExpr&>(expr);
-      return HasAggregateCall(*e.lhs) || HasAggregateCall(*e.rhs);
-    }
-    case ExprKind::kCast:
-      return HasAggregateCall(
-          *static_cast<const sql::CastExpr&>(expr).operand);
-    case ExprKind::kIsNull:
-      return HasAggregateCall(
-          *static_cast<const sql::IsNullExpr&>(expr).operand);
-    case ExprKind::kInList: {
-      const auto& e = static_cast<const sql::InListExpr&>(expr);
-      if (HasAggregateCall(*e.operand)) return true;
-      for (const ExprPtr& i : e.items) {
-        if (HasAggregateCall(*i)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kInSubquery:
-      return HasAggregateCall(
-          *static_cast<const sql::InSubqueryExpr&>(expr).operand);
-    case ExprKind::kBetween: {
-      const auto& e = static_cast<const sql::BetweenExpr&>(expr);
-      return HasAggregateCall(*e.operand) || HasAggregateCall(*e.low) ||
-             HasAggregateCall(*e.high);
-    }
-    case ExprKind::kLike: {
-      const auto& e = static_cast<const sql::LikeExpr&>(expr);
-      return HasAggregateCall(*e.operand) || HasAggregateCall(*e.pattern);
-    }
-    case ExprKind::kCase: {
-      const auto& e = static_cast<const sql::CaseExpr&>(expr);
-      for (const auto& [c, v] : e.whens) {
-        if (HasAggregateCall(*c) || HasAggregateCall(*v)) return true;
-      }
-      return e.else_expr != nullptr && HasAggregateCall(*e.else_expr);
-    }
-    default:
-      return false;
-  }
+  bool found = IsAggregateCall(expr);
+  sql::ForEachChild(expr, [&](const ExprPtr& c) {
+    found = found || HasAggregateCall(*c);
+  });
+  return found;
 }
 
 /// Collects aggregate calls in evaluation order (outermost first walk).
 void CollectAggCalls(const Expr& expr, std::vector<const Expr*>* out) {
-  switch (expr.kind) {
-    case ExprKind::kFunctionCall: {
-      const auto& e = static_cast<const sql::FunctionCallExpr&>(expr);
-      bool star = e.args.size() == 1 && e.args[0]->kind == ExprKind::kStar;
-      if (LookupAggKind(e.name, star).has_value()) {
-        out->push_back(&expr);
-        return;  // nested aggregates rejected later during binding
-      }
-      for (const ExprPtr& a : e.args) CollectAggCalls(*a, out);
-      return;
-    }
-    case ExprKind::kUnary:
-      CollectAggCalls(*static_cast<const sql::UnaryExpr&>(expr).operand, out);
-      return;
-    case ExprKind::kBinary: {
-      const auto& e = static_cast<const sql::BinaryExpr&>(expr);
-      CollectAggCalls(*e.lhs, out);
-      CollectAggCalls(*e.rhs, out);
-      return;
-    }
-    case ExprKind::kCast:
-      CollectAggCalls(*static_cast<const sql::CastExpr&>(expr).operand, out);
-      return;
-    case ExprKind::kIsNull:
-      CollectAggCalls(*static_cast<const sql::IsNullExpr&>(expr).operand, out);
-      return;
-    case ExprKind::kInList: {
-      const auto& e = static_cast<const sql::InListExpr&>(expr);
-      CollectAggCalls(*e.operand, out);
-      for (const ExprPtr& i : e.items) CollectAggCalls(*i, out);
-      return;
-    }
-    case ExprKind::kInSubquery:
-      CollectAggCalls(*static_cast<const sql::InSubqueryExpr&>(expr).operand,
-                      out);
-      return;
-    case ExprKind::kBetween: {
-      const auto& e = static_cast<const sql::BetweenExpr&>(expr);
-      CollectAggCalls(*e.operand, out);
-      CollectAggCalls(*e.low, out);
-      CollectAggCalls(*e.high, out);
-      return;
-    }
-    case ExprKind::kLike: {
-      const auto& e = static_cast<const sql::LikeExpr&>(expr);
-      CollectAggCalls(*e.operand, out);
-      CollectAggCalls(*e.pattern, out);
-      return;
-    }
-    case ExprKind::kCase: {
-      const auto& e = static_cast<const sql::CaseExpr&>(expr);
-      for (const auto& [c, v] : e.whens) {
-        CollectAggCalls(*c, out);
-        CollectAggCalls(*v, out);
-      }
-      if (e.else_expr != nullptr) CollectAggCalls(*e.else_expr, out);
-      return;
-    }
-    default:
-      return;
+  if (IsAggregateCall(expr)) {
+    out->push_back(&expr);
+    return;  // nested aggregates rejected later during binding
   }
+  sql::ForEachChild(expr,
+                    [&](const ExprPtr& c) { CollectAggCalls(*c, out); });
 }
 
 // --- Bound-tree type inference ----------------------------------------------
@@ -437,147 +264,31 @@ Result<Scope::Resolution> Scope::Resolve(std::string_view qualifier,
 
 namespace {
 
+/// Invokes `fn` on every root expression held by the operators of `plan`
+/// (not recursing into subquery plans; ForEachColumnRef does that with
+/// depth tracking).
 template <typename Fn>
-void ForEachExprInPlan(const PlanNode& plan, const Fn& fn);
+void ForEachExprInPlan(const PlanNode& plan, const Fn& fn) {
+  ForEachExpr(plan, [&](const BoundExprPtr& e) { fn(*e); });
+  ForEachChild(plan, [&](const PlanPtr& c) { ForEachExprInPlan(*c, fn); });
+}
 
 /// Walks a bound expression tree; `fn(colref, depth)` is called for each
 /// column ref, where `depth` is how many subquery scopes the ref is
 /// nested below the root expression.
 template <typename Fn>
 void ForEachColumnRef(const BoundExpr& expr, size_t depth, const Fn& fn) {
-  switch (expr.kind) {
-    case BoundExprKind::kColumnRef:
-      fn(static_cast<const BoundColumnRef&>(expr), depth);
-      return;
-    case BoundExprKind::kUnary:
-      ForEachColumnRef(*static_cast<const BoundUnary&>(expr).operand, depth,
-                       fn);
-      return;
-    case BoundExprKind::kBinary: {
-      const auto& e = static_cast<const BoundBinary&>(expr);
-      ForEachColumnRef(*e.lhs, depth, fn);
-      ForEachColumnRef(*e.rhs, depth, fn);
-      return;
-    }
-    case BoundExprKind::kFunctionCall:
-      for (const BoundExprPtr& a :
-           static_cast<const BoundFunctionCall&>(expr).args) {
-        ForEachColumnRef(*a, depth, fn);
-      }
-      return;
-    case BoundExprKind::kCast:
-      ForEachColumnRef(*static_cast<const BoundCast&>(expr).operand, depth,
-                       fn);
-      return;
-    case BoundExprKind::kIsNull:
-      ForEachColumnRef(*static_cast<const BoundIsNull&>(expr).operand, depth,
-                       fn);
-      return;
-    case BoundExprKind::kInList: {
-      const auto& e = static_cast<const BoundInList&>(expr);
-      ForEachColumnRef(*e.operand, depth, fn);
-      for (const BoundExprPtr& i : e.items) ForEachColumnRef(*i, depth, fn);
-      return;
-    }
-    case BoundExprKind::kBetween: {
-      const auto& e = static_cast<const BoundBetween&>(expr);
-      ForEachColumnRef(*e.operand, depth, fn);
-      ForEachColumnRef(*e.low, depth, fn);
-      ForEachColumnRef(*e.high, depth, fn);
-      return;
-    }
-    case BoundExprKind::kLike: {
-      const auto& e = static_cast<const BoundLike&>(expr);
-      ForEachColumnRef(*e.operand, depth, fn);
-      ForEachColumnRef(*e.pattern, depth, fn);
-      return;
-    }
-    case BoundExprKind::kCase: {
-      const auto& e = static_cast<const BoundCase&>(expr);
-      for (const auto& [c, v] : e.whens) {
-        ForEachColumnRef(*c, depth, fn);
-        ForEachColumnRef(*v, depth, fn);
-      }
-      if (e.else_expr != nullptr) ForEachColumnRef(*e.else_expr, depth, fn);
-      return;
-    }
-    case BoundExprKind::kSubquery: {
-      const auto& e = static_cast<const BoundSubquery&>(expr);
-      if (e.operand != nullptr) ForEachColumnRef(*e.operand, depth, fn);
-      ForEachExprInPlan(*e.plan, [&](const BoundExpr& inner) {
-        ForEachColumnRef(inner, depth + 1, fn);
+  if (expr.kind == BoundExprKind::kColumnRef) {
+    fn(static_cast<const BoundColumnRef&>(expr), depth);
+    return;
+  }
+  ForEachChild(
+      expr, [&](const BoundExprPtr& c) { ForEachColumnRef(*c, depth, fn); },
+      [&](const PlanPtr& plan) {
+        ForEachExprInPlan(*plan, [&](const BoundExpr& inner) {
+          ForEachColumnRef(inner, depth + 1, fn);
+        });
       });
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-/// Invokes `fn` on every root expression held by the plan's operators
-/// (not recursing into subquery plans; ForEachColumnRef does that with
-/// depth tracking).
-template <typename Fn>
-void ForEachExprInPlan(const PlanNode& plan, const Fn& fn) {
-  switch (plan.kind) {
-    case PlanKind::kScan: {
-      const auto& n = static_cast<const ScanNode&>(plan);
-      if (n.filter != nullptr) fn(*n.filter);
-      return;
-    }
-    case PlanKind::kCteScan:
-      return;
-    case PlanKind::kFilter: {
-      const auto& n = static_cast<const FilterNode&>(plan);
-      fn(*n.predicate);
-      ForEachExprInPlan(*n.child, fn);
-      return;
-    }
-    case PlanKind::kProject: {
-      const auto& n = static_cast<const ProjectNode&>(plan);
-      for (const BoundExprPtr& e : n.exprs) fn(*e);
-      if (n.child != nullptr) ForEachExprInPlan(*n.child, fn);
-      return;
-    }
-    case PlanKind::kNestedLoopJoin: {
-      const auto& n = static_cast<const NestedLoopJoinNode&>(plan);
-      if (n.predicate != nullptr) fn(*n.predicate);
-      ForEachExprInPlan(*n.left, fn);
-      ForEachExprInPlan(*n.right, fn);
-      return;
-    }
-    case PlanKind::kHashJoin: {
-      const auto& n = static_cast<const HashJoinNode&>(plan);
-      if (n.residual != nullptr) fn(*n.residual);
-      ForEachExprInPlan(*n.left, fn);
-      ForEachExprInPlan(*n.right, fn);
-      return;
-    }
-    case PlanKind::kAggregate: {
-      const auto& n = static_cast<const AggregateNode&>(plan);
-      for (const BoundExprPtr& g : n.group_exprs) fn(*g);
-      for (const BoundAggregate& a : n.aggregates) {
-        if (a.arg != nullptr) fn(*a.arg);
-      }
-      if (n.having != nullptr) fn(*n.having);
-      ForEachExprInPlan(*n.child, fn);
-      return;
-    }
-    case PlanKind::kSort:
-      ForEachExprInPlan(*static_cast<const SortNode&>(plan).child, fn);
-      return;
-    case PlanKind::kDistinct:
-      ForEachExprInPlan(*static_cast<const DistinctNode&>(plan).child, fn);
-      return;
-    case PlanKind::kUnion:
-      for (const PlanPtr& c : static_cast<const UnionNode&>(plan).children) {
-        ForEachExprInPlan(*c, fn);
-      }
-      return;
-    case PlanKind::kLimit:
-      ForEachExprInPlan(*static_cast<const LimitNode&>(plan).child, fn);
-      return;
-  }
 }
 
 }  // namespace
@@ -644,137 +355,19 @@ BoundExprPtr CombineConjuncts(std::vector<BoundExprPtr> conjuncts) {
 
 namespace {
 
-void ConvertJoinsInExpr(BoundExpr* expr);
-
-void ConvertJoinsInPlanExprs(PlanNode* plan) {
-  // Mutating variant of ForEachExprInPlan: recurse into subquery plans.
-  switch (plan->kind) {
-    case PlanKind::kScan: {
-      auto* n = static_cast<ScanNode*>(plan);
-      if (n->filter != nullptr) ConvertJoinsInExpr(n->filter.get());
-      return;
-    }
-    case PlanKind::kCteScan:
-      return;
-    case PlanKind::kFilter: {
-      auto* n = static_cast<FilterNode*>(plan);
-      ConvertJoinsInExpr(n->predicate.get());
-      ConvertEquiJoinsToHashJoins(&n->child);
-      return;
-    }
-    case PlanKind::kProject: {
-      auto* n = static_cast<ProjectNode*>(plan);
-      for (BoundExprPtr& e : n->exprs) ConvertJoinsInExpr(e.get());
-      if (n->child != nullptr) ConvertEquiJoinsToHashJoins(&n->child);
-      return;
-    }
-    case PlanKind::kNestedLoopJoin: {
-      auto* n = static_cast<NestedLoopJoinNode*>(plan);
-      if (n->predicate != nullptr) ConvertJoinsInExpr(n->predicate.get());
-      ConvertEquiJoinsToHashJoins(&n->left);
-      ConvertEquiJoinsToHashJoins(&n->right);
-      return;
-    }
-    case PlanKind::kHashJoin: {
-      auto* n = static_cast<HashJoinNode*>(plan);
-      if (n->residual != nullptr) ConvertJoinsInExpr(n->residual.get());
-      ConvertEquiJoinsToHashJoins(&n->left);
-      ConvertEquiJoinsToHashJoins(&n->right);
-      return;
-    }
-    case PlanKind::kAggregate: {
-      auto* n = static_cast<AggregateNode*>(plan);
-      for (BoundExprPtr& g : n->group_exprs) ConvertJoinsInExpr(g.get());
-      for (BoundAggregate& a : n->aggregates) {
-        if (a.arg != nullptr) ConvertJoinsInExpr(a.arg.get());
-      }
-      if (n->having != nullptr) ConvertJoinsInExpr(n->having.get());
-      ConvertEquiJoinsToHashJoins(&n->child);
-      return;
-    }
-    case PlanKind::kSort:
-      ConvertEquiJoinsToHashJoins(&static_cast<SortNode*>(plan)->child);
-      return;
-    case PlanKind::kDistinct:
-      ConvertEquiJoinsToHashJoins(&static_cast<DistinctNode*>(plan)->child);
-      return;
-    case PlanKind::kUnion:
-      for (PlanPtr& c : static_cast<UnionNode*>(plan)->children) {
-        ConvertEquiJoinsToHashJoins(&c);
-      }
-      return;
-    case PlanKind::kLimit:
-      ConvertEquiJoinsToHashJoins(&static_cast<LimitNode*>(plan)->child);
-      return;
-  }
-}
-
-void ConvertJoinsInExpr(BoundExpr* expr) {
-  switch (expr->kind) {
-    case BoundExprKind::kUnary:
-      ConvertJoinsInExpr(static_cast<BoundUnary*>(expr)->operand.get());
-      return;
-    case BoundExprKind::kBinary: {
-      auto* e = static_cast<BoundBinary*>(expr);
-      ConvertJoinsInExpr(e->lhs.get());
-      ConvertJoinsInExpr(e->rhs.get());
-      return;
-    }
-    case BoundExprKind::kFunctionCall:
-      for (BoundExprPtr& a : static_cast<BoundFunctionCall*>(expr)->args) {
-        ConvertJoinsInExpr(a.get());
-      }
-      return;
-    case BoundExprKind::kCast:
-      ConvertJoinsInExpr(static_cast<BoundCast*>(expr)->operand.get());
-      return;
-    case BoundExprKind::kIsNull:
-      ConvertJoinsInExpr(static_cast<BoundIsNull*>(expr)->operand.get());
-      return;
-    case BoundExprKind::kInList: {
-      auto* e = static_cast<BoundInList*>(expr);
-      ConvertJoinsInExpr(e->operand.get());
-      for (BoundExprPtr& i : e->items) ConvertJoinsInExpr(i.get());
-      return;
-    }
-    case BoundExprKind::kBetween: {
-      auto* e = static_cast<BoundBetween*>(expr);
-      ConvertJoinsInExpr(e->operand.get());
-      ConvertJoinsInExpr(e->low.get());
-      ConvertJoinsInExpr(e->high.get());
-      return;
-    }
-    case BoundExprKind::kLike: {
-      auto* e = static_cast<BoundLike*>(expr);
-      ConvertJoinsInExpr(e->operand.get());
-      ConvertJoinsInExpr(e->pattern.get());
-      return;
-    }
-    case BoundExprKind::kCase: {
-      auto* e = static_cast<BoundCase*>(expr);
-      for (auto& [c, v] : e->whens) {
-        ConvertJoinsInExpr(c.get());
-        ConvertJoinsInExpr(v.get());
-      }
-      if (e->else_expr != nullptr) ConvertJoinsInExpr(e->else_expr.get());
-      return;
-    }
-    case BoundExprKind::kSubquery: {
-      auto* e = static_cast<BoundSubquery*>(expr);
-      if (e->operand != nullptr) ConvertJoinsInExpr(e->operand.get());
-      ConvertEquiJoinsToHashJoins(&e->plan);
-      return;
-    }
-    default:
-      return;
-  }
+/// Converts the joins of every subquery plan inside `expr`.
+void ConvertJoinsInExpr(BoundExpr& expr) {
+  ForEachChild(
+      expr, [](BoundExprPtr& c) { ConvertJoinsInExpr(*c); },
+      [](PlanPtr& plan) { ConvertEquiJoinsToHashJoins(&plan); });
 }
 
 }  // namespace
 
 void ConvertEquiJoinsToHashJoins(PlanPtr* plan) {
   if (*plan == nullptr) return;
-  ConvertJoinsInPlanExprs(plan->get());
+  ForEachExpr(**plan, [](BoundExprPtr& e) { ConvertJoinsInExpr(*e); });
+  ForEachChild(**plan, [](PlanPtr& c) { ConvertEquiJoinsToHashJoins(&c); });
   if ((*plan)->kind != PlanKind::kNestedLoopJoin) return;
 
   auto* nlj = static_cast<NestedLoopJoinNode*>(plan->get());

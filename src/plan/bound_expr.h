@@ -223,6 +223,85 @@ struct BoundSubquery : BoundExpr {
   bool correlated;
 };
 
+/// The one place that knows which children each BoundExprKind has. Calls
+/// `on_expr(slot)` for each direct child expression slot of `expr` (a
+/// `BoundExprPtr&`, const when `expr` is) and `on_plan(slot)` for a
+/// subquery's plan slot (`std::unique_ptr<PlanNode>&`). Same order as the
+/// AST enumerator (sql::ForEachChild): operand first; a subquery yields
+/// its IN operand, then its plan. The two-argument form stops at
+/// subquery plans.
+template <typename B, typename ExprFn, typename PlanFn>
+  requires std::same_as<std::remove_const_t<B>, BoundExpr>
+void ForEachChild(B& expr, ExprFn&& on_expr, PlanFn&& on_plan) {
+  using sql::ConstLike;
+  switch (expr.kind) {
+    case BoundExprKind::kLiteral:
+    case BoundExprKind::kColumnRef:
+      return;
+    case BoundExprKind::kUnary:
+      on_expr(static_cast<ConstLike<BoundUnary, B>&>(expr).operand);
+      return;
+    case BoundExprKind::kBinary: {
+      auto& e = static_cast<ConstLike<BoundBinary, B>&>(expr);
+      on_expr(e.lhs);
+      on_expr(e.rhs);
+      return;
+    }
+    case BoundExprKind::kFunctionCall:
+      for (auto& a : static_cast<ConstLike<BoundFunctionCall, B>&>(expr).args) {
+        on_expr(a);
+      }
+      return;
+    case BoundExprKind::kCast:
+      on_expr(static_cast<ConstLike<BoundCast, B>&>(expr).operand);
+      return;
+    case BoundExprKind::kIsNull:
+      on_expr(static_cast<ConstLike<BoundIsNull, B>&>(expr).operand);
+      return;
+    case BoundExprKind::kInList: {
+      auto& e = static_cast<ConstLike<BoundInList, B>&>(expr);
+      on_expr(e.operand);
+      for (auto& i : e.items) on_expr(i);
+      return;
+    }
+    case BoundExprKind::kBetween: {
+      auto& e = static_cast<ConstLike<BoundBetween, B>&>(expr);
+      on_expr(e.operand);
+      on_expr(e.low);
+      on_expr(e.high);
+      return;
+    }
+    case BoundExprKind::kLike: {
+      auto& e = static_cast<ConstLike<BoundLike, B>&>(expr);
+      on_expr(e.operand);
+      on_expr(e.pattern);
+      return;
+    }
+    case BoundExprKind::kCase: {
+      auto& e = static_cast<ConstLike<BoundCase, B>&>(expr);
+      for (auto& [cond, value] : e.whens) {
+        on_expr(cond);
+        on_expr(value);
+      }
+      if (e.else_expr != nullptr) on_expr(e.else_expr);
+      return;
+    }
+    case BoundExprKind::kSubquery: {
+      auto& e = static_cast<ConstLike<BoundSubquery, B>&>(expr);
+      if (e.operand != nullptr) on_expr(e.operand);
+      on_plan(e.plan);
+      return;
+    }
+  }
+}
+
+template <typename B, typename ExprFn>
+  requires std::same_as<std::remove_const_t<B>, BoundExpr>
+void ForEachChild(B& expr, ExprFn&& on_expr) {
+  ForEachChild(expr, on_expr,
+               [](sql::ConstLike<std::unique_ptr<PlanNode>, B>&) {});
+}
+
 }  // namespace pdm
 
 #endif  // PDM_PLAN_BOUND_EXPR_H_

@@ -78,48 +78,9 @@ std::string PlanNode::ToString(int indent) const {
       break;
   }
   out += "\n";
-  auto child_str = [&](const PlanPtr& c) {
+  ForEachChild(*this, [&](const PlanPtr& c) {
     if (c != nullptr) out += c->ToString(indent + 1);
-  };
-  switch (kind) {
-    case PlanKind::kFilter:
-      child_str(static_cast<const FilterNode&>(*this).child);
-      break;
-    case PlanKind::kProject:
-      child_str(static_cast<const ProjectNode&>(*this).child);
-      break;
-    case PlanKind::kNestedLoopJoin: {
-      const auto& n = static_cast<const NestedLoopJoinNode&>(*this);
-      child_str(n.left);
-      child_str(n.right);
-      break;
-    }
-    case PlanKind::kHashJoin: {
-      const auto& n = static_cast<const HashJoinNode&>(*this);
-      child_str(n.left);
-      child_str(n.right);
-      break;
-    }
-    case PlanKind::kAggregate:
-      child_str(static_cast<const AggregateNode&>(*this).child);
-      break;
-    case PlanKind::kSort:
-      child_str(static_cast<const SortNode&>(*this).child);
-      break;
-    case PlanKind::kDistinct:
-      child_str(static_cast<const DistinctNode&>(*this).child);
-      break;
-    case PlanKind::kUnion:
-      for (const PlanPtr& c : static_cast<const UnionNode&>(*this).children) {
-        child_str(c);
-      }
-      break;
-    case PlanKind::kLimit:
-      child_str(static_cast<const LimitNode&>(*this).child);
-      break;
-    default:
-      break;
-  }
+  });
   return out;
 }
 

@@ -140,6 +140,109 @@ struct LimitNode : PlanNode {
 };
 
 // ---------------------------------------------------------------------------
+// Child enumeration: the one place that knows what each operator holds
+// ---------------------------------------------------------------------------
+
+/// Calls `fn(slot)` for each child plan slot of `plan` (a `PlanPtr&`, const
+/// when `plan` is, so a rewrite can replace the child in place): a join's
+/// left then right, a union's children in order. A Project without FROM
+/// has none.
+template <typename P, typename Fn>
+  requires std::same_as<std::remove_const_t<P>, PlanNode>
+void ForEachChild(P& plan, Fn&& fn) {
+  using sql::ConstLike;
+  switch (plan.kind) {
+    case PlanKind::kScan:
+    case PlanKind::kCteScan:
+      return;
+    case PlanKind::kFilter:
+      fn(static_cast<ConstLike<FilterNode, P>&>(plan).child);
+      return;
+    case PlanKind::kProject: {
+      auto& n = static_cast<ConstLike<ProjectNode, P>&>(plan);
+      if (n.child != nullptr) fn(n.child);
+      return;
+    }
+    case PlanKind::kNestedLoopJoin: {
+      auto& n = static_cast<ConstLike<NestedLoopJoinNode, P>&>(plan);
+      fn(n.left);
+      fn(n.right);
+      return;
+    }
+    case PlanKind::kHashJoin: {
+      auto& n = static_cast<ConstLike<HashJoinNode, P>&>(plan);
+      fn(n.left);
+      fn(n.right);
+      return;
+    }
+    case PlanKind::kAggregate:
+      fn(static_cast<ConstLike<AggregateNode, P>&>(plan).child);
+      return;
+    case PlanKind::kSort:
+      fn(static_cast<ConstLike<SortNode, P>&>(plan).child);
+      return;
+    case PlanKind::kDistinct:
+      fn(static_cast<ConstLike<DistinctNode, P>&>(plan).child);
+      return;
+    case PlanKind::kUnion:
+      for (auto& c : static_cast<ConstLike<UnionNode, P>&>(plan).children) {
+        fn(c);
+      }
+      return;
+    case PlanKind::kLimit:
+      fn(static_cast<ConstLike<LimitNode, P>&>(plan).child);
+      return;
+  }
+}
+
+/// Calls `fn(slot)` for each root expression `plan`'s own operator holds
+/// (a `BoundExprPtr&`, const when `plan` is), absent optional ones
+/// skipped: a scan's pushed-down filter, a filter's predicate, the
+/// projection list, a join's predicate or residual, an aggregate's group
+/// expressions, then its aggregate arguments, then HAVING. Neither child
+/// plans nor subquery plans are entered.
+template <typename P, typename Fn>
+  requires std::same_as<std::remove_const_t<P>, PlanNode>
+void ForEachExpr(P& plan, Fn&& fn) {
+  using sql::ConstLike;
+  auto optional = [&](auto& slot) {
+    if (slot != nullptr) fn(slot);
+  };
+  switch (plan.kind) {
+    case PlanKind::kScan:
+      optional(static_cast<ConstLike<ScanNode, P>&>(plan).filter);
+      return;
+    case PlanKind::kFilter:
+      fn(static_cast<ConstLike<FilterNode, P>&>(plan).predicate);
+      return;
+    case PlanKind::kProject:
+      for (auto& e : static_cast<ConstLike<ProjectNode, P>&>(plan).exprs) {
+        fn(e);
+      }
+      return;
+    case PlanKind::kNestedLoopJoin:
+      optional(static_cast<ConstLike<NestedLoopJoinNode, P>&>(plan).predicate);
+      return;
+    case PlanKind::kHashJoin:
+      optional(static_cast<ConstLike<HashJoinNode, P>&>(plan).residual);
+      return;
+    case PlanKind::kAggregate: {
+      auto& n = static_cast<ConstLike<AggregateNode, P>&>(plan);
+      for (auto& g : n.group_exprs) fn(g);
+      for (auto& a : n.aggregates) optional(a.arg);
+      optional(n.having);
+      return;
+    }
+    case PlanKind::kCteScan:
+    case PlanKind::kSort:
+    case PlanKind::kDistinct:
+    case PlanKind::kUnion:
+    case PlanKind::kLimit:
+      return;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Bound statements
 // ---------------------------------------------------------------------------
 

@@ -25,111 +25,6 @@ std::string_view ConditionClassName(ConditionClass cls) {
 
 namespace {
 
-/// In-place column-reference rewriting over an expression tree,
-/// descending into subqueries with `in_subquery` = true so callers can
-/// scope qualification to the outermost level only.
-template <typename Fn>
-Status MutateColumnRefs(Expr* expr, bool in_subquery, const Fn& fn);
-
-template <typename Fn>
-Status MutateQueryColumnRefs(sql::QueryExpr* query, const Fn& fn) {
-  for (sql::SelectCore& term : query->terms) {
-    for (sql::SelectItem& item : term.items) {
-      if (item.expr != nullptr) {
-        PDM_RETURN_NOT_OK(MutateColumnRefs(item.expr.get(), true, fn));
-      }
-    }
-    for (sql::FromItem& from : term.from) {
-      for (sql::JoinClause& join : from.joins) {
-        if (join.on != nullptr) {
-          PDM_RETURN_NOT_OK(MutateColumnRefs(join.on.get(), true, fn));
-        }
-      }
-    }
-    if (term.where != nullptr) {
-      PDM_RETURN_NOT_OK(MutateColumnRefs(term.where.get(), true, fn));
-    }
-    for (ExprPtr& g : term.group_by) {
-      PDM_RETURN_NOT_OK(MutateColumnRefs(g.get(), true, fn));
-    }
-    if (term.having != nullptr) {
-      PDM_RETURN_NOT_OK(MutateColumnRefs(term.having.get(), true, fn));
-    }
-  }
-  return Status::OK();
-}
-
-template <typename Fn>
-Status MutateColumnRefs(Expr* expr, bool in_subquery, const Fn& fn) {
-  switch (expr->kind) {
-    case ExprKind::kColumnRef:
-      return fn(static_cast<sql::ColumnRefExpr*>(expr), in_subquery);
-    case ExprKind::kUnary:
-      return MutateColumnRefs(
-          static_cast<sql::UnaryExpr*>(expr)->operand.get(), in_subquery, fn);
-    case ExprKind::kBinary: {
-      auto* e = static_cast<sql::BinaryExpr*>(expr);
-      PDM_RETURN_NOT_OK(MutateColumnRefs(e->lhs.get(), in_subquery, fn));
-      return MutateColumnRefs(e->rhs.get(), in_subquery, fn);
-    }
-    case ExprKind::kFunctionCall:
-      for (ExprPtr& a : static_cast<sql::FunctionCallExpr*>(expr)->args) {
-        if (a->kind == ExprKind::kStar) continue;
-        PDM_RETURN_NOT_OK(MutateColumnRefs(a.get(), in_subquery, fn));
-      }
-      return Status::OK();
-    case ExprKind::kCast:
-      return MutateColumnRefs(static_cast<sql::CastExpr*>(expr)->operand.get(),
-                              in_subquery, fn);
-    case ExprKind::kIsNull:
-      return MutateColumnRefs(
-          static_cast<sql::IsNullExpr*>(expr)->operand.get(), in_subquery, fn);
-    case ExprKind::kInList: {
-      auto* e = static_cast<sql::InListExpr*>(expr);
-      PDM_RETURN_NOT_OK(MutateColumnRefs(e->operand.get(), in_subquery, fn));
-      for (ExprPtr& i : e->items) {
-        PDM_RETURN_NOT_OK(MutateColumnRefs(i.get(), in_subquery, fn));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kInSubquery: {
-      auto* e = static_cast<sql::InSubqueryExpr*>(expr);
-      PDM_RETURN_NOT_OK(MutateColumnRefs(e->operand.get(), in_subquery, fn));
-      return MutateQueryColumnRefs(e->subquery.get(), fn);
-    }
-    case ExprKind::kExists:
-      return MutateQueryColumnRefs(
-          static_cast<sql::ExistsExpr*>(expr)->subquery.get(), fn);
-    case ExprKind::kScalarSubquery:
-      return MutateQueryColumnRefs(
-          static_cast<sql::ScalarSubqueryExpr*>(expr)->subquery.get(), fn);
-    case ExprKind::kBetween: {
-      auto* e = static_cast<sql::BetweenExpr*>(expr);
-      PDM_RETURN_NOT_OK(MutateColumnRefs(e->operand.get(), in_subquery, fn));
-      PDM_RETURN_NOT_OK(MutateColumnRefs(e->low.get(), in_subquery, fn));
-      return MutateColumnRefs(e->high.get(), in_subquery, fn);
-    }
-    case ExprKind::kLike: {
-      auto* e = static_cast<sql::LikeExpr*>(expr);
-      PDM_RETURN_NOT_OK(MutateColumnRefs(e->operand.get(), in_subquery, fn));
-      return MutateColumnRefs(e->pattern.get(), in_subquery, fn);
-    }
-    case ExprKind::kCase: {
-      auto* e = static_cast<sql::CaseExpr*>(expr);
-      for (auto& [c, v] : e->whens) {
-        PDM_RETURN_NOT_OK(MutateColumnRefs(c.get(), in_subquery, fn));
-        PDM_RETURN_NOT_OK(MutateColumnRefs(v.get(), in_subquery, fn));
-      }
-      if (e->else_expr != nullptr) {
-        return MutateColumnRefs(e->else_expr.get(), in_subquery, fn);
-      }
-      return Status::OK();
-    }
-    default:
-      return Status::OK();
-  }
-}
-
 Result<Value> UserVariable(const pdmsys::UserContext& user,
                            const std::string& column) {
   std::string key = ToLowerAscii(column);
@@ -145,181 +40,62 @@ bool IsWildcardType(const std::string& type) {
   return type.empty() || type == "*";
 }
 
-}  // namespace
+Status InstantiateSubquery(sql::QueryExpr& query,
+                           const pdmsys::UserContext& user);
 
-namespace {
-
-/// Structural rewriting: returns a fresh tree in which `$user.x` refs
-/// become literals and (outside subqueries) unqualified refs gain the
-/// qualifier. Expressions that cannot contain column refs are cloned.
-Result<ExprPtr> RewriteExpr(const Expr& expr, const pdmsys::UserContext& user,
-                            const std::string& qualifier, bool in_subquery);
-
-Result<std::unique_ptr<sql::QueryExpr>> RewriteQuery(
-    const sql::QueryExpr& query, const pdmsys::UserContext& user) {
-  // Inside a subquery only $user substitution applies; unqualified refs
-  // belong to the subquery's own FROM tables.
-  (void)user;
-  std::unique_ptr<sql::QueryExpr> clone = query.Clone();
-  Status status = MutateQueryColumnRefs(
-      clone.get(), [&](sql::ColumnRefExpr* ref, bool) -> Status {
-        if (EqualsIgnoreCase(ref->table, "$user")) {
-          return Status::NotImplemented(
-              "$user references inside nested subqueries of rule "
-              "predicates are not supported; hoist them to the outer "
-              "predicate");
+/// Instantiates the expression in `slot` in place: a `$user.x` ref is
+/// replaced in its parent slot by the literal, and outside subqueries an
+/// unqualified ref gains `qualifier`. Inside a subquery (`in_subquery`)
+/// unqualified refs belong to the subquery's own FROM tables and `$user`
+/// is rejected.
+Status InstantiateSlot(ExprPtr& slot, const pdmsys::UserContext& user,
+                       const std::string& qualifier, bool in_subquery) {
+  if (slot->kind == ExprKind::kColumnRef) {
+    auto& ref = static_cast<sql::ColumnRefExpr&>(*slot);
+    if (EqualsIgnoreCase(ref.table, "$user")) {
+      if (in_subquery) {
+        return Status::NotImplemented(
+            "$user references inside nested subqueries of rule "
+            "predicates are not supported; hoist them to the outer "
+            "predicate");
+      }
+      PDM_ASSIGN_OR_RETURN(Value v, UserVariable(user, ref.column));
+      slot = sql::MakeLiteral(std::move(v));
+    } else if (!in_subquery && ref.table.empty()) {
+      ref.table = qualifier;
+    }
+    return Status::OK();
+  }
+  Status status;
+  sql::ForEachChild(
+      *slot,
+      [&](ExprPtr& child) {
+        if (status.ok()) {
+          status = InstantiateSlot(child, user, qualifier, in_subquery);
         }
-        return Status::OK();
+      },
+      [&](sql::QueryExpr& query) {
+        if (status.ok()) status = InstantiateSubquery(query, user);
       });
-  PDM_RETURN_NOT_OK(status);
-  return clone;
+  return status;
 }
 
-Result<ExprPtr> RewriteExpr(const Expr& expr, const pdmsys::UserContext& user,
-                            const std::string& qualifier, bool in_subquery) {
-  switch (expr.kind) {
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const sql::ColumnRefExpr&>(expr);
-      if (EqualsIgnoreCase(ref.table, "$user")) {
-        PDM_ASSIGN_OR_RETURN(Value v, UserVariable(user, ref.column));
-        return sql::MakeLiteral(std::move(v));
-      }
-      if (!in_subquery && ref.table.empty() && !qualifier.empty()) {
-        return sql::MakeColumnRef(qualifier, ref.column);
-      }
-      return ref.Clone();
-    }
-    case ExprKind::kUnary: {
-      const auto& e = static_cast<const sql::UnaryExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(ExprPtr operand,
-                           RewriteExpr(*e.operand, user, qualifier,
-                                       in_subquery));
-      return ExprPtr(std::make_unique<sql::UnaryExpr>(e.op,
-                                                      std::move(operand)));
-    }
-    case ExprKind::kBinary: {
-      const auto& e = static_cast<const sql::BinaryExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(ExprPtr lhs,
-                           RewriteExpr(*e.lhs, user, qualifier, in_subquery));
-      PDM_ASSIGN_OR_RETURN(ExprPtr rhs,
-                           RewriteExpr(*e.rhs, user, qualifier, in_subquery));
-      return sql::MakeBinary(e.op, std::move(lhs), std::move(rhs));
-    }
-    case ExprKind::kFunctionCall: {
-      const auto& e = static_cast<const sql::FunctionCallExpr&>(expr);
-      std::vector<ExprPtr> args;
-      args.reserve(e.args.size());
-      for (const ExprPtr& a : e.args) {
-        if (a->kind == ExprKind::kStar) {
-          args.push_back(a->Clone());
-          continue;
+/// InstantiateSlot over every expression of a subquery, derived tables
+/// included.
+Status InstantiateSubquery(sql::QueryExpr& query,
+                           const pdmsys::UserContext& user) {
+  Status status;
+  sql::ForEachChild(
+      query,
+      [&](ExprPtr& expr) {
+        if (status.ok()) {
+          status = InstantiateSlot(expr, user, "", /*in_subquery=*/true);
         }
-        PDM_ASSIGN_OR_RETURN(ExprPtr arg,
-                             RewriteExpr(*a, user, qualifier, in_subquery));
-        args.push_back(std::move(arg));
-      }
-      return ExprPtr(std::make_unique<sql::FunctionCallExpr>(
-          e.name, std::move(args), e.distinct));
-    }
-    case ExprKind::kCast: {
-      const auto& e = static_cast<const sql::CastExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(ExprPtr operand,
-                           RewriteExpr(*e.operand, user, qualifier,
-                                       in_subquery));
-      return ExprPtr(std::make_unique<sql::CastExpr>(std::move(operand),
-                                                     e.target_type));
-    }
-    case ExprKind::kIsNull: {
-      const auto& e = static_cast<const sql::IsNullExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(ExprPtr operand,
-                           RewriteExpr(*e.operand, user, qualifier,
-                                       in_subquery));
-      return ExprPtr(std::make_unique<sql::IsNullExpr>(std::move(operand),
-                                                       e.negated));
-    }
-    case ExprKind::kInList: {
-      const auto& e = static_cast<const sql::InListExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(ExprPtr operand,
-                           RewriteExpr(*e.operand, user, qualifier,
-                                       in_subquery));
-      std::vector<ExprPtr> items;
-      items.reserve(e.items.size());
-      for (const ExprPtr& i : e.items) {
-        PDM_ASSIGN_OR_RETURN(ExprPtr item,
-                             RewriteExpr(*i, user, qualifier, in_subquery));
-        items.push_back(std::move(item));
-      }
-      return ExprPtr(std::make_unique<sql::InListExpr>(
-          std::move(operand), std::move(items), e.negated));
-    }
-    case ExprKind::kInSubquery: {
-      const auto& e = static_cast<const sql::InSubqueryExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(ExprPtr operand,
-                           RewriteExpr(*e.operand, user, qualifier,
-                                       in_subquery));
-      PDM_ASSIGN_OR_RETURN(std::unique_ptr<sql::QueryExpr> sub,
-                           RewriteQuery(*e.subquery, user));
-      return ExprPtr(std::make_unique<sql::InSubqueryExpr>(
-          std::move(operand), std::move(sub), e.negated));
-    }
-    case ExprKind::kExists: {
-      const auto& e = static_cast<const sql::ExistsExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(std::unique_ptr<sql::QueryExpr> sub,
-                           RewriteQuery(*e.subquery, user));
-      return ExprPtr(std::make_unique<sql::ExistsExpr>(std::move(sub),
-                                                       e.negated));
-    }
-    case ExprKind::kScalarSubquery: {
-      const auto& e = static_cast<const sql::ScalarSubqueryExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(std::unique_ptr<sql::QueryExpr> sub,
-                           RewriteQuery(*e.subquery, user));
-      return ExprPtr(std::make_unique<sql::ScalarSubqueryExpr>(std::move(sub)));
-    }
-    case ExprKind::kBetween: {
-      const auto& e = static_cast<const sql::BetweenExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(ExprPtr operand,
-                           RewriteExpr(*e.operand, user, qualifier,
-                                       in_subquery));
-      PDM_ASSIGN_OR_RETURN(ExprPtr low,
-                           RewriteExpr(*e.low, user, qualifier, in_subquery));
-      PDM_ASSIGN_OR_RETURN(ExprPtr high,
-                           RewriteExpr(*e.high, user, qualifier, in_subquery));
-      return ExprPtr(std::make_unique<sql::BetweenExpr>(
-          std::move(operand), std::move(low), std::move(high), e.negated));
-    }
-    case ExprKind::kLike: {
-      const auto& e = static_cast<const sql::LikeExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(ExprPtr operand,
-                           RewriteExpr(*e.operand, user, qualifier,
-                                       in_subquery));
-      PDM_ASSIGN_OR_RETURN(ExprPtr pattern,
-                           RewriteExpr(*e.pattern, user, qualifier,
-                                       in_subquery));
-      return ExprPtr(std::make_unique<sql::LikeExpr>(
-          std::move(operand), std::move(pattern), e.negated));
-    }
-    case ExprKind::kCase: {
-      const auto& e = static_cast<const sql::CaseExpr&>(expr);
-      std::vector<std::pair<ExprPtr, ExprPtr>> whens;
-      whens.reserve(e.whens.size());
-      for (const auto& [c, v] : e.whens) {
-        PDM_ASSIGN_OR_RETURN(ExprPtr cond,
-                             RewriteExpr(*c, user, qualifier, in_subquery));
-        PDM_ASSIGN_OR_RETURN(ExprPtr val,
-                             RewriteExpr(*v, user, qualifier, in_subquery));
-        whens.emplace_back(std::move(cond), std::move(val));
-      }
-      ExprPtr else_expr;
-      if (e.else_expr != nullptr) {
-        PDM_ASSIGN_OR_RETURN(else_expr, RewriteExpr(*e.else_expr, user,
-                                                    qualifier, in_subquery));
-      }
-      return ExprPtr(std::make_unique<sql::CaseExpr>(std::move(whens),
-                                                     std::move(else_expr)));
-    }
-    default:
-      return expr.Clone();
-  }
+      },
+      [&](sql::QueryExpr& derived) {
+        if (status.ok()) status = InstantiateSubquery(derived, user);
+      });
+  return status;
 }
 
 }  // namespace
@@ -327,7 +103,10 @@ Result<ExprPtr> RewriteExpr(const Expr& expr, const pdmsys::UserContext& user,
 Result<ExprPtr> InstantiatePredicate(const Expr& predicate,
                                      const pdmsys::UserContext& user,
                                      const std::string& qualifier) {
-  return RewriteExpr(predicate, user, qualifier, /*in_subquery=*/false);
+  ExprPtr out = predicate.Clone();
+  PDM_RETURN_NOT_OK(
+      InstantiateSlot(out, user, qualifier, /*in_subquery=*/false));
+  return out;
 }
 
 // --- RowCondition ---------------------------------------------------------------

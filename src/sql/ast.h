@@ -1,9 +1,11 @@
 #ifndef PDM_SQL_AST_H_
 #define PDM_SQL_AST_H_
 
+#include <concepts>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -383,6 +385,139 @@ struct CommonTableExpr {
   CommonTableExpr Clone() const;
   std::string ToSql() const;
 };
+
+// ---------------------------------------------------------------------------
+// Child enumeration: the one place that knows which children each node has
+// ---------------------------------------------------------------------------
+
+/// `T`, const-qualified when `Like` is, so one walker body serves both the
+/// const and the mutable form of a tree.
+template <typename T, typename Like>
+using ConstLike = std::conditional_t<std::is_const_v<Like>, const T, T>;
+
+/// Calls `on_expr(slot)` for each direct child expression of `expr` (an
+/// `ExprPtr&`, const when `expr` is, so a mutating walk can replace the
+/// child in its parent slot) and `on_query(query)` for the subquery of
+/// IN/EXISTS/scalar-subquery nodes. Order: operand first, then list items,
+/// BETWEEN bounds, LIKE pattern or subquery; CASE yields condition and
+/// value per WHEN, then ELSE (skipped when absent). A walk that stops at
+/// subquery boundaries uses the two-argument form.
+template <typename E, typename ExprFn, typename QueryFn>
+  requires std::same_as<std::remove_const_t<E>, Expr>
+void ForEachChild(E& expr, ExprFn&& on_expr, QueryFn&& on_query) {
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+    case ExprKind::kColumnRef:
+    case ExprKind::kStar:
+      return;
+    case ExprKind::kUnary:
+      on_expr(static_cast<ConstLike<UnaryExpr, E>&>(expr).operand);
+      return;
+    case ExprKind::kBinary: {
+      auto& e = static_cast<ConstLike<BinaryExpr, E>&>(expr);
+      on_expr(e.lhs);
+      on_expr(e.rhs);
+      return;
+    }
+    case ExprKind::kFunctionCall:
+      for (auto& a : static_cast<ConstLike<FunctionCallExpr, E>&>(expr).args) {
+        on_expr(a);
+      }
+      return;
+    case ExprKind::kCast:
+      on_expr(static_cast<ConstLike<CastExpr, E>&>(expr).operand);
+      return;
+    case ExprKind::kIsNull:
+      on_expr(static_cast<ConstLike<IsNullExpr, E>&>(expr).operand);
+      return;
+    case ExprKind::kInList: {
+      auto& e = static_cast<ConstLike<InListExpr, E>&>(expr);
+      on_expr(e.operand);
+      for (auto& i : e.items) on_expr(i);
+      return;
+    }
+    case ExprKind::kInSubquery: {
+      auto& e = static_cast<ConstLike<InSubqueryExpr, E>&>(expr);
+      on_expr(e.operand);
+      on_query(static_cast<ConstLike<QueryExpr, E>&>(*e.subquery));
+      return;
+    }
+    case ExprKind::kExists:
+      on_query(static_cast<ConstLike<QueryExpr, E>&>(
+          *static_cast<ConstLike<ExistsExpr, E>&>(expr).subquery));
+      return;
+    case ExprKind::kScalarSubquery:
+      on_query(static_cast<ConstLike<QueryExpr, E>&>(
+          *static_cast<ConstLike<ScalarSubqueryExpr, E>&>(expr).subquery));
+      return;
+    case ExprKind::kBetween: {
+      auto& e = static_cast<ConstLike<BetweenExpr, E>&>(expr);
+      on_expr(e.operand);
+      on_expr(e.low);
+      on_expr(e.high);
+      return;
+    }
+    case ExprKind::kLike: {
+      auto& e = static_cast<ConstLike<LikeExpr, E>&>(expr);
+      on_expr(e.operand);
+      on_expr(e.pattern);
+      return;
+    }
+    case ExprKind::kCase: {
+      auto& e = static_cast<ConstLike<CaseExpr, E>&>(expr);
+      for (auto& [cond, value] : e.whens) {
+        on_expr(cond);
+        on_expr(value);
+      }
+      if (e.else_expr != nullptr) on_expr(e.else_expr);
+      return;
+    }
+  }
+}
+
+template <typename E, typename ExprFn>
+  requires std::same_as<std::remove_const_t<E>, Expr>
+void ForEachChild(E& expr, ExprFn&& on_expr) {
+  ForEachChild(expr, on_expr, [](ConstLike<QueryExpr, E>&) {});
+}
+
+/// Query-level walk over one SELECT block: `on_expr(slot)` for the select
+/// items, each JOIN's ON, WHERE, every GROUP BY expression and HAVING;
+/// `on_query(query)` for each derived table (a JOIN's table before its
+/// ON). Clause order: select list, FROM, WHERE, GROUP BY, HAVING.
+template <typename C, typename ExprFn, typename QueryFn>
+  requires std::same_as<std::remove_const_t<C>, SelectCore>
+void ForEachChild(C& core, ExprFn&& on_expr, QueryFn&& on_query) {
+  for (auto& item : core.items) {
+    if (item.expr != nullptr) on_expr(item.expr);
+  }
+  auto derived = [&](auto& ref) {
+    if (ref.kind == TableRef::Kind::kSubquery) {
+      on_query(static_cast<ConstLike<QueryExpr, C>&>(*ref.subquery));
+    }
+  };
+  for (auto& from : core.from) {
+    derived(from.ref);
+    for (auto& join : from.joins) {
+      derived(join.ref);
+      if (join.on != nullptr) on_expr(join.on);
+    }
+  }
+  if (core.where != nullptr) on_expr(core.where);
+  for (auto& g : core.group_by) on_expr(g);
+  if (core.having != nullptr) on_expr(core.having);
+}
+
+/// Every UNION term's SelectCore walk in order, then the ORDER BY
+/// expressions (positions have none).
+template <typename Q, typename ExprFn, typename QueryFn>
+  requires std::same_as<std::remove_const_t<Q>, QueryExpr>
+void ForEachChild(Q& query, ExprFn&& on_expr, QueryFn&& on_query) {
+  for (auto& term : query.terms) ForEachChild(term, on_expr, on_query);
+  for (auto& item : query.order_by) {
+    if (item.expr != nullptr) on_expr(item.expr);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Statements

@@ -70,6 +70,41 @@ TEST(Conditions, QualifiedRefsAreLeftAlone) {
   EXPECT_EQ((*pred)->ToSql(), "(other.x = 1) AND (assy.y = 2)");
 }
 
+TEST(Conditions, UserRefInsideSubqueryRejected) {
+  // The second predicate holds the `$user` ref one derived table deeper;
+  // shipped unsubstituted it would fail on the server as an unknown
+  // column.
+  for (const char* predicate :
+       {"obid IN (SELECT obid FROM comp WHERE name = $user.name)",
+        "obid IN (SELECT d.obid FROM (SELECT obid FROM comp "
+        "WHERE name = $user.name) d)"}) {
+    SCOPED_TRACE(predicate);
+    Result<std::unique_ptr<RowCondition>> cond =
+        RowCondition::Parse("comp", predicate);
+    ASSERT_TRUE(cond.ok()) << cond.status();
+    Result<sql::ExprPtr> pred = (*cond)->Instantiate(Scott(), "comp");
+    ASSERT_FALSE(pred.ok()) << (*pred)->ToSql();
+    EXPECT_EQ(pred.status().code(), StatusCode::kNotImplemented);
+  }
+}
+
+TEST(Conditions, SubqueryRefsStayUnqualified) {
+  // Only the outer predicate's refs are the tested object's attributes.
+  Result<std::unique_ptr<RowCondition>> cond = RowCondition::Parse(
+      "comp",
+      "obid IN (SELECT d.obid FROM (SELECT obid FROM comp WHERE x = 1) d) "
+      "AND z = $user.strc_opt");
+  ASSERT_TRUE(cond.ok()) << cond.status();
+  Result<sql::ExprPtr> pred = (*cond)->Instantiate(Scott(), "comp");
+  ASSERT_TRUE(pred.ok()) << pred.status();
+  std::string sql = (*pred)->ToSql();
+  EXPECT_NE(sql.find("comp.obid IN (SELECT d.obid FROM (SELECT obid FROM "
+                     "comp WHERE x = 1)"),
+            std::string::npos)
+      << sql;
+  EXPECT_NE(sql.find("comp.z = 5"), std::string::npos) << sql;
+}
+
 TEST(Conditions, ForAllRowsTranslation) {
   Result<sql::ExprPtr> row_pred = sql::ParseSqlExpression("dec = '+'");
   ASSERT_TRUE(row_pred.ok());

@@ -320,7 +320,9 @@ TEST_F(VecJoinAggTest, OrderByOverBridgedScanIsStable) {
     const int64_t g = rs->At(i, 0).int64_value();
     const int64_t id = rs->At(i, 1).int64_value();
     ASSERT_GE(g, prev_grp);
-    if (g == prev_grp) ASSERT_GT(id, prev_id) << "tie broke scan order";
+    if (g == prev_grp) {
+      ASSERT_GT(id, prev_id) << "tie broke scan order";
+    }
     prev_grp = g;
     prev_id = id;
   }
