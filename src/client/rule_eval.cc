@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/string_util.h"
+#include "exec/aggregate_state.h"
 #include "exec/expr_eval.h"
 #include "pdm/pdm_schema.h"
 #include "plan/binder.h"
@@ -154,77 +155,31 @@ Result<bool> ClientRuleEvaluator::TreeConditionsPass(
       }
     }
 
-    int64_t count = 0;
-    double sum = 0;
-    Value extreme;
+    // Fold and compare exactly as the server does for the recursive
+    // strategy's `(SELECT AGG(attr) FROM rtbl ...) <cmp> threshold`.
+    // Without an attribute the loop counts rows (COUNT(*)); with one,
+    // COUNT skips NULLs like the server's COUNT(attr).
+    BoundAggregate agg;
+    agg.agg_kind =
+        cond.agg() == AggKind::kCountStar ? AggKind::kCount : cond.agg();
+    if (!attr_col.has_value() && agg.agg_kind != AggKind::kCount) {
+      return Status::InvalidArgument(
+          "tree-aggregate without attribute requires COUNT");
+    }
+    AggState state;
     for (const Row& row : nodes.rows) {
       if (!all_filter && row[*type_col].ToString() != filter) continue;
-      if (!attr_col.has_value()) {
-        ++count;
-        continue;
-      }
-      const Value& v = row[*attr_col];
-      if (v.is_null()) continue;
-      ++count;
-      if (v.is_numeric()) sum += v.AsDouble();
-      if (extreme.is_null() ||
-          (Value::Comparable(extreme, v) &&
-           ((cond.agg() == AggKind::kMin && Value::Compare(v, extreme) < 0) ||
-            (cond.agg() == AggKind::kMax &&
-             Value::Compare(v, extreme) > 0)))) {
-        extreme = v;
+      if (attr_col.has_value()) {
+        PDM_RETURN_NOT_OK(AccumulateAggValue(agg, row[*attr_col], &state));
+      } else {
+        ++state.count;
       }
     }
-
-    Value aggregate;
-    switch (cond.agg()) {
-      case AggKind::kCountStar:
-      case AggKind::kCount:
-        aggregate = Value::Int64(count);
-        break;
-      case AggKind::kSum:
-        aggregate = count > 0 ? Value::Double(sum) : Value::Null();
-        break;
-      case AggKind::kAvg:
-        aggregate = count > 0 ? Value::Double(sum / static_cast<double>(count))
-                              : Value::Null();
-        break;
-      case AggKind::kMin:
-      case AggKind::kMax:
-        aggregate = extreme;
-        break;
-    }
-    if (aggregate.is_null()) return false;
-    if (!Value::Comparable(aggregate, cond.threshold())) {
-      return Status::InvalidArgument(
-          "tree-aggregate threshold incomparable with aggregate value");
-    }
-    int c = Value::Compare(aggregate, cond.threshold());
-    bool pass = false;
-    switch (cond.cmp()) {
-      case sql::BinaryOp::kEq:
-        pass = c == 0;
-        break;
-      case sql::BinaryOp::kNotEq:
-        pass = c != 0;
-        break;
-      case sql::BinaryOp::kLess:
-        pass = c < 0;
-        break;
-      case sql::BinaryOp::kLessEq:
-        pass = c <= 0;
-        break;
-      case sql::BinaryOp::kGreater:
-        pass = c > 0;
-        break;
-      case sql::BinaryOp::kGreaterEq:
-        pass = c >= 0;
-        break;
-      default:
-        return Status::InvalidArgument(
-            "tree-aggregate comparison operator must be a comparison");
-    }
-    if (!pass) return false;
+    PDM_ASSIGN_OR_RETURN(Value aggregate, FinalizeAgg(agg, state));
+    PDM_ASSIGN_OR_RETURN(Value verdict, SqlCompareValues(cond.cmp(), aggregate,
+                                                         cond.threshold()));
+    // A NULL aggregate (no counted rows) fails, as the server's WHERE does.
+    if (verdict.is_null() || !verdict.bool_value()) return false;
   }
   return true;
 }

@@ -201,18 +201,16 @@ bool NamedByText(const sql::SelectItem& item) {
   return item.alias.empty() && item.expr->kind != ExprKind::kColumnRef;
 }
 
-/// While live, literals bind as plan structure if `active` (see
-/// NamedByText).
-struct StructuralLiterals {
-  StructuralLiterals(size_t* depth, bool active)
-      : depth(depth), active(active) {
-    *depth += active;
-  }
-  ~StructuralLiterals() { *depth -= active; }
-  StructuralLiterals(const StructuralLiterals&) = delete;
-  StructuralLiterals& operator=(const StructuralLiterals&) = delete;
-  size_t* depth;
-  bool active;
+/// While live, `*slot` holds `value`. Sets the binder's modes
+/// (Binder::structural_literals_, Binder::agg_context_) for a subtree.
+template <typename T>
+struct ScopedValue {
+  ScopedValue(T* slot, T value) : slot(slot), saved(*slot) { *slot = value; }
+  ~ScopedValue() { *slot = saved; }
+  ScopedValue(const ScopedValue&) = delete;
+  ScopedValue& operator=(const ScopedValue&) = delete;
+  T* slot;
+  T saved;
 };
 
 std::string OutputColumnName(const sql::SelectItem& item) {
@@ -422,7 +420,7 @@ void ConvertEquiJoinsToHashJoins(PlanPtr* plan) {
 
 BoundExprPtr Binder::BindLiteral(const sql::LiteralExpr& expr) {
   auto lit = std::make_unique<BoundLiteral>(expr.value);
-  if (view_stack_.empty() && structural_literals_ == 0 &&
+  if (view_stack_.empty() && !structural_literals_ &&
       expr.param_slot >= 0) {
     const auto slot = static_cast<size_t>(expr.param_slot);
     lit->param_slot = expr.param_slot;
@@ -432,8 +430,28 @@ BoundExprPtr Binder::BindLiteral(const sql::LiteralExpr& expr) {
   return lit;
 }
 
+std::optional<size_t> Binder::AggContext::SlotOf(const sql::Expr& expr) const {
+  if (!group_sql.empty()) {
+    std::string text = expr.ToSql();
+    for (size_t i = 0; i < group_sql.size(); ++i) {
+      if (group_sql[i] == text) return i;
+    }
+  }
+  for (size_t j = 0; j < agg_calls.size(); ++j) {
+    if (agg_calls[j] == &expr) return group_sql.size() + j;
+  }
+  return std::nullopt;
+}
+
 Result<BoundExprPtr> Binder::BindExpr(const sql::Expr& expr,
                                       const Scope* scope) {
+  if (agg_context_ != nullptr) {
+    if (std::optional<size_t> slot = agg_context_->SlotOf(expr)) {
+      const Column& out = agg_context_->output->column(*slot);
+      return BoundExprPtr(
+          std::make_unique<BoundColumnRef>(0, *slot, out.type, out.name));
+    }
+  }
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return BindLiteral(static_cast<const sql::LiteralExpr&>(expr));
@@ -445,6 +463,11 @@ Result<BoundExprPtr> Binder::BindExpr(const sql::Expr& expr,
       }
       PDM_ASSIGN_OR_RETURN(Scope::Resolution r,
                            scope->Resolve(e.table, e.column));
+      if (agg_context_ != nullptr && r.level == 0) {
+        return Status::BindError("column '" + e.ToSql() +
+                                 "' must appear in GROUP BY or inside an "
+                                 "aggregate function");
+      }
       return BoundExprPtr(std::make_unique<BoundColumnRef>(
           r.level, r.index, r.type, r.debug_name));
     }
@@ -569,8 +592,14 @@ Result<BoundExprPtr> Binder::BindExpr(const sql::Expr& expr,
 Result<PlanPtr> Binder::BindSubqueryPlan(const sql::QueryExpr& query,
                                          const Scope* scope,
                                          bool* correlated) {
+  const bool after_aggregation = agg_context_ != nullptr;
+  ScopedValue<const AggContext*> body(&agg_context_, nullptr);
   PDM_ASSIGN_OR_RETURN(PlanPtr plan, BindQueryExpr(query, scope));
   *correlated = PlanHasEscapingRefs(*plan, 0);
+  if (*correlated && after_aggregation) {
+    // Its outer refs would resolve against the rows before aggregation.
+    return Status::NotImplemented("correlated subquery after aggregation");
+  }
   return plan;
 }
 
@@ -841,7 +870,8 @@ Result<PlanPtr> Binder::BindSelectCore(const sql::SelectCore& core,
         }
         continue;
       }
-      StructuralLiterals named(&structural_literals_, NamedByText(item));
+      ScopedValue<bool> named(&structural_literals_,
+                              structural_literals_ || NamedByText(item));
       PDM_ASSIGN_OR_RETURN(BoundExprPtr bound, BindExpr(*item.expr, &scope));
       project->schema.AddColumn(
           Column{OutputColumnName(item), InferType(*bound)});
@@ -881,7 +911,6 @@ Result<PlanPtr> Binder::BindAggregateSelect(const sql::SelectCore& core,
     agg_node->group_exprs.push_back(std::move(bound));
     ctx.group_sql.push_back(g->ToSql());
   }
-  ctx.num_groups = agg_node->group_exprs.size();
 
   // Aggregate calls from SELECT list and HAVING, in slot order; a call
   // inside a text-named item is part of that name.
@@ -896,7 +925,8 @@ Result<PlanPtr> Binder::BindAggregateSelect(const sql::SelectCore& core,
   for (size_t i = 0; i < ctx.agg_calls.size(); ++i) {
     const auto& call =
         static_cast<const sql::FunctionCallExpr&>(*ctx.agg_calls[i]);
-    StructuralLiterals named(&structural_literals_, call_named[i]);
+    ScopedValue<bool> named(&structural_literals_,
+                            structural_literals_ || call_named[i]);
     bool star = call.args.size() == 1 && call.args[0]->kind == ExprKind::kStar;
     AggKind kind = *LookupAggKind(call.name, star);
     BoundAggregate agg;
@@ -932,125 +962,22 @@ Result<PlanPtr> Binder::BindAggregateSelect(const sql::SelectCore& core,
 
   agg_node->child = std::move(input);
 
-  // HAVING binds against the aggregate output.
+  // HAVING and the projection bind against the aggregate output.
+  ctx.output = &agg_node->schema;
+  ScopedValue<const AggContext*> after(&agg_context_, &ctx);
   if (core.having != nullptr) {
-    PDM_ASSIGN_OR_RETURN(agg_node->having,
-                         BindPostAggExpr(*core.having, scope, ctx));
+    PDM_ASSIGN_OR_RETURN(agg_node->having, BindExpr(*core.having, scope));
   }
-
-  // Projection over the aggregate output.
   auto project = std::make_unique<ProjectNode>();
   for (const sql::SelectItem& item : core.items) {
-    StructuralLiterals named(&structural_literals_, NamedByText(item));
-    PDM_ASSIGN_OR_RETURN(BoundExprPtr bound,
-                         BindPostAggExpr(*item.expr, scope, ctx));
+    ScopedValue<bool> named(&structural_literals_,
+                            structural_literals_ || NamedByText(item));
+    PDM_ASSIGN_OR_RETURN(BoundExprPtr bound, BindExpr(*item.expr, scope));
     project->schema.AddColumn(Column{OutputColumnName(item), InferType(*bound)});
     project->exprs.push_back(std::move(bound));
   }
   project->child = std::move(agg_node);
   return PlanPtr(std::move(project));
-}
-
-Result<BoundExprPtr> Binder::BindPostAggExpr(const sql::Expr& expr,
-                                             const Scope* scope,
-                                             const AggContext& agg) {
-  // A group expression used verbatim maps to its group slot.
-  std::string sql_text = expr.ToSql();
-  for (size_t i = 0; i < agg.group_sql.size(); ++i) {
-    if (agg.group_sql[i] == sql_text) {
-      // Type: group slots precede aggregate slots in the output row; the
-      // caller tracks types via the AggregateNode schema, but for
-      // inference here the bound group expression type is reproduced by
-      // rebinding. Use kString as a safe fallback via the ref type below.
-      return BoundExprPtr(std::make_unique<BoundColumnRef>(
-          0, i, ColumnType::kString, "group:" + sql_text));
-    }
-  }
-
-  // An aggregate call maps to its slot (match by pointer identity).
-  if (expr.kind == ExprKind::kFunctionCall) {
-    for (size_t j = 0; j < agg.agg_calls.size(); ++j) {
-      if (agg.agg_calls[j] == &expr) {
-        return BoundExprPtr(std::make_unique<BoundColumnRef>(
-            0, agg.num_groups + j, ColumnType::kDouble, "agg:" + sql_text));
-      }
-    }
-  }
-
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      return BindLiteral(static_cast<const sql::LiteralExpr&>(expr));
-    case ExprKind::kColumnRef: {
-      const auto& e = static_cast<const sql::ColumnRefExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(Scope::Resolution r,
-                           scope->Resolve(e.table, e.column));
-      if (r.level == 0) {
-        return Status::BindError("column '" + e.ToSql() +
-                                 "' must appear in GROUP BY or inside an "
-                                 "aggregate function");
-      }
-      return BoundExprPtr(std::make_unique<BoundColumnRef>(
-          r.level, r.index, r.type, r.debug_name));
-    }
-    case ExprKind::kUnary: {
-      const auto& e = static_cast<const sql::UnaryExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(BoundExprPtr operand,
-                           BindPostAggExpr(*e.operand, scope, agg));
-      return BoundExprPtr(
-          std::make_unique<BoundUnary>(e.op, std::move(operand)));
-    }
-    case ExprKind::kBinary: {
-      const auto& e = static_cast<const sql::BinaryExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(BoundExprPtr lhs,
-                           BindPostAggExpr(*e.lhs, scope, agg));
-      PDM_ASSIGN_OR_RETURN(BoundExprPtr rhs,
-                           BindPostAggExpr(*e.rhs, scope, agg));
-      return BoundExprPtr(std::make_unique<BoundBinary>(e.op, std::move(lhs),
-                                                        std::move(rhs)));
-    }
-    case ExprKind::kFunctionCall: {
-      const auto& e = static_cast<const sql::FunctionCallExpr&>(expr);
-      const ScalarFunction* fn = functions_->Find(e.name);
-      if (fn == nullptr) {
-        return Status::BindError("unknown function '" + e.name + "'");
-      }
-      std::vector<BoundExprPtr> args;
-      args.reserve(e.args.size());
-      for (const ExprPtr& a : e.args) {
-        PDM_ASSIGN_OR_RETURN(BoundExprPtr b, BindPostAggExpr(*a, scope, agg));
-        args.push_back(std::move(b));
-      }
-      return BoundExprPtr(
-          std::make_unique<BoundFunctionCall>(fn, std::move(args)));
-    }
-    case ExprKind::kCast: {
-      const auto& e = static_cast<const sql::CastExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(BoundExprPtr operand,
-                           BindPostAggExpr(*e.operand, scope, agg));
-      return BoundExprPtr(
-          std::make_unique<BoundCast>(std::move(operand), e.target_type));
-    }
-    case ExprKind::kIsNull: {
-      const auto& e = static_cast<const sql::IsNullExpr&>(expr);
-      PDM_ASSIGN_OR_RETURN(BoundExprPtr operand,
-                           BindPostAggExpr(*e.operand, scope, agg));
-      return BoundExprPtr(
-          std::make_unique<BoundIsNull>(std::move(operand), e.negated));
-    }
-    case ExprKind::kInSubquery:
-    case ExprKind::kExists:
-    case ExprKind::kScalarSubquery: {
-      PDM_ASSIGN_OR_RETURN(BoundExprPtr bound, BindSubqueryExpr(expr, scope));
-      if (static_cast<const BoundSubquery&>(*bound).correlated) {
-        return Status::NotImplemented(
-            "correlated subquery in aggregated select list");
-      }
-      return bound;
-    }
-    default:
-      return Status::NotImplemented(
-          "expression kind not supported after aggregation: " + sql_text);
-  }
 }
 
 // --- Binder: query expressions / CTEs -----------------------------------------------

@@ -2,6 +2,7 @@
 #define PDM_PLAN_BINDER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -125,17 +126,19 @@ class Binder {
   Result<PlanPtr> BindSubqueryPlan(const sql::QueryExpr& query,
                                    const Scope* scope, bool* correlated);
 
-  /// Post-aggregation rebinding of select-list / HAVING expressions:
-  /// group expressions map to group slots, aggregate calls to aggregate
-  /// slots, other level-0 column references are rejected.
+  /// The output of an AggregateNode, as BindExpr sees it while binding
+  /// HAVING and the select list above it: a group expression used
+  /// verbatim (matched by text) or a collected aggregate call (matched
+  /// by identity) reads its output slot; any other own-level column
+  /// reference is an error.
   struct AggContext {
-    std::vector<std::string> group_sql;          // rendered group exprs
-    std::vector<const sql::Expr*> agg_calls;     // in slot order
-    size_t num_groups = 0;
+    std::vector<std::string> group_sql;       // rendered group exprs
+    std::vector<const sql::Expr*> agg_calls;  // in slot order
+    const Schema* output = nullptr;           // groups, then aggregates
+
+    /// The output slot `expr` reads, if any.
+    std::optional<size_t> SlotOf(const sql::Expr& expr) const;
   };
-  Result<BoundExprPtr> BindPostAggExpr(const sql::Expr& expr,
-                                       const Scope* scope,
-                                       const AggContext& agg);
 
   const CteInfo* FindCte(std::string_view name) const;
 
@@ -146,8 +149,10 @@ class Binder {
   std::vector<std::string> view_stack_;  // cycle detection during expansion
   std::vector<CteInfo> ctes_;
   std::vector<bool> params_bound_;  // becomes BoundSelect::params_bound
-  /// Nonzero while binding a select item named by its SQL text.
-  size_t structural_literals_ = 0;
+  /// Set while binding a select item named by its SQL text.
+  bool structural_literals_ = false;
+  /// Set while binding above an aggregation (outside subquery bodies).
+  const AggContext* agg_context_ = nullptr;
 };
 
 // --- Bound-tree analysis helpers (shared with the optimizer and tests) ---

@@ -230,6 +230,75 @@ TEST_F(BinderTest, NestedAggregatesRejected) {
   EXPECT_FALSE(Bind("SELECT MAX(COUNT(*)) FROM assy").ok());
 }
 
+TEST_F(BinderTest, EveryExpressionKindBindsAfterAggregation) {
+  const char* kStatements[] = {
+      "SELECT obid, CASE WHEN COUNT(*) > 1 THEN 'many' ELSE 'one' END "
+      "FROM assy GROUP BY obid",
+      "SELECT obid, CASE WHEN COUNT(*) > 1 THEN 'many' END AS k "
+      "FROM assy GROUP BY obid",
+      "SELECT obid FROM assy GROUP BY obid HAVING COUNT(*) IN (1, 2)",
+      "SELECT obid FROM assy GROUP BY obid HAVING COUNT(*) BETWEEN 1 AND 2",
+      "SELECT name FROM assy GROUP BY name HAVING name LIKE 'A%'",
+      "SELECT obid FROM assy GROUP BY obid "
+      "HAVING COUNT(*) IN (SELECT left FROM link)",
+      "SELECT obid, COUNT(*) NOT IN (SELECT left FROM link) AS lonely "
+      "FROM assy GROUP BY obid",
+  };
+  for (const char* sql : kStatements) MustBind(sql);
+}
+
+TEST_F(BinderTest, FunctionArityCheckedAfterAggregation) {
+  Result<BoundSelect> grouped = Bind("SELECT MOD(COUNT(*)) FROM assy");
+  Result<BoundSelect> plain = Bind("SELECT MOD(obid) FROM assy");
+  ASSERT_EQ(grouped.status().code(), StatusCode::kBindError);
+  EXPECT_EQ(grouped.status().ToString(), plain.status().ToString());
+}
+
+TEST_F(BinderTest, NonGroupedColumnRejectedAfterAggregation) {
+  for (const char* sql :
+       {"SELECT name, COUNT(*) FROM assy GROUP BY obid",
+        "SELECT obid FROM assy GROUP BY obid HAVING name = 'x'",
+        "SELECT obid, CASE WHEN name = 'x' THEN 1 END FROM assy "
+        "GROUP BY obid"}) {
+    Result<BoundSelect> bound = Bind(sql);
+    ASSERT_EQ(bound.status().code(), StatusCode::kBindError) << sql;
+    EXPECT_NE(bound.status().message().find(
+                  "' must appear in GROUP BY or inside an aggregate function"),
+              std::string::npos)
+        << bound.status();
+  }
+}
+
+TEST_F(BinderTest, CorrelatedSubqueryAfterAggregationNotImplemented) {
+  for (const char* sql :
+       {"SELECT obid, (SELECT COUNT(*) FROM link WHERE link.left = assy.obid) "
+        "FROM assy GROUP BY obid",
+        "SELECT obid FROM assy GROUP BY obid "
+        "HAVING EXISTS (SELECT * FROM link WHERE link.left = assy.obid)"}) {
+    EXPECT_EQ(Bind(sql).status().code(), StatusCode::kNotImplemented) << sql;
+  }
+  // The aggregating query may itself be a correlated subquery body.
+  MustBind(
+      "SELECT obid FROM assy WHERE 1 IN (SELECT COUNT(*) FROM link "
+      "WHERE link.left = assy.obid GROUP BY link.right "
+      "HAVING COUNT(*) < assy.obid)");
+}
+
+TEST_F(BinderTest, AggregateOutputColumnsCarryTheirTypes) {
+  BoundSelect bound = MustBind(
+      "SELECT obid, name, COUNT(*), SUM(obid), AVG(obid), MIN(name), "
+      "obid + 1 AS next FROM assy GROUP BY obid, name");
+  const Schema& schema = bound.root->schema;
+  const ColumnType kExpected[] = {
+      ColumnType::kInt64, ColumnType::kString, ColumnType::kInt64,
+      ColumnType::kInt64, ColumnType::kDouble, ColumnType::kString,
+      ColumnType::kInt64};
+  ASSERT_EQ(schema.num_columns(), std::size(kExpected));
+  for (size_t i = 0; i < std::size(kExpected); ++i) {
+    EXPECT_EQ(schema.column(i).type, kExpected[i]) << schema.column(i).name;
+  }
+}
+
 TEST_F(BinderTest, MaxOwnRowIndexAnalysis) {
   BoundSelect bound = MustBind(
       "SELECT name FROM assy WHERE EXISTS "

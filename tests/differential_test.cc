@@ -116,6 +116,81 @@ TEST_P(StrategyEquivalenceSweep, AllStrategiesRetrieveTheSameTree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyEquivalenceSweep,
                          ::testing::Range<uint64_t>(1, 13));
 
+// --- Tree aggregates: client fold vs server SQL --------------------------------
+
+/// The navigational strategies fold a tree aggregate at the client; the
+/// recursive one ships `(SELECT AGG(attr) FROM rtbl ...) <cmp> threshold`
+/// to the server. With the threshold exactly on the aggregate, both must
+/// keep the tree, or both drop it (all-or-nothing).
+TEST(TreeAggregateDifferential, NavigationalMatchesRecursiveOnTheBoundary) {
+  client::ExperimentConfig config;
+  config.generator.depth = 3;
+  config.generator.branching = 3;
+  config.generator.sigma = 0.6;
+  auto create = [&config]() {
+    Result<std::unique_ptr<client::Experiment>> e =
+        client::Experiment::Create(config);
+    EXPECT_TRUE(e.ok()) << e.status();
+    return e.ok() ? std::move(e).value() : nullptr;
+  };
+
+  // The boundary values, over the components of the unrestricted tree.
+  // (Components only: the root assembly is a row of the server's rtbl,
+  // but the navigational client never fetches it, so an 'assy' fold
+  // would differ by the root.)
+  std::unique_ptr<client::Experiment> plain = create();
+  ASSERT_NE(plain, nullptr);
+  Result<client::ActionResult> tree =
+      plain->RunAction(StrategyKind::kRecursive, ActionKind::kMultiLevelExpand);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  int64_t obid_sum = 0;
+  std::optional<std::string> min_name;
+  for (const pdmsys::ProductNode& node : tree->tree.nodes()) {
+    if (node.type != "comp") continue;
+    obid_sum += node.obid;
+    if (!min_name.has_value() || node.name < *min_name) min_name = node.name;
+  }
+  ASSERT_TRUE(min_name.has_value());
+
+  const struct {
+    AggKind agg;
+    const char* attribute;
+    sql::BinaryOp cmp;
+    Value threshold;
+    bool keeps_tree;
+  } kCases[] = {
+      {AggKind::kSum, "obid", sql::BinaryOp::kLessEq, Value::Int64(obid_sum),
+       true},
+      {AggKind::kSum, "obid", sql::BinaryOp::kLess, Value::Int64(obid_sum),
+       false},
+      {AggKind::kSum, "obid", sql::BinaryOp::kEq, Value::Double(obid_sum),
+       true},
+      {AggKind::kMin, "name", sql::BinaryOp::kGreaterEq,
+       Value::String(*min_name), true},
+      {AggKind::kMin, "name", sql::BinaryOp::kGreater,
+       Value::String(*min_name), false},
+  };
+  for (const auto& c : kCases) {
+    std::unique_ptr<client::Experiment> e = create();
+    ASSERT_NE(e, nullptr);
+    rules::Rule rule;
+    rule.action = rules::RuleAction::kMultiLevelExpand;
+    rule.condition = std::make_unique<rules::TreeAggregateCondition>(
+        c.agg, c.attribute, "comp", c.cmp, c.threshold);
+    const std::string what = rule.condition->Describe();
+    e->rule_table().AddRule(std::move(rule));
+    for (StrategyKind kind :
+         {StrategyKind::kRecursive, StrategyKind::kNavigationalLate,
+          StrategyKind::kNavigationalEarly}) {
+      Result<client::ActionResult> result =
+          e->RunAction(kind, ActionKind::kMultiLevelExpand);
+      ASSERT_TRUE(result.ok()) << what << ": " << result.status();
+      EXPECT_EQ(result->tree.num_nodes() > 0, c.keeps_tree)
+          << what << ", " << model::StrategyKindName(kind);
+    }
+  }
+}
+
 // --- Random predicate evaluation vs a C++ oracle ------------------------------
 
 struct OracleRow {
@@ -286,6 +361,20 @@ constexpr const char* kCorpus[] = {
     "material ORDER BY 1",
     "SELECT obid FROM assy WHERE obid IN (SELECT left FROM link "
     "WHERE strc_opt = 1) ORDER BY 1",
+    // Post-aggregation expressions of every kind.
+    "SELECT material, acc, CASE WHEN COUNT(*) > 2 THEN 'many' "
+    "ELSE 'few' END AS size FROM comp GROUP BY material, acc ORDER BY 1, 2",
+    "SELECT make_or_buy, acc, CASE WHEN COUNT(*) > 3 THEN 'many' "
+    "ELSE 'few' END FROM assy GROUP BY make_or_buy, acc ORDER BY 1, 2",
+    "SELECT material, acc, COUNT(*) FROM comp GROUP BY material, acc "
+    "HAVING COUNT(*) IN (1, 4) ORDER BY 1, 2",
+    "SELECT material, acc, MIN(obid) FROM comp GROUP BY material, acc "
+    "HAVING COUNT(*) BETWEEN 2 AND 4 ORDER BY 1, 2",
+    "SELECT material, COUNT(*) FROM comp GROUP BY material "
+    "HAVING material LIKE '%er' ORDER BY 1",
+    "SELECT material, acc, COUNT(*) FROM comp GROUP BY material, acc "
+    "HAVING COUNT(*) IN (SELECT COUNT(*) FROM assy GROUP BY make_or_buy, "
+    "acc) ORDER BY 1, 2",
 };
 
 TEST(OptimizerDifferential, SameResultsWithAllSwitchesOff) {
@@ -357,6 +446,9 @@ TEST(VecEngineDifferential, SameResultsWithVectorizedExecutionOff) {
       "WHERE obid >= 0 GROUP BY material HAVING COUNT(*) > 1",
       "SELECT obid, left, right FROM link WHERE eff_from <= 100 "
       "ORDER BY left, obid",
+      "SELECT material, CASE WHEN COUNT(*) > 4 THEN 'many' ELSE 'few' END "
+      "FROM comp WHERE obid >= 0 GROUP BY material "
+      "HAVING MAX(weight) BETWEEN 1.0 AND 100.0 AND material NOT LIKE 'a%'",
   };
   queries.insert(queries.end(), std::begin(kBridgeCorpus),
                  std::end(kBridgeCorpus));

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "query_with_stats.h"
 
@@ -328,11 +329,9 @@ class VecExecTest : public ::testing::Test {
       for (size_t j = 0; j < batch; ++j) {
         const size_t i = next + j;
         if (j > 0) sql += ", ";
-        sql += "(" + std::to_string(i) + ", ";
-        sql += i % 7 == 0 ? "NULL" : std::to_string(2 * i);
-        sql += ", '";
-        sql += static_cast<char>('a' + i % 3);
-        sql += std::to_string(i) + "')";
+        const std::string v = i % 7 == 0 ? "NULL" : std::to_string(2 * i);
+        sql += StrFormat("(%zu, %s, '%c%zu')", i, v.c_str(),
+                         static_cast<char>('a' + i % 3), i);
       }
       ASSERT_TRUE(db->Execute(sql).ok());
       next += batch;

@@ -175,9 +175,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeCase{5, 2, 0.8}, ShapeCase{6, 2, 1.0},
                       ShapeCase{2, 10, 0.25}),
     [](const ::testing::TestParamInfo<ShapeCase>& info) {
-      return "d" + std::to_string(info.param.depth) + "b" +
-             std::to_string(info.param.branching) + "s" +
-             std::to_string(static_cast<int>(info.param.sigma * 100));
+      return StrFormat("d%db%ds%d", info.param.depth, info.param.branching,
+                       static_cast<int>(info.param.sigma * 100));
     });
 
 TEST(Generator, BernoulliModeApproximatesSigma) {

@@ -18,6 +18,7 @@
 #include "catalog/table.h"
 #include "client/experiment.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "exec/vec_batch.h"
 #include "obs/metrics.h"
@@ -358,7 +359,8 @@ TEST(MvccTable, FixedSnapshotIsStableUnderConcurrentWriter) {
                    static_cast<int64_t>(ts % 16);
           },
           [&](Row& row) {
-            row[1] = Value::String("v" + std::to_string(ts));
+            row[1] = Value::String(
+                StrFormat("v%llu", static_cast<unsigned long long>(ts)));
           },
           ts);
     }
@@ -471,7 +473,8 @@ TEST(MvccVectorized, FragmentScanStableUnderConcurrentWriter) {
                    static_cast<int64_t>(ts % 16);
           },
           [&](Row& row) {
-            row[1] = Value::String("v" + std::to_string(ts));
+            row[1] = Value::String(
+                StrFormat("v%llu", static_cast<unsigned long long>(ts)));
           },
           ts);
     }

@@ -356,6 +356,12 @@ TEST_F(PlanCacheTest, CachedAndColdResultsIdenticalOnCorpus) {
        "SELECT COUNT(*) FROM big WHERE id < 3",
        "WITH big AS (SELECT * FROM t WHERE score > 0.5) "
        "SELECT COUNT(*) FROM big WHERE id < 3"},
+      {"SELECT name, CASE WHEN SUM(score) > 1.5 THEN 'hi' ELSE 'lo' END "
+       "AS band FROM t GROUP BY name HAVING COUNT(*) IN (1, 2) "
+       "AND MAX(id) BETWEEN 1 AND 2 AND name LIKE '_' ORDER BY 1",
+       "SELECT name, CASE WHEN SUM(score) > 2.5 THEN 'top' ELSE 'low' END "
+       "AS band FROM t GROUP BY name HAVING COUNT(*) IN (1, 3) "
+       "AND MAX(id) BETWEEN 2 AND 3 AND name LIKE 'c%' ORDER BY 1"},
       {"SELECT id + 1 FROM t", "SELECT id + 2 FROM t", 0},
       {"SELECT 'a' FROM t", "SELECT 'b' FROM t", 0},
   };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "client/experiment.h"
+#include "common/string_util.h"
 #include "model/cost_model.h"
 
 namespace pdm {
@@ -107,9 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{{4, 6, 0.1}, {0.5, 2048, 8192, 512}},
         SweepCase{{1, 1, 1.0}, {0.15, 256, 4096, 512}}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return "d" + std::to_string(info.param.tree.depth) + "b" +
-             std::to_string(info.param.tree.branching) + "i" +
-             std::to_string(info.index);
+      return StrFormat("d%db%di%zu", info.param.tree.depth,
+                       info.param.tree.branching, info.index);
     });
 
 // --- Simulation vs model across shapes ---------------------------------------
@@ -156,9 +156,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TreeParams{3, 9, 0.6}, TreeParams{4, 4, 0.5},
                       TreeParams{5, 3, 0.6}, TreeParams{6, 2, 0.5}),
     [](const ::testing::TestParamInfo<TreeParams>& info) {
-      return "d" + std::to_string(info.param.depth) + "b" +
-             std::to_string(info.param.branching) + "i" +
-             std::to_string(info.index);
+      return StrFormat("d%db%di%zu", info.param.depth,
+                       info.param.branching, info.index);
     });
 
 }  // namespace

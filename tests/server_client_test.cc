@@ -166,5 +166,90 @@ TEST_F(RuleEvalTest, ForAllRowsFailsOnOneViolatingNode) {
   EXPECT_FALSE(*pass);
 }
 
+/// One tree aggregate over `v` of the 'comp' rows of `rows_sql` (a query
+/// with columns type, v), as the client's fold and as the recursive
+/// strategy's server SQL decide it.
+struct FoldVerdicts {
+  Result<bool> client;
+  Result<bool> server;
+};
+
+FoldVerdicts FoldBothWays(Database* db, const std::string& rows_sql,
+                          AggKind agg, sql::BinaryOp cmp, Value threshold) {
+  rules::TreeAggregateCondition cond(agg, "v", "comp", cmp,
+                                     std::move(threshold));
+  const std::string with = "WITH m (type, v) AS (" + rows_sql + ") ";
+  rules::RuleTable table;
+  rules::Rule rule;
+  rule.condition = cond.Clone();
+  table.AddRule(std::move(rule));
+  ClientRuleEvaluator evaluator(&table, pdmsys::UserContext{});
+  Result<ResultSet> rows = db->Query(with + "SELECT type, v FROM m");
+  Result<bool> client = rows.status();
+  if (rows.ok()) {
+    client = evaluator.TreeConditionsPass(*rows, rules::RuleAction::kQuery);
+  }
+  Result<sql::ExprPtr> pred = cond.TranslateForRecursiveTable("m");
+  Result<bool> server = pred.status();
+  if (pred.ok()) {
+    Result<ResultSet> kept =
+        db->Query(with + "SELECT 1 WHERE " + (*pred)->ToSql());
+    server = kept.status();
+    if (kept.ok()) server = kept->num_rows() == 1;
+  }
+  return {std::move(client), std::move(server)};
+}
+
+TEST(TreeAggregateFold, ClientAgreesWithServerSql) {
+  Database db;
+  const std::string kBig =
+      "SELECT 'comp', 9007199254740992 UNION ALL SELECT 'comp', 1";
+  const std::string kNames =
+      "SELECT 'comp', 'b' UNION ALL SELECT 'assy', 'a' "
+      "UNION ALL SELECT 'comp', 'c'";
+  const struct {
+    const std::string& rows;
+    AggKind agg;
+    sql::BinaryOp cmp;
+    Value threshold;
+    bool pass;
+  } kCases[] = {
+      // 2^53 + 1 is exact in int64 arithmetic, not in a double.
+      {kBig, AggKind::kSum, sql::BinaryOp::kGreater,
+       Value::Int64(9007199254740992), true},
+      {kBig, AggKind::kSum, sql::BinaryOp::kEq,
+       Value::Int64(9007199254740993), true},
+      {kBig, AggKind::kMin, sql::BinaryOp::kLessEq, Value::Int64(1), true},
+      {kNames, AggKind::kMin, sql::BinaryOp::kGreaterEq, Value::String("b"),
+       true},
+      {kNames, AggKind::kMin, sql::BinaryOp::kGreater, Value::String("b"),
+       false},
+      {kNames, AggKind::kMax, sql::BinaryOp::kLess, Value::String("c"),
+       false},
+      {kNames, AggKind::kCount, sql::BinaryOp::kEq, Value::Int64(2), true},
+  };
+  for (const auto& c : kCases) {
+    FoldVerdicts v = FoldBothWays(&db, c.rows, c.agg, c.cmp, c.threshold);
+    ASSERT_TRUE(v.server.ok()) << v.server.status();
+    ASSERT_TRUE(v.client.ok()) << v.client.status();
+    EXPECT_EQ(*v.server, c.pass) << c.rows;
+    EXPECT_EQ(*v.client, c.pass) << c.rows;
+  }
+
+  // No 'comp' row: a NULL aggregate fails on both sides.
+  FoldVerdicts none = FoldBothWays(&db, "SELECT 'assy', 1", AggKind::kSum,
+                                   sql::BinaryOp::kLess, Value::Int64(5));
+  ASSERT_TRUE(none.client.ok() && none.server.ok());
+  EXPECT_FALSE(*none.client);
+  EXPECT_FALSE(*none.server);
+
+  // MIN over incomparable values is an error on both sides.
+  FoldVerdicts mixed = FoldBothWays(
+      &db, "SELECT 'comp', 1 UNION ALL SELECT 'comp', 'x'", AggKind::kMin,
+      sql::BinaryOp::kGreaterEq, Value::Int64(0));
+  EXPECT_EQ(mixed.client.status().code(), StatusCode::kExecutionError);
+  EXPECT_EQ(mixed.server.status().code(), StatusCode::kExecutionError);
+}
+
 }  // namespace
 }  // namespace pdm::client

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "query_with_stats.h"
 
@@ -39,9 +40,8 @@ class VecJoinAggTest : public ::testing::Test {
       for (size_t j = 0; j < batch; ++j) {
         const size_t i = next + j;
         if (j > 0) sql += ", ";
-        sql += "(" + std::to_string(i) + ", " + std::to_string(i % 7) + ", ";
-        sql += i % 7 == 0 ? "NULL" : std::to_string(2 * i);
-        sql += ", " + std::to_string(i) + ".25)";
+        const std::string val = i % 7 == 0 ? "NULL" : std::to_string(2 * i);
+        sql += StrFormat("(%zu, %zu, %s, %zu.25)", i, i % 7, val.c_str(), i);
       }
       ASSERT_TRUE(db->Execute(sql).ok());
       next += batch;
@@ -60,9 +60,8 @@ class VecJoinAggTest : public ::testing::Test {
       for (size_t j = 0; j < batch; ++j) {
         const size_t i = next + j;
         if (j > 0) sql += ", ";
-        sql += "(" + std::to_string(i / 3) + ", ";
-        sql += i % 11 == 0 ? "NULL" : std::to_string(i);
-        sql += ")";
+        const std::string child = i % 11 == 0 ? "NULL" : std::to_string(i);
+        sql += StrFormat("(%zu, %s)", i / 3, child.c_str());
       }
       ASSERT_TRUE(db->Execute(sql).ok());
       next += batch;
@@ -369,14 +368,14 @@ TEST(VecJoinMvccCanary, JoinSeesOneGenerationUnderConcurrentUpdates) {
   std::string sql = "INSERT INTO items VALUES ";
   for (int i = 0; i < 200; ++i) {
     if (i > 0) sql += ", ";
-    sql += "(" + std::to_string(i) + ", 0)";
+    sql += StrFormat("(%d, 0)", i);
   }
   ASSERT_TRUE(db.Execute(sql).ok());
   ASSERT_TRUE(db.Execute("CREATE TABLE refs (id INTEGER)").ok());
   sql = "INSERT INTO refs VALUES ";
   for (int i = 0; i < 200; ++i) {
     if (i > 0) sql += ", ";
-    sql += "(" + std::to_string(i) + ")";
+    sql += StrFormat("(%d)", i);
   }
   ASSERT_TRUE(db.Execute(sql).ok());
 
