@@ -546,7 +546,8 @@ int RunLinkExpansionGate(double min_speedup, const std::string& csv_path) {
 /// byte-identical per cell first, and fails unless every *gated* cell
 /// clears `min_speedup`. Ungated cells (the index join, whose row path
 /// already probes the shared lazy index, and the end-to-end recursive
-/// expand) are reported for EXPERIMENTS.md but don't fail the run.
+/// expand and late-evaluation query-all) are reported for EXPERIMENTS.md
+/// but don't fail the run; their engines must still agree.
 /// Writes the grid as CSV (--csv) and JSON (--json, the
 /// BENCH_vec_join.json CI artifact).
 int RunVecJoinGate(double min_speedup, const std::string& csv_path,
@@ -558,6 +559,9 @@ int RunVecJoinGate(double min_speedup, const std::string& csv_path,
     const char* name;
     std::string sql;
     bool gated;
+    // Runs against the shared experiment's PDM database instead of the
+    // dedicated benchmark tables.
+    bool on_experiment = false;
   };
   std::vector<Cell> cells = {
       {"hash-join-build",
@@ -589,8 +593,12 @@ int RunVecJoinGate(double min_speedup, const std::string& csv_path,
             .ApplyToRecursiveQuery(stmt.get(),
                                    rules::RuleAction::kMultiLevelExpand)
             .ok()) {
-      cells.push_back({"recursive-mle", stmt->ToSql(), false});
+      cells.push_back({"recursive-mle", stmt->ToSql(), false, true});
     }
+    // The late-evaluation query-all: every object, homogenized with ''
+    // and CAST(NULL AS ...) fillers, one VecSource per UNION ALL branch.
+    cells.push_back(
+        {"late-query-all", rules::BuildFlatQuery()->ToSql(), false, true});
   }
 
   constexpr int kRowIters = 3;
@@ -619,11 +627,8 @@ int RunVecJoinGate(double min_speedup, const std::string& csv_path,
   bool ok = true;
   bool first = true;
   for (const Cell& cell : cells) {
-    // The recursive cell runs against the experiment database; the grid
-    // cells against the dedicated benchmark tables.
-    Database& target = std::string(cell.name) == "recursive-mle"
-                           ? SharedExperiment()->server().database()
-                           : db;
+    Database& target =
+        cell.on_experiment ? SharedExperiment()->server().database() : db;
     target.options().exec.vectorized_execution = false;
     Result<ResultSet> row_rs = target.Query(cell.sql);
     target.options().exec.vectorized_execution = true;

@@ -282,9 +282,10 @@ int Run(const std::string& json_path, const std::string& metrics_path,
   // top entry carries real cost, and the recursive structure expand
   // (with CTE work) is the most expensive statement after the
   // query-all scans: only `scan` statements rank above it, and at most
-  // kMaxScansAboveExpand of them — the row-engine query-all of both
-  // trees at each of the three sites. Its link branch is an index scan
-  // (DESIGN.md 5m), so the row-engine full-product scans outrank it.
+  // kMaxScansAboveExpand of them — the query-all of both trees at each
+  // of the three sites. Its link branch is an index scan (DESIGN.md
+  // 5m), so even charged at the batchwise per-row rate
+  // (per_row_scan_vec_s) the a7b5 full-product query-all outranks it.
   constexpr size_t kMaxScansAboveExpand = 6;
   bool expand_after_scans = false;
   for (size_t i = 0; i < slow_merged.size() && i <= kMaxScansAboveExpand;

@@ -97,8 +97,10 @@ Result<CheckOutResult> CheckOutClient::RunClientSide(int64_t root,
         fetched_nodes.rows.push_back(std::move(row));
       }
     }
-    PDM_ASSIGN_OR_RETURN(bool tree_ok,
-                         evaluator.TreeConditionsPass(fetched_nodes, action));
+    PDM_ASSIGN_OR_RETURN(
+        bool tree_ok, RootedTreeConditionsPass(conn_, evaluator, root,
+                                               std::move(fetched_nodes),
+                                               action));
     denied = !tree_ok;
   } else {
     // One recursive query with all rule classes (incl. the ∀rows

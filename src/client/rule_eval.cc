@@ -110,6 +110,16 @@ Result<bool> PreparedRowFilter::Passes(const Row& row) const {
   return true;
 }
 
+bool ClientRuleEvaluator::HasTreeConditions(RuleAction action) const {
+  for (ConditionClass cls :
+       {ConditionClass::kForAllRows, ConditionClass::kTreeAggregate}) {
+    if (!rule_table_->FetchRelevant(user_.name, action, cls).empty()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Result<bool> ClientRuleEvaluator::TreeConditionsPass(
     const ResultSet& nodes, RuleAction action) const {
   ExecStats stats;

@@ -43,6 +43,10 @@ class ClientRuleEvaluator {
   Result<std::unique_ptr<PreparedRowFilter>> Prepare(
       const Schema& schema, rules::RuleAction action) const;
 
+  /// True when `action` has a ∀rows or tree-aggregate condition for
+  /// this user: the checks TreeConditionsPass runs.
+  bool HasTreeConditions(rules::RuleAction action) const;
+
   /// Whole-tree checks on the set of fetched node rows (homogenized
   /// schema): all ∀rows conditions hold and all tree-aggregate
   /// conditions hold. Rows must all be object rows.

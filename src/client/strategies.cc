@@ -78,6 +78,26 @@ size_t HomogenizedResponseBytes(const ResultSet& result,
   return bytes == 0 ? 64 : bytes;
 }
 
+Result<bool> RootedTreeConditionsPass(Connection* conn,
+                                      const ClientRuleEvaluator& evaluator,
+                                      int64_t root, ResultSet nodes,
+                                      RuleAction action) {
+  if (!evaluator.HasTreeConditions(action)) return true;
+  ResultSet tree;
+  ExecStats probe_stats;  // private stats: probes may run concurrently
+  PDM_RETURN_NOT_OK(conn->server().database().Execute(
+      rules::BuildRootRowQuery(root)->ToSql(), &tree, &probe_stats));
+  // Expand rows lead with the same homogenized columns; their trailing
+  // link attributes are not node attributes.
+  const size_t width = tree.num_columns();
+  tree.rows.reserve(tree.rows.size() + nodes.rows.size());
+  for (Row& row : nodes.rows) {
+    row.resize(width);
+    tree.rows.push_back(std::move(row));
+  }
+  return evaluator.TreeConditionsPass(tree, action);
+}
+
 Connection::ResponseSizer AccessStrategy::HomogenizedSizer() const {
   return [this](const ResultSet& r) {
     return HomogenizedResponseBytes(r, config_);
@@ -99,6 +119,7 @@ Status ApplyLateFilter(PreparedRowFilter* filter, ResultSet* rows) {
     if (pass) kept.push_back(std::move(row));
   }
   rows->rows = std::move(kept);
+  rows->counted_wire_size.reset();
   return Status::OK();
 }
 
@@ -314,11 +335,11 @@ Result<ActionResult> NavigationalStrategy::MultiLevelExpand(int64_t root) {
   }
 
   // Tree conditions are evaluated at the client in every navigational
-  // mode (they cannot be compiled into per-node queries, Section 4.1).
+  // mode, over the root and every kept node.
   PDM_ASSIGN_OR_RETURN(
       bool tree_ok,
-      evaluator_.TreeConditionsPass(kept_nodes,
-                                    RuleAction::kMultiLevelExpand));
+      RootedTreeConditionsPass(conn_, evaluator_, root, std::move(kept_nodes),
+                               RuleAction::kMultiLevelExpand));
   if (!tree_ok) out.tree = pdmsys::ProductTree();  // all-or-nothing
 
   out.visible_nodes =

@@ -33,6 +33,18 @@ struct ClientConfig {
 size_t HomogenizedResponseBytes(const ResultSet& result,
                                 const ClientConfig& config);
 
+/// The whole-tree rule check of a navigational client (tree conditions
+/// cannot be compiled into per-node queries, Section 4.1): the ∀rows and
+/// tree-aggregate conditions of `action` over `nodes` — the fetched
+/// expand-result rows — plus the root's own row, as the recursive
+/// strategy's rtbl holds it. The root is already at the client (paper
+/// footnote 4), so its row comes from a local probe the WAN link does
+/// not record; no probe runs when `action` has no tree condition.
+Result<bool> RootedTreeConditionsPass(Connection* conn,
+                                      const ClientRuleEvaluator& evaluator,
+                                      int64_t root, ResultSet nodes,
+                                      rules::RuleAction action);
+
 /// Outcome of one PDM user action, with the WAN traffic it caused.
 struct ActionResult {
   pdmsys::ProductTree tree;    // assembled structure (tree actions)

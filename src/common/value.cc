@@ -114,22 +114,6 @@ std::string Value::ToSqlLiteral() const {
   return ToString();
 }
 
-size_t Value::WireSize() const {
-  switch (kind()) {
-    case ValueKind::kNull:
-      return 1;
-    case ValueKind::kBool:
-      return 1;
-    case ValueKind::kInt64:
-      return 8;
-    case ValueKind::kDouble:
-      return 8;
-    case ValueKind::kString:
-      return 2 + string_value().size();  // length prefix + payload
-  }
-  return 1;
-}
-
 std::ostream& operator<<(std::ostream& os, const Value& value) {
   return os << value.ToString();
 }

@@ -109,8 +109,21 @@ class Value {
   /// TRUE/FALSE. Round-trips through the parser.
   std::string ToSqlLiteral() const;
 
-  /// Approximate serialized size in bytes on the simulated wire.
-  size_t WireSize() const;
+  /// Approximate serialized size in bytes on the simulated wire. Inline:
+  /// the engine sums it over every cell of a result as it produces rows.
+  size_t WireSize() const {
+    switch (kind()) {
+      case ValueKind::kNull:
+      case ValueKind::kBool:
+        return 1;
+      case ValueKind::kInt64:
+      case ValueKind::kDouble:
+        return 8;
+      case ValueKind::kString:
+        return 2 + string_value().size();  // length prefix + payload
+    }
+    return 1;
+  }
 
  private:
   using Payload =

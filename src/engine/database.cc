@@ -311,10 +311,13 @@ Status Database::ExecuteBoundSelect(const BoundSelect& bound, ResultSet* out,
   ctx.set_params(params);
   std::map<std::string, std::vector<Row>> cte_storage;
   PDM_RETURN_NOT_OK(MaterializeCtes(bound.ctes, &ctx, &cte_storage));
-  PDM_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecutePlan(*bound.root, &ctx));
+  size_t wire_bytes = 0;
+  PDM_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                       ExecutePlan(*bound.root, &ctx, &wire_bytes));
   stats->rows_emitted = rows.size();
   out->schema = bound.root->schema;
   out->rows = std::move(rows);
+  out->counted_wire_size = wire_bytes;
   return Status::OK();
 }
 

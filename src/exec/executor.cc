@@ -8,6 +8,7 @@
 #include "common/string_util.h"
 #include "exec/aggregate_state.h"
 #include "exec/expr_eval.h"
+#include "exec/result_set.h"
 #include "exec/vectorized.h"
 
 namespace pdm {
@@ -801,13 +802,15 @@ Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,
   return Status::Internal("unhandled plan kind");
 }
 
-Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, ExecContext* ctx) {
+Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, ExecContext* ctx,
+                                     size_t* wire_bytes) {
   // Scan/filter/project/limit plans run batch-at-a-time over the column
   // fragments; anything the vectorized engine cannot prove equivalent
   // (and any index-answerable scan) drops through to the row operators.
   if (ctx->options().vectorized_execution) {
     std::vector<Row> rows;
-    PDM_ASSIGN_OR_RETURN(bool handled, TryExecuteVectorized(plan, ctx, &rows));
+    PDM_ASSIGN_OR_RETURN(bool handled,
+                         TryExecuteVectorized(plan, ctx, &rows, wire_bytes));
     if (handled) return rows;
   }
   PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> executor,
@@ -818,6 +821,7 @@ Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, ExecContext* ctx) {
   while (true) {
     PDM_ASSIGN_OR_RETURN(bool has, executor->Next(&row));
     if (!has) break;
+    if (wire_bytes != nullptr) *wire_bytes += RowWireSize(row);
     rows.push_back(std::move(row));
   }
   return rows;

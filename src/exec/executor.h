@@ -29,8 +29,12 @@ class Executor {
 Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,
                                                  ExecContext* ctx);
 
-/// Convenience: open and drain a plan into a row vector.
-Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, ExecContext* ctx);
+/// Convenience: open and drain a plan into a row vector. With
+/// `wire_bytes`, each produced row's RowWireSize (exec/result_set.h) is
+/// added to it as the row is produced — the result's wire size without
+/// a second walk over the rows.
+Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, ExecContext* ctx,
+                                     size_t* wire_bytes = nullptr);
 
 }  // namespace pdm
 

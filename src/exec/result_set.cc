@@ -7,11 +7,9 @@
 namespace pdm {
 
 size_t ResultSet::WireSize() const {
+  if (counted_wire_size.has_value()) return *counted_wire_size;
   size_t size = 0;
-  for (const Row& row : rows) {
-    size += 4;  // row header
-    for (const Value& v : row) size += v.WireSize();
-  }
+  for (const Row& row : rows) size += RowWireSize(row);
   return size;
 }
 

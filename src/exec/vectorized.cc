@@ -13,6 +13,7 @@
 #include "common/string_util.h"
 #include "exec/aggregate_state.h"
 #include "exec/expr_eval.h"
+#include "exec/result_set.h"
 #include "exec/vec_batch.h"
 
 namespace pdm {
@@ -115,6 +116,17 @@ bool CanVectorizeExpr(const BoundExpr& expr, size_t* max_col) {
     ok = ok && CanVectorizeExpr(*c, max_col);
   });
   return ok;
+}
+
+/// True when `expr` reads no column: its value is the same for every
+/// row of an execution, so a batch evaluates it once.
+bool IsConstantExpr(const BoundExpr& expr) {
+  if (expr.kind == BoundExprKind::kColumnRef) return false;
+  bool constant = true;
+  ForEachChild(expr, [&](const BoundExprPtr& c) {
+    constant = constant && IsConstantExpr(*c);
+  });
+  return constant;
 }
 
 // ---------------------------------------------------------------------------
@@ -543,35 +555,49 @@ Status EvalTri(const BoundExpr& expr, ExecContext* ctx,
 /// bridge operator consumes batches from. `filters` are in the row
 /// engine's application order and reference table columns (they sit
 /// below the projection); `max_col` is the widest level-0 column any
-/// filter references (bounds-checked against the table schema on
-/// resolve). A non-empty `out_cols` is a trivial projection — output
-/// column c reads table column out_cols[c]; empty means identity.
+/// filter or projected expression references (bounds-checked against
+/// the table schema on resolve). A non-empty `project` is the peeled
+/// projection: output column c loads table column out_cols[c] straight
+/// off the fragment when project[c] is a bare column reference, and is
+/// an expression evaluated densely per batch (out_cols[c] == kComputed)
+/// otherwise. Empty means identity.
 struct VecSourceSpec {
+  static constexpr size_t kComputed = std::numeric_limits<size_t>::max();
+
   const ScanNode* scan = nullptr;
   std::vector<const BoundExpr*> filters;
   size_t max_col = 0;
+  std::vector<const BoundExpr*> project;
   std::vector<size_t> out_cols;
 
+  /// Every output column is a table column: the shape consumers that
+  /// index the source's columns directly (hash-join keys and build rows)
+  /// require.
+  bool PureColumns() const {
+    return std::find(out_cols.begin(), out_cols.end(), kComputed) ==
+           out_cols.end();
+  }
   size_t TableCol(size_t c) const { return out_cols.empty() ? c : out_cols[c]; }
   size_t Width(const Table& table) const {
     return out_cols.empty() ? table.schema().num_columns() : out_cols.size();
   }
 };
 
-/// Peels `Project? -> Filter* -> Scan` — the Project only when every
-/// expression is a bare level-0 column ref (the shape derived tables
-/// leave on a hash join's build side) — and gates the filters through
-/// the vectorizable-expression whitelist; false on any other shape.
+/// Peels `Project? -> Filter* -> Scan` and gates every projected and
+/// filter expression through the vectorizable-expression whitelist;
+/// false on any other shape.
 bool MatchVecSource(const PlanNode& plan, VecSourceSpec* out) {
   const PlanNode* node = &plan;
   if (node->kind == PlanKind::kProject) {
     const auto& project = static_cast<const ProjectNode&>(*node);
     if (project.child == nullptr || project.exprs.empty()) return false;
     for (const BoundExprPtr& e : project.exprs) {
-      if (e->kind != BoundExprKind::kColumnRef) return false;
-      const auto& ref = static_cast<const BoundColumnRef&>(*e);
-      if (ref.level != 0) return false;
-      out->out_cols.push_back(ref.index);
+      if (!CanVectorizeExpr(*e, &out->max_col)) return false;
+      out->project.push_back(e.get());
+      out->out_cols.push_back(
+          e->kind == BoundExprKind::kColumnRef
+              ? static_cast<const BoundColumnRef&>(*e).index
+              : VecSourceSpec::kComputed);
     }
     node = project.child.get();
   }
@@ -601,12 +627,8 @@ const Table* ResolveVecSource(const VecSourceSpec& spec, ExecContext* ctx) {
   Result<Table*> table_or = ctx->catalog()->GetTable(spec.scan->table_name);
   if (!table_or.ok()) return nullptr;  // row path reports the same error
   const Table* table = table_or.value();
-  const size_t num_columns = table->schema().num_columns();
-  if (!spec.filters.empty() && spec.max_col >= num_columns) {
+  if (spec.max_col >= table->schema().num_columns()) {
     return nullptr;  // defensive: let the row path surface the binder bug
-  }
-  for (size_t c : spec.out_cols) {
-    if (c >= num_columns) return nullptr;
   }
   if (RouteScanToRowIndexPath(*spec.scan, *table, *ctx)) return nullptr;
   return table;
@@ -660,14 +682,98 @@ class VecSourceCursor {
   std::vector<uint32_t> survivors_;
 };
 
+/// Late materialization of a VecSource's output rows — the one
+/// projection path under both the whole-plan scan and the bridge leaf.
+/// Per batch, each computed output column is evaluated once with
+/// EvalDense over the surviving slots (a constant one, such as the
+/// query-all's `''` and `CAST(NULL AS ...)` fillers, over one slot);
+/// each row then loads its table columns straight off the fragment and
+/// takes its computed cells from those vectors.
+class VecProjection {
+ public:
+  VecProjection(const VecSourceSpec* spec, const Table* table,
+                ExecContext* ctx)
+      : spec_(spec),
+        table_(table),
+        ctx_(ctx),
+        width_(spec->Width(*table)),
+        vals_(spec->project.size()) {
+    for (size_t c = 0; c < spec->project.size(); ++c) {
+      if (spec->out_cols[c] != VecSourceSpec::kComputed) continue;
+      computed_.push_back(c);
+      constant_.push_back(IsConstantExpr(*spec->project[c]));
+    }
+  }
+
+  /// Evaluates the computed columns over the first `n` survivors of
+  /// `batch` (n >= 1, so a constant that fails to evaluate fails only
+  /// when some row reaches the projection, as on the row path).
+  Status Evaluate(const VecBatch& batch, size_t n) {
+    for (size_t k = 0; k < computed_.size(); ++k) {
+      const size_t c = computed_[k];
+      Status status =
+          EvalDense(*spec_->project[c], ctx_, batch.span, batch.sel.data(),
+                    constant_[k] ? 1 : n, &vals_[c]);
+      if (!status.ok()) return RowMajorError(batch, n, std::move(status));
+    }
+    return Status::OK();
+  }
+
+  /// Materializes survivor `i` of the evaluated batch into *row, reusing
+  /// its capacity.
+  void Emit(const VecBatch& batch, size_t i, Row* row) {
+    const uint32_t slot = batch.sel[i];
+    row->resize(width_);
+    for (size_t c = 0; c < width_; ++c) {
+      const size_t col = spec_->TableCol(c);
+      if (col != VecSourceSpec::kComputed) {
+        batch.span.fragment->cols[col].LoadInto(slot, &(*row)[c]);
+      } else if (vals_[c].size() == 1) {
+        (*row)[c] = vals_[c][0];  // constant: one cell for the batch
+      } else {
+        (*row)[c] = std::move(vals_[c][i]);
+      }
+    }
+  }
+
+ private:
+  /// Column-at-a-time evaluation may meet a later row's error before an
+  /// earlier row's; replaying the failing batch row-major through the
+  /// row evaluator reports the error the row engine's projection hits
+  /// first.
+  Status RowMajorError(const VecBatch& batch, size_t n, Status dense) {
+    const size_t num_columns = table_->schema().num_columns();
+    Row input;
+    for (size_t i = 0; i < n; ++i) {
+      input.clear();
+      for (size_t c = 0; c < num_columns; ++c) {
+        input.push_back(batch.span.fragment->cols[c].Load(batch.sel[i]));
+      }
+      for (const BoundExpr* e : spec_->project) {
+        Result<Value> v = EvaluateExpr(*e, input, ctx_);
+        if (!v.ok()) return v.status();
+      }
+    }
+    return dense;
+  }
+
+  const VecSourceSpec* spec_;
+  const Table* table_;
+  ExecContext* ctx_;
+  size_t width_;
+  std::vector<size_t> computed_;    // output columns that are expressions
+  std::vector<bool> constant_;      // per computed_ entry
+  std::vector<std::vector<Value>> vals_;  // per output column
+};
+
 // ---------------------------------------------------------------------------
 // Bridge operators (DESIGN.md 5j)
 // ---------------------------------------------------------------------------
 
-/// Batch->row bridge leaf: runs a `Filter* -> Scan` chain batchwise and
-/// streams the surviving rows to a row-path parent (Sort, CASE
-/// projection, NLJ, ...). Output rows and order are identical to the
-/// ScanExecutor/FilterExecutor chain's.
+/// Batch->row bridge leaf: runs a `Project? -> Filter* -> Scan` chain
+/// batchwise and streams the projected rows to a row-path parent (Sort,
+/// UNION, CASE projection, NLJ, ...). Output rows and order are
+/// identical to the ScanExecutor/FilterExecutor/ProjectExecutor chain's.
 class VecScanExecutor : public Executor {
  public:
   VecScanExecutor(VecSourceSpec spec, const Table* table, ExecContext* ctx)
@@ -675,7 +781,7 @@ class VecScanExecutor : public Executor {
 
   Status Open() override {
     cursor_ = std::make_unique<VecSourceCursor>(&spec_, table_, ctx_);
-    width_ = spec_.Width(*table_);
+    projection_ = std::make_unique<VecProjection>(&spec_, table_, ctx_);
     batch_.sel.clear();
     pos_ = 0;
     return Status::OK();
@@ -686,17 +792,9 @@ class VecScanExecutor : public Executor {
       pos_ = 0;
       PDM_ASSIGN_OR_RETURN(bool has, cursor_->NextBatch(&batch_));
       if (!has) return false;
+      PDM_RETURN_NOT_OK(projection_->Evaluate(batch_, batch_.sel.size()));
     }
-    // Late materialization of the fragment's survivors: whole rows, or
-    // just the projected columns when a Project was peeled. Filled
-    // straight into the caller's row so its capacity is reused across
-    // calls — no intermediate row buffer to churn.
-    const uint32_t slot = batch_.sel[pos_++];
-    row->clear();
-    row->reserve(width_);
-    for (size_t c = 0; c < width_; ++c) {
-      row->push_back(batch_.span.fragment->cols[spec_.TableCol(c)].Load(slot));
-    }
+    projection_->Emit(batch_, pos_++, row);
     return true;
   }
 
@@ -705,7 +803,7 @@ class VecScanExecutor : public Executor {
   const Table* table_;
   ExecContext* ctx_;
   std::unique_ptr<VecSourceCursor> cursor_;
-  size_t width_ = 0;
+  std::unique_ptr<VecProjection> projection_;
   VecBatch batch_;
   size_t pos_ = 0;
 };
@@ -1284,8 +1382,8 @@ class VecAggregateExecutor : public Executor {
 }  // namespace
 
 Result<bool> TryExecuteVectorized(const PlanNode& plan, ExecContext* ctx,
-                                  std::vector<Row>* out) {
-  // Peel Limit? -> Project?; the rest must be a bare VecSource.
+                                  std::vector<Row>* out, size_t* wire_bytes) {
+  // Peel Limit?; the rest must be a VecSource.
   const PlanNode* node = &plan;
   size_t limit = std::numeric_limits<size_t>::max();
   if (node->kind == PlanKind::kLimit) {
@@ -1294,58 +1392,26 @@ Result<bool> TryExecuteVectorized(const PlanNode& plan, ExecContext* ctx,
     node = n.child.get();
     if (node == nullptr) return false;
   }
-  const std::vector<BoundExprPtr>* project = nullptr;  // null = SELECT *
-  if (node->kind == PlanKind::kProject) {
-    const auto& n = static_cast<const ProjectNode&>(*node);
-    project = &n.exprs;
-    node = n.child.get();
-    if (node == nullptr) return false;  // SELECT without FROM
-  }
   VecSourceSpec spec;
-  if (!MatchVecSource(*node, &spec) || !spec.out_cols.empty()) return false;
-  if (project != nullptr) {
-    for (const BoundExprPtr& e : *project) {
-      if (!CanVectorizeExpr(*e, &spec.max_col)) return false;
-    }
-  }
+  if (!MatchVecSource(*node, &spec)) return false;
   const Table* table = ResolveVecSource(spec, ctx);
   if (table == nullptr) return false;
-  const size_t num_columns = table->schema().num_columns();
-  if (spec.max_col >= num_columns) return false;
 
   out->clear();
   VecSourceCursor cursor(&spec, table, ctx);
+  VecProjection projection(&spec, table, ctx);
   VecBatch batch;
-  std::vector<std::vector<Value>> proj_cols;
   while (out->size() < limit) {
     PDM_ASSIGN_OR_RETURN(bool has, cursor.NextBatch(&batch));
     if (!has) break;
     const size_t take = std::min(batch.sel.size(), limit - out->size());
     // Late materialization: only now do surviving slots become Values.
-    if (project != nullptr) {
-      proj_cols.resize(project->size());
-      for (size_t e = 0; e < project->size(); ++e) {
-        PDM_RETURN_NOT_OK(EvalDense(*(*project)[e], ctx, batch.span,
-                                    batch.sel.data(), take, &proj_cols[e]));
-      }
-      for (size_t i = 0; i < take; ++i) {
-        Row row;
-        row.reserve(proj_cols.size());
-        for (std::vector<Value>& col : proj_cols) {
-          row.push_back(std::move(col[i]));
-        }
-        out->push_back(std::move(row));
-      }
-    } else {
-      for (size_t i = 0; i < take; ++i) {
-        const uint32_t slot = batch.sel[i];
-        Row row;
-        row.reserve(num_columns);
-        for (size_t c = 0; c < num_columns; ++c) {
-          row.push_back(batch.span.fragment->cols[c].Load(slot));
-        }
-        out->push_back(std::move(row));
-      }
+    PDM_RETURN_NOT_OK(projection.Evaluate(batch, take));
+    for (size_t i = 0; i < take; ++i) {
+      Row row;
+      projection.Emit(batch, i, &row);
+      if (wire_bytes != nullptr) *wire_bytes += RowWireSize(row);
+      out->push_back(std::move(row));
     }
   }
   return true;
@@ -1390,8 +1456,11 @@ Result<std::unique_ptr<Executor>> MaybeVecExecutor(const PlanNode& plan,
               node, std::move(left), table_or.value(), ctx));
         }
       }
+      // Build keys and build rows index the source's table columns.
       VecSourceSpec spec;
-      if (!MatchVecSource(*node.right, &spec)) return none;
+      if (!MatchVecSource(*node.right, &spec) || !spec.PureColumns()) {
+        return none;
+      }
       const Table* table = ResolveVecSource(spec, ctx);
       if (table == nullptr) return none;
       for (size_t k : node.right_keys) {
@@ -1400,7 +1469,7 @@ Result<std::unique_ptr<Executor>> MaybeVecExecutor(const PlanNode& plan,
       // Prefer cursor mode: probe keys come straight off the left
       // column spans, and left rows materialize only on match.
       VecSourceSpec lspec;
-      if (MatchVecSource(*node.left, &lspec)) {
+      if (MatchVecSource(*node.left, &lspec) && lspec.PureColumns()) {
         const Table* ltable = ResolveVecSource(lspec, ctx);
         if (ltable != nullptr) {
           bool keys_ok = true;

@@ -29,20 +29,27 @@ namespace pdm {
 /// is outside that subset or the row engine would answer the scan from
 /// a column index; the caller must then run the Volcano path. On true,
 /// *out holds rows value-identical to the row engine's output (same
-/// order, same cells). Execution errors propagate as on the row path;
-/// the only divergence is error *timing* under LIMIT, where the row
-/// engine stops mid-fragment and this engine finishes the batch.
+/// order, same cells), and `wire_bytes` (when given) has each row's
+/// RowWireSize added as the row is built. Execution errors propagate as
+/// on the row path: a failing projection reports the row engine's
+/// first error, and raises nothing when no row survives the filters.
+/// The only divergence is filter error *timing* under LIMIT, where the
+/// row engine stops mid-fragment and this engine filters the batch.
 Result<bool> TryExecuteVectorized(const PlanNode& plan, ExecContext* ctx,
-                                  std::vector<Row>* out);
+                                  std::vector<Row>* out,
+                                  size_t* wire_bytes = nullptr);
 
 /// Batch->row bridge (DESIGN.md 5j): a Volcano executor that runs
 /// `plan`'s subtree batch-at-a-time when it is vec-coverable —
 ///
-///   - a `Filter* -> Scan` chain over a base table (the VecSource
-///     shape), streamed fragment-wise to the row-path parent;
-///   - a hash join whose build side is a VecSource (batch build with
-///     late materialization, int64 fast-path probe table, per-statement
-///     build cache) or whose right side is index-join eligible (probes
+///   - a `Project? -> Filter* -> Scan` chain over a base table (the
+///     VecSource shape; the projection may compute vectorizable
+///     expressions, such as the query-all's constant fillers), streamed
+///     fragment-wise to the row-path parent (Sort, UNION, ...);
+///   - a hash join whose build side is a VecSource projecting only
+///     columns (batch build with late materialization, int64 fast-path
+///     probe table, per-statement build cache) or whose right side is
+///     index-join eligible (probes
 ///     batched against the table's shared lazy index);
 ///   - an aggregate whose input is a VecSource and whose group/argument
 ///     expressions are vectorizable (column-kernel COUNT/SUM/AVG,

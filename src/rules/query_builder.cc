@@ -130,6 +130,18 @@ ExprPtr EndpointInRtbl(const std::string& endpoint_column) {
       /*neg=*/false);
 }
 
+/// SELECT <homogenized assy> FROM assy WHERE assy.obid = root: the
+/// root's own row, as the recursive query seeds rtbl with it.
+sql::SelectCore RootRowCore(int64_t root_obid) {
+  sql::SelectCore core;
+  core.items = HomogenizedItems(pdmsys::kAssyTable);
+  core.from.push_back(BaseFrom(pdmsys::kAssyTable));
+  core.where = sql::MakeBinary(
+      sql::BinaryOp::kEq, sql::MakeColumnRef(pdmsys::kAssyTable, "obid"),
+      sql::MakeLiteral(Value::Int64(root_obid)));
+  return core;
+}
+
 }  // namespace
 
 std::unique_ptr<sql::SelectStmt> BuildRecursiveTreeQuery(
@@ -144,13 +156,8 @@ std::unique_ptr<sql::SelectStmt> BuildRecursiveTreeQuery(
   cte.column_names.push_back("lvl");
   cte.query = std::make_unique<sql::QueryExpr>();
 
-  sql::SelectCore seed;
-  seed.items = HomogenizedItems(pdmsys::kAssyTable);
+  sql::SelectCore seed = RootRowCore(root_obid);
   seed.items.push_back(Item(sql::MakeLiteral(Value::Int64(0)), "lvl"));
-  seed.from.push_back(BaseFrom(pdmsys::kAssyTable));
-  seed.where = sql::MakeBinary(
-      sql::BinaryOp::kEq, sql::MakeColumnRef(pdmsys::kAssyTable, "obid"),
-      sql::MakeLiteral(Value::Int64(root_obid)));
   cte.query->terms.push_back(std::move(seed));
   for (const std::string& table : pdmsys::ObjectTables()) {
     cte.query->terms.push_back(RecursiveMember(table, max_depth, hierarchy));
@@ -227,6 +234,12 @@ std::unique_ptr<sql::SelectStmt> BuildExpandQuery(
     if (!first) stmt->query.union_all.push_back(true);
     first = false;
   }
+  return stmt;
+}
+
+std::unique_ptr<sql::SelectStmt> BuildRootRowQuery(int64_t root_obid) {
+  auto stmt = std::make_unique<sql::SelectStmt>();
+  stmt->query.terms.push_back(RootRowCore(root_obid));
   return stmt;
 }
 

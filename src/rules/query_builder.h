@@ -39,6 +39,10 @@ std::unique_ptr<sql::SelectStmt> BuildRecursiveTreeQuery(
 std::unique_ptr<sql::SelectStmt> BuildExpandQuery(
     int64_t parent_obid, const std::string& hierarchy = "phys");
 
+/// The root assembly's homogenized row alone — the row the recursive
+/// tree query seeds rtbl with (its select list minus `lvl`).
+std::unique_ptr<sql::SelectStmt> BuildRootRowQuery(int64_t root_obid);
+
 /// The "query" action of Section 2: all object nodes, no structure
 /// information (one statement over assy ∪ comp).
 std::unique_ptr<sql::SelectStmt> BuildFlatQuery();

@@ -413,7 +413,9 @@ Status DbServer::RunStatement(
   }
   hist->Observe(record->sim_seconds);
 
-  // Only a record someone keeps pays for the SQL copy and the sizing walk.
+  // Only a record someone keeps pays for the SQL copy and the response
+  // size: a SELECT's was counted as the engine produced its rows
+  // (ResultSet::counted_wire_size); DML, EXPLAIN and CALL walk theirs.
   const SlowQueryLog::Limits limits{
       .threshold_seconds = config_.slow_query_threshold};
   const bool slow = slow_query_log_.MightRecord(limits, record->sim_seconds,

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "client/checkout.h"
 #include "client/experiment.h"
+#include "rules/query_builder.h"
 #include "server/db_server.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -116,77 +118,137 @@ TEST_P(StrategyEquivalenceSweep, AllStrategiesRetrieveTheSameTree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyEquivalenceSweep,
                          ::testing::Range<uint64_t>(1, 13));
 
-// --- Tree aggregates: client fold vs server SQL --------------------------------
+// --- Tree conditions: client fold vs server SQL ------------------------------
 
-/// The navigational strategies fold a tree aggregate at the client; the
-/// recursive one ships `(SELECT AGG(attr) FROM rtbl ...) <cmp> threshold`
-/// to the server. With the threshold exactly on the aggregate, both must
-/// keep the tree, or both drop it (all-or-nothing).
-TEST(TreeAggregateDifferential, NavigationalMatchesRecursiveOnTheBoundary) {
+/// a3b3, σ 0.6: the product the tree-condition and engine-switch
+/// differentials run on.
+std::unique_ptr<client::Experiment> MakeA3b3Experiment() {
   client::ExperimentConfig config;
   config.generator.depth = 3;
   config.generator.branching = 3;
   config.generator.sigma = 0.6;
-  auto create = [&config]() {
-    Result<std::unique_ptr<client::Experiment>> e =
-        client::Experiment::Create(config);
-    EXPECT_TRUE(e.ok()) << e.status();
-    return e.ok() ? std::move(e).value() : nullptr;
-  };
+  Result<std::unique_ptr<client::Experiment>> e =
+      client::Experiment::Create(config);
+  EXPECT_TRUE(e.ok()) << e.status();
+  return e.ok() ? std::move(e).value() : nullptr;
+}
 
-  // The boundary values, over the components of the unrestricted tree.
-  // (Components only: the root assembly is a row of the server's rtbl,
-  // but the navigational client never fetches it, so an 'assy' fold
-  // would differ by the root.)
-  std::unique_ptr<client::Experiment> plain = create();
+/// The navigational strategies fold a tree aggregate at the client; the
+/// recursive one ships `(SELECT AGG(attr) FROM rtbl ...) <cmp> threshold`
+/// to the server, whose rtbl holds the root's row. With the threshold
+/// exactly on the aggregate, every strategy must keep the tree, or every
+/// one drop it (all-or-nothing) — under each node type filter, including
+/// those that match the root assembly.
+TEST(TreeAggregateDifferential, NavigationalMatchesRecursiveOnTheBoundary) {
+  // The unrestricted tree, root included.
+  std::unique_ptr<client::Experiment> plain = MakeA3b3Experiment();
   ASSERT_NE(plain, nullptr);
   Result<client::ActionResult> tree =
       plain->RunAction(StrategyKind::kRecursive, ActionKind::kMultiLevelExpand);
   ASSERT_TRUE(tree.ok()) << tree.status();
-  int64_t obid_sum = 0;
-  std::optional<std::string> min_name;
-  for (const pdmsys::ProductNode& node : tree->tree.nodes()) {
-    if (node.type != "comp") continue;
-    obid_sum += node.obid;
-    if (!min_name.has_value() || node.name < *min_name) min_name = node.name;
+
+  for (const char* filter : {"comp", "assy", "*", ""}) {
+    const std::string type_filter = filter;
+    const bool all_types = type_filter.empty() || type_filter == "*";
+    int64_t obid_sum = 0;
+    std::optional<std::string> min_name;
+    for (const pdmsys::ProductNode& node : tree->tree.nodes()) {
+      if (!all_types && node.type != type_filter) continue;
+      obid_sum += node.obid;
+      if (!min_name.has_value() || node.name < *min_name) min_name = node.name;
+    }
+    ASSERT_TRUE(min_name.has_value()) << type_filter;
+
+    const struct {
+      AggKind agg;
+      const char* attribute;
+      sql::BinaryOp cmp;
+      Value threshold;
+      bool keeps_tree;
+    } kCases[] = {
+        {AggKind::kSum, "obid", sql::BinaryOp::kLessEq, Value::Int64(obid_sum),
+         true},
+        {AggKind::kSum, "obid", sql::BinaryOp::kLess, Value::Int64(obid_sum),
+         false},
+        {AggKind::kSum, "obid", sql::BinaryOp::kEq, Value::Double(obid_sum),
+         true},
+        {AggKind::kMin, "name", sql::BinaryOp::kGreaterEq,
+         Value::String(*min_name), true},
+        {AggKind::kMin, "name", sql::BinaryOp::kGreater,
+         Value::String(*min_name), false},
+    };
+    for (const auto& c : kCases) {
+      std::unique_ptr<client::Experiment> e = MakeA3b3Experiment();
+      ASSERT_NE(e, nullptr);
+      rules::Rule rule;
+      rule.action = rules::RuleAction::kMultiLevelExpand;
+      rule.condition = std::make_unique<rules::TreeAggregateCondition>(
+          c.agg, c.attribute, type_filter, c.cmp, c.threshold);
+      const std::string what =
+          rule.condition->Describe() + " [filter '" + type_filter + "']";
+      e->rule_table().AddRule(std::move(rule));
+      for (StrategyKind kind :
+           {StrategyKind::kRecursive, StrategyKind::kNavigationalLate,
+            StrategyKind::kNavigationalEarly, StrategyKind::kBatchedLate,
+            StrategyKind::kPipelinedEarly}) {
+        Result<client::ActionResult> result =
+            e->RunAction(kind, ActionKind::kMultiLevelExpand);
+        ASSERT_TRUE(result.ok()) << what << ": " << result.status();
+        EXPECT_EQ(result->tree.num_nodes() > 0, c.keeps_tree)
+            << what << ", " << model::StrategyKindName(kind);
+      }
+    }
   }
-  ASSERT_TRUE(min_name.has_value());
+}
+
+/// The paper's rule example 2 (∀rows "no node already checked out"):
+/// with any node of the tree already checked out — the root, an inner
+/// assembly or a leaf component — every check-out method must deny.
+TEST(CheckOutDifferential, EveryMethodDeniesWhenAnyNodeIsCheckedOut) {
+  std::unique_ptr<client::Experiment> plain = MakeA3b3Experiment();
+  ASSERT_NE(plain, nullptr);
+  const int64_t root = plain->product().root_obid;
+  Result<client::ActionResult> tree =
+      plain->RunAction(StrategyKind::kRecursive, ActionKind::kMultiLevelExpand);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  std::optional<int64_t> inner;
+  std::optional<int64_t> leaf;
+  for (const pdmsys::ProductNode& node : tree->tree.nodes()) {
+    if (node.type == "assy" && node.obid != root && !inner.has_value()) {
+      inner = node.obid;
+    }
+    if (node.type == "comp" && !leaf.has_value()) leaf = node.obid;
+  }
+  ASSERT_TRUE(inner.has_value());
+  ASSERT_TRUE(leaf.has_value());
 
   const struct {
-    AggKind agg;
-    const char* attribute;
-    sql::BinaryOp cmp;
-    Value threshold;
-    bool keeps_tree;
-  } kCases[] = {
-      {AggKind::kSum, "obid", sql::BinaryOp::kLessEq, Value::Int64(obid_sum),
-       true},
-      {AggKind::kSum, "obid", sql::BinaryOp::kLess, Value::Int64(obid_sum),
-       false},
-      {AggKind::kSum, "obid", sql::BinaryOp::kEq, Value::Double(obid_sum),
-       true},
-      {AggKind::kMin, "name", sql::BinaryOp::kGreaterEq,
-       Value::String(*min_name), true},
-      {AggKind::kMin, "name", sql::BinaryOp::kGreater,
-       Value::String(*min_name), false},
-  };
-  for (const auto& c : kCases) {
-    std::unique_ptr<client::Experiment> e = create();
-    ASSERT_NE(e, nullptr);
-    rules::Rule rule;
-    rule.action = rules::RuleAction::kMultiLevelExpand;
-    rule.condition = std::make_unique<rules::TreeAggregateCondition>(
-        c.agg, c.attribute, "comp", c.cmp, c.threshold);
-    const std::string what = rule.condition->Describe();
-    e->rule_table().AddRule(std::move(rule));
-    for (StrategyKind kind :
-         {StrategyKind::kRecursive, StrategyKind::kNavigationalLate,
-          StrategyKind::kNavigationalEarly}) {
-      Result<client::ActionResult> result =
-          e->RunAction(kind, ActionKind::kMultiLevelExpand);
-      ASSERT_TRUE(result.ok()) << what << ": " << result.status();
-      EXPECT_EQ(result->tree.num_nodes() > 0, c.keeps_tree)
-          << what << ", " << model::StrategyKindName(kind);
+    const char* what;
+    const char* table;
+    int64_t obid;
+  } kTargets[] = {{"root", "assy", root},
+                  {"inner assembly", "assy", *inner},
+                  {"leaf", "comp", *leaf}};
+  for (const auto& target : kTargets) {
+    for (client::CheckOutMethod method :
+         {client::CheckOutMethod::kNavigational,
+          client::CheckOutMethod::kRecursiveBatched,
+          client::CheckOutMethod::kStoredProcedure}) {
+      std::unique_ptr<client::Experiment> e = MakeA3b3Experiment();
+      ASSERT_NE(e, nullptr);
+      ASSERT_TRUE(e->server()
+                      .database()
+                      .Execute(StrFormat(
+                          "UPDATE %s SET checkedout = TRUE WHERE obid = %lld",
+                          target.table, static_cast<long long>(target.obid)))
+                      .ok());
+      Result<client::CheckOutResult> result =
+          e->MakeCheckOutClient()->CheckOut(root, method);
+      ASSERT_TRUE(result.ok()) << target.what << ": " << result.status();
+      EXPECT_FALSE(result->success)
+          << client::CheckOutMethodName(method) << " checked out a tree whose "
+          << target.what << " was already checked out";
+      EXPECT_EQ(result->objects, 0u) << client::CheckOutMethodName(method);
     }
   }
 }
@@ -375,51 +437,109 @@ constexpr const char* kCorpus[] = {
     "SELECT material, acc, COUNT(*) FROM comp GROUP BY material, acc "
     "HAVING COUNT(*) IN (SELECT COUNT(*) FROM assy GROUP BY make_or_buy, "
     "acc) ORDER BY 1, 2",
+    // Computed projections (DESIGN.md 5j): homogenizing fillers next to
+    // columns in UNION ALL branches, under a Sort, under a UNION parent
+    // and under a LIMIT over a union.
+    "SELECT type, obid, name, '' AS material, CAST(NULL AS DOUBLE) AS w, "
+    "frozen FROM assy UNION ALL SELECT type, obid, name, material, weight, "
+    "CAST(NULL AS BOOLEAN) FROM comp",
+    "SELECT obid, weight * 2 AS w2, '' AS pad, CAST(NULL AS BOOLEAN) AS f "
+    "FROM comp WHERE obid >= 0 ORDER BY w2, obid",
+    "SELECT acc, '' AS material FROM assy UNION SELECT acc, material "
+    "FROM comp",
+    "SELECT obid, name, CAST(NULL AS DOUBLE) AS w FROM assy UNION ALL "
+    "SELECT obid, name, weight FROM comp LIMIT 7",
 };
 
+/// kCorpus plus the late-evaluation query-all exactly as the client
+/// renders it (every object, homogenized with `''` and CAST fillers).
+std::vector<std::string> CorpusStatements() {
+  std::vector<std::string> out(std::begin(kCorpus), std::end(kCorpus));
+  out.push_back(rules::BuildFlatQuery()->ToSql());
+  return out;
+}
+
+/// Join/aggregate/ORDER BY shapes covered by the batch->row bridge
+/// executors (DESIGN.md 5j): hash join builds over filtered scans, index
+/// joins, grouped and DISTINCT aggregation, and row-path sorts fed by
+/// bridged scans.
+constexpr const char* kBridgeCorpus[] = {
+    "SELECT l.obid, a.name FROM link AS l JOIN assy AS a "
+    "ON l.left = a.obid WHERE a.weight > 0",
+    "SELECT l.obid, c.name FROM link AS l JOIN comp AS c "
+    "ON l.right = c.obid",
+    "SELECT hier, COUNT(*), MIN(eff_from), MAX(eff_to) FROM link "
+    "WHERE obid >= 0 GROUP BY hier",
+    "SELECT strc_opt, AVG(eff_to - eff_from) FROM link "
+    "WHERE eff_from >= 0 GROUP BY strc_opt",
+    "SELECT material, SUM(weight), COUNT(DISTINCT acc) FROM comp "
+    "WHERE obid >= 0 GROUP BY material HAVING COUNT(*) > 1",
+    "SELECT obid, left, right FROM link WHERE eff_from <= 100 "
+    "ORDER BY left, obid",
+    "SELECT material, CASE WHEN COUNT(*) > 4 THEN 'many' ELSE 'few' END "
+    "FROM comp WHERE obid >= 0 GROUP BY material "
+    "HAVING MAX(weight) BETWEEN 1.0 AND 100.0 AND material NOT LIKE 'a%'",
+    // A computed projection on either join side keeps the join off the
+    // VecSource cursor/build paths, which index table columns directly.
+    "SELECT l.obid, o.pad FROM link AS l JOIN (SELECT obid, 'x' AS pad "
+    "FROM assy WHERE weight > 0) AS o ON l.left = o.obid",
+    "SELECT o.pad, l.right FROM (SELECT obid, CAST(NULL AS DOUBLE) AS pad "
+    "FROM assy WHERE weight > 0) AS o JOIN (SELECT left, right FROM link "
+    "WHERE eff_from >= 0) AS l ON o.obid = l.left",
+};
+
+/// A result rendered cell by cell with each cell's kind, so two results
+/// compare equal only when byte-identical (1 and 1.0, or '' and NULL,
+/// are not the same cell).
+std::string ExactText(const ResultSet& rs) {
+  std::string out;
+  for (size_t c = 0; c < rs.num_columns(); ++c) {
+    out += rs.schema.column(c).name + ",";
+  }
+  for (const Row& row : rs.rows) {
+    out += "\n";
+    for (const Value& v : row) {
+      out += std::string(ValueKindName(v.kind())) + ":" + v.ToSqlLiteral() +
+             ",";
+    }
+  }
+  return out;
+}
+
 TEST(OptimizerDifferential, SameResultsWithAllSwitchesOff) {
-  client::ExperimentConfig config;
-  config.generator.depth = 3;
-  config.generator.branching = 3;
-  config.generator.sigma = 0.6;
-  Result<std::unique_ptr<client::Experiment>> experiment =
-      client::Experiment::Create(config);
-  ASSERT_TRUE(experiment.ok());
-  Database& db = (*experiment)->server().database();
+  std::unique_ptr<client::Experiment> experiment = MakeA3b3Experiment();
+  ASSERT_NE(experiment, nullptr);
+  Database& db = experiment->server().database();
+  const std::vector<std::string> corpus = CorpusStatements();
 
   std::vector<std::string> baseline;
-  for (const char* sql : kCorpus) {
+  for (const std::string& sql : corpus) {
     Result<ResultSet> rs = db.Query(sql);
     ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
-    baseline.push_back(rs->ToString(10000));
+    baseline.push_back(ExactText(*rs));
   }
 
   db.options().binder.use_hash_join = false;
   db.options().binder.predicate_pushdown = false;
   db.options().exec.cache_uncorrelated_subqueries = false;
   db.options().exec.semi_naive_recursion = false;
-  for (size_t i = 0; i < std::size(kCorpus); ++i) {
-    Result<ResultSet> rs = db.Query(kCorpus[i]);
-    ASSERT_TRUE(rs.ok()) << kCorpus[i];
-    EXPECT_EQ(rs->ToString(10000), baseline[i]) << kCorpus[i];
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    Result<ResultSet> rs = db.Query(corpus[i]);
+    ASSERT_TRUE(rs.ok()) << corpus[i];
+    EXPECT_EQ(ExactText(*rs), baseline[i]) << corpus[i];
   }
 }
 
 TEST(VecEngineDifferential, SameResultsWithVectorizedExecutionOff) {
-  client::ExperimentConfig config;
-  config.generator.depth = 3;
-  config.generator.branching = 3;
-  config.generator.sigma = 0.6;
-  Result<std::unique_ptr<client::Experiment>> experiment =
-      client::Experiment::Create(config);
-  ASSERT_TRUE(experiment.ok());
-  Database& db = (*experiment)->server().database();
+  std::unique_ptr<client::Experiment> experiment = MakeA3b3Experiment();
+  ASSERT_NE(experiment, nullptr);
+  Database& db = experiment->server().database();
 
   // The shared corpus plus scan/filter/project shapes the batch
   // executor handles directly (no ORDER BY — both engines emit in slot
   // order — and no bare equality conjunct, which would divert to the
-  // row engine's index scan anyway).
-  std::vector<std::string> queries(std::begin(kCorpus), std::end(kCorpus));
+  // row engine's index scan anyway), plus the bridge corpus.
+  std::vector<std::string> queries = CorpusStatements();
   const char* kScanCorpus[] = {
       "SELECT left, right FROM link WHERE eff_from <= 50 AND eff_to > 50",
       "SELECT obid, weight FROM comp WHERE weight > 1.0 OR material IS NULL",
@@ -429,27 +549,6 @@ TEST(VecEngineDifferential, SameResultsWithVectorizedExecutionOff) {
   };
   queries.insert(queries.end(), std::begin(kScanCorpus),
                  std::end(kScanCorpus));
-  // Join/aggregate/ORDER BY shapes now covered by the batch->row
-  // bridge executors (DESIGN.md 5j): hash join builds over filtered
-  // scans, index joins, grouped and DISTINCT aggregation, and row-path
-  // sorts fed by bridged scans.
-  const char* kBridgeCorpus[] = {
-      "SELECT l.obid, a.name FROM link AS l JOIN assy AS a "
-      "ON l.left = a.obid WHERE a.weight > 0",
-      "SELECT l.obid, c.name FROM link AS l JOIN comp AS c "
-      "ON l.right = c.obid",
-      "SELECT hier, COUNT(*), MIN(eff_from), MAX(eff_to) FROM link "
-      "WHERE obid >= 0 GROUP BY hier",
-      "SELECT strc_opt, AVG(eff_to - eff_from) FROM link "
-      "WHERE eff_from >= 0 GROUP BY strc_opt",
-      "SELECT material, SUM(weight), COUNT(DISTINCT acc) FROM comp "
-      "WHERE obid >= 0 GROUP BY material HAVING COUNT(*) > 1",
-      "SELECT obid, left, right FROM link WHERE eff_from <= 100 "
-      "ORDER BY left, obid",
-      "SELECT material, CASE WHEN COUNT(*) > 4 THEN 'many' ELSE 'few' END "
-      "FROM comp WHERE obid >= 0 GROUP BY material "
-      "HAVING MAX(weight) BETWEEN 1.0 AND 100.0 AND material NOT LIKE 'a%'",
-  };
   queries.insert(queries.end(), std::begin(kBridgeCorpus),
                  std::end(kBridgeCorpus));
 
@@ -459,19 +558,105 @@ TEST(VecEngineDifferential, SameResultsWithVectorizedExecutionOff) {
   for (const std::string& sql : queries) {
     Result<ResultSet> rs = QueryWithStats(db, &stats, sql);
     ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
-    baseline.push_back(rs->ToString(10000));
+    baseline.push_back(ExactText(*rs));
     any_vectorized |= stats.vec_batches > 0;
   }
   // The scan corpus must actually have exercised the batch executor.
   EXPECT_TRUE(any_vectorized);
+
+  // The query-all runs every UNION ALL branch batchwise: each object
+  // row is scanned by the vectorized tier.
+  Result<ResultSet> all =
+      QueryWithStats(db, &stats, rules::BuildFlatQuery()->ToSql());
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(stats.vec_rows_scanned, all->num_rows());
+  EXPECT_EQ(stats.rows_scanned, all->num_rows());
 
   db.options().exec.vectorized_execution = false;
   for (size_t i = 0; i < queries.size(); ++i) {
     Result<ResultSet> rs = QueryWithStats(db, &stats, queries[i]);
     ASSERT_TRUE(rs.ok()) << queries[i];
     EXPECT_EQ(stats.vec_batches, 0u) << queries[i];
-    EXPECT_EQ(rs->ToString(10000), baseline[i]) << queries[i];
+    EXPECT_EQ(ExactText(*rs), baseline[i]) << queries[i];
   }
+}
+
+/// A projection error surfaces exactly as on the row engine: nothing
+/// when no row reaches the projection, the row engine's first error
+/// (row-major: earliest row, then leftmost expression) otherwise.
+TEST(VecEngineDifferential, ProjectionErrorsMatchTheRowEngine) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(
+                    "CREATE TABLE vacant (id INTEGER, s VARCHAR);"
+                    "CREATE TABLE filled (id INTEGER, s VARCHAR);"
+                    "INSERT INTO filled VALUES (1, '1');"
+                    "INSERT INTO filled VALUES (2, 'y');")
+                  .ok());
+  const struct {
+    const char* sql;
+    const char* error;  // nullptr: must succeed (with no rows)
+  } kCases[] = {
+      {"SELECT id, CAST('x' AS INTEGER) FROM vacant", nullptr},
+      {"SELECT id, CAST('x' AS INTEGER) FROM filled WHERE id > 5", nullptr},
+      {"SELECT id, CAST('x' AS INTEGER) FROM filled", "'x'"},
+      // Column-at-a-time the first expression fails first (row 2, 'y');
+      // the row engine fails on row 1's second expression ('x').
+      {"SELECT CAST(s AS INTEGER), CAST('x' AS INTEGER) FROM filled", "'x'"},
+      {"SELECT id, CAST('x' AS INTEGER) FROM filled UNION ALL "
+       "SELECT id, 1 FROM vacant",
+       "'x'"},
+  };
+  for (const auto& c : kCases) {
+    std::string status_text[2];
+    for (bool vectorized : {true, false}) {
+      db.options().exec.vectorized_execution = vectorized;
+      ExecStats stats;
+      Result<ResultSet> rs = QueryWithStats(db, &stats, c.sql);
+      if (c.error == nullptr) {
+        ASSERT_TRUE(rs.ok()) << c.sql << " -> " << rs.status();
+        EXPECT_EQ(rs->num_rows(), 0u) << c.sql;
+      } else {
+        ASSERT_FALSE(rs.ok()) << c.sql;
+        EXPECT_NE(rs.status().ToString().find(c.error), std::string::npos)
+            << c.sql << " -> " << rs.status();
+        status_text[vectorized ? 0 : 1] = rs.status().ToString();
+      }
+      if (vectorized && std::string_view(c.sql).find("filled") !=
+                            std::string_view::npos) {
+        EXPECT_GT(stats.vec_batches, 0u) << c.sql;  // ran batchwise
+      }
+    }
+    EXPECT_EQ(status_text[0], status_text[1]) << c.sql;
+  }
+}
+
+/// The engine counts the result's wire size while it produces the rows
+/// (no sizing walk at the server); on both engines the count equals a
+/// walk over the finished rows.
+TEST(VecEngineDifferential, WireSizeCountedWhileMaterializing) {
+  std::unique_ptr<client::Experiment> experiment = MakeA3b3Experiment();
+  ASSERT_NE(experiment, nullptr);
+  Database& db = experiment->server().database();
+  std::vector<std::string> queries = CorpusStatements();
+  queries.insert(queries.end(), std::begin(kBridgeCorpus),
+                 std::end(kBridgeCorpus));
+  for (bool vectorized : {true, false}) {
+    db.options().exec.vectorized_execution = vectorized;
+    for (const std::string& sql : queries) {
+      ResultSet out;
+      ASSERT_TRUE(db.Execute(sql, &out).ok()) << sql;
+      ASSERT_TRUE(out.counted_wire_size.has_value()) << sql;
+      ResultSet walked;
+      walked.rows = out.rows;
+      EXPECT_EQ(*out.counted_wire_size, walked.WireSize())
+          << sql << (vectorized ? " [vec]" : " [row]");
+    }
+  }
+  // Statements outside ExecutePlan keep the walk.
+  ResultSet explain;
+  ASSERT_TRUE(db.Execute("EXPLAIN SELECT obid FROM assy", &explain).ok());
+  EXPECT_FALSE(explain.counted_wire_size.has_value());
+  EXPECT_GT(explain.WireSize(), 0u);
 }
 
 }  // namespace

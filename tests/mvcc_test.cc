@@ -6,7 +6,8 @@
 // server/client conflict counter reconciliation), a table-level
 // snapshot-stability stress that doubles as a TSan canary, and
 // vectorized visibility over the columnar fragments (version chains
-// crossing the fragment boundary, concurrent fragment scans).
+// crossing the fragment boundary, concurrent fragment scans, the
+// batchwise query-all at a pinned snapshot under a writer).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "engine/database.h"
 #include "exec/vec_batch.h"
 #include "obs/metrics.h"
+#include "rules/query_builder.h"
 #include "server/admission_queue.h"
 #include "server/db_server.h"
 
@@ -485,6 +487,65 @@ TEST(MvccVectorized, FragmentScanStableUnderConcurrentWriter) {
 
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(table.num_versions(), static_cast<size_t>(kFragmentRows));
+}
+
+/// Executor-level TSan canary for VecSourceCursor's num_versions()
+/// bound: the late-evaluation query-all — every UNION ALL branch a
+/// VecSource with homogenizing fillers — reads an a7b5 product at a
+/// pinned snapshot while a writer keeps flipping `checkedout` on the
+/// root assembly, appending versions past the readers' bounds. Every
+/// read must return exactly the pinned snapshot's rows.
+TEST(MvccVectorized, VecQueryAllStableAtPinnedSnapshotUnderWriter) {
+  client::ExperimentConfig config;
+  config.generator.depth = 7;
+  config.generator.branching = 5;
+  config.generator.sigma = 0.6;
+  Result<std::unique_ptr<client::Experiment>> experiment =
+      client::Experiment::Create(config);
+  ASSERT_TRUE(experiment.ok()) << experiment.status();
+  Database& db = (*experiment)->server().database();
+  const int64_t root = (*experiment)->product().root_obid;
+  const std::string sql = rules::BuildFlatQuery()->ToSql();
+
+  Database::Snapshot snap = db.AcquireSnapshot();
+  ResultSet reference;
+  ExecStats stats;
+  ASSERT_TRUE(db.Execute(sql, &reference, &stats, snap.ts()).ok());
+  ASSERT_GT(reference.num_rows(), 0u);
+  ASSERT_EQ(stats.vec_rows_scanned, reference.num_rows());  // batchwise
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> flips{0};
+  std::thread writer([&] {
+    for (bool flag = true; !stop.load(std::memory_order_acquire);
+         flag = !flag) {
+      const Status status = db.Execute(
+          StrFormat("UPDATE assy SET checkedout = %s WHERE obid = %lld",
+                    flag ? "TRUE" : "FALSE", static_cast<long long>(root)));
+      if (status.ok()) flips.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      for (int read = 0; read < 3; ++read) {
+        ResultSet out;
+        ExecStats read_stats;
+        if (!db.Execute(sql, &out, &read_stats, snap.ts()).ok() ||
+            out.rows != reference.rows ||
+            read_stats.vec_rows_scanned != reference.num_rows()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  stop.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(flips.load(), 0u);
 }
 
 }  // namespace

@@ -362,6 +362,12 @@ TEST_F(PlanCacheTest, CachedAndColdResultsIdenticalOnCorpus) {
        "SELECT name, CASE WHEN SUM(score) > 2.5 THEN 'top' ELSE 'low' END "
        "AS band FROM t GROUP BY name HAVING COUNT(*) IN (1, 3) "
        "AND MAX(id) BETWEEN 2 AND 3 AND name LIKE 'c%' ORDER BY 1"},
+      // Homogenizing fillers projected batchwise from the cached plan
+      // must carry the variant's literals.
+      {"SELECT id, '' AS pad, CAST('1' AS INTEGER) AS n FROM t "
+       "WHERE score > 0.5 UNION ALL SELECT id, name, 2 AS n FROM t",
+       "SELECT id, 'z' AS pad, CAST('7' AS INTEGER) AS n FROM t "
+       "WHERE score > 0.5 UNION ALL SELECT id, name, 3 AS n FROM t"},
       {"SELECT id + 1 FROM t", "SELECT id + 2 FROM t", 0},
       {"SELECT 'a' FROM t", "SELECT 'b' FROM t", 0},
   };
