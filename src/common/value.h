@@ -30,6 +30,22 @@ class Value {
   /// Constructs SQL NULL.
   Value() : data_(std::monostate{}) {}
 
+  Value(const Value&) = default;
+  Value(Value&&) noexcept = default;
+  Value& operator=(Value&&) noexcept = default;
+  /// Assigns in place when both sides hold strings (the target keeps its
+  /// buffer) and constructs the new alternative directly otherwise: the
+  /// defaulted assignment would copy a string into a different kind of
+  /// slot through a temporary, std::string's copy not being noexcept.
+  Value& operator=(const Value& other) {
+    if (const std::string* s = std::get_if<std::string>(&other.data_)) {
+      SetString(*s);
+    } else {
+      data_ = other.data_;  // scalar alternatives copy without throwing
+    }
+    return *this;
+  }
+
   static Value Null() { return Value(); }
   static Value Bool(bool v) { return Value(Payload(v)); }
   static Value Int64(int64_t v) { return Value(Payload(v)); }
@@ -69,7 +85,7 @@ class Value {
     if (std::string* s = std::get_if<std::string>(&data_)) {
       *s = v;  // reuse capacity
     } else {
-      data_ = v;
+      data_.emplace<std::string>(v);
     }
   }
 

@@ -30,10 +30,11 @@ struct ExecOptions {
   /// Hard bound on recursion rounds (defense against cyclic data under
   /// UNION ALL semantics).
   size_t max_recursion_iterations = 100000;
-  /// Run scan/filter/project/limit plans batch-at-a-time over the
-  /// columnar fragments (exec/vectorized.h) instead of pulling rows
-  /// through the Volcano operators. Plans the vectorized engine cannot
-  /// prove equivalent fall back to the row path automatically.
+  /// Run vec-coverable subtrees (scan chains, hash joins, aggregates)
+  /// batch-at-a-time over the columnar fragments through the batch->row
+  /// bridge (exec/vectorized.h) instead of the Volcano operators; read
+  /// only by CreateExecutor. Subtrees the batch engine cannot prove
+  /// equivalent stay on the row path automatically.
   bool vectorized_execution = true;
 };
 

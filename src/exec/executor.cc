@@ -709,9 +709,10 @@ class UnionExecutor : public Executor {
 
 Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,
                                                  ExecContext* ctx) {
-  // Batch->row bridge (DESIGN.md 5j): vec-coverable subtrees — scans,
-  // hash joins, aggregates — run batch-at-a-time even when the plan
-  // above them (Sort, CASE projections, ...) stays on the row path.
+  // Batch->row bridge (DESIGN.md 5j), the only way into the batch
+  // engine: vec-coverable subtrees — scans, hash joins, aggregates — run
+  // batch-at-a-time even when the plan above them (Sort, LIMIT, CASE
+  // projections, ...) stays on the row path.
   if (ctx->options().vectorized_execution) {
     PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> vec,
                          MaybeVecExecutor(plan, ctx));
@@ -804,15 +805,6 @@ Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,
 
 Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, ExecContext* ctx,
                                      size_t* wire_bytes) {
-  // Scan/filter/project/limit plans run batch-at-a-time over the column
-  // fragments; anything the vectorized engine cannot prove equivalent
-  // (and any index-answerable scan) drops through to the row operators.
-  if (ctx->options().vectorized_execution) {
-    std::vector<Row> rows;
-    PDM_ASSIGN_OR_RETURN(bool handled,
-                         TryExecuteVectorized(plan, ctx, &rows, wire_bytes));
-    if (handled) return rows;
-  }
   PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> executor,
                        CreateExecutor(plan, ctx));
   PDM_RETURN_NOT_OK(executor->Open());

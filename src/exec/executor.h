@@ -29,10 +29,11 @@ class Executor {
 Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,
                                                  ExecContext* ctx);
 
-/// Convenience: open and drain a plan into a row vector. With
-/// `wire_bytes`, each produced row's RowWireSize (exec/result_set.h) is
-/// added to it as the row is produced — the result's wire size without
-/// a second walk over the rows.
+/// Opens CreateExecutor's tree for `plan` and drains it into a row
+/// vector; vec-coverable subtrees run batchwise through the bridge
+/// inside that tree. With `wire_bytes`, each produced row's RowWireSize
+/// (exec/result_set.h) is added to it as the row is produced — the
+/// result's wire size without a second walk over the rows.
 Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, ExecContext* ctx,
                                      size_t* wire_bytes = nullptr);
 

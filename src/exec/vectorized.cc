@@ -636,8 +636,10 @@ const Table* ResolveVecSource(const VecSourceSpec& spec, ExecContext* ctx) {
 
 /// Streams the filtered batches of a resolved VecSource: per fragment a
 /// vectorized MVCC pass fills the selection vector, the filters shrink
-/// it, and only non-empty survivors come back. Charges the same stats
-/// the whole-plan vectorized scan does.
+/// it, and only non-empty survivors come back. Charges rows_scanned and
+/// vec_rows_scanned per visible version. The batch engine's only table
+/// reader: like ScanExecutor::Open it fixes the scan bound (the published
+/// version count) once, so a version published mid-scan stays unseen.
 class VecSourceCursor {
  public:
   VecSourceCursor(const VecSourceSpec* spec, const Table* table,
@@ -682,13 +684,17 @@ class VecSourceCursor {
   std::vector<uint32_t> survivors_;
 };
 
-/// Late materialization of a VecSource's output rows — the one
-/// projection path under both the whole-plan scan and the bridge leaf.
-/// Per batch, each computed output column is evaluated once with
+/// Late materialization of a VecSource's output rows for the bridge
+/// leaf. Per batch, each computed output column is evaluated once with
 /// EvalDense over the surviving slots (a constant one, such as the
 /// query-all's `''` and `CAST(NULL AS ...)` fillers, over one slot);
 /// each row then loads its table columns straight off the fragment and
-/// takes its computed cells from those vectors.
+/// takes its computed cells from those vectors. A batch whose dense
+/// evaluation fails is emitted row-major instead, through the row
+/// evaluator: column-at-a-time evaluation may meet a later row's error
+/// before an earlier row's, or one the row engine never reaches because
+/// its parent stops pulling, so the error is returned only at the row
+/// where the row engine's projection fails.
 class VecProjection {
  public:
   VecProjection(const VecSourceSpec* spec, const Table* table,
@@ -705,24 +711,30 @@ class VecProjection {
     }
   }
 
-  /// Evaluates the computed columns over the first `n` survivors of
-  /// `batch` (n >= 1, so a constant that fails to evaluate fails only
-  /// when some row reaches the projection, as on the row path).
-  Status Evaluate(const VecBatch& batch, size_t n) {
+  /// Evaluates the computed columns over the survivors of `batch`
+  /// (non-empty, so a constant that fails to evaluate fails only when
+  /// some row reaches the projection, as on the row path); on failure
+  /// the batch's rows are emitted row-major.
+  void Evaluate(const VecBatch& batch) {
+    row_major_ = false;
     for (size_t k = 0; k < computed_.size(); ++k) {
       const size_t c = computed_[k];
-      Status status =
-          EvalDense(*spec_->project[c], ctx_, batch.span, batch.sel.data(),
-                    constant_[k] ? 1 : n, &vals_[c]);
-      if (!status.ok()) return RowMajorError(batch, n, std::move(status));
+      const size_t n = constant_[k] ? 1 : batch.sel.size();
+      if (!EvalDense(*spec_->project[c], ctx_, batch.span, batch.sel.data(),
+                     n, &vals_[c])
+               .ok()) {
+        row_major_ = true;
+        return;
+      }
     }
-    return Status::OK();
   }
 
   /// Materializes survivor `i` of the evaluated batch into *row, reusing
-  /// its capacity.
-  void Emit(const VecBatch& batch, size_t i, Row* row) {
+  /// its capacity; fails only in row-major mode, with the row engine's
+  /// error for this row.
+  Status Emit(const VecBatch& batch, size_t i, Row* row) {
     const uint32_t slot = batch.sel[i];
+    if (row_major_) return EmitRowMajor(batch, slot, row);
     row->resize(width_);
     for (size_t c = 0; c < width_; ++c) {
       const size_t col = spec_->TableCol(c);
@@ -734,27 +746,24 @@ class VecProjection {
         (*row)[c] = std::move(vals_[c][i]);
       }
     }
+    return Status::OK();
   }
 
  private:
-  /// Column-at-a-time evaluation may meet a later row's error before an
-  /// earlier row's; replaying the failing batch row-major through the
-  /// row evaluator reports the error the row engine's projection hits
-  /// first.
-  Status RowMajorError(const VecBatch& batch, size_t n, Status dense) {
+  /// ProjectExecutor's evaluation of one row: every projected expression
+  /// in order over the full table row, the first error returned.
+  Status EmitRowMajor(const VecBatch& batch, uint32_t slot, Row* row) {
     const size_t num_columns = table_->schema().num_columns();
-    Row input;
-    for (size_t i = 0; i < n; ++i) {
-      input.clear();
-      for (size_t c = 0; c < num_columns; ++c) {
-        input.push_back(batch.span.fragment->cols[c].Load(batch.sel[i]));
-      }
-      for (const BoundExpr* e : spec_->project) {
-        Result<Value> v = EvaluateExpr(*e, input, ctx_);
-        if (!v.ok()) return v.status();
-      }
+    input_.resize(num_columns);
+    for (size_t c = 0; c < num_columns; ++c) {
+      batch.span.fragment->cols[c].LoadInto(slot, &input_[c]);
     }
-    return dense;
+    row->clear();
+    for (const BoundExpr* e : spec_->project) {
+      PDM_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, input_, ctx_));
+      row->push_back(std::move(v));
+    }
+    return Status::OK();
   }
 
   const VecSourceSpec* spec_;
@@ -764,6 +773,8 @@ class VecProjection {
   std::vector<size_t> computed_;    // output columns that are expressions
   std::vector<bool> constant_;      // per computed_ entry
   std::vector<std::vector<Value>> vals_;  // per output column
+  bool row_major_ = false;  // the current batch failed dense evaluation
+  Row input_;               // row-major mode's full table row
 };
 
 // ---------------------------------------------------------------------------
@@ -772,8 +783,9 @@ class VecProjection {
 
 /// Batch->row bridge leaf: runs a `Project? -> Filter* -> Scan` chain
 /// batchwise and streams the projected rows to a row-path parent (Sort,
-/// UNION, CASE projection, NLJ, ...). Output rows and order are
-/// identical to the ScanExecutor/FilterExecutor/ProjectExecutor chain's.
+/// UNION, LIMIT, CASE projection, NLJ, ...). Output rows, their order
+/// and the row a projection error surfaces at are those of the
+/// ScanExecutor/FilterExecutor/ProjectExecutor chain.
 class VecScanExecutor : public Executor {
  public:
   VecScanExecutor(VecSourceSpec spec, const Table* table, ExecContext* ctx)
@@ -792,9 +804,9 @@ class VecScanExecutor : public Executor {
       pos_ = 0;
       PDM_ASSIGN_OR_RETURN(bool has, cursor_->NextBatch(&batch_));
       if (!has) return false;
-      PDM_RETURN_NOT_OK(projection_->Evaluate(batch_, batch_.sel.size()));
+      projection_->Evaluate(batch_);
     }
-    projection_->Emit(batch_, pos_++, row);
+    PDM_RETURN_NOT_OK(projection_->Emit(batch_, pos_++, row));
     return true;
   }
 
@@ -1380,42 +1392,6 @@ class VecAggregateExecutor : public Executor {
 };
 
 }  // namespace
-
-Result<bool> TryExecuteVectorized(const PlanNode& plan, ExecContext* ctx,
-                                  std::vector<Row>* out, size_t* wire_bytes) {
-  // Peel Limit?; the rest must be a VecSource.
-  const PlanNode* node = &plan;
-  size_t limit = std::numeric_limits<size_t>::max();
-  if (node->kind == PlanKind::kLimit) {
-    const auto& n = static_cast<const LimitNode&>(*node);
-    limit = n.limit > 0 ? static_cast<size_t>(n.limit) : 0;
-    node = n.child.get();
-    if (node == nullptr) return false;
-  }
-  VecSourceSpec spec;
-  if (!MatchVecSource(*node, &spec)) return false;
-  const Table* table = ResolveVecSource(spec, ctx);
-  if (table == nullptr) return false;
-
-  out->clear();
-  VecSourceCursor cursor(&spec, table, ctx);
-  VecProjection projection(&spec, table, ctx);
-  VecBatch batch;
-  while (out->size() < limit) {
-    PDM_ASSIGN_OR_RETURN(bool has, cursor.NextBatch(&batch));
-    if (!has) break;
-    const size_t take = std::min(batch.sel.size(), limit - out->size());
-    // Late materialization: only now do surviving slots become Values.
-    PDM_RETURN_NOT_OK(projection.Evaluate(batch, take));
-    for (size_t i = 0; i < take; ++i) {
-      Row row;
-      projection.Emit(batch, i, &row);
-      if (wire_bytes != nullptr) *wire_bytes += RowWireSize(row);
-      out->push_back(std::move(row));
-    }
-  }
-  return true;
-}
 
 Result<std::unique_ptr<Executor>> MaybeVecExecutor(const PlanNode& plan,
                                                    ExecContext* ctx) {

@@ -4,31 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "table_test_peer.h"
 
 namespace pdm {
-
-/// Reaches into Table for the tests below: splits an append at the
-/// point between index maintenance and publication, and reports which
-/// map an index keys on.
-class TableTestPeer {
- public:
-  static size_t AppendUnpublished(Table* table, Row row) {
-    return table->AppendUnpublished(std::move(row), /*begin_ts=*/0);
-  }
-  static void Publish(Table* table, size_t pos) {
-    table->Publish(pos, /*undo=*/nullptr);
-  }
-  static bool Int64Keyed(const Table& table, size_t column) {
-    std::lock_guard<std::mutex> lock(table.index_mutex_);
-    return table.indexes_.at(column).int64_keys;
-  }
-};
-
 namespace {
 
 Schema TwoColumnSchema() {

@@ -583,50 +583,79 @@ TEST(VecEngineDifferential, SameResultsWithVectorizedExecutionOff) {
 
 /// A projection error surfaces exactly as on the row engine: nothing
 /// when no row reaches the projection, the row engine's first error
-/// (row-major: earliest row, then leftmost expression) otherwise.
+/// (row-major: earliest row, then leftmost expression) otherwise, and
+/// nothing when a parent stops pulling before the failing row.
 TEST(VecEngineDifferential, ProjectionErrorsMatchTheRowEngine) {
   Database db;
+  // `wide` spans two fragments; only row 1100 (the second fragment)
+  // fails to cast.
+  std::string wide = "INSERT INTO wide VALUES ";
+  for (int i = 0; i < 1200; ++i) {
+    wide += StrFormat("%s(%d, '%s')", i == 0 ? "" : ", ", i,
+                      i == 1100 ? "y" : std::to_string(i).c_str());
+  }
   ASSERT_TRUE(db.ExecuteScript(
                     "CREATE TABLE vacant (id INTEGER, s VARCHAR);"
                     "CREATE TABLE filled (id INTEGER, s VARCHAR);"
+                    "CREATE TABLE wide (id INTEGER, s VARCHAR);"
                     "INSERT INTO filled VALUES (1, '1');"
                     "INSERT INTO filled VALUES (2, 'y');")
                   .ok());
+  ASSERT_TRUE(db.Execute(wide).ok());
   const struct {
     const char* sql;
-    const char* error;  // nullptr: must succeed (with no rows)
+    const char* error;  // nullptr: must succeed with `rows` rows
+    size_t rows;
   } kCases[] = {
-      {"SELECT id, CAST('x' AS INTEGER) FROM vacant", nullptr},
-      {"SELECT id, CAST('x' AS INTEGER) FROM filled WHERE id > 5", nullptr},
-      {"SELECT id, CAST('x' AS INTEGER) FROM filled", "'x'"},
+      {"SELECT id, CAST('x' AS INTEGER) FROM vacant", nullptr, 0},
+      {"SELECT id, CAST('x' AS INTEGER) FROM filled WHERE id > 5", nullptr,
+       0},
+      {"SELECT id, CAST('x' AS INTEGER) FROM filled", "'x'", 0},
       // Column-at-a-time the first expression fails first (row 2, 'y');
       // the row engine fails on row 1's second expression ('x').
-      {"SELECT CAST(s AS INTEGER), CAST('x' AS INTEGER) FROM filled", "'x'"},
+      {"SELECT CAST(s AS INTEGER), CAST('x' AS INTEGER) FROM filled", "'x'",
+       0},
       {"SELECT id, CAST('x' AS INTEGER) FROM filled UNION ALL "
        "SELECT id, 1 FROM vacant",
-       "'x'"},
+       "'x'", 0},
+      // The parent stops before row 2 ('y') reaches the projection.
+      {"SELECT id, CAST(s AS INTEGER) FROM filled LIMIT 1", nullptr, 1},
+      {"SELECT id, CAST(s AS INTEGER) FROM filled UNION ALL "
+       "SELECT id, 1 FROM filled LIMIT 1",
+       nullptr, 1},
+      {"SELECT * FROM (SELECT id, CAST(s AS INTEGER) AS v FROM filled) d "
+       "LIMIT 1",
+       nullptr, 1},
+      {"SELECT id, CAST(s AS INTEGER) FROM filled LIMIT 2", "'y'", 0},
+      // The limit ends inside the second fragment, before row 1100.
+      {"SELECT id, CAST(s AS INTEGER) FROM wide LIMIT 1030", nullptr, 1030},
+      {"SELECT id, CAST(s AS INTEGER) FROM wide LIMIT 1101", "'y'", 0},
   };
   for (const auto& c : kCases) {
     std::string status_text[2];
+    std::string rows_text[2];
     for (bool vectorized : {true, false}) {
       db.options().exec.vectorized_execution = vectorized;
       ExecStats stats;
       Result<ResultSet> rs = QueryWithStats(db, &stats, c.sql);
       if (c.error == nullptr) {
         ASSERT_TRUE(rs.ok()) << c.sql << " -> " << rs.status();
-        EXPECT_EQ(rs->num_rows(), 0u) << c.sql;
+        EXPECT_EQ(rs->num_rows(), c.rows) << c.sql;
+        rows_text[vectorized ? 0 : 1] = ExactText(*rs);
       } else {
         ASSERT_FALSE(rs.ok()) << c.sql;
         EXPECT_NE(rs.status().ToString().find(c.error), std::string::npos)
             << c.sql << " -> " << rs.status();
         status_text[vectorized ? 0 : 1] = rs.status().ToString();
       }
-      if (vectorized && std::string_view(c.sql).find("filled") !=
-                            std::string_view::npos) {
+      const std::string_view sql(c.sql);
+      if (vectorized && (sql.find("filled") != std::string_view::npos ||
+                         sql.find("wide") != std::string_view::npos)) {
         EXPECT_GT(stats.vec_batches, 0u) << c.sql;  // ran batchwise
       }
     }
     EXPECT_EQ(status_text[0], status_text[1]) << c.sql;
+    EXPECT_EQ(rows_text[0], rows_text[1]) << c.sql;
   }
 }
 

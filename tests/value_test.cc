@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
 #include <unordered_set>
+#include <vector>
 
 #include "common/string_util.h"
 #include "common/value.h"
@@ -77,6 +80,32 @@ TEST(Value, WireSizes) {
   EXPECT_EQ(Value::Null().WireSize(), 1u);
   EXPECT_EQ(Value::Int64(1).WireSize(), 8u);
   EXPECT_EQ(Value::String("abcd").WireSize(), 6u);  // 2 + 4
+}
+
+TEST(Value, CopyAssignmentAcrossKinds) {
+  static_assert(std::is_nothrow_move_constructible_v<Value>);
+  static_assert(std::is_nothrow_move_assignable_v<Value>);
+  const std::vector<Value> kinds = {
+      Value::Null(), Value::Bool(true), Value::Int64(-7), Value::Double(2.5),
+      Value::String("a string longer than the small-string buffer")};
+  for (const Value& target : kinds) {
+    for (const Value& source : kinds) {
+      Value slot = target;
+      slot = source;
+      EXPECT_EQ(slot.kind(), source.kind());
+      EXPECT_EQ(slot.ToSqlLiteral(), source.ToSqlLiteral());
+    }
+  }
+  // String into string assigns in place, keeping the slot's buffer.
+  Value slot = Value::String(std::string(64, 'x'));
+  const char* buffer = slot.string_value().data();
+  const Value copy = Value::String("short too");
+  slot = copy;
+  EXPECT_EQ(slot.string_value(), "short too");
+  EXPECT_EQ(slot.string_value().data(), buffer);
+  Value& self = slot;
+  slot = self;
+  EXPECT_EQ(slot.string_value(), "short too");
 }
 
 TEST(StringUtil, CaseMapping) {
