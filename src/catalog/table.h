@@ -282,8 +282,9 @@ class Table {
   /// One column's hash index: key -> ascending version positions. While
   /// every indexed key is an int64 with |x| < 2^53 the index is
   /// int64-keyed (`ints`); the first other key demotes it for good to
-  /// the Value-keyed `values`, the same rule VecJoinBuild follows. Only
-  /// one map is live at a time. The demotion, not the column type,
+  /// the Value-keyed `values` (past 2^53 several int64 keys share one
+  /// double, so the int64 map could not answer a double probe exactly).
+  /// Only one map is live at a time. The demotion, not the column type,
   /// keeps the index correct: InsertUnchecked skips type checks.
   struct CachedIndex {
     std::unordered_map<int64_t, std::vector<size_t>> ints;

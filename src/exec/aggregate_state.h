@@ -11,11 +11,11 @@
 namespace pdm {
 
 /// Accumulator of one aggregate within one group, shared between the
-/// row-engine AggregateExecutor and the vectorized aggregation
-/// (exec/vectorized.cc) so NULL, overflow and DISTINCT behaviour are
+/// engine's AggregateExecutor and the client's tree aggregates
+/// (client/rule_eval.cc) so NULL, overflow and DISTINCT behaviour are
 /// identical by construction. SUM/AVG accumulate `sum_double` for ALL
-/// numeric inputs in row order — both engines must feed values in the
-/// same order for bit-identical float results.
+/// numeric inputs in row order — both must feed values in the same
+/// order for bit-identical float results.
 struct AggState {
   int64_t count = 0;
   double sum_double = 0;

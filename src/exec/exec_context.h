@@ -30,11 +30,12 @@ struct ExecOptions {
   /// Hard bound on recursion rounds (defense against cyclic data under
   /// UNION ALL semantics).
   size_t max_recursion_iterations = 100000;
-  /// Run vec-coverable subtrees (scan chains, hash joins, aggregates)
-  /// batch-at-a-time over the columnar fragments through the batch->row
-  /// bridge (exec/vectorized.h) instead of the Volcano operators; read
-  /// only by CreateExecutor. Subtrees the batch engine cannot prove
-  /// equivalent stay on the row path automatically.
+  /// Run vec-coverable subtrees (filtered or projected scan chains and
+  /// index joins) batch-at-a-time over the columnar fragments through
+  /// the batch->row bridge (exec/vectorized.h) instead of the Volcano
+  /// operators; read only by CreateExecutor. Every other operator, and
+  /// every subtree the batch engine cannot prove equivalent, stays on
+  /// the row path.
   bool vectorized_execution = true;
 };
 
@@ -55,27 +56,13 @@ struct ExecStats {
   size_t plan_cache_misses = 0;      // statement freshly parsed and bound
   size_t vec_rows_scanned = 0;       // subset of rows_scanned done batchwise
   size_t vec_batches = 0;            // fragment batches the vec engine ran
-  // Join/aggregate work split by engine. Unlike the scan pair above
-  // these are DISJOINT counters, not subset-style: a probe row is
-  // counted by exactly one of the two, depending on which join
-  // implementation consumed it.
+  // Join work split by engine. Unlike the scan pair above these are
+  // DISJOINT counters, not subset-style: a probe row is counted by
+  // exactly one of the two, depending on which join implementation
+  // consumed it.
   size_t join_probe_rows = 0;        // left rows probed by row-engine joins
-  size_t vec_join_probe_rows = 0;    // left rows probed by vectorized joins
-  size_t agg_input_rows = 0;         // rows folded by the row-engine aggregator
-  size_t vec_agg_input_rows = 0;     // rows folded by vectorized aggregation
-};
-
-/// A materialized vectorized hash-join build (exec/vectorized.cc):
-/// build-side rows in scan order plus the key -> row-index multimap.
-/// When every build key is a single int64 cell with |x| < 2^53 the
-/// probe goes through `int64_table` instead — int64 keys compare
-/// exactly, and the magnitude guard keeps double probes sound (above
-/// 2^53 several int64 keys can collapse onto one double).
-struct VecJoinBuild {
-  std::vector<Row> rows;
-  std::unordered_map<Row, std::vector<uint32_t>, RowHash, RowEq> table;
-  bool int64_keys = false;
-  std::unordered_map<int64_t, std::vector<uint32_t>> int64_table;
+  size_t vec_join_probe_rows = 0;    // left rows probed by the vec index join
+  size_t agg_input_rows = 0;         // rows folded by the aggregator
 };
 
 /// A materialized uncorrelated subquery result, with its first column
@@ -199,22 +186,6 @@ class ExecContext {
     return &entry;
   }
 
-  /// Per-statement cache of vectorized hash-join builds, keyed by the
-  /// HashJoinNode's address. Builds are over base tables at this
-  /// statement's fixed snapshot, so — unlike the subquery cache — CTE
-  /// rebinding during recursive iteration never invalidates them:
-  /// that is exactly what lets the recursive expand's per-level join
-  /// reuse one build across all levels.
-  const VecJoinBuild* FindJoinBuild(const void* key) const {
-    auto it = join_builds_.find(key);
-    return it == join_builds_.end() ? nullptr : it->second.get();
-  }
-  VecJoinBuild* EmplaceJoinBuild(const void* key) {
-    std::unique_ptr<VecJoinBuild>& slot = join_builds_[key];
-    slot = std::make_unique<VecJoinBuild>();
-    return slot.get();
-  }
-
  private:
   Catalog* catalog_;
   const ExecOptions* options_;
@@ -229,8 +200,6 @@ class ExecContext {
   std::map<std::string, const std::vector<Row>*> cte_rows_;
   std::vector<const Row*> outer_rows_;
   std::unordered_map<const void*, SubqueryResult> subquery_cache_;
-  // unique_ptr values: build pointers stay stable while the map grows.
-  std::unordered_map<const void*, std::unique_ptr<VecJoinBuild>> join_builds_;
 };
 
 }  // namespace pdm

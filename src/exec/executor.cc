@@ -591,8 +591,8 @@ class AggregateExecutor : public Executor {
   };
 
   /// Folds one input row into the group's accumulator. The value-level
-  /// semantics live in exec/aggregate_state.h, shared with the
-  /// vectorized aggregation.
+  /// semantics live in exec/aggregate_state.h, shared with the client's
+  /// tree aggregates.
   Status Accumulate(const BoundAggregate& agg, const Row& row,
                     AggState* state) {
     if (agg.agg_kind == AggKind::kCountStar) {
@@ -710,9 +710,10 @@ class UnionExecutor : public Executor {
 Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,
                                                  ExecContext* ctx) {
   // Batch->row bridge (DESIGN.md 5j), the only way into the batch
-  // engine: vec-coverable subtrees — scans, hash joins, aggregates — run
-  // batch-at-a-time even when the plan above them (Sort, LIMIT, CASE
-  // projections, ...) stays on the row path.
+  // engine: vec-coverable subtrees — scan chains and index joins — run
+  // batch-at-a-time even when the plan above them (Sort, LIMIT,
+  // aggregates, build-mode joins, CASE projections, ...) stays on the
+  // row path.
   if (ctx->options().vectorized_execution) {
     PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> vec,
                          MaybeVecExecutor(plan, ctx));

@@ -5,13 +5,11 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "catalog/table.h"
 #include "common/string_util.h"
-#include "exec/aggregate_state.h"
 #include "exec/expr_eval.h"
 #include "exec/result_set.h"
 #include "exec/vec_batch.h"
@@ -548,11 +546,11 @@ Status EvalTri(const BoundExpr& expr, ExecContext* ctx,
 }
 
 // ---------------------------------------------------------------------------
-// VecSource: the shared batch producer under the bridge operators
+// VecSource: the batch producer under the bridge leaf
 // ---------------------------------------------------------------------------
 
-/// A vec-coverable `Project? -> Filter* -> Scan` chain: the shape every
-/// bridge operator consumes batches from. `filters` are in the row
+/// A vec-coverable `Project? -> Filter* -> Scan` chain: the shape the
+/// bridge leaf consumes batches from. `filters` are in the row
 /// engine's application order and reference table columns (they sit
 /// below the projection); `max_col` is the widest level-0 column any
 /// filter or projected expression references (bounds-checked against
@@ -570,13 +568,6 @@ struct VecSourceSpec {
   std::vector<const BoundExpr*> project;
   std::vector<size_t> out_cols;
 
-  /// Every output column is a table column: the shape consumers that
-  /// index the source's columns directly (hash-join keys and build rows)
-  /// require.
-  bool PureColumns() const {
-    return std::find(out_cols.begin(), out_cols.end(), kComputed) ==
-           out_cols.end();
-  }
   size_t TableCol(size_t c) const { return out_cols.empty() ? c : out_cols[c]; }
   size_t Width(const Table& table) const {
     return out_cols.empty() ? table.schema().num_columns() : out_cols.size();
@@ -634,12 +625,28 @@ const Table* ResolveVecSource(const VecSourceSpec& spec, ExecContext* ctx) {
   return table;
 }
 
+/// Loads slot `slot` of `span` as the full table row ScanExecutor
+/// materializes, reusing *row's capacity.
+void LoadTableRow(const FragmentSpan& span, uint32_t slot, size_t num_columns,
+                  Row* row) {
+  row->resize(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    span.fragment->cols[c].LoadInto(slot, &(*row)[c]);
+  }
+}
+
 /// Streams the filtered batches of a resolved VecSource: per fragment a
 /// vectorized MVCC pass fills the selection vector, the filters shrink
 /// it, and only non-empty survivors come back. Charges rows_scanned and
 /// vec_rows_scanned per visible version. The batch engine's only table
-/// reader: like ScanExecutor::Open it fixes the scan bound (the published
+/// scan: like ScanExecutor::Open it fixes the scan bound (the published
 /// version count) once, so a version published mid-scan stays unseen.
+///
+/// A filter that fails column-at-a-time may have met a later row's
+/// error first, or one the row engine never reaches because its parent
+/// stops pulling. That batch is filtered row-major instead (FilterRows),
+/// and the error is returned by the next NextBatch call, after the
+/// consumer has taken the rows before the failing one.
 class VecSourceCursor {
  public:
   VecSourceCursor(const VecSourceSpec* spec, const Table* table,
@@ -650,18 +657,22 @@ class VecSourceCursor {
   }
 
   Result<bool> NextBatch(VecBatch* batch) {
+    if (!pending_.ok()) return pending_;
     ExecStats& stats = ctx_->stats();
+    const std::vector<const BoundExpr*>& filters = spec_->filters;
     while (frag_ < frags_) {
       batch->span = table_->FragmentAt(frag_++, bound_);
       batch->FillVisible(ctx_->snapshot_ts());
       stats.vec_batches++;
       stats.rows_scanned += batch->sel.size();
       stats.vec_rows_scanned += batch->sel.size();
-      for (const BoundExpr* f : spec_->filters) {
-        if (batch->sel.empty()) break;
-        PDM_RETURN_NOT_OK(EvalTri(*f, ctx_, batch->span, batch->sel.data(),
-                                  batch->sel.size(), kNonBoolPredicate,
-                                  &tri_));
+      for (size_t f = 0; f < filters.size() && !batch->sel.empty(); ++f) {
+        if (!EvalTri(*filters[f], ctx_, batch->span, batch->sel.data(),
+                     batch->sel.size(), kNonBoolPredicate, &tri_)
+                 .ok()) {
+          FilterRows(f, batch);
+          break;
+        }
         survivors_.clear();
         for (size_t i = 0; i < batch->sel.size(); ++i) {
           if (tri_[i] == 1) survivors_.push_back(batch->sel[i]);
@@ -669,11 +680,39 @@ class VecSourceCursor {
         batch->sel.swap(survivors_);
       }
       if (!batch->sel.empty()) return true;
+      if (!pending_.ok()) return pending_;
     }
     return false;
   }
 
  private:
+  /// The row engine's filtering of the batch's selection from filter
+  /// `first` on: each slot, in order, runs the filters through
+  /// EvaluatePredicate in the row chain's order. The filters before
+  /// `first` already ran error-free over every slot, so their verdicts
+  /// stand. Stops at the first error, keeping the rows before it and
+  /// holding the error back in `pending_`.
+  void FilterRows(size_t first, VecBatch* batch) {
+    const size_t num_columns = table_->schema().num_columns();
+    size_t kept = 0;
+    for (uint32_t slot : batch->sel) {
+      LoadTableRow(batch->span, slot, num_columns, &row_);
+      bool pass = true;
+      for (size_t f = first; pass && f < spec_->filters.size(); ++f) {
+        Result<bool> verdict =
+            EvaluatePredicate(*spec_->filters[f], row_, ctx_);
+        if (!verdict.ok()) {
+          pending_ = verdict.status();
+          batch->sel.resize(kept);
+          return;
+        }
+        pass = *verdict;
+      }
+      if (pass) batch->sel[kept++] = slot;
+    }
+    batch->sel.resize(kept);
+  }
+
   const VecSourceSpec* spec_;
   const Table* table_;
   ExecContext* ctx_;
@@ -682,6 +721,8 @@ class VecSourceCursor {
   size_t frag_ = 0;
   TriVec tri_;
   std::vector<uint32_t> survivors_;
+  Row row_;         // FilterRows' full table row
+  Status pending_;  // a filter error held back until the rows before it
 };
 
 /// Late materialization of a VecSource's output rows for the bridge
@@ -753,11 +794,7 @@ class VecProjection {
   /// ProjectExecutor's evaluation of one row: every projected expression
   /// in order over the full table row, the first error returned.
   Status EmitRowMajor(const VecBatch& batch, uint32_t slot, Row* row) {
-    const size_t num_columns = table_->schema().num_columns();
-    input_.resize(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) {
-      batch.span.fragment->cols[c].LoadInto(slot, &input_[c]);
-    }
+    LoadTableRow(batch.span, slot, table_->schema().num_columns(), &input_);
     row->clear();
     for (const BoundExpr* e : spec_->project) {
       PDM_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, input_, ctx_));
@@ -820,281 +857,15 @@ class VecScanExecutor : public Executor {
   size_t pos_ = 0;
 };
 
-/// Moves an int64 fast-path build into generic Row-keyed form; called
-/// when a build key turns out non-int64 or beyond the exact range.
-void DemoteToGenericKeys(VecJoinBuild* b) {
-  b->table.reserve(b->int64_table.size());
-  for (auto& entry : b->int64_table) {
-    Row key;
-    key.push_back(Value::Int64(entry.first));
-    b->table.emplace(std::move(key), std::move(entry.second));
-  }
-  b->int64_table.clear();
-  b->int64_keys = false;
-}
-
-/// Builds the hash table of a vectorized build-mode join: batches off
-/// the VecSource, key cells read straight from the column arrays,
-/// NULL-key rows skipped (they can never match an equi-join — same as
-/// the row build), surviving rows late-materialized in scan order.
-Status BuildVecJoin(const HashJoinNode& node, const VecSourceSpec& spec,
-                    const Table& table, ExecContext* ctx, VecJoinBuild* b) {
-  ctx->stats().hash_join_builds++;
-  b->int64_keys = node.right_keys.size() == 1;
-  const size_t width = spec.Width(table);
-  VecSourceCursor cursor(&spec, &table, ctx);
-  VecBatch batch;
-  while (true) {
-    PDM_ASSIGN_OR_RETURN(bool has, cursor.NextBatch(&batch));
-    if (!has) break;
-    for (uint32_t slot : batch.sel) {
-      bool null_key = false;
-      for (size_t k : node.right_keys) {
-        if (static_cast<ValueKind>(
-                batch.span.column(spec.TableCol(k)).kinds[slot]) ==
-            ValueKind::kNull) {
-          null_key = true;
-          break;
-        }
-      }
-      if (null_key) continue;
-      const uint32_t idx = static_cast<uint32_t>(b->rows.size());
-      bool inserted = false;
-      if (b->int64_keys) {
-        const ColumnSpan kc =
-            batch.span.column(spec.TableCol(node.right_keys[0]));
-        if (static_cast<ValueKind>(kc.kinds[slot]) == ValueKind::kInt64) {
-          const int64_t x = static_cast<int64_t>(kc.fixed[slot]);
-          if (IsExactInt64Key(x)) {
-            b->int64_table[x].push_back(idx);
-            inserted = true;
-          }
-        }
-        if (!inserted) DemoteToGenericKeys(b);
-      }
-      if (!inserted) {
-        Row key;
-        key.reserve(node.right_keys.size());
-        for (size_t k : node.right_keys) {
-          key.push_back(
-              batch.span.fragment->cols[spec.TableCol(k)].Load(slot));
-        }
-        b->table[std::move(key)].push_back(idx);
-      }
-      Row row;
-      row.reserve(width);
-      for (size_t c = 0; c < width; ++c) {
-        row.push_back(
-            batch.span.fragment->cols[spec.TableCol(c)].Load(slot));
-      }
-      b->rows.push_back(std::move(row));
-    }
-  }
-  return Status::OK();
-}
-
-/// Maps an int64 probe key candidate from whatever kind the probe side
-/// holds. Every build key has |x| < 2^53 where the int64<->double
-/// conversion is exact, so an integral double in range is the only
-/// possible match — the same value-equality SqlCompareValues/RowEq
-/// would compute. Returns false for NULL / bool / string / inexact.
-bool ExactInt64Probe(ValueKind kind, uint64_t payload, int64_t* probe) {
-  if (kind == ValueKind::kInt64) {
-    *probe = static_cast<int64_t>(payload);
-    return true;
-  }
-  return kind == ValueKind::kDouble &&
-         ExactInt64OfDouble(BitsToDouble(payload), probe);
-}
-
-/// Vectorized build-mode hash join: the build side is a VecSource built
-/// batch-at-a-time (once per statement — the ExecContext caches the
-/// build keyed by plan node, so the recursive expand's per-level
-/// re-execution probes one shared build); probes go through the int64
-/// fast table when every build key allows it.
-///
-/// When the probe side is itself a VecSource the join runs in cursor
-/// mode: probe keys are read straight off the left column spans (no
-/// per-row virtual Next, no Value/Row key allocation on the int64
-/// path), and the left row is materialized only for probes that
-/// actually match. Emission order — per left row, matches in build
-/// order — is byte-identical to the row join either way.
-class VecHashJoinExecutor : public Executor {
- public:
-  // Executor-probe mode: the left side streams rows (bridged or row
-  // path); used when the probe side is not a VecSource.
-  VecHashJoinExecutor(const HashJoinNode& node, std::unique_ptr<Executor> left,
-                      VecSourceSpec spec, const Table* table, ExecContext* ctx)
-      : node_(node),
-        left_(std::move(left)),
-        spec_(std::move(spec)),
-        table_(table),
-        ctx_(ctx) {}
-
-  // Cursor-probe mode: the left side is a VecSource consumed batchwise.
-  VecHashJoinExecutor(const HashJoinNode& node, VecSourceSpec left_spec,
-                      const Table* left_table, VecSourceSpec spec,
-                      const Table* table, ExecContext* ctx)
-      : node_(node),
-        lspec_(std::move(left_spec)),
-        ltable_(left_table),
-        spec_(std::move(spec)),
-        table_(table),
-        ctx_(ctx) {}
-
-  Status Open() override {
-    if (ltable_ != nullptr) {
-      cursor_ = std::make_unique<VecSourceCursor>(&lspec_, ltable_, ctx_);
-      lwidth_ = lspec_.Width(*ltable_);
-      batch_.sel.clear();
-      probe_i_ = 0;
-    } else {
-      PDM_RETURN_NOT_OK(left_->Open());
-    }
-    build_ = ctx_->FindJoinBuild(&node_);
-    if (build_ == nullptr) {
-      VecJoinBuild* b = ctx_->EmplaceJoinBuild(&node_);
-      PDM_RETURN_NOT_OK(BuildVecJoin(node_, spec_, *table_, ctx_, b));
-      build_ = b;
-    }
-    left_ready_ = false;
-    matches_ = nullptr;
-    match_pos_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* row) override {
-    while (true) {
-      if (matches_ != nullptr) {
-        while (match_pos_ < matches_->size()) {
-          const Row& right_row = build_->rows[(*matches_)[match_pos_++]];
-          if (!left_ready_) MaterializeLeft();
-          Row combined;
-          combined.reserve(left_row_.size() + right_row.size());
-          combined.insert(combined.end(), left_row_.begin(), left_row_.end());
-          combined.insert(combined.end(), right_row.begin(), right_row.end());
-          if (node_.residual != nullptr) {
-            PDM_ASSIGN_OR_RETURN(
-                bool pass, EvaluatePredicate(*node_.residual, combined, ctx_));
-            if (!pass) continue;
-          }
-          *row = std::move(combined);
-          return true;
-        }
-        matches_ = nullptr;
-      }
-      if (ltable_ != nullptr) {
-        while (probe_i_ >= batch_.sel.size()) {
-          PDM_ASSIGN_OR_RETURN(bool has, cursor_->NextBatch(&batch_));
-          if (!has) return false;
-          probe_i_ = 0;
-          if (build_->int64_keys) {
-            key_span_ =
-                batch_.span.column(lspec_.TableCol(node_.left_keys[0]));
-          }
-        }
-        slot_ = batch_.sel[probe_i_++];
-        ctx_->stats().vec_join_probe_rows++;
-        left_ready_ = false;
-        match_pos_ = 0;
-        matches_ = ProbeSlot(slot_);
-      } else {
-        PDM_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
-        if (!has) return false;
-        ctx_->stats().vec_join_probe_rows++;
-        left_ready_ = true;
-        match_pos_ = 0;
-        matches_ = ProbeRow();
-      }
-    }
-  }
-
- private:
-  // Cursor mode defers left materialization until the first emitted
-  // pair for this probe slot — non-matching probes never become Rows.
-  void MaterializeLeft() {
-    left_row_.clear();
-    left_row_.reserve(lwidth_);
-    for (size_t c = 0; c < lwidth_; ++c) {
-      left_row_.push_back(
-          batch_.span.fragment->cols[lspec_.TableCol(c)].Load(slot_));
-    }
-    left_ready_ = true;
-  }
-
-  /// Cursor-mode probe: key cells read straight off the column arrays
-  /// (key_span_ is re-derived once per batch, not per probe).
-  const std::vector<uint32_t>* ProbeSlot(uint32_t slot) const {
-    if (build_->int64_keys) {
-      int64_t probe = 0;
-      if (!ExactInt64Probe(static_cast<ValueKind>(key_span_.kinds[slot]),
-                           key_span_.fixed[slot], &probe)) {
-        return nullptr;
-      }
-      auto it = build_->int64_table.find(probe);
-      return it == build_->int64_table.end() ? nullptr : &it->second;
-    }
-    Row key;
-    key.reserve(node_.left_keys.size());
-    for (size_t k : node_.left_keys) {
-      const size_t col = lspec_.TableCol(k);
-      if (static_cast<ValueKind>(batch_.span.column(col).kinds[slot]) ==
-          ValueKind::kNull) {
-        return nullptr;
-      }
-      key.push_back(batch_.span.fragment->cols[col].Load(slot));
-    }
-    auto it = build_->table.find(key);
-    return it == build_->table.end() ? nullptr : &it->second;
-  }
-
-  /// Executor-probe mode: key cells come from the streamed left row.
-  const std::vector<uint32_t>* ProbeRow() const {
-    if (build_->int64_keys) {
-      int64_t probe = 0;
-      if (!ExactInt64ProbeKey(left_row_[node_.left_keys[0]], &probe)) {
-        return nullptr;  // NULL / bool / string / inexact double
-      }
-      auto it = build_->int64_table.find(probe);
-      return it == build_->int64_table.end() ? nullptr : &it->second;
-    }
-    Row key;
-    key.reserve(node_.left_keys.size());
-    for (size_t k : node_.left_keys) {
-      const Value& v = left_row_[k];
-      if (v.is_null()) return nullptr;
-      key.push_back(v);
-    }
-    auto it = build_->table.find(key);
-    return it == build_->table.end() ? nullptr : &it->second;
-  }
-
-  const HashJoinNode& node_;
-  std::unique_ptr<Executor> left_;  // executor-probe mode only
-  VecSourceSpec lspec_;             // cursor-probe mode only
-  const Table* ltable_ = nullptr;   // non-null selects cursor mode
-  VecSourceSpec spec_;
-  const Table* table_;
-  ExecContext* ctx_;
-  const VecJoinBuild* build_ = nullptr;
-  std::unique_ptr<VecSourceCursor> cursor_;
-  VecBatch batch_;
-  ColumnSpan key_span_{};
-  size_t lwidth_ = 0;
-  size_t probe_i_ = 0;
-  uint32_t slot_ = 0;
-  Row left_row_;
-  bool left_ready_ = false;
-  const std::vector<uint32_t>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-};
-
 /// Vectorized index join: same eligibility and probe pattern as the row
 /// executor's index-join mode (single key, bare base-table scan on the
 /// right, probes against the table's shared lazy index — preserving its
 /// cross-statement amortization), but matched right rows load straight
 /// from the column fragments into the combined row, skipping the
-/// MaterializeRow scratch copy the row path pays per pair.
+/// MaterializeRow scratch copy the row path pays per pair. Like the row
+/// join it fixes no scan bound: the index may already hold an
+/// unpublished append, and a match counts only if VisibleAt admits it
+/// when the probe runs, so both engines see the same rows at a snapshot.
 class VecIndexJoinExecutor : public Executor {
  public:
   VecIndexJoinExecutor(const HashJoinNode& node, std::unique_ptr<Executor> left,
@@ -1103,7 +874,6 @@ class VecIndexJoinExecutor : public Executor {
 
   Status Open() override {
     PDM_RETURN_NOT_OK(left_->Open());
-    bound_ = table_->num_versions();
     have_left_ = false;
     match_pos_ = 0;
     return Status::OK();
@@ -1128,8 +898,9 @@ class VecIndexJoinExecutor : public Executor {
       while (match_pos_ < positions_.size()) {
         const size_t pos = positions_[match_pos_++];
         if (!table_->VisibleAt(pos, ctx_->snapshot_ts())) continue;
+        // VisibleAt admits published positions only; clip the span there.
         const FragmentSpan span =
-            table_->FragmentAt(pos >> kFragmentShift, bound_);
+            table_->FragmentAt(pos >> kFragmentShift, pos + 1);
         const uint32_t slot = static_cast<uint32_t>(pos & kFragmentMask);
         Row combined;
         combined.reserve(left_row_.size() + rcols);
@@ -1154,241 +925,10 @@ class VecIndexJoinExecutor : public Executor {
   std::unique_ptr<Executor> left_;
   const Table* table_;
   ExecContext* ctx_;
-  size_t bound_ = 0;
   Row left_row_;
   bool have_left_ = false;
   std::vector<size_t> positions_;
   size_t match_pos_ = 0;
-};
-
-/// Vectorized hash aggregation over a VecSource: group keys evaluate
-/// dense per batch, COUNT/SUM/AVG on bare columns fold straight off the
-/// kind/payload arrays, everything else goes through the shared
-/// AggState value semantics. Group order (first seen) and float
-/// accumulation order (row order within each group) match the row
-/// aggregator exactly.
-class VecAggregateExecutor : public Executor {
- public:
-  VecAggregateExecutor(const AggregateNode& node, VecSourceSpec spec,
-                       const Table* table, ExecContext* ctx)
-      : node_(node), spec_(std::move(spec)), table_(table), ctx_(ctx) {}
-
-  Status Open() override {
-    groups_.clear();
-    group_index_.clear();
-    int64_groups_.clear();
-    int64_active_ = true;
-    pos_ = 0;
-    const size_t nagg = node_.aggregates.size();
-    // A single bare-column group key gets an int64-keyed group index
-    // while every key value stays kInt64 (exact equality, no Row/Value
-    // churn per input row); the first non-int64 key demotes to the
-    // generic Row-keyed index, whose RowEq numeric equality matches the
-    // row aggregator's, preserving already-assigned group ids.
-    size_t fast_gcol = kNoFastGroup;
-    if (node_.group_exprs.size() == 1 &&
-        node_.group_exprs[0]->kind == BoundExprKind::kColumnRef) {
-      const auto& ref =
-          static_cast<const BoundColumnRef&>(*node_.group_exprs[0]);
-      if (ref.level == 0) fast_gcol = ref.index;
-    }
-    VecSourceCursor cursor(&spec_, table_, ctx_);
-    VecBatch batch;
-    std::vector<std::vector<Value>> gcols;
-    std::vector<uint32_t> gids;
-    std::vector<Value> vals;
-    while (true) {
-      PDM_ASSIGN_OR_RETURN(bool has, cursor.NextBatch(&batch));
-      if (!has) break;
-      const size_t n = batch.sel.size();
-      ctx_->stats().vec_agg_input_rows += n;
-      gids.resize(n);
-      if (node_.group_exprs.empty()) {
-        if (groups_.empty()) {
-          groups_.push_back(GroupState{Row{}, std::vector<AggState>(nagg)});
-        }
-        std::fill(gids.begin(), gids.end(), 0u);
-      } else if (fast_gcol != kNoFastGroup) {
-        const ColumnSpan gc = batch.span.column(fast_gcol);
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t slot = batch.sel[i];
-          if (int64_active_ &&
-              static_cast<ValueKind>(gc.kinds[slot]) == ValueKind::kInt64) {
-            const int64_t k = static_cast<int64_t>(gc.fixed[slot]);
-            auto it = int64_groups_.find(k);
-            if (it == int64_groups_.end()) {
-              gids[i] = static_cast<uint32_t>(groups_.size());
-              int64_groups_.emplace(k, groups_.size());
-              Row key;
-              key.push_back(Value::Int64(k));
-              groups_.push_back(
-                  GroupState{std::move(key), std::vector<AggState>(nagg)});
-            } else {
-              gids[i] = static_cast<uint32_t>(it->second);
-            }
-            continue;
-          }
-          if (int64_active_) DemoteGroups();
-          Row key;
-          key.push_back(batch.span.fragment->cols[fast_gcol].Load(slot));
-          auto it = group_index_.find(key);
-          if (it == group_index_.end()) {
-            gids[i] = static_cast<uint32_t>(groups_.size());
-            group_index_.emplace(key, groups_.size());
-            groups_.push_back(
-                GroupState{std::move(key), std::vector<AggState>(nagg)});
-          } else {
-            gids[i] = static_cast<uint32_t>(it->second);
-          }
-        }
-      } else {
-        gcols.resize(node_.group_exprs.size());
-        for (size_t g = 0; g < node_.group_exprs.size(); ++g) {
-          PDM_RETURN_NOT_OK(EvalDense(*node_.group_exprs[g], ctx_, batch.span,
-                                      batch.sel.data(), n, &gcols[g]));
-        }
-        for (size_t i = 0; i < n; ++i) {
-          Row key;
-          key.reserve(gcols.size());
-          for (const std::vector<Value>& col : gcols) key.push_back(col[i]);
-          auto it = group_index_.find(key);
-          if (it == group_index_.end()) {
-            gids[i] = static_cast<uint32_t>(groups_.size());
-            group_index_.emplace(key, groups_.size());
-            groups_.push_back(
-                GroupState{std::move(key), std::vector<AggState>(nagg)});
-          } else {
-            gids[i] = static_cast<uint32_t>(it->second);
-          }
-        }
-      }
-      for (size_t a = 0; a < nagg; ++a) {
-        const BoundAggregate& agg = node_.aggregates[a];
-        if (agg.agg_kind == AggKind::kCountStar) {
-          for (size_t i = 0; i < n; ++i) groups_[gids[i]].aggs[a].count++;
-          continue;
-        }
-        if (!agg.distinct && agg.arg->kind == BoundExprKind::kColumnRef) {
-          const auto& ref = static_cast<const BoundColumnRef&>(*agg.arg);
-          if (ref.level == 0 &&
-              (agg.agg_kind == AggKind::kCount ||
-               agg.agg_kind == AggKind::kSum ||
-               agg.agg_kind == AggKind::kAvg)) {
-            PDM_RETURN_NOT_OK(
-                AccumulateColumnKernel(agg, batch, ref.index, gids, a));
-            continue;
-          }
-        }
-        PDM_RETURN_NOT_OK(
-            EvalDense(*agg.arg, ctx_, batch.span, batch.sel.data(), n, &vals));
-        for (size_t i = 0; i < n; ++i) {
-          PDM_RETURN_NOT_OK(
-              AccumulateAggValue(agg, vals[i], &groups_[gids[i]].aggs[a]));
-        }
-      }
-    }
-    // Scalar aggregate over empty input: one all-default group.
-    if (node_.group_exprs.empty() && groups_.empty()) {
-      groups_.push_back(GroupState{Row{}, std::vector<AggState>(nagg)});
-    }
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* row) override {
-    while (pos_ < groups_.size()) {
-      GroupState& g = groups_[pos_++];
-      Row out = std::move(g.key);
-      out.reserve(out.size() + node_.aggregates.size());
-      for (size_t i = 0; i < node_.aggregates.size(); ++i) {
-        PDM_ASSIGN_OR_RETURN(Value v,
-                             FinalizeAgg(node_.aggregates[i], g.aggs[i]));
-        out.push_back(std::move(v));
-      }
-      if (node_.having != nullptr) {
-        PDM_ASSIGN_OR_RETURN(bool pass,
-                             EvaluatePredicate(*node_.having, out, ctx_));
-        if (!pass) continue;
-      }
-      *row = std::move(out);
-      return true;
-    }
-    return false;
-  }
-
- private:
-  struct GroupState {
-    Row key;
-    std::vector<AggState> aggs;
-  };
-
-  static constexpr size_t kNoFastGroup = std::numeric_limits<size_t>::max();
-
-  /// Folds the int64 group index into the generic Row-keyed one; group
-  /// ids are preserved, so accumulation state never moves.
-  void DemoteGroups() {
-    group_index_.reserve(int64_groups_.size());
-    for (const auto& entry : int64_groups_) {
-      Row key;
-      key.push_back(Value::Int64(entry.first));
-      group_index_.emplace(std::move(key), entry.second);
-    }
-    int64_groups_.clear();
-    int64_active_ = false;
-  }
-
-  /// COUNT/SUM/AVG over a bare column: fold straight off the fragment's
-  /// kind/payload arrays in sel (= row) order — the exact accumulation
-  /// AccumulateAggValue would perform per loaded Value, minus the Value.
-  Status AccumulateColumnKernel(const BoundAggregate& agg,
-                                const VecBatch& batch, size_t col,
-                                const std::vector<uint32_t>& gids, size_t a) {
-    const ColumnSpan c = batch.span.column(col);
-    const size_t n = batch.sel.size();
-    if (agg.agg_kind == AggKind::kCount) {
-      for (size_t i = 0; i < n; ++i) {
-        if (static_cast<ValueKind>(c.kinds[batch.sel[i]]) !=
-            ValueKind::kNull) {
-          groups_[gids[i]].aggs[a].count++;
-        }
-      }
-      return Status::OK();
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t slot = batch.sel[i];
-      AggState& st = groups_[gids[i]].aggs[a];
-      switch (static_cast<ValueKind>(c.kinds[slot])) {
-        case ValueKind::kNull:
-          break;
-        case ValueKind::kInt64: {
-          const int64_t x = static_cast<int64_t>(c.fixed[slot]);
-          st.count++;
-          st.sum_double += static_cast<double>(x);
-          st.sum_int += x;
-          break;
-        }
-        case ValueKind::kDouble:
-          st.count++;
-          st.saw_double = true;
-          st.sum_double += BitsToDouble(c.fixed[slot]);
-          break;
-        default:
-          return Status::ExecutionError(
-              std::string(AggKindName(agg.agg_kind)) +
-              " over non-numeric values");
-      }
-    }
-    return Status::OK();
-  }
-
-  const AggregateNode& node_;
-  VecSourceSpec spec_;
-  const Table* table_;
-  ExecContext* ctx_;
-  std::vector<GroupState> groups_;
-  std::unordered_map<Row, size_t, RowHash, RowEq> group_index_;
-  std::unordered_map<int64_t, size_t> int64_groups_;
-  bool int64_active_ = true;
-  size_t pos_ = 0;
 };
 
 }  // namespace
@@ -1412,82 +952,25 @@ Result<std::unique_ptr<Executor>> MaybeVecExecutor(const PlanNode& plan,
           new VecScanExecutor(std::move(spec), table, ctx));
     }
     case PlanKind::kHashJoin: {
+      // HashJoinExecutor's index-join eligibility: a single key against
+      // a bare base-table scan probes the table's shared lazy index. A
+      // join that builds a hash table over its right side is left to
+      // HashJoinExecutor, whose children are still asked here.
       const auto& node = static_cast<const HashJoinNode&>(plan);
-      // Same eligibility split as HashJoinExecutor: single-key joins
-      // against a bare base-table scan probe the shared lazy index;
-      // everything else builds a hash table over the right side.
-      if (node.right_keys.size() == 1 &&
-          node.right->kind == PlanKind::kScan) {
-        const auto& scan = static_cast<const ScanNode&>(*node.right);
-        if (scan.filter == nullptr) {
-          Result<Table*> table_or = ctx->catalog()->GetTable(scan.table_name);
-          if (!table_or.ok()) return none;  // row path reports the error
-          if (node.right_keys[0] >=
-              table_or.value()->schema().num_columns()) {
-            return none;
-          }
-          PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> left,
-                               CreateExecutor(*node.left, ctx));
-          return std::unique_ptr<Executor>(new VecIndexJoinExecutor(
-              node, std::move(left), table_or.value(), ctx));
-        }
-      }
-      // Build keys and build rows index the source's table columns.
-      VecSourceSpec spec;
-      if (!MatchVecSource(*node.right, &spec) || !spec.PureColumns()) {
+      if (node.right_keys.size() != 1 || node.right->kind != PlanKind::kScan) {
         return none;
       }
-      const Table* table = ResolveVecSource(spec, ctx);
-      if (table == nullptr) return none;
-      for (size_t k : node.right_keys) {
-        if (k >= spec.Width(*table)) return none;
-      }
-      // Prefer cursor mode: probe keys come straight off the left
-      // column spans, and left rows materialize only on match.
-      VecSourceSpec lspec;
-      if (MatchVecSource(*node.left, &lspec) && lspec.PureColumns()) {
-        const Table* ltable = ResolveVecSource(lspec, ctx);
-        if (ltable != nullptr) {
-          bool keys_ok = true;
-          for (size_t k : node.left_keys) {
-            if (k >= lspec.Width(*ltable)) {
-              keys_ok = false;
-              break;
-            }
-          }
-          if (keys_ok) {
-            return std::unique_ptr<Executor>(
-                new VecHashJoinExecutor(node, std::move(lspec), ltable,
-                                        std::move(spec), table, ctx));
-          }
-        }
+      const auto& scan = static_cast<const ScanNode&>(*node.right);
+      if (scan.filter != nullptr) return none;
+      Result<Table*> table_or = ctx->catalog()->GetTable(scan.table_name);
+      if (!table_or.ok()) return none;  // row path reports the error
+      if (node.right_keys[0] >= table_or.value()->schema().num_columns()) {
+        return none;
       }
       PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> left,
                            CreateExecutor(*node.left, ctx));
-      return std::unique_ptr<Executor>(new VecHashJoinExecutor(
-          node, std::move(left), std::move(spec), table, ctx));
-    }
-    case PlanKind::kAggregate: {
-      const auto& node = static_cast<const AggregateNode&>(plan);
-      VecSourceSpec spec;
-      if (!MatchVecSource(*node.child, &spec)) return none;
-      // Group/argument expressions index the child's schema; a peeled
-      // projection would shift them, so require the identity shape.
-      if (!spec.out_cols.empty()) return none;
-      size_t max_col = spec.max_col;
-      for (const BoundExprPtr& g : node.group_exprs) {
-        if (!CanVectorizeExpr(*g, &max_col)) return none;
-      }
-      for (const BoundAggregate& agg : node.aggregates) {
-        if (agg.arg != nullptr && !CanVectorizeExpr(*agg.arg, &max_col)) {
-          return none;
-        }
-      }
-      const Table* table = ResolveVecSource(spec, ctx);
-      if (table == nullptr) return none;
-      if (max_col >= table->schema().num_columns()) return none;
-      return std::unique_ptr<Executor>(
-          new VecAggregateExecutor(node, std::move(spec), table, ctx));
+      return std::unique_ptr<Executor>(new VecIndexJoinExecutor(
+          node, std::move(left), table_or.value(), ctx));
     }
     default:
       return none;

@@ -23,25 +23,20 @@ namespace pdm {
 ///     snapshot, filters refine it column-at-a-time with row-engine
 ///     short-circuit semantics, and only surviving slots are
 ///     materialized into Rows;
-///   - a hash join whose build side is a VecSource projecting only
-///     columns (batch build with late materialization, int64 fast-path
-///     probe table, per-statement build cache) or whose right side is
-///     index-join eligible (probes batched against the table's shared
-///     lazy index);
-///   - an aggregate whose input is a VecSource and whose group/argument
-///     expressions are vectorizable (column-kernel COUNT/SUM/AVG,
-///     shared AggState semantics for the rest).
+///   - a hash join whose right side is index-join eligible (single key,
+///     bare base-table scan): probes go against the table's shared lazy
+///     index and matched rows load straight off the column fragments.
 ///
 /// Returns nullptr when the subtree is outside that coverage (or an
 /// equality scan is routed to the row engine's index path); the caller
-/// then builds the ordinary row operator. CreateExecutor calls this for
-/// every node, so a partially-covered plan (vectorized scan under a
-/// row-path Sort or CASE projection) consumes batches below the
-/// frontier instead of falling back wholesale. Output rows are
-/// byte-identical to the row path's. A projection error is returned at
-/// the row where the row engine's projection fails, so a parent that
-/// stops early never sees it; filters still run per batch, so only
-/// filter error timing under LIMIT can differ from the row engine.
+/// then builds the ordinary row operator — a build-mode hash join or an
+/// aggregate is always a row operator — and asks again for its
+/// children, so a partially-covered plan (vectorized scan under a
+/// row-path Sort, aggregate or CASE projection) consumes batches below
+/// the frontier instead of falling back wholesale. Output rows are
+/// byte-identical to the row path's, and a filter or projection error
+/// is returned at the row where the row engine fails, so a parent that
+/// stops early never sees it.
 Result<std::unique_ptr<Executor>> MaybeVecExecutor(const PlanNode& plan,
                                                    ExecContext* ctx);
 

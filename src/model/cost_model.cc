@@ -278,13 +278,11 @@ double ServerSeconds(const ServerCostParams& params, const ServerWork& work) {
   seconds += params.per_row_scan_vec_s * static_cast<double>(vec);
   seconds += params.per_cte_row_s * static_cast<double>(work.cte_rows_scanned);
   seconds += params.per_result_row_s * static_cast<double>(work.result_rows);
-  // The join/agg pairs are disjoint per-engine counters; no clamp.
+  // The join pair is a disjoint per-engine split; no clamp.
   seconds += params.per_row_join_s * static_cast<double>(work.join_probe_rows);
   seconds +=
       params.per_row_join_vec_s * static_cast<double>(work.vec_join_probe_rows);
   seconds += params.per_row_agg_s * static_cast<double>(work.agg_input_rows);
-  seconds +=
-      params.per_row_agg_vec_s * static_cast<double>(work.vec_agg_input_rows);
   return seconds;
 }
 

@@ -208,21 +208,21 @@ struct ServerCostParams {
   double per_row_scan_vec_s = 2.0e-7;
   double per_cte_row_s = 1.0e-6;         // recursive-CTE rows touched
   double per_result_row_s = 5.0e-7;      // rows serialized into the reply
-  /// Join-probe and aggregate-input rows, split by the engine that
-  /// consumed them like the scan rates above. The vectorized rates sit
-  /// at the same 1/5 calibration — the micro_engine join/agg grid's
-  /// CI-gated floor — so the recursive expand's per-level semi-join
-  /// gets cheaper in t_server exactly when the batch operators serve it.
+  /// Join-probe rows, split by the engine that consumed them like the
+  /// scan rates above; the vectorized rate, at the same 1/5
+  /// calibration, charges the batch engine's index join, so the
+  /// recursive expand's per-level semi-join is cheaper in t_server
+  /// exactly when that join serves it. Aggregate-input rows have one
+  /// rate: the row aggregator is the only one.
   double per_row_join_s = 1.0e-6;
   double per_row_join_vec_s = 2.0e-7;
   double per_row_agg_s = 1.0e-6;
-  double per_row_agg_vec_s = 2.0e-7;
 };
 
 /// Engine work of one statement, as ServerSeconds charges it. The scan
 /// pair is subset-style (`vec_rows_scanned` ⊆ `rows_scanned`); the
-/// join/agg pairs are disjoint — each probe/input row is counted by
-/// exactly one engine (exec/exec_context.h).
+/// join pair is disjoint — each probe row is counted by exactly one
+/// engine (exec/exec_context.h).
 struct ServerWork {
   bool parsed = false;  // false when a cached plan skipped parse/bind
   size_t rows_scanned = 0;
@@ -232,7 +232,6 @@ struct ServerWork {
   size_t join_probe_rows = 0;
   size_t vec_join_probe_rows = 0;
   size_t agg_input_rows = 0;
-  size_t vec_agg_input_rows = 0;
 };
 
 /// Simulated server seconds of one statement's work.

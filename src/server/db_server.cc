@@ -387,7 +387,6 @@ Status DbServer::RunStatement(
     record->join_probe_rows = stats.join_probe_rows;
     record->vec_join_probe_rows = stats.vec_join_probe_rows;
     record->agg_input_rows = stats.agg_input_rows;
-    record->vec_agg_input_rows = stats.vec_agg_input_rows;
     record->sim_seconds =
         model::ServerSeconds(config_.server_cost, record->Work());
     span.set_sim_seconds(record->sim_seconds);
@@ -428,14 +427,12 @@ Status DbServer::RunStatement(
 
   SlowQueryRecord rec{
       *record, std::string(stmt_class), std::string(engine), config_.site,
-      StrFormat("scan=%zu(vec=%zu) cte=%zu probe=%zu(vec=%zu) "
-                "agg=%zu(vec=%zu) plan=%s",
+      StrFormat("scan=%zu(vec=%zu) cte=%zu probe=%zu(vec=%zu) agg=%zu "
+                "plan=%s",
                 stats.rows_scanned, stats.vec_rows_scanned,
                 stats.cte_rows_scanned,
                 stats.join_probe_rows + stats.vec_join_probe_rows,
-                stats.vec_join_probe_rows,
-                stats.agg_input_rows + stats.vec_agg_input_rows,
-                stats.vec_agg_input_rows,
+                stats.vec_join_probe_rows, stats.agg_input_rows,
                 record->plan_cache_hit ? "cached" : "parsed")};
   size_t evicted = slow_query_log_.Note(limits, std::move(rec));
   if (evicted > 0) {

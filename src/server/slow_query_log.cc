@@ -35,7 +35,7 @@ std::string_view ClassifyStatementClass(bool dml, bool expand,
   // Structure expansion (the paper's dominant workload): recursive CTE
   // traversals and direct link-table hops.
   if (expand || stats.cte_rows_scanned > 0) return "expand";
-  if (stats.agg_input_rows + stats.vec_agg_input_rows > 0) return "agg";
+  if (stats.agg_input_rows > 0) return "agg";
   if (stats.join_probe_rows + stats.vec_join_probe_rows > 0 ||
       stats.hash_join_builds > 0 || stats.index_join_probes > 0) {
     return "join";
@@ -45,11 +45,8 @@ std::string_view ClassifyStatementClass(bool dml, bool expand,
 }
 
 std::string_view EngineLabel(const ExecStats& stats) {
-  return stats.vec_rows_scanned + stats.vec_join_probe_rows +
-                     stats.vec_agg_input_rows >
-                 0
-             ? "vec"
-             : "row";
+  return stats.vec_rows_scanned + stats.vec_join_probe_rows > 0 ? "vec"
+                                                                : "row";
 }
 
 bool SlowQueryLog::MightRecord(const Limits& limits, double sim_seconds,
@@ -162,9 +159,8 @@ std::string SlowQueryRecordsToJson(
         r.vec_rows_scanned);
     out += StrFormat(
         ",\"join_probe_rows\":%zu,\"vec_join_probe_rows\":%zu,"
-        "\"agg_input_rows\":%zu,\"vec_agg_input_rows\":%zu",
-        r.join_probe_rows, r.vec_join_probe_rows, r.agg_input_rows,
-        r.vec_agg_input_rows);
+        "\"agg_input_rows\":%zu",
+        r.join_probe_rows, r.vec_join_probe_rows, r.agg_input_rows);
     out += StrFormat(
         ",\"sim_server_seconds\":%.9f,\"wall_seconds\":%.9f,"
         "\"queue_wait_seconds\":%.9f}",

@@ -48,11 +48,13 @@ struct StatementRecord {
   size_t rows_scanned = 0;
   size_t cte_rows_scanned = 0;
   size_t vec_rows_scanned = 0;
-  /// Join-probe and aggregate-input rows, split by engine (disjoint
-  /// pairs, see exec/exec_context.h).
+  /// Join-probe rows, split by engine (a disjoint pair, see
+  /// exec/exec_context.h), and aggregate-input rows.
   size_t join_probe_rows = 0;
   size_t vec_join_probe_rows = 0;
   size_t agg_input_rows = 0;
+  /// Always 0: the row aggregator is the only one. Kept because the
+  /// wall-clock benchmark (wallbench/layers.cc) still reads it.
   size_t vec_agg_input_rows = 0;
   /// Per-term cost split: the simulated t_server charge of Work(), the
   /// wall seconds this machine spent, and the admission-queue wait (0
@@ -72,7 +74,6 @@ struct StatementRecord {
     work.join_probe_rows = join_probe_rows;
     work.vec_join_probe_rows = vec_join_probe_rows;
     work.agg_input_rows = agg_input_rows;
-    work.vec_agg_input_rows = vec_agg_input_rows;
     return work;
   }
 };

@@ -581,10 +581,11 @@ TEST(VecEngineDifferential, SameResultsWithVectorizedExecutionOff) {
   }
 }
 
-/// A projection error surfaces exactly as on the row engine: nothing
-/// when no row reaches the projection, the row engine's first error
-/// (row-major: earliest row, then leftmost expression) otherwise, and
-/// nothing when a parent stops pulling before the failing row.
+/// A projection or filter error surfaces exactly as on the row engine:
+/// nothing when no row reaches the failing expression, the row engine's
+/// first error (row-major: earliest row, then leftmost expression)
+/// otherwise, and nothing when a parent stops pulling before the
+/// failing row.
 TEST(VecEngineDifferential, ProjectionErrorsMatchTheRowEngine) {
   Database db;
   // `wide` spans two fragments; only row 1100 (the second fragment)
@@ -630,6 +631,14 @@ TEST(VecEngineDifferential, ProjectionErrorsMatchTheRowEngine) {
       // The limit ends inside the second fragment, before row 1100.
       {"SELECT id, CAST(s AS INTEGER) FROM wide LIMIT 1030", nullptr, 1030},
       {"SELECT id, CAST(s AS INTEGER) FROM wide LIMIT 1101", "'y'", 0},
+      // Filter errors: the parent stops before row 2's filter fails.
+      {"SELECT id FROM filled WHERE CAST(s AS INTEGER) > 0 LIMIT 1", nullptr,
+       1},
+      {"SELECT id FROM filled WHERE CAST(s AS INTEGER) > 0", "'y'", 0},
+      {"SELECT id FROM wide WHERE CAST(s AS INTEGER) >= 0 LIMIT 1030",
+       nullptr, 1030},
+      {"SELECT id FROM wide WHERE CAST(s AS INTEGER) >= 0 LIMIT 1101", "'y'",
+       0},
   };
   for (const auto& c : kCases) {
     std::string status_text[2];

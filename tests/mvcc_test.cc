@@ -8,7 +8,7 @@
 // vectorized visibility over the columnar fragments (version chains
 // crossing the fragment boundary, concurrent fragment scans, the
 // batchwise query-all at a pinned snapshot under a writer, the bridge
-// scan across an unpublished append).
+// scan and the index join across an unpublished append).
 
 #include <gtest/gtest.h>
 
@@ -588,8 +588,15 @@ struct OpenedScan {
   std::vector<Row> rows;
 };
 
-/// Freshness seam of VecSourceCursor, the batch engine's only table
-/// reader: like ScanExecutor it fixes its scan bound when it opens. A
+/// Binds `sql` (a SELECT) against the database's catalog.
+Result<BoundSelect> BindForTest(Database* db, const char* sql) {
+  PDM_ASSIGN_OR_RETURN(sql::StatementPtr stmt, sql::ParseSql(sql));
+  Binder binder(&db->catalog(), &db->functions(), BinderOptions());
+  return binder.BindSelect(static_cast<const sql::SelectStmt&>(*stmt));
+}
+
+/// Freshness seam of VecSourceCursor, the batch engine's table scan:
+/// like ScanExecutor it fixes its scan bound when it opens. A
 /// bridge scan opened while an append is stored but unpublished returns
 /// exactly the row engine's result at the same snapshot, also when
 /// Publish lands mid-scan; a scan opened after Publish sees the row on
@@ -609,11 +616,7 @@ TEST(MvccVectorized, BridgeScanMatchesRowScanAcrossAnUnpublishedAppend) {
       const size_t pos = TableTestPeer::AppendUnpublished(
           table, {Value::Int64(published), Value::String("late")});
       Database::Snapshot snap = db.AcquireSnapshot();
-      Result<sql::StatementPtr> stmt = sql::ParseSql(sql);
-      ASSERT_TRUE(stmt.ok()) << stmt.status();
-      Binder binder(&db.catalog(), &db.functions(), BinderOptions());
-      Result<BoundSelect> bound =
-          binder.BindSelect(static_cast<const sql::SelectStmt&>(**stmt));
+      Result<BoundSelect> bound = BindForTest(&db, sql);
       ASSERT_TRUE(bound.ok()) << bound.status();
       const PlanNode& plan = *bound->root;
 
@@ -645,6 +648,72 @@ TEST(MvccVectorized, BridgeScanMatchesRowScanAcrossAnUnpublishedAppend) {
       row_after.Pull();
       EXPECT_EQ(vec_after.rows.size(), static_cast<size_t>(published) + 1);
       EXPECT_EQ(vec_after.rows, row_after.rows);
+    }
+  }
+}
+
+/// Freshness seam of VecIndexJoinExecutor, the batch engine's other
+/// table reader: its matches come from the table's index, which may
+/// carry a stored but unpublished append. Like the row index join it
+/// admits a match only if the version is published and visible when
+/// the probe runs, so at the same snapshot both engines return the same
+/// rows whether Publish lands before the first output row or after it.
+/// The late position falls inside the last fragment, on a fragment
+/// boundary, and past one.
+TEST(MvccVectorized, IndexJoinMatchesRowJoinAcrossAnUnpublishedAppend) {
+  for (int published : {1000, 1024, 1500}) {
+    for (size_t rows_before_publish : {0, 1}) {
+      SCOPED_TRACE(StrFormat("%d rows, publish after %zu output rows",
+                             published, rows_before_publish));
+      Database db;
+      ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER, s VARCHAR)").ok());
+      ASSERT_TRUE(db.Execute("CREATE TABLE p (k INTEGER)").ok());
+      // The late key is probed second, after the first output row.
+      ASSERT_TRUE(db.Execute(StrFormat("INSERT INTO p VALUES (0), (%d), (%d)",
+                                       published, published - 1))
+                      .ok());
+      Table* table = db.catalog().GetTable("t").value();
+      for (int i = 0; i < published; ++i) {
+        table->InsertUnchecked({Value::Int64(i), Value::String("v")});
+      }
+      const size_t pos = TableTestPeer::AppendUnpublished(
+          table, {Value::Int64(published), Value::String("late")});
+      Database::Snapshot snap = db.AcquireSnapshot();
+      Result<BoundSelect> bound =
+          BindForTest(&db, "SELECT p.k, t.s FROM p JOIN t ON p.k = t.id");
+      ASSERT_TRUE(bound.ok()) << bound.status();
+      const PlanNode& plan = *bound->root;
+
+      // Opened and drained while the append is unpublished.
+      OpenedScan vec_before(&db, plan, true, snap.ts());
+      OpenedScan row_before(&db, plan, false, snap.ts());
+      vec_before.Pull();
+      row_before.Pull();
+      EXPECT_EQ(vec_before.rows.size(), 2u);
+      EXPECT_EQ(vec_before.rows, row_before.rows);
+      EXPECT_GT(vec_before.stats.vec_join_probe_rows, 0u);  // the vec join
+      EXPECT_EQ(row_before.stats.vec_join_probe_rows, 0u);
+      EXPECT_GT(row_before.stats.index_join_probes, 0u);
+
+      // Opened before Publish, which lands before or after the first
+      // output row; the late key is probed after it either way.
+      OpenedScan vec_during(&db, plan, true, snap.ts());
+      OpenedScan row_during(&db, plan, false, snap.ts());
+      vec_during.Pull(rows_before_publish);
+      row_during.Pull(rows_before_publish);
+      TableTestPeer::Publish(table, pos);
+      vec_during.Pull();
+      row_during.Pull();
+      EXPECT_EQ(vec_during.rows.size(), 3u);
+      EXPECT_EQ(vec_during.rows, row_during.rows);
+
+      // Opened after Publish: both engines see the late row.
+      OpenedScan vec_after(&db, plan, true, snap.ts());
+      OpenedScan row_after(&db, plan, false, snap.ts());
+      vec_after.Pull();
+      row_after.Pull();
+      EXPECT_EQ(vec_after.rows, row_after.rows);
+      EXPECT_EQ(vec_after.rows, vec_during.rows);
     }
   }
 }

@@ -1,12 +1,15 @@
-// Row-vs-vectorized differentials for the join/aggregate/ORDER BY tier
-// (DESIGN.md 5j): the bridge executors must produce byte-identical
-// results to the Volcano operators on every edge the row engine
-// defines semantics for — NULL join keys, empty build sides, duplicate
-// keys, residual predicates, multi-key joins, int64/double key mixing
-// past the 2^53 exactness bound, empty aggregation input, all-NULL
-// groups, DISTINCT, fragment-boundary group spill, HAVING — plus
-// ORDER BY tie stability and an MVCC-visibility-under-join canary
-// (run it under TSan to catch fragment/index races).
+// Row-vs-vectorized differentials for joins, aggregates and ORDER BY
+// over the batch->row bridge (DESIGN.md 5j): with vectorized execution
+// on, an index join runs on the batch engine, while a build-mode hash
+// join, an aggregate and a sort stay row operators that pull bridged
+// batches from below. Either way the results must be byte-identical to
+// the all-row engine's on every edge it defines semantics for — NULL
+// join keys, empty build sides, duplicate keys, residual predicates,
+// multi-key joins, int64/double key mixing past the 2^53 exactness
+// bound, empty aggregation input, all-NULL groups, DISTINCT,
+// fragment-boundary groups, HAVING — plus ORDER BY tie stability and
+// an MVCC-visibility-under-join canary (run it under TSan to catch
+// fragment/index races).
 
 #include <gtest/gtest.h>
 
@@ -94,16 +97,17 @@ TEST_F(VecJoinAggTest, BuildModeJoinMatchesRowEngine) {
   FillObj(&db, 300);
   FillLnk(&db, 300);
   // The derived table leaves Project -> Scan[filtered] on the build
-  // side — not index-join eligible, so this is the vectorized batch
-  // build (projection peeled) + int64 fast-path probe.
+  // side — not index-join eligible, so the row join builds its hash
+  // table from the bridged build side.
   ExecStats stats = Differential(
       &db,
       "SELECT l.parent, l.child, o.id FROM lnk AS l "
       "JOIN (SELECT id, grp FROM obj WHERE grp < 3) AS o "
       "ON l.child = o.id");
-  EXPECT_GT(stats.vec_join_probe_rows, 0u);
+  EXPECT_GT(stats.join_probe_rows, 0u);
+  EXPECT_EQ(stats.vec_join_probe_rows, 0u);
   EXPECT_GT(stats.hash_join_builds, 0u);
-  EXPECT_EQ(stats.join_probe_rows, 0u);
+  EXPECT_GT(stats.vec_batches, 0u);
 }
 
 TEST_F(VecJoinAggTest, NullKeysNeverMatch) {
@@ -155,22 +159,23 @@ TEST_F(VecJoinAggTest, IntKeysJoinDoubleProbesExactly) {
   FillObj(&db, 60);
   FillLnk(&db, 60);
   // dval = id * 0.25 is integral only when id % 4 == 0: the double
-  // probe against the int64 build table must match exactly those.
+  // probe against the int64 build keys must match exactly those.
   ExecStats stats = Differential(
       &db,
       "SELECT o.dval, l.child FROM obj AS o "
       "JOIN (SELECT child FROM lnk WHERE parent >= 0) AS l "
       "ON o.dval = l.child");
-  EXPECT_GT(stats.vec_join_probe_rows, 0u);
+  EXPECT_GT(stats.join_probe_rows, 0u);
+  EXPECT_EQ(stats.vec_join_probe_rows, 0u);
   EXPECT_GT(stats.hash_join_builds, 0u);
+  EXPECT_GT(stats.vec_batches, 0u);
 }
 
 TEST_F(VecJoinAggTest, BuildKeysPastExactDoubleRangeDemoteToGenericTable) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE big (k INTEGER, tag VARCHAR)").ok());
-  // 2^53 + 1 is not representable as a double; its presence on the
-  // build side must demote the int64 fast path without losing the
-  // rows already inserted through it.
+  // 2^53 + 1 is not representable as a double; it must match only
+  // itself, never a neighbour that rounds to the same double.
   ASSERT_TRUE(db.Execute("INSERT INTO big VALUES (1, 'small'), "
                          "(9007199254740993, 'huge'), (2, 'small2')")
                   .ok());
@@ -182,7 +187,10 @@ TEST_F(VecJoinAggTest, BuildKeysPastExactDoubleRangeDemoteToGenericTable) {
       &db,
       "SELECT p.k, b.tag FROM probe AS p "
       "JOIN (SELECT k, tag FROM big WHERE k > 0) AS b ON p.k = b.k");
+  EXPECT_GT(stats.join_probe_rows, 0u);
+  EXPECT_EQ(stats.vec_join_probe_rows, 0u);
   EXPECT_GT(stats.hash_join_builds, 0u);
+  EXPECT_GT(stats.vec_batches, 0u);
 }
 
 TEST_F(VecJoinAggTest, ResidualPredicateFiltersPairs) {
@@ -218,7 +226,8 @@ TEST_F(VecJoinAggTest, GroupByAggregatesMatchRowEngine) {
       &db,
       "SELECT grp, COUNT(*), COUNT(val), SUM(val), MIN(val), MAX(val), "
       "AVG(val) FROM obj WHERE id >= 0 GROUP BY grp");
-  EXPECT_GT(stats.vec_agg_input_rows, 0u);
+  EXPECT_GT(stats.agg_input_rows, 0u);  // the row aggregator ...
+  EXPECT_GT(stats.vec_batches, 0u);     // ... over bridged batches
 }
 
 TEST_F(VecJoinAggTest, ScalarAggregateOverEmptyInput) {
@@ -289,7 +298,7 @@ TEST_F(VecJoinAggTest, GroupsSpanningTheFragmentBoundary) {
   ExecStats stats = Differential(
       &db,
       "SELECT grp, COUNT(*), SUM(val) FROM obj WHERE id >= 0 GROUP BY grp");
-  EXPECT_EQ(stats.vec_agg_input_rows, 1025u);
+  EXPECT_EQ(stats.agg_input_rows, 1025u);
   EXPECT_GE(stats.vec_batches, 2u);
 }
 
@@ -346,14 +355,14 @@ TEST_F(VecJoinAggTest, AggregateOverJoinStaysCorrect) {
   Database db;
   FillObj(&db, 260);
   FillLnk(&db, 260);
-  // Aggregate over a join input is beyond the vec aggregate's coverage
-  // (its child is not a Filter*->Scan chain) — the join still runs
-  // vectorized underneath and the row aggregator folds its output.
+  // The index join runs vectorized underneath and the row aggregator
+  // folds its output.
   ExecStats stats = Differential(
       &db,
       "SELECT o.grp, COUNT(*) FROM lnk AS l "
       "JOIN obj AS o ON l.child = o.id GROUP BY o.grp");
   EXPECT_GT(stats.vec_join_probe_rows, 0u);
+  EXPECT_GT(stats.agg_input_rows, 0u);
 }
 
 // MVCC canary: a writer rolls the whole table's gen forward while a
