@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "client/connection.h"
 #include "client/strategies.h"
@@ -36,6 +37,24 @@ std::string_view CheckOutMethodName(CheckOutMethod method);
 /// it like any other error).
 inline constexpr int kMaxConflictRetries = 64;
 
+/// How ExecuteRetryingConflicts ships a group of statements.
+enum class Shipping {
+  kRoundTripEach,  // one Connection::Execute per statement
+  kOneBatch,       // one Connection::ExecuteBatch
+};
+
+/// Ships `statements` over `conn`, then re-ships only the slots that
+/// lost a first-writer-wins race (StatusCode::kWriteConflict) until none
+/// does or kMaxConflictRetries rounds ran; each re-shipped slot counts
+/// once in `*retries` and in "mvcc.conflict_retries". Conflicts are
+/// retryable, not errors: a re-submission re-evaluates at a fresh
+/// snapshot. Any other failure aborts (kRoundTripEach leaves the
+/// remaining statements unsent). Returns the acknowledgements in
+/// statement order.
+Result<std::vector<ResultSet>> ExecuteRetryingConflicts(
+    Connection* conn, const std::vector<std::string>& statements,
+    Shipping shipping, size_t* retries);
+
 struct CheckOutResult {
   bool success = false;       // denied if a rule failed (e.g. ∀rows)
   size_t objects = 0;         // objects whose flag was flipped
@@ -67,9 +86,10 @@ class CheckOutClient {
  private:
   Result<CheckOutResult> Run(int64_t root, CheckOutMethod method,
                              bool checking_out);
-  Result<CheckOutResult> RunClientSide(int64_t root, bool navigational,
-                                       bool checking_out);
-  Result<CheckOutResult> RunStoredProcedure(int64_t root, bool checking_out);
+  /// Retrieval and flag UPDATEs at the client; fills all of `out` but
+  /// its traffic.
+  Status RunClientSide(int64_t root, bool navigational, bool checking_out,
+                       CheckOutResult* out);
 
   Connection* conn_;
   const rules::RuleTable* rules_;

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "obs/metrics.h"
 #include "pdm/pdm_schema.h"
 #include "rules/procedures.h"
 #include "rules/query_builder.h"
@@ -11,6 +10,24 @@
 #include "sql/parser.h"
 
 namespace pdm::client {
+
+namespace {
+
+/// Runs `action` with `strategy`; the expands start at `root`.
+Result<ActionResult> RunActionOn(AccessStrategy& strategy,
+                                 model::ActionKind action, int64_t root) {
+  switch (action) {
+    case model::ActionKind::kQuery:
+      return strategy.QueryAll();
+    case model::ActionKind::kSingleLevelExpand:
+      return strategy.SingleLevelExpand(root);
+    case model::ActionKind::kMultiLevelExpand:
+      return strategy.MultiLevelExpand(root);
+  }
+  return Status::Internal("unhandled action kind");
+}
+
+}  // namespace
 
 Status InstallStandardRules(rules::RuleTable* table) {
   // Object access rule: only objects whose materialized visibility flag
@@ -125,16 +142,7 @@ std::unique_ptr<CheckOutClient> Experiment::MakeCheckOutClient() {
 
 Result<ActionResult> Experiment::RunAction(model::StrategyKind strategy,
                                            model::ActionKind action) {
-  std::unique_ptr<AccessStrategy> impl = MakeStrategy(strategy);
-  switch (action) {
-    case model::ActionKind::kQuery:
-      return impl->QueryAll();
-    case model::ActionKind::kSingleLevelExpand:
-      return impl->SingleLevelExpand(product_.root_obid);
-    case model::ActionKind::kMultiLevelExpand:
-      return impl->MultiLevelExpand(product_.root_obid);
-  }
-  return Status::Internal("unhandled action kind");
+  return RunActionOn(*MakeStrategy(strategy), action, product_.root_obid);
 }
 
 Result<MultiClientResult> RunMultiClientAction(
@@ -164,21 +172,9 @@ Result<MultiClientResult> RunMultiClientAction(
     threads.reserve(options.clients);
     for (size_t i = 0; i < options.clients; ++i) {
       threads.emplace_back([&, i] {
-        std::unique_ptr<AccessStrategy> strategy =
-            experiment.MakeStrategyOn(connections[i].get(), options.strategy);
-        switch (options.action) {
-          case model::ActionKind::kQuery:
-            outcomes[i] = strategy->QueryAll();
-            break;
-          case model::ActionKind::kSingleLevelExpand:
-            outcomes[i] =
-                strategy->SingleLevelExpand(experiment.product().root_obid);
-            break;
-          case model::ActionKind::kMultiLevelExpand:
-            outcomes[i] =
-                strategy->MultiLevelExpand(experiment.product().root_obid);
-            break;
-        }
+        outcomes[i] = RunActionOn(
+            *experiment.MakeStrategyOn(connections[i].get(), options.strategy),
+            options.action, experiment.product().root_obid);
         // A finished client leaves the barrier so remaining clients'
         // waves stop waiting for it.
         connections[i]->DetachFromAdmissionQueue();
@@ -237,19 +233,8 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
             experiment.MakeStrategyOn(connections[i].get(),
                                       options.reader_strategy);
         const auto start = std::chrono::steady_clock::now();
-        switch (options.reader_action) {
-          case model::ActionKind::kQuery:
-            reader_outcomes[i] = strategy->QueryAll();
-            break;
-          case model::ActionKind::kSingleLevelExpand:
-            reader_outcomes[i] =
-                strategy->SingleLevelExpand(experiment.product().root_obid);
-            break;
-          case model::ActionKind::kMultiLevelExpand:
-            reader_outcomes[i] =
-                strategy->MultiLevelExpand(experiment.product().root_obid);
-            break;
-        }
+        reader_outcomes[i] = RunActionOn(*strategy, options.reader_action,
+                                         experiment.product().root_obid);
         reader_wall[i] =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
@@ -268,34 +253,22 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
                                  : experiment.product().root_obid;
         if (options.writer_mode == DmlWriterMode::kUpdateBursts) {
           // Every writer flips the same row's flag, so same-wave bursts
-          // race under first-writer-wins; losers re-submit (the same
-          // bounded client retry the check-out flow uses).
+          // race under first-writer-wins; losers re-submit through the
+          // check-out flow's conflict retry.
           for (size_t cycle = 0; cycle < options.writer_cycles; ++cycle) {
             CheckOutResult burst;
-            const std::string sql =
-                rules::BuildCheckOutUpdate(pdmsys::kAssyTable, {root},
-                                           /*checking_out=*/cycle % 2 == 0)
-                    ->ToSql();
-            std::vector<Result<ResultSet>> acks;
-            Status status = conn->ExecuteBatch({sql}, &acks);
-            for (int attempt = 0;
-                 status.ok() &&
-                 IsRetryableConflict(acks[0].status().code()) &&
-                 attempt < kMaxConflictRetries;
-                 ++attempt) {
-              ++burst.conflict_retries;
-              obs::MetricsRegistry::Global()
-                  .counter("mvcc.conflict_retries")
-                  .Increment();
-              status = conn->ExecuteBatch({sql}, &acks);
-            }
-            if (status.ok() && !acks[0].ok()) status = acks[0].status();
-            if (!status.ok()) {
-              writer_errors[w] = std::move(status);
+            Result<std::vector<ResultSet>> acks = ExecuteRetryingConflicts(
+                conn,
+                {rules::BuildCheckOutUpdate(pdmsys::kAssyTable, {root},
+                                            /*checking_out=*/cycle % 2 == 0)
+                     ->ToSql()},
+                Shipping::kOneBatch, &burst.conflict_retries);
+            if (!acks.ok()) {
+              writer_errors[w] = acks.status();
               break;
             }
             burst.success = true;
-            burst.objects = acks[0]->affected_rows;
+            burst.objects = (*acks)[0].affected_rows;
             writer_outcomes[w].push_back(std::move(burst));
           }
           conn->DetachFromAdmissionQueue();

@@ -139,15 +139,14 @@ std::string_view NavigationalStrategy::Name(IssuePolicy issue) const {
   return "navigational";
 }
 
-Result<std::string> NavigationalStrategy::RenderExpandSql(int64_t node) const {
+Result<std::string> NavigationalStrategy::RenderExpandSql(
+    int64_t node, RuleAction action) const {
   std::unique_ptr<sql::SelectStmt> stmt =
       rules::BuildExpandQuery(node, config_.hierarchy);
   if (early_) {
     QueryModificator modificator(rules_, user_);
-    PDM_RETURN_NOT_OK(modificator
-                          .ApplyToNavigationalQuery(&stmt->query,
-                                                    RuleAction::kExpand)
-                          .status());
+    PDM_RETURN_NOT_OK(
+        modificator.ApplyToNavigationalQuery(&stmt->query, action).status());
   }
   return stmt->ToSql();
 }
@@ -204,7 +203,8 @@ Result<ActionResult> NavigationalStrategy::SingleLevelExpand(int64_t node) {
 
   PDM_ASSIGN_OR_RETURN(std::unique_ptr<PreparedRowFilter> filter,
                        PrepareLateFilter(node, RuleAction::kExpand));
-  PDM_ASSIGN_OR_RETURN(std::string sql, RenderExpandSql(node));
+  PDM_ASSIGN_OR_RETURN(std::string sql,
+                       RenderExpandSql(node, RuleAction::kExpand));
   ResultSet rows;
   PDM_RETURN_NOT_OK(conn_->Execute(sql, &rows, HomogenizedSizer()));
   out.transmitted_rows = rows.num_rows();
@@ -221,16 +221,24 @@ Result<ActionResult> NavigationalStrategy::MultiLevelExpand(int64_t root) {
                               obs::ModelTerm::kNone);
   ActionTimer action_timer(config_, name(), "mle");
   conn_->ResetStats();
+  PDM_ASSIGN_OR_RETURN(ActionResult out,
+                       ExpandTree(root, RuleAction::kMultiLevelExpand));
+  out.wan = conn_->stats();
+  return out;
+}
+
+Result<ActionResult> NavigationalStrategy::ExpandTree(int64_t root,
+                                                      RuleAction action) {
   ActionResult out;
   const Connection::ResponseSizer sizer = HomogenizedSizer();
   const bool pipelined = issue_ == IssuePolicy::kPerLevelPipelined;
 
-  auto render_level = [this](const std::vector<int64_t>& nodes)
+  auto render_level = [this, action](const std::vector<int64_t>& nodes)
       -> Result<std::vector<std::string>> {
     std::vector<std::string> statements;
     statements.reserve(nodes.size());
     for (int64_t node : nodes) {
-      PDM_ASSIGN_OR_RETURN(std::string sql, RenderExpandSql(node));
+      PDM_ASSIGN_OR_RETURN(std::string sql, RenderExpandSql(node, action));
       statements.push_back(std::move(sql));
     }
     return statements;
@@ -244,7 +252,7 @@ Result<ActionResult> NavigationalStrategy::MultiLevelExpand(int64_t root) {
   std::vector<int64_t> level{root};
   std::vector<size_t> parents{out.tree.AddNode(root, "assy", "", std::nullopt)};
   PDM_ASSIGN_OR_RETURN(std::unique_ptr<PreparedRowFilter> filter,
-                       PrepareLateFilter(root, RuleAction::kMultiLevelExpand));
+                       PrepareLateFilter(root, action));
   ResultSet kept_nodes;  // homogenized rows kept, for tree conditions
 
   Connection::PendingBatch pending;
@@ -262,7 +270,8 @@ Result<ActionResult> NavigationalStrategy::MultiLevelExpand(int64_t root) {
     Status deferred;  // a pipelined level's first failed slot
     if (issue_ == IssuePolicy::kPerNode) {
       for (size_t i = 0; i < level.size(); ++i) {
-        PDM_ASSIGN_OR_RETURN(std::string sql, RenderExpandSql(level[i]));
+        PDM_ASSIGN_OR_RETURN(std::string sql,
+                             RenderExpandSql(level[i], action));
         PDM_RETURN_NOT_OK(conn_->Execute(sql, &children[i], sizer));
         out.transmitted_rows += children[i].num_rows();
         PDM_RETURN_NOT_OK(ApplyLateFilter(filter.get(), &children[i]));
@@ -337,14 +346,12 @@ Result<ActionResult> NavigationalStrategy::MultiLevelExpand(int64_t root) {
   // Tree conditions are evaluated at the client in every navigational
   // mode, over the root and every kept node.
   PDM_ASSIGN_OR_RETURN(
-      bool tree_ok,
-      RootedTreeConditionsPass(conn_, evaluator_, root, std::move(kept_nodes),
-                               RuleAction::kMultiLevelExpand));
+      bool tree_ok, RootedTreeConditionsPass(conn_, evaluator_, root,
+                                             std::move(kept_nodes), action));
   if (!tree_ok) out.tree = pdmsys::ProductTree();  // all-or-nothing
 
   out.visible_nodes =
       out.tree.num_nodes() > 0 ? out.tree.num_nodes() - 1 : 0;
-  out.wan = conn_->stats();
   return out;
 }
 
@@ -381,25 +388,29 @@ Result<ActionResult> RecursiveStrategy::RunTreeQuery(int64_t root,
   obs::ScopedSpan action_span("action:recursive/tree", obs::ModelTerm::kNone);
   ActionTimer action_timer(config_, name(), "tree");
   conn_->ResetStats();
-  ActionResult out;
+  PDM_ASSIGN_OR_RETURN(
+      ActionResult out,
+      ExpandTree(root, RuleAction::kMultiLevelExpand, max_depth));
+  out.wan = conn_->stats();
+  return out;
+}
 
-  std::unique_ptr<sql::SelectStmt> stmt =
-      rules::BuildRecursiveTreeQuery(root, max_depth, config_.hierarchy);
-  QueryModificator modificator(rules_, user_);
-  PDM_RETURN_NOT_OK(
-      modificator
-          .ApplyToRecursiveQuery(stmt.get(), RuleAction::kMultiLevelExpand)
-          .status());
-
+Result<ActionResult> RecursiveStrategy::ExpandTree(int64_t root,
+                                                   RuleAction action,
+                                                   int max_depth) {
+  PDM_ASSIGN_OR_RETURN(
+      std::unique_ptr<sql::SelectStmt> stmt,
+      QueryModificator(rules_, user_)
+          .BuildTreeQuery(root, max_depth, config_.hierarchy, action));
   ResultSet result;
   PDM_RETURN_NOT_OK(conn_->Execute(stmt->ToSql(), &result, HomogenizedSizer()));
 
+  ActionResult out;
   PDM_ASSIGN_OR_RETURN(out.tree,
                        pdmsys::AssembleFromHomogenized(result, root));
   out.transmitted_rows = result.num_rows();
   out.visible_nodes =
       out.tree.num_nodes() > 0 ? out.tree.num_nodes() - 1 : 0;
-  out.wan = conn_->stats();
   return out;
 }
 

@@ -130,12 +130,23 @@ class NavigationalStrategy : public AccessStrategy {
   Result<ActionResult> MultiLevelExpand(int64_t root) override;
   std::string_view name() const override { return Name(issue_); }
 
+  /// The level walk behind a multi-level expand, under `action`'s rules:
+  /// one expand statement per kept node in breadth-first order, shipped
+  /// per the strategy's `IssuePolicy`, row conditions rendered into each
+  /// statement (early) or filtered at the client (late), then the rooted
+  /// tree-condition pass — a failed one empties the tree (all-or-
+  /// nothing). The navigational check-out retrieves its subtree here.
+  /// Leaves `wan` unset: the caller owns the connection's statistics.
+  Result<ActionResult> ExpandTree(int64_t root, rules::RuleAction action);
+
  private:
   /// Strategy label of this rule-evaluation variant under `issue`.
   std::string_view Name(IssuePolicy issue) const;
 
-  /// The expand statement for one node: identical under every policy.
-  Result<std::string> RenderExpandSql(int64_t node) const;
+  /// The expand statement for one node under `action`'s row conditions
+  /// (none under late evaluation): identical under every policy.
+  Result<std::string> RenderExpandSql(int64_t node,
+                                      rules::RuleAction action) const;
 
   /// The late filter for `action`, prepared from a local probe of the
   /// fixed expand schema (no WAN traffic); null under early evaluation.
@@ -167,6 +178,14 @@ class RecursiveStrategy : public AccessStrategy {
   Result<ActionResult> PartialExpand(int64_t root, int levels);
 
   std::string_view name() const override { return "recursive"; }
+
+  /// The one recursive statement under `action`'s rules (to `max_depth`
+  /// levels, 0 = all), reassembled into a tree; an empty tree means a
+  /// tree condition denied the action. The recursive-batched check-out
+  /// retrieves its subtree here. Leaves `wan` unset: the caller owns the
+  /// connection's statistics.
+  Result<ActionResult> ExpandTree(int64_t root, rules::RuleAction action,
+                                  int max_depth = 0);
 
  private:
   Result<ActionResult> RunTreeQuery(int64_t root, int max_depth);

@@ -1,10 +1,9 @@
 #include "rules/procedures.h"
 
-#include <map>
 #include <vector>
 
-#include "common/string_util.h"
 #include "pdm/pdm_schema.h"
+#include "pdm/product_tree.h"
 #include "pdm/user_context.h"
 #include "rules/query_builder.h"
 #include "rules/query_modificator.h"
@@ -14,11 +13,12 @@ namespace pdm::rules {
 namespace {
 
 Status ExpectArgs(const std::vector<Value>& args) {
-  if (args.size() != 5 || !args[0].is_int64() || !args[1].is_string() ||
-      !args[2].is_int64() || !args[3].is_int64() || !args[4].is_int64()) {
+  if (args.size() < 5 || args.size() > 6 || !args[0].is_int64() ||
+      !args[1].is_string() || !args[2].is_int64() || !args[3].is_int64() ||
+      !args[4].is_int64() || (args.size() == 6 && !args[5].is_string())) {
     return Status::InvalidArgument(
         "expected (root INTEGER, user VARCHAR, strc_opt INTEGER, "
-        "eff_from INTEGER, eff_to INTEGER)");
+        "eff_from INTEGER, eff_to INTEGER[, hierarchy VARCHAR])");
   }
   return Status::OK();
 }
@@ -35,36 +35,23 @@ Status RunCheckFlow(Database& db, const RuleTable* rule_table,
   user.strc_opt = args[2].int64_value();
   user.eff_from = args[3].int64_value();
   user.eff_to = args[4].int64_value();
+  const std::string hierarchy =
+      args.size() == 6 ? args[5].string_value() : pdmsys::kPhysicalHierarchy;
 
-  std::unique_ptr<sql::SelectStmt> stmt = BuildRecursiveTreeQuery(root);
-  QueryModificator modificator(rule_table, user);
-  RuleAction action =
-      checking_out ? RuleAction::kCheckOut : RuleAction::kCheckIn;
-  PDM_RETURN_NOT_OK(
-      modificator.ApplyToRecursiveQuery(stmt.get(), action).status());
-
-  ResultSet tree;
-  PDM_RETURN_NOT_OK(db.ExecuteStatement(*stmt, &tree));
-
-  // Collect object obids grouped by type (object rows have NULL LEFT).
-  std::optional<size_t> type_col = tree.schema.FindColumn("type");
-  std::optional<size_t> obid_col = tree.schema.FindColumn("obid");
-  std::optional<size_t> left_col = tree.schema.FindColumn("LEFT");
-  if (!type_col || !obid_col || !left_col) {
-    return Status::Internal("homogenized result misses expected columns");
-  }
-  std::map<std::string, std::vector<int64_t>> by_type;
-  for (const Row& row : tree.rows) {
-    if (!row[*left_col].is_null()) continue;  // link row
-    by_type[row[*type_col].ToString()].push_back(
-        row[*obid_col].int64_value());
-  }
+  PDM_ASSIGN_OR_RETURN(
+      std::unique_ptr<sql::SelectStmt> stmt,
+      QueryModificator(rule_table, user)
+          .BuildTreeQuery(root, /*max_depth=*/0, hierarchy,
+                          checking_out ? RuleAction::kCheckOut
+                                       : RuleAction::kCheckIn));
+  ResultSet rows;
+  PDM_RETURN_NOT_OK(db.ExecuteStatement(*stmt, &rows));
+  PDM_ASSIGN_OR_RETURN(pdmsys::ProductTree tree,
+                       pdmsys::AssembleFromHomogenized(rows, root));
 
   size_t flipped = 0;
-  for (const auto& [type, obids] : by_type) {
-    if (obids.empty()) continue;
-    std::unique_ptr<sql::Statement> update =
-        BuildCheckOutUpdate(type, obids, checking_out);
+  for (const std::unique_ptr<sql::Statement>& update :
+       BuildCheckOutUpdates(tree, checking_out)) {
     ResultSet ack;
     PDM_RETURN_NOT_OK(db.ExecuteStatement(*update, &ack));
     flipped += ack.affected_rows;

@@ -13,13 +13,14 @@ namespace pdm::rules {
 /// additional WAN communications for check-out/check-in).
 ///
 /// Registered procedures:
-///   CALL pdm_checkout(root, user, strc_opt, eff_from, eff_to)
-///     Computes the user's visible subtree (rules evaluated server-side
-///     via the recursive query + modificator, including the ∀rows
-///     "nothing already checked out" rule for the check-out action),
-///     sets the checkedout flags, and returns one row
-///     [checked_out_count] — 0 when the check-out was denied.
-///   CALL pdm_checkin(root, user, strc_opt, eff_from, eff_to)
+///   CALL pdm_checkout(root, user, strc_opt, eff_from, eff_to[, hierarchy])
+///     Computes the user's visible subtree of `hierarchy` ('phys' when
+///     omitted) with the statement a recursive client ships (rules
+///     evaluated server-side, including the ∀rows "nothing already
+///     checked out" rule for the check-out action), sets the checkedout
+///     flags, and returns one row [checked_out_count] — 0 when the
+///     check-out was denied.
+///   CALL pdm_checkin(root, user, strc_opt, eff_from, eff_to[, hierarchy])
 ///     The reverse flag update; returns [checked_in_count].
 ///
 /// `rule_table` is the *server's* copy of the rule table and must

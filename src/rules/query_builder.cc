@@ -1,5 +1,7 @@
 #include "rules/query_builder.h"
 
+#include <map>
+
 #include "common/string_util.h"
 #include "pdm/pdm_schema.h"
 
@@ -272,6 +274,25 @@ std::unique_ptr<sql::Statement> BuildCheckOutUpdate(
   stmt->where = std::make_unique<sql::InListExpr>(
       sql::MakeColumnRef("obid"), std::move(items), /*neg=*/false);
   return stmt;
+}
+
+std::vector<std::unique_ptr<sql::Statement>> BuildCheckOutUpdates(
+    const pdmsys::ProductTree& tree, bool checked_out, bool per_object) {
+  std::map<std::string, std::vector<int64_t>> obids_by_table;
+  for (const pdmsys::ProductNode& node : tree.nodes()) {
+    obids_by_table[node.type].push_back(node.obid);
+  }
+  std::vector<std::unique_ptr<sql::Statement>> updates;
+  for (const auto& [table, obids] : obids_by_table) {
+    if (!per_object) {
+      updates.push_back(BuildCheckOutUpdate(table, obids, checked_out));
+      continue;
+    }
+    for (int64_t obid : obids) {
+      updates.push_back(BuildCheckOutUpdate(table, {obid}, checked_out));
+    }
+  }
+  return updates;
 }
 
 }  // namespace pdm::rules

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "pdm/product_tree.h"
 #include "sql/ast.h"
 
 namespace pdm::rules {
@@ -52,6 +54,15 @@ std::unique_ptr<sql::SelectStmt> BuildFlatQuery();
 std::unique_ptr<sql::Statement> BuildCheckOutUpdate(
     const std::string& object_table, const std::vector<int64_t>& obids,
     bool checked_out);
+
+/// The flag UPDATEs of a check-out (or check-in) of a retrieved `tree`:
+/// one per object table, listing each of the tree's objects of that
+/// type once, in tree order. With `per_object`, one UPDATE per object
+/// instead (the navigational client's status quo). Tables come in name
+/// order; an empty tree (a denied retrieval) yields none.
+std::vector<std::unique_ptr<sql::Statement>> BuildCheckOutUpdates(
+    const pdmsys::ProductTree& tree, bool checked_out,
+    bool per_object = false);
 
 }  // namespace pdm::rules
 

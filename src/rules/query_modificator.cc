@@ -169,6 +169,15 @@ Result<ModificationSummary> QueryModificator::ApplyToRecursiveQuery(
   return summary;
 }
 
+Result<std::unique_ptr<sql::SelectStmt>> QueryModificator::BuildTreeQuery(
+    int64_t root_obid, int max_depth, const std::string& hierarchy,
+    RuleAction action) const {
+  std::unique_ptr<sql::SelectStmt> stmt =
+      BuildRecursiveTreeQuery(root_obid, max_depth, hierarchy);
+  PDM_RETURN_NOT_OK(ApplyToRecursiveQuery(stmt.get(), action).status());
+  return stmt;
+}
+
 Result<ModificationSummary> QueryModificator::ApplyToNavigationalQuery(
     sql::QueryExpr* query, RuleAction action) const {
   PDM_RETURN_NOT_OK(RejectHiddenViews(*query));

@@ -1,6 +1,7 @@
 #ifndef PDM_RULES_QUERY_MODIFICATOR_H_
 #define PDM_RULES_QUERY_MODIFICATOR_H_
 
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -60,6 +61,14 @@ class QueryModificator {
   /// query.
   Result<ModificationSummary> ApplyToRecursiveQuery(sql::SelectStmt* stmt,
                                                     RuleAction action) const;
+
+  /// BuildRecursiveTreeQuery(root_obid, max_depth, hierarchy) with
+  /// `action`'s rules applied: the one statement behind a recursive
+  /// multi-level expand, a recursive-batched check-out and the
+  /// pdm_checkout/pdm_checkin procedures.
+  Result<std::unique_ptr<sql::SelectStmt>> BuildTreeQuery(
+      int64_t root_obid, int max_depth, const std::string& hierarchy,
+      RuleAction action) const;
 
   /// Applies early *row*-condition evaluation (Section 4.1) to a
   /// navigational query (expand / flat query): per-type predicates into

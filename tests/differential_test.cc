@@ -2,13 +2,19 @@
 //  * navigational vs recursive traversal on randomized trees, and the
 //    navigational issue policies (per node, per level, pipelined)
 //    against each other
+//  * the three check-out methods' verdicts, UPDATEs and flipped flags,
+//    and every MLE strategy under action-scoped row rules
 //  * engine evaluation vs a reference C++ oracle on random predicates
 //  * optimizer on vs off on a query corpus
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "client/checkout.h"
 #include "client/experiment.h"
+#include "pdm/pdm_schema.h"
 #include "rules/query_builder.h"
 #include "server/db_server.h"
 #include "common/rng.h"
@@ -249,6 +255,188 @@ TEST(CheckOutDifferential, EveryMethodDeniesWhenAnyNodeIsCheckedOut) {
           << client::CheckOutMethodName(method) << " checked out a tree whose "
           << target.what << " was already checked out";
       EXPECT_EQ(result->objects, 0u) << client::CheckOutMethodName(method);
+    }
+  }
+}
+
+/// The objects a check-out flow's UPDATEs name, per table, in the order
+/// the server's statement log recorded them.
+std::map<std::string, std::vector<int64_t>> UpdatedObjects(
+    const std::vector<DbServer::StatementLogEntry>& log) {
+  std::map<std::string, std::vector<int64_t>> out;
+  for (const DbServer::StatementLogEntry& entry : log) {
+    const std::string& sql = entry.sql;
+    if (sql.rfind("UPDATE ", 0) != 0) continue;
+    const std::string table = sql.substr(7, sql.find(' ', 7) - 7);
+    size_t pos = sql.find("IN (");
+    EXPECT_NE(pos, std::string::npos) << sql;
+    if (pos == std::string::npos) continue;
+    pos += 4;
+    while (pos < sql.size() && sql[pos] != ')') {
+      size_t end = sql.find_first_of(",)", pos);
+      out[table].push_back(std::stoll(sql.substr(pos, end - pos)));
+      pos = sql[end] == ',' ? end + 2 : end;
+    }
+  }
+  return out;
+}
+
+/// Every check-out method's UPDATEs name each object of the visible
+/// tree exactly once — the retrieval's root included, which the
+/// recursive result already carries.
+TEST(CheckOutDifferential, EveryObjectIsUpdatedExactlyOnce) {
+  std::unique_ptr<client::Experiment> e = MakeA3b3Experiment();
+  ASSERT_NE(e, nullptr);
+  const int64_t root = e->product().root_obid;
+  Result<client::ActionResult> tree =
+      e->RunAction(StrategyKind::kRecursive, ActionKind::kMultiLevelExpand);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  std::map<std::string, std::vector<int64_t>> expected;
+  for (const pdmsys::ProductNode& node : tree->tree.nodes()) {
+    expected[node.type].push_back(node.obid);
+  }
+  for (auto& [type, obids] : expected) std::sort(obids.begin(), obids.end());
+
+  e->server().EnableStatementLog(true);
+  e->server().mutable_config().statement_log_capacity = 0;
+  for (client::CheckOutMethod method :
+       {client::CheckOutMethod::kNavigational,
+        client::CheckOutMethod::kRecursiveBatched}) {
+    for (bool checking_out : {true, false}) {
+      e->server().ClearStatementLog();
+      std::unique_ptr<client::CheckOutClient> client = e->MakeCheckOutClient();
+      Result<client::CheckOutResult> result =
+          checking_out ? client->CheckOut(root, method)
+                       : client->CheckIn(root, method);
+      ASSERT_TRUE(result.ok()) << result.status();
+      ASSERT_TRUE(result->success) << client::CheckOutMethodName(method);
+      EXPECT_EQ(result->objects, tree->tree.num_nodes());
+      std::map<std::string, std::vector<int64_t>> updated =
+          UpdatedObjects(e->server().statement_log());
+      for (auto& [type, obids] : updated) {
+        std::sort(obids.begin(), obids.end());
+      }
+      EXPECT_EQ(updated, expected)
+          << client::CheckOutMethodName(method)
+          << (checking_out ? " check-out" : " check-in");
+    }
+  }
+}
+
+/// On the functional hierarchy every check-out method flips the flags
+/// of the same objects: those of the functional tree, not the physical
+/// one.
+TEST(CheckOutDifferential, EveryMethodFlipsTheSameObjectsOnTheFunctionalView) {
+  client::ExperimentConfig config;
+  config.generator.depth = 3;
+  config.generator.branching = 4;
+  config.generator.sigma = 0.6;
+  config.generator.build_functional_view = true;
+  config.client.hierarchy = pdmsys::kFunctionalHierarchy;
+  auto checked_out = [](client::Experiment& e) {
+    Result<ResultSet> rows = e.server().database().Query(
+        "SELECT obid FROM assy WHERE checkedout = TRUE UNION ALL "
+        "SELECT obid FROM comp WHERE checkedout = TRUE ORDER BY 1");
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    std::vector<int64_t> obids;
+    if (!rows.ok()) return obids;
+    for (const Row& row : rows->rows) obids.push_back(row[0].int64_value());
+    return obids;
+  };
+
+  Result<std::unique_ptr<client::Experiment>> plain =
+      client::Experiment::Create(config);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  const int64_t root = (*plain)->product().root_obid;
+  Result<client::ActionResult> tree = (*plain)->RunAction(
+      StrategyKind::kRecursive, ActionKind::kMultiLevelExpand);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  std::vector<int64_t> expected;
+  for (const pdmsys::ProductNode& node : tree->tree.nodes()) {
+    expected.push_back(node.obid);
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_GT(expected.size(), 1u);
+
+  for (client::CheckOutMethod method :
+       {client::CheckOutMethod::kNavigational,
+        client::CheckOutMethod::kRecursiveBatched,
+        client::CheckOutMethod::kStoredProcedure}) {
+    Result<std::unique_ptr<client::Experiment>> e =
+        client::Experiment::Create(config);
+    ASSERT_TRUE(e.ok()) << e.status();
+    std::unique_ptr<client::CheckOutClient> client =
+        (*e)->MakeCheckOutClient();
+    Result<client::CheckOutResult> out = client->CheckOut(root, method);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_TRUE(out->success) << client::CheckOutMethodName(method);
+    EXPECT_EQ(out->objects, expected.size())
+        << client::CheckOutMethodName(method);
+    EXPECT_EQ(checked_out(**e), expected)
+        << client::CheckOutMethodName(method);
+    Result<client::CheckOutResult> in = client->CheckIn(root, method);
+    ASSERT_TRUE(in.ok()) << in.status();
+    EXPECT_EQ(in->objects, expected.size())
+        << client::CheckOutMethodName(method);
+    EXPECT_TRUE(checked_out(**e).empty())
+        << client::CheckOutMethodName(method);
+  }
+}
+
+// --- Rule scope: an action's row rules reach every strategy serving it -------
+
+/// (obid -> parent obid) of every node; the root maps to itself. Child
+/// order may differ between strategies, parent assignment may not.
+std::map<int64_t, int64_t> ParentMap(const pdmsys::ProductTree& tree) {
+  std::map<int64_t, int64_t> out;
+  for (const pdmsys::ProductNode& node : tree.nodes()) {
+    out[node.obid] =
+        node.parent.has_value() ? tree.node(*node.parent).obid : node.obid;
+  }
+  return out;
+}
+
+/// Permissive `1 = 1` row rules on every object type and on links widen
+/// what the rules show (row rules of one type are OR-ed). Scoped to the
+/// multi-level expand they reveal the whole product to every MLE
+/// strategy — late or early, per node, per level or pipelined, or
+/// recursive; scoped to the single-level expand they reveal nothing
+/// extra to any of them.
+TEST(RuleScopeDifferential, EveryMleStrategyAppliesTheMleRowRules) {
+  for (rules::RuleAction scope :
+       {rules::RuleAction::kMultiLevelExpand, rules::RuleAction::kExpand}) {
+    std::unique_ptr<client::Experiment> e = MakeA3b3Experiment();
+    ASSERT_NE(e, nullptr);
+    for (const char* type : {"*", pdmsys::kLinkTable}) {
+      Result<std::unique_ptr<rules::RowCondition>> cond =
+          rules::RowCondition::Parse(type, "1 = 1");
+      ASSERT_TRUE(cond.ok()) << cond.status();
+      rules::Rule rule;
+      rule.action = scope;
+      rule.object_type = type;
+      rule.condition = std::move(*cond);
+      e->rule_table().AddRule(std::move(rule));
+    }
+    const std::string what(rules::RuleActionName(scope));
+    const size_t expected_nodes =
+        1 + (scope == rules::RuleAction::kMultiLevelExpand
+                 ? e->product().total_nodes
+                 : e->product().visible_nodes);
+    ASSERT_GT(e->product().total_nodes, e->product().visible_nodes);
+
+    Result<client::ActionResult> rec =
+        e->RunAction(StrategyKind::kRecursive, ActionKind::kMultiLevelExpand);
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    EXPECT_EQ(rec->tree.num_nodes(), expected_nodes) << what;
+    for (StrategyKind kind :
+         {StrategyKind::kNavigationalLate, StrategyKind::kBatchedLate,
+          StrategyKind::kPipelinedLate, StrategyKind::kNavigationalEarly,
+          StrategyKind::kBatchedEarly, StrategyKind::kPipelinedEarly}) {
+      Result<client::ActionResult> nav =
+          e->RunAction(kind, ActionKind::kMultiLevelExpand);
+      ASSERT_TRUE(nav.ok()) << nav.status();
+      EXPECT_EQ(ParentMap(nav->tree), ParentMap(rec->tree))
+          << what << ", " << model::StrategyKindName(kind);
     }
   }
 }
