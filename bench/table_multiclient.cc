@@ -73,14 +73,15 @@ int Run() {
       e.server().mutable_config().coalesce_window = window;
       e.server().mutable_config().batch_threads = 4;
 
-      client::MultiClientOptions options;
-      options.clients = clients;
-      options.strategy = StrategyKind::kBatchedEarly;
-      options.action = ActionKind::kMultiLevelExpand;
+      client::ConcurrentDmlOptions options;
+      options.readers = clients;
+      options.writers = 0;
+      options.reader_strategy = StrategyKind::kBatchedEarly;
+      options.reader_action = ActionKind::kMultiLevelExpand;
 
       const uint64_t fp_before = sql::FingerprintCallCount();
-      Result<client::MultiClientResult> run =
-          client::RunMultiClientAction(e, options);
+      Result<client::ConcurrentDmlResult> run =
+          client::RunConcurrentDmlAction(e, options);
       const uint64_t fp_after = sql::FingerprintCallCount();
       if (!run.ok()) {
         std::fprintf(stderr, "multi-client run failed: %s\n",
@@ -91,7 +92,7 @@ int Run() {
       // Every client's tree and wire accounting must match the solo
       // uncoalesced run: coalescing shares server CPU, nothing else.
       bool identical = true;
-      for (const client::ActionResult& r : run->per_client) {
+      for (const client::ActionResult& r : run->reader_results) {
         if (r.tree.ToString(1 << 20) != reference_tree ||
             r.wan.round_trips != reference->wan.round_trips ||
             r.transmitted_rows != reference->transmitted_rows) {

@@ -145,58 +145,6 @@ Result<ActionResult> Experiment::RunAction(model::StrategyKind strategy,
   return RunActionOn(*MakeStrategy(strategy), action, product_.root_obid);
 }
 
-Result<MultiClientResult> RunMultiClientAction(
-    Experiment& experiment, const MultiClientOptions& options) {
-  if (options.clients == 0) {
-    return Status::InvalidArgument("multi-client run needs >= 1 client");
-  }
-  AdmissionQueue& queue = experiment.server().admission_queue();
-  queue.ClearWaveLog();
-
-  // One connection (own WAN link) and one thread per client. Every
-  // connection registers with the queue before any thread starts so the
-  // wave barrier sees the full client count from the first submission.
-  std::vector<std::unique_ptr<Connection>> connections;
-  connections.reserve(options.clients);
-  for (size_t i = 0; i < options.clients; ++i) {
-    auto conn = std::make_unique<Connection>(&experiment.server(),
-                                             experiment.config().wan);
-    conn->AttachToAdmissionQueue(i);
-    connections.push_back(std::move(conn));
-  }
-
-  std::vector<Result<ActionResult>> outcomes(
-      options.clients, Result<ActionResult>(Status::Internal("not run")));
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(options.clients);
-    for (size_t i = 0; i < options.clients; ++i) {
-      threads.emplace_back([&, i] {
-        outcomes[i] = RunActionOn(
-            *experiment.MakeStrategyOn(connections[i].get(), options.strategy),
-            options.action, experiment.product().root_obid);
-        // A finished client leaves the barrier so remaining clients'
-        // waves stop waiting for it.
-        connections[i]->DetachFromAdmissionQueue();
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-
-  MultiClientResult result;
-  result.per_client.reserve(options.clients);
-  for (size_t i = 0; i < options.clients; ++i) {
-    PDM_RETURN_NOT_OK(outcomes[i].status());
-    result.per_client.push_back(std::move(*outcomes[i]));
-  }
-  for (const AdmissionQueue::WaveLogEntry& wave : queue.wave_log()) {
-    ++result.waves;
-    result.statements += wave.statements;
-    result.unique_statements += wave.unique_statements;
-  }
-  return result;
-}
-
 Result<ConcurrentDmlResult> RunConcurrentDmlAction(
     Experiment& experiment, const ConcurrentDmlOptions& options) {
   if (options.readers == 0) {
@@ -205,9 +153,10 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
   AdmissionQueue& queue = experiment.server().admission_queue();
   queue.ClearWaveLog();
 
-  // Readers get client ids [0, readers), writers [readers, total). Every
-  // connection registers before any thread starts, exactly like
-  // RunMultiClientAction.
+  // One connection (own WAN link) and one thread per client: readers get
+  // client ids [0, readers), writers [readers, total). Every connection
+  // registers with the queue before any thread starts so the wave
+  // barrier sees the full client count from the first submission.
   const size_t total = options.readers + options.writers;
   std::vector<std::unique_ptr<Connection>> connections;
   connections.reserve(total);
@@ -239,6 +188,8 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
                 .count();
+        // A finished client leaves the barrier so remaining clients'
+        // waves stop waiting for it.
         connections[i]->DetachFromAdmissionQueue();
       });
     }
@@ -274,7 +225,7 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
           conn->DetachFromAdmissionQueue();
           return;
         }
-        if (options.stagger_writers && w % 2 == 1) {
+        if (w % 2 == 1) {
           // One throwaway read shifts this writer's retrieval/update
           // alternation by one wave relative to its even-indexed peers.
           std::vector<Result<ResultSet>> ignored;
@@ -327,6 +278,7 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
   for (const AdmissionQueue::WaveLogEntry& wave : queue.wave_log()) {
     ++result.waves;
     result.statements += wave.statements;
+    result.unique_statements += wave.unique_statements;
     result.dml_statements += wave.dml_statements;
     result.conflicts += wave.conflicts;
     result.serialized_reads += wave.serialized_reads;

@@ -78,51 +78,6 @@ class Experiment {
 /// Installs the standard rule set described above into `table`.
 Status InstallStandardRules(rules::RuleTable* table);
 
-/// Configuration of one multi-client replay (DESIGN.md 5e): N
-/// independent clients, each with its own connection and WAN link,
-/// concurrently replay the same navigational session against one
-/// server through the shared admission queue.
-struct MultiClientOptions {
-  size_t clients = 2;
-  model::StrategyKind strategy = model::StrategyKind::kBatchedEarly;
-  model::ActionKind action = model::ActionKind::kMultiLevelExpand;
-};
-
-/// Outcome of one multi-client replay, with the admission queue's
-/// per-wave coalescing totals for the run.
-struct MultiClientResult {
-  std::vector<ActionResult> per_client;  // indexed by client id
-  size_t waves = 0;                 // execution waves formed
-  size_t statements = 0;            // statements submitted through waves
-  size_t unique_statements = 0;     // engine executions after dedup
-  /// Statements served per engine execution (1.0 = no cross-client
-  /// sharing; approaches `clients` as windows widen).
-  double DedupFactor() const {
-    return unique_statements == 0
-               ? 1.0
-               : static_cast<double>(statements) /
-                     static_cast<double>(unique_statements);
-  }
-};
-
-/// Replays `options.clients` independent sessions concurrently against
-/// `experiment`'s server, one thread per client, all routed through the
-/// shared admission queue. Each client's ActionResult is the same
-/// (byte-identical tree, same per-client WAN traffic) as a solo
-/// uncoalesced run; only server-side parse/plan work is shared. The
-/// wave counters cover exactly this run (the queue's wave log is
-/// cleared first). For mixed reader/writer sessions use
-/// RunConcurrentDmlAction below — it reports the writer outcomes and
-/// the MVCC conflict counters this read-only driver has no slots for.
-Result<MultiClientResult> RunMultiClientAction(
-    Experiment& experiment, const MultiClientOptions& options);
-
-/// Configuration of one concurrent reader/writer replay (DESIGN.md 5h):
-/// `readers` clients run the read-only action while `writers` clients
-/// run check-out/check-in cycles against the same product tree, all
-/// through the shared admission queue. Reader statements run against
-/// wave snapshots, writer UPDATEs go through the serial writer lane and
-/// retry on first-writer-wins conflicts.
 /// How concurrent-DML writers generate their load:
 ///  * kCheckOutCycles: full check-out/check-in flows through
 ///    CheckOutClient — retrieval waves alternate with update waves,
@@ -132,6 +87,19 @@ Result<MultiClientResult> RunMultiClientAction(
 ///    the steady-state worst case for the pre-MVCC serial path.
 enum class DmlWriterMode { kCheckOutCycles, kUpdateBursts };
 
+/// Configuration of one multi-client replay (DESIGN.md 5e, 5h):
+/// `readers` clients, each with its own connection and WAN link, run the
+/// read-only action while `writers` clients run check-out/check-in
+/// cycles against the same product tree, all through the shared
+/// admission queue. Reader statements run against wave snapshots,
+/// writer UPDATEs go through the serial writer lane and retry on
+/// first-writer-wins conflicts. With no writers it is a read-only
+/// replay of one navigational session by N clients. Odd-indexed writers
+/// start one submission late: writers that all began their first
+/// check-out in the same wave would keep their retrieval/update
+/// alternation in lockstep, so whole waves would carry either no DML or
+/// all writers' DML; staggered starts (the realistic arrival pattern)
+/// put some writer's UPDATE batch in every wave instead.
 struct ConcurrentDmlOptions {
   size_t readers = 8;
   size_t writers = 4;
@@ -145,13 +113,6 @@ struct ConcurrentDmlOptions {
   /// (they all fight over the same rows) without the writers' DML
   /// dominating the CPU the readers are measured on.
   int64_t writer_root_obid = 0;
-  /// De-phase odd-indexed writers by one submission. All writers start
-  /// their first check-out in the same wave, so their
-  /// retrieval/update alternation stays in lockstep and whole waves
-  /// deterministically carry either no DML or all writers' DML.
-  /// Staggered starts (the realistic arrival pattern) put some
-  /// writer's UPDATE batch in every wave instead.
-  bool stagger_writers = true;
   model::StrategyKind reader_strategy = model::StrategyKind::kBatchedEarly;
   model::ActionKind reader_action = model::ActionKind::kMultiLevelExpand;
   CheckOutMethod writer_method = CheckOutMethod::kRecursiveBatched;
@@ -170,21 +131,33 @@ struct ConcurrentDmlResult {
   /// outcome, not an error.
   std::vector<CheckOutResult> writer_results;
   size_t waves = 0;
-  size_t statements = 0;
+  size_t statements = 0;        // statements submitted through waves
+  size_t unique_statements = 0; // engine executions after dedup
   size_t dml_statements = 0;   // INSERT/UPDATE/DELETE through waves
   size_t conflicts = 0;        // first-writer-wins losses at the server
   size_t conflict_retries = 0; // client-side re-submissions
   /// Reader statements that ran on the serial path behind DML (waited
   /// on writers); 0 whenever MVCC lanes are on.
   size_t serialized_reads = 0;
+  /// Statements served per engine execution (1.0 = no cross-client
+  /// sharing; approaches the client count as windows widen).
+  double DedupFactor() const {
+    return unique_statements == 0
+               ? 1.0
+               : static_cast<double>(statements) /
+                     static_cast<double>(unique_statements);
+  }
 };
 
 /// Runs `options.readers` read-only sessions and `options.writers`
 /// check-out/check-in sessions concurrently, one thread per client,
 /// all through the shared admission queue. Reader trees are
-/// byte-identical to a quiesced run: check-out flips only `checkedout`
-/// flags, which the expand queries never read, and every reader
-/// statement sees one consistent MVCC snapshot.
+/// byte-identical to a solo uncoalesced run (same tree, same per-client
+/// WAN traffic; only server-side parse/plan work is shared):
+/// check-out flips only `checkedout` flags, which the expand queries
+/// never read, and every reader statement sees one consistent MVCC
+/// snapshot. The wave counters cover exactly this run (the queue's
+/// wave log is cleared first).
 Result<ConcurrentDmlResult> RunConcurrentDmlAction(
     Experiment& experiment, const ConcurrentDmlOptions& options);
 

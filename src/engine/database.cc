@@ -129,11 +129,6 @@ uint64_t Database::commit_log_floor() const {
   return commit_log_floor_;
 }
 
-void Database::set_commit_log_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(commit_log_mutex_);
-  commit_log_capacity_ = capacity;
-}
-
 size_t Database::GarbageCollectVersions() {
   // Writers pause for the pass (dml mutex); readers make it defer.
   std::lock_guard<std::mutex> dml(dml_mutex_);

@@ -130,15 +130,11 @@ class Database {
 
   /// Commit timestamp every retained record is strictly newer than: the
   /// clock at EnableCommitLog, advanced past trimmed records when the
-  /// bounded log (set_commit_log_capacity) evicts its oldest entries.
-  /// An applier whose applied timestamp is below this floor has lost
-  /// records and must re-bootstrap.
+  /// bounded log evicts its oldest entries (counted on the
+  /// "engine.commit_log_trimmed" metric). An applier whose applied
+  /// timestamp is below this floor has lost records and must
+  /// re-bootstrap.
   uint64_t commit_log_floor() const;
-
-  /// Bounds the retained records; 0 = unbounded (short-lived tests).
-  /// Evictions advance commit_log_floor() and count on the
-  /// "engine.commit_log_trimmed" metric.
-  void set_commit_log_capacity(size_t capacity);
 
   /// Current MVCC commit clock: the timestamp of the latest committed
   /// DML statement (0 = bulk-loaded data only).
@@ -230,6 +226,8 @@ class Database {
   uint64_t schema_epoch() const { return catalog_.version() + ddl_epoch_; }
 
  private:
+  friend class DatabaseTestPeer;  // tests: bounds the commit log
+
   /// Every Binder the engine builds: views are always visible, so DML
   /// predicates and CALL arguments may read through them like SELECTs.
   Binder MakeBinder() const;
@@ -301,6 +299,8 @@ class Database {
   /// writers for the DML lock.
   mutable std::mutex commit_log_mutex_;
   std::deque<CommitRecord> commit_log_;
+  /// Retained records past which the oldest is trimmed (0 = unbounded);
+  /// tests shrink it through DatabaseTestPeer.
   size_t commit_log_capacity_ = 65536;
   uint64_t commit_log_floor_ = 0;
 };

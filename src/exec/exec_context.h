@@ -30,12 +30,13 @@ struct ExecOptions {
   /// Hard bound on recursion rounds (defense against cyclic data under
   /// UNION ALL semantics).
   size_t max_recursion_iterations = 100000;
-  /// Run vec-coverable subtrees (filtered or projected scan chains and
-  /// index joins) batch-at-a-time over the columnar fragments through
-  /// the batch->row bridge (exec/vectorized.h) instead of the Volcano
-  /// operators; read only by CreateExecutor. Every other operator, and
-  /// every subtree the batch engine cannot prove equivalent, stays on
-  /// the row path.
+  /// Run filtered or projected `Project? -> Filter* -> Scan` chains
+  /// batch-at-a-time over the columnar fragments through the batch->row
+  /// bridge (exec/vectorized.h) instead of the Volcano scan, filter and
+  /// project operators; read only by CreateExecutor. Every other
+  /// operator (joins, the index join included, and aggregates) and
+  /// every chain the batch engine cannot prove equivalent is the same
+  /// row operator in both settings.
   bool vectorized_execution = true;
 };
 
@@ -51,17 +52,15 @@ struct ExecStats {
   size_t hash_join_builds = 0;       // hash tables built
   size_t nl_join_probes = 0;         // nested-loop predicate evaluations
   size_t index_scans = 0;            // scans answered from a column index
-  size_t index_join_probes = 0;      // hash-join probes against an index
+  size_t index_join_probes = 0;      // left rows the index join probed
   size_t plan_cache_hits = 0;        // statement served from a cached plan
   size_t plan_cache_misses = 0;      // statement freshly parsed and bound
   size_t vec_rows_scanned = 0;       // subset of rows_scanned done batchwise
-  size_t vec_batches = 0;            // fragment batches the vec engine ran
-  // Join work split by engine. Unlike the scan pair above these are
-  // DISJOINT counters, not subset-style: a probe row is counted by
-  // exactly one of the two, depending on which join implementation
-  // consumed it.
-  size_t join_probe_rows = 0;        // left rows probed by row-engine joins
-  size_t vec_join_probe_rows = 0;    // left rows probed by the vec index join
+  size_t vec_batches = 0;            // fragments the vec engine opened
+  // Disjoint from index_join_probes: a left row is counted by the join
+  // operator that probed it.
+  size_t join_probe_rows = 0;        // left rows probed by build-mode and
+                                     // nested-loop joins
   size_t agg_input_rows = 0;         // rows folded by the aggregator
 };
 

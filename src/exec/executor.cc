@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "catalog/table.h"
 #include "common/string_util.h"
 #include "exec/aggregate_state.h"
 #include "exec/expr_eval.h"
@@ -13,20 +14,6 @@
 
 namespace pdm {
 
-namespace {
-
-/// A conjunct of a scan filter that a column index can answer:
-/// `column = non-NULL-literal` (one key) or a non-negated `column IN
-/// (uncorrelated subquery)` whose result the subquery cache keeps (its
-/// first-column values are the keys).
-struct IndexCandidate {
-  size_t column = 0;
-  const Value* literal = nullptr;
-  const BoundSubquery* subquery = nullptr;
-};
-
-/// Collects the index candidates of the top-level AND chain of
-/// `filter`, in source order.
 void CollectIndexCandidates(const BoundExpr& filter, const ExecContext& ctx,
                             std::vector<IndexCandidate>* out) {
   if (filter.kind == BoundExprKind::kSubquery) {
@@ -61,6 +48,8 @@ void CollectIndexCandidates(const BoundExpr& filter, const ExecContext& ctx,
     }
   }
 }
+
+namespace {
 
 /// The index keys of `c` in *keys: the literal, or the subquery's
 /// first-column values. The subquery runs through RunSubquery, so its
@@ -373,12 +362,9 @@ class NestedLoopJoinExecutor : public Executor {
   size_t right_pos_ = 0;
 };
 
-/// Hash inner join: build on the right child, probe with left rows.
-/// When the right child is a bare base-table scan and the join has a
-/// single key, the table's shared column index substitutes for the
-/// per-query build (an "index join" — this is what makes the hundreds
-/// of navigational point queries cheap, like a B-tree would in a real
-/// RDBMS).
+/// Hash inner join: builds a hash table over the right child in Open()
+/// and probes it with left rows. An index-join eligible join
+/// (IndexJoinTable) runs as IndexJoinExecutor instead.
 class HashJoinExecutor : public Executor {
  public:
   HashJoinExecutor(const HashJoinNode& node, std::unique_ptr<Executor> left,
@@ -390,34 +376,19 @@ class HashJoinExecutor : public Executor {
 
   Status Open() override {
     PDM_RETURN_NOT_OK(left_->Open());
+    PDM_RETURN_NOT_OK(right_->Open());
     table_.clear();
     right_rows_.clear();
-    index_table_ = nullptr;
-
-    if (node_.right_keys.size() == 1 &&
-        node_.right->kind == PlanKind::kScan) {
-      const auto& scan = static_cast<const ScanNode&>(*node_.right);
-      if (scan.filter == nullptr) {
-        PDM_ASSIGN_OR_RETURN(index_table_,
-                             ctx_->catalog()->GetTable(scan.table_name));
-      }
-    }
-    if (index_table_ == nullptr) {
-      PDM_RETURN_NOT_OK(right_->Open());
-      ctx_->stats().hash_join_builds++;
-      Row row;
-      while (true) {
-        PDM_ASSIGN_OR_RETURN(bool has, right_->Next(&row));
-        if (!has) break;
-        Row key = KeyOf(row, node_.right_keys);
-        // Rows with NULL key columns can never match an equi-join.
-        if (std::any_of(key.begin(), key.end(),
-                        [](const Value& v) { return v.is_null(); })) {
-          continue;
-        }
-        right_rows_.push_back(row);
-        table_[std::move(key)].push_back(right_rows_.size() - 1);
-      }
+    ctx_->stats().hash_join_builds++;
+    Row row;
+    while (true) {
+      PDM_ASSIGN_OR_RETURN(bool has, right_->Next(&row));
+      if (!has) break;
+      Row key = KeyOf(row, node_.right_keys);
+      // Rows with NULL key columns can never match an equi-join.
+      if (HasNull(key)) continue;
+      right_rows_.push_back(row);
+      table_[std::move(key)].push_back(right_rows_.size() - 1);
     }
     have_left_ = false;
     matches_ = nullptr;
@@ -433,56 +404,26 @@ class HashJoinExecutor : public Executor {
         ctx_->stats().join_probe_rows++;
         have_left_ = true;
         match_pos_ = 0;
-        if (index_table_ != nullptr) {
-          // Index-join probe: positions are copied out under the index
-          // lock, then visibility-filtered against our snapshot below —
-          // safe next to a concurrent writer appending versions.
-          ctx_->stats().index_join_probes++;
-          index_matches_.clear();
-          const Value& key = left_row_[node_.left_keys[0]];
-          if (!key.is_null()) {
-            index_table_->IndexLookup(node_.right_keys[0], {&key, 1},
-                                      &index_matches_);
-          }
-          matches_ = &index_matches_;
-        } else {
-          Row key = KeyOf(left_row_, node_.left_keys);
-          if (std::any_of(key.begin(), key.end(),
-                          [](const Value& v) { return v.is_null(); })) {
-            matches_ = nullptr;
-          } else {
-            auto it = table_.find(key);
-            matches_ = it == table_.end() ? nullptr : &it->second;
-          }
+        Row key = KeyOf(left_row_, node_.left_keys);
+        matches_ = nullptr;
+        if (!HasNull(key)) {
+          auto it = table_.find(key);
+          if (it != table_.end()) matches_ = &it->second;
         }
       }
-      if (matches_ != nullptr) {
-        while (match_pos_ < matches_->size()) {
-          const size_t match = (*matches_)[match_pos_++];
-          if (index_table_ != nullptr &&
-              !index_table_->VisibleAt(match, ctx_->snapshot_ts())) {
-            continue;
-          }
-          const Row* right_row;
-          if (index_table_ != nullptr) {
-            index_table_->MaterializeRow(match, &right_scratch_);
-            right_row = &right_scratch_;
-          } else {
-            right_row = &right_rows_[match];
-          }
-          Row combined;
-          combined.reserve(left_row_.size() + right_row->size());
-          combined.insert(combined.end(), left_row_.begin(), left_row_.end());
-          combined.insert(combined.end(), right_row->begin(),
-                          right_row->end());
-          if (node_.residual != nullptr) {
-            PDM_ASSIGN_OR_RETURN(
-                bool pass, EvaluatePredicate(*node_.residual, combined, ctx_));
-            if (!pass) continue;
-          }
-          *row = std::move(combined);
-          return true;
+      while (matches_ != nullptr && match_pos_ < matches_->size()) {
+        const Row& right_row = right_rows_[(*matches_)[match_pos_++]];
+        Row combined;
+        combined.reserve(left_row_.size() + right_row.size());
+        combined.insert(combined.end(), left_row_.begin(), left_row_.end());
+        combined.insert(combined.end(), right_row.begin(), right_row.end());
+        if (node_.residual != nullptr) {
+          PDM_ASSIGN_OR_RETURN(
+              bool pass, EvaluatePredicate(*node_.residual, combined, ctx_));
+          if (!pass) continue;
         }
+        *row = std::move(combined);
+        return true;
       }
       have_left_ = false;
     }
@@ -495,6 +436,10 @@ class HashJoinExecutor : public Executor {
     for (size_t k : keys) key.push_back(row[k]);
     return key;
   }
+  static bool HasNull(const Row& key) {
+    return std::any_of(key.begin(), key.end(),
+                       [](const Value& v) { return v.is_null(); });
+  }
 
   const HashJoinNode& node_;
   std::unique_ptr<Executor> left_;
@@ -502,12 +447,101 @@ class HashJoinExecutor : public Executor {
   ExecContext* ctx_;
   std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> table_;
   std::vector<Row> right_rows_;
-  const Table* index_table_ = nullptr;   // non-null = index-join mode
-  std::vector<size_t> index_matches_;    // probe hits (owned copy)
-  Row right_scratch_;                    // index-join materialization buffer
   Row left_row_;
   bool have_left_ = false;
   const std::vector<size_t>* matches_ = nullptr;
+  size_t match_pos_ = 0;
+};
+
+/// The table an index join probes for `node`: a single key against a
+/// bare, unfiltered base-table scan on the right, whose key column the
+/// table has. Null means the join builds (HashJoinExecutor), which also
+/// reports a missing table from its right scan.
+const Table* IndexJoinTable(const HashJoinNode& node, ExecContext* ctx) {
+  if (node.right_keys.size() != 1 || node.right->kind != PlanKind::kScan) {
+    return nullptr;
+  }
+  const auto& scan = static_cast<const ScanNode&>(*node.right);
+  if (scan.filter != nullptr) return nullptr;
+  Result<Table*> table = ctx->catalog()->GetTable(scan.table_name);
+  if (!table.ok() ||
+      node.right_keys[0] >= (*table)->schema().num_columns()) {
+    return nullptr;
+  }
+  return *table;
+}
+
+/// Index join: the table's shared lazy column index stands in for the
+/// per-query build, probed once per left row (this is what makes the
+/// hundreds of navigational point queries cheap, like a B-tree would in
+/// a real RDBMS, and keeps the index's cross-statement amortization).
+/// Matched right rows load straight from the column fragments into the
+/// combined row, with no scratch-row copy. It fixes no scan bound: the
+/// index may already hold an appended but unpublished version, and a
+/// match counts only if VisibleAt admits it when the probe runs. The
+/// positions are copied out under the index lock, so a concurrent
+/// writer appending versions cannot race the probe.
+class IndexJoinExecutor : public Executor {
+ public:
+  IndexJoinExecutor(const HashJoinNode& node, std::unique_ptr<Executor> left,
+                    const Table* table, ExecContext* ctx)
+      : node_(node), left_(std::move(left)), table_(table), ctx_(ctx) {}
+
+  Status Open() override {
+    PDM_RETURN_NOT_OK(left_->Open());
+    have_left_ = false;
+    match_pos_ = 0;
+    return Status::OK();
+  }
+
+  Result<bool> Next(Row* row) override {
+    const size_t rcols = table_->schema().num_columns();
+    while (true) {
+      if (!have_left_) {
+        PDM_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
+        if (!has) return false;
+        ctx_->stats().index_join_probes++;
+        have_left_ = true;
+        match_pos_ = 0;
+        positions_.clear();
+        const Value& key = left_row_[node_.left_keys[0]];
+        if (!key.is_null()) {
+          table_->IndexLookup(node_.right_keys[0], {&key, 1}, &positions_);
+        }
+      }
+      while (match_pos_ < positions_.size()) {
+        const size_t pos = positions_[match_pos_++];
+        if (!table_->VisibleAt(pos, ctx_->snapshot_ts())) continue;
+        // VisibleAt admits published positions only; clip the span there.
+        const FragmentSpan span =
+            table_->FragmentAt(pos >> kFragmentShift, pos + 1);
+        const uint32_t slot = static_cast<uint32_t>(pos & kFragmentMask);
+        Row combined;
+        combined.reserve(left_row_.size() + rcols);
+        combined.insert(combined.end(), left_row_.begin(), left_row_.end());
+        for (size_t c = 0; c < rcols; ++c) {
+          combined.push_back(span.fragment->cols[c].Load(slot));
+        }
+        if (node_.residual != nullptr) {
+          PDM_ASSIGN_OR_RETURN(
+              bool pass, EvaluatePredicate(*node_.residual, combined, ctx_));
+          if (!pass) continue;
+        }
+        *row = std::move(combined);
+        return true;
+      }
+      have_left_ = false;
+    }
+  }
+
+ private:
+  const HashJoinNode& node_;
+  std::unique_ptr<Executor> left_;
+  const Table* table_;
+  ExecContext* ctx_;
+  Row left_row_;
+  bool have_left_ = false;
+  std::vector<size_t> positions_;  // probe hits (owned copy)
   size_t match_pos_ = 0;
 };
 
@@ -710,14 +744,13 @@ class UnionExecutor : public Executor {
 Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,
                                                  ExecContext* ctx) {
   // Batch->row bridge (DESIGN.md 5j), the only way into the batch
-  // engine: vec-coverable subtrees — scan chains and index joins — run
-  // batch-at-a-time even when the plan above them (Sort, LIMIT,
-  // aggregates, build-mode joins, CASE projections, ...) stays on the
-  // row path.
+  // engine: vec-coverable `Project? -> Filter* -> Scan` chains run
+  // batch-at-a-time even when the plan above them (Sort, LIMIT, joins,
+  // aggregates, CASE projections, ...) stays on the row path.
   if (ctx->options().vectorized_execution) {
-    PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> vec,
-                         MaybeVecExecutor(plan, ctx));
-    if (vec != nullptr) return vec;
+    if (std::unique_ptr<Executor> vec = MaybeVecExecutor(plan, ctx)) {
+      return vec;
+    }
   }
   switch (plan.kind) {
     case PlanKind::kScan:
@@ -755,6 +788,10 @@ Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,
       const auto& node = static_cast<const HashJoinNode&>(plan);
       PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> left,
                            CreateExecutor(*node.left, ctx));
+      if (const Table* table = IndexJoinTable(node, ctx)) {
+        return std::unique_ptr<Executor>(std::make_unique<IndexJoinExecutor>(
+            node, std::move(left), table, ctx));
+      }
       PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> right,
                            CreateExecutor(*node.right, ctx));
       return std::unique_ptr<Executor>(std::make_unique<HashJoinExecutor>(

@@ -24,6 +24,23 @@ class Executor {
   virtual Result<bool> Next(Row* row) = 0;
 };
 
+/// A conjunct of a scan filter that a column index can answer:
+/// `column = non-NULL-literal` (one key) or a non-negated `column IN
+/// (uncorrelated subquery)` whose result the subquery cache keeps (its
+/// first-column values are the keys).
+struct IndexCandidate {
+  size_t column = 0;
+  const Value* literal = nullptr;
+  const BoundSubquery* subquery = nullptr;
+};
+
+/// Collects the index candidates of the top-level AND chain of
+/// `filter`, in source order: the one rule for which conjuncts a
+/// column index answers, used by ScanExecutor and the bridge's index
+/// routing.
+void CollectIndexCandidates(const BoundExpr& filter, const ExecContext& ctx,
+                            std::vector<IndexCandidate>* out);
+
 /// Builds the executor tree for a plan. CTE scans resolve through the
 /// context's CTE bindings, which must be in place before Open().
 Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,

@@ -9,7 +9,8 @@
 namespace pdm {
 
 /// One unit of vectorized work (DESIGN.md 5i): a borrowed column-major
-/// fragment view plus a selection vector of the slots still alive.
+/// fragment view plus a selection vector of the slots still alive (all
+/// within one window of the fragment, see VecSourceCursor).
 /// Nothing in the batch owns data — the span points straight into the
 /// table's fragment arrays — so producing a batch costs no copies. The
 /// batch starts with the MVCC visibility pass filling `sel`; every
@@ -19,16 +20,20 @@ struct VecBatch {
   FragmentSpan span;
   std::vector<uint32_t> sel;  // ascending slot indices within the span
 
-  /// MVCC visibility as a vectorized pass: resets `sel` to the slots
-  /// whose version is visible to snapshot `ts` (begin <= ts < end), in
-  /// position order so scan output order matches the row engine's.
-  void FillVisible(uint64_t ts) {
+  /// MVCC visibility as a vectorized pass: resets `sel` to the slots in
+  /// [first, last) of the span whose version is visible to snapshot
+  /// `ts` (begin <= ts < end), in position order so scan output order
+  /// matches the row engine's.
+  void FillVisible(uint64_t ts, size_t first, size_t last) {
     sel.clear();
-    sel.reserve(span.rows);
-    for (uint32_t i = 0; i < span.rows; ++i) {
-      if (MetaVisibleAt(span.meta[i], ts)) sel.push_back(i);
+    sel.reserve(span.rows);  // once per scan: later windows reuse it
+    for (size_t i = first; i < last; ++i) {
+      if (MetaVisibleAt(span.meta[i], ts)) {
+        sel.push_back(static_cast<uint32_t>(i));
+      }
     }
   }
+  void FillVisible(uint64_t ts) { FillVisible(ts, 0, span.rows); }
 };
 
 }  // namespace pdm

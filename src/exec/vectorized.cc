@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,30 +31,6 @@ constexpr const char* kNonBoolPredicate =
 // Plan gate
 // ---------------------------------------------------------------------------
 
-/// Collects the column of every `column = non-NULL-literal` conjunct of
-/// the top-level AND chain — the conjuncts the row engine's
-/// ScanExecutor can answer through a column index.
-void CollectEqualityColumns(const BoundExpr& filter, const ExecContext& ctx,
-                            std::vector<size_t>* out) {
-  if (filter.kind != BoundExprKind::kBinary) return;
-  const auto& bin = static_cast<const BoundBinary&>(filter);
-  if (bin.op == sql::BinaryOp::kAnd) {
-    CollectEqualityColumns(*bin.lhs, ctx, out);
-    CollectEqualityColumns(*bin.rhs, ctx, out);
-    return;
-  }
-  if (bin.op != sql::BinaryOp::kEq) return;
-  const BoundExpr* col = bin.lhs.get();
-  const BoundExpr* lit = bin.rhs.get();
-  if (col->kind != BoundExprKind::kColumnRef) std::swap(col, lit);
-  if (col->kind == BoundExprKind::kColumnRef &&
-      lit->kind == BoundExprKind::kLiteral &&
-      static_cast<const BoundColumnRef&>(*col).level == 0 &&
-      !ctx.LiteralValue(static_cast<const BoundLiteral&>(*lit)).is_null()) {
-    out->push_back(static_cast<const BoundColumnRef&>(*col).index);
-  }
-}
-
 /// True when an equality scan belongs to the row engine's index path:
 /// some equality column already has a fresh index, or its demand
 /// history says the lazy build is about to amortize (second sighting
@@ -64,16 +41,17 @@ void CollectEqualityColumns(const BoundExpr& filter, const ExecContext& ctx,
 bool RouteScanToRowIndexPath(const ScanNode& scan, const Table& table,
                              const ExecContext& ctx) {
   if (scan.filter == nullptr) return false;
-  std::vector<size_t> cols;
-  CollectEqualityColumns(*scan.filter, ctx, &cols);
-  if (cols.empty()) return false;
+  std::vector<IndexCandidate> found;
+  CollectIndexCandidates(*scan.filter, ctx, &found);
   const size_t num_columns = table.schema().num_columns();
-  for (size_t c : cols) {
-    if (c < num_columns && table.HasFreshIndex(c)) return true;
+  for (const IndexCandidate& c : found) {
+    if (c.column < num_columns && table.HasFreshIndex(c.column)) return true;
   }
   bool repeat = false;
-  for (size_t c : cols) {
-    if (c < num_columns && table.NoteIndexDemand(c) > 0) repeat = true;
+  for (const IndexCandidate& c : found) {
+    if (c.column < num_columns && table.NoteIndexDemand(c.column) > 0) {
+      repeat = true;
+    }
   }
   return repeat;
 }
@@ -582,6 +560,8 @@ bool MatchVecSource(const PlanNode& plan, VecSourceSpec* out) {
   if (node->kind == PlanKind::kProject) {
     const auto& project = static_cast<const ProjectNode&>(*node);
     if (project.child == nullptr || project.exprs.empty()) return false;
+    out->project.reserve(project.exprs.size());
+    out->out_cols.reserve(project.exprs.size());
     for (const BoundExprPtr& e : project.exprs) {
       if (!CanVectorizeExpr(*e, &out->max_col)) return false;
       out->project.push_back(e.get());
@@ -635,12 +615,18 @@ void LoadTableRow(const FragmentSpan& span, uint32_t slot, size_t num_columns,
   }
 }
 
-/// Streams the filtered batches of a resolved VecSource: per fragment a
+/// Streams the filtered batches of a resolved VecSource: per batch a
 /// vectorized MVCC pass fills the selection vector, the filters shrink
 /// it, and only non-empty survivors come back. Charges rows_scanned and
 /// vec_rows_scanned per visible version. The batch engine's only table
 /// scan: like ScanExecutor::Open it fixes the scan bound (the published
 /// version count) once, so a version published mid-scan stays unseen.
+///
+/// A batch is a window of one fragment's slots. Windows start at one
+/// slot and double with every batch up to a whole fragment, so a parent
+/// that stops after a few rows (LIMIT) makes the scan visit, filter and
+/// project about as many slots as it takes, while a full scan splits
+/// only its first fragment (into about log2(1024) batches).
 ///
 /// A filter that fails column-at-a-time may have met a later row's
 /// error first, or one the row engine never reaches because its parent
@@ -661,9 +647,19 @@ class VecSourceCursor {
     ExecStats& stats = ctx_->stats();
     const std::vector<const BoundExpr*>& filters = spec_->filters;
     while (frag_ < frags_) {
-      batch->span = table_->FragmentAt(frag_++, bound_);
-      batch->FillVisible(ctx_->snapshot_ts());
-      stats.vec_batches++;
+      if (begin_ == 0) {
+        span_ = table_->FragmentAt(frag_, bound_);
+        stats.vec_batches++;
+      }
+      const size_t end = std::min(span_.rows, begin_ + window_);
+      batch->span = span_;
+      batch->FillVisible(ctx_->snapshot_ts(), begin_, end);
+      window_ = std::min(2 * window_, kFragmentRows);
+      begin_ = end;
+      if (begin_ == span_.rows) {
+        ++frag_;
+        begin_ = 0;
+      }
       stats.rows_scanned += batch->sel.size();
       stats.vec_rows_scanned += batch->sel.size();
       for (size_t f = 0; f < filters.size() && !batch->sel.empty(); ++f) {
@@ -718,7 +714,10 @@ class VecSourceCursor {
   ExecContext* ctx_;
   size_t bound_ = 0;
   size_t frags_ = 0;
-  size_t frag_ = 0;
+  size_t frag_ = 0;    // fragment of the next window
+  FragmentSpan span_;  // that fragment, once opened
+  size_t begin_ = 0;   // the window's first slot; 0 = open the fragment
+  size_t window_ = 1;  // slots in the next window
   TriVec tri_;
   std::vector<uint32_t> survivors_;
   Row row_;         // FilterRows' full table row
@@ -735,7 +734,10 @@ class VecSourceCursor {
 /// evaluator: column-at-a-time evaluation may meet a later row's error
 /// before an earlier row's, or one the row engine never reaches because
 /// its parent stops pulling, so the error is returned only at the row
-/// where the row engine's projection fails.
+/// where the row engine's projection fails. A batch of one survivor
+/// (the cursor's first window, or a selective filter's) is emitted
+/// row-major too: on one row the row evaluator costs less than
+/// EvalDense's per-call vectors.
 class VecProjection {
  public:
   VecProjection(const VecSourceSpec* spec, const Table* table,
@@ -747,22 +749,21 @@ class VecProjection {
         vals_(spec->project.size()) {
     for (size_t c = 0; c < spec->project.size(); ++c) {
       if (spec->out_cols[c] != VecSourceSpec::kComputed) continue;
-      computed_.push_back(c);
-      constant_.push_back(IsConstantExpr(*spec->project[c]));
+      computed_.push_back({c, IsConstantExpr(*spec->project[c])});
     }
   }
 
   /// Evaluates the computed columns over the survivors of `batch`
   /// (non-empty, so a constant that fails to evaluate fails only when
-  /// some row reaches the projection, as on the row path); on failure
-  /// the batch's rows are emitted row-major.
+  /// some row reaches the projection, as on the row path); on failure,
+  /// or for a lone survivor, the batch's rows are emitted row-major.
   void Evaluate(const VecBatch& batch) {
-    row_major_ = false;
-    for (size_t k = 0; k < computed_.size(); ++k) {
-      const size_t c = computed_[k];
-      const size_t n = constant_[k] ? 1 : batch.sel.size();
-      if (!EvalDense(*spec_->project[c], ctx_, batch.span, batch.sel.data(),
-                     n, &vals_[c])
+    row_major_ = !computed_.empty() && batch.sel.size() == 1;
+    if (row_major_) return;
+    for (const Computed& c : computed_) {
+      const size_t n = c.constant ? 1 : batch.sel.size();
+      if (!EvalDense(*spec_->project[c.column], ctx_, batch.span,
+                     batch.sel.data(), n, &vals_[c.column])
                .ok()) {
         row_major_ = true;
         return;
@@ -807,8 +808,11 @@ class VecProjection {
   const Table* table_;
   ExecContext* ctx_;
   size_t width_;
-  std::vector<size_t> computed_;    // output columns that are expressions
-  std::vector<bool> constant_;      // per computed_ entry
+  struct Computed {
+    size_t column;  // output column that is an expression
+    bool constant;  // reads no column: one cell per batch
+  };
+  std::vector<Computed> computed_;
   std::vector<std::vector<Value>> vals_;  // per output column
   bool row_major_ = false;  // the current batch failed dense evaluation
   Row input_;               // row-major mode's full table row
@@ -826,11 +830,13 @@ class VecProjection {
 class VecScanExecutor : public Executor {
  public:
   VecScanExecutor(VecSourceSpec spec, const Table* table, ExecContext* ctx)
-      : spec_(std::move(spec)), table_(table), ctx_(ctx) {}
+      : spec_(std::move(spec)),
+        table_(table),
+        ctx_(ctx),
+        projection_(&spec_, table_, ctx_) {}
 
   Status Open() override {
-    cursor_ = std::make_unique<VecSourceCursor>(&spec_, table_, ctx_);
-    projection_ = std::make_unique<VecProjection>(&spec_, table_, ctx_);
+    cursor_.emplace(&spec_, table_, ctx_);
     batch_.sel.clear();
     pos_ = 0;
     return Status::OK();
@@ -841,9 +847,9 @@ class VecScanExecutor : public Executor {
       pos_ = 0;
       PDM_ASSIGN_OR_RETURN(bool has, cursor_->NextBatch(&batch_));
       if (!has) return false;
-      projection_->Evaluate(batch_);
+      projection_.Evaluate(batch_);
     }
-    PDM_RETURN_NOT_OK(projection_->Emit(batch_, pos_++, row));
+    PDM_RETURN_NOT_OK(projection_.Emit(batch_, pos_++, row));
     return true;
   }
 
@@ -851,130 +857,25 @@ class VecScanExecutor : public Executor {
   VecSourceSpec spec_;
   const Table* table_;
   ExecContext* ctx_;
-  std::unique_ptr<VecSourceCursor> cursor_;
-  std::unique_ptr<VecProjection> projection_;
+  VecProjection projection_;
+  std::optional<VecSourceCursor> cursor_;  // (re)started by Open()
   VecBatch batch_;
   size_t pos_ = 0;
 };
 
-/// Vectorized index join: same eligibility and probe pattern as the row
-/// executor's index-join mode (single key, bare base-table scan on the
-/// right, probes against the table's shared lazy index — preserving its
-/// cross-statement amortization), but matched right rows load straight
-/// from the column fragments into the combined row, skipping the
-/// MaterializeRow scratch copy the row path pays per pair. Like the row
-/// join it fixes no scan bound: the index may already hold an
-/// unpublished append, and a match counts only if VisibleAt admits it
-/// when the probe runs, so both engines see the same rows at a snapshot.
-class VecIndexJoinExecutor : public Executor {
- public:
-  VecIndexJoinExecutor(const HashJoinNode& node, std::unique_ptr<Executor> left,
-                       const Table* table, ExecContext* ctx)
-      : node_(node), left_(std::move(left)), table_(table), ctx_(ctx) {}
-
-  Status Open() override {
-    PDM_RETURN_NOT_OK(left_->Open());
-    have_left_ = false;
-    match_pos_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* row) override {
-    const size_t rcols = table_->schema().num_columns();
-    while (true) {
-      if (!have_left_) {
-        PDM_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
-        if (!has) return false;
-        ctx_->stats().vec_join_probe_rows++;
-        ctx_->stats().index_join_probes++;
-        have_left_ = true;
-        match_pos_ = 0;
-        positions_.clear();
-        const Value& key = left_row_[node_.left_keys[0]];
-        if (!key.is_null()) {
-          table_->IndexLookup(node_.right_keys[0], {&key, 1}, &positions_);
-        }
-      }
-      while (match_pos_ < positions_.size()) {
-        const size_t pos = positions_[match_pos_++];
-        if (!table_->VisibleAt(pos, ctx_->snapshot_ts())) continue;
-        // VisibleAt admits published positions only; clip the span there.
-        const FragmentSpan span =
-            table_->FragmentAt(pos >> kFragmentShift, pos + 1);
-        const uint32_t slot = static_cast<uint32_t>(pos & kFragmentMask);
-        Row combined;
-        combined.reserve(left_row_.size() + rcols);
-        combined.insert(combined.end(), left_row_.begin(), left_row_.end());
-        for (size_t c = 0; c < rcols; ++c) {
-          combined.push_back(span.fragment->cols[c].Load(slot));
-        }
-        if (node_.residual != nullptr) {
-          PDM_ASSIGN_OR_RETURN(
-              bool pass, EvaluatePredicate(*node_.residual, combined, ctx_));
-          if (!pass) continue;
-        }
-        *row = std::move(combined);
-        return true;
-      }
-      have_left_ = false;
-    }
-  }
-
- private:
-  const HashJoinNode& node_;
-  std::unique_ptr<Executor> left_;
-  const Table* table_;
-  ExecContext* ctx_;
-  Row left_row_;
-  bool have_left_ = false;
-  std::vector<size_t> positions_;
-  size_t match_pos_ = 0;
-};
-
 }  // namespace
 
-Result<std::unique_ptr<Executor>> MaybeVecExecutor(const PlanNode& plan,
-                                                   ExecContext* ctx) {
-  std::unique_ptr<Executor> none;
-  switch (plan.kind) {
-    case PlanKind::kScan:
-    case PlanKind::kFilter:
-    case PlanKind::kProject: {
-      VecSourceSpec spec;
-      if (!MatchVecSource(plan, &spec)) return none;
-      // A bare unfiltered, unprojected scan materializes every row at
-      // full width either way — batching it under a row parent is pure
-      // sel-vector overhead, so leave that shape to ScanExecutor.
-      if (spec.filters.empty() && spec.out_cols.empty()) return none;
-      const Table* table = ResolveVecSource(spec, ctx);
-      if (table == nullptr) return none;
-      return std::unique_ptr<Executor>(
-          new VecScanExecutor(std::move(spec), table, ctx));
-    }
-    case PlanKind::kHashJoin: {
-      // HashJoinExecutor's index-join eligibility: a single key against
-      // a bare base-table scan probes the table's shared lazy index. A
-      // join that builds a hash table over its right side is left to
-      // HashJoinExecutor, whose children are still asked here.
-      const auto& node = static_cast<const HashJoinNode&>(plan);
-      if (node.right_keys.size() != 1 || node.right->kind != PlanKind::kScan) {
-        return none;
-      }
-      const auto& scan = static_cast<const ScanNode&>(*node.right);
-      if (scan.filter != nullptr) return none;
-      Result<Table*> table_or = ctx->catalog()->GetTable(scan.table_name);
-      if (!table_or.ok()) return none;  // row path reports the error
-      if (node.right_keys[0] >= table_or.value()->schema().num_columns()) {
-        return none;
-      }
-      PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> left,
-                           CreateExecutor(*node.left, ctx));
-      return std::unique_ptr<Executor>(new VecIndexJoinExecutor(
-          node, std::move(left), table_or.value(), ctx));
-    }
-    default:
-      return none;
-  }
+std::unique_ptr<Executor> MaybeVecExecutor(const PlanNode& plan,
+                                           ExecContext* ctx) {
+  VecSourceSpec spec;
+  if (!MatchVecSource(plan, &spec)) return nullptr;
+  // A bare unfiltered, unprojected scan materializes every row at full
+  // width either way — batching it under a row parent is pure
+  // sel-vector overhead, so leave that shape to ScanExecutor.
+  if (spec.filters.empty() && spec.out_cols.empty()) return nullptr;
+  const Table* table = ResolveVecSource(spec, ctx);
+  if (table == nullptr) return nullptr;
+  return std::make_unique<VecScanExecutor>(std::move(spec), table, ctx);
 }
 
 }  // namespace pdm

@@ -37,45 +37,6 @@ void AppendLabelsJson(std::string* out, const LabelSet& labels) {
   *out += '}';
 }
 
-/// Prometheus metric name: '.' and other non-[a-zA-Z0-9_:] become '_'.
-std::string PromName(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    bool ok = std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-              c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::string PromLabels(const LabelSet& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += PromName(key);
-    out += "=\"";
-    for (char c : value) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-  }
-  out += '}';
-  return out;
-}
-
-/// One extra quantile label appended to an existing label set.
-std::string PromLabelsWith(const LabelSet& labels, std::string_view key,
-                           std::string_view value) {
-  LabelSet extended = labels;
-  extended.emplace_back(std::string(key), std::string(value));
-  return PromLabels(extended);
-}
-
 // ---------------------------------------------------------------------------
 // Minimal JSON reader — just enough for SnapshotToJson's output shape
 // (objects, arrays, strings, finite numbers, true/false/null). Unknown
@@ -368,53 +329,6 @@ std::string SnapshotToJson(const MetricsSnapshot& snapshot) {
     out += '}';
   }
   out += "]\n}\n";
-  return out;
-}
-
-std::string SnapshotToPrometheusText(const MetricsSnapshot& snapshot) {
-  std::string out;
-  for (const CounterSnapshot& c : snapshot.counters) {
-    std::string name = PromName(c.name);
-    out += StrFormat("# TYPE %s counter\n%s %llu\n", name.c_str(),
-                     name.c_str(), static_cast<unsigned long long>(c.value));
-  }
-  for (const GaugeSnapshot& g : snapshot.gauges) {
-    std::string name = PromName(g.name);
-    out += StrFormat("# TYPE %s gauge\n%s %lld\n", name.c_str(), name.c_str(),
-                     static_cast<long long>(g.value));
-  }
-  // Labeled counters of one family share one TYPE line.
-  std::string last_family;
-  for (const LabeledCounterSnapshot& c : snapshot.labeled_counters) {
-    std::string name = PromName(c.name);
-    if (name != last_family) {
-      out += StrFormat("# TYPE %s counter\n", name.c_str());
-      last_family = name;
-    }
-    out += StrFormat("%s%s %llu\n", name.c_str(), PromLabels(c.labels).c_str(),
-                     static_cast<unsigned long long>(c.value));
-  }
-  last_family.clear();
-  for (const LogHistogramSnapshot& h : snapshot.log_histograms) {
-    std::string name = PromName(h.name);
-    if (name != last_family) {
-      out += StrFormat("# TYPE %s summary\n", name.c_str());
-      last_family = name;
-    }
-    const struct { const char* q; double value; } quantiles[] = {
-        {"0.5", h.p50}, {"0.9", h.p90}, {"0.99", h.p99}, {"0.999", h.p999},
-    };
-    for (const auto& quantile : quantiles) {
-      out += StrFormat("%s%s %.17g\n", name.c_str(),
-                       PromLabelsWith(h.labels, "quantile", quantile.q).c_str(),
-                       quantile.value);
-    }
-    out += StrFormat("%s_sum%s %.17g\n", name.c_str(),
-                     PromLabels(h.labels).c_str(), h.sum);
-    out += StrFormat("%s_count%s %llu\n", name.c_str(),
-                     PromLabels(h.labels).c_str(),
-                     static_cast<unsigned long long>(h.total_count));
-  }
   return out;
 }
 

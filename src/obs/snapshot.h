@@ -33,11 +33,6 @@ MetricsSnapshot CaptureMetricsSnapshot(std::string label = {});
 /// Versioned JSON encoding (the exact inverse of ParseSnapshotJson).
 std::string SnapshotToJson(const MetricsSnapshot& snapshot);
 
-/// Prometheus text exposition: counters/gauges with label sets, log
-/// histograms as quantile summaries. Metric names have '.' mapped to
-/// '_' per Prometheus naming rules.
-std::string SnapshotToPrometheusText(const MetricsSnapshot& snapshot);
-
 Status WriteSnapshotJsonFile(const std::string& path,
                              const MetricsSnapshot& snapshot);
 

@@ -385,7 +385,7 @@ Status DbServer::RunStatement(
     record->cte_rows_scanned = stats.cte_rows_scanned;
     record->vec_rows_scanned = stats.vec_rows_scanned;
     record->join_probe_rows = stats.join_probe_rows;
-    record->vec_join_probe_rows = stats.vec_join_probe_rows;
+    record->vec_join_probe_rows = stats.index_join_probes;
     record->agg_input_rows = stats.agg_input_rows;
     record->sim_seconds =
         model::ServerSeconds(config_.server_cost, record->Work());
@@ -431,8 +431,8 @@ Status DbServer::RunStatement(
                 "plan=%s",
                 stats.rows_scanned, stats.vec_rows_scanned,
                 stats.cte_rows_scanned,
-                stats.join_probe_rows + stats.vec_join_probe_rows,
-                stats.vec_join_probe_rows, stats.agg_input_rows,
+                stats.join_probe_rows + stats.index_join_probes,
+                stats.index_join_probes, stats.agg_input_rows,
                 record->plan_cache_hit ? "cached" : "parsed")};
   size_t evicted = slow_query_log_.Note(limits, std::move(rec));
   if (evicted > 0) {

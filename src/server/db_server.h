@@ -206,10 +206,6 @@ class DbServer {
   /// always-on top-K of the most expensive statements, with per-term
   /// breakdowns. Always on; tuned via Config::slow_query_threshold.
   const SlowQueryLog& slow_query_log() const { return slow_query_log_; }
-  /// JSON array of the current top-K, most expensive first.
-  std::string SlowQueryTopKJson() const {
-    return SlowQueryRecordsToJson(slow_query_log_.TopK());
-  }
 
   /// Resets everything observability-only — the statement log, the
   /// plan-cache hit/miss counters, the admission queue's wave log, the

@@ -36,8 +36,8 @@ std::string_view ClassifyStatementClass(bool dml, bool expand,
   // traversals and direct link-table hops.
   if (expand || stats.cte_rows_scanned > 0) return "expand";
   if (stats.agg_input_rows > 0) return "agg";
-  if (stats.join_probe_rows + stats.vec_join_probe_rows > 0 ||
-      stats.hash_join_builds > 0 || stats.index_join_probes > 0) {
+  if (stats.join_probe_rows > 0 || stats.hash_join_builds > 0 ||
+      stats.index_join_probes > 0) {
     return "join";
   }
   if (stats.index_scans > 0) return "point";
@@ -45,8 +45,8 @@ std::string_view ClassifyStatementClass(bool dml, bool expand,
 }
 
 std::string_view EngineLabel(const ExecStats& stats) {
-  return stats.vec_rows_scanned + stats.vec_join_probe_rows > 0 ? "vec"
-                                                                : "row";
+  return stats.vec_rows_scanned + stats.index_join_probes > 0 ? "vec"
+                                                              : "row";
 }
 
 bool SlowQueryLog::MightRecord(const Limits& limits, double sim_seconds,

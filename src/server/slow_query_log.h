@@ -36,8 +36,9 @@ struct SlowQueryRecord : StatementRecord {
 std::string_view ClassifyStatementClass(bool dml, bool expand,
                                         const ExecStats& stats);
 
-/// Engine label: "vec" when any vectorized row counter is non-zero,
-/// "row" otherwise.
+/// Engine label: "vec" when the statement ran rows at the vectorized
+/// rates — batchwise scans or index-join probes, whose matches load
+/// straight off the column fragments — "row" otherwise.
 std::string_view EngineLabel(const ExecStats& stats);
 
 /// Thread-safe slow-statement store with two surfaces:

@@ -278,17 +278,18 @@ TEST(AdmissionQueue, MultiClientDriverDeterministicAcrossWindowsAndThreads) {
       e.server().mutable_config().coalesce_window = window;
       e.server().mutable_config().batch_threads = threads;
 
-      client::MultiClientOptions options;
-      options.clients = 3;
-      options.strategy = StrategyKind::kBatchedEarly;
-      options.action = ActionKind::kMultiLevelExpand;
-      Result<client::MultiClientResult> run =
-          client::RunMultiClientAction(e, options);
+      client::ConcurrentDmlOptions options;
+      options.readers = 3;
+      options.writers = 0;
+      options.reader_strategy = StrategyKind::kBatchedEarly;
+      options.reader_action = ActionKind::kMultiLevelExpand;
+      Result<client::ConcurrentDmlResult> run =
+          client::RunConcurrentDmlAction(e, options);
       ASSERT_TRUE(run.ok()) << run.status() << " window=" << window
                             << " threads=" << threads;
 
-      ASSERT_EQ(run->per_client.size(), 3u);
-      for (const client::ActionResult& r : run->per_client) {
+      ASSERT_EQ(run->reader_results.size(), 3u);
+      for (const client::ActionResult& r : run->reader_results) {
         EXPECT_EQ(r.tree.ToString(1 << 20), reference_tree)
             << "window=" << window << " threads=" << threads;
         // Wire invariant: per-client round trips unchanged by

@@ -3,7 +3,7 @@
 // determinism across thread counts and real thread interleavings, the
 // replication staleness bound and its closed-form reconciliation,
 // read-your-writes at the primary, byte-identical replica state after
-// quiesce, and a TSan canary racing the log applier against replica
+// quiesce, the commit log's trim floor, and a TSan canary racing the log applier against replica
 // readers and version GC.
 
 #include <gtest/gtest.h>
@@ -18,9 +18,11 @@
 #include "client/multisite.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "database_test_peer.h"
 #include "engine/database.h"
 #include "model/cost_model.h"
 #include "net/replication.h"
+#include "obs/metrics.h"
 #include "pdm/generator.h"
 #include "pdm/pdm_schema.h"
 #include "server/replica.h"
@@ -275,6 +277,72 @@ TEST(MultiSite, ReplicaExpandByteIdenticalToQuiescedPrimary) {
   // quiesced primary byte for byte at every site.
   Status verified = deployment.VerifyReplicaConsistency();
   EXPECT_TRUE(verified.ok()) << verified;
+}
+
+// The bounded commit log's trim path (DESIGN.md 5l): evictions advance
+// the floor and count on engine.commit_log_trimmed; a replica whose
+// applied timestamp reaches the floor still catches up, and one that
+// fell below it gets the re-bootstrap error instead of silently skipping
+// the trimmed records.
+TEST(MultiSite, TrimmedCommitLogRequiresReplicaRebootstrap) {
+  Result<std::unique_ptr<MultiSiteDeployment>> created =
+      MultiSiteDeployment::Create(SmallDeployment(1));
+  ASSERT_TRUE(created.ok()) << created.status();
+  MultiSiteDeployment& deployment = **created;
+  ReplicaServer& replica = deployment.replica(0);
+  Database& primary = deployment.primary().server().database();
+  DatabaseTestPeer::SetCommitLogCapacity(&primary, 2);
+  obs::Counter& trimmed =
+      obs::MetricsRegistry::Global().counter("engine.commit_log_trimmed");
+  const uint64_t trimmed_before = trimmed.value();
+
+  const int64_t target = deployment.primary().product().root_obid + 1;
+  std::vector<uint64_t> commits;
+  auto write = [&](bool checked_out) {
+    ResultSet out;
+    ASSERT_TRUE(primary
+                    .Execute(StrFormat(
+                                 "UPDATE %s SET checkedout = %s WHERE "
+                                 "obid = %lld",
+                                 pdmsys::kAssyTable,
+                                 checked_out ? "TRUE" : "FALSE",
+                                 static_cast<long long>(target)),
+                             &out)
+                    .ok());
+    commits.push_back(primary.commit_clock());
+  };
+
+  write(true);
+  ASSERT_TRUE(replica.PumpReplication().ok());
+  EXPECT_EQ(replica.applied_commit_ts(), commits[0]);
+  EXPECT_EQ(trimmed.value(), trimmed_before);
+
+  // A third record trims the first: the floor moves to it, which is
+  // exactly where the replica stands, so nothing it needs is gone.
+  write(false);
+  write(true);
+  EXPECT_EQ(primary.commit_log_size(), 2u);
+  EXPECT_EQ(primary.commit_log_floor(), commits[0]);
+  EXPECT_EQ(trimmed.value(), trimmed_before + 1);
+  Result<ReplicaServer::PumpResult> caught_up = replica.PumpReplication();
+  ASSERT_TRUE(caught_up.ok()) << caught_up.status();
+  EXPECT_EQ(caught_up->applied, 2u);
+  EXPECT_EQ(replica.applied_commit_ts(), commits[2]);
+
+  // Three more records trim through commits[3]; the replica, at
+  // commits[2], would skip that record, so the pump refuses.
+  write(false);
+  write(true);
+  write(false);
+  EXPECT_EQ(primary.commit_log_floor(), commits[3]);
+  EXPECT_EQ(trimmed.value(), trimmed_before + 4);
+  Result<ReplicaServer::PumpResult> lagging = replica.PumpReplication();
+  ASSERT_FALSE(lagging.ok());
+  EXPECT_NE(lagging.status().ToString().find("re-bootstrap required"),
+            std::string::npos)
+      << lagging.status();
+  EXPECT_EQ(replica.applied_commit_ts(), commits[2]);
+  EXPECT_EQ(replica.StalenessCommits(), 3u);
 }
 
 // TSan canary: the log applier replays primary commits while replica

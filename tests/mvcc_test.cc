@@ -589,9 +589,10 @@ struct OpenedScan {
 };
 
 /// Binds `sql` (a SELECT) against the database's catalog.
-Result<BoundSelect> BindForTest(Database* db, const char* sql) {
+Result<BoundSelect> BindForTest(Database* db, const char* sql,
+                                BinderOptions options = BinderOptions()) {
   PDM_ASSIGN_OR_RETURN(sql::StatementPtr stmt, sql::ParseSql(sql));
-  Binder binder(&db->catalog(), &db->functions(), BinderOptions());
+  Binder binder(&db->catalog(), &db->functions(), options);
   return binder.BindSelect(static_cast<const sql::SelectStmt&>(*stmt));
 }
 
@@ -652,15 +653,20 @@ TEST(MvccVectorized, BridgeScanMatchesRowScanAcrossAnUnpublishedAppend) {
   }
 }
 
-/// Freshness seam of VecIndexJoinExecutor, the batch engine's other
-/// table reader: its matches come from the table's index, which may
-/// carry a stored but unpublished append. Like the row index join it
+/// Freshness seam of IndexJoinExecutor: its matches come from the
+/// table's index, which may carry a stored but unpublished append. It
 /// admits a match only if the version is published and visible when
-/// the probe runs, so at the same snapshot both engines return the same
-/// rows whether Publish lands before the first output row or after it.
-/// The late position falls inside the last fragment, on a fragment
-/// boundary, and past one.
+/// the probe runs. The nested-loop join, which shares no operator with
+/// it, is the oracle: before Publish both return the published rows;
+/// after it both see the late row; and an index join opened before
+/// Publish returns the post-Publish rows whether Publish lands before
+/// its first output row or after it (the late key is probed after the
+/// first output row). The late position falls inside the last
+/// fragment, on a fragment boundary, and past one.
 TEST(MvccVectorized, IndexJoinMatchesRowJoinAcrossAnUnpublishedAppend) {
+  constexpr const char* kSql = "SELECT p.k, t.s FROM p JOIN t ON p.k = t.id";
+  BinderOptions nested_loop;
+  nested_loop.use_hash_join = false;
   for (int published : {1000, 1024, 1500}) {
     for (size_t rows_before_publish : {0, 1}) {
       SCOPED_TRACE(StrFormat("%d rows, publish after %zu output rows",
@@ -668,7 +674,6 @@ TEST(MvccVectorized, IndexJoinMatchesRowJoinAcrossAnUnpublishedAppend) {
       Database db;
       ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER, s VARCHAR)").ok());
       ASSERT_TRUE(db.Execute("CREATE TABLE p (k INTEGER)").ok());
-      // The late key is probed second, after the first output row.
       ASSERT_TRUE(db.Execute(StrFormat("INSERT INTO p VALUES (0), (%d), (%d)",
                                        published, published - 1))
                       .ok());
@@ -679,41 +684,39 @@ TEST(MvccVectorized, IndexJoinMatchesRowJoinAcrossAnUnpublishedAppend) {
       const size_t pos = TableTestPeer::AppendUnpublished(
           table, {Value::Int64(published), Value::String("late")});
       Database::Snapshot snap = db.AcquireSnapshot();
-      Result<BoundSelect> bound =
-          BindForTest(&db, "SELECT p.k, t.s FROM p JOIN t ON p.k = t.id");
-      ASSERT_TRUE(bound.ok()) << bound.status();
-      const PlanNode& plan = *bound->root;
+      Result<BoundSelect> index_bound = BindForTest(&db, kSql);
+      ASSERT_TRUE(index_bound.ok()) << index_bound.status();
+      Result<BoundSelect> nl_bound = BindForTest(&db, kSql, nested_loop);
+      ASSERT_TRUE(nl_bound.ok()) << nl_bound.status();
+      const PlanNode& index_plan = *index_bound->root;
+      const PlanNode& nl_plan = *nl_bound->root;
 
       // Opened and drained while the append is unpublished.
-      OpenedScan vec_before(&db, plan, true, snap.ts());
-      OpenedScan row_before(&db, plan, false, snap.ts());
-      vec_before.Pull();
-      row_before.Pull();
-      EXPECT_EQ(vec_before.rows.size(), 2u);
-      EXPECT_EQ(vec_before.rows, row_before.rows);
-      EXPECT_GT(vec_before.stats.vec_join_probe_rows, 0u);  // the vec join
-      EXPECT_EQ(row_before.stats.vec_join_probe_rows, 0u);
-      EXPECT_GT(row_before.stats.index_join_probes, 0u);
+      OpenedScan index_before(&db, index_plan, true, snap.ts());
+      OpenedScan nl_before(&db, nl_plan, true, snap.ts());
+      index_before.Pull();
+      nl_before.Pull();
+      EXPECT_EQ(index_before.rows.size(), 2u);
+      EXPECT_EQ(index_before.rows, nl_before.rows);
+      EXPECT_EQ(index_before.stats.index_join_probes, 3u);
+      EXPECT_EQ(nl_before.stats.index_join_probes, 0u);
+      EXPECT_GT(nl_before.stats.nl_join_probes, 0u);
 
       // Opened before Publish, which lands before or after the first
-      // output row; the late key is probed after it either way.
-      OpenedScan vec_during(&db, plan, true, snap.ts());
-      OpenedScan row_during(&db, plan, false, snap.ts());
-      vec_during.Pull(rows_before_publish);
-      row_during.Pull(rows_before_publish);
+      // output row.
+      OpenedScan index_during(&db, index_plan, true, snap.ts());
+      index_during.Pull(rows_before_publish);
       TableTestPeer::Publish(table, pos);
-      vec_during.Pull();
-      row_during.Pull();
-      EXPECT_EQ(vec_during.rows.size(), 3u);
-      EXPECT_EQ(vec_during.rows, row_during.rows);
+      index_during.Pull();
 
-      // Opened after Publish: both engines see the late row.
-      OpenedScan vec_after(&db, plan, true, snap.ts());
-      OpenedScan row_after(&db, plan, false, snap.ts());
-      vec_after.Pull();
-      row_after.Pull();
-      EXPECT_EQ(vec_after.rows, row_after.rows);
-      EXPECT_EQ(vec_after.rows, vec_during.rows);
+      // Opened after Publish: both joins see the late row.
+      OpenedScan index_after(&db, index_plan, true, snap.ts());
+      OpenedScan nl_after(&db, nl_plan, true, snap.ts());
+      index_after.Pull();
+      nl_after.Pull();
+      EXPECT_EQ(nl_after.rows.size(), 3u);
+      EXPECT_EQ(index_after.rows, nl_after.rows);
+      EXPECT_EQ(index_during.rows, nl_after.rows);
     }
   }
 }

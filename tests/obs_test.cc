@@ -405,16 +405,18 @@ TEST_F(ObsTest, EightClientTracedAdmissionRunIsConsistent) {
   e.server().EnableStatementLog(true);
   e.server().mutable_config().batch_threads = 4;
 
-  client::MultiClientOptions options;
-  options.clients = 8;
-  options.strategy = StrategyKind::kBatchedEarly;
-  options.action = ActionKind::kMultiLevelExpand;
-  Result<client::MultiClientResult> result =
-      client::RunMultiClientAction(e, options);
+  client::ConcurrentDmlOptions options;
+  options.readers = 8;
+  options.writers = 0;
+  options.reader_strategy = StrategyKind::kBatchedEarly;
+  options.reader_action = ActionKind::kMultiLevelExpand;
+  Result<client::ConcurrentDmlResult> result =
+      client::RunConcurrentDmlAction(e, options);
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->per_client.size(), 8u);
-  for (const client::ActionResult& action : result->per_client) {
-    EXPECT_EQ(action.tree.num_nodes(), result->per_client[0].tree.num_nodes());
+  ASSERT_EQ(result->reader_results.size(), 8u);
+  for (const client::ActionResult& action : result->reader_results) {
+    EXPECT_EQ(action.tree.num_nodes(),
+              result->reader_results[0].tree.num_nodes());
   }
 
   std::vector<obs::SpanRecord> spans = obs::Tracer::Global().Snapshot();

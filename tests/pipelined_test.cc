@@ -221,15 +221,16 @@ TEST(PipelinedStrategy, FourConcurrentPipelinedClientsAgree) {
       e.RunAction(StrategyKind::kPipelinedEarly, ActionKind::kMultiLevelExpand);
   ASSERT_TRUE(solo.ok()) << solo.status();
 
-  client::MultiClientOptions options;
-  options.clients = 4;
-  options.strategy = StrategyKind::kPipelinedEarly;
-  options.action = ActionKind::kMultiLevelExpand;
-  Result<client::MultiClientResult> result =
-      client::RunMultiClientAction(e, options);
+  client::ConcurrentDmlOptions options;
+  options.readers = 4;
+  options.writers = 0;
+  options.reader_strategy = StrategyKind::kPipelinedEarly;
+  options.reader_action = ActionKind::kMultiLevelExpand;
+  Result<client::ConcurrentDmlResult> result =
+      client::RunConcurrentDmlAction(e, options);
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->per_client.size(), 4u);
-  for (const client::ActionResult& action : result->per_client) {
+  ASSERT_EQ(result->reader_results.size(), 4u);
+  for (const client::ActionResult& action : result->reader_results) {
     EXPECT_EQ(action.tree.ToString(1 << 20), solo->tree.ToString(1 << 20));
     EXPECT_EQ(action.wan.round_trips, solo->wan.round_trips);
     EXPECT_DOUBLE_EQ(action.wan.overlap_hidden_seconds,

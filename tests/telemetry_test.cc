@@ -363,7 +363,8 @@ TEST(DbServerTest, CapturesSlowQueriesWithBreakdown) {
   EXPECT_NE(worst.plan_summary.find("scan="), std::string::npos);
   EXPECT_FALSE(e.server().slow_query_log().OverThreshold().empty());
 
-  std::string json = e.server().SlowQueryTopKJson();
+  std::string json =
+      SlowQueryRecordsToJson(e.server().slow_query_log().TopK());
   EXPECT_NE(json.find("\"sim_server_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"stmt_class\""), std::string::npos);
 
@@ -459,13 +460,6 @@ TEST(SnapshotTest, JsonRoundTripPreservesEveryInstrument) {
     EXPECT_DOUBLE_EQ(a.p50, b.p50);
     EXPECT_DOUBLE_EQ(a.p999, b.p999);
   }
-
-  // Prometheus text: dots become underscores, labels render, quantile
-  // summaries appear for log histograms.
-  std::string prom = obs::SnapshotToPrometheusText(snapshot);
-  EXPECT_NE(prom.find("test_rt_counter 7"), std::string::npos);
-  EXPECT_NE(prom.find("site=\"hq\""), std::string::npos);
-  EXPECT_NE(prom.find("quantile=\"0.99\""), std::string::npos);
 
   // Malformed input and future versions are rejected, not misparsed.
   EXPECT_FALSE(obs::ParseSnapshotJson("{not json").ok());

@@ -1,9 +1,10 @@
-// Row-vs-vectorized differentials for joins, aggregates and ORDER BY
-// over the batch->row bridge (DESIGN.md 5j): with vectorized execution
-// on, an index join runs on the batch engine, while a build-mode hash
-// join, an aggregate and a sort stay row operators that pull bridged
-// batches from below. Either way the results must be byte-identical to
-// the all-row engine's on every edge it defines semantics for — NULL
+// Differentials for joins, aggregates and ORDER BY over the batch->row
+// bridge (DESIGN.md 5j): joins, aggregates and sorts are row operators
+// in both vectorized_execution settings and pull bridged batches from
+// below when it is on. The results must be byte-identical to the
+// all-row engine's, and to the nested-loop join's (the oracle the index
+// and build-mode hash joins do not share an operator with), on every
+// edge the engine defines semantics for — NULL
 // join keys, empty build sides, duplicate keys, residual predicates,
 // multi-key joins, int64/double key mixing past the 2^53 exactness
 // bound, empty aggregation input, all-NULL groups, DISTINCT,
@@ -71,9 +72,10 @@ class VecJoinAggTest : public ::testing::Test {
     }
   }
 
-  /// Runs `sql` with vectorized execution on, then off, and asserts the
-  /// rendered results are identical. Returns the on-path stats so
-  /// callers can pin which executor actually ran.
+  /// Runs `sql` with vectorized execution on, then off, then on with
+  /// the binder's nested-loop join in place of hash and index joins,
+  /// and asserts the rendered results are identical. Returns the
+  /// on-path stats so callers can pin which executor actually ran.
   static ExecStats Differential(Database* db, const std::string& sql) {
     db->options().exec.vectorized_execution = true;
     ExecStats vec_stats;
@@ -85,8 +87,18 @@ class VecJoinAggTest : public ::testing::Test {
     EXPECT_TRUE(row.ok()) << sql << " -> " << row.status();
     EXPECT_EQ(row_stats.vec_batches, 0u) << sql;
     db->options().exec.vectorized_execution = true;
+    db->options().binder.use_hash_join = false;
+    ExecStats nl_stats;
+    Result<ResultSet> nl = QueryWithStats(*db, &nl_stats, sql);
+    EXPECT_TRUE(nl.ok()) << sql << " -> " << nl.status();
+    EXPECT_EQ(nl_stats.hash_join_builds + nl_stats.index_join_probes, 0u)
+        << sql;
+    db->options().binder.use_hash_join = true;
     if (vec.ok() && row.ok()) {
       EXPECT_EQ(vec->ToString(1 << 24), row->ToString(1 << 24)) << sql;
+    }
+    if (vec.ok() && nl.ok()) {
+      EXPECT_EQ(vec->ToString(1 << 24), nl->ToString(1 << 24)) << sql;
     }
     return vec_stats;
   }
@@ -105,7 +117,7 @@ TEST_F(VecJoinAggTest, BuildModeJoinMatchesRowEngine) {
       "JOIN (SELECT id, grp FROM obj WHERE grp < 3) AS o "
       "ON l.child = o.id");
   EXPECT_GT(stats.join_probe_rows, 0u);
-  EXPECT_EQ(stats.vec_join_probe_rows, 0u);
+  EXPECT_EQ(stats.index_join_probes, 0u);
   EXPECT_GT(stats.hash_join_builds, 0u);
   EXPECT_GT(stats.vec_batches, 0u);
 }
@@ -142,7 +154,7 @@ TEST_F(VecJoinAggTest, DuplicateBuildKeysEmitAllMatchesInBuildOrder) {
       &db,
       "SELECT a.id, b.id FROM obj AS a JOIN obj AS b ON a.grp = b.grp "
       "WHERE b.val IS NOT NULL");
-  EXPECT_GT(stats.vec_join_probe_rows, 0u);
+  EXPECT_GT(stats.index_join_probes, 0u);
 }
 
 TEST_F(VecJoinAggTest, MultiKeyJoinUsesGenericKeys) {
@@ -166,7 +178,7 @@ TEST_F(VecJoinAggTest, IntKeysJoinDoubleProbesExactly) {
       "JOIN (SELECT child FROM lnk WHERE parent >= 0) AS l "
       "ON o.dval = l.child");
   EXPECT_GT(stats.join_probe_rows, 0u);
-  EXPECT_EQ(stats.vec_join_probe_rows, 0u);
+  EXPECT_EQ(stats.index_join_probes, 0u);
   EXPECT_GT(stats.hash_join_builds, 0u);
   EXPECT_GT(stats.vec_batches, 0u);
 }
@@ -188,7 +200,7 @@ TEST_F(VecJoinAggTest, BuildKeysPastExactDoubleRangeDemoteToGenericTable) {
       "SELECT p.k, b.tag FROM probe AS p "
       "JOIN (SELECT k, tag FROM big WHERE k > 0) AS b ON p.k = b.k");
   EXPECT_GT(stats.join_probe_rows, 0u);
-  EXPECT_EQ(stats.vec_join_probe_rows, 0u);
+  EXPECT_EQ(stats.index_join_probes, 0u);
   EXPECT_GT(stats.hash_join_builds, 0u);
   EXPECT_GT(stats.vec_batches, 0u);
 }
@@ -209,14 +221,34 @@ TEST_F(VecJoinAggTest, IndexJoinModeBatchesProbes) {
   Database db;
   FillObj(&db, 200);
   FillLnk(&db, 200);
-  // Bare right scan + single key: both engines take the index-join
-  // path; the vectorized one batches probes and gathers matched rows
-  // column-at-a-time.
+  // Bare right scan + single key: the index join probes once per left
+  // row and loads matched rows straight off the column fragments.
   ExecStats stats = Differential(&db,
                                  "SELECT l.parent, o.val FROM lnk AS l "
                                  "JOIN obj AS o ON l.child = o.id");
-  EXPECT_GT(stats.vec_join_probe_rows, 0u);
-  EXPECT_GT(stats.index_join_probes, 0u);
+  EXPECT_EQ(stats.index_join_probes, 200u);
+  EXPECT_EQ(stats.join_probe_rows, 0u);
+}
+
+TEST_F(VecJoinAggTest, EligibleJoinProbesTheIndexInBothSettings) {
+  Database db;
+  FillObj(&db, 100);
+  FillLnk(&db, 100);
+  // vectorized_execution selects only the scan bridge: an eligible
+  // join is the same index join either way and never builds.
+  for (bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized ? "vectorized" : "row");
+    db.options().exec.vectorized_execution = vectorized;
+    ExecStats stats;
+    Result<ResultSet> rs = QueryWithStats(
+        db, &stats,
+        "SELECT l.parent, o.val FROM lnk AS l JOIN obj AS o "
+        "ON l.child = o.id");
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    EXPECT_GT(stats.index_join_probes, 0u);
+    EXPECT_EQ(stats.hash_join_builds, 0u);
+  }
+  db.options().exec.vectorized_execution = true;
 }
 
 TEST_F(VecJoinAggTest, GroupByAggregatesMatchRowEngine) {
@@ -355,13 +387,13 @@ TEST_F(VecJoinAggTest, AggregateOverJoinStaysCorrect) {
   Database db;
   FillObj(&db, 260);
   FillLnk(&db, 260);
-  // The index join runs vectorized underneath and the row aggregator
-  // folds its output.
+  // The index join runs underneath and the row aggregator folds its
+  // output.
   ExecStats stats = Differential(
       &db,
       "SELECT o.grp, COUNT(*) FROM lnk AS l "
       "JOIN obj AS o ON l.child = o.id GROUP BY o.grp");
-  EXPECT_GT(stats.vec_join_probe_rows, 0u);
+  EXPECT_GT(stats.index_join_probes, 0u);
   EXPECT_GT(stats.agg_input_rows, 0u);
 }
 
@@ -370,7 +402,8 @@ TEST_F(VecJoinAggTest, AggregateOverJoinStaysCorrect) {
 // see exactly one generation across all joined rows — a torn read
 // (mixing fragments from different versions) shows up as two distinct
 // gens in one result. Run under TSan to also catch fragment/index
-// races between the vectorized gather and the appending writer.
+// races between the index join's fragment loads and the appending
+// writer.
 TEST(VecJoinMvccCanary, JoinSeesOneGenerationUnderConcurrentUpdates) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE items (id INTEGER, gen INTEGER)").ok());
