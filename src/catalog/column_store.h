@@ -155,6 +155,21 @@ struct Fragment {
 
   std::unique_ptr<VersionMeta[]> meta;
   std::vector<ColumnFragment> cols;
+
+  /// Loads slot `slot` as a table row into out[0, cols.size()): the
+  /// columns `live` marks from the fragment, NULL in the others, string
+  /// cells reusing the target's capacity. The one fragment-to-row
+  /// loader: row scans, the batch->row bridge and the index join all
+  /// load through it.
+  void LoadRow(size_t slot, const ColumnMask& live, Value* out) const {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (IsLive(live, c)) {
+        cols[c].LoadInto(slot, &out[c]);
+      } else {
+        out[c].SetNull();
+      }
+    }
+  }
 };
 
 /// Borrowed read-only view of one column within one fragment, the unit
@@ -245,14 +260,13 @@ class FragmentStore {
   }
 
   /// Reassembles the row of version `pos` into *out, recycling its
-  /// element storage (the row-API adapter's hot path).
-  void MaterializeRow(size_t pos, Row* out) const {
-    const Fragment& f = fragment(pos >> kFragmentShift);
-    const size_t slot = pos & kFragmentMask;
+  /// element storage (the row-API adapter's hot path); columns `live`
+  /// leaves out stay NULL.
+  void MaterializeRow(size_t pos, Row* out,
+                      const ColumnMask& live = {}) const {
     out->resize(num_columns_);
-    for (size_t c = 0; c < num_columns_; ++c) {
-      f.cols[c].LoadInto(slot, &(*out)[c]);
-    }
+    fragment(pos >> kFragmentShift)
+        .LoadRow(pos & kFragmentMask, live, out->data());
   }
 
   /// Appends one version and returns its position. Single writer only;

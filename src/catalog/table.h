@@ -112,9 +112,11 @@ class Table {
   }
 
   /// Reassembles version `pos` into *out, reusing its element storage
-  /// (string cells keep the target's heap buffer when possible).
-  void MaterializeRow(size_t pos, Row* out) const {
-    versions_.MaterializeRow(pos, out);
+  /// (string cells keep the target's heap buffer when possible); the
+  /// columns `live` leaves out stay NULL.
+  void MaterializeRow(size_t pos, Row* out,
+                      const ColumnMask& live = {}) const {
+    versions_.MaterializeRow(pos, out, live);
   }
 
   /// Single cell of a published version.

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -47,10 +48,19 @@ class Value {
   }
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(Payload(v)); }
-  static Value Int64(int64_t v) { return Value(Payload(v)); }
-  static Value Double(double v) { return Value(Payload(v)); }
-  static Value String(std::string v) { return Value(Payload(std::move(v))); }
+  // Each factory constructs its alternative in place: building a
+  // Payload temporary and moving it in makes GCC 12's sanitizer builds
+  // report -Wmaybe-uninitialized on the temporary's string member.
+  static Value Bool(bool v) { return Value(std::in_place_type<bool>, v); }
+  static Value Int64(int64_t v) {
+    return Value(std::in_place_type<int64_t>, v);
+  }
+  static Value Double(double v) {
+    return Value(std::in_place_type<double>, v);
+  }
+  static Value String(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
   static Value String(const char* v) { return String(std::string(v)); }
 
   ValueKind kind() const { return static_cast<ValueKind>(data_.index()); }
@@ -144,7 +154,9 @@ class Value {
  private:
   using Payload =
       std::variant<std::monostate, bool, int64_t, double, std::string>;
-  explicit Value(Payload data) : data_(std::move(data)) {}
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg)
+      : data_(type, std::forward<Arg>(arg)) {}
 
   Payload data_;
 };
@@ -154,6 +166,15 @@ std::ostream& operator<<(std::ostream& os, const Value& value);
 /// A row is a flat vector of values; schemas (catalog/schema.h) give the
 /// positions meaning.
 using Row = std::vector<Value>;
+
+/// Which columns of a row its reader needs (bind-time column liveness,
+/// DESIGN.md 5o): mask[i] set means column i is live. Empty means every
+/// column is live, so a plan no liveness pass annotated reads whole rows.
+using ColumnMask = std::vector<bool>;
+
+inline bool IsLive(const ColumnMask& mask, size_t column) {
+  return mask.empty() || mask[column];
+}
 
 /// Hash of a full row, for hash joins / DISTINCT / UNION.
 size_t HashRow(const Row& row);

@@ -212,7 +212,7 @@ Status Database::ExecuteCachedSelect(const sql::StatementFingerprint& fp,
     }
     PDM_ASSIGN_OR_RETURN(
         BoundSelect bound,
-        MakeBinder().BindSelect(static_cast<const sql::SelectStmt&>(*stmt)));
+        BindSelectToRun(static_cast<const sql::SelectStmt&>(*stmt)));
     entry = PlanCache::Prepare(std::move(bound), fp.params,
                                schema_epoch(), options_.binder);
   }
@@ -285,9 +285,15 @@ Status Database::Dispatch(const sql::Statement& stmt, ResultSet* out,
   return Status::Internal("unhandled statement kind");
 }
 
+Result<BoundSelect> Database::BindSelectToRun(const sql::SelectStmt& stmt) {
+  PDM_ASSIGN_OR_RETURN(BoundSelect bound, MakeBinder().BindSelect(stmt));
+  if (!all_columns_live_) ComputeColumnLiveness(&bound);
+  return bound;
+}
+
 Status Database::ExecuteSelect(const sql::SelectStmt& stmt, ResultSet* out,
                                ExecStats* stats, uint64_t snapshot_ts) {
-  PDM_ASSIGN_OR_RETURN(BoundSelect bound, MakeBinder().BindSelect(stmt));
+  PDM_ASSIGN_OR_RETURN(BoundSelect bound, BindSelectToRun(stmt));
   return ExecuteBoundSelect(bound, out, stats, snapshot_ts);
 }
 

@@ -226,11 +226,15 @@ class Database {
   uint64_t schema_epoch() const { return catalog_.version() + ddl_epoch_; }
 
  private:
-  friend class DatabaseTestPeer;  // tests: bounds the commit log
+  // Tests: bounds the commit log, and runs plans with every column live.
+  friend class DatabaseTestPeer;
 
   /// Every Binder the engine builds: views are always visible, so DML
   /// predicates and CALL arguments may read through them like SELECTs.
   Binder MakeBinder() const;
+  /// Binds a SELECT that is about to run (or be cached) and computes its
+  /// column liveness (plan/binder.h).
+  Result<BoundSelect> BindSelectToRun(const sql::SelectStmt& stmt);
   /// Runs `stmt` by kind into outputs an entry point has prepared.
   Status Dispatch(const sql::Statement& stmt, ResultSet* out,
                   ExecStats* stats, uint64_t snapshot_ts);
@@ -272,6 +276,9 @@ class Database {
   EngineOptions options_;
   PlanCache plan_cache_;
   uint64_t ddl_epoch_ = 0;  // views + functions; tables count via catalog
+  /// Set only through DatabaseTestPeer: plans skip the liveness pass, so
+  /// every loader reads whole rows (the pruned-vs-all-live oracle).
+  bool all_columns_live_ = false;
   std::map<std::string, Procedure> procedures_;
 
   // --- MVCC state (DESIGN.md 5h) ---

@@ -64,6 +64,16 @@ struct ExecStats {
   size_t agg_input_rows = 0;         // rows folded by the aggregator
 };
 
+/// The rows a CTE name resolves to: rows[begin, end) of a vector its
+/// evaluator owns. Indexes, not pointers into the vector, so a recursive
+/// CTE may append its next round to the same vector while a term reads
+/// the previous round's range (its delta).
+struct CteRows {
+  const std::vector<Row>* rows = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
 /// A materialized uncorrelated subquery result, with its first column
 /// lazily hashed for fast IN evaluation.
 struct SubqueryResult {
@@ -146,17 +156,17 @@ class ExecContext {
   }
 
   /// Binds (or rebinds) the rows a CTE name resolves to. Used both for
-  /// final materialized CTEs and for the rotating delta during recursive
+  /// final materialized CTEs and for the delta range during recursive
   /// iteration. Rebinding invalidates the subquery cache.
-  void BindCteRows(const std::string& key, const std::vector<Row>* rows) {
+  void BindCteRows(const std::string& key, CteRows rows) {
     cte_rows_[key] = rows;
     subquery_cache_.clear();
   }
 
-  /// Rows bound to a CTE key, or nullptr.
-  const std::vector<Row>* FindCteRows(const std::string& key) const {
+  /// Rows bound to a CTE key, or null.
+  const CteRows* FindCteRows(const std::string& key) const {
     auto it = cte_rows_.find(key);
-    return it == cte_rows_.end() ? nullptr : it->second;
+    return it == cte_rows_.end() ? nullptr : &it->second;
   }
 
   // Correlation stack: subquery evaluation pushes the current outer row;
@@ -196,7 +206,7 @@ class ExecContext {
   // the list's own bind-time set applies.
   std::vector<std::pair<const BoundInList*, std::unique_ptr<InSet>>>
       inlist_values_;
-  std::map<std::string, const std::vector<Row>*> cte_rows_;
+  std::map<std::string, CteRows> cte_rows_;
   std::vector<const Row*> outer_rows_;
   std::unordered_map<const void*, SubqueryResult> subquery_cache_;
 };

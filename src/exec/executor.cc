@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "catalog/table.h"
 #include "common/string_util.h"
@@ -13,6 +12,55 @@
 #include "exec/vectorized.h"
 
 namespace pdm {
+
+void DistinctRows::Reserve(size_t n) {
+  rows_.reserve(n);
+  if (!distinct_) return;
+  hashes_.reserve(n);
+  size_t bits = std::max<size_t>(bits_, 4);
+  while ((size_t{1} << bits) < 2 * n) ++bits;
+  if (bits != bits_) Rehash(bits);
+}
+
+bool DistinctRows::Insert(Row&& row) {
+  if (distinct_) {
+    // At most half full, so a probe ends within a few slots.
+    if (2 * (rows_.size() + 1) > slots_.size()) {
+      Rehash(std::max<size_t>(bits_ + 1, 4));
+    }
+    const size_t hash = HashRow(row);
+    const size_t mask = slots_.size() - 1;
+    size_t i = SlotOf(hash);
+    for (; slots_[i] != 0; i = (i + 1) & mask) {
+      const size_t at = slots_[i] - 1;
+      if (hashes_[at] == hash && RowsEqual(rows_[at], row)) return false;
+    }
+    slots_[i] = static_cast<uint32_t>(rows_.size() + 1);
+    hashes_.push_back(hash);
+  }
+  rows_.push_back(std::move(row));
+  return true;
+}
+
+std::vector<Row> DistinctRows::Release() {
+  std::vector<Row> rows = std::move(rows_);
+  rows_.clear();
+  hashes_.clear();
+  slots_.clear();
+  bits_ = 0;
+  return rows;
+}
+
+void DistinctRows::Rehash(size_t bits) {
+  bits_ = bits;
+  slots_.assign(size_t{1} << bits, 0);
+  const size_t mask = slots_.size() - 1;
+  for (size_t r = 0; r < hashes_.size(); ++r) {
+    size_t i = SlotOf(hashes_[r]);
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(r + 1);
+  }
+}
 
 void CollectIndexCandidates(const BoundExpr& filter, const ExecContext& ctx,
                             std::vector<IndexCandidate>* out) {
@@ -89,14 +137,15 @@ class ScanExecutor : public Executor {
 
   Result<bool> Next(Row* row) override {
     // Candidates materialize into a recycled scratch row (string cells
-    // reuse its capacity); only a row that passes the filter is handed
-    // out, by swap — no per-row Value copies on untouched columns.
+    // reuse its capacity), only the live columns (DESIGN.md 5o); only a
+    // row that passes the filter is handed out, by swap — no per-row
+    // Value copies on untouched columns.
     const uint64_t snapshot = ctx_->snapshot_ts();
     if (use_index_) {
       while (pos_ < candidates_.size()) {
         const size_t version_pos = candidates_[pos_++];
         if (!table_->VisibleAt(version_pos, snapshot)) continue;
-        table_->MaterializeRow(version_pos, &scratch_);
+        table_->MaterializeRow(version_pos, &scratch_, node_.live);
         ctx_->stats().rows_scanned++;
         PDM_ASSIGN_OR_RETURN(bool pass,
                              EvaluatePredicate(*node_.filter, scratch_, ctx_));
@@ -109,7 +158,7 @@ class ScanExecutor : public Executor {
     while (pos_ < bound_) {
       const size_t version_pos = pos_++;
       if (!table_->VisibleAt(version_pos, snapshot)) continue;
-      table_->MaterializeRow(version_pos, &scratch_);
+      table_->MaterializeRow(version_pos, &scratch_, node_.live);
       ctx_->stats().rows_scanned++;
       if (node_.filter != nullptr) {
         PDM_ASSIGN_OR_RETURN(bool pass,
@@ -184,26 +233,37 @@ class CteScanExecutor : public Executor {
       : node_(node), ctx_(ctx) {}
 
   Status Open() override {
-    rows_ = ctx_->FindCteRows(node_.cte_name);
-    if (rows_ == nullptr) {
+    const CteRows* bound = ctx_->FindCteRows(node_.cte_name);
+    if (bound == nullptr) {
       return Status::Internal("CTE '" + node_.cte_name +
                               "' is not materialized");
     }
-    pos_ = 0;
+    rows_ = *bound;
+    pos_ = rows_.begin;
     return Status::OK();
   }
 
+  /// Copies only the live cells (DESIGN.md 5o) into *row, reusing its
+  /// capacity; the others are NULL.
   Result<bool> Next(Row* row) override {
-    if (pos_ >= rows_->size()) return false;
+    if (pos_ >= rows_.end) return false;
     ctx_->stats().cte_rows_scanned++;
-    *row = (*rows_)[pos_++];
+    const Row& source = (*rows_.rows)[pos_++];
+    row->resize(source.size());
+    for (size_t c = 0; c < source.size(); ++c) {
+      if (IsLive(node_.live, c)) {
+        (*row)[c] = source[c];
+      } else {
+        (*row)[c].SetNull();
+      }
+    }
     return true;
   }
 
  private:
   const CteScanNode& node_;
   ExecContext* ctx_;
-  const std::vector<Row>* rows_ = nullptr;
+  CteRows rows_;
   size_t pos_ = 0;
 };
 
@@ -245,9 +305,8 @@ class ProjectExecutor : public Executor {
   }
 
   Result<bool> Next(Row* row) override {
-    Row input;
     if (child_ != nullptr) {
-      PDM_ASSIGN_OR_RETURN(bool has, child_->Next(&input));
+      PDM_ASSIGN_OR_RETURN(bool has, child_->Next(&input_));
       if (!has) return false;
     } else {
       // FROM-less SELECT: exactly one empty input row.
@@ -257,7 +316,7 @@ class ProjectExecutor : public Executor {
     row->clear();
     row->reserve(node_.exprs.size());
     for (const BoundExprPtr& e : node_.exprs) {
-      PDM_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, input, ctx_));
+      PDM_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, input_, ctx_));
       row->push_back(std::move(v));
     }
     return true;
@@ -268,6 +327,7 @@ class ProjectExecutor : public Executor {
   std::unique_ptr<Executor> child_;
   ExecContext* ctx_;
   bool done_ = false;
+  Row input_;  // the child's row, recycled: its cells keep their capacity
 };
 
 class LimitExecutor : public Executor {
@@ -476,7 +536,11 @@ const Table* IndexJoinTable(const HashJoinNode& node, ExecContext* ctx) {
 /// hundreds of navigational point queries cheap, like a B-tree would in
 /// a real RDBMS, and keeps the index's cross-statement amortization).
 /// Matched right rows load straight from the column fragments into the
-/// combined row, with no scratch-row copy. It fixes no scan bound: the
+/// output row, with no scratch-row copy, residual first (DESIGN.md 5o):
+/// only the right columns the residual reads load before it runs, and
+/// the rest of the live right columns only for a row that passes. The
+/// residual runs whole, in its own order, so an error surfaces at the
+/// same row as with every column loaded. It fixes no scan bound: the
 /// index may already hold an appended but unpublished version, and a
 /// match counts only if VisibleAt admits it when the probe runs. The
 /// positions are copied out under the index lock, so a concurrent
@@ -494,14 +558,20 @@ class IndexJoinExecutor : public Executor {
     return Status::OK();
   }
 
+  /// Writes the combined row straight into *row: the left cells once per
+  /// call (a rejected match loads over the right cells only), then the
+  /// right cells per match.
   Result<bool> Next(Row* row) override {
-    const size_t rcols = table_->schema().num_columns();
+    const size_t lcols = node_.left->schema.num_columns();
+    const ColumnMask& right_live = node_.right->live;
+    bool left_in_row = false;
     while (true) {
       if (!have_left_) {
         PDM_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
         if (!has) return false;
         ctx_->stats().index_join_probes++;
         have_left_ = true;
+        left_in_row = false;
         match_pos_ = 0;
         positions_.clear();
         const Value& key = left_row_[node_.left_keys[0]];
@@ -513,21 +583,24 @@ class IndexJoinExecutor : public Executor {
         const size_t pos = positions_[match_pos_++];
         if (!table_->VisibleAt(pos, ctx_->snapshot_ts())) continue;
         // VisibleAt admits published positions only; clip the span there.
-        const FragmentSpan span =
-            table_->FragmentAt(pos >> kFragmentShift, pos + 1);
-        const uint32_t slot = static_cast<uint32_t>(pos & kFragmentMask);
-        Row combined;
-        combined.reserve(left_row_.size() + rcols);
-        combined.insert(combined.end(), left_row_.begin(), left_row_.end());
-        for (size_t c = 0; c < rcols; ++c) {
-          combined.push_back(span.fragment->cols[c].Load(slot));
+        const Fragment& fragment =
+            *table_->FragmentAt(pos >> kFragmentShift, pos + 1).fragment;
+        const size_t slot = pos & kFragmentMask;
+        if (!left_in_row) {
+          row->resize(lcols + table_->schema().num_columns());
+          std::copy(left_row_.begin(), left_row_.end(), row->begin());
+          left_in_row = true;
         }
+        Value* right = row->data() + lcols;
         if (node_.residual != nullptr) {
-          PDM_ASSIGN_OR_RETURN(
-              bool pass, EvaluatePredicate(*node_.residual, combined, ctx_));
+          fragment.LoadRow(slot, node_.residual_live, right);
+          PDM_ASSIGN_OR_RETURN(bool pass,
+                               EvaluatePredicate(*node_.residual, *row, ctx_));
           if (!pass) continue;
+          // An empty residual_live loaded every column already.
+          if (node_.residual_live.empty()) return true;
         }
-        *row = std::move(combined);
+        fragment.LoadRow(slot, right_live, right);
         return true;
       }
       have_left_ = false;
@@ -689,13 +762,16 @@ class SortExecutor : public Executor {
   size_t pos_ = 0;
 };
 
+/// Streams each distinct row once: an admitted row moves into the set
+/// and a copy goes out; a duplicate stays in *row, whose cells the next
+/// child row reuses.
 class DistinctExecutor : public Executor {
  public:
   explicit DistinctExecutor(std::unique_ptr<Executor> child)
       : child_(std::move(child)) {}
 
   Status Open() override {
-    seen_.clear();
+    seen_ = DistinctRows();
     return child_->Open();
   }
 
@@ -703,13 +779,16 @@ class DistinctExecutor : public Executor {
     while (true) {
       PDM_ASSIGN_OR_RETURN(bool has, child_->Next(row));
       if (!has) return false;
-      if (seen_.insert(*row).second) return true;
+      if (seen_.Insert(std::move(*row))) {
+        *row = seen_.rows().back();
+        return true;
+      }
     }
   }
 
  private:
   std::unique_ptr<Executor> child_;
-  std::unordered_set<Row, RowHash, RowEq> seen_;
+  DistinctRows seen_;
 };
 
 class UnionExecutor : public Executor {

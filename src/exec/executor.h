@@ -1,6 +1,7 @@
 #ifndef PDM_EXEC_EXECUTOR_H_
 #define PDM_EXEC_EXECUTOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -22,6 +23,44 @@ class Executor {
 
   /// Produces the next row into *row; returns false at end of stream.
   virtual Result<bool> Next(Row* row) = 0;
+};
+
+/// The one de-duplicating row store, shared by DISTINCT, the UNION
+/// de-dup of a CTE's seed and recursive CTE evaluation: it keeps each
+/// distinct row once, in admission order. A row is hashed once, when it
+/// is inserted, and its hash kept beside it; the open-addressing table
+/// holds row indexes, so each admitted row is stored once and growing
+/// the table moves no row.
+class DistinctRows {
+ public:
+  /// With `distinct` false every row is admitted (UNION ALL's bag
+  /// semantics), so one recursive-CTE evaluator serves both.
+  explicit DistinctRows(bool distinct = true) : distinct_(distinct) {}
+
+  /// Room for `n` rows in all without growing.
+  void Reserve(size_t n);
+
+  /// Appends `row` (moving from it) unless an equal row is stored; true
+  /// if appended. On false `row` is left untouched.
+  bool Insert(Row&& row);
+
+  size_t size() const { return rows_.size(); }
+  const std::vector<Row>& rows() const { return rows_; }
+
+  /// Moves the rows out, leaving the set empty.
+  std::vector<Row> Release();
+
+ private:
+  void Rehash(size_t bits);
+  size_t SlotOf(size_t hash) const {
+    return (hash * 0x9e3779b97f4a7c15ULL) >> (64 - bits_);
+  }
+
+  bool distinct_;
+  std::vector<Row> rows_;
+  std::vector<size_t> hashes_;   // HashRow of rows_[i]
+  std::vector<uint32_t> slots_;  // row index + 1; 0 = empty
+  size_t bits_ = 0;              // slots_.size() == 2^bits_
 };
 
 /// A conjunct of a scan filter that a column index can answer:

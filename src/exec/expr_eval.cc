@@ -122,6 +122,33 @@ Result<const Row*> ResolveRow(const BoundColumnRef& ref, const Row& row,
   return outer;
 }
 
+/// The cell a column reference reads, in place.
+Result<const Value*> ColumnValue(const BoundColumnRef& ref, const Row& row,
+                                 ExecContext* ctx) {
+  PDM_ASSIGN_OR_RETURN(const Row* src, ResolveRow(ref, row, ctx));
+  if (ref.index >= src->size()) {
+    return Status::Internal("column index out of range for '" +
+                            ref.debug_name + "'");
+  }
+  return &(*src)[ref.index];
+}
+
+/// Evaluates an operand without copying a literal or a column ref: the
+/// result points into the plan, the parameters or the row. Any other
+/// expression is evaluated into *scratch.
+Result<const Value*> EvaluateOperand(const BoundExpr& expr, const Row& row,
+                                     ExecContext* ctx, Value* scratch) {
+  switch (expr.kind) {
+    case BoundExprKind::kLiteral:
+      return &ctx->LiteralValue(static_cast<const BoundLiteral&>(expr));
+    case BoundExprKind::kColumnRef:
+      return ColumnValue(static_cast<const BoundColumnRef&>(expr), row, ctx);
+    default:
+      PDM_ASSIGN_OR_RETURN(*scratch, EvaluateExpr(expr, row, ctx));
+      return scratch;
+  }
+}
+
 }  // namespace
 
 Result<const SubqueryResult*> RunSubquery(const BoundSubquery& sub,
@@ -169,10 +196,11 @@ Result<Value> EvaluateSubquery(const BoundSubquery& sub, const Row& row,
       return rows[0][0];
     }
     case SubqueryKind::kIn: {
-      PDM_ASSIGN_OR_RETURN(Value needle,
-                           EvaluateExpr(*sub.operand, row, ctx));
-      if (needle.is_null()) return Value::Null();
-      return result->FirstColumnValues().Probe(needle, sub.negated);
+      Value scratch;
+      PDM_ASSIGN_OR_RETURN(const Value* needle,
+                           EvaluateOperand(*sub.operand, row, ctx, &scratch));
+      if (needle->is_null()) return Value::Null();
+      return result->FirstColumnValues().Probe(*needle, sub.negated);
     }
   }
   return Status::Internal("unhandled subquery kind");
@@ -252,13 +280,10 @@ Result<Value> EvaluateExpr(const BoundExpr& expr, const Row& row,
     case BoundExprKind::kLiteral:
       return ctx->LiteralValue(static_cast<const BoundLiteral&>(expr));
     case BoundExprKind::kColumnRef: {
-      const auto& ref = static_cast<const BoundColumnRef&>(expr);
-      PDM_ASSIGN_OR_RETURN(const Row* src, ResolveRow(ref, row, ctx));
-      if (ref.index >= src->size()) {
-        return Status::Internal("column index out of range for '" +
-                                ref.debug_name + "'");
-      }
-      return (*src)[ref.index];
+      PDM_ASSIGN_OR_RETURN(
+          const Value* v,
+          ColumnValue(static_cast<const BoundColumnRef&>(expr), row, ctx));
+      return *v;
     }
     case BoundExprKind::kUnary: {
       const auto& e = static_cast<const BoundUnary&>(expr);
@@ -299,14 +324,20 @@ Result<Value> EvaluateExpr(const BoundExpr& expr, const Row& row,
         case sql::BinaryOp::kLessEq:
         case sql::BinaryOp::kGreater:
         case sql::BinaryOp::kGreaterEq: {
-          PDM_ASSIGN_OR_RETURN(Value a, EvaluateExpr(*e.lhs, row, ctx));
-          PDM_ASSIGN_OR_RETURN(Value b, EvaluateExpr(*e.rhs, row, ctx));
-          return SqlCompareValues(e.op, a, b);
+          Value sa, sb;
+          PDM_ASSIGN_OR_RETURN(const Value* a,
+                               EvaluateOperand(*e.lhs, row, ctx, &sa));
+          PDM_ASSIGN_OR_RETURN(const Value* b,
+                               EvaluateOperand(*e.rhs, row, ctx, &sb));
+          return SqlCompareValues(e.op, *a, *b);
         }
         default: {
-          PDM_ASSIGN_OR_RETURN(Value a, EvaluateExpr(*e.lhs, row, ctx));
-          PDM_ASSIGN_OR_RETURN(Value b, EvaluateExpr(*e.rhs, row, ctx));
-          return SqlArithmeticValues(e.op, a, b);
+          Value sa, sb;
+          PDM_ASSIGN_OR_RETURN(const Value* a,
+                               EvaluateOperand(*e.lhs, row, ctx, &sa));
+          PDM_ASSIGN_OR_RETURN(const Value* b,
+                               EvaluateOperand(*e.rhs, row, ctx, &sb));
+          return SqlArithmeticValues(e.op, *a, *b);
         }
       }
     }
@@ -327,12 +358,17 @@ Result<Value> EvaluateExpr(const BoundExpr& expr, const Row& row,
     }
     case BoundExprKind::kIsNull: {
       const auto& e = static_cast<const BoundIsNull&>(expr);
-      PDM_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e.operand, row, ctx));
-      return Value::Bool(e.negated ? !v.is_null() : v.is_null());
+      Value scratch;
+      PDM_ASSIGN_OR_RETURN(const Value* v,
+                           EvaluateOperand(*e.operand, row, ctx, &scratch));
+      return Value::Bool(e.negated ? !v->is_null() : v->is_null());
     }
     case BoundExprKind::kInList: {
       const auto& e = static_cast<const BoundInList&>(expr);
-      PDM_ASSIGN_OR_RETURN(Value needle, EvaluateExpr(*e.operand, row, ctx));
+      Value scratch;
+      PDM_ASSIGN_OR_RETURN(const Value* operand,
+                           EvaluateOperand(*e.operand, row, ctx, &scratch));
+      const Value& needle = *operand;
       if (needle.is_null()) return Value::Null();
       if (e.use_literal_set) {
         return ctx->InListValues(e).Probe(needle, e.negated);

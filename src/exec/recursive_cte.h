@@ -18,9 +18,9 @@ namespace pdm {
 ///
 /// Recursive CTEs are evaluated iteratively:
 ///   * semi-naive (default): each round evaluates the recursive terms
-///     with the CTE bound to the *delta* of the previous round only, and
-///     (under UNION-distinct semantics) keeps just the rows not seen
-///     before. This is the efficient strategy the paper's reference [10]
+///     with the CTE bound to the *delta* of the previous round only (a
+///     range of the accumulated rows, not a copy), and (under
+///     UNION-distinct semantics) keeps just the rows not seen before. This is the efficient strategy the paper's reference [10]
 ///     alludes to.
 ///   * naive (ExecOptions::semi_naive_recursion = false, ablation): each
 ///     round re-evaluates the recursive terms against the full
@@ -28,11 +28,6 @@ namespace pdm {
 ///     trees; only available for UNION-distinct recursion.
 Status MaterializeCtes(const std::vector<BoundCte>& ctes, ExecContext* ctx,
                        std::map<std::string, std::vector<Row>>* storage);
-
-/// Evaluates one recursive CTE (exposed for unit tests); `out` receives
-/// the fixpoint rows.
-Status EvaluateRecursiveCte(const BoundCte& cte, ExecContext* ctx,
-                            std::vector<Row>* out);
 
 }  // namespace pdm
 

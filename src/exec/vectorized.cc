@@ -545,8 +545,8 @@ struct VecSourceSpec {
   size_t max_col = 0;
   std::vector<const BoundExpr*> project;
   std::vector<size_t> out_cols;
+  const ColumnMask* project_live = nullptr;  // the Project's live outputs
 
-  size_t TableCol(size_t c) const { return out_cols.empty() ? c : out_cols[c]; }
   size_t Width(const Table& table) const {
     return out_cols.empty() ? table.schema().num_columns() : out_cols.size();
   }
@@ -570,6 +570,7 @@ bool MatchVecSource(const PlanNode& plan, VecSourceSpec* out) {
               ? static_cast<const BoundColumnRef&>(*e).index
               : VecSourceSpec::kComputed);
     }
+    out->project_live = &project.live;
     node = project.child.get();
   }
   std::vector<const BoundExpr*> outer_first;
@@ -605,14 +606,13 @@ const Table* ResolveVecSource(const VecSourceSpec& spec, ExecContext* ctx) {
   return table;
 }
 
-/// Loads slot `slot` of `span` as the full table row ScanExecutor
-/// materializes, reusing *row's capacity.
-void LoadTableRow(const FragmentSpan& span, uint32_t slot, size_t num_columns,
-                  Row* row) {
-  row->resize(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
-    span.fragment->cols[c].LoadInto(slot, &(*row)[c]);
-  }
+/// Loads slot `slot` of `span` as the table row ScanExecutor
+/// materializes for `spec`'s scan: its live columns (which cover every
+/// filter and projection of the chain), reusing *row's capacity.
+void LoadTableRow(const VecSourceSpec& spec, const FragmentSpan& span,
+                  uint32_t slot, Row* row) {
+  row->resize(span.fragment->cols.size());
+  span.fragment->LoadRow(slot, spec.scan->live, row->data());
 }
 
 /// Streams the filtered batches of a resolved VecSource: per batch a
@@ -689,10 +689,9 @@ class VecSourceCursor {
   /// stand. Stops at the first error, keeping the rows before it and
   /// holding the error back in `pending_`.
   void FilterRows(size_t first, VecBatch* batch) {
-    const size_t num_columns = table_->schema().num_columns();
     size_t kept = 0;
     for (uint32_t slot : batch->sel) {
-      LoadTableRow(batch->span, slot, num_columns, &row_);
+      LoadTableRow(*spec_, batch->span, slot, &row_);
       bool pass = true;
       for (size_t f = first; pass && f < spec_->filters.size(); ++f) {
         Result<bool> verdict =
@@ -720,7 +719,7 @@ class VecSourceCursor {
   size_t window_ = 1;  // slots in the next window
   TriVec tri_;
   std::vector<uint32_t> survivors_;
-  Row row_;         // FilterRows' full table row
+  Row row_;         // FilterRows' table row
   Status pending_;  // a filter error held back until the rows before it
 };
 
@@ -772,16 +771,24 @@ class VecProjection {
   }
 
   /// Materializes survivor `i` of the evaluated batch into *row, reusing
-  /// its capacity; fails only in row-major mode, with the row engine's
-  /// error for this row.
+  /// its capacity, with the live columns only (DESIGN.md 5o); fails
+  /// only in row-major mode, with the row engine's error for this row.
   Status Emit(const VecBatch& batch, size_t i, Row* row) {
     const uint32_t slot = batch.sel[i];
     if (row_major_) return EmitRowMajor(batch, slot, row);
+    if (spec_->project.empty()) {
+      LoadTableRow(*spec_, batch.span, slot, row);
+      return Status::OK();
+    }
     row->resize(width_);
     for (size_t c = 0; c < width_; ++c) {
-      const size_t col = spec_->TableCol(c);
+      const size_t col = spec_->out_cols[c];
       if (col != VecSourceSpec::kComputed) {
-        batch.span.fragment->cols[col].LoadInto(slot, &(*row)[c]);
+        if (IsLive(*spec_->project_live, c)) {
+          batch.span.fragment->cols[col].LoadInto(slot, &(*row)[c]);
+        } else {
+          (*row)[c].SetNull();
+        }
       } else if (vals_[c].size() == 1) {
         (*row)[c] = vals_[c][0];  // constant: one cell for the batch
       } else {
@@ -793,9 +800,9 @@ class VecProjection {
 
  private:
   /// ProjectExecutor's evaluation of one row: every projected expression
-  /// in order over the full table row, the first error returned.
+  /// in order over the table row, the first error returned.
   Status EmitRowMajor(const VecBatch& batch, uint32_t slot, Row* row) {
-    LoadTableRow(batch.span, slot, table_->schema().num_columns(), &input_);
+    LoadTableRow(*spec_, batch.span, slot, &input_);
     row->clear();
     for (const BoundExpr* e : spec_->project) {
       PDM_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, input_, ctx_));
@@ -815,7 +822,7 @@ class VecProjection {
   std::vector<Computed> computed_;
   std::vector<std::vector<Value>> vals_;  // per output column
   bool row_major_ = false;  // the current batch failed dense evaluation
-  Row input_;               // row-major mode's full table row
+  Row input_;               // row-major mode's table row
 };
 
 // ---------------------------------------------------------------------------

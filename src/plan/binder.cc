@@ -416,6 +416,125 @@ void ConvertEquiJoinsToHashJoins(PlanPtr* plan) {
   *plan = std::move(hash_join);
 }
 
+// --- Column liveness ------------------------------------------------------------
+
+namespace {
+
+/// Marks in `need` each column of the row `expr` is evaluated against
+/// that it reads: its own level-0 refs, and the refs a subquery nested
+/// in it (at any depth) makes back to that row.
+void MarkReads(const BoundExpr& expr, ColumnMask* need) {
+  ForEachColumnRef(expr, 0, [&](const BoundColumnRef& ref, size_t depth) {
+    if (ref.level == depth && ref.index < need->size()) {
+      (*need)[ref.index] = true;
+    }
+  });
+}
+
+ColumnMask AllLive(const PlanNode& plan) {
+  return ColumnMask(plan.schema.num_columns(), true);
+}
+
+/// `mask` as stored on a plan: empty when every column is live, so the
+/// loaders take the whole-row path.
+ColumnMask AllOrMask(ColumnMask mask) {
+  if (std::find(mask.begin(), mask.end(), false) == mask.end()) mask.clear();
+  return mask;
+}
+
+void AnnotatePlan(PlanNode& plan, ColumnMask need);
+
+/// Annotates the subquery plans directly inside `expr`; each one's own
+/// expressions then annotate the plans nested deeper.
+void AnnotateSubqueries(BoundExpr& expr) {
+  ForEachChild(
+      expr, [](BoundExprPtr& c) { AnnotateSubqueries(*c); },
+      [](PlanPtr& plan) { AnnotatePlan(*plan, AllLive(*plan)); });
+}
+
+/// Splits a join's combined-row mask between its two sides.
+void AnnotateJoinSides(PlanNode& left, PlanNode& right,
+                       const ColumnMask& combined) {
+  const size_t split = left.schema.num_columns();
+  AnnotatePlan(left, ColumnMask(combined.begin(), combined.begin() + split));
+  AnnotatePlan(right, ColumnMask(combined.begin() + split, combined.end()));
+}
+
+/// Sets `plan.live` to `need` after annotating the children with what
+/// `plan`'s operator and `need` read of them.
+void AnnotatePlan(PlanNode& plan, ColumnMask need) {
+  ForEachExpr(plan, [](BoundExprPtr& e) { AnnotateSubqueries(*e); });
+  switch (plan.kind) {
+    case PlanKind::kScan: {
+      const auto& scan = static_cast<const ScanNode&>(plan);
+      if (scan.filter != nullptr) MarkReads(*scan.filter, &need);
+      break;
+    }
+    case PlanKind::kCteScan:
+      break;
+    case PlanKind::kFilter: {
+      auto& filter = static_cast<FilterNode&>(plan);
+      ColumnMask child = need;
+      MarkReads(*filter.predicate, &child);
+      AnnotatePlan(*filter.child, std::move(child));
+      break;
+    }
+    case PlanKind::kProject: {
+      auto& project = static_cast<ProjectNode&>(plan);
+      if (project.child == nullptr) break;
+      ColumnMask child(project.child->schema.num_columns(), false);
+      for (const BoundExprPtr& e : project.exprs) MarkReads(*e, &child);
+      AnnotatePlan(*project.child, std::move(child));
+      break;
+    }
+    case PlanKind::kNestedLoopJoin: {
+      auto& join = static_cast<NestedLoopJoinNode&>(plan);
+      ColumnMask combined = need;
+      if (join.predicate != nullptr) MarkReads(*join.predicate, &combined);
+      AnnotateJoinSides(*join.left, *join.right, combined);
+      break;
+    }
+    case PlanKind::kHashJoin: {
+      auto& join = static_cast<HashJoinNode&>(plan);
+      const size_t split = join.left->schema.num_columns();
+      ColumnMask combined = need;
+      if (join.residual != nullptr) {
+        ColumnMask residual(combined.size(), false);
+        MarkReads(*join.residual, &residual);
+        join.residual_live =
+            AllOrMask(ColumnMask(residual.begin() + split, residual.end()));
+        MarkReads(*join.residual, &combined);
+      }
+      for (size_t k : join.left_keys) combined[k] = true;
+      for (size_t k : join.right_keys) combined[split + k] = true;
+      AnnotateJoinSides(*join.left, *join.right, combined);
+      break;
+    }
+    case PlanKind::kLimit:
+      AnnotatePlan(*static_cast<LimitNode&>(plan).child, need);
+      break;
+    case PlanKind::kAggregate:
+    case PlanKind::kSort:
+    case PlanKind::kDistinct:
+    case PlanKind::kUnion:
+      ForEachChild(plan, [](PlanPtr& c) { AnnotatePlan(*c, AllLive(*c)); });
+      break;
+  }
+  plan.live = AllOrMask(std::move(need));
+}
+
+}  // namespace
+
+void ComputeColumnLiveness(BoundSelect* bound) {
+  for (BoundCte& cte : bound->ctes) {
+    AnnotatePlan(*cte.seed, AllLive(*cte.seed));
+    for (PlanPtr& term : cte.recursive_terms) {
+      AnnotatePlan(*term, AllLive(*term));
+    }
+  }
+  AnnotatePlan(*bound->root, AllLive(*bound->root));
+}
+
 // --- Binder: expressions ----------------------------------------------------------
 
 BoundExprPtr Binder::BindLiteral(const sql::LiteralExpr& expr) {

@@ -177,6 +177,16 @@ BoundExprPtr CombineConjuncts(std::vector<BoundExprPtr> conjuncts);
 /// (recursively, including subquery plans). No-op on other nodes.
 void ConvertEquiJoinsToHashJoins(PlanPtr* plan);
 
+/// Bind-time column liveness (DESIGN.md 5o): one pass that sets every
+/// node's `live` mask, and each hash join's `residual_live`, in the
+/// root, the CTE terms and every subquery plan. A node's live columns
+/// are those some ancestor reads: parent expressions, join keys and
+/// residuals, the refs a correlated subquery makes to the row it is
+/// evaluated on, and all columns of the root, of CTE storage and of
+/// Sort, Distinct, Union and Aggregate inputs. A scan's mask also holds
+/// its own filter's columns.
+void ComputeColumnLiveness(BoundSelect* bound);
+
 }  // namespace pdm
 
 #endif  // PDM_PLAN_BINDER_H_

@@ -40,6 +40,10 @@ struct PlanNode {
 
   const PlanKind kind;
   Schema schema;  // output schema
+  /// The output columns an ancestor reads, a scan's own filter columns
+  /// included (ComputeColumnLiveness, plan/binder.h). Loaders leave the
+  /// other cells NULL; indexes and widths never change.
+  ColumnMask live;
 };
 
 using PlanPtr = std::unique_ptr<PlanNode>;
@@ -90,6 +94,10 @@ struct HashJoinNode : PlanNode {
   std::vector<size_t> left_keys;
   std::vector<size_t> right_keys;
   BoundExprPtr residual;  // may be null
+  /// The right-side columns `residual` reads: an index join loads only
+  /// these before the residual runs, and the rest of `right->live` only
+  /// for a row that passes.
+  ColumnMask residual_live;
 };
 
 /// One aggregate computation within an AggregateNode.

@@ -6,6 +6,7 @@
 //    and every MLE strategy under action-scoped row rules
 //  * engine evaluation vs a reference C++ oracle on random predicates
 //  * optimizer on vs off on a query corpus
+//  * column-pruned plans vs every column live
 
 #include <gtest/gtest.h>
 
@@ -16,9 +17,11 @@
 #include "client/experiment.h"
 #include "pdm/pdm_schema.h"
 #include "rules/query_builder.h"
+#include "rules/query_modificator.h"
 #include "server/db_server.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "database_test_peer.h"
 #include "query_with_stats.h"
 
 namespace pdm {
@@ -883,6 +886,116 @@ TEST(VecEngineDifferential, WireSizeCountedWhileMaterializing) {
   ASSERT_TRUE(db.Execute("EXPLAIN SELECT obid FROM assy", &explain).ok());
   EXPECT_FALSE(explain.counted_wire_size.has_value());
   EXPECT_GT(explain.WireSize(), 0u);
+}
+
+// --- Column liveness: pruned plans vs every column live -----------------------
+
+/// A statement's outcome as compared across plans: the exact result or
+/// the error, plus the counters pruning must not move.
+std::string Outcome(Database& db, const std::string& sql) {
+  ExecStats stats;
+  Result<ResultSet> rs = QueryWithStats(db, &stats, sql);
+  if (!rs.ok()) return "error: " + rs.status().ToString();
+  return ExactText(*rs) +
+         StrFormat("\nscanned %zu cte %zu probes %zu", stats.rows_scanned,
+                   stats.cte_rows_scanned, stats.index_join_probes);
+}
+
+/// Runs `queries` with pruned plans and with every column live
+/// (DatabaseTestPeer), on both engine settings; the outcomes must be
+/// byte-identical. A first run builds the lazy column indexes, so the
+/// compared runs scan alike.
+void ExpectPrunedMatchesAllLive(Database& db,
+                                const std::vector<std::string>& queries) {
+  for (const std::string& sql : queries) Outcome(db, sql);
+  for (bool vectorized : {true, false}) {
+    db.options().exec.vectorized_execution = vectorized;
+    std::vector<std::string> pruned;
+    for (const std::string& sql : queries) pruned.push_back(Outcome(db, sql));
+    DatabaseTestPeer::SetAllColumnsLive(&db, true);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(Outcome(db, queries[i]), pruned[i])
+          << queries[i] << (vectorized ? " [vec]" : " [row]");
+    }
+    DatabaseTestPeer::SetAllColumnsLive(&db, false);
+  }
+  db.options().exec.vectorized_execution = true;
+}
+
+TEST(ColumnLivenessDifferential, CorpusAndTreeStatementsMatchAllLive) {
+  std::unique_ptr<client::Experiment> experiment = MakeA3b3Experiment();
+  ASSERT_NE(experiment, nullptr);
+  Database& db = experiment->server().database();
+  std::vector<std::string> queries = CorpusStatements();
+  queries.insert(queries.end(), std::begin(kBridgeCorpus),
+                 std::end(kBridgeCorpus));
+  // The recursive statements of a multi-level expand and a check-out.
+  rules::QueryModificator modificator(&experiment->rule_table(),
+                                      experiment->user());
+  for (rules::RuleAction action : {rules::RuleAction::kMultiLevelExpand,
+                                   rules::RuleAction::kCheckOut}) {
+    Result<std::unique_ptr<sql::SelectStmt>> stmt = modificator.BuildTreeQuery(
+        experiment->product().root_obid, /*max_depth=*/0, "phys", action);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    queries.push_back((*stmt)->ToSql());
+  }
+  ExpectPrunedMatchesAllLive(db, queries);
+}
+
+/// Shapes whose pruning has to keep a column an ancestor reads in a
+/// less obvious place, and errors that must surface at the same row.
+TEST(ColumnLivenessDifferential, TargetedShapesMatchAllLive) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE t (a INTEGER, b VARCHAR, c INTEGER, d VARCHAR);
+    CREATE TABLE u (a INTEGER, x VARCHAR, y INTEGER);
+    INSERT INTO t VALUES (1, 'p', 10, 'one'), (2, 'q', 20, 'two'),
+                         (3, 'p', 30, NULL), (4, 'r', 40, 'four');
+    INSERT INTO u VALUES (1, '5', 10), (2, 'y', 25), (3, '7', 30),
+                         (4, 'z', 40), (1, '9', 20);
+  )sql")
+                  .ok());
+  const std::vector<std::string> queries = {
+      // A correlated subquery reads outer columns nothing else reads.
+      "SELECT a FROM t WHERE EXISTS (SELECT * FROM u WHERE u.y = t.c)",
+      "SELECT a, (SELECT COUNT(*) FROM u WHERE u.a = t.a AND u.y < t.c) "
+      "FROM t",
+      "SELECT t.a FROM t JOIN u ON t.a = u.a WHERE u.y IN "
+      "(SELECT c FROM t AS t2 WHERE t2.d = t.d)",
+      // EXISTS, uncorrelated.
+      "SELECT a FROM t WHERE EXISTS (SELECT b FROM t WHERE c > 35)",
+      // A scan filter on columns that are not projected.
+      "SELECT a FROM t WHERE d = 'two' OR c > 25",
+      // GROUP BY / HAVING on columns that are not projected.
+      "SELECT COUNT(*) FROM t GROUP BY b HAVING MAX(c) > 15",
+      "SELECT SUM(a) FROM t GROUP BY d",
+      // ORDER BY.
+      "SELECT a, d FROM t ORDER BY b, c DESC",
+      // DISTINCT and UNION branches.
+      "SELECT DISTINCT b FROM t",
+      "SELECT b FROM t UNION SELECT x FROM u",
+      "SELECT v.a FROM (SELECT a, b FROM t UNION SELECT a, x FROM u) AS v",
+      "SELECT v.k FROM (SELECT a AS k, c FROM t UNION ALL "
+      "SELECT y, a FROM u) AS v WHERE v.k > 2",
+      // Index joins with residuals over columns nothing projects.
+      "SELECT t.a FROM t JOIN u ON t.a = u.a WHERE u.y > t.c",
+      "SELECT t.b, u.y FROM t JOIN u ON t.a = u.a WHERE u.x <> 'z'",
+      // A residual that fails on some rows: the error must name the
+      // same first failing row ('y', not 'z').
+      "SELECT t.a FROM t JOIN u ON t.a = u.a WHERE CAST(u.x AS INTEGER) > 0",
+      "SELECT t.d FROM t JOIN u ON t.a = u.a "
+      "WHERE t.c > 15 AND CAST(u.x AS INTEGER) > 0",
+      // Recursion over a CTE whose terms read two of its columns.
+      "WITH RECURSIVE r (a, pad, n) AS (SELECT a, d, 0 FROM t WHERE a = 1 "
+      "UNION SELECT u.a + 1, u.x, r.n + 1 FROM r JOIN u ON r.a = u.a "
+      "WHERE r.n < 3) SELECT a, pad, n FROM r ORDER BY 1, 2, 3",
+  };
+  ExecStats stats;
+  ASSERT_TRUE(QueryWithStats(db, &stats, queries[13]).ok());
+  EXPECT_GT(stats.index_join_probes, 0u);  // the residual runs in the index join
+  const std::string error = Outcome(db, queries[14]);
+  EXPECT_NE(error.find("'y'"), std::string::npos) << error;
+  ExpectPrunedMatchesAllLive(db, queries);
 }
 
 }  // namespace

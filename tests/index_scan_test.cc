@@ -15,9 +15,11 @@
 
 #include "client/experiment.h"
 #include "engine/database.h"
+#include "plan/binder.h"
 #include "query_with_stats.h"
 #include "rules/query_builder.h"
 #include "rules/query_modificator.h"
+#include "sql/parser.h"
 
 namespace pdm {
 namespace {
@@ -253,6 +255,48 @@ TEST_F(MleScanCounts, RecursiveExpandScansOnlyTheLinksItReturns) {
   Result<ResultSet> oracle = db().Query(oracle_sql);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   EXPECT_EQ(Render(*rs), Render(*oracle));
+}
+
+/// The CteScan leaf of `plan`'s left-deep join chain.
+const PlanNode* CteScanLeaf(const PlanNode& plan) {
+  const PlanNode* node = &plan;
+  while (node->kind != PlanKind::kCteScan) {
+    const PlanNode* next = nullptr;
+    ForEachChild(*node, [&](const PlanPtr& c) {
+      if (next == nullptr) next = c.get();
+    });
+    if (next == nullptr) return nullptr;
+    node = next;
+  }
+  return node;
+}
+
+TEST_F(MleScanCounts, RecursiveTermsReadOnlyObidAndLevelOfTheDelta) {
+  Result<sql::StatementPtr> stmt = sql::ParseSql(*mle_sql_);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  Binder binder(&db().catalog(), &db().functions(), db().options().binder,
+                &db().views());
+  Result<BoundSelect> bound = binder.BindSelect(
+      static_cast<const sql::SelectStmt&>(**stmt));
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  ComputeColumnLiveness(&*bound);
+
+  ASSERT_EQ(bound->ctes.size(), 1u);
+  const BoundCte& rtbl = bound->ctes[0];
+  const size_t obid = *rtbl.schema.FindColumn("obid");
+  const size_t lvl = *rtbl.schema.FindColumn("lvl");
+  ColumnMask expected(rtbl.schema.num_columns(), false);
+  expected[obid] = true;
+  expected[lvl] = true;
+  ASSERT_EQ(rtbl.recursive_terms.size(), 2u);
+  for (const PlanPtr& term : rtbl.recursive_terms) {
+    const PlanNode* scan = CteScanLeaf(*term);
+    ASSERT_NE(scan, nullptr) << term->ToString();
+    EXPECT_EQ(scan->live, expected) << term->ToString();
+  }
+  // The CTE's own terms and the statement's root produce every column.
+  EXPECT_TRUE(rtbl.seed->live.empty());
+  EXPECT_TRUE(bound->root->live.empty());
 }
 
 TEST_F(MleScanCounts, MostSelectiveFreshIndexWins) {

@@ -232,6 +232,53 @@ TEST_F(PlanCacheTest, CreateAndDropTableFlushEntries) {
   EXPECT_GE(db_.plan_cache().stats().invalidations, 2u);
 }
 
+// A cached plan carries its column indexes and its column-liveness
+// masks. Dropping a table and re-creating it under the same name with
+// the columns in another order must rebind: the schema epoch (catalog
+// version plus view/function DDL count) only grows, so no DDL sequence
+// can bring back the value the entry was stamped with.
+TEST_F(PlanCacheTest, RecreatedTableWithNewLayoutRebinds) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE r (a INTEGER, b INTEGER, c VARCHAR);
+    INSERT INTO r VALUES (1, 10, 'old'), (2, 20, 'older');
+  )sql")
+                  .ok());
+  const char* kQueries[] = {"SELECT a, b, c FROM r WHERE a = 1",
+                            "SELECT c FROM r WHERE b > 15"};
+  for (const char* sql : kQueries) {
+    ASSERT_TRUE(Query(sql).ok()) << sql;
+    ASSERT_TRUE(Query(sql).ok()) << sql;
+    EXPECT_EQ(stats_.plan_cache_hits, 1u) << sql;
+  }
+  const uint64_t epoch = db_.schema_epoch();
+
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    DROP TABLE r;
+    CREATE TABLE r (c VARCHAR, a INTEGER, b INTEGER);
+    INSERT INTO r VALUES ('new', 1, 30), ('newer', 2, 5);
+  )sql")
+                  .ok());
+  EXPECT_GT(db_.schema_epoch(), epoch);
+
+  Result<ResultSet> point = Query(kQueries[0]);
+  ASSERT_TRUE(point.ok()) << point.status();
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
+  ASSERT_EQ(point->num_rows(), 1u);
+  EXPECT_EQ(point->rows[0][0], Value::Int64(1));
+  EXPECT_EQ(point->rows[0][1], Value::Int64(30));
+  EXPECT_EQ(point->rows[0][2], Value::String("new"));
+
+  Result<ResultSet> filtered = Query(kQueries[1]);
+  ASSERT_TRUE(filtered.ok()) << filtered.status();
+  EXPECT_EQ(stats_.plan_cache_misses, 1u);
+  ASSERT_EQ(filtered->num_rows(), 1u);
+  EXPECT_EQ(filtered->rows[0][0], Value::String("new"));
+
+  // The rebound plans are cached in turn.
+  ASSERT_TRUE(Query(kQueries[1]).ok());
+  EXPECT_EQ(stats_.plan_cache_hits, 1u);
+}
+
 TEST_F(PlanCacheTest, ViewDdlInvalidates) {
   ASSERT_TRUE(Query("SELECT name FROM t WHERE id = 1").ok());
   ASSERT_TRUE(
