@@ -36,6 +36,10 @@ Result<Value> SqlCompareValues(sql::BinaryOp op, const Value& a,
   }
 }
 
+namespace {
+
+/// SQL arithmetic (+ - * / % ||): NULL-propagating, integer division on
+/// int/int, division-by-zero error, lenient string concatenation.
 Result<Value> SqlArithmeticValues(sql::BinaryOp op, const Value& a,
                                   const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
@@ -87,6 +91,8 @@ Result<Value> SqlArithmeticValues(sql::BinaryOp op, const Value& a,
   }
 }
 
+/// Kleene three-valued AND/OR over {TRUE, FALSE, NULL}; error on
+/// non-boolean operands.
 Result<Value> SqlLogicValues(sql::BinaryOp op, const Value& a,
                              const Value& b) {
   auto truth = [](const Value& v) -> Result<int> {  // 1 / 0 / -1 = unknown
@@ -105,8 +111,6 @@ Result<Value> SqlLogicValues(sql::BinaryOp op, const Value& a,
   if (x == 0 && y == 0) return Value::Bool(false);
   return Value::Null();
 }
-
-namespace {
 
 /// Resolves the row a column reference reads from: the current row for
 /// level 0, otherwise the correlation stack.
@@ -206,8 +210,7 @@ Result<Value> EvaluateSubquery(const BoundSubquery& sub, const Row& row,
   return Status::Internal("unhandled subquery kind");
 }
 
-}  // namespace
-
+/// SQL CAST between value kinds; NULL casts to NULL.
 Result<Value> CastValue(const Value& value, ColumnType target) {
   if (value.is_null()) return Value::Null();
   switch (target) {
@@ -273,6 +276,8 @@ Result<Value> CastValue(const Value& value, ColumnType target) {
                 std::string(ValueKindName(value.kind())).c_str(),
                 std::string(ColumnTypeName(target)).c_str()));
 }
+
+}  // namespace
 
 Result<Value> EvaluateExpr(const BoundExpr& expr, const Row& row,
                            ExecContext* ctx) {

@@ -28,27 +28,10 @@ Result<const SubqueryResult*> RunSubquery(const BoundSubquery& sub,
                                           const Row& row, ExecContext* ctx,
                                           SubqueryResult* storage);
 
-/// SQL CAST between value kinds; NULL casts to NULL.
-Result<Value> CastValue(const Value& value, ColumnType target);
-
-// Shared SQL value semantics, used by both the row-at-a-time evaluator
-// above and the vectorized evaluator (exec/vectorized.cc) so the two
-// engines cannot drift apart.
-
 /// SQL comparison producing NULL on NULL inputs; error on incomparable
 /// non-NULL kinds.
 Result<Value> SqlCompareValues(sql::BinaryOp op, const Value& a,
                                const Value& b);
-
-/// SQL arithmetic (+ - * / % ||): NULL-propagating, integer division on
-/// int/int, division-by-zero error, lenient string concatenation.
-Result<Value> SqlArithmeticValues(sql::BinaryOp op, const Value& a,
-                                  const Value& b);
-
-/// Kleene three-valued AND/OR over {TRUE, FALSE, NULL}; error on
-/// non-boolean operands.
-Result<Value> SqlLogicValues(sql::BinaryOp op, const Value& a,
-                             const Value& b);
 
 }  // namespace pdm
 

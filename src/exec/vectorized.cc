@@ -19,14 +19,6 @@ namespace pdm {
 
 namespace {
 
-// The row engine's non-boolean error message depends on the operator
-// consuming the value; the tri-state evaluator threads the right one
-// through so both engines fail identically.
-constexpr const char* kNonBoolLogic = "boolean operator on non-boolean value";
-constexpr const char* kNonBoolNot = "NOT on non-boolean value";
-constexpr const char* kNonBoolPredicate =
-    "predicate did not evaluate to a boolean";
-
 // ---------------------------------------------------------------------------
 // Plan gate
 // ---------------------------------------------------------------------------
@@ -56,9 +48,15 @@ bool RouteScanToRowIndexPath(const ScanNode& scan, const Table& table,
   return repeat;
 }
 
-/// Whitelist of expressions the batch evaluator reproduces exactly.
+/// The bridge's routing rule: true when a chain may run batchwise with
+/// `expr` in it. It does not say what the batch engine can evaluate:
+/// kernel predicates (IsKernelPredicate) run column-at-a-time, and any
+/// other expression it accepts runs through the row evaluator over the
+/// table row. It decides which scans the bridge serves, and so which
+/// rows are charged the vectorized scan rate (`per_row_scan_vec_s`), so
+/// widening it moves the simulated server time of the paper's tables.
 /// Tracks the widest level-0 column index so the caller can bounds-check
-/// against the table schema before committing to the vectorized path.
+/// against the table schema before committing to the bridge.
 bool CanVectorizeExpr(const BoundExpr& expr, size_t* max_col) {
   switch (expr.kind) {
     case BoundExprKind::kLiteral:
@@ -69,10 +67,7 @@ bool CanVectorizeExpr(const BoundExpr& expr, size_t* max_col) {
       *max_col = std::max(*max_col, ref.index);
       return true;
     }
-    case BoundExprKind::kInList:
-      // Expression items have per-row, per-item short-circuit order;
-      // only the binder's precomputed literal-set form maps onto a
-      // batch without re-deriving that order.
+    case BoundExprKind::kInList:  // only the literal-set form
       if (!static_cast<const BoundInList&>(expr).use_literal_set) return false;
       break;
     case BoundExprKind::kUnary:
@@ -95,7 +90,7 @@ bool CanVectorizeExpr(const BoundExpr& expr, size_t* max_col) {
 }
 
 /// True when `expr` reads no column: its value is the same for every
-/// row of an execution, so a batch evaluates it once.
+/// row of an execution, so the projection evaluates it once.
 bool IsConstantExpr(const BoundExpr& expr) {
   if (expr.kind == BoundExprKind::kColumnRef) return false;
   bool constant = true;
@@ -106,205 +101,50 @@ bool IsConstantExpr(const BoundExpr& expr) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense tier: expression -> one Value per selected slot
-// ---------------------------------------------------------------------------
-
-Status EvalDense(const BoundExpr& expr, ExecContext* ctx,
-                 const FragmentSpan& span, const uint32_t* rows, size_t n,
-                 std::vector<Value>* out);
-
-/// AND/OR with the row engine's short-circuit: the rhs is evaluated only
-/// for slots the lhs did not already decide (bool FALSE for AND, bool
-/// TRUE for OR) — so an rhs that would error on a short-circuited slot
-/// stays silent, exactly as on the row path.
-Status EvalDenseLogic(const BoundBinary& e, ExecContext* ctx,
-                      const FragmentSpan& span, const uint32_t* rows, size_t n,
-                      std::vector<Value>* out) {
-  const bool is_and = e.op == sql::BinaryOp::kAnd;
-  std::vector<Value> lhs;
-  PDM_RETURN_NOT_OK(EvalDense(*e.lhs, ctx, span, rows, n, &lhs));
-  std::vector<uint32_t> rest_rows;
-  std::vector<size_t> rest_idx;
-  for (size_t i = 0; i < n; ++i) {
-    if (lhs[i].is_bool() && lhs[i].bool_value() != is_and) continue;
-    rest_rows.push_back(rows[i]);
-    rest_idx.push_back(i);
-  }
-  std::vector<Value> rhs;
-  if (!rest_rows.empty()) {
-    PDM_RETURN_NOT_OK(
-        EvalDense(*e.rhs, ctx, span, rest_rows.data(), rest_rows.size(), &rhs));
-  }
-  out->resize(n);
-  for (size_t i = 0; i < n; ++i) (*out)[i] = Value::Bool(!is_and);
-  for (size_t j = 0; j < rest_idx.size(); ++j) {
-    Result<Value> v = SqlLogicValues(e.op, lhs[rest_idx[j]], rhs[j]);
-    if (!v.ok()) return v.status();
-    (*out)[rest_idx[j]] = std::move(v).value();
-  }
-  return Status::OK();
-}
-
-Status EvalDense(const BoundExpr& expr, ExecContext* ctx,
-                 const FragmentSpan& span, const uint32_t* rows, size_t n,
-                 std::vector<Value>* out) {
-  switch (expr.kind) {
-    case BoundExprKind::kLiteral: {
-      const Value& v =
-          ctx->LiteralValue(static_cast<const BoundLiteral&>(expr));
-      out->resize(n);
-      for (size_t i = 0; i < n; ++i) (*out)[i] = v;
-      return Status::OK();
-    }
-    case BoundExprKind::kColumnRef: {
-      const auto& ref = static_cast<const BoundColumnRef&>(expr);
-      const ColumnFragment& col = span.fragment->cols[ref.index];
-      out->resize(n);  // no clear: LoadInto recycles string capacity
-      for (size_t i = 0; i < n; ++i) col.LoadInto(rows[i], &(*out)[i]);
-      return Status::OK();
-    }
-    case BoundExprKind::kUnary: {
-      const auto& e = static_cast<const BoundUnary&>(expr);
-      std::vector<Value> v;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
-      out->resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (v[i].is_null()) {
-          (*out)[i] = Value::Null();
-        } else if (e.op == sql::UnaryOp::kNot) {
-          if (!v[i].is_bool()) return Status::ExecutionError(kNonBoolNot);
-          (*out)[i] = Value::Bool(!v[i].bool_value());
-        } else if (v[i].is_int64()) {
-          (*out)[i] = Value::Int64(-v[i].int64_value());
-        } else if (v[i].is_double()) {
-          (*out)[i] = Value::Double(-v[i].double_value());
-        } else {
-          return Status::ExecutionError("unary minus on non-numeric value");
-        }
-      }
-      return Status::OK();
-    }
-    case BoundExprKind::kBinary: {
-      const auto& e = static_cast<const BoundBinary&>(expr);
-      if (e.op == sql::BinaryOp::kAnd || e.op == sql::BinaryOp::kOr) {
-        return EvalDenseLogic(e, ctx, span, rows, n, out);
-      }
-      std::vector<Value> a;
-      std::vector<Value> b;
-      PDM_RETURN_NOT_OK(EvalDense(*e.lhs, ctx, span, rows, n, &a));
-      PDM_RETURN_NOT_OK(EvalDense(*e.rhs, ctx, span, rows, n, &b));
-      const bool compare = e.op == sql::BinaryOp::kEq ||
-                           e.op == sql::BinaryOp::kNotEq ||
-                           e.op == sql::BinaryOp::kLess ||
-                           e.op == sql::BinaryOp::kLessEq ||
-                           e.op == sql::BinaryOp::kGreater ||
-                           e.op == sql::BinaryOp::kGreaterEq;
-      out->resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        Result<Value> v = compare ? SqlCompareValues(e.op, a[i], b[i])
-                                  : SqlArithmeticValues(e.op, a[i], b[i]);
-        if (!v.ok()) return v.status();
-        (*out)[i] = std::move(v).value();
-      }
-      return Status::OK();
-    }
-    case BoundExprKind::kCast: {
-      const auto& e = static_cast<const BoundCast&>(expr);
-      std::vector<Value> v;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
-      out->resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        Result<Value> c = CastValue(v[i], e.target_type);
-        if (!c.ok()) return c.status();
-        (*out)[i] = std::move(c).value();
-      }
-      return Status::OK();
-    }
-    case BoundExprKind::kIsNull: {
-      const auto& e = static_cast<const BoundIsNull&>(expr);
-      std::vector<Value> v;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
-      out->resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        (*out)[i] = Value::Bool(e.negated ? !v[i].is_null() : v[i].is_null());
-      }
-      return Status::OK();
-    }
-    case BoundExprKind::kInList: {
-      const auto& e = static_cast<const BoundInList&>(expr);
-      std::vector<Value> needle;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &needle));
-      const InSet& set = ctx->InListValues(e);
-      out->resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        (*out)[i] = needle[i].is_null() ? Value::Null()
-                                        : set.Probe(needle[i], e.negated);
-      }
-      return Status::OK();
-    }
-    case BoundExprKind::kBetween: {
-      const auto& e = static_cast<const BoundBetween&>(expr);
-      std::vector<Value> v;
-      std::vector<Value> lo;
-      std::vector<Value> hi;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
-      PDM_RETURN_NOT_OK(EvalDense(*e.low, ctx, span, rows, n, &lo));
-      PDM_RETURN_NOT_OK(EvalDense(*e.high, ctx, span, rows, n, &hi));
-      out->resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        Result<Value> ge =
-            SqlCompareValues(sql::BinaryOp::kGreaterEq, v[i], lo[i]);
-        if (!ge.ok()) return ge.status();
-        Result<Value> le =
-            SqlCompareValues(sql::BinaryOp::kLessEq, v[i], hi[i]);
-        if (!le.ok()) return le.status();
-        Result<Value> both =
-            SqlLogicValues(sql::BinaryOp::kAnd, ge.value(), le.value());
-        if (!both.ok()) return both.status();
-        Value b = std::move(both).value();
-        if (e.negated && !b.is_null()) b = Value::Bool(!b.bool_value());
-        (*out)[i] = std::move(b);
-      }
-      return Status::OK();
-    }
-    case BoundExprKind::kLike: {
-      const auto& e = static_cast<const BoundLike&>(expr);
-      std::vector<Value> text;
-      std::vector<Value> pattern;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &text));
-      PDM_RETURN_NOT_OK(EvalDense(*e.pattern, ctx, span, rows, n, &pattern));
-      out->resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (text[i].is_null() || pattern[i].is_null()) {
-          (*out)[i] = Value::Null();
-          continue;
-        }
-        if (!text[i].is_string() || !pattern[i].is_string()) {
-          return Status::ExecutionError("LIKE requires string operands");
-        }
-        const bool match =
-            SqlLikeMatch(text[i].string_value(), pattern[i].string_value());
-        (*out)[i] = Value::Bool(e.negated ? !match : match);
-      }
-      return Status::OK();
-    }
-    case BoundExprKind::kFunctionCall:
-    case BoundExprKind::kCase:
-    case BoundExprKind::kSubquery:
-      break;  // rejected by CanVectorizeExpr
-  }
-  return Status::Internal("expression kind not vectorizable");
-}
-
-// ---------------------------------------------------------------------------
-// Tri tier: predicate -> {TRUE=1, FALSE=0, NULL=-1} per selected slot
+// Column kernels: predicate -> {TRUE=1, FALSE=0, NULL=-1} per selected slot
 // ---------------------------------------------------------------------------
 
 using TriVec = std::vector<int8_t>;
 
+bool IsComparison(sql::BinaryOp op) {
+  return op == sql::BinaryOp::kEq || op == sql::BinaryOp::kNotEq ||
+         op == sql::BinaryOp::kLess || op == sql::BinaryOp::kLessEq ||
+         op == sql::BinaryOp::kGreater || op == sql::BinaryOp::kGreaterEq;
+}
+
+/// True when `expr` reads the column arrays directly: `column <op>
+/// literal` (either side), `column IS [NOT] NULL`, and NOT, AND and OR
+/// over those. Every value such a predicate combines is TRUE, FALSE or
+/// NULL, so it can fail only on a comparison of incomparable kinds.
+bool IsKernelPredicate(const BoundExpr& expr) {
+  switch (expr.kind) {
+    case BoundExprKind::kBinary: {
+      const auto& e = static_cast<const BoundBinary&>(expr);
+      if (e.op == sql::BinaryOp::kAnd || e.op == sql::BinaryOp::kOr) {
+        return IsKernelPredicate(*e.lhs) && IsKernelPredicate(*e.rhs);
+      }
+      const BoundExprKind l = e.lhs->kind;
+      const BoundExprKind r = e.rhs->kind;
+      return IsComparison(e.op) && ((l == BoundExprKind::kColumnRef &&
+                                     r == BoundExprKind::kLiteral) ||
+                                    (l == BoundExprKind::kLiteral &&
+                                     r == BoundExprKind::kColumnRef));
+    }
+    case BoundExprKind::kUnary: {
+      const auto& e = static_cast<const BoundUnary&>(expr);
+      return e.op == sql::UnaryOp::kNot && IsKernelPredicate(*e.operand);
+    }
+    case BoundExprKind::kIsNull:
+      return static_cast<const BoundIsNull&>(expr).operand->kind ==
+             BoundExprKind::kColumnRef;
+    default:
+      return false;
+  }
+}
+
 Status EvalTri(const BoundExpr& expr, ExecContext* ctx,
                const FragmentSpan& span, const uint32_t* rows, size_t n,
-               const char* nonbool_error, TriVec* out);
+               TriVec* out);
 
 /// tri := cell <op> literal (or flipped), straight off the column
 /// arrays: no Value is constructed for any cell. Mirrors
@@ -391,7 +231,7 @@ Status EvalTriLogic(const BoundBinary& e, ExecContext* ctx,
   const bool is_and = e.op == sql::BinaryOp::kAnd;
   const int8_t decided = is_and ? 0 : 1;
   TriVec lhs;
-  PDM_RETURN_NOT_OK(EvalTri(*e.lhs, ctx, span, rows, n, kNonBoolLogic, &lhs));
+  PDM_RETURN_NOT_OK(EvalTri(*e.lhs, ctx, span, rows, n, &lhs));
   std::vector<uint32_t> rest_rows;
   std::vector<size_t> rest_idx;
   for (size_t i = 0; i < n; ++i) {
@@ -401,8 +241,8 @@ Status EvalTriLogic(const BoundBinary& e, ExecContext* ctx,
   }
   TriVec rhs;
   if (!rest_rows.empty()) {
-    PDM_RETURN_NOT_OK(EvalTri(*e.rhs, ctx, span, rest_rows.data(),
-                              rest_rows.size(), kNonBoolLogic, &rhs));
+    PDM_RETURN_NOT_OK(
+        EvalTri(*e.rhs, ctx, span, rest_rows.data(), rest_rows.size(), &rhs));
   }
   out->resize(n);
   std::fill(out->begin(), out->end(), decided);
@@ -420,107 +260,49 @@ Status EvalTriLogic(const BoundBinary& e, ExecContext* ctx,
   return Status::OK();
 }
 
+/// Runs a kernel predicate (IsKernelPredicate) over the selected slots.
 Status EvalTri(const BoundExpr& expr, ExecContext* ctx,
                const FragmentSpan& span, const uint32_t* rows, size_t n,
-               const char* nonbool_error, TriVec* out) {
+               TriVec* out) {
   switch (expr.kind) {
     case BoundExprKind::kBinary: {
       const auto& e = static_cast<const BoundBinary&>(expr);
       if (e.op == sql::BinaryOp::kAnd || e.op == sql::BinaryOp::kOr) {
         return EvalTriLogic(e, ctx, span, rows, n, out);
       }
-      const bool compare = e.op == sql::BinaryOp::kEq ||
-                           e.op == sql::BinaryOp::kNotEq ||
-                           e.op == sql::BinaryOp::kLess ||
-                           e.op == sql::BinaryOp::kLessEq ||
-                           e.op == sql::BinaryOp::kGreater ||
-                           e.op == sql::BinaryOp::kGreaterEq;
-      if (compare) {
-        const BoundExpr* l = e.lhs.get();
-        const BoundExpr* r = e.rhs.get();
-        if (l->kind == BoundExprKind::kColumnRef &&
-            r->kind == BoundExprKind::kLiteral) {
-          const auto& ref = static_cast<const BoundColumnRef&>(*l);
-          return CompareColumnLiteral(
-              e.op, span.column(ref.index),
-              ctx->LiteralValue(static_cast<const BoundLiteral&>(*r)),
-              /*lit_on_left=*/false, rows, n, out);
-        }
-        if (l->kind == BoundExprKind::kLiteral &&
-            r->kind == BoundExprKind::kColumnRef) {
-          const auto& ref = static_cast<const BoundColumnRef&>(*r);
-          return CompareColumnLiteral(
-              e.op, span.column(ref.index),
-              ctx->LiteralValue(static_cast<const BoundLiteral&>(*l)),
-              /*lit_on_left=*/true, rows, n, out);
-        }
-        std::vector<Value> a;
-        std::vector<Value> b;
-        PDM_RETURN_NOT_OK(EvalDense(*e.lhs, ctx, span, rows, n, &a));
-        PDM_RETURN_NOT_OK(EvalDense(*e.rhs, ctx, span, rows, n, &b));
-        out->resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          Result<Value> v = SqlCompareValues(e.op, a[i], b[i]);
-          if (!v.ok()) return v.status();
-          const Value& c = v.value();
-          (*out)[i] = c.is_null() ? int8_t{-1} : (c.bool_value() ? 1 : 0);
-        }
-        return Status::OK();
-      }
-      break;  // arithmetic result as a predicate: generic conversion
+      const bool lit_on_left = e.lhs->kind == BoundExprKind::kLiteral;
+      const auto& ref = static_cast<const BoundColumnRef&>(
+          lit_on_left ? *e.rhs : *e.lhs);
+      const auto& lit =
+          static_cast<const BoundLiteral&>(lit_on_left ? *e.lhs : *e.rhs);
+      return CompareColumnLiteral(e.op, span.column(ref.index),
+                                  ctx->LiteralValue(lit), lit_on_left, rows, n,
+                                  out);
     }
-    case BoundExprKind::kUnary: {
+    case BoundExprKind::kUnary: {  // NOT
       const auto& e = static_cast<const BoundUnary&>(expr);
-      if (e.op == sql::UnaryOp::kNot) {
-        PDM_RETURN_NOT_OK(
-            EvalTri(*e.operand, ctx, span, rows, n, kNonBoolNot, out));
-        for (int8_t& t : *out) {
-          if (t != -1) t = t == 1 ? 0 : 1;
-        }
-        return Status::OK();
+      PDM_RETURN_NOT_OK(EvalTri(*e.operand, ctx, span, rows, n, out));
+      for (int8_t& t : *out) {
+        if (t != -1) t = t == 1 ? 0 : 1;
       }
-      break;
+      return Status::OK();
     }
     case BoundExprKind::kIsNull: {
+      // Null-ness straight from the kind tags; never NULL-valued.
       const auto& e = static_cast<const BoundIsNull&>(expr);
+      const auto& ref = static_cast<const BoundColumnRef&>(*e.operand);
+      const ColumnSpan col = span.column(ref.index);
       out->resize(n);
-      if (e.operand->kind == BoundExprKind::kColumnRef) {
-        // Null-ness straight from the kind tags; never NULL-valued.
-        const auto& ref = static_cast<const BoundColumnRef&>(*e.operand);
-        const ColumnSpan col = span.column(ref.index);
-        for (size_t i = 0; i < n; ++i) {
-          const bool isnull = static_cast<ValueKind>(col.kinds[rows[i]]) ==
-                              ValueKind::kNull;
-          (*out)[i] = (e.negated ? !isnull : isnull) ? 1 : 0;
-        }
-        return Status::OK();
-      }
-      std::vector<Value> v;
-      PDM_RETURN_NOT_OK(EvalDense(*e.operand, ctx, span, rows, n, &v));
       for (size_t i = 0; i < n; ++i) {
-        (*out)[i] = (e.negated ? !v[i].is_null() : v[i].is_null()) ? 1 : 0;
+        const bool isnull =
+            static_cast<ValueKind>(col.kinds[rows[i]]) == ValueKind::kNull;
+        (*out)[i] = (e.negated ? !isnull : isnull) ? 1 : 0;
       }
       return Status::OK();
     }
     default:
-      break;
+      return Status::Internal("not a kernel predicate");
   }
-  // Generic tier: dense-evaluate, then convert with the consuming
-  // operator's non-boolean error so failures match the row engine.
-  std::vector<Value> vals;
-  PDM_RETURN_NOT_OK(EvalDense(expr, ctx, span, rows, n, &vals));
-  out->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Value& v = vals[i];
-    if (v.is_null()) {
-      (*out)[i] = -1;
-    } else if (v.is_bool()) {
-      (*out)[i] = v.bool_value() ? 1 : 0;
-    } else {
-      return Status::ExecutionError(nonbool_error);
-    }
-  }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -530,30 +312,29 @@ Status EvalTri(const BoundExpr& expr, ExecContext* ctx,
 /// A vec-coverable `Project? -> Filter* -> Scan` chain: the shape the
 /// bridge leaf consumes batches from. `filters` are in the row
 /// engine's application order and reference table columns (they sit
-/// below the projection); `max_col` is the widest level-0 column any
-/// filter or projected expression references (bounds-checked against
-/// the table schema on resolve). A non-empty `project` is the peeled
-/// projection: output column c loads table column out_cols[c] straight
-/// off the fragment when project[c] is a bare column reference, and is
-/// an expression evaluated densely per batch (out_cols[c] == kComputed)
+/// below the projection); the first `kernel_filters` of them are kernel
+/// predicates (IsKernelPredicate), run column-at-a-time, and the rest
+/// run through the row evaluator. `max_col` is the widest level-0
+/// column any filter or projected expression references (bounds-checked
+/// against the table schema on resolve). A non-empty `project` is the
+/// peeled projection: output column c loads table column out_cols[c]
+/// straight off the fragment when project[c] is a bare column
+/// reference, and is an expression (out_cols[c] == kComputed)
 /// otherwise. Empty means identity.
 struct VecSourceSpec {
   static constexpr size_t kComputed = std::numeric_limits<size_t>::max();
 
   const ScanNode* scan = nullptr;
   std::vector<const BoundExpr*> filters;
+  size_t kernel_filters = 0;
   size_t max_col = 0;
   std::vector<const BoundExpr*> project;
   std::vector<size_t> out_cols;
   const ColumnMask* project_live = nullptr;  // the Project's live outputs
-
-  size_t Width(const Table& table) const {
-    return out_cols.empty() ? table.schema().num_columns() : out_cols.size();
-  }
 };
 
 /// Peels `Project? -> Filter* -> Scan` and gates every projected and
-/// filter expression through the vectorizable-expression whitelist;
+/// filter expression through the routing rule (CanVectorizeExpr);
 /// false on any other shape.
 bool MatchVecSource(const PlanNode& plan, VecSourceSpec* out) {
   const PlanNode* node = &plan;
@@ -588,6 +369,10 @@ bool MatchVecSource(const PlanNode& plan, VecSourceSpec* out) {
                       outer_first.rend());
   for (const BoundExpr* f : out->filters) {
     if (!CanVectorizeExpr(*f, &out->max_col)) return false;
+  }
+  while (out->kernel_filters < out->filters.size() &&
+         IsKernelPredicate(*out->filters[out->kernel_filters])) {
+    ++out->kernel_filters;
   }
   return true;
 }
@@ -628,11 +413,19 @@ void LoadTableRow(const VecSourceSpec& spec, const FragmentSpan& span,
 /// project about as many slots as it takes, while a full scan splits
 /// only its first fragment (into about log2(1024) batches).
 ///
-/// A filter that fails column-at-a-time may have met a later row's
-/// error first, or one the row engine never reaches because its parent
-/// stops pulling. That batch is filtered row-major instead (FilterRows),
-/// and the error is returned by the next NextBatch call, after the
-/// consumer has taken the rows before the failing one.
+/// The leading kernel filters run column-at-a-time. From the first
+/// other filter on, the batch is filtered row by row (FilterRows); so
+/// is a batch whose kernel fails, since column-at-a-time it may have
+/// met a later row's error first, or one the row engine never reaches
+/// because its parent stops pulling. A filter error is returned by the
+/// next NextBatch call, after the consumer has taken the rows before
+/// the failing one.
+///
+/// `span_` borrows a fragment across NextBatch calls. It stays valid
+/// because the statement holds a registered snapshot (or the DML mutex)
+/// for as long as the cursor lives, and version GC, the only operation
+/// that frees fragments, takes the DML mutex and defers while any
+/// snapshot is registered (DESIGN.md 5h).
 class VecSourceCursor {
  public:
   VecSourceCursor(const VecSourceSpec* spec, const Table* table,
@@ -662,11 +455,11 @@ class VecSourceCursor {
       }
       stats.rows_scanned += batch->sel.size();
       stats.vec_rows_scanned += batch->sel.size();
-      for (size_t f = 0; f < filters.size() && !batch->sel.empty(); ++f) {
+      size_t f = 0;
+      for (; f < spec_->kernel_filters && !batch->sel.empty(); ++f) {
         if (!EvalTri(*filters[f], ctx_, batch->span, batch->sel.data(),
-                     batch->sel.size(), kNonBoolPredicate, &tri_)
+                     batch->sel.size(), &tri_)
                  .ok()) {
-          FilterRows(f, batch);
           break;
         }
         survivors_.clear();
@@ -675,6 +468,7 @@ class VecSourceCursor {
         }
         batch->sel.swap(survivors_);
       }
+      if (f < filters.size() && !batch->sel.empty()) FilterRows(f, batch);
       if (!batch->sel.empty()) return true;
       if (!pending_.ok()) return pending_;
     }
@@ -724,105 +518,68 @@ class VecSourceCursor {
 };
 
 /// Late materialization of a VecSource's output rows for the bridge
-/// leaf. Per batch, each computed output column is evaluated once with
-/// EvalDense over the surviving slots (a constant one, such as the
-/// query-all's `''` and `CAST(NULL AS ...)` fillers, over one slot);
-/// each row then loads its table columns straight off the fragment and
-/// takes its computed cells from those vectors. A batch whose dense
-/// evaluation fails is emitted row-major instead, through the row
-/// evaluator: column-at-a-time evaluation may meet a later row's error
-/// before an earlier row's, or one the row engine never reaches because
-/// its parent stops pulling, so the error is returned only at the row
-/// where the row engine's projection fails. A batch of one survivor
-/// (the cursor's first window, or a selective filter's) is emitted
-/// row-major too: on one row the row evaluator costs less than
-/// EvalDense's per-call vectors.
+/// leaf, with ProjectExecutor's semantics: each row evaluates its
+/// output columns in order and returns the first error. A column
+/// reference loads straight off the fragment (NULL when dead, DESIGN.md
+/// 5o). A constant column, such as the query-all's `''` and `CAST(NULL
+/// AS ...)` fillers, is evaluated once, when the first row reaches it,
+/// and its Result is kept. Any other column runs through EvaluateExpr
+/// over the table row.
 class VecProjection {
  public:
-  VecProjection(const VecSourceSpec* spec, const Table* table,
-                ExecContext* ctx)
+  VecProjection(const VecSourceSpec* spec, ExecContext* ctx)
       : spec_(spec),
-        table_(table),
         ctx_(ctx),
-        width_(spec->Width(*table)),
-        vals_(spec->project.size()) {
+        constant_(spec->project.size()),
+        constants_(spec->project.size()) {
     for (size_t c = 0; c < spec->project.size(); ++c) {
       if (spec->out_cols[c] != VecSourceSpec::kComputed) continue;
-      computed_.push_back({c, IsConstantExpr(*spec->project[c])});
+      constant_[c] = IsConstantExpr(*spec->project[c]);
+      reads_row_ = reads_row_ || !constant_[c];
     }
   }
 
-  /// Evaluates the computed columns over the survivors of `batch`
-  /// (non-empty, so a constant that fails to evaluate fails only when
-  /// some row reaches the projection, as on the row path); on failure,
-  /// or for a lone survivor, the batch's rows are emitted row-major.
-  void Evaluate(const VecBatch& batch) {
-    row_major_ = !computed_.empty() && batch.sel.size() == 1;
-    if (row_major_) return;
-    for (const Computed& c : computed_) {
-      const size_t n = c.constant ? 1 : batch.sel.size();
-      if (!EvalDense(*spec_->project[c.column], ctx_, batch.span,
-                     batch.sel.data(), n, &vals_[c.column])
-               .ok()) {
-        row_major_ = true;
-        return;
-      }
-    }
-  }
-
-  /// Materializes survivor `i` of the evaluated batch into *row, reusing
-  /// its capacity, with the live columns only (DESIGN.md 5o); fails
-  /// only in row-major mode, with the row engine's error for this row.
-  Status Emit(const VecBatch& batch, size_t i, Row* row) {
-    const uint32_t slot = batch.sel[i];
-    if (row_major_) return EmitRowMajor(batch, slot, row);
+  /// Materializes slot `slot` of `span` into *row, reusing its
+  /// capacity, with the live columns only (DESIGN.md 5o); fails with
+  /// the row engine's error for this row.
+  Status Emit(const FragmentSpan& span, uint32_t slot, Row* row) {
     if (spec_->project.empty()) {
-      LoadTableRow(*spec_, batch.span, slot, row);
+      LoadTableRow(*spec_, span, slot, row);
       return Status::OK();
     }
-    row->resize(width_);
-    for (size_t c = 0; c < width_; ++c) {
+    if (reads_row_) LoadTableRow(*spec_, span, slot, &input_);
+    row->resize(spec_->project.size());
+    for (size_t c = 0; c < row->size(); ++c) {
       const size_t col = spec_->out_cols[c];
+      Value& cell = (*row)[c];
       if (col != VecSourceSpec::kComputed) {
         if (IsLive(*spec_->project_live, c)) {
-          batch.span.fragment->cols[col].LoadInto(slot, &(*row)[c]);
+          span.fragment->cols[col].LoadInto(slot, &cell);
         } else {
-          (*row)[c].SetNull();
+          cell.SetNull();
         }
-      } else if (vals_[c].size() == 1) {
-        (*row)[c] = vals_[c][0];  // constant: one cell for the batch
+      } else if (constant_[c]) {
+        std::optional<Result<Value>>& constant = constants_[c];
+        if (!constant.has_value()) {
+          constant.emplace(EvaluateExpr(*spec_->project[c], input_, ctx_));
+        }
+        if (!constant->ok()) return constant->status();
+        cell = constant->value();
       } else {
-        (*row)[c] = std::move(vals_[c][i]);
+        PDM_ASSIGN_OR_RETURN(cell,
+                             EvaluateExpr(*spec_->project[c], input_, ctx_));
       }
     }
     return Status::OK();
   }
 
  private:
-  /// ProjectExecutor's evaluation of one row: every projected expression
-  /// in order over the table row, the first error returned.
-  Status EmitRowMajor(const VecBatch& batch, uint32_t slot, Row* row) {
-    LoadTableRow(*spec_, batch.span, slot, &input_);
-    row->clear();
-    for (const BoundExpr* e : spec_->project) {
-      PDM_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, input_, ctx_));
-      row->push_back(std::move(v));
-    }
-    return Status::OK();
-  }
-
   const VecSourceSpec* spec_;
-  const Table* table_;
   ExecContext* ctx_;
-  size_t width_;
-  struct Computed {
-    size_t column;  // output column that is an expression
-    bool constant;  // reads no column: one cell per batch
-  };
-  std::vector<Computed> computed_;
-  std::vector<std::vector<Value>> vals_;  // per output column
-  bool row_major_ = false;  // the current batch failed dense evaluation
-  Row input_;               // row-major mode's table row
+  std::vector<bool> constant_;  // per output column: computed, reads none
+  std::vector<std::optional<Result<Value>>> constants_;  // per output column
+  bool reads_row_ = false;  // some computed column reads the table row
+  Row input_;               // the table row those columns read
 };
 
 // ---------------------------------------------------------------------------
@@ -840,7 +597,7 @@ class VecScanExecutor : public Executor {
       : spec_(std::move(spec)),
         table_(table),
         ctx_(ctx),
-        projection_(&spec_, table_, ctx_) {}
+        projection_(&spec_, ctx_) {}
 
   Status Open() override {
     cursor_.emplace(&spec_, table_, ctx_);
@@ -854,9 +611,8 @@ class VecScanExecutor : public Executor {
       pos_ = 0;
       PDM_ASSIGN_OR_RETURN(bool has, cursor_->NextBatch(&batch_));
       if (!has) return false;
-      projection_.Evaluate(batch_);
     }
-    PDM_RETURN_NOT_OK(projection_.Emit(batch_, pos_++, row));
+    PDM_RETURN_NOT_OK(projection_.Emit(batch_.span, batch_.sel[pos_++], row));
     return true;
   }
 

@@ -7,12 +7,14 @@
 // snapshot-stability stress that doubles as a TSan canary, and
 // vectorized visibility over the columnar fragments (version chains
 // crossing the fragment boundary, concurrent fragment scans, the
-// batchwise query-all at a pinned snapshot under a writer, the bridge
-// scan and the index join across an unpublished append).
+// batchwise query-all at a pinned snapshot under a writer and under
+// concurrent version GC, the bridge scan and the index join across an
+// unpublished append).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <string>
@@ -719,6 +721,92 @@ TEST(MvccVectorized, IndexJoinMatchesRowJoinAcrossAnUnpublishedAppend) {
       EXPECT_EQ(index_during.rows, nl_after.rows);
     }
   }
+}
+
+/// Freshness seam of the column fragment directory: VecSourceCursor
+/// borrows a fragment (`span_`) across NextBatch calls, and version GC
+/// move-assigns the table's FragmentStore, freeing every fragment. GC
+/// defers while any snapshot is registered, and a read holds one for as
+/// long as its executors live. Two readers run the query-all on the
+/// bridge and on the row operators at one registered snapshot, then
+/// through Execute at the statement's own snapshot, while a writer
+/// loops a whole-table UPDATE (versions past the fragment boundary) and
+/// GarbageCollectVersions. Each bridge result must equal the row
+/// engine's at the same snapshot, and GC must prune between the reads
+/// (each reader waits for a pruning pass before its next read).
+TEST(MvccVectorized, QueryAllMatchesRowEngineUnderConcurrentVersionGc) {
+  client::ExperimentConfig config;
+  config.generator.depth = 5;
+  config.generator.branching = 5;
+  config.generator.sigma = 0.6;
+  Result<std::unique_ptr<client::Experiment>> experiment =
+      client::Experiment::Create(config);
+  ASSERT_TRUE(experiment.ok()) << experiment.status();
+  Database& db = (*experiment)->server().database();
+  const std::string sql = rules::BuildFlatQuery()->ToSql();
+  Result<BoundSelect> bound = BindForTest(&db, sql.c_str());
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  const PlanNode& plan = *bound->root;
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> prunes{0};
+  std::thread writer([&] {
+    for (bool flag = true; !stop.load(std::memory_order_acquire);
+         flag = !flag) {
+      (void)db.Execute(StrFormat("UPDATE assy SET checkedout = %s",
+                                 flag ? "TRUE" : "FALSE"));
+      if (db.GarbageCollectVersions() > 0) {
+        prunes.fetch_add(1, std::memory_order_release);
+      }
+    }
+  });
+  constexpr int kReads = 4;
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      for (int read = 0; read < kReads; ++read) {
+        size_t rows = 0;
+        {
+          Database::Snapshot snap = db.AcquireSnapshot();
+          OpenedScan vec(&db, plan, true, snap.ts());
+          OpenedScan row(&db, plan, false, snap.ts());
+          vec.Pull();
+          row.Pull();
+          rows = vec.rows.size();
+          if (rows == 0 || vec.rows != row.rows ||
+              vec.stats.vec_rows_scanned != rows ||
+              row.stats.vec_batches != 0) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        ResultSet out;
+        ExecStats stats;
+        if (!db.Execute(sql, &out, &stats).ok() || out.num_rows() != rows ||
+            stats.vec_rows_scanned != rows) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        // No snapshot is held here: let a GC pass prune before the next
+        // read.
+        const size_t seen = prunes.load(std::memory_order_acquire);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (prunes.load(std::memory_order_acquire) == seen) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  stop.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GE(prunes.load(), static_cast<size_t>(kReads));
 }
 
 }  // namespace
