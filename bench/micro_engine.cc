@@ -457,11 +457,40 @@ void BM_AggregateGroupBy(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregateGroupBy);
 
+/// Best wall seconds per query of `sql` on each engine over `row_iters`
+/// row runs and `vec_iters` vec runs, spread evenly over one interleaved
+/// sequence so host noise falls on both engines alike. Leaves the batch
+/// engine on. False if a run fails.
+bool BestOfAlternating(Database* db, const std::string& sql, int row_iters,
+                       int vec_iters, double* row_s, double* vec_s) {
+  *row_s = *vec_s = 1e300;
+  const int rounds = std::max(row_iters, vec_iters);
+  for (int r = 0; r < rounds; ++r) {
+    for (bool vectorized : {false, true}) {
+      // An engine with fewer runs than rounds skips the rounds where its
+      // evenly spaced run count does not step.
+      const int iters = vectorized ? vec_iters : row_iters;
+      if ((r + 1) * iters / rounds == r * iters / rounds) continue;
+      db->options().exec.vectorized_execution = vectorized;
+      const auto start = std::chrono::steady_clock::now();
+      Result<ResultSet> result = db->Query(sql);
+      const auto stop = std::chrono::steady_clock::now();
+      if (!result.ok()) return false;
+      double& best = vectorized ? *vec_s : *row_s;
+      best = std::min(best,
+                      std::chrono::duration<double>(stop - start).count());
+    }
+  }
+  db->options().exec.vectorized_execution = true;
+  return true;
+}
+
 }  // namespace
 
 /// CI gate: times the link-expansion scan grid on both engines with
 /// plain steady_clock (no google-benchmark — the gate must stay cheap
-/// and its output one CSV table), verifies byte-identical results, and
+/// and its output one CSV table), best of 5 row and 15 vec runs
+/// interleaved (BestOfAlternating), verifies byte-identical results, and
 /// fails unless every cell's vectorized path is at least `min_speedup`
 /// times faster than the row path. The CI floor is 3x; the calibrated
 /// model target (per_row_scan_s / per_row_scan_vec_s) is 5x, which
@@ -471,21 +500,6 @@ int RunLinkExpansionGate(double min_speedup, const std::string& csv_path) {
   constexpr int64_t kCuts[] = {10, 50, 90};
   constexpr int kRowIters = 5;
   constexpr int kVecIters = 15;
-
-  auto best_seconds = [&](const std::string& sql, bool vectorized,
-                          int iters) {
-    db.options().exec.vectorized_execution = vectorized;
-    double best = 1e300;
-    for (int i = 0; i < iters; ++i) {
-      const auto start = std::chrono::steady_clock::now();
-      Result<ResultSet> result = db.Query(sql);
-      const auto stop = std::chrono::steady_clock::now();
-      if (!result.ok()) return -1.0;
-      best = std::min(best, std::chrono::duration<double>(stop - start)
-                                .count());
-    }
-    return best;
-  };
 
   std::string csv =
       "cell,k,result_rows,row_s_per_query,vec_s_per_query,speedup\n";
@@ -505,10 +519,11 @@ int RunLinkExpansionGate(double min_speedup, const std::string& csv_path) {
                    static_cast<long long>(k));
       return 1;
     }
-    const double row_s = best_seconds(sql, /*vectorized=*/false, kRowIters);
-    const double vec_s = best_seconds(sql, /*vectorized=*/true, kVecIters);
-    db.options().exec.vectorized_execution = true;
-    if (row_s < 0 || vec_s <= 0) {
+    double row_s = 0;
+    double vec_s = 0;
+    const bool ran =
+        BestOfAlternating(&db, sql, kRowIters, kVecIters, &row_s, &vec_s);
+    if (!ran || vec_s <= 0) {
       std::fprintf(stderr, "k=%lld: query failed\n",
                    static_cast<long long>(k));
       return 1;
@@ -545,8 +560,7 @@ int RunLinkExpansionGate(double min_speedup, const std::string& csv_path) {
 
 /// CI gate for the statements the batch engine serves (DESIGN.md 5j):
 /// times each grid cell on both engines (best-of-8 steady_clock each,
-/// row and vec runs alternating so host noise falls on both sides
-/// alike), verifies the results byte-identical per cell first, and
+/// row and vec runs alternating: BestOfAlternating), verifies the results byte-identical per cell first, and
 /// fails unless
 /// every *gated* cell clears `min_speedup`. The late-evaluation
 /// query-all is gated; a computed projection under LIMIT 1 and the
@@ -594,25 +608,6 @@ int RunVecJoinGate(double min_speedup, const std::string& csv_path,
   }
 
   constexpr int kIters = 8;
-  // Best of kIters per engine, a row run and a vec run in turn; false if
-  // a run fails.
-  auto best_seconds = [](Database* target, const std::string& sql,
-                         double* row_s, double* vec_s) {
-    *row_s = *vec_s = 1e300;
-    for (int i = 0; i < kIters; ++i) {
-      for (bool vectorized : {false, true}) {
-        target->options().exec.vectorized_execution = vectorized;
-        const auto start = std::chrono::steady_clock::now();
-        Result<ResultSet> result = target->Query(sql);
-        const auto stop = std::chrono::steady_clock::now();
-        if (!result.ok()) return false;
-        double& best = vectorized ? *vec_s : *row_s;
-        best = std::min(best,
-                        std::chrono::duration<double>(stop - start).count());
-      }
-    }
-    return true;
-  };
 
   std::string csv =
       "cell,gated,result_rows,row_s_per_query,vec_s_per_query,speedup\n";
@@ -636,8 +631,8 @@ int RunVecJoinGate(double min_speedup, const std::string& csv_path,
     }
     double row_s = 0;
     double vec_s = 0;
-    const bool ran = best_seconds(&target, cell.sql, &row_s, &vec_s);
-    target.options().exec.vectorized_execution = true;
+    const bool ran =
+        BestOfAlternating(&target, cell.sql, kIters, kIters, &row_s, &vec_s);
     if (!ran || vec_s <= 0) {
       std::fprintf(stderr, "%s: query failed\n", cell.name);
       return 1;

@@ -1,27 +1,17 @@
 // Extension table (DESIGN.md 5h): MVCC snapshot reads under concurrent
-// DML, two workloads through the shared admission queue.
+// DML through the shared admission queue. Eight level-batched readers
+// replay the multi-level expand while 0/1/2/4 writers cycle
+// check-out/check-in on a shared subassembly: with the MVCC wave lanes
+// reader latency stays flat as writers are added.
 //
-//  * checkout/batch — eight level-batched readers replay the
-//    multi-level expand while 0/1/2/4 writers cycle check-out/check-in
-//    on a shared subassembly: with MVCC wave lanes reader latency stays
-//    flat as writers are added.
-//  * burst/recurse — eight recursive readers vs four every-wave UPDATE
-//    writers, MVCC vs the pre-MVCC serial mode on the identical
-//    workload: a serial DML-carrying wave re-executes the recursive
-//    tree query once per reader, the MVCC read lane once per wave.
-//
-// Reports, per cell: reader wall-clock p50/max, wave/statement/DML
-// totals, server-side first-writer-wins conflicts vs client-side
+// Reports, per writer count: reader wall-clock p50/max, wave/statement/
+// DML totals, server-side first-writer-wins conflicts vs client-side
 // retries, and version-GC counters. Fails non-zero if
 //   * any reader tree deviates from the quiesced reference,
 //   * the median over interleaved reps of the reader p50 ratio, 4
 //     writers over the zero-writer baseline, exceeds the flatness bound,
-//   * any MVCC reader statement ran on the serial path behind DML (the
-//     machine-independent form of the flatness claim),
-//   * the serial mode is not measurably slower than MVCC on the
-//     burst/recurse pair,
 //   * server conflicts and client retries do not reconcile.
-// Writes a Chrome-trace JSON artifact of the traced 4-writer MVCC cell
+// Writes a Chrome-trace JSON artifact of the traced 4-writer cell
 // (argv[1], default "concurrent_dml_trace.json").
 
 #include <algorithm>
@@ -45,11 +35,6 @@ using model::StrategyKind;
 
 constexpr size_t kReaders = 8;
 constexpr size_t kWriterCycles = 3;
-/// Update-burst writers: one DML submission per wave, sized to outlast
-/// the readers' five level waves with margin.
-constexpr size_t kBurstWriterCycles = 8;
-/// Reps of the burst/recurse cells; the median reader p50 is kept.
-constexpr size_t kReps = 3;
 /// Interleaved reps of the check-out writer sweep: each rep runs the
 /// 0/1/2/4-writer cells back to back, so its 4-writer/0-writer ratio
 /// compares runs taken moments apart, and the gate takes the median of
@@ -62,13 +47,6 @@ constexpr size_t kWriterCounts[] = {0, 1, 2, 4};
 /// noisy and writer DML shares the CPU with the readers, so the bound
 /// is deliberately generous.
 constexpr double kFlatnessBound = 1.10;
-/// The serial mode must be at least this factor slower than MVCC on
-/// the burst-writer/recursive-reader pair: with DML pending in every
-/// wave, the serial path re-executes the recursive tree query once per
-/// reader (8x) while the MVCC read lane executes it once and fans the
-/// result out. The measured gap is a large multiple; the floor only
-/// needs to reject "no measurable penalty".
-constexpr double kSerialSlowdownFloor = 1.5;
 
 uint64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().counter(name).value();
@@ -76,10 +54,6 @@ uint64_t CounterValue(const char* name) {
 
 struct Cell {
   size_t writers = 0;
-  bool mvcc = true;
-  client::DmlWriterMode writer_mode =
-      client::DmlWriterMode::kCheckOutCycles;
-  StrategyKind reader_strategy = StrategyKind::kBatchedEarly;
   double p50_ms = 0;
   double max_ms = 0;
   size_t waves = 0;
@@ -87,7 +61,6 @@ struct Cell {
   size_t dml_statements = 0;
   size_t conflicts = 0;
   size_t conflict_retries = 0;
-  size_t serialized_reads = 0;
   bool trees_identical = true;
 };
 
@@ -114,45 +87,30 @@ Cell Summarize(const std::vector<Cell>& reps) {
     sum.dml_statements += c.dml_statements;
     sum.conflicts += c.conflicts;
     sum.conflict_retries += c.conflict_retries;
-    sum.serialized_reads += c.serialized_reads;
     sum.trees_identical = sum.trees_identical && c.trees_identical;
   }
   sum.p50_ms = Median(std::move(p50s));
   return sum;
 }
 
-/// Runs one (writers, mvcc) cell against a fresh deployment.
+/// Runs one writer-count cell against a fresh deployment.
 Result<Cell> RunCell(const client::ExperimentConfig& config,
                      const std::string& reference_tree, size_t writers,
-                     bool mvcc, client::DmlWriterMode writer_mode,
-                     StrategyKind reader_strategy, bool trace,
-                     bool verbose = false) {
+                     bool trace, bool verbose) {
   Cell cell;
   cell.writers = writers;
-  cell.mvcc = mvcc;
-  cell.writer_mode = writer_mode;
-  cell.reader_strategy = reader_strategy;
   {
     PDM_ASSIGN_OR_RETURN(std::unique_ptr<client::Experiment> experiment,
                          client::Experiment::Create(config));
     client::Experiment& e = *experiment;
     e.server().mutable_config().batch_threads = 4;
-    e.server().mutable_config().mvcc_waves = mvcc;
     // Aggressive GC cadence so the bench exercises the version pruner.
     e.server().mutable_config().gc_interval_waves = 8;
 
     client::ConcurrentDmlOptions options;
     options.readers = kReaders;
     options.writers = writers;
-    options.writer_mode = writer_mode;
-    options.reader_strategy = reader_strategy;
-    // Burst writers advance one submission per wave while the readers
-    // are active; enough cycles keeps DML pending in every wave of the
-    // readers' session.
-    options.writer_cycles =
-        writer_mode == client::DmlWriterMode::kUpdateBursts
-            ? kBurstWriterCycles
-            : kWriterCycles;
+    options.writer_cycles = kWriterCycles;
     // All writers work the same first-level subassembly (BFS
     // generation: the root's first child is root_obid + 1). That is the
     // realistic PDM pattern — engineers check out a subassembly, not
@@ -182,7 +140,6 @@ Result<Cell> RunCell(const client::ExperimentConfig& config,
     cell.dml_statements = run.dml_statements;
     cell.conflicts = run.conflicts;
     cell.conflict_retries = run.conflict_retries;
-    cell.serialized_reads = run.serialized_reads;
     for (const client::ActionResult& r : run.reader_results) {
       if (r.tree.ToString(1 << 20) != reference_tree) {
         cell.trees_identical = false;
@@ -193,8 +150,7 @@ Result<Cell> RunCell(const client::ExperimentConfig& config,
 }
 
 int Run(const char* trace_path) {
-  PrintBanner(
-      "Concurrent DML extension: MVCC snapshot reads vs serial waves");
+  PrintBanner("Concurrent DML extension: MVCC snapshot reads under writers");
 
   const model::TreeParams tree{4, 9, 0.6};
   const model::NetworkParams net;
@@ -208,35 +164,25 @@ int Run(const char* trace_path) {
                  reference_experiment.status().ToString().c_str());
     return 1;
   }
-  // One quiesced reference per reader strategy: the strategies retrieve
-  // the same visible tree but serialize it in their own traversal
-  // order.
-  std::string reference_trees[2];
-  const StrategyKind reference_kinds[2] = {StrategyKind::kBatchedEarly,
-                                           StrategyKind::kRecursive};
-  for (int i = 0; i < 2; ++i) {
-    Result<client::ActionResult> reference =
-        (*reference_experiment)
-            ->RunAction(reference_kinds[i], ActionKind::kMultiLevelExpand);
-    if (!reference.ok()) {
-      std::fprintf(stderr, "reference run failed: %s\n",
-                   reference.status().ToString().c_str());
-      return 1;
-    }
-    reference_trees[i] = reference->tree.ToString(1 << 20);
+  Result<client::ActionResult> reference =
+      (*reference_experiment)
+          ->RunAction(StrategyKind::kBatchedEarly,
+                      ActionKind::kMultiLevelExpand);
+  if (!reference.ok()) {
+    std::fprintf(stderr, "reference run failed: %s\n",
+                 reference.status().ToString().c_str());
+    return 1;
   }
-  const std::string& reference_tree = reference_trees[0];
-  const std::string& recursive_reference_tree = reference_trees[1];
+  const std::string reference_tree = reference->tree.ToString(1 << 20);
 
   const uint64_t conflicts_before = CounterValue("mvcc.write_conflicts");
   const uint64_t retries_before = CounterValue("mvcc.conflict_retries");
 
-  std::printf(
-      "%-7s %-6s %-15s | %9s %9s | %6s %7s %5s | %9s %8s %8s | %s\n",
-      "writers", "mode", "load", "p50(ms)", "max(ms)", "waves", "stmts",
-      "dml", "conflicts", "retries", "serial_r", "trees");
+  std::printf("%-7s | %9s %9s | %6s %7s %5s | %9s %8s | %s\n", "writers",
+              "p50(ms)", "max(ms)", "waves", "stmts", "dml", "conflicts",
+              "retries", "trees");
 
-  // PDM_BENCH_VERBOSE=1 dumps the wave log of the 4-writer cells.
+  // PDM_BENCH_VERBOSE=1 dumps the wave log of the last 4-writer cell.
   const bool verbose = std::getenv("PDM_BENCH_VERBOSE") != nullptr;
 
   // Check-out/check-in writers at increasing counts: the flatness
@@ -248,11 +194,8 @@ int Run(const char* trace_path) {
     for (size_t w = 0; w < kCounts; ++w) {
       const size_t writers = kWriterCounts[w];
       const bool last = rep + 1 == kFlatnessReps && w + 1 == kCounts;
-      Result<Cell> cell =
-          RunCell(config, reference_tree, writers, /*mvcc=*/true,
-                  client::DmlWriterMode::kCheckOutCycles,
-                  StrategyKind::kBatchedEarly, /*trace=*/last,
-                  verbose && last);
+      Result<Cell> cell = RunCell(config, reference_tree, writers,
+                                  /*trace=*/last, verbose && last);
       if (!cell.ok()) {
         std::fprintf(stderr, "cell failed (writers=%zu): %s\n", writers,
                      cell.status().ToString().c_str());
@@ -265,43 +208,12 @@ int Run(const char* trace_path) {
   }
   std::vector<Cell> cells;
   for (const std::vector<Cell>& reps : sweep) cells.push_back(Summarize(reps));
-  // Mode comparison, built to be deterministic: burst writers keep DML
-  // pending in every wave (check-out writers alternate retrieval and
-  // update waves, making DML coverage of a given wave phase luck), and
-  // recursive readers put all of a reader's work in one statement whose
-  // execution dominates per-statement accounting. The serial path must
-  // then execute the recursive query once per reader where MVCC
-  // executes it once per wave — the reader/writer serialization cost
-  // the wave lanes remove.
-  for (bool mvcc : {true, false}) {
-    std::vector<Cell> reps;
-    for (size_t rep = 0; rep < kReps; ++rep) {
-      Result<Cell> cell =
-          RunCell(config, recursive_reference_tree, 4, mvcc,
-                  client::DmlWriterMode::kUpdateBursts,
-                  StrategyKind::kRecursive,
-                  /*trace=*/false, verbose && rep == 0);
-      if (!cell.ok()) {
-        std::fprintf(stderr, "burst cell failed (mvcc=%d): %s\n",
-                     mvcc ? 1 : 0, cell.status().ToString().c_str());
-        return 1;
-      }
-      reps.push_back(*cell);
-    }
-    cells.push_back(Summarize(reps));
-  }
 
   for (const Cell& c : cells) {
-    std::printf(
-        "%-7zu %-6s %-15s | %9.2f %9.2f | %6zu %7zu %5zu | %9zu %8zu %8zu "
-        "| %s\n",
-        c.writers, c.mvcc ? "mvcc" : "serial",
-        c.writer_mode == client::DmlWriterMode::kUpdateBursts
-            ? "burst/recurse"
-            : "checkout/batch",
-        c.p50_ms, c.max_ms, c.waves, c.statements, c.dml_statements,
-        c.conflicts, c.conflict_retries, c.serialized_reads,
-        c.trees_identical ? "identical" : "DEVIATE");
+    std::printf("%-7zu | %9.2f %9.2f | %6zu %7zu %5zu | %9zu %8zu | %s\n",
+                c.writers, c.p50_ms, c.max_ms, c.waves, c.statements,
+                c.dml_statements, c.conflicts, c.conflict_retries,
+                c.trees_identical ? "identical" : "DEVIATE");
   }
 
   const uint64_t conflicts_total =
@@ -323,8 +235,8 @@ int Run(const char* trace_path) {
     if (!c.trees_identical) {
       std::fprintf(stderr,
                    "FAIL: reader tree deviates from the quiesced reference "
-                   "(writers=%zu mode=%s)\n",
-                   c.writers, c.mvcc ? "mvcc" : "serial");
+                   "(writers=%zu)\n",
+                   c.writers);
       ++failures;
     }
     // Per-cell reconciliation holds whenever every writer eventually
@@ -333,54 +245,24 @@ int Run(const char* trace_path) {
     if (c.conflicts != c.conflict_retries) {
       std::fprintf(stderr,
                    "FAIL: %zu server conflicts vs %zu client retries "
-                   "(writers=%zu mode=%s)\n",
-                   c.conflicts, c.conflict_retries, c.writers,
-                   c.mvcc ? "mvcc" : "serial");
-      ++failures;
-    }
-    // Machine-independent: with MVCC lanes no reader statement may wait
-    // behind DML on the serial path.
-    if (c.mvcc && c.serialized_reads != 0) {
-      std::fprintf(stderr,
-                   "FAIL: %zu reader statements ran behind DML on the "
-                   "serial path (writers=%zu mode=mvcc)\n",
-                   c.serialized_reads, c.writers);
+                   "(writers=%zu)\n",
+                   c.conflicts, c.conflict_retries, c.writers);
       ++failures;
     }
   }
-  const Cell& burst_mvcc = cells[kCounts];        // 4 writers, mvcc, bursts
-  const Cell& burst_serial = cells[kCounts + 1];  // 4 writers, serial
   std::printf("per-rep reader p50 ratios, 4 writers / 0 writers:");
   for (double r : flatness_ratios) std::printf(" %.3f", r);
   std::printf("\n");
   const double flatness = Median(flatness_ratios);
   std::printf(
       "reader flatness: %.3fx the zero-writer baseline (median of %zu "
-      "interleaved reps, bound %.2fx); serial slowdown: %.3fx the MVCC "
-      "p50 on bursts (floor %.2fx)\n",
-      flatness, kFlatnessReps, kFlatnessBound,
-      burst_serial.p50_ms / burst_mvcc.p50_ms, kSerialSlowdownFloor);
+      "interleaved reps, bound %.2fx)\n",
+      flatness, kFlatnessReps, kFlatnessBound);
   if (flatness > kFlatnessBound) {
     std::fprintf(stderr,
                  "FAIL: reader p50 at 4 writers is %.3fx the zero-writer "
                  "baseline (median over reps), above the %.2fx bound\n",
                  flatness, kFlatnessBound);
-    ++failures;
-  }
-  // The serial mode must show the waiting the check above rules out,
-  // or that check could not fail.
-  if (burst_serial.serialized_reads == 0) {
-    std::fprintf(stderr,
-                 "FAIL: the serial mode ran no reader statement behind "
-                 "DML; the serialized-reads check is blind\n");
-    ++failures;
-  }
-  if (burst_serial.p50_ms < kSerialSlowdownFloor * burst_mvcc.p50_ms) {
-    std::fprintf(stderr,
-                 "FAIL: serial p50 %.2f ms is not >= %.2fx the MVCC p50 "
-                 "%.2f ms on the update-burst workload\n",
-                 burst_serial.p50_ms, kSerialSlowdownFloor,
-                 burst_mvcc.p50_ms);
     ++failures;
   }
 
@@ -392,20 +274,15 @@ int Run(const char* trace_path) {
     ++failures;
   } else {
     std::printf("trace artifact: %s (%zu spans of the traced 4-writer "
-                "MVCC cell)\n",
+                "cell)\n",
                 trace_path, spans.size());
   }
 
   std::printf(
       "\n(p50/max = reader wall clock: median p50 and worst reader over "
-      "%zu interleaved reps\n(checkout/batch) or %zu reps "
-      "(burst/recurse); counters summed over reps. serial_r =\nreader "
-      "statements run behind DML on the serial path. checkout/batch: "
-      "level-batched\nreaders vs check-out/check-in writers — the "
-      "flatness claim. burst/recurse:\nrecursive readers vs "
-      "every-wave UPDATE writers — the serial mode re-executes\nthe "
-      "recursive query once per reader, MVCC once per wave.)\n\n",
-      kFlatnessReps, kReps);
+      "%zu interleaved reps;\ncounters summed over reps. Level-batched "
+      "readers vs check-out/check-in writers.)\n\n",
+      kFlatnessReps);
   return failures == 0 ? 0 : 1;
 }
 

@@ -5,7 +5,6 @@
 
 #include "pdm/pdm_schema.h"
 #include "rules/procedures.h"
-#include "rules/query_builder.h"
 #include "server/admission_queue.h"
 #include "sql/parser.h"
 
@@ -202,29 +201,6 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
         const int64_t root = options.writer_root_obid != 0
                                  ? options.writer_root_obid
                                  : experiment.product().root_obid;
-        if (options.writer_mode == DmlWriterMode::kUpdateBursts) {
-          // Every writer flips the same row's flag, so same-wave bursts
-          // race under first-writer-wins; losers re-submit through the
-          // check-out flow's conflict retry.
-          for (size_t cycle = 0; cycle < options.writer_cycles; ++cycle) {
-            CheckOutResult burst;
-            Result<std::vector<ResultSet>> acks = ExecuteRetryingConflicts(
-                conn,
-                {rules::BuildCheckOutUpdate(pdmsys::kAssyTable, {root},
-                                            /*checking_out=*/cycle % 2 == 0)
-                     ->ToSql()},
-                Shipping::kOneBatch, &burst.conflict_retries);
-            if (!acks.ok()) {
-              writer_errors[w] = acks.status();
-              break;
-            }
-            burst.success = true;
-            burst.objects = (*acks)[0].affected_rows;
-            writer_outcomes[w].push_back(std::move(burst));
-          }
-          conn->DetachFromAdmissionQueue();
-          return;
-        }
         if (w % 2 == 1) {
           // One throwaway read shifts this writer's retrieval/update
           // alternation by one wave relative to its even-indexed peers.
@@ -281,7 +257,6 @@ Result<ConcurrentDmlResult> RunConcurrentDmlAction(
     result.unique_statements += wave.unique_statements;
     result.dml_statements += wave.dml_statements;
     result.conflicts += wave.conflicts;
-    result.serialized_reads += wave.serialized_reads;
   }
   return result;
 }

@@ -78,21 +78,13 @@ class Experiment {
 /// Installs the standard rule set described above into `table`.
 Status InstallStandardRules(rules::RuleTable* table);
 
-/// How concurrent-DML writers generate their load:
-///  * kCheckOutCycles: full check-out/check-in flows through
-///    CheckOutClient — retrieval waves alternate with update waves,
-///    the realistic PDM action mix.
-///  * kUpdateBursts: every submission is one UPDATE flipping the flag
-///    of the writer's target row — DML is pending in *every* wave,
-///    the steady-state worst case for the pre-MVCC serial path.
-enum class DmlWriterMode { kCheckOutCycles, kUpdateBursts };
-
 /// Configuration of one multi-client replay (DESIGN.md 5e, 5h):
 /// `readers` clients, each with its own connection and WAN link, run the
 /// read-only action while `writers` clients run check-out/check-in
 /// cycles against the same product tree, all through the shared
 /// admission queue. Reader statements run against wave snapshots,
-/// writer UPDATEs go through the serial writer lane and retry on
+/// writer UPDATEs go through the serial writer lane (in client-id order
+/// within a wave, so the lower id wins a same-row race) and retry on
 /// first-writer-wins conflicts. With no writers it is a read-only
 /// replay of one navigational session by N clients. Odd-indexed writers
 /// start one submission late: writers that all began their first
@@ -103,10 +95,8 @@ enum class DmlWriterMode { kCheckOutCycles, kUpdateBursts };
 struct ConcurrentDmlOptions {
   size_t readers = 8;
   size_t writers = 4;
-  /// Check-out + check-in pairs (kCheckOutCycles) or UPDATE
-  /// submissions (kUpdateBursts) each writer performs.
+  /// Check-out + check-in pairs each writer performs.
   size_t writer_cycles = 4;
-  DmlWriterMode writer_mode = DmlWriterMode::kCheckOutCycles;
   /// Root of the subtree the writers cycle on; 0 means the product
   /// root. Real check-outs target a subassembly, not the whole
   /// product — pointing the writers at a child keeps the contention
@@ -136,9 +126,6 @@ struct ConcurrentDmlResult {
   size_t dml_statements = 0;   // INSERT/UPDATE/DELETE through waves
   size_t conflicts = 0;        // first-writer-wins losses at the server
   size_t conflict_retries = 0; // client-side re-submissions
-  /// Reader statements that ran on the serial path behind DML (waited
-  /// on writers); 0 whenever MVCC lanes are on.
-  size_t serialized_reads = 0;
   /// Statements served per engine execution (1.0 = no cross-client
   /// sharing; approaches the client count as windows widen).
   double DedupFactor() const {

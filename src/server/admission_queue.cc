@@ -176,7 +176,6 @@ void AdmissionQueue::RunWaveLocked(std::unique_lock<std::mutex>& lock) {
   entry.read_only = execution.read_only;
   entry.dml_statements = execution.dml_statements;
   entry.conflicts = execution.conflicts;
-  entry.serialized_reads = execution.serialized_reads;
   wave_log_.push_back(entry);
   obs::MetricsRegistry::Global().counter("server.waves").Increment();
   for (Submission* sub : wave) sub->done = true;

@@ -64,7 +64,6 @@ class AdmissionQueue {
     bool read_only = false;        // dedup + worker pool eligible
     size_t dml_statements = 0;     // INSERT/UPDATE/DELETE in the wave
     size_t conflicts = 0;          // first-writer-wins losers (retryable)
-    size_t serialized_reads = 0;   // reads queued behind DML (serial path)
   };
 
   explicit AdmissionQueue(DbServer* server) : server_(server) {}

@@ -96,11 +96,10 @@ DbServer::DbServer() : DbServer(Config{}) {}
 DbServer::DbServer(Config config)
     : config_(std::move(config)),
       admission_(std::make_unique<AdmissionQueue>(this)) {
-  // Eager-register the ring drop counters so the exporter surfaces
-  // them at zero before anything is dropped — a dashboard that only
-  // shows a drop counter once data is already lost is late.
+  // Eager-register the ring drop counter so the exporter surfaces it
+  // at zero before anything is dropped — a dashboard that only shows a
+  // drop counter once data is already lost is late.
   obs::MetricsRegistry::Global().counter("server.statement_log_dropped");
-  obs::MetricsRegistry::Global().counter("server.slow_query_log_dropped");
 }
 
 DbServer::~DbServer() = default;
@@ -277,22 +276,16 @@ DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
     std::vector<size_t> all(n);
     std::iota(all.begin(), all.end(), size_t{0});
     run_read_only(all, snapshot.ts());
-  } else if (has_barrier || !config_.mvcc_waves || num_subs == 1) {
-    // Barrier wave (DDL/CALL/lexical error), MVCC lanes disabled, or one
-    // submission carrying DML (a standalone statement, a direct batch,
-    // a lone queued check-out): serial statement order, no
-    // deduplication (two identical INSERTs are two inserts), every
-    // statement at the latest snapshot. DML resolves that snapshot
-    // under the engine's DML mutex, so it never loses a
-    // first-writer-wins race to a concurrent direct writer.
+  } else if (has_barrier || num_subs == 1) {
+    // Barrier wave (DDL/CALL/lexical error) or one submission carrying
+    // DML (a standalone statement, a direct batch, a lone queued
+    // check-out): serial statement order, no deduplication (two
+    // identical INSERTs are two inserts), every statement at the latest
+    // snapshot. DML resolves that snapshot under the engine's DML
+    // mutex, so it never loses a first-writer-wins race to a concurrent
+    // direct writer.
     for (size_t i = 0; i < n; ++i) run_one(i, 0, Database::kLatestSnapshot);
     execution.unique_statements = n;
-    if (dml_count > 0) {
-      execution.serialized_reads = static_cast<size_t>(
-          std::count_if(items.begin(), items.end(), [&](const WaveItem& item) {
-            return !sub_has_dml[item.submission];
-          }));
-    }
   } else {
     // Mixed read/DML wave of several submissions (the tuning-paper
     // bottleneck this layer removes): submissions carrying DML run
@@ -300,12 +293,18 @@ DbServer::WaveExecution DbServer::ExecuteWave(std::span<const WaveItem> items,
     // serial writer lane, while read-only submissions run concurrently
     // against the wave snapshot. Readers never see this wave's writes;
     // writers conflict under first-writer-wins and surface
-    // kWriteConflict for client retry.
+    // kWriteConflict for client retry. The writer lane runs in client-id
+    // order (stable, so each submission keeps its statement order):
+    // which writer wins a same-row race then depends on who is in the
+    // wave, not on the order they arrived in.
     std::vector<size_t> readers;
     std::vector<size_t> writers;
     for (size_t i = 0; i < n; ++i) {
       (sub_has_dml[items[i].submission] ? writers : readers).push_back(i);
     }
+    std::stable_sort(writers.begin(), writers.end(), [&](size_t a, size_t b) {
+      return items[a].client_id < items[b].client_id;
+    });
 
     Database::Snapshot snapshot = db_.AcquireSnapshot();
     const uint64_t wave_ts = snapshot.ts();
@@ -415,10 +414,7 @@ Status DbServer::RunStatement(
   // Only a record someone keeps pays for the SQL copy and the response
   // size: a SELECT's was counted as the engine produced its rows
   // (ResultSet::counted_wire_size); DML, EXPLAIN and CALL walk theirs.
-  const SlowQueryLog::Limits limits{
-      .threshold_seconds = config_.slow_query_threshold};
-  const bool slow = slow_query_log_.MightRecord(limits, record->sim_seconds,
-                                                record->wall_seconds);
+  const bool slow = slow_query_log_.MightRecord(record->sim_seconds);
   if (!slow && !log_enabled_) return status;
   record->sql = std::string(sql);
   if (fingerprint.ok()) record->fingerprint = fingerprint->key;
@@ -434,12 +430,7 @@ Status DbServer::RunStatement(
                 stats.join_probe_rows + stats.index_join_probes,
                 stats.index_join_probes, stats.agg_input_rows,
                 record->plan_cache_hit ? "cached" : "parsed")};
-  size_t evicted = slow_query_log_.Note(limits, std::move(rec));
-  if (evicted > 0) {
-    obs::MetricsRegistry::Global()
-        .counter("server.slow_query_log_dropped")
-        .Add(evicted);
-  }
+  slow_query_log_.Note(std::move(rec));
   return status;
 }
 

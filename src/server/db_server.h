@@ -54,17 +54,6 @@ class DbServer {
     /// is dropped per append (statement_log_dropped() counts them).
     /// 0 = unbounded (callers owning the lifecycle, e.g. short tests).
     size_t statement_log_capacity = 4096;
-    /// MVCC wave lanes (DESIGN.md 5h): a wave mixing read-only and
-    /// DML-carrying submissions runs the readers against the wave
-    /// snapshot (dedup + worker pool, as in all-read-only waves) while
-    /// a serial writer lane applies the DML submissions concurrently.
-    /// false = pre-MVCC behaviour — any wave containing DML runs fully
-    /// serial in admission order (the A/B baseline the concurrent-DML
-    /// bench measures against). Waves containing DDL/CALL or
-    /// statements with a lexical error, and DML carried by a wave's only
-    /// submission (every standalone statement and direct batch), always
-    /// run serial regardless.
-    bool mvcc_waves = true;
     /// Run MVCC version garbage collection after every N DML-carrying
     /// executions (0 = never): standalone statements, direct batches
     /// and admission waves all count. GC prunes only versions no live
@@ -79,12 +68,6 @@ class DbServer {
     /// (DESIGN.md 5k): the paper's worldwide deployment is modeled as
     /// one server per site, so the label is per-server, not per-call.
     std::string site = "local";
-    /// Slow-query log (DESIGN.md 5k): statements whose simulated OR
-    /// wall cost exceeds the threshold land in a bounded ring; the K
-    /// most expensive by simulated cost are kept regardless.
-    /// threshold <= 0 disables the ring (top-K stays on). Capacities are
-    /// SlowQueryLog::Limits' defaults.
-    double slow_query_threshold = 0.05;
   };
 
   /// One executed statement, as observed at the server boundary
@@ -130,10 +113,6 @@ class DbServer {
     /// Writer-lane statements that lost a first-writer-wins race and
     /// returned StatusCode::kWriteConflict (clients retry those).
     size_t conflicts = 0;
-    /// Statements of DML-free submissions that ran on the serial path
-    /// behind this wave's DML, i.e. readers that waited on writers.
-    /// Always 0 with MVCC lanes, which run them on the read lane.
-    size_t serialized_reads = 0;
   };
 
   DbServer();
@@ -202,9 +181,9 @@ class DbServer {
   /// client's navigational queries are reusing server-side plans.
   PlanCacheStats plan_cache_stats() const { return db_.plan_cache().stats(); }
 
-  /// Slow-query log (DESIGN.md 5k): the over-threshold ring and the
-  /// always-on top-K of the most expensive statements, with per-term
-  /// breakdowns. Always on; tuned via Config::slow_query_threshold.
+  /// Slow-query log (DESIGN.md 5k): the always-on top-K of the most
+  /// expensive statements by simulated server seconds, each with its
+  /// labels and plan summary.
   const SlowQueryLog& slow_query_log() const { return slow_query_log_; }
 
   /// Resets everything observability-only — the statement log, the
@@ -224,11 +203,13 @@ class DbServer {
   /// the lane policy from the wave's contents (DESIGN.md 5h):
   ///  * all read-only: one snapshot, identical fingerprints execute once
   ///    (result fan-out), unique ones on the worker pool;
-  ///  * any DDL/CALL statement or lexical error, `mvcc_waves` off, or DML
-  ///    carried by the wave's only submission: serial in statement
-  ///    order at the latest snapshot, no dedup;
+  ///  * any DDL/CALL statement or lexical error, or DML carried by the
+  ///    wave's only submission: serial in statement order at the latest
+  ///    snapshot, no dedup;
   ///  * otherwise: read-only submissions as above at the wave snapshot,
-  ///    DML-carrying submissions on a concurrent serial writer lane.
+  ///    DML-carrying submissions on a concurrent serial writer lane in
+  ///    client-id order, so a same-row race has the same winner
+  ///    whatever order the clients arrived in.
   /// Every record is stamped with `wave_id` and `batch_id`. Every
   /// DML-carrying wave counts toward Config::gc_interval_waves.
   /// Callers may run it concurrently — direct Execute/ExecuteBatch

@@ -49,66 +49,26 @@ std::string_view EngineLabel(const ExecStats& stats) {
                                                               : "row";
 }
 
-bool SlowQueryLog::MightRecord(const Limits& limits, double sim_seconds,
-                               double wall_seconds) const {
-  if (limits.threshold_seconds > 0 &&
-      (sim_seconds > limits.threshold_seconds ||
-       wall_seconds > limits.threshold_seconds)) {
-    return true;
-  }
-  if (limits.top_k == 0) return false;
+bool SlowQueryLog::MightRecord(double sim_seconds) const {
   uint64_t bound = heap_min_bits_.load(std::memory_order_relaxed);
   if (bound == kUnsetBound) return true;  // heap not full yet
   return sim_seconds > std::bit_cast<double>(bound);
 }
 
-size_t SlowQueryLog::Note(const Limits& limits, SlowQueryRecord record) {
-  bool over_threshold =
-      limits.threshold_seconds > 0 &&
-      (record.sim_seconds > limits.threshold_seconds ||
-       record.wall_seconds > limits.threshold_seconds);
-
+void SlowQueryLog::Note(SlowQueryRecord record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  bool for_heap = limits.top_k > 0 &&
-                  (heap_.size() < limits.top_k ||
-                   MoreExpensive(record, heap_.front()));
-  if (!over_threshold && !for_heap) return 0;
-
-  size_t evicted = 0;
-  if (over_threshold && limits.ring_capacity > 0) {
-    ring_.push_back(record);
-    while (ring_.size() > limits.ring_capacity) {
-      ring_.pop_front();
-      ++dropped_;
-      ++evicted;
-    }
+  if (heap_.size() >= kTopK) {
+    if (!MoreExpensive(record, heap_.front())) return;
+    std::pop_heap(heap_.begin(), heap_.end(), HeapCmp);
+    heap_.back() = std::move(record);
+  } else {
+    heap_.push_back(std::move(record));
   }
-
-  if (for_heap) {
-    if (heap_.size() >= limits.top_k) {
-      std::pop_heap(heap_.begin(), heap_.end(), HeapCmp);
-      heap_.back() = std::move(record);
-    } else {
-      heap_.push_back(std::move(record));
-    }
-    std::push_heap(heap_.begin(), heap_.end(), HeapCmp);
-    heap_min_bits_.store(
-        heap_.size() >= limits.top_k
-            ? std::bit_cast<uint64_t>(heap_.front().sim_seconds)
-            : kUnsetBound,
-        std::memory_order_relaxed);
-  }
-  return evicted;
-}
-
-std::vector<SlowQueryRecord> SlowQueryLog::OverThreshold() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
-}
-
-size_t SlowQueryLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
+  std::push_heap(heap_.begin(), heap_.end(), HeapCmp);
+  heap_min_bits_.store(heap_.size() >= kTopK
+                           ? std::bit_cast<uint64_t>(heap_.front().sim_seconds)
+                           : kUnsetBound,
+                       std::memory_order_relaxed);
 }
 
 std::vector<SlowQueryRecord> SlowQueryLog::TopK() const {
@@ -120,8 +80,6 @@ std::vector<SlowQueryRecord> SlowQueryLog::TopK() const {
 
 void SlowQueryLog::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  dropped_ = 0;
   heap_.clear();
   heap_min_bits_.store(kUnsetBound, std::memory_order_relaxed);
 }

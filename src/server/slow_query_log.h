@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -41,40 +40,21 @@ std::string_view ClassifyStatementClass(bool dml, bool expand,
 /// straight off the column fragments — "row" otherwise.
 std::string_view EngineLabel(const ExecStats& stats);
 
-/// Thread-safe slow-statement store with two surfaces:
-///  * an over-threshold ring — every statement whose simulated OR wall
-///    cost exceeded the threshold, bounded (oldest dropped, counted);
-///  * an always-on top-K — the K most expensive statements by simulated
-///    server seconds (deterministic across runs), kept via a min-heap
-///    so the common fast path is one comparison against the cached
-///    heap minimum.
-/// Thresholds/capacities arrive per call (they live in
-/// DbServer::Config, which benches mutate after construction).
+/// Thread-safe, always-on top-K of the kTopK most expensive statements
+/// by simulated server seconds (deterministic across runs), kept via a
+/// min-heap so the common fast path is one comparison against the
+/// cached heap minimum.
 class SlowQueryLog {
  public:
-  struct Limits {
-    /// Ring qualification: record when sim OR wall seconds exceed this.
-    /// <= 0 disables the ring.
-    double threshold_seconds = 0;
-    size_t ring_capacity = 256;
-    /// Top-K size; 0 disables the top-K surface.
-    size_t top_k = 16;
-  };
+  static constexpr size_t kTopK = 16;
 
   /// Cheap pre-check callable before building a record: false means
   /// Note() would certainly discard it (no lock taken).
-  bool MightRecord(const Limits& limits, double sim_seconds,
-                   double wall_seconds) const;
+  bool MightRecord(double sim_seconds) const;
 
-  /// Records (or discards) one statement; returns the number of ring
-  /// entries evicted by this call, so the caller can keep a drop
-  /// counter in whatever registry it reports through.
-  size_t Note(const Limits& limits, SlowQueryRecord record);
+  /// Keeps `record` if it is among the kTopK most expensive so far.
+  void Note(SlowQueryRecord record);
 
-  /// Over-threshold ring, oldest first.
-  std::vector<SlowQueryRecord> OverThreshold() const;
-  /// Ring entries evicted since the last Clear().
-  size_t dropped() const;
   /// The top-K records, most expensive (sim seconds) first.
   std::vector<SlowQueryRecord> TopK() const;
 
@@ -82,8 +62,6 @@ class SlowQueryLog {
 
  private:
   mutable std::mutex mutex_;
-  std::deque<SlowQueryRecord> ring_;
-  size_t dropped_ = 0;
   /// Min-heap on sim_seconds (heap_[0] is the cheapest kept).
   std::vector<SlowQueryRecord> heap_;
   /// Relaxed cache of heap_[0].sim_seconds once the heap is

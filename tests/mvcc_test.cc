@@ -167,43 +167,60 @@ TEST(MvccEngine, GcDefersUnderActiveSnapshotAndPrunesOnlyDead) {
 }
 
 TEST(MvccWaves, SameWaveUpdatesOnOneRowSurfaceRetryableConflict) {
-  DbServer server;
-  ASSERT_TRUE(
-      server
-          .Execute("CREATE TABLE t (id INTEGER, name TEXT)", nullptr)
-          .ok());
-  ASSERT_TRUE(server.Execute("INSERT INTO t VALUES (1, 'n')", nullptr)
-                  .ok());
-  AdmissionQueue& queue = server.admission_queue();
-  queue.RegisterClient();
-  queue.RegisterClient();
-
   // Two clients update the same row in the same wave. Both submissions
-  // run on the serial writer lane against the wave snapshot; the second
-  // finds the version killed and must surface a retryable conflict.
-  std::vector<std::string> a_stmts = {"UPDATE t SET name = 'a' WHERE id = 1"};
-  std::vector<std::string> b_stmts = {"UPDATE t SET name = 'b' WHERE id = 1"};
-  std::vector<DbServer::BatchStatementResult> a, b;
-  std::thread ta([&] { a = server.Submit(0, a_stmts); });
-  std::thread tb([&] { b = server.Submit(1, b_stmts); });
-  ta.join();
-  tb.join();
-  queue.UnregisterClient();
-  queue.UnregisterClient();
+  // run on the serial writer lane against the wave snapshot, in
+  // client-id order: client 0 wins whichever submission arrived first,
+  // and client 1 finds the version killed and must surface a retryable
+  // conflict.
+  for (const uint64_t first : {uint64_t{0}, uint64_t{1}}) {
+    SCOPED_TRACE(StrFormat("client %llu arrives first",
+                           static_cast<unsigned long long>(first)));
+    DbServer server;
+    ASSERT_TRUE(
+        server.Execute("CREATE TABLE t (id INTEGER, name TEXT)", nullptr)
+            .ok());
+    ASSERT_TRUE(server.Execute("INSERT INTO t VALUES (1, 'n')", nullptr)
+                    .ok());
+    AdmissionQueue& queue = server.admission_queue();
+    queue.RegisterClient();
+    queue.RegisterClient();
 
-  ASSERT_EQ(a.size(), 1u);
-  ASSERT_EQ(b.size(), 1u);
-  const Status& won = a[0].status.ok() ? a[0].status : b[0].status;
-  const Status& lost = a[0].status.ok() ? b[0].status : a[0].status;
-  EXPECT_TRUE(won.ok());
-  EXPECT_EQ(lost.code(), StatusCode::kWriteConflict);
-  EXPECT_TRUE(IsRetryableConflict(lost.code()));
+    const std::vector<std::vector<std::string>> stmts = {
+        {"UPDATE t SET name = 'a' WHERE id = 1"},
+        {"UPDATE t SET name = 'b' WHERE id = 1"}};
+    std::vector<DbServer::BatchStatementResult> results[2];
+    auto submit = [&](uint64_t client) {
+      return std::thread(
+          [&, client] { results[client] = server.Submit(client, stmts[client]); });
+    };
+    // The wave waits for both registered clients, so the first
+    // submission is still queued when the second one starts.
+    const obs::Gauge& depth =
+        obs::MetricsRegistry::Global().gauge("queue.depth");
+    const int64_t depth_before = depth.value();
+    std::thread t_first = submit(first);
+    while (depth.value() == depth_before) std::this_thread::yield();
+    std::thread t_second = submit(1 - first);
+    t_first.join();
+    t_second.join();
+    queue.UnregisterClient();
+    queue.UnregisterClient();
 
-  std::vector<AdmissionQueue::WaveLogEntry> waves = queue.wave_log();
-  ASSERT_EQ(waves.size(), 1u);
-  EXPECT_FALSE(waves[0].read_only);
-  EXPECT_EQ(waves[0].dml_statements, 2u);
-  EXPECT_EQ(waves[0].conflicts, 1u);
+    ASSERT_EQ(results[0].size(), 1u);
+    ASSERT_EQ(results[1].size(), 1u);
+    EXPECT_TRUE(results[0][0].status.ok()) << results[0][0].status;
+    EXPECT_EQ(results[1][0].status.code(), StatusCode::kWriteConflict);
+    EXPECT_TRUE(IsRetryableConflict(results[1][0].status.code()));
+    ResultSet name;
+    ASSERT_TRUE(server.Execute("SELECT name FROM t WHERE id = 1", &name).ok());
+    EXPECT_EQ(name.At(0, 0).ToString(), "a");
+
+    std::vector<AdmissionQueue::WaveLogEntry> waves = queue.wave_log();
+    ASSERT_EQ(waves.size(), 1u);
+    EXPECT_FALSE(waves[0].read_only);
+    EXPECT_EQ(waves[0].dml_statements, 2u);
+    EXPECT_EQ(waves[0].conflicts, 1u);
+  }
 }
 
 // Regression: the lane and the stmt_class label come from the statement

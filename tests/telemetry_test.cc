@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
@@ -225,67 +226,41 @@ TEST(MetricsRegistryTest, GaugeTracksUpAndDown) {
   EXPECT_EQ(g.value(), 42);
 }
 
-SlowQueryRecord MakeRecord(double sim, double wall = 0) {
+SlowQueryRecord MakeRecord(double sim) {
   SlowQueryRecord r;
   r.sql = StrFormat("SELECT %f", sim);
   r.sim_seconds = sim;
-  r.wall_seconds = wall;
   return r;
-}
-
-TEST(SlowQueryLogTest, RingIsBoundedAndCountsDrops) {
-  SlowQueryLog log;
-  SlowQueryLog::Limits limits{/*threshold_seconds=*/0.001,
-                              /*ring_capacity=*/4, /*top_k=*/3};
-  size_t evicted = 0;
-  for (int i = 1; i <= 10; ++i) {
-    SlowQueryRecord r = MakeRecord(0.01 * i);
-    ASSERT_TRUE(log.MightRecord(limits, r.sim_seconds, 0));
-    evicted += log.Note(limits, std::move(r));
-  }
-  std::vector<SlowQueryRecord> ring = log.OverThreshold();
-  ASSERT_EQ(ring.size(), 4u);  // oldest evicted, newest kept
-  EXPECT_DOUBLE_EQ(ring.front().sim_seconds, 0.07);
-  EXPECT_DOUBLE_EQ(ring.back().sim_seconds, 0.10);
-  EXPECT_EQ(log.dropped(), 6u);
-  EXPECT_EQ(evicted, 6u);
 }
 
 TEST(SlowQueryLogTest, TopKIsExactAndSorted) {
   SlowQueryLog log;
-  SlowQueryLog::Limits limits{/*threshold_seconds=*/0,
-                              /*ring_capacity=*/4, /*top_k=*/3};
-  // Interleaved order so the heap actually churns.
-  for (double sim : {0.05, 0.01, 0.09, 0.03, 0.07, 0.02, 0.08}) {
-    log.Note(limits, MakeRecord(sim));
+  constexpr size_t kTopK = SlowQueryLog::kTopK;
+  constexpr size_t kNoted = kTopK + 8;
+  // Costs 1..kNoted ms in a strided order (7 is coprime with kNoted),
+  // so the heap churns: small and large costs keep arriving after it
+  // is full.
+  static_assert(std::gcd(size_t{7}, kNoted) == 1);
+  for (size_t i = 0; i < kNoted; ++i) {
+    log.Note(MakeRecord(0.001 * static_cast<double>((i * 7) % kNoted + 1)));
   }
   std::vector<SlowQueryRecord> top = log.TopK();
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_DOUBLE_EQ(top[0].sim_seconds, 0.09);
-  EXPECT_DOUBLE_EQ(top[1].sim_seconds, 0.08);
-  EXPECT_DOUBLE_EQ(top[2].sim_seconds, 0.07);
-  // Threshold disabled: nothing goes to the ring.
-  EXPECT_TRUE(log.OverThreshold().empty());
+  ASSERT_EQ(top.size(), kTopK);
+  for (size_t i = 0; i < kTopK; ++i) {
+    EXPECT_DOUBLE_EQ(top[i].sim_seconds,
+                     0.001 * static_cast<double>(kNoted - i))
+        << i;
+  }
   // The fast path rejects anything at or below the kept minimum once
   // the heap is full...
-  EXPECT_FALSE(log.MightRecord(limits, 0.06, 0));
-  EXPECT_FALSE(log.MightRecord(limits, 0.07, 0));
+  const double kept_min = top.back().sim_seconds;
+  EXPECT_FALSE(log.MightRecord(kept_min - 0.0005));
+  EXPECT_FALSE(log.MightRecord(kept_min));
   // ...and admits anything more expensive.
-  EXPECT_TRUE(log.MightRecord(limits, 0.071, 0));
+  EXPECT_TRUE(log.MightRecord(kept_min + 0.0001));
   log.Clear();
   EXPECT_TRUE(log.TopK().empty());
-  EXPECT_TRUE(log.MightRecord(limits, 1e-9, 0));  // heap empty again
-}
-
-TEST(SlowQueryLogTest, WallTimeAloneCanCrossThreshold) {
-  SlowQueryLog log;
-  SlowQueryLog::Limits limits{/*threshold_seconds=*/0.5,
-                              /*ring_capacity=*/8, /*top_k=*/0};
-  // Simulated cost is tiny but the wall clock stalled (lock wait, page
-  // fault storm): the statement still belongs in the slow log.
-  log.Note(limits, MakeRecord(1e-6, /*wall=*/2.0));
-  ASSERT_EQ(log.OverThreshold().size(), 1u);
-  EXPECT_FALSE(log.MightRecord(limits, 0.1, 0.1));
+  EXPECT_TRUE(log.MightRecord(1e-9));  // heap empty again
 }
 
 TEST(SlowQueryClassifyTest, ClassificationFollowsPrecedence) {
@@ -341,9 +316,6 @@ TEST(DbServerTest, CapturesSlowQueriesWithBreakdown) {
       Experiment::Create(config);
   ASSERT_TRUE(experiment.ok()) << experiment.status();
   Experiment& e = **experiment;
-  // Record everything: any positive simulated or wall cost qualifies.
-  e.server().mutable_config().slow_query_threshold = 1e-12;
-
   ASSERT_TRUE(e.RunAction(StrategyKind::kNavigationalLate,
                           ActionKind::kMultiLevelExpand)
                   .ok());
@@ -361,7 +333,6 @@ TEST(DbServerTest, CapturesSlowQueriesWithBreakdown) {
   EXPECT_GE(worst.wall_seconds, 0.0);
   // The per-term breakdown made it into the record and its summary.
   EXPECT_NE(worst.plan_summary.find("scan="), std::string::npos);
-  EXPECT_FALSE(e.server().slow_query_log().OverThreshold().empty());
 
   std::string json =
       SlowQueryRecordsToJson(e.server().slow_query_log().TopK());
@@ -531,7 +502,6 @@ TEST(DbServerTest, ResetObservabilityResetsEverySurface) {
   ASSERT_TRUE(experiment.ok()) << experiment.status();
   Experiment& e = **experiment;
   e.server().EnableStatementLog(true);
-  e.server().mutable_config().slow_query_threshold = 1e-12;
 
   // Registry: one instrument of every kind, beyond what the action
   // populates organically.
@@ -564,7 +534,6 @@ TEST(DbServerTest, ResetObservabilityResetsEverySurface) {
   EXPECT_EQ(e.server().statement_log_size(), 0u);
   EXPECT_EQ(e.server().statement_log_dropped(), 0u);
   EXPECT_TRUE(e.server().slow_query_log().TopK().empty());
-  EXPECT_TRUE(e.server().slow_query_log().OverThreshold().empty());
   EXPECT_TRUE(e.server().admission_queue().wave_log().empty());
   EXPECT_EQ(e.server().plan_cache_stats().hits, 0u);
   EXPECT_EQ(e.server().plan_cache_stats().misses, 0u);
