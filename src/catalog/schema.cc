@@ -54,6 +54,20 @@ bool KindFitsColumn(ValueKind kind, ColumnType type) {
   return false;
 }
 
+ValueKind ColumnKind(ColumnType type) {
+  switch (type) {
+    case ColumnType::kBool:
+      return ValueKind::kBool;
+    case ColumnType::kInt64:
+      return ValueKind::kInt64;
+    case ColumnType::kDouble:
+      return ValueKind::kDouble;
+    case ColumnType::kString:
+      return ValueKind::kString;
+  }
+  return ValueKind::kNull;
+}
+
 std::optional<size_t> Schema::FindColumn(std::string_view name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (EqualsIgnoreCase(columns_[i].name, name)) return i;

@@ -31,6 +31,12 @@ Result<ColumnType> ParseColumnType(std::string_view name);
 /// (NULL always fits; INT64 may widen into DOUBLE columns).
 bool KindFitsColumn(ValueKind kind, ColumnType type);
 
+/// The kind of the non-NULL values a column of `type` holds, for
+/// Value::ComparableKinds (INT64 cells of a DOUBLE column are numeric
+/// too). An index answers an equality only between comparable kinds:
+/// the evaluator rejects the others.
+ValueKind ColumnKind(ColumnType type);
+
 /// A named, typed column.
 struct Column {
   std::string name;

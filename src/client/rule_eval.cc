@@ -7,6 +7,7 @@
 #include "exec/expr_eval.h"
 #include "pdm/pdm_schema.h"
 #include "plan/binder.h"
+#include "rules/query_modificator.h"
 
 namespace pdm::client {
 
@@ -53,28 +54,14 @@ Result<std::unique_ptr<PreparedRowFilter>> ClientRuleEvaluator::Prepare(
   auto filter = std::unique_ptr<PreparedRowFilter>(
       new PreparedRowFilter(this, *type_col));
 
-  std::vector<std::string> tables = pdmsys::ObjectTables();
-  tables.push_back(pdmsys::kLinkTable);
-  for (const std::string& table : tables) {
-    std::vector<const Rule*> relevant = rule_table_->FetchRelevant(
-        user_.name, action, ConditionClass::kRow, table);
-    // "*" covers object types only; relation rules must name the table.
-    if (table == pdmsys::kLinkTable) {
-      std::erase_if(relevant,
-                    [](const Rule* r) { return r->object_type == "*"; });
-    }
-    if (relevant.empty()) continue;
-    std::vector<sql::ExprPtr> preds;
-    for (const Rule* rule : relevant) {
-      const auto& cond = static_cast<const rules::RowCondition&>(
-          *rule->condition);
-      // Unqualified: attribute names resolve against the result schema.
-      PDM_ASSIGN_OR_RETURN(sql::ExprPtr pred, cond.Instantiate(user_, ""));
-      preds.push_back(std::move(pred));
-    }
-    sql::ExprPtr group = sql::MakeDisjunction(std::move(preds));
+  // Unqualified: attribute names resolve against the result schema.
+  PDM_ASSIGN_OR_RETURN(std::vector<rules::RowConditionGroup> groups,
+                       rules::BuildRowConditionGroups(*rule_table_, user_,
+                                                      action,
+                                                      /*qualify=*/false));
+  for (const rules::RowConditionGroup& group : groups) {
     Result<BoundExprPtr> bound = BindAgainstSchema(
-        *group, schema, scratch_catalog_.get(), functions_.get());
+        *group.predicate, schema, scratch_catalog_.get(), functions_.get());
     if (!bound.ok()) {
       if (bound.status().code() == StatusCode::kBindError) {
         // The schema lacks the attributes this group tests (e.g. link
@@ -83,10 +70,10 @@ Result<std::unique_ptr<PreparedRowFilter>> ClientRuleEvaluator::Prepare(
       }
       return bound.status();
     }
-    if (table == pdmsys::kLinkTable) {
+    if (group.table == pdmsys::kLinkTable) {
       filter->link_group_ = std::move(bound).value();
     } else {
-      filter->type_groups_[table] = std::move(bound).value();
+      filter->type_groups_[group.table] = std::move(bound).value();
     }
   }
   return filter;

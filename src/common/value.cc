@@ -24,8 +24,14 @@ std::string_view ValueKindName(ValueKind kind) {
 
 bool Value::Comparable(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return false;
-  if (a.is_numeric() && b.is_numeric()) return true;
-  return a.kind() == b.kind();
+  return ComparableKinds(a.kind(), b.kind());
+}
+
+bool Value::ComparableKinds(ValueKind a, ValueKind b) {
+  auto numeric = [](ValueKind k) {
+    return k == ValueKind::kInt64 || k == ValueKind::kDouble;
+  };
+  return a == b || (numeric(a) && numeric(b));
 }
 
 int Value::Compare(const Value& a, const Value& b) {

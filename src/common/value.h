@@ -107,6 +107,8 @@ class Value {
 
   /// True if `a` and `b` are comparable: same kind, or both numeric.
   static bool Comparable(const Value& a, const Value& b);
+  /// True if non-NULL values of kinds `a` and `b` are comparable.
+  static bool ComparableKinds(ValueKind a, ValueKind b);
 
   /// Three-way comparison for comparable non-NULL values:
   /// -1, 0, +1. NULLs order first (used only for ORDER BY / DISTINCT,
@@ -176,7 +178,7 @@ inline bool IsLive(const ColumnMask& mask, size_t column) {
   return mask.empty() || mask[column];
 }
 
-/// Hash of a full row, for hash joins / DISTINCT / UNION.
+/// Hash of a full row, for GROUP BY / DISTINCT / UNION.
 size_t HashRow(const Row& row);
 
 /// Identity-equality of full rows (NULLs compare equal, as in UNION
@@ -204,9 +206,8 @@ struct ValueEq {
 };
 
 /// int64 <-> double conversion is exact for |x| < 2^53. Int64-keyed hash
-/// tables (vectorized join builds, column indexes) admit only keys
-/// inside this bound, so a double probe has at most one int64 key it
-/// compares equal to.
+/// tables (column indexes) admit only keys inside this bound, so a
+/// double probe has at most one int64 key it compares equal to.
 inline constexpr int64_t kExactDoubleBound = int64_t{1} << 53;
 
 /// True if `x` may key an int64-keyed table (|x| < 2^53).

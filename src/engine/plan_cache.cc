@@ -8,7 +8,7 @@ namespace {
 
 bool SameOptions(const BinderOptions& a, const BinderOptions& b) {
   return a.predicate_pushdown == b.predicate_pushdown &&
-         a.use_hash_join == b.use_hash_join;
+         a.use_index_join == b.use_index_join;
 }
 
 }  // namespace

@@ -49,7 +49,6 @@ struct ExecStats {
   size_t recursion_iterations = 0;   // semi-naive / naive rounds
   size_t subquery_evaluations = 0;   // subplan executions
   size_t subquery_cache_hits = 0;    // reused uncorrelated results
-  size_t hash_join_builds = 0;       // hash tables built
   size_t nl_join_probes = 0;         // nested-loop predicate evaluations
   size_t index_scans = 0;            // scans answered from a column index
   size_t index_join_probes = 0;      // left rows the index join probed
@@ -59,8 +58,7 @@ struct ExecStats {
   size_t vec_batches = 0;            // fragments the vec engine opened
   // Disjoint from index_join_probes: a left row is counted by the join
   // operator that probed it.
-  size_t join_probe_rows = 0;        // left rows probed by build-mode and
-                                     // nested-loop joins
+  size_t join_probe_rows = 0;        // left rows probed by nested-loop joins
   size_t agg_input_rows = 0;         // rows folded by the aggregator
 };
 

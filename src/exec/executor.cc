@@ -90,7 +90,9 @@ void CollectIndexCandidates(const BoundExpr& filter, const ExecContext& ctx,
       const auto& ref = static_cast<const BoundColumnRef&>(*col);
       const Value& value =
           ctx.LiteralValue(static_cast<const BoundLiteral&>(*lit));
-      if (ref.level == 0 && !value.is_null()) {
+      // An equality the evaluator rejects is the full scan's to report.
+      if (ref.level == 0 && !value.is_null() &&
+          Value::ComparableKinds(value.kind(), ColumnKind(ref.column_type))) {
         out->push_back({ref.index, &value, nullptr});
       }
     }
@@ -422,119 +424,11 @@ class NestedLoopJoinExecutor : public Executor {
   size_t right_pos_ = 0;
 };
 
-/// Hash inner join: builds a hash table over the right child in Open()
-/// and probes it with left rows. An index-join eligible join
-/// (IndexJoinTable) runs as IndexJoinExecutor instead.
-class HashJoinExecutor : public Executor {
- public:
-  HashJoinExecutor(const HashJoinNode& node, std::unique_ptr<Executor> left,
-                   std::unique_ptr<Executor> right, ExecContext* ctx)
-      : node_(node),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        ctx_(ctx) {}
-
-  Status Open() override {
-    PDM_RETURN_NOT_OK(left_->Open());
-    PDM_RETURN_NOT_OK(right_->Open());
-    table_.clear();
-    right_rows_.clear();
-    ctx_->stats().hash_join_builds++;
-    Row row;
-    while (true) {
-      PDM_ASSIGN_OR_RETURN(bool has, right_->Next(&row));
-      if (!has) break;
-      Row key = KeyOf(row, node_.right_keys);
-      // Rows with NULL key columns can never match an equi-join.
-      if (HasNull(key)) continue;
-      right_rows_.push_back(row);
-      table_[std::move(key)].push_back(right_rows_.size() - 1);
-    }
-    have_left_ = false;
-    matches_ = nullptr;
-    match_pos_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* row) override {
-    while (true) {
-      if (!have_left_) {
-        PDM_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
-        if (!has) return false;
-        ctx_->stats().join_probe_rows++;
-        have_left_ = true;
-        match_pos_ = 0;
-        Row key = KeyOf(left_row_, node_.left_keys);
-        matches_ = nullptr;
-        if (!HasNull(key)) {
-          auto it = table_.find(key);
-          if (it != table_.end()) matches_ = &it->second;
-        }
-      }
-      while (matches_ != nullptr && match_pos_ < matches_->size()) {
-        const Row& right_row = right_rows_[(*matches_)[match_pos_++]];
-        Row combined;
-        combined.reserve(left_row_.size() + right_row.size());
-        combined.insert(combined.end(), left_row_.begin(), left_row_.end());
-        combined.insert(combined.end(), right_row.begin(), right_row.end());
-        if (node_.residual != nullptr) {
-          PDM_ASSIGN_OR_RETURN(
-              bool pass, EvaluatePredicate(*node_.residual, combined, ctx_));
-          if (!pass) continue;
-        }
-        *row = std::move(combined);
-        return true;
-      }
-      have_left_ = false;
-    }
-  }
-
- private:
-  static Row KeyOf(const Row& row, const std::vector<size_t>& keys) {
-    Row key;
-    key.reserve(keys.size());
-    for (size_t k : keys) key.push_back(row[k]);
-    return key;
-  }
-  static bool HasNull(const Row& key) {
-    return std::any_of(key.begin(), key.end(),
-                       [](const Value& v) { return v.is_null(); });
-  }
-
-  const HashJoinNode& node_;
-  std::unique_ptr<Executor> left_;
-  std::unique_ptr<Executor> right_;
-  ExecContext* ctx_;
-  std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> table_;
-  std::vector<Row> right_rows_;
-  Row left_row_;
-  bool have_left_ = false;
-  const std::vector<size_t>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-};
-
-/// The table an index join probes for `node`: a single key against a
-/// bare, unfiltered base-table scan on the right, whose key column the
-/// table has. Null means the join builds (HashJoinExecutor), which also
-/// reports a missing table from its right scan.
-const Table* IndexJoinTable(const HashJoinNode& node, ExecContext* ctx) {
-  if (node.right_keys.size() != 1 || node.right->kind != PlanKind::kScan) {
-    return nullptr;
-  }
-  const auto& scan = static_cast<const ScanNode&>(*node.right);
-  if (scan.filter != nullptr) return nullptr;
-  Result<Table*> table = ctx->catalog()->GetTable(scan.table_name);
-  if (!table.ok() ||
-      node.right_keys[0] >= (*table)->schema().num_columns()) {
-    return nullptr;
-  }
-  return *table;
-}
-
-/// Index join: the table's shared lazy column index stands in for the
-/// per-query build, probed once per left row (this is what makes the
+/// Index join, the one equi-join operator: the right table's shared lazy
+/// column index is probed once per left row (this is what makes the
 /// hundreds of navigational point queries cheap, like a B-tree would in
 /// a real RDBMS, and keeps the index's cross-statement amortization).
+/// The right scan never runs; the table is resolved in Open().
 /// Matched right rows load straight from the column fragments into the
 /// output row, with no scratch-row copy, residual first (DESIGN.md 5o):
 /// only the right columns the residual reads load before it runs, and
@@ -547,11 +441,14 @@ const Table* IndexJoinTable(const HashJoinNode& node, ExecContext* ctx) {
 /// writer appending versions cannot race the probe.
 class IndexJoinExecutor : public Executor {
  public:
-  IndexJoinExecutor(const HashJoinNode& node, std::unique_ptr<Executor> left,
-                    const Table* table, ExecContext* ctx)
-      : node_(node), left_(std::move(left)), table_(table), ctx_(ctx) {}
+  IndexJoinExecutor(const IndexJoinNode& node, std::unique_ptr<Executor> left,
+                    ExecContext* ctx)
+      : node_(node), left_(std::move(left)), ctx_(ctx) {}
 
   Status Open() override {
+    PDM_ASSIGN_OR_RETURN(
+        table_, ctx_->catalog()->GetTable(
+                    static_cast<const ScanNode&>(*node_.right).table_name));
     PDM_RETURN_NOT_OK(left_->Open());
     have_left_ = false;
     match_pos_ = 0;
@@ -574,9 +471,9 @@ class IndexJoinExecutor : public Executor {
         left_in_row = false;
         match_pos_ = 0;
         positions_.clear();
-        const Value& key = left_row_[node_.left_keys[0]];
+        const Value& key = left_row_[node_.left_key];
         if (!key.is_null()) {
-          table_->IndexLookup(node_.right_keys[0], {&key, 1}, &positions_);
+          table_->IndexLookup(node_.right_key, {&key, 1}, &positions_);
         }
       }
       while (match_pos_ < positions_.size()) {
@@ -608,10 +505,10 @@ class IndexJoinExecutor : public Executor {
   }
 
  private:
-  const HashJoinNode& node_;
+  const IndexJoinNode& node_;
   std::unique_ptr<Executor> left_;
-  const Table* table_;
   ExecContext* ctx_;
+  const Table* table_ = nullptr;
   Row left_row_;
   bool have_left_ = false;
   std::vector<size_t> positions_;  // probe hits (owned copy)
@@ -863,18 +760,12 @@ Result<std::unique_ptr<Executor>> CreateExecutor(const PlanNode& plan,
       return std::unique_ptr<Executor>(std::make_unique<NestedLoopJoinExecutor>(
           node, std::move(left), std::move(right), ctx));
     }
-    case PlanKind::kHashJoin: {
-      const auto& node = static_cast<const HashJoinNode&>(plan);
+    case PlanKind::kIndexJoin: {
+      const auto& node = static_cast<const IndexJoinNode&>(plan);
       PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> left,
                            CreateExecutor(*node.left, ctx));
-      if (const Table* table = IndexJoinTable(node, ctx)) {
-        return std::unique_ptr<Executor>(std::make_unique<IndexJoinExecutor>(
-            node, std::move(left), table, ctx));
-      }
-      PDM_ASSIGN_OR_RETURN(std::unique_ptr<Executor> right,
-                           CreateExecutor(*node.right, ctx));
-      return std::unique_ptr<Executor>(std::make_unique<HashJoinExecutor>(
-          node, std::move(left), std::move(right), ctx));
+      return std::unique_ptr<Executor>(
+          std::make_unique<IndexJoinExecutor>(node, std::move(left), ctx));
     }
     case PlanKind::kAggregate: {
       const auto& node = static_cast<const AggregateNode&>(plan);

@@ -13,7 +13,8 @@
 namespace pdm {
 
 /// Volcano-style pull iterator over a plan operator. Blocking operators
-/// (sort, aggregate, distinct, hash-join build) materialize in Open().
+/// (sort, aggregate, distinct, the nested-loop join's right side)
+/// materialize in Open().
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -64,7 +65,8 @@ class DistinctRows {
 };
 
 /// A conjunct of a scan filter that a column index can answer:
-/// `column = non-NULL-literal` (one key) or a non-negated `column IN
+/// `column = non-NULL-literal` of a kind comparable with the column's
+/// declared type (one key) or a non-negated `column IN
 /// (uncorrelated subquery)` whose result the subquery cache keeps (its
 /// first-column values are the keys).
 struct IndexCandidate {

@@ -208,11 +208,11 @@ struct ServerCostParams {
   double per_row_scan_vec_s = 2.0e-7;
   double per_cte_row_s = 1.0e-6;         // recursive-CTE rows touched
   double per_result_row_s = 5.0e-7;      // rows serialized into the reply
-  /// Join-probe rows: build-mode and nested-loop probes at the row
-  /// rate, index-join probes (DESIGN.md 5j) at the vectorized rate, the
-  /// same 1/5 calibration as the scans above, since matched rows load
-  /// straight off the column fragments. Aggregate-input rows have one
-  /// rate: the row aggregator is the only one.
+  /// Join-probe rows: nested-loop probes at the row rate, index-join
+  /// probes (DESIGN.md 5j) at the vectorized rate, the same 1/5
+  /// calibration as the scans above, since matched rows load straight
+  /// off the column fragments. Aggregate-input rows have one rate: the
+  /// row aggregator is the only one.
   double per_row_join_s = 1.0e-6;
   double per_row_join_vec_s = 2.0e-7;
   double per_row_agg_s = 1.0e-6;
@@ -220,9 +220,8 @@ struct ServerCostParams {
 
 /// Engine work of one statement, as ServerSeconds charges it. The scan
 /// pair is subset-style (`vec_rows_scanned` ⊆ `rows_scanned`); the
-/// join pair is disjoint — `join_probe_rows` counts build-mode and
-/// nested-loop probes, `vec_join_probe_rows` index-join probes
-/// (ExecStats::index_join_probes).
+/// join pair is disjoint — `join_probe_rows` counts nested-loop probes,
+/// `vec_join_probe_rows` index-join probes (ExecStats::index_join_probes).
 struct ServerWork {
   bool parsed = false;  // false when a cached plan skipped parse/bind
   size_t rows_scanned = 0;

@@ -349,72 +349,71 @@ BoundExprPtr CombineConjuncts(std::vector<BoundExprPtr> conjuncts) {
   return acc;
 }
 
-// --- Hash-join conversion -------------------------------------------------------
+// --- Join operator choice ----------------------------------------------------------
 
 namespace {
 
-/// Converts the joins of every subquery plan inside `expr`.
-void ConvertJoinsInExpr(BoundExpr& expr) {
-  ForEachChild(
-      expr, [](BoundExprPtr& c) { ConvertJoinsInExpr(*c); },
-      [](PlanPtr& plan) { ConvertEquiJoinsToHashJoins(&plan); });
+/// The key of an index join over `left_cols` left columns, if `conjunct`
+/// is `left_col = right_col` (either way round) over comparable declared
+/// types: an index answers no equality the evaluator would reject.
+std::optional<std::pair<size_t, size_t>> IndexJoinKey(
+    const BoundExpr& conjunct, size_t left_cols) {
+  if (conjunct.kind != BoundExprKind::kBinary) return std::nullopt;
+  const auto& bin = static_cast<const BoundBinary&>(conjunct);
+  if (bin.op != sql::BinaryOp::kEq ||
+      bin.lhs->kind != BoundExprKind::kColumnRef ||
+      bin.rhs->kind != BoundExprKind::kColumnRef) {
+    return std::nullopt;
+  }
+  const auto* l = static_cast<const BoundColumnRef*>(bin.lhs.get());
+  const auto* r = static_cast<const BoundColumnRef*>(bin.rhs.get());
+  if (l->level != 0 || r->level != 0 ||
+      !Value::ComparableKinds(ColumnKind(l->column_type),
+                              ColumnKind(r->column_type))) {
+    return std::nullopt;
+  }
+  if (l->index > r->index) std::swap(l, r);
+  if (l->index >= left_cols || r->index < left_cols) return std::nullopt;
+  return std::make_pair(l->index, r->index - left_cols);
+}
+
+/// Joins `left` and `right` on the AND of `conjuncts`. With `index_join`,
+/// a bare base-table scan on the right and a key conjunct (the first
+/// one IndexJoinKey accepts), an IndexJoinNode whose residual is every
+/// other conjunct; otherwise a NestedLoopJoinNode.
+PlanPtr MakeJoin(PlanPtr left, PlanPtr right,
+                 std::vector<BoundExprPtr> conjuncts, bool index_join) {
+  Schema schema = left->schema;
+  for (const Column& c : right->schema.columns()) schema.AddColumn(c);
+  const bool bare_scan =
+      right->kind == PlanKind::kScan &&
+      static_cast<const ScanNode&>(*right).filter == nullptr;
+  if (index_join && bare_scan) {
+    const size_t left_cols = left->schema.num_columns();
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      std::optional<std::pair<size_t, size_t>> key =
+          IndexJoinKey(*conjuncts[i], left_cols);
+      if (!key.has_value()) continue;
+      auto join = std::make_unique<IndexJoinNode>();
+      join->schema = std::move(schema);
+      join->left = std::move(left);
+      join->right = std::move(right);
+      join->left_key = key->first;
+      join->right_key = key->second;
+      conjuncts.erase(conjuncts.begin() + static_cast<std::ptrdiff_t>(i));
+      join->residual = CombineConjuncts(std::move(conjuncts));
+      return join;
+    }
+  }
+  auto join = std::make_unique<NestedLoopJoinNode>();
+  join->schema = std::move(schema);
+  join->left = std::move(left);
+  join->right = std::move(right);
+  join->predicate = CombineConjuncts(std::move(conjuncts));
+  return join;
 }
 
 }  // namespace
-
-void ConvertEquiJoinsToHashJoins(PlanPtr* plan) {
-  if (*plan == nullptr) return;
-  ForEachExpr(**plan, [](BoundExprPtr& e) { ConvertJoinsInExpr(*e); });
-  ForEachChild(**plan, [](PlanPtr& c) { ConvertEquiJoinsToHashJoins(&c); });
-  if ((*plan)->kind != PlanKind::kNestedLoopJoin) return;
-
-  auto* nlj = static_cast<NestedLoopJoinNode*>(plan->get());
-  if (nlj->predicate == nullptr) return;
-  size_t left_cols = nlj->left->schema.num_columns();
-
-  std::vector<BoundExprPtr> conjuncts = SplitConjuncts(std::move(nlj->predicate));
-  std::vector<size_t> left_keys;
-  std::vector<size_t> right_keys;
-  std::vector<BoundExprPtr> residual;
-  for (BoundExprPtr& c : conjuncts) {
-    bool is_key = false;
-    if (c->kind == BoundExprKind::kBinary) {
-      auto* bin = static_cast<BoundBinary*>(c.get());
-      if (bin->op == sql::BinaryOp::kEq &&
-          bin->lhs->kind == BoundExprKind::kColumnRef &&
-          bin->rhs->kind == BoundExprKind::kColumnRef) {
-        auto* l = static_cast<BoundColumnRef*>(bin->lhs.get());
-        auto* r = static_cast<BoundColumnRef*>(bin->rhs.get());
-        if (l->level == 0 && r->level == 0) {
-          if (l->index < left_cols && r->index >= left_cols) {
-            left_keys.push_back(l->index);
-            right_keys.push_back(r->index - left_cols);
-            is_key = true;
-          } else if (r->index < left_cols && l->index >= left_cols) {
-            left_keys.push_back(r->index);
-            right_keys.push_back(l->index - left_cols);
-            is_key = true;
-          }
-        }
-      }
-    }
-    if (!is_key) residual.push_back(std::move(c));
-  }
-
-  if (left_keys.empty()) {
-    nlj->predicate = CombineConjuncts(std::move(residual));
-    return;
-  }
-
-  auto hash_join = std::make_unique<HashJoinNode>();
-  hash_join->schema = nlj->schema;
-  hash_join->left = std::move(nlj->left);
-  hash_join->right = std::move(nlj->right);
-  hash_join->left_keys = std::move(left_keys);
-  hash_join->right_keys = std::move(right_keys);
-  hash_join->residual = CombineConjuncts(std::move(residual));
-  *plan = std::move(hash_join);
-}
 
 // --- Column liveness ------------------------------------------------------------
 
@@ -494,8 +493,8 @@ void AnnotatePlan(PlanNode& plan, ColumnMask need) {
       AnnotateJoinSides(*join.left, *join.right, combined);
       break;
     }
-    case PlanKind::kHashJoin: {
-      auto& join = static_cast<HashJoinNode&>(plan);
+    case PlanKind::kIndexJoin: {
+      auto& join = static_cast<IndexJoinNode&>(plan);
       const size_t split = join.left->schema.num_columns();
       ColumnMask combined = need;
       if (join.residual != nullptr) {
@@ -505,8 +504,8 @@ void AnnotatePlan(PlanNode& plan, ColumnMask need) {
             AllOrMask(ColumnMask(residual.begin() + split, residual.end()));
         MarkReads(*join.residual, &combined);
       }
-      for (size_t k : join.left_keys) combined[k] = true;
-      for (size_t k : join.right_keys) combined[split + k] = true;
+      combined[join.left_key] = true;
+      combined[split + join.right_key] = true;
       AnnotateJoinSides(*join.left, *join.right, combined);
       break;
     }
@@ -923,18 +922,10 @@ Result<PlanPtr> Binder::BindSelectCore(const sql::SelectCore& core,
       }
     }
     for (size_t k = 1; k < leaves.size(); ++k) {
-      auto join = std::make_unique<NestedLoopJoinNode>();
-      for (const Column& c : plan->schema.columns()) join->schema.AddColumn(c);
-      for (const Column& c : leaves[k].plan->schema.columns()) {
-        join->schema.AddColumn(c);
-      }
-      join->left = std::move(plan);
-      join->right = std::move(leaves[k].plan);
-      std::vector<BoundExprPtr> preds;
-      if (on_preds[k] != nullptr) preds.push_back(std::move(on_preds[k]));
+      std::vector<BoundExprPtr> preds = SplitConjuncts(std::move(on_preds[k]));
       for (BoundExprPtr& p : prefix_preds[k]) preds.push_back(std::move(p));
-      join->predicate = CombineConjuncts(std::move(preds));
-      plan = std::move(join);
+      plan = MakeJoin(std::move(plan), std::move(leaves[k].plan),
+                      std::move(preds), options_.use_index_join);
     }
   }
 
@@ -1280,15 +1271,6 @@ Result<BoundSelect> Binder::BindSelect(const sql::SelectStmt& stmt) {
   }
   PDM_ASSIGN_OR_RETURN(bound.root, BindQueryExpr(stmt.query, nullptr));
 
-  if (options_.use_hash_join) {
-    for (BoundCte& cte : bound.ctes) {
-      ConvertEquiJoinsToHashJoins(&cte.seed);
-      for (PlanPtr& term : cte.recursive_terms) {
-        ConvertEquiJoinsToHashJoins(&term);
-      }
-    }
-    ConvertEquiJoinsToHashJoins(&bound.root);
-  }
   bound.params_bound = std::move(params_bound_);
   return bound;
 }

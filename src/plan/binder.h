@@ -22,8 +22,10 @@ struct BinderOptions {
   /// Split WHERE conjunctions and evaluate each conjunct at the earliest
   /// join prefix (or inside the leftmost scan) that covers its columns.
   bool predicate_pushdown = true;
-  /// Convert nested-loop joins with equi-predicates into hash joins.
-  bool use_hash_join = true;
+  /// Join a bare base-table scan on an equality of comparable columns
+  /// with the index join (BindSelectCore); off, every join is the
+  /// nested-loop join, the oracle the index join shares no code with.
+  bool use_index_join = true;
 };
 
 /// Name-resolution scope: the tables visible to one SELECT block, flat
@@ -173,12 +175,8 @@ std::vector<BoundExprPtr> SplitConjuncts(BoundExprPtr expr);
 /// ANDs bound conjuncts back together; nullptr for an empty vector.
 BoundExprPtr CombineConjuncts(std::vector<BoundExprPtr> conjuncts);
 
-/// Rewrites nested-loop joins with equi-key predicates into hash joins
-/// (recursively, including subquery plans). No-op on other nodes.
-void ConvertEquiJoinsToHashJoins(PlanPtr* plan);
-
 /// Bind-time column liveness (DESIGN.md 5o): one pass that sets every
-/// node's `live` mask, and each hash join's `residual_live`, in the
+/// node's `live` mask, and each index join's `residual_live`, in the
 /// root, the CTE terms and every subquery plan. A node's live columns
 /// are those some ancestor reads: parent expressions, join keys and
 /// residuals, the refs a correlated subquery makes to the row it is

@@ -27,8 +27,8 @@ std::string_view PlanKindName(PlanKind kind) {
       return "Project";
     case PlanKind::kNestedLoopJoin:
       return "NestedLoopJoin";
-    case PlanKind::kHashJoin:
-      return "HashJoin";
+    case PlanKind::kIndexJoin:
+      return "IndexJoin";
     case PlanKind::kAggregate:
       return "Aggregate";
     case PlanKind::kSort:
@@ -56,11 +56,6 @@ std::string PlanNode::ToString(int indent) const {
     case PlanKind::kCteScan: {
       const auto& n = static_cast<const CteScanNode&>(*this);
       out += "(" + n.cte_name + ")";
-      break;
-    }
-    case PlanKind::kHashJoin: {
-      const auto& n = static_cast<const HashJoinNode&>(*this);
-      out += StrFormat(" [%zu key(s)]", n.left_keys.size());
       break;
     }
     case PlanKind::kAggregate: {

@@ -10,8 +10,8 @@
 
 namespace pdm {
 
-/// Executable plan operators. The tree is produced by the Binder (plus a
-/// light optimizer pass) and interpreted by the Volcano-style executors
+/// Executable plan operators. The tree is produced by the Binder (plus
+/// the column-liveness pass) and interpreted by the Volcano-style executors
 /// in exec/. One node kind per physical operator.
 enum class PlanKind {
   kScan,
@@ -19,7 +19,7 @@ enum class PlanKind {
   kFilter,
   kProject,
   kNestedLoopJoin,
-  kHashJoin,
+  kIndexJoin,
   kAggregate,
   kSort,
   kDistinct,
@@ -83,20 +83,22 @@ struct NestedLoopJoinNode : PlanNode {
   BoundExprPtr predicate;  // evaluated on the combined row; may be null
 };
 
-/// Equi-join: build a hash table on the right child keyed by
-/// `right_keys` (indices into the right row), probe with `left_keys`
-/// (indices into the left row). `residual` is any leftover non-equi
-/// predicate, evaluated on the combined row.
-struct HashJoinNode : PlanNode {
-  HashJoinNode() : PlanNode(PlanKind::kHashJoin) {}
+/// Equi-join against a base table through its column index: each left
+/// row probes the right table's index on `right_key` with its
+/// `left_key` cell, and `residual` (the join's other conjuncts) runs on
+/// the combined row. The binder builds it only over a bare base-table
+/// scan on the right, which the executor never runs: it reads the
+/// matches off the table's fragments.
+struct IndexJoinNode : PlanNode {
+  IndexJoinNode() : PlanNode(PlanKind::kIndexJoin) {}
   PlanPtr left;
-  PlanPtr right;
-  std::vector<size_t> left_keys;
-  std::vector<size_t> right_keys;
+  PlanPtr right;          // a ScanNode without a filter
+  size_t left_key = 0;    // index into the left row
+  size_t right_key = 0;   // index into the right table's row
   BoundExprPtr residual;  // may be null
-  /// The right-side columns `residual` reads: an index join loads only
-  /// these before the residual runs, and the rest of `right->live` only
-  /// for a row that passes.
+  /// The right-side columns `residual` reads: the join loads only these
+  /// before the residual runs, and the rest of `right->live` only for a
+  /// row that passes.
   ColumnMask residual_live;
 };
 
@@ -177,8 +179,8 @@ void ForEachChild(P& plan, Fn&& fn) {
       fn(n.right);
       return;
     }
-    case PlanKind::kHashJoin: {
-      auto& n = static_cast<ConstLike<HashJoinNode, P>&>(plan);
+    case PlanKind::kIndexJoin: {
+      auto& n = static_cast<ConstLike<IndexJoinNode, P>&>(plan);
       fn(n.left);
       fn(n.right);
       return;
@@ -231,8 +233,8 @@ void ForEachExpr(P& plan, Fn&& fn) {
     case PlanKind::kNestedLoopJoin:
       optional(static_cast<ConstLike<NestedLoopJoinNode, P>&>(plan).predicate);
       return;
-    case PlanKind::kHashJoin:
-      optional(static_cast<ConstLike<HashJoinNode, P>&>(plan).residual);
+    case PlanKind::kIndexJoin:
+      optional(static_cast<ConstLike<IndexJoinNode, P>&>(plan).residual);
       return;
     case PlanKind::kAggregate: {
       auto& n = static_cast<ConstLike<AggregateNode, P>&>(plan);

@@ -6,18 +6,36 @@
 
 namespace pdm::rules {
 
-namespace {
-
 using sql::ExprPtr;
 
-/// Tables row conditions may target in generated queries.
-std::vector<std::string> RowConditionTables() {
+Result<std::vector<RowConditionGroup>> BuildRowConditionGroups(
+    const RuleTable& rules, const pdmsys::UserContext& user,
+    RuleAction action, bool qualify) {
   std::vector<std::string> tables = pdmsys::ObjectTables();
   tables.push_back(pdmsys::kLinkTable);
-  return tables;
+  std::vector<RowConditionGroup> groups;
+  for (std::string& table : tables) {
+    std::vector<const Rule*> relevant =
+        rules.FetchRelevant(user.name, action, ConditionClass::kRow, table);
+    if (table == pdmsys::kLinkTable) {
+      std::erase_if(relevant,
+                    [](const Rule* r) { return r->object_type == "*"; });
+    }
+    if (relevant.empty()) continue;
+    std::vector<ExprPtr> translated;
+    translated.reserve(relevant.size());
+    for (const Rule* rule : relevant) {
+      const auto& cond = static_cast<const RowCondition&>(*rule->condition);
+      PDM_ASSIGN_OR_RETURN(ExprPtr pred,
+                           cond.Instantiate(user, qualify ? table : ""));
+      translated.push_back(std::move(pred));
+    }
+    groups.push_back(RowConditionGroup{
+        std::move(table), sql::MakeDisjunction(std::move(translated)),
+        relevant.size()});
+  }
+  return groups;
 }
-
-}  // namespace
 
 Status QueryModificator::RejectHiddenViews(
     const sql::QueryExpr& query) const {
@@ -50,36 +68,18 @@ Status QueryModificator::RejectHiddenViews(
 Status QueryModificator::InjectRowConditions(
     sql::QueryExpr* query, RuleAction action,
     ModificationSummary* summary) const {
-  for (const std::string& table : RowConditionTables()) {
-    std::vector<const Rule*> relevant =
-        rules_->FetchRelevant(user_.name, action, ConditionClass::kRow, table);
-    // A "*" object type means "every object type"; relation tables only
-    // match rules that name them explicitly.
-    if (table == pdmsys::kLinkTable) {
-      std::erase_if(relevant,
-                    [](const Rule* r) { return r->object_type == "*"; });
-    }
-    if (relevant.empty()) continue;
-
-    // Step D.13: disjunction of all conditions within the same group.
-    std::vector<ExprPtr> translated;
-    translated.reserve(relevant.size());
-    for (const Rule* rule : relevant) {
-      const auto& cond = static_cast<const RowCondition&>(*rule->condition);
-      PDM_ASSIGN_OR_RETURN(ExprPtr pred, cond.Instantiate(user_, table));
-      translated.push_back(std::move(pred));
-    }
-    size_t group_size = translated.size();
-    ExprPtr group = sql::MakeDisjunction(std::move(translated));
-
+  PDM_ASSIGN_OR_RETURN(std::vector<RowConditionGroup> groups,
+                       BuildRowConditionGroups(*rules_, user_, action,
+                                               /*qualify=*/true));
+  for (const RowConditionGroup& group : groups) {
     // Step D.14: append to every SELECT referencing the type.
     bool used = false;
     for (sql::SelectCore& term : query->terms) {
-      if (!term.ReferencesTable(table)) continue;
-      term.AddWherePredicate(group->Clone());
+      if (!term.ReferencesTable(group.table)) continue;
+      term.AddWherePredicate(group.predicate->Clone());
       used = true;
     }
-    if (used) summary->row_conditions += group_size;
+    if (used) summary->row_conditions += group.size;
   }
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "pdm/user_context.h"
@@ -23,6 +24,27 @@ struct ModificationSummary {
     return forall_rows + tree_aggregates + exists_structure + row_conditions;
   }
 };
+
+/// One table's row-condition group (Section 5.5, step D.13): the
+/// disjunction of the row conditions of the rules relevant to the user,
+/// the action and the table, and how many rules it ORs.
+struct RowConditionGroup {
+  std::string table;
+  sql::ExprPtr predicate;
+  size_t size = 0;
+};
+
+/// The row-condition groups of `action` for `user`: the object tables'
+/// then the link table's, skipping tables without relevant rules. A "*"
+/// object type covers the object tables only; the link table takes only
+/// rules that name it. With `qualify`, attribute references are
+/// qualified by the table name, for a WHERE clause over the table;
+/// without, they resolve against a result-row schema. The one builder
+/// behind early (QueryModificator) and late (client::ClientRuleEvaluator)
+/// row-condition evaluation.
+Result<std::vector<RowConditionGroup>> BuildRowConditionGroups(
+    const RuleTable& rules, const pdmsys::UserContext& user,
+    RuleAction action, bool qualify);
 
 /// Implements the paper's Section 5.5 procedure: given the client's rule
 /// table and the user's environment, rewrites generated queries so that

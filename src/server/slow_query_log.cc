@@ -36,10 +36,7 @@ std::string_view ClassifyStatementClass(bool dml, bool expand,
   // traversals and direct link-table hops.
   if (expand || stats.cte_rows_scanned > 0) return "expand";
   if (stats.agg_input_rows > 0) return "agg";
-  if (stats.join_probe_rows > 0 || stats.hash_join_builds > 0 ||
-      stats.index_join_probes > 0) {
-    return "join";
-  }
+  if (stats.join_probe_rows > 0 || stats.index_join_probes > 0) return "join";
   if (stats.index_scans > 0) return "point";
   return "scan";
 }

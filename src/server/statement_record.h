@@ -48,10 +48,9 @@ struct StatementRecord {
   size_t rows_scanned = 0;
   size_t cte_rows_scanned = 0;
   size_t vec_rows_scanned = 0;
-  /// Join-probe rows, a disjoint pair: build-mode and nested-loop
-  /// probes, and index-join probes (ExecStats::index_join_probes, under
-  /// the name the wall-clock benchmark reads); then aggregate-input
-  /// rows.
+  /// Join-probe rows, a disjoint pair: nested-loop probes, and
+  /// index-join probes (ExecStats::index_join_probes, under the name the
+  /// wall-clock benchmark reads); then aggregate-input rows.
   size_t join_probe_rows = 0;
   size_t vec_join_probe_rows = 0;
   size_t agg_input_rows = 0;

@@ -1,5 +1,5 @@
 // Unit tests for name resolution, plan shapes, predicate pushdown and
-// hash-join conversion.
+// the binder's join operator choice.
 
 #include <gtest/gtest.h>
 
@@ -100,16 +100,28 @@ TEST_F(BinderTest, PushdownDisabledKeepsFilterNode) {
   EXPECT_EQ(project.child->kind, PlanKind::kFilter);
 }
 
-TEST_F(BinderTest, EquiJoinBecomesHashJoin) {
+TEST_F(BinderTest, EquiJoinBecomesIndexJoin) {
   BoundSelect bound = MustBind(
       "SELECT name FROM assy JOIN link ON assy.obid = link.left");
   const auto& project = static_cast<const ProjectNode&>(*bound.root);
-  ASSERT_EQ(project.child->kind, PlanKind::kHashJoin);
-  const auto& join = static_cast<const HashJoinNode&>(*project.child);
-  ASSERT_EQ(join.left_keys.size(), 1u);
-  EXPECT_EQ(join.left_keys[0], 0u);   // assy.obid
-  EXPECT_EQ(join.right_keys[0], 0u);  // link.left within link
+  ASSERT_EQ(project.child->kind, PlanKind::kIndexJoin);
+  const auto& join = static_cast<const IndexJoinNode&>(*project.child);
+  EXPECT_EQ(join.left_key, 0u);   // assy.obid
+  EXPECT_EQ(join.right_key, 0u);  // link.left within link
   EXPECT_EQ(join.residual, nullptr);
+  EXPECT_EQ(join.right->kind, PlanKind::kScan);
+
+  // The first key conjunct is the key, written either way round; a
+  // second equality stays in the residual.
+  BoundSelect two = MustBind(
+      "SELECT name FROM assy JOIN link ON link.right = assy.obid "
+      "AND assy.obid = link.left");
+  const auto& two_project = static_cast<const ProjectNode&>(*two.root);
+  ASSERT_EQ(two_project.child->kind, PlanKind::kIndexJoin);
+  const auto& two_join = static_cast<const IndexJoinNode&>(*two_project.child);
+  EXPECT_EQ(two_join.left_key, 0u);   // assy.obid
+  EXPECT_EQ(two_join.right_key, 1u);  // link.right
+  EXPECT_NE(two_join.residual, nullptr);
 }
 
 TEST_F(BinderTest, NonEquiPredicateStaysResidualOrNlj) {
@@ -117,16 +129,35 @@ TEST_F(BinderTest, NonEquiPredicateStaysResidualOrNlj) {
       "SELECT name FROM assy JOIN link ON assy.obid = link.left "
       "AND assy.obid < link.right");
   const auto& project = static_cast<const ProjectNode&>(*bound.root);
-  ASSERT_EQ(project.child->kind, PlanKind::kHashJoin);
-  EXPECT_NE(static_cast<const HashJoinNode&>(*project.child).residual,
+  ASSERT_EQ(project.child->kind, PlanKind::kIndexJoin);
+  EXPECT_NE(static_cast<const IndexJoinNode&>(*project.child).residual,
             nullptr);
 
   BinderOptions options;
-  options.use_hash_join = false;
+  options.use_index_join = false;
   BoundSelect nlj = MustBind(
       "SELECT name FROM assy JOIN link ON assy.obid = link.left", options);
   const auto& nlj_project = static_cast<const ProjectNode&>(*nlj.root);
   EXPECT_EQ(nlj_project.child->kind, PlanKind::kNestedLoopJoin);
+
+  // The index join needs a bare base table and a comparable key.
+  for (const char* sql : {
+           // A derived table on the right: no index to probe.
+           "SELECT l.left FROM link AS l JOIN "
+           "(SELECT obid FROM assy) AS a ON l.right = a.obid",
+           // A CTE on the right.
+           "WITH c (k) AS (SELECT obid FROM assy) "
+           "SELECT link.left FROM link JOIN c ON link.right = c.k",
+           // Declared types the evaluator cannot compare.
+           "SELECT assy.obid FROM assy JOIN link ON assy.name = link.left",
+           // Both sides of the equality on the same side of the join.
+           "SELECT name FROM assy JOIN link ON link.left = link.right",
+       }) {
+    BoundSelect shape = MustBind(sql);
+    ASSERT_NE(shape.root, nullptr) << sql;
+    const auto& shape_project = static_cast<const ProjectNode&>(*shape.root);
+    EXPECT_EQ(shape_project.child->kind, PlanKind::kNestedLoopJoin) << sql;
+  }
 }
 
 TEST_F(BinderTest, OnClauseReferencingLaterTableRejected) {

@@ -723,7 +723,7 @@ TEST(OptimizerDifferential, SameResultsWithAllSwitchesOff) {
     baseline.push_back(ExactText(*rs));
   }
 
-  db.options().binder.use_hash_join = false;
+  db.options().binder.use_index_join = false;
   db.options().binder.predicate_pushdown = false;
   db.options().exec.cache_uncorrelated_subqueries = false;
   db.options().exec.semi_naive_recursion = false;

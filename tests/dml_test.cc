@@ -83,6 +83,37 @@ TEST_F(DmlTest, UpdateWithSubqueryPredicate) {
   EXPECT_EQ(rs.affected_rows, 2u);
 }
 
+TEST_F(DmlTest, JoinInAPredicateSubqueryIsAnIndexJoin) {
+  // A DML predicate's subquery binds through the SELECT binder, so its
+  // equi-join against a base table is an index join; the nested-loop
+  // join must pick the same rows.
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE k (id INTEGER, keep BOOLEAN);
+    INSERT INTO k VALUES (1, TRUE), (3, TRUE), (2, FALSE);
+  )sql")
+                  .ok());
+  for (bool index_join : {true, false}) {
+    SCOPED_TRACE(index_join ? "index join" : "nested loop");
+    db_.options().binder.use_index_join = index_join;
+    ResultSet rs;
+    ExecStats stats;
+    ASSERT_TRUE(db_.Execute("UPDATE t SET score = score + 10 WHERE id IN "
+                            "(SELECT k.id FROM k JOIN t AS u "
+                            "ON k.id = u.id WHERE k.keep = TRUE)",
+                            &rs, &stats)
+                    .ok());
+    EXPECT_EQ(rs.affected_rows, 2u);
+    EXPECT_EQ(stats.index_join_probes > 0, index_join);
+    EXPECT_EQ(stats.nl_join_probes > 0, !index_join);
+  }
+  Result<ResultSet> scores =
+      db_.Query("SELECT id, score FROM t ORDER BY id");
+  ASSERT_TRUE(scores.ok()) << scores.status();
+  EXPECT_EQ(scores->At(0, 1).double_value(), 21.0);
+  EXPECT_EQ(scores->At(1, 1).double_value(), 2.0);
+  EXPECT_EQ(scores->At(2, 1).double_value(), 23.0);
+}
+
 TEST_F(DmlTest, UpdateTypeViolationRejectedBeforeApplying) {
   Status bad = db_.Execute("UPDATE t SET id = 'oops'");
   EXPECT_FALSE(bad.ok());

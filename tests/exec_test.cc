@@ -134,16 +134,16 @@ TEST_F(ExecTest, JoinWithNullKeysNeverMatches) {
   EXPECT_EQ(Q("SELECT * FROM l JOIN r ON l.k = r.k").num_rows(), 1u);
 }
 
-TEST_F(ExecTest, HashJoinAndNestedLoopAgree) {
+TEST_F(ExecTest, IndexJoinAndNestedLoopAgree) {
   const char* sql =
       "SELECT a.owner FROM pets AS a JOIN pets AS b ON a.pet = b.pet "
       "ORDER BY 1";
-  ResultSet with_hash = Q(sql);
-  db_.options().binder.use_hash_join = false;
+  ResultSet with_index = Q(sql);
+  db_.options().binder.use_index_join = false;
   ResultSet with_nlj = Q(sql);
-  ASSERT_EQ(with_hash.num_rows(), with_nlj.num_rows());
-  for (size_t i = 0; i < with_hash.num_rows(); ++i) {
-    EXPECT_EQ(with_hash.At(i, 0).ToString(), with_nlj.At(i, 0).ToString());
+  ASSERT_EQ(with_index.num_rows(), with_nlj.num_rows());
+  for (size_t i = 0; i < with_index.num_rows(); ++i) {
+    EXPECT_EQ(with_index.At(i, 0).ToString(), with_nlj.At(i, 0).ToString());
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "client/experiment.h"
 #include "engine/database.h"
@@ -173,6 +174,41 @@ TEST_F(IndexScan, WithoutTheSubqueryCacheTheSetIsNotIndexed) {
   EXPECT_EQ(stats.index_scans, 0u);
 }
 
+/// An index never answers an equality the evaluator rejects. `s = 2`
+/// compares a VARCHAR column with an INTEGER literal, `a.s = b.k` two
+/// columns of those types: whatever the index history (the first
+/// sighting sweeps, a repeat would take the index), the engine setting
+/// and the join setting, every execution reports the evaluator's error.
+TEST(IndexEquality, IncomparableKindsFailOnEveryPath) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE a (id INTEGER, s VARCHAR);
+    INSERT INTO a VALUES (1, 'x'), (2, '2');
+    CREATE TABLE b (id INTEGER, k INTEGER);
+    INSERT INTO b VALUES (1, 2), (2, 1);
+  )sql")
+                  .ok());
+  std::vector<std::string> statuses;
+  for (bool vectorized : {true, false}) {
+    db.options().exec.vectorized_execution = vectorized;
+    for (int run = 0; run < 3; ++run) {
+      statuses.push_back(
+          db.Query("SELECT id FROM a WHERE s = 2").status().ToString());
+    }
+  }
+  db.options().exec.vectorized_execution = true;
+  for (bool index_join : {true, false}) {
+    db.options().binder.use_index_join = index_join;
+    statuses.push_back(
+        db.Query("SELECT a.id FROM a JOIN b ON a.s = b.k").status().ToString());
+  }
+  EXPECT_NE(statuses.front().find("cannot compare"), std::string::npos)
+      << statuses.front();
+  for (size_t i = 1; i < statuses.size(); ++i) {
+    EXPECT_EQ(statuses[i], statuses.front()) << "execution " << i;
+  }
+}
+
 TEST_F(IndexScan, FailingSubqueryFallsBackToTheFullScan) {
   // The subquery fails at open; the scan then runs as the full scan,
   // whose filter surfaces the same error on the first row.
@@ -312,6 +348,76 @@ TEST_F(MleScanCounts, MostSelectiveFreshIndexWins) {
   EXPECT_EQ(stats.index_scans, 1u);
   EXPECT_EQ(stats.rows_scanned, 5u);
   EXPECT_EQ(rs->num_rows(), 5u);
+}
+
+// --- The PDM traffic the join operator choice relies on ----------------------
+
+/// Every statement the PDM actions issue on a small tree: each
+/// strategy's query, single- and multi-level expand, then check-out and
+/// check-in by each method. Every join they run is an index join, so no
+/// statement counts a nested-loop probe (`join_probe_rows`, charged at
+/// the row rate) and the expands count index-join probes. A join change
+/// that moved this traffic would move the simulated t_server of the
+/// paper's tables.
+TEST(PdmJoinTraffic, EveryJoinIsAnIndexJoin) {
+  using model::ActionKind;
+  using model::StrategyKind;
+  client::ExperimentConfig config;
+  config.generator.depth = 3;
+  config.generator.branching = 3;
+  config.generator.sigma = 0.6;
+  Result<std::unique_ptr<client::Experiment>> created =
+      client::Experiment::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  client::Experiment& e = **created;
+  DbServer& server = e.server();
+  server.mutable_config().statement_log_capacity = 0;
+  server.EnableStatementLog(true);
+  // The logged statements' index-join probes; clears the log.
+  auto index_probes = [&](const std::string& label) {
+    size_t probes = 0;
+    for (const DbServer::StatementLogEntry& entry : server.statement_log()) {
+      EXPECT_EQ(entry.join_probe_rows, 0u) << label << ": " << entry.sql;
+      probes += entry.vec_join_probe_rows;
+    }
+    server.ClearStatementLog();
+    return probes;
+  };
+
+  for (StrategyKind strategy :
+       {StrategyKind::kNavigationalLate, StrategyKind::kNavigationalEarly,
+        StrategyKind::kRecursive, StrategyKind::kBatchedLate,
+        StrategyKind::kBatchedEarly, StrategyKind::kPipelinedLate,
+        StrategyKind::kPipelinedEarly}) {
+    for (ActionKind action :
+         {ActionKind::kQuery, ActionKind::kSingleLevelExpand,
+          ActionKind::kMultiLevelExpand}) {
+      const std::string label = std::string(model::StrategyKindName(strategy)) +
+                                " " + std::string(model::ActionKindName(action));
+      Result<client::ActionResult> result = e.RunAction(strategy, action);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status();
+      const size_t probes = index_probes(label);
+      if (action != ActionKind::kQuery) {
+        EXPECT_GT(probes, 0u) << label;
+      }
+    }
+  }
+
+  std::unique_ptr<client::CheckOutClient> checkout = e.MakeCheckOutClient();
+  const int64_t root = e.product().root_obid;
+  for (client::CheckOutMethod method :
+       {client::CheckOutMethod::kNavigational,
+        client::CheckOutMethod::kRecursiveBatched,
+        client::CheckOutMethod::kStoredProcedure}) {
+    const std::string label(client::CheckOutMethodName(method));
+    Result<client::CheckOutResult> out = checkout->CheckOut(root, method);
+    ASSERT_TRUE(out.ok()) << label << ": " << out.status();
+    EXPECT_TRUE(out->success) << label;
+    Result<client::CheckOutResult> in = checkout->CheckIn(root, method);
+    ASSERT_TRUE(in.ok()) << label << ": " << in.status();
+    EXPECT_TRUE(in->success) << label;
+    index_probes(label);
+  }
 }
 
 }  // namespace

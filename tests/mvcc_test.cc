@@ -685,7 +685,7 @@ TEST(MvccVectorized, BridgeScanMatchesRowScanAcrossAnUnpublishedAppend) {
 TEST(MvccVectorized, IndexJoinMatchesRowJoinAcrossAnUnpublishedAppend) {
   constexpr const char* kSql = "SELECT p.k, t.s FROM p JOIN t ON p.k = t.id";
   BinderOptions nested_loop;
-  nested_loop.use_hash_join = false;
+  nested_loop.use_index_join = false;
   for (int published : {1000, 1024, 1500}) {
     for (size_t rows_before_publish : {0, 1}) {
       SCOPED_TRACE(StrFormat("%d rows, publish after %zu output rows",

@@ -316,7 +316,7 @@ TEST_F(PlanCacheTest, BinderOptionChangeInvalidates) {
       Query("SELECT COUNT(*) FROM t AS x JOIN t AS y ON x.id = y.id "
             "WHERE x.id > 0")
           .ok());
-  db_.options().binder.use_hash_join = false;
+  db_.options().binder.use_index_join = false;
   Result<ResultSet> rs =
       Query("SELECT COUNT(*) FROM t AS x JOIN t AS y ON x.id = y.id "
             "WHERE x.id > 1");

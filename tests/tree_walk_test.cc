@@ -421,8 +421,8 @@ PlanCase MakePlan(PlanKind kind, bool full) {
       c.node = std::move(n);
       break;
     }
-    case PlanKind::kHashJoin: {
-      auto n = std::make_unique<HashJoinNode>();
+    case PlanKind::kIndexJoin: {
+      auto n = std::make_unique<IndexJoinNode>();
       n->residual = optional_expr();
       n->left = PlanMarker(&c.children);
       n->right = PlanMarker(&c.children);

@@ -3,11 +3,10 @@
 // in both vectorized_execution settings and pull bridged batches from
 // below when it is on. The results must be byte-identical to the
 // all-row engine's, and to the nested-loop join's (the oracle the index
-// and build-mode hash joins do not share an operator with), on every
-// edge the engine defines semantics for — NULL
-// join keys, empty build sides, duplicate keys, residual predicates,
-// multi-key joins, int64/double key mixing past the 2^53 exactness
-// bound, empty aggregation input, all-NULL groups, DISTINCT,
+// join does not share an operator with), on every edge the engine
+// defines semantics for — NULL join keys, empty right sides, duplicate
+// keys, residual predicates, multi-key joins, int64/double key mixing
+// past the 2^53 exactness bound, empty aggregation input, all-NULL groups, DISTINCT,
 // fragment-boundary groups, HAVING — plus ORDER BY tie stability and
 // an MVCC-visibility-under-join canary (run it under TSan to catch
 // fragment/index races).
@@ -73,7 +72,7 @@ class VecJoinAggTest : public ::testing::Test {
   }
 
   /// Runs `sql` with vectorized execution on, then off, then on with
-  /// the binder's nested-loop join in place of hash and index joins,
+  /// the binder's nested-loop join in place of index joins,
   /// and asserts the rendered results are identical. Returns the
   /// on-path stats so callers can pin which executor actually ran.
   static ExecStats Differential(Database* db, const std::string& sql) {
@@ -87,13 +86,12 @@ class VecJoinAggTest : public ::testing::Test {
     EXPECT_TRUE(row.ok()) << sql << " -> " << row.status();
     EXPECT_EQ(row_stats.vec_batches, 0u) << sql;
     db->options().exec.vectorized_execution = true;
-    db->options().binder.use_hash_join = false;
+    db->options().binder.use_index_join = false;
     ExecStats nl_stats;
     Result<ResultSet> nl = QueryWithStats(*db, &nl_stats, sql);
     EXPECT_TRUE(nl.ok()) << sql << " -> " << nl.status();
-    EXPECT_EQ(nl_stats.hash_join_builds + nl_stats.index_join_probes, 0u)
-        << sql;
-    db->options().binder.use_hash_join = true;
+    EXPECT_EQ(nl_stats.index_join_probes, 0u) << sql;
+    db->options().binder.use_index_join = true;
     if (vec.ok() && row.ok()) {
       EXPECT_EQ(vec->ToString(1 << 24), row->ToString(1 << 24)) << sql;
     }
@@ -104,21 +102,21 @@ class VecJoinAggTest : public ::testing::Test {
   }
 };
 
-TEST_F(VecJoinAggTest, BuildModeJoinMatchesRowEngine) {
+TEST_F(VecJoinAggTest, DerivedTableJoinRunsTheNestedLoop) {
   Database db;
   FillObj(&db, 300);
   FillLnk(&db, 300);
-  // The derived table leaves Project -> Scan[filtered] on the build
-  // side — not index-join eligible, so the row join builds its hash
-  // table from the bridged build side.
+  // The derived table leaves Project -> Scan[filtered] on the right:
+  // no index to probe, so the binder keeps the nested-loop join, which
+  // materializes its right side from the bridge.
   ExecStats stats = Differential(
       &db,
       "SELECT l.parent, l.child, o.id FROM lnk AS l "
       "JOIN (SELECT id, grp FROM obj WHERE grp < 3) AS o "
       "ON l.child = o.id");
-  EXPECT_GT(stats.join_probe_rows, 0u);
+  EXPECT_EQ(stats.join_probe_rows, 300u);
+  EXPECT_GT(stats.nl_join_probes, 0u);
   EXPECT_EQ(stats.index_join_probes, 0u);
-  EXPECT_GT(stats.hash_join_builds, 0u);
   EXPECT_GT(stats.vec_batches, 0u);
 }
 
@@ -148,8 +146,8 @@ TEST_F(VecJoinAggTest, EmptyBuildSideYieldsNoRows) {
 TEST_F(VecJoinAggTest, DuplicateBuildKeysEmitAllMatchesInBuildOrder) {
   Database db;
   FillObj(&db, 120);
-  // Self-join on grp: every probe hits ~17 build rows; emission order
-  // (per probe row, matches in build order) must agree byte-for-byte.
+  // Self-join on grp: every probe hits ~17 right rows; emission order
+  // (per probe row, matches in table order) must agree byte-for-byte.
   ExecStats stats = Differential(
       &db,
       "SELECT a.id, b.id FROM obj AS a JOIN obj AS b ON a.grp = b.grp "
@@ -171,46 +169,48 @@ TEST_F(VecJoinAggTest, IntKeysJoinDoubleProbesExactly) {
   FillObj(&db, 60);
   FillLnk(&db, 60);
   // dval = id * 0.25 is integral only when id % 4 == 0: the double
-  // probe against the int64 build keys must match exactly those.
+  // probe into the int64 column's index must match exactly those.
   ExecStats stats = Differential(
       &db,
-      "SELECT o.dval, l.child FROM obj AS o "
-      "JOIN (SELECT child FROM lnk WHERE parent >= 0) AS l "
-      "ON o.dval = l.child");
-  EXPECT_GT(stats.join_probe_rows, 0u);
-  EXPECT_EQ(stats.index_join_probes, 0u);
-  EXPECT_GT(stats.hash_join_builds, 0u);
+      "SELECT o.dval, l.child FROM obj AS o JOIN lnk AS l "
+      "ON o.dval = l.child WHERE o.id >= 0 AND l.parent >= 0");
+  EXPECT_EQ(stats.index_join_probes, 60u);
+  EXPECT_EQ(stats.join_probe_rows, 0u);
   EXPECT_GT(stats.vec_batches, 0u);
 }
 
-TEST_F(VecJoinAggTest, BuildKeysPastExactDoubleRangeDemoteToGenericTable) {
+TEST_F(VecJoinAggTest, IndexKeysPastExactDoubleRangeMatchOnlyThemselves) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE big (k INTEGER, tag VARCHAR)").ok());
   // 2^53 + 1 is not representable as a double; it must match only
-  // itself, never a neighbour that rounds to the same double.
+  // itself, never its neighbour 2^53, which rounds to the same double.
   ASSERT_TRUE(db.Execute("INSERT INTO big VALUES (1, 'small'), "
                          "(9007199254740993, 'huge'), (2, 'small2')")
                   .ok());
   ASSERT_TRUE(db.Execute("CREATE TABLE probe (k INTEGER)").ok());
-  ASSERT_TRUE(
-      db.Execute("INSERT INTO probe VALUES (1), (9007199254740993), (3)")
-          .ok());
-  ExecStats stats = Differential(
-      &db,
-      "SELECT p.k, b.tag FROM probe AS p "
-      "JOIN (SELECT k, tag FROM big WHERE k > 0) AS b ON p.k = b.k");
-  EXPECT_GT(stats.join_probe_rows, 0u);
-  EXPECT_EQ(stats.index_join_probes, 0u);
-  EXPECT_GT(stats.hash_join_builds, 0u);
+  ASSERT_TRUE(db.Execute("INSERT INTO probe VALUES (1), (9007199254740993), "
+                         "(9007199254740992), (3)")
+                  .ok());
+  const std::string sql =
+      "SELECT p.k, b.tag FROM probe AS p JOIN big AS b ON p.k = b.k "
+      "WHERE p.k > 0 AND b.k > 0";
+  ExecStats stats = Differential(&db, sql);
+  EXPECT_EQ(stats.index_join_probes, 4u);
+  EXPECT_EQ(stats.join_probe_rows, 0u);
   EXPECT_GT(stats.vec_batches, 0u);
+  Result<ResultSet> rs = db.Query(sql);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->num_rows(), 2u);
+  EXPECT_EQ(rs->At(1, 0).int64_value(), 9007199254740993);
+  EXPECT_EQ(rs->At(1, 1).string_value(), "huge");
 }
 
 TEST_F(VecJoinAggTest, ResidualPredicateFiltersPairs) {
   Database db;
   FillObj(&db, 100);
   FillLnk(&db, 100);
-  // The cross-side inequality can't be a hash key, so it survives as a
-  // residual evaluated per emitted pair.
+  // The cross-side inequality can't be an index key, so it survives as
+  // a residual evaluated per matched pair.
   Differential(&db,
                "SELECT l.parent, o.id FROM lnk AS l "
                "JOIN obj AS o ON l.child = o.id AND l.parent < o.grp "
@@ -235,7 +235,7 @@ TEST_F(VecJoinAggTest, EligibleJoinProbesTheIndexInBothSettings) {
   FillObj(&db, 100);
   FillLnk(&db, 100);
   // vectorized_execution selects only the scan bridge: an eligible
-  // join is the same index join either way and never builds.
+  // join is the same index join either way.
   for (bool vectorized : {true, false}) {
     SCOPED_TRACE(vectorized ? "vectorized" : "row");
     db.options().exec.vectorized_execution = vectorized;
@@ -246,7 +246,7 @@ TEST_F(VecJoinAggTest, EligibleJoinProbesTheIndexInBothSettings) {
         "ON l.child = o.id");
     ASSERT_TRUE(rs.ok()) << rs.status();
     EXPECT_GT(stats.index_join_probes, 0u);
-    EXPECT_EQ(stats.hash_join_builds, 0u);
+    EXPECT_EQ(stats.join_probe_rows, 0u);
   }
   db.options().exec.vectorized_execution = true;
 }

@@ -131,7 +131,7 @@ TEST_F(ViewsTest, ExplainShowsRecursiveCtesAndJoins) {
   for (const Row& row : rs.rows) all += row[0].string_value() + "\n";
   EXPECT_NE(all.find("RecursiveCTE r:"), std::string::npos);
   EXPECT_NE(all.find("recursive term 1"), std::string::npos);
-  EXPECT_NE(all.find("HashJoin"), std::string::npos);
+  EXPECT_NE(all.find("IndexJoin"), std::string::npos);
   EXPECT_NE(all.find("CteScan(r)"), std::string::npos);
 }
 
